@@ -1,0 +1,12 @@
+"""Puts the benchmark's modules (and the program under src/) on sys.path."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+if str(BENCH_DIR) not in sys.path:
+    sys.path.insert(0, str(BENCH_DIR))
+
+from checkout import add_src_to_path  # noqa: E402
+
+add_src_to_path()
