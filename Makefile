@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test test-bench
+.PHONY: lint test test-bench ab
 
 # nrmi-lint gates src/ and examples/ at zero findings (tests/ is excluded
 # on purpose: analysis_fixtures/ seeds deliberate violations). ruff covers
@@ -23,3 +23,12 @@ test:
 
 test-bench:
 	$(PYTHON) -m pytest -q -m bench_smoke
+
+# Interleaved A/B of two revisions on one callpath workload (ten pairs of
+# 21 s runs: about nine minutes). A is the parent, B the change:
+#   make ab A=HEAD~1 B=HEAD W=tree_full_tcp
+A ?= HEAD~1
+B ?= HEAD
+W ?= tree_full_tcp
+ab:
+	$(PYTHON) tools/ab_callpath.py $(A) $(B) --workload $(W)

@@ -20,18 +20,58 @@ Immutable containers (tuples, frozensets) cannot be overwritten; they are
 rebuilt with converted elements, preserving sharing, and the *parents* get
 the rebuilt value. This mirrors how Java treats Strings and boxed
 primitives as values.
+
+The traversal is one flat loop. What to do with an object is decided per
+*class*, once per restore: a dispatch tag, and — with the optimized
+accessor — its transient set and whether the accessor's cached layout
+says instances keep all state in ``__dict__``; such a class is
+overwritten with one ``clear()`` + ``update()`` and no per-object
+reflection. That is the paper's portable -> optimized move (Section 5.3.1)
+applied to restore; any other accessor keeps paying ``get_state`` /
+``set_state`` / ``transient_fields`` per object, uncached.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.matching import MatchResult
-from repro.errors import RestoreError
-from repro.serde.accessors import FieldAccessor, OPTIMIZED_ACCESSOR
+from repro.serde.accessors import (
+    OPTIMIZED_ACCESSOR,
+    FieldAccessor,
+    FieldState,
+    OptimizedAccessor,
+)
 from repro.serde.hooks import transient_fields
-from repro.serde.kinds import Kind, classify, is_immutable_container
-from repro.util.identity import IdentityMap, IdentitySet
+from repro.serde.kinds import Kind, classify
+from repro.util.identity import IdentitySet
+
+# Dispatch tags: how the loop treats instances of one class.
+_LEAF = 0  # primitive or unsupported shape: a value, nothing to descend
+_TUPLE = 1
+_FROZENSET = 2
+_LIST = 3
+_BYTEARRAY = 4
+_OBJECT = 5  # fields read and written through the accessor
+_DICT_OBJECT = 6  # all state in __dict__ (OptimizedAccessor.dict_only)
+_DICT = 7
+_SET = 8
+
+_BUILTIN_TAGS: Dict[type, int] = {
+    type(None): _LEAF,
+    bool: _LEAF,
+    int: _LEAF,
+    float: _LEAF,
+    complex: _LEAF,
+    str: _LEAF,
+    bytes: _LEAF,
+    tuple: _TUPLE,
+    frozenset: _FROZENSET,
+    list: _LIST,
+    bytearray: _BYTEARRAY,
+    dict: _DICT,
+    set: _SET,
+}
 
 
 class RestoreStats:
@@ -69,6 +109,9 @@ class RestoreEngine:
         # descended into. The RMI layer marks remote stubs and pointers
         # opaque — they pass by reference and own no restorable state.
         self._opaque = opaque
+        # Only the optimized accessor's cached layout may stand in for
+        # its get_state/set_state; any other accessor is asked per object.
+        self._optimized = isinstance(accessor, OptimizedAccessor)
 
     def restore(
         self,
@@ -88,165 +131,171 @@ class RestoreEngine:
         Returns ``(converted_result, stats)``.
         """
         accessor = self._accessor
-        m2o = match.modified_to_original
-        skip_set = skip if skip is not None else IdentitySet()
-        stats = RestoreStats()
-        rebuilt: IdentityMap[Any] = IdentityMap()  # modified immutable -> rebuilt
+        opaque = self._opaque
+        # Raw id()-keyed tables. Every key is an object of the modified
+        # graph, all of which exist before this call and are pinned until
+        # it returns (by ``match``, ``result`` and the captured states), so
+        # no id can be recycled under a live entry.
+        m2o_get = dict(zip(map(id, match.modifieds), match.originals)).get
+        skip_ids = {id(obj) for obj in skip} if skip is not None else ()
+        rebuilt: Dict[int, Any] = {}  # id(modified immutable) -> rebuilt
+        tags = dict(_BUILTIN_TAGS)
+        transients_of: Dict[type, FrozenSet[str]] = {}
 
         def convert(value: Any) -> Any:
             """Map a value in the modified graph to its caller-site value."""
-            kind = classify(value)
-            if kind is Kind.PRIMITIVE:
-                return value
-            original = m2o.get(value)
+            original = m2o_get(id(value))
             if original is not None:
                 return original
-            if is_immutable_container(kind):
-                cached = rebuilt.get(value)
-                if cached is not None:
-                    return cached
-                if kind is Kind.TUPLE:
-                    replacement = tuple(convert(item) for item in value)
-                else:
-                    replacement = frozenset(convert(item) for item in value)
-                rebuilt[value] = replacement
-                stats.immutables_rebuilt += 1
-                return replacement
-            # New object (server-allocated) or an already-original object:
-            # keep identity; its own slots are fixed by the traversal.
+            cls = type(value)
+            if cls is tuple or cls is frozenset:
+                cached = rebuilt.get(id(value))
+                if cached is None:
+                    cached = rebuilt[id(value)] = cls(map(convert, value))
+                return cached
+            # Primitive, new object (server-allocated) or already-original
+            # object: keep identity; its own slots are fixed by the traversal.
             return value
 
         # ---- traversal of the modified graph, collecting rewrite actions
-        sequence_actions: List[Callable[[], None]] = []
-        hashed_actions: List[Callable[[], None]] = []
+        # as (tag, target, state) — fields and sequences apart from hashed
+        # containers, each list in visit order.
+        sequence_actions: List[Tuple[int, Any, Any]] = []
+        hashed_actions: List[Tuple[int, Any, Any]] = []
+        old_overwritten = new_adopted = 0
 
-        visited = IdentitySet()
+        visited = set()
         stack: List[Any] = [result]
         stack.extend(reversed(match.modifieds))
+        pop = stack.pop
+        extend = stack.extend
         while stack:
-            obj = stack.pop()
-            kind = classify(obj)
-            if kind is Kind.PRIMITIVE or kind is Kind.UNSUPPORTED:
+            obj = pop()
+            tag = tags.get(type(obj))
+            if tag is None:
+                tag = tags[type(obj)] = self._tag_for(obj, transients_of)
+            if tag == _LEAF:
                 continue
-            if obj in visited or obj in skip_set:
+            obj_id = id(obj)
+            if obj_id in visited or obj_id in skip_ids:
                 continue
-            if self._opaque is not None and self._opaque(obj):
+            if opaque is not None and opaque(obj):
                 continue
-            visited.add(obj)
+            visited.add(obj_id)
 
-            if is_immutable_container(kind):
+            if tag == _TUPLE:
                 # Not rewritable; just keep walking through it.
-                stack.extend(reversed(list(obj)))
+                extend(reversed(obj))
+                continue
+            if tag == _FROZENSET:
+                extend(reversed(list(obj)))
                 continue
 
-            original = m2o.get(obj)
-            target = original if original is not None else obj
-            if original is not None:
-                stats.old_overwritten += 1
+            target = m2o_get(obj_id)
+            if target is None:
+                target = obj
+                new_adopted += 1
             else:
-                stats.new_adopted += 1
+                old_overwritten += 1
 
-            if kind is Kind.OBJECT:
+            if tag == _DICT_OBJECT:
+                fields = obj.__dict__
+                extend(reversed(fields.values()))
+                sequence_actions.append((tag, target, fields))
+            elif tag == _OBJECT:
                 state = accessor.get_state(obj)
-                stack.extend(value for _name, value in reversed(state))
-                sequence_actions.append(
-                    self._make_object_action(target, state, convert, accessor)
-                )
-            elif kind is Kind.LIST:
-                stack.extend(reversed(obj))
-                items = list(obj)
-                sequence_actions.append(self._make_list_action(target, items, convert))
-            elif kind is Kind.BYTEARRAY:
-                data = bytes(obj)
-                sequence_actions.append(self._make_bytearray_action(target, data))
-            elif kind is Kind.DICT:
-                pairs = list(obj.items())
-                for key, value in reversed(pairs):
+                extend(value for _name, value in reversed(state))
+                sequence_actions.append((tag, target, state))
+            elif tag == _LIST:
+                extend(reversed(obj))
+                sequence_actions.append((tag, target, obj))
+            elif tag == _BYTEARRAY:
+                sequence_actions.append((tag, target, obj))
+            elif tag == _DICT:
+                for key, value in reversed(obj.items()):
                     stack.append(value)
                     stack.append(key)
-                hashed_actions.append(self._make_dict_action(target, pairs, convert))
-            elif kind is Kind.SET:
+                hashed_actions.append((tag, target, obj))
+            else:  # _SET: tags are exhaustive above
                 items = list(obj)
-                stack.extend(reversed(items))
-                hashed_actions.append(self._make_set_action(target, items, convert))
-            else:  # pragma: no cover - kinds are exhaustive above
-                raise RestoreError(f"cannot restore object of kind {kind}")
+                extend(reversed(items))
+                hashed_actions.append((tag, target, items))
 
         # ---- apply: fields and sequences first, hashed containers last
-        for action in sequence_actions:
-            action()
-        for action in hashed_actions:
-            action()
-
-        return convert(result), stats
-
-    # ----------------------------------------------------- action builders
-
-    @staticmethod
-    def _make_object_action(
-        target: Any,
-        state: List[Tuple[str, Any]],
-        convert: Callable[[Any], Any],
-        accessor: FieldAccessor,
-    ) -> Callable[[], None]:
-        def apply() -> None:
-            new_state = [(name, convert(value)) for name, value in state]
-            transients = transient_fields(type(target))
-            preserved = []
-            if transients:
-                # Transient fields never travel, so the caller's local
-                # values must survive the overwrite untouched.
-                preserved = [
-                    (name, value)
-                    for name, value in accessor.get_state(target)
-                    if name in transients
+        for tag, target, state in sequence_actions:
+            if tag == _DICT_OBJECT:
+                converted = {name: convert(value) for name, value in state.items()}
+                fields = target.__dict__
+                transients = transients_of[type(target)]
+                if transients:
+                    # Transient fields never travel, so the caller's local
+                    # values must survive the overwrite untouched.
+                    for name, value in fields.items():
+                        if name in transients:
+                            converted[name] = value
+                # Names the modified version lacks go with the clear().
+                fields.clear()
+                fields.update(converted)
+            elif tag == _OBJECT:
+                self._overwrite_fields(
+                    target,
+                    [(name, convert(value)) for name, value in state],
+                    transients_of.get(type(target)),
+                )
+            elif tag == _LIST:
+                target[:] = list(map(convert, state))
+            else:  # _BYTEARRAY
+                target[:] = bytes(state)
+        for tag, target, state in hashed_actions:
+            if tag == _DICT:
+                converted = [
+                    (convert(key), convert(value)) for key, value in state.items()
                 ]
-            stale = {name for name, _ in accessor.get_state(target)}
-            stale.difference_update(name for name, _ in new_state)
-            stale.difference_update(transients)
-            accessor.set_state(target, new_state + preserved)
-            for name in stale:
-                try:
-                    object.__delattr__(target, name)
-                except AttributeError:
-                    pass
-
-        return apply
-
-    @staticmethod
-    def _make_list_action(
-        target: list, items: List[Any], convert: Callable[[Any], Any]
-    ) -> Callable[[], None]:
-        def apply() -> None:
-            target[:] = [convert(item) for item in items]
-
-        return apply
-
-    @staticmethod
-    def _make_bytearray_action(target: bytearray, data: bytes) -> Callable[[], None]:
-        def apply() -> None:
-            target[:] = data
-
-        return apply
-
-    @staticmethod
-    def _make_dict_action(
-        target: dict, pairs: List[Tuple[Any, Any]], convert: Callable[[Any], Any]
-    ) -> Callable[[], None]:
-        def apply() -> None:
-            converted = [(convert(key), convert(value)) for key, value in pairs]
+            else:
+                converted = list(map(convert, state))
             target.clear()
             target.update(converted)
 
-        return apply
+        stats = RestoreStats()
+        stats.old_overwritten = old_overwritten
+        stats.new_adopted = new_adopted
+        result = convert(result)
+        stats.immutables_rebuilt = len(rebuilt)
+        return result, stats
 
-    @staticmethod
-    def _make_set_action(
-        target: set, items: List[Any], convert: Callable[[Any], Any]
-    ) -> Callable[[], None]:
-        def apply() -> None:
-            converted = [convert(item) for item in items]
-            target.clear()
-            target.update(converted)
+    def _tag_for(self, obj: Any, transients_of: Dict[type, FrozenSet[str]]) -> int:
+        """The dispatch tag for ``type(obj)`` (exact builtins are pre-seeded),
+        noting the class's transient set for the optimized accessor."""
+        if classify(obj) is not Kind.OBJECT:
+            return _LEAF  # primitive subclass or unsupported shape
+        if not self._optimized:
+            return _OBJECT
+        cls = type(obj)
+        transients_of[cls] = transient_fields(cls)
+        return _DICT_OBJECT if self._accessor.dict_only(cls) else _OBJECT
 
-        return apply
+    def _overwrite_fields(
+        self,
+        target: Any,
+        new_state: FieldState,
+        transients: Optional[FrozenSet[str]],
+    ) -> None:
+        """Field-by-field overwrite through the accessor: keep the target's
+        transient fields, drop the names the modified version lacks.
+        *transients* is ``None`` when the restore did not note it."""
+        accessor = self._accessor
+        if transients is None:
+            transients = transient_fields(type(target))
+        current = accessor.get_state(target)
+        # Transient fields never travel, so the caller's local values
+        # must survive the overwrite untouched.
+        preserved = [(name, value) for name, value in current if name in transients]
+        stale = {name for name, _ in current}
+        stale.difference_update(name for name, _ in new_state)
+        stale.difference_update(transients)
+        accessor.set_state(target, new_state + preserved)
+        for name in stale:
+            try:
+                object.__delattr__(target, name)
+            except AttributeError:
+                pass

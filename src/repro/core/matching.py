@@ -18,14 +18,20 @@ from repro.util.identity import IdentityMap
 class MatchResult:
     """The outcome of matching: aligned (original, modified) pairs."""
 
-    __slots__ = ("originals", "modifieds", "modified_to_original")
+    __slots__ = ("originals", "modifieds")
 
     def __init__(self, originals: List[Any], modifieds: List[Any]) -> None:
         self.originals = originals
         self.modifieds = modifieds
-        self.modified_to_original: IdentityMap[Any] = IdentityMap()
-        for original, modified in zip(originals, modifieds):
-            self.modified_to_original[modified] = original
+
+    @property
+    def modified_to_original(self) -> IdentityMap[Any]:
+        """``modified object -> original object``, built on demand: the
+        restore engine keys its own ``id()`` table off the two lists."""
+        mapping: IdentityMap[Any] = IdentityMap()
+        for original, modified in zip(self.originals, self.modifieds):
+            mapping[modified] = original
+        return mapping
 
     def __len__(self) -> int:
         return len(self.originals)

@@ -6,7 +6,14 @@ Client side (:func:`client_call`):
 2. marshal all arguments into **one** stream (one handle table → aliasing
    across arguments preserved), recording the linear map as a side effect;
 3. keep the subset of the map reachable from the copy-restore arguments —
-   "create a linear map ... keep a reference to it" (algorithm step 1);
+   "create a linear map ... keep a reference to it" (algorithm step 1).
+   Like the map itself, the subset falls out of step 2: the writer
+   records per root the span of map positions first reached under it,
+   and the copy-restore roots' spans *are* the subset. The graph is
+   walked a second time only when a by-copy argument put mutable objects
+   into the map ahead of a copy-restore root (that root may reach into
+   them), and then the walk sees what the stream carried — no transient
+   fields, ``__nrmi_replace__`` stand-ins instead of their originals;
 4. send; on reply, hand the payload to the agreed restore policy, which
    matches maps and applies steps 4-6 of the algorithm.
 
@@ -15,8 +22,9 @@ Server side (:func:`handle_call`):
 1. unmarshal the arguments, reconstructing the linear map during
    deserialization (the paper's optimization — the map never crosses the
    wire);
-2. retain the same subset, computed by the same deterministic rule, so the
-   two endpoints' retained lists are index-aligned by construction;
+2. retain the same subset, computed by the same deterministic rule — the
+   reader records the same spans over its index-aligned map — so the two
+   endpoints' retained lists are index-aligned by construction;
 3. run the method at full speed — no read/write barriers, no traffic;
 4. let the policy build the response (return value + restore payload in
    one stream, so the return value shares structure with restored data).
@@ -26,7 +34,7 @@ from __future__ import annotations
 
 import threading
 import traceback
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.restore_protocol import (
     ClientRestoreContext,
@@ -121,22 +129,66 @@ class ReplyPolicyChooser:
                 )
 
 
+def _retained_prefix(linear_map: LinearMap, roots: Sequence[Any]) -> Optional[int]:
+    """Length of the map prefix the copy-restore roots' spans cover, or
+    ``None`` when only a walk can tell.
+
+    A root's span is what the serializer first reached under it, so the
+    roots' spans are the retained set unless a root can reach into a span
+    that is not one of theirs. That takes a by-copy argument that put
+    mutable objects into the map *before* some copy-restore root was
+    traversed; a trailing one holds only what no root reached. Spans that
+    do not tile the map (a hand-built or shipped map, objects appended
+    between roots) or roots that were never traversed as stream roots
+    decide nothing either.
+    """
+    root_ids = {id(root) for root in roots}
+    traversed = set()
+    covered = retained_end = 0
+    by_copy_objects = False
+    for root, start, end in linear_map.spans:
+        if start != covered:
+            return None
+        covered = end
+        if id(root) in root_ids:
+            if by_copy_objects:
+                return None
+            traversed.add(id(root))
+            retained_end = end
+        elif end > start:
+            by_copy_objects = True
+    if covered != len(linear_map) or traversed != root_ids:
+        return None
+    return retained_end
+
+
 def compute_retained_indexed(
     linear_map: LinearMap, roots: Sequence[Any], accessor: FieldAccessor
 ) -> Tuple[List[Any], List[int]]:
     """The retained subset plus each member's position in the linear map.
 
-    Both endpoints run this over isomorphic graphs with identical map
-    order, so position *i* on one side corresponds to position *i* on the
+    The subset is the part of the map reachable from the copy-restore
+    roots *as the serializer traversed them*. Normally that is read off
+    the spans ``write_root``/``read_root`` recorded, with no second pass
+    over the graph; both endpoints hold the same spans over index-aligned
+    maps, so position *i* on one side corresponds to position *i* on the
     other — the invariant that makes step 4's match-up positional. The
     positions let the server look up digests captured per linear-map slot
     during deserialization without re-walking anything.
+
+    When the spans cannot decide (see :func:`_retained_prefix`) the graph
+    is walked, seeing what the stream carried: transient fields are not
+    followed and ``__nrmi_replace__`` stand-ins are.
     """
     if not roots:
         return [], []
+    prefix = _retained_prefix(linear_map, roots)
+    if prefix is not None:
+        return linear_map.objects[:prefix], list(range(prefix))
     reach = IdentitySet()
     for obj in reachable(
-        list(roots), accessor, mutable_only=True, stop=is_opaque_remote
+        list(roots), accessor, mutable_only=True, stop=is_opaque_remote,
+        written=linear_map.replacements,
     ):
         reach.add(obj)
     retained: List[Any] = []

@@ -178,6 +178,13 @@ class OptimizedAccessor(FieldAccessor):
     def new_instance(self, cls: type) -> Any:
         return self._plan_for(cls).factory()
 
+    def dict_only(self, cls: type) -> bool:
+        """Whether instances of *cls* keep all their state in ``__dict__``,
+        so a caller may read and replace that dict wholesale."""
+        # __dictoffset__ is 0 exactly when instances carry no __dict__
+        # (every class in the MRO declares __slots__, possibly empty).
+        return not self._plan_for(cls).slot_names and cls.__dictoffset__ != 0
+
 
 #: Shared default instances. The portable accessor is stateless; the
 #: optimized accessor's cache is monotonic, so sharing is safe.

@@ -10,23 +10,44 @@ itself ever crossing the wire (paper optimization 5.2.4 #1).
 Index alignment is what makes step 4 ("match up the two linear maps")
 trivial: ``original.objects[i]`` and ``modified.objects[i]`` are the two
 versions of the same logical object.
+
+The map also keeps what the traversal that filled it knew and a later walk
+over the heap could only guess at: per root, the **span** of positions
+first reached under it, and the stand-ins ``__nrmi_replace__`` put on the
+wire. The invocation layer reads the retained subset of a call straight off
+the spans (:func:`repro.nrmi.invocation.compute_retained_indexed`), so
+which objects travel is decided in one place — the serializer.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.util.identity import IdentityMap
+
+#: ``(root, start, end)``: the root value as passed to ``write_root`` (or
+#: returned by ``read_root``) and the half-open range of map positions
+#: first reached while it was traversed.
+RootSpan = Tuple[Any, int, int]
 
 
 class LinearMap:
     """An ordered, identity-indexed list of the mutable reachable objects."""
 
-    __slots__ = ("_objects", "_index")
+    __slots__ = ("_objects", "_index", "spans", "replacements")
 
     def __init__(self, objects: Optional[List[Any]] = None) -> None:
         self._objects: List[Any] = []
         self._index: IdentityMap[int] = IdentityMap()
+        #: One ``(root, start, end)`` per traversed root, in stream order.
+        #: Empty for a map filled by :meth:`append` alone; the spans
+        #: describe the whole map only when they tile ``0..len(self)``.
+        self.spans: List[RootSpan] = []
+        #: original -> stand-in for every object the writer swapped through
+        #: ``__nrmi_replace__`` (the writer shares its cache; a decoded or
+        #: hand-built map has none). A walk that must see what the stream
+        #: carried follows these instead of the originals' own fields.
+        self.replacements: IdentityMap[Any] = IdentityMap()
         if objects:
             for obj in objects:
                 self.append(obj)
@@ -53,6 +74,14 @@ class LinearMap:
         objects.append(obj)
         self._index[obj] = position
         return position
+
+    def close_span(self, root: Any, start: int) -> None:
+        """Record that traversing *root* appended positions ``start..len``.
+
+        Called once per root by the writer and the reader — two ``len()``
+        reads per root, nothing per object.
+        """
+        self.spans.append((root, start, len(self._objects)))
 
     def __len__(self) -> int:
         return len(self._objects)

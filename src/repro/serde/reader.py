@@ -187,8 +187,17 @@ class ObjectReader:
     # ------------------------------------------------------------------ API
 
     def read_root(self) -> Any:
-        """Decode and return the next root value in the stream."""
-        return self._read_value()
+        """Decode and return the next root value in the stream.
+
+        Mirrors ``ObjectWriter.write_root``: the linear-map positions the
+        root registered are recorded as its span, so both endpoints hold
+        the same spans over their index-aligned maps.
+        """
+        linear_map = self.linear_map
+        start = len(linear_map)
+        value = self._read_value()
+        linear_map.close_span(value, start)
+        return value
 
     def at_end(self) -> bool:
         return self._buf.remaining == 0
@@ -301,16 +310,8 @@ class ObjectReader:
                 if result is _FRAME_PUSHED:
                     result = _NO_VALUE
                     frame = stack[-1]
-                    # pending_name is set when a generated decoder bailed
-                    # mid-field: the next value must route through _step/
-                    # _deliver, not the name-first drain loop.
-                    if (
-                        fast
-                        and frame.kind == _F_OBJECT
-                        and frame.remaining
-                        and frame.pending_name is None
-                    ):
-                        self._drain_object_fields(frame, stack)
+                    if fast and frame.remaining:
+                        self._drain(frame, stack)
                     if frame.remaining == 0:
                         stack.pop()
                         result = self._finish(frame)
@@ -320,21 +321,98 @@ class ObjectReader:
             frame = stack[-1]
             self._deliver(frame, result)
             result = _NO_VALUE
-            if (
-                fast
-                and frame.remaining
-                and frame.kind == _F_OBJECT
-                and frame.pending_name is None
-            ):
-                # Back from decoding a non-object field value: resume the
-                # direct drain loop before paying full frame-machine
-                # cycles for the fields that follow. The drain may leave
+            if fast and frame.remaining:
+                # Back from decoding a value the direct loops do not
+                # inline: resume them before paying full frame-machine
+                # cycles for what follows. An object drain may leave
                 # deeper frames on the stack; *frame* can only hit
                 # remaining == 0 when it is back on top.
-                self._drain_object_fields(frame, stack)
+                self._drain(frame, stack)
             if frame.remaining == 0:
                 stack.pop()
                 result = self._finish(frame)
+
+    def _drain(self, frame: _Frame, stack: List[_Frame]) -> None:
+        """Run the direct loop for *frame*'s kind, if it has one."""
+        kind = frame.kind
+        # pending_name is set when a generated decoder bailed mid-field:
+        # the next value must route through _step/_deliver, not the
+        # name-first drain loop.
+        if kind == _F_OBJECT and frame.pending_name is None:
+            self._drain_object_fields(frame, stack)
+        elif kind == _F_LIST:
+            self._drain_list_items(frame)
+
+    def _drain_list_items(self, frame: _Frame) -> None:
+        """Decode list elements in one direct loop.
+
+        Inlines the three element shapes that make up the retained-map
+        root of a ``full`` reply and the dirty list of a ``delta-slots``
+        one — back references, ``None`` and small ints — appending
+        straight to the shell. Any other tag is left unread for ``_step``;
+        ``_read_value`` re-enters here once that element is delivered and
+        finishes the frame (digest capture included) as before.
+        """
+        buf = self._buf
+        handles = self._handles
+        append = frame.shell.append
+        remaining = frame.remaining
+        mv = buf._mv
+        pos = buf._pos
+        try:
+            while remaining:
+                tag = mv[pos]
+                if tag == _T_REF or tag == _T_INT:
+                    # Both payloads are one uvarint: a handle, or a
+                    # zig-zag encoded value.
+                    pos += 1
+                    byte = mv[pos]
+                    pos += 1
+                    if byte & 0x80:
+                        raw = byte & 0x7F
+                        shift = 7
+                        while True:
+                            byte = mv[pos]
+                            pos += 1
+                            raw |= (byte & 0x7F) << shift
+                            if not byte & 0x80:
+                                break
+                            shift += 7
+                            if shift > 70:
+                                raise WireFormatError(
+                                    "uvarint too long (corrupt stream)"
+                                )
+                    else:
+                        raw = byte
+                    if tag == _T_INT:
+                        value = (raw >> 1) ^ -(raw & 1)
+                    else:
+                        try:
+                            value = handles[raw]
+                        except IndexError:
+                            raise WireFormatError(
+                                f"dangling handle {raw}"
+                            ) from None
+                        if value is _NO_VALUE:
+                            raise WireFormatError(
+                                f"forward reference to handle {raw}"
+                            )
+                elif tag == _T_NONE:
+                    pos += 1
+                    value = None
+                else:
+                    break
+                append(value)
+                remaining -= 1
+        except IndexError:
+            # mv[pos] past the end: the stream ended mid-element.
+            pos = buf._len
+            raise WireFormatError(
+                f"truncated stream: need 1 bytes at offset {pos}, have 0"
+            ) from None
+        finally:
+            buf._pos = pos
+            frame.remaining = remaining
 
     def _drain_object_fields(self, frame: _Frame, stack: List[_Frame]) -> None:
         """Decode an object subtree in one direct loop.

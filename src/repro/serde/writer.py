@@ -18,7 +18,7 @@ Profiles select the implementation, not the format:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import NotSerializableError, SerializationError
 from repro.serde.hooks import (
@@ -48,6 +48,13 @@ _INT64_MAX = (1 << 63) - 1
 # Work-stack task opcodes.
 _EMIT_VALUE = 0
 _EMIT_NAME = 1
+_EMIT_ITEMS = 2  # payload: iterator over the rest of a list's elements
+
+# A plain int for the per-element loop (enum attribute access is not free).
+_TAG_REF = int(Tag.REF)
+
+# Exact scalar types _emit_primitive writes without touching the work stack.
+_LEAF_TYPES = frozenset({int, float, complex, str, bytes})
 
 _MISSING = object()
 
@@ -111,7 +118,9 @@ class ObjectWriter:
         self._next_handle = 0
         self._class_ids: Dict[type, int] = {}
         self._name_ids: Dict[str, int] = {}
-        self._replacements: IdentityMap[Any] = IdentityMap()
+        # writeReplace cache, shared with the linear map: a retained-set
+        # walk must follow the stand-in that was written, not the original.
+        self._replacements: IdentityMap[Any] = self.linear_map.replacements
         self._root_count = 0
         # Lazily-built tuple of hot internals (buffer storage, handle/memo
         # tables, linear-map internals) bound in one load by generated
@@ -165,8 +174,15 @@ class ObjectWriter:
     # ------------------------------------------------------------------ API
 
     def write_root(self, value: Any) -> None:
-        """Serialize one root value (appended after any previous roots)."""
+        """Serialize one root value (appended after any previous roots).
+
+        The linear-map positions first reached under *value* are recorded
+        as its span (:attr:`LinearMap.spans`).
+        """
+        linear_map = self.linear_map
+        start = len(linear_map)
         self._write_value(value)
+        linear_map.close_span(value, start)
         self._root_count += 1
 
     @property
@@ -210,8 +226,8 @@ class ObjectWriter:
         self._str_memo.clear()
         self._bytes_memo.clear()
         self._handles = IdentityMap()
-        self._replacements = IdentityMap()
         self.linear_map = LinearMap()
+        self._replacements = self.linear_map.replacements
         self._codegen_ctx = None
         if pool is not None:
             pool.release(buffer)
@@ -314,6 +330,9 @@ class ObjectWriter:
             if opcode == _EMIT_NAME:
                 self._write_name_key(payload)
                 continue
+            if opcode == _EMIT_ITEMS:
+                self._emit_list_items(payload, stack)
+                continue
             obj = payload
             if self.stats is not None:
                 self._count(type(obj).__name__)
@@ -364,7 +383,12 @@ class ObjectWriter:
                 self._alloc_handle(obj, mutable=True)
                 buf.write_u8(Tag.LIST)
                 buf.write_uvarint(len(obj))
-                stack.extend((_EMIT_VALUE, item) for item in reversed(obj))
+                if plan_cache is not None:
+                    # A snapshot: hooks run between elements and may
+                    # resize the list the count above was taken from.
+                    self._emit_list_items(iter(tuple(obj)), stack)
+                else:
+                    stack.extend((_EMIT_VALUE, item) for item in reversed(obj))
             elif kind is Kind.TUPLE:
                 self._alloc_handle(obj, mutable=False)
                 buf.write_u8(Tag.TUPLE)
@@ -400,6 +424,45 @@ class ObjectWriter:
                     )
                 self._emit_external(obj, ext)
         # stack drained: root fully written
+
+    def _emit_list_items(self, items: Iterator[Any], stack: List[Tuple[int, Any]]) -> None:
+        """Write list elements straight off *items* while they need no
+        work stack: scalars, and back references to plan-backed objects
+        already written — every element of the retained-map root of a
+        ``full`` reply after its first. An element of any other shape goes
+        to the generic loop with the iterator parked beneath it, to resume
+        here once that element's subtree is out: pre-order, and therefore
+        bytes, are those of one ``(_EMIT_VALUE, item)`` task per element.
+        Compiled-plan writers only (``_plan_cache`` says which classes
+        the hot loop may reference by handle without further checks).
+        """
+        buf = self._buf
+        raw = buf.raw
+        plan_cache = self._plan_cache
+        handles = self._handles
+        for item in items:
+            if item is None:
+                buf.write_u8(Tag.NONE)
+                continue
+            cls = item.__class__
+            if cls in _LEAF_TYPES:
+                self._emit_primitive(item)
+                continue
+            if cls is bool:
+                buf.write_u8(Tag.TRUE if item else Tag.FALSE)
+                continue
+            if cls in plan_cache:
+                handle = handles.get(item)
+                if handle is not None:
+                    raw.append(_TAG_REF)
+                    while handle > 0x7F:
+                        raw.append((handle & 0x7F) | 0x80)
+                        handle >>= 7
+                    raw.append(handle)
+                    continue
+            stack.append((_EMIT_ITEMS, items))
+            stack.append((_EMIT_VALUE, item))
+            return
 
     def _emit_primitive(self, obj: Any) -> None:
         buf = self._buf

@@ -115,3 +115,58 @@ class TestServerCliParsing:
         )
         assert completed.returncode == 0, completed.stderr
         assert json.loads(completed.stdout) == 3
+
+
+def _load_ab_tool():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "ab_callpath.py"
+    spec = importlib.util.spec_from_file_location("ab_callpath", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAbCallpathVerdict:
+    """The pairing rule of tools/ab_callpath.py (choosing-metrics section 8)."""
+
+    judge = staticmethod(_load_ab_tool().judge)
+
+    def test_clear_gain_on_a_lower_is_better_metric(self):
+        parent = [100, 104, 98, 101, 103, 99, 102, 100, 97, 105]
+        change = [value * 0.5 for value in parent]
+        verdict = self.judge(parent, change, "lower")
+        assert (verdict["wins"], verdict["losses"]) == (10, 0)
+        assert verdict["verdict"] == "gain"
+        assert verdict["median_gap"] > verdict["parent_iqr"] > 0
+
+    def test_nine_of_ten_is_enough_eight_is_not(self):
+        parent = [100.0] * 10
+        nine = [50.0] * 9 + [150.0]
+        eight = [50.0] * 8 + [150.0] * 2
+        assert self.judge(parent, nine, "lower")["verdict"] == "gain"
+        assert self.judge(parent, eight, "lower")["verdict"] == "unresolved"
+
+    def test_ties_count_for_neither_side(self):
+        parent = [100.0] * 10
+        change = [50.0] * 8 + [100.0] * 2
+        verdict = self.judge(parent, change, "lower")
+        assert (verdict["wins"], verdict["losses"], verdict["ties"]) == (8, 0, 2)
+        assert verdict["verdict"] == "unresolved"
+
+    def test_gap_inside_the_parents_own_spread_is_unresolved(self):
+        parent = [100, 140, 90, 130, 95, 135, 105, 125, 110, 120]
+        change = [value - 1 for value in parent]  # wins every pair, by nothing
+        verdict = self.judge(parent, change, "lower")
+        assert verdict["wins"] == 10
+        assert verdict["verdict"] == "unresolved"
+
+    def test_higher_is_better_and_regression(self):
+        parent = [10.0, 10.5, 9.5, 10.2, 9.8]
+        assert self.judge(parent, [v * 2 for v in parent], "higher")["verdict"] == "gain"
+        assert self.judge(parent, [v / 2 for v in parent], "higher")["verdict"] == "regression"
+
+    def test_unequal_sides_rejected(self):
+        with pytest.raises(ValueError):
+            self.judge([1.0], [1.0, 2.0], "lower")

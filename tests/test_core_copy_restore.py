@@ -5,20 +5,45 @@ pairs, checking in-place overwrite, pointer conversion, new-object
 adoption, immutable rebuilding, and the hashed-container ordering rules.
 """
 
+import copy
+
 import pytest
 
 from repro.core.copy_restore import RestoreEngine
+from repro.core.markers import Restorable
 from repro.core.matching import match_maps
+from repro.core.verify import fingerprint
 from repro.serde.accessors import PORTABLE_ACCESSOR
 from repro.util.identity import IdentitySet
 
-from tests.model_helpers import Box, Node, Pair
+from tests.model_helpers import Box, Node, Pair, SlottedPoint
 
 
-def restore(originals, modifieds, result=None, engine=None, skip=None):
-    engine = engine or RestoreEngine()
-    match = match_maps(originals, modifieds)
-    return engine.restore(match, result, skip=skip)
+def restore(originals, modifieds, result=None, engine=None, skip=None, opaque=None):
+    """Restore under the optimized (plan-driven) engine — and, unless a
+    specific *engine* is asked for, also under the portable one on a deep
+    copy of the same inputs: the two must leave isomorphic heaps, return
+    corresponding results and count the same work, on every case in this
+    module. Returns what the optimized engine returned."""
+    if engine is not None:
+        return engine.restore(match_maps(originals, modifieds), result, skip=skip)
+    skipped = list(skip) if skip is not None else None
+    twin = copy.deepcopy((originals, modifieds, result, skipped))
+    outcomes = []
+    for accessor, (origs, mods, res, skp) in (
+        (None, (originals, modifieds, result, skipped)),
+        (PORTABLE_ACCESSOR, twin),
+    ):
+        kwargs = {} if accessor is None else {"accessor": accessor}
+        converted, stats = RestoreEngine(opaque=opaque, **kwargs).restore(
+            match_maps(origs, mods), res,
+            skip=IdentitySet(skp) if skp is not None else None,
+        )
+        outcomes.append((converted, stats, fingerprint([origs, converted, skp])))
+    (converted, stats, optimized), (_, portable_stats, portable) = outcomes
+    assert optimized == portable
+    assert repr(stats) == repr(portable_stats)
+    return converted, stats
 
 
 class TestObjectOverwrite:
@@ -219,13 +244,139 @@ class TestSkipAndOpaque:
         class Opaque(Box):
             pass
 
-        engine = RestoreEngine(opaque=lambda o: isinstance(o, Opaque))
         orig, mod = Node(1), Node(2)
         sentinel = Opaque("s")
         mod.next = sentinel
-        restore([orig], [mod], engine=engine)
+        restore([orig], [mod], opaque=lambda o: isinstance(o, Opaque))
         assert orig.next is sentinel
         assert sentinel.payload == "s"
+
+    def test_skip_and_opaque_together(self):
+        class Opaque(Box):
+            pass
+
+        orig, mod = Node(1), Node(2)
+        resolved = Box("already-original")
+        sentinel = Opaque("stub")
+        sentinel.behind = Node("never visited")
+        mod.next = [resolved, sentinel, Node("new")]
+        _result, stats = restore(
+            [orig], [mod],
+            skip=IdentitySet([resolved]),
+            opaque=lambda o: isinstance(o, Opaque),
+        )
+        assert orig.next[0] is resolved and resolved.payload == "already-original"
+        assert orig.next[1] is sentinel and sentinel.behind.data == "never visited"
+        # orig, the list and the new node: neither leaf is counted or entered.
+        assert (stats.old_overwritten, stats.new_adopted) == (1, 2)
+
+
+class Mixed(SlottedPoint):
+    """A ``__slots__`` base with a ``__dict__`` on top."""
+
+
+class Stateless:
+    """Empty ``__slots__``: no ``__dict__`` to overwrite, no slot to read."""
+
+    __slots__ = ()
+
+
+class Cached(Restorable):
+    __nrmi_transient__ = ("cache",)
+    __nrmi_version__ = 1
+
+    def __init__(self, data=None):
+        self.data = data
+
+
+class TestRestorePlans:
+    """The per-class layouts the optimized engine dispatches on."""
+
+    def test_slotted_class_overwritten(self):
+        original, modified = SlottedPoint(1, 2), SlottedPoint(9, 8)
+        restore([original], [modified])
+        assert (original.x, original.y) == (9, 8)
+
+    def test_stale_slot_removed(self):
+        original, modified = SlottedPoint(1, 2), SlottedPoint(9, 8)
+        del modified.y  # the server unset it
+        restore([original], [modified])
+        assert original.x == 9
+        assert not hasattr(original, "y")
+
+    def test_unset_slot_tolerated(self):
+        original, modified = SlottedPoint(1, 2), SlottedPoint(9, 8)
+        del original.y, modified.y  # unset on both sides: nothing to drop
+        del original.x  # unset here, set there: simply set
+        restore([original], [modified])
+        assert original.x == 9
+        assert not hasattr(original, "y")
+
+    def test_mixed_slots_and_dict(self):
+        original, modified = Mixed(1, 2), Mixed(3, 4)
+        original.stale = "old"
+        modified.extra = Node("new")
+        del modified.y
+        restore([original], [modified])
+        assert original.x == 3 and original.extra.data == "new"
+        assert not hasattr(original, "y")
+        assert not hasattr(original, "stale")
+
+    def test_object_without_dict_or_set_slots(self):
+        original, modified = Box(None), Box(Stateless())
+        _result, stats = restore([original], [modified])
+        assert isinstance(original.payload, Stateless)
+        assert stats.new_adopted == 1
+
+    def test_slot_pointers_converted(self):
+        orig_target, mod_target = Node("t"), Node("t'")
+        original, modified = SlottedPoint(None, 0), SlottedPoint(mod_target, (mod_target,))
+        restore([original, orig_target], [modified, mod_target])
+        assert original.x is orig_target
+        assert original.y[0] is orig_target
+
+    def test_transient_preserved_on_old_object(self):
+        original, modified = Cached(1), Cached(2)
+        original.cache = local = ["caller-local"]
+        modified.cache = "server-junk"  # cannot arrive by wire; ignored anyway
+        restore([original], [modified])
+        assert original.data == 2
+        assert original.cache is local
+
+    def test_transient_preserved_on_new_object(self):
+        fresh = Cached("fresh")
+        fresh.cache = local = ["set-while-decoding"]
+        original, modified = Node(1), Node(2, next=fresh)
+        restore([original], [modified])
+        assert original.next is fresh
+        assert fresh.cache is local and fresh.data == "fresh"
+
+    def test_instance_dict_identity_preserved(self):
+        original, modified = Node(1), Node(2, next=Node(3))
+        fields = vars(original)
+        new_fields = vars(modified.next)
+        restore([original], [modified])
+        assert vars(original) is fields
+        assert vars(original.next) is new_fields
+        assert fields == {"data": 2, "next": original.next}
+
+    def test_declaration_change_between_restores(self, monkeypatch):
+        """Nothing about a class outlives one restore: a transient set or
+        version declared between two restores governs the second."""
+
+        def run():
+            original, modified = Cached(1), Cached(2)
+            original.cache, original.memo = "local-cache", "local-memo"
+            restore([original], [modified])
+            return original
+
+        restored = run()
+        assert restored.cache == "local-cache"
+        assert not hasattr(restored, "memo")  # an ordinary stale field
+        monkeypatch.setattr(Cached, "__nrmi_version__", 2)
+        monkeypatch.setattr(Cached, "__nrmi_transient__", ("cache", "memo"))
+        restored = run()
+        assert (restored.data, restored.cache, restored.memo) == (2, "local-cache", "local-memo")
 
 
 class TestEngineAccessors:

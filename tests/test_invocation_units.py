@@ -2,10 +2,20 @@
 the auto reply-policy chooser, and pooled-buffer hygiene on failed calls."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.markers import Restorable
+from repro.core.semantics import PassingMode, resolve_modes
 from repro.errors import SerializationError
-from repro.nrmi.invocation import ReplyPolicyChooser, compute_retained
+from repro.nrmi.invocation import (
+    ReplyPolicyChooser,
+    compute_retained,
+    compute_retained_indexed,
+)
 from repro.serde.accessors import OPTIMIZED_ACCESSOR
+from repro.serde.hooks import transient_fields
+from repro.serde.linear_map import LinearMap
+from repro.serde.reader import ObjectReader
 from repro.serde.writer import ObjectWriter
 
 from tests.model_helpers import Box, Node
@@ -100,6 +110,125 @@ class TestComputeRetained:
         linear_map = marshal(a)
         retained = compute_retained(linear_map, [a], OPTIMIZED_ACCESSOR)
         assert len(retained) == 2
+
+
+class Memo(Restorable):
+    """A restorable with a field that never travels."""
+
+    __nrmi_transient__ = ("memo",)
+
+    def __init__(self, data=None, memo=None):
+        self.data = data
+        self.memo = memo
+
+
+def reference_retained(linear_map, roots):
+    """The oracle: walk what the stream carried from *roots* (containers,
+    instance fields minus the transient ones) and keep the linear map's
+    members among it, in map order — written out here, sharing no code
+    with the walker or the spans."""
+    seen = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (int, str, type(None))):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        else:
+            transients = transient_fields(type(obj))
+            stack.extend(v for name, v in vars(obj).items() if name not in transients)
+    positions = [i for i, obj in enumerate(linear_map) if id(obj) in seen]
+    return [linear_map[i] for i in positions], positions
+
+
+#: One argument: its shape, and which shared atoms it holds.
+ARGUMENT = st.tuples(
+    st.sampled_from(
+        ["int", "str", "none", "list", "dict", "tuple", "box", "memo", "atom", "again"]
+    ),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=3),
+)
+
+
+def build_arguments(recipe):
+    """Argument tuples over six shared atoms (three lists, three chained
+    nodes), so by-copy containers and copy-restore roots alias each other
+    every way round: a root also held by a by-copy list, the same root
+    twice, a by-copy tuple holding a list a later root holds too, a
+    transient field pointing into a by-copy argument."""
+    atoms = [[0], [1], [2], Node("n3"), Node("n4"), Node("n5")]
+    atoms[3].next, atoms[4].next, atoms[5].next = atoms[4], atoms[0], atoms[3]
+    args = []
+    for shape, refs in recipe:
+        held = [atoms[i] for i in refs]
+        if shape == "int":
+            args.append(len(refs))
+        elif shape == "str":
+            args.append("s" * len(refs))
+        elif shape == "none":
+            args.append(None)
+        elif shape == "list":
+            args.append(held)
+        elif shape == "dict":
+            args.append({f"k{i}": value for i, value in enumerate(held)})
+        elif shape == "tuple":
+            args.append((tuple(held), held))
+        elif shape == "box":
+            args.append(Box(held))
+        elif shape == "memo":
+            args.append(Memo(held[1:], memo=held[0] if held else None))
+        elif shape == "atom":
+            args.append(atoms[3 + len(refs) % 3])
+        else:  # "again": whatever the previous argument was, once more
+            args.append(args[-1] if args else atoms[3])
+    return tuple(args)
+
+
+def restore_roots(args):
+    return [
+        arg for arg, mode in zip(args, resolve_modes(args))
+        if mode is PassingMode.BY_COPY_RESTORE
+    ]
+
+
+class TestRetainedSetEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ARGUMENT, min_size=1, max_size=5), st.booleans())
+    def test_spans_agree_with_the_reference_walk_on_both_sides(self, recipe, ship_map):
+        args = build_arguments(recipe)
+        writer = ObjectWriter()
+        for arg in args:
+            writer.write_root(arg)
+        if ship_map:
+            writer.write_root(list(writer.linear_map.objects))
+
+        def check(linear_map, roots):
+            retained, indices = compute_retained_indexed(
+                linear_map, roots, OPTIMIZED_ACCESSOR
+            )
+            expected, expected_indices = reference_retained(linear_map, roots)
+            assert indices == expected_indices
+            assert len(retained) == len(expected)
+            assert all(got is want for got, want in zip(retained, expected))
+            return retained
+
+        client = check(writer.linear_map, restore_roots(args))
+
+        reader = ObjectReader(writer.getvalue())
+        decoded = tuple(reader.read_root() for _ in args)
+        assert resolve_modes(decoded) == resolve_modes(args)
+        server_map = reader.linear_map
+        if ship_map:  # as handle_call does: trust the transmitted map
+            server_map = LinearMap(reader.read_root())
+        reader.expect_end()
+        server = check(server_map, restore_roots(decoded))
+
+        assert len(client) == len(server)
+        assert [type(obj) for obj in client] == [type(obj) for obj in server]
 
 
 class TestReplyPolicyChooser:

@@ -263,6 +263,42 @@ def test_codegen_aliasing_and_cycles(n):
     assert heap_fingerprint([graph]) == heap_fingerprint([decoded])
 
 
+def test_list_of_backrefs_root_byte_identical():
+    """The shape of a ``full`` reply: a graph root, then a list root that
+    is mostly back references into it (enough for two-byte handles),
+    broken up by not-yet-written objects, containers and every inline
+    scalar. The direct list loops of the plan-backed writer and reader
+    must be invisible on the wire and in the decoded heap."""
+    chain = [Node(data=i) for i in range(200)]
+    for node, following in zip(chain, chain[1:]):
+        node.next = following
+    detached = Node(data="detached", next=Node(data="its own subtree"))
+    backrefs = list(chain)
+    backrefs[5:5] = [None, 7, -3, 2**70, True, False, 1.5, "text", "text", b"raw"]
+    backrefs[40:40] = [detached, detached, [chain[1], detached], (chain[2],), {"k": chain[3]}]
+    backrefs.append(Box(payload=backrefs))  # an unseen tail, and a cycle
+    roots = [chain[0], backrefs, [], [None], [chain[199]]]
+
+    streams = {}
+    for profile in (MODERN_PROFILE, MODERN_NO_CODEGEN, MODERN_NO_PLANS):
+        writer = ObjectWriter(profile=profile)
+        for root in roots:
+            writer.write_root(root)
+        streams[profile.name] = writer.getvalue()
+    assert len(set(streams.values())) == 1
+
+    stream = streams[MODERN_PROFILE.name]
+    for profile in (MODERN_PROFILE, MODERN_NO_CODEGEN, MODERN_NO_PLANS, LEGACY_PROFILE):
+        reader = ObjectReader(stream, profile=profile)
+        decoded = [reader.read_root() for _ in roots]
+        reader.expect_end()
+        assert heap_fingerprint(roots) == heap_fingerprint(decoded)
+        assert len(reader.linear_map) == len(writer.linear_map)
+        assert [span[1:] for span in reader.linear_map.spans] == [
+            span[1:] for span in writer.linear_map.spans
+        ]
+
+
 def test_codegen_deep_graph_bails_identically():
     """Past MAX_CODEGEN_DEPTH the generated functions bail to the
     interpreted machinery mid-stream; the splice must be invisible."""

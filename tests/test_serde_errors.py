@@ -54,6 +54,28 @@ class TestCorruption:
         with pytest.raises(WireFormatError, match="handle"):
             ObjectReader(stream).read_root()
 
+    def test_dangling_handle_inside_list(self):
+        """The list drain loop reports it exactly as the frame machine."""
+        header = WIRE_MAGIC + bytes([WIRE_VERSION, 0])
+        stream = header + bytes([Tag.LIST, 2, Tag.NONE, Tag.REF, 42])
+        with pytest.raises(WireFormatError, match="dangling handle 42"):
+            ObjectReader(stream).read_root()
+
+    def test_forward_reference_inside_list(self):
+        header = WIRE_MAGIC + bytes([WIRE_VERSION, 0])
+        # A tuple's handle is reserved until the tuple is complete; a list
+        # inside it may not refer back to it.
+        stream = header + bytes([Tag.TUPLE, 1, Tag.LIST, 1, Tag.REF, 0])
+        with pytest.raises(WireFormatError, match="forward reference to handle 0"):
+            ObjectReader(stream).read_root()
+
+    def test_list_truncated_mid_element(self):
+        header = WIRE_MAGIC + bytes([WIRE_VERSION, 0])
+        for tail in ([Tag.LIST, 3, Tag.INT, 2], [Tag.LIST, 2, Tag.INT, 0x80], [Tag.LIST, 1, Tag.REF]):
+            reader = ObjectReader(header + bytes(tail))
+            with pytest.raises(WireFormatError, match="truncated"):
+                reader.read_root()
+
     def test_dangling_class_id(self):
         header = WIRE_MAGIC + bytes([WIRE_VERSION, 0])
         # OBJECT with interned class id 9 that was never defined.

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.markers import Remote, Restorable, Serializable
+from repro.nrmi.config import NRMIConfig
 from repro.serde.hooks import transient_fields
 from repro.serde.reader import ObjectReader
 from repro.serde.writer import ObjectWriter
@@ -93,7 +94,71 @@ class RestorableWithCache(Restorable):
         self.view_handle = "client-gui-widget"
 
 
+class Handle(Serializable):
+    """Travels as a :class:`HandleWire` stand-in and stays one: there is
+    no ``__nrmi_resolve__`` on the other side."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def __nrmi_replace__(self):
+        return HandleWire(self.x)
+
+
+class HandleWire(Serializable):
+    def __init__(self, x=None):
+        self.x = x
+
+
+class BumpService(Remote):
+    def bump(self, by_copy, obj):
+        """Mutates both arguments; only *obj* is passed by copy-restore."""
+        by_copy[0].append("server-only")
+        obj.data += 1
+        return len(by_copy[0])
+
+    def bump_handle(self, obj):
+        obj.data += 1
+        obj.h.x.append("seen")
+
+    def bump_handle_mixed(self, by_copy, obj):
+        by_copy.append("server-only")
+        self.bump_handle(obj)
+
+
+@pytest.fixture(params=["inproc", "tcp"])
+def transport(request):
+    return request.param
+
+
+@pytest.fixture(params=["full", "delta"])
+def policy(request):
+    return request.param
+
+
+@pytest.fixture
+def bump_service(make_endpoint_pair, transport, policy):
+    pair = make_endpoint_pair(client_config=NRMIConfig(policy=policy))
+    pair.server.bind("svc", BumpService())
+    address = pair.server.serve_tcp() if transport == "tcp" else pair.server.address
+    return pair.client.lookup(address, "svc")
+
+
 class TestTransientUnderCopyRestore:
+    def test_transient_alias_of_by_copy_argument(self, bump_service):
+        """A transient field pointing into a by-copy argument never
+        travels, so it must not pull that argument into the caller's
+        retained set: the server cannot reach it the same way, and the two
+        lists used to disagree ("linear map mismatch: caller recorded 2
+        objects, restore payload carries 1")."""
+        shared = [1, 2, 3]
+        node = RestorableWithCache(10)
+        node.view_handle = shared
+        assert bump_service.bump((shared,), node) == 4
+        assert node.data == 11
+        assert node.view_handle is shared
+        assert shared == [1, 2, 3]  # passed by copy: NOT restored
+
     def test_local_transient_value_survives_restore(self, endpoint_pair):
         class Service(Remote):
             def bump(self, obj):
@@ -137,6 +202,48 @@ class TestReplaceResolve:
         assert len(writer.linear_map) == len(reader.linear_map)
         for original, copy in zip(writer.linear_map, reader.linear_map):
             assert type(original) is type(copy)
+
+    def test_hook_resizing_the_list_being_written(self):
+        """A list is written as the elements it held when its count was:
+        a hook that grows it mid-encode must not desynchronise the two."""
+        items = []
+
+        class Growing(Serializable):
+            def __nrmi_replace__(self):
+                items.append("late")
+                return MoneyWire(1)
+
+        items.extend([Growing(), "tail"])
+        result = roundtrip(items)
+        assert len(result) == 2 and result[1] == "tail"
+        assert isinstance(result[0], Money)
+
+    def test_replaced_field_inside_copy_restore_argument(self, bump_service):
+        """The stream carries the stand-in, so the stand-in is what both
+        retained lists hold (used to fail: "caller recorded 1 objects,
+        restore payload carries 2")."""
+        items = ["x"]
+        node = RestorableWithCache(1)
+        node.h = Handle(items)
+        bump_service.bump_handle(node)
+        assert node.data == 2
+        # What the server saw and changed is what the caller now sees.
+        assert isinstance(node.h, HandleWire)
+        assert node.h.x is items
+        assert items == ["x", "seen"]
+
+    def test_replaced_field_beside_by_copy_argument(self, bump_service):
+        """Same, on the path that walks: a by-copy container ahead of the
+        root means the retained set is not simply the root's span, and
+        the walk must follow the stand-in that was written."""
+        by_copy, items = ["c"], ["x"]
+        node = RestorableWithCache(1)
+        node.h = Handle(items)
+        bump_service.bump_handle_mixed(by_copy, node)
+        assert node.data == 2
+        assert isinstance(node.h, HandleWire)
+        assert items == ["x", "seen"]
+        assert by_copy == ["c"]
 
     def test_resolve_type_through_copy_restore_call(self, endpoint_pair):
         """Value-like resolve types pass through restorable graphs."""
