@@ -12,8 +12,9 @@ handle table, linear map recorded on both endpoints):
 
 ``delta``
     The paper's future-work optimization (Section 5.2.4 #2): the server
-    snapshots each retained object's shallow state after unmarshalling and
-    ships back only the objects that changed, plus new objects. References
+    captures each retained object's shallow state while unmarshalling
+    (:mod:`repro.serde.digest`) and ships back only the objects that
+    changed, plus new objects. References
     to *unchanged* old objects are encoded as back-references into the
     caller's own linear map, so passing an object by copy-restore and not
     changing it costs almost the same as passing it by copy.
@@ -38,7 +39,6 @@ from repro.core.matching import match_maps, match_sparse
 from repro.errors import RestoreError
 from repro.serde.digest import SlotDigestTable, digest_slots
 from repro.serde.accessors import FieldAccessor, OPTIMIZED_ACCESSOR
-from repro.serde.kinds import Kind, classify
 from repro.serde.reader import ObjectReader
 from repro.serde.registry import ClassRegistry, Externalizer
 from repro.serde.walker import reachable
@@ -48,8 +48,6 @@ from repro.util.buffers import BufferReader, BufferWriter
 from repro.util.identity import IdentityMap, IdentitySet
 
 _OLDREF_EXT = "nrmi.oldref"
-
-_PRIMITIVE_COMPARABLE = (type(None), bool, int, float, complex, str, bytes)
 
 
 @dataclass
@@ -64,12 +62,11 @@ class ServerRestoreContext:
     externalizers: Tuple = ()
     # Reachability stop predicate (remote stubs/pointers are leaves).
     stop: Optional[Any] = None
-    # Optional MetricsRegistry: delta-slots records dirty/clean counts and
-    # an estimate of the reply bytes the elided slots saved.
+    # Optional MetricsRegistry: delta-slots records dirty/clean counts.
     metrics: Optional[Any] = None
-    # "Before" digests captured *during* argument deserialization (the
-    # fused decode+digest pass). When present, delta-slots' snapshot uses
-    # them directly instead of re-walking the retained linear map.
+    # "Before" slot states captured *during* argument deserialization (the
+    # fused decode+capture pass). When present, a delta policy's snapshot
+    # uses them directly instead of re-walking the retained linear map.
     predigested: Optional[SlotDigestTable] = None
 
 
@@ -174,55 +171,6 @@ class FullRestorePolicy(RestorePolicy):
         return result, stats
 
 
-def _shallow_state(obj: Any, accessor: FieldAccessor) -> Tuple[Any, ...]:
-    """A shallow fingerprint of *obj* holding strong references."""
-    kind = classify(obj)
-    if kind is Kind.OBJECT:
-        return tuple(accessor.get_state(obj))
-    if kind is Kind.LIST:
-        return tuple(obj)
-    if kind is Kind.DICT:
-        return tuple(obj.items())
-    if kind is Kind.SET:
-        return tuple(obj)
-    if kind is Kind.BYTEARRAY:
-        return (bytes(obj),)
-    raise RestoreError(f"cannot snapshot object of kind {kind}")
-
-
-def _values_equal(old: Any, new: Any) -> bool:
-    """Identity for reference values, equality for primitives."""
-    if old is new:
-        return True
-    if type(old) is not type(new):
-        return False
-    if isinstance(old, _PRIMITIVE_COMPARABLE):
-        return old == new
-    return False
-
-
-def _state_changed(old_state: Tuple[Any, ...], new_state: Tuple[Any, ...]) -> bool:
-    if len(old_state) != len(new_state):
-        return True
-    for old_item, new_item in zip(old_state, new_state):
-        if _values_equal(old_item, new_item):
-            continue
-        if (
-            isinstance(old_item, tuple)
-            and isinstance(new_item, tuple)
-            and len(old_item) == 2
-            and len(new_item) == 2
-        ):
-            # (name, value) / (key, value) pairs are rebuilt on every
-            # snapshot, so compare their two slots instead of their identity.
-            if _values_equal(old_item[0], new_item[0]) and _values_equal(
-                old_item[1], new_item[1]
-            ):
-                continue
-        return True
-    return False
-
-
 def _encode_index(index: int) -> bytes:
     writer = BufferWriter()
     writer.write_uvarint(index)
@@ -241,25 +189,34 @@ class DeltaRestorePolicy(RestorePolicy):
 
     name = "delta"
 
-    def snapshot(self, context: ServerRestoreContext) -> List[Tuple[Any, ...]]:
-        accessor = context.accessor
-        return [_shallow_state(obj, accessor) for obj in context.retained]
+    def snapshot(self, context: ServerRestoreContext) -> SlotDigestTable:
+        # The "before" picture every slot is compared against at reply
+        # time. The invocation pipeline usually captures it *during*
+        # argument deserialization (the fused decode+capture pass), so the
+        # retained map is not walked a second time here; the explicit
+        # walk remains for callers that decode without fusion (shipped
+        # maps, direct policy use in tests).
+        if context.predigested is not None:
+            return context.predigested
+        return digest_slots(context.retained, context.accessor)
 
-    def build_response(
-        self, result: Any, context: ServerRestoreContext, snapshot: Any
-    ) -> bytes:
-        accessor = context.accessor
-        changed_indices: List[int] = []
-        unchanged: IdentityMap[int] = IdentityMap()
-        for index, (obj, before) in enumerate(zip(context.retained, snapshot)):
-            if _state_changed(before, _shallow_state(obj, accessor)):
-                changed_indices.append(index)
-            else:
-                unchanged[obj] = index
+    def _writer_eliding_clean(
+        self, context: ServerRestoreContext, snapshot: SlotDigestTable
+    ) -> Tuple[List[int], ObjectWriter]:
+        """The dirty positions of the retained list, and a reply writer
+        that encodes a reference to any clean slot as its position."""
+        dirty = snapshot.dirty_indices(
+            digest_slots(context.retained, context.accessor)
+        )
+        clean: IdentityMap[int] = IdentityMap()
+        dirty_set = set(dirty)
+        for index, obj in enumerate(context.retained):
+            if index not in dirty_set:
+                clean[obj] = index
         oldref = Externalizer(
             name=_OLDREF_EXT,
-            claims=lambda obj: obj in unchanged,
-            replace=lambda obj: _encode_index(unchanged[obj]),
+            claims=lambda obj: obj in clean,
+            replace=lambda obj: _encode_index(clean[obj]),
             resolve=lambda payload: None,  # never used on the server
         )
         writer = ObjectWriter(
@@ -267,6 +224,12 @@ class DeltaRestorePolicy(RestorePolicy):
             registry=context.registry,
             externalizers=(oldref,) + tuple(context.externalizers),
         )
+        return dirty, writer
+
+    def build_response(
+        self, result: Any, context: ServerRestoreContext, snapshot: Any
+    ) -> bytes:
+        changed_indices, writer = self._writer_eliding_clean(context, snapshot)
         writer.write_root(result)
         writer.write_root(changed_indices)
         writer.write_root([context.retained[i] for i in changed_indices])
@@ -310,51 +273,26 @@ class DeltaRestorePolicy(RestorePolicy):
         return result, stats
 
 
-class DeltaSlotsRestorePolicy(RestorePolicy):
-    """Dirty-slot replies: digest every retained slot at deserialization
-    time, re-digest at reply-encode time, and ship only the slots whose
-    digests changed (plus all new objects reachable from them and the
-    return value).
+class DeltaSlotsRestorePolicy(DeltaRestorePolicy):
+    """Dirty-slot replies: capture every retained slot's state at
+    deserialization time, capture again at reply-encode time, and ship
+    only the slots whose state changed (plus all new objects reachable
+    from them and the return value).
 
-    This is the negotiated evolution of :class:`DeltaRestorePolicy`: the
-    caller advertises :data:`repro.rmi.protocol.CAP_DELTA_SLOTS` in the
-    CALL flags byte, and the server answers with reply kind 4 — a compact
-    header of delta-coded dirty indices followed by one serde stream.
-    Non-advertising callers transparently get the legacy object-delta or
-    full-map reply instead.
+    This is the negotiated evolution of :class:`DeltaRestorePolicy`, with
+    the same snapshot and the same dirty set: the caller advertises
+    :data:`repro.rmi.protocol.CAP_DELTA_SLOTS` in the CALL flags byte, and
+    the server answers with reply kind 4 — a compact header of delta-coded
+    dirty indices followed by one serde stream. Non-advertising callers
+    transparently get the legacy object-delta or full-map reply instead.
     """
 
     name = "delta-slots"
 
-    def snapshot(self, context: ServerRestoreContext) -> SlotDigestTable:
-        # The "before" picture every slot is compared against at reply
-        # time. The invocation pipeline usually captures it *during*
-        # argument deserialization (the fused decode+digest pass), so the
-        # retained map is not walked a second time here; the explicit
-        # walk remains for callers that decode without fusion (shipped
-        # maps, direct policy use in tests).
-        if context.predigested is not None:
-            return context.predigested
-        return digest_slots(context.retained, context.accessor)
-
     def build_response(
         self, result: Any, context: ServerRestoreContext, snapshot: Any
     ) -> bytes:
-        current = digest_slots(context.retained, context.accessor)
-        dirty = snapshot.dirty_indices(current)
-        dirty_set = set(dirty)
-        clean: IdentityMap[int] = IdentityMap()
-        bytes_saved = 0
-        for index, obj in enumerate(context.retained):
-            if index not in dirty_set:
-                clean[obj] = index
-                bytes_saved += snapshot.sizes[index]
-        oldref = Externalizer(
-            name=_OLDREF_EXT,
-            claims=lambda obj: obj in clean,
-            replace=lambda obj: _encode_index(clean[obj]),
-            resolve=lambda payload: None,  # never used on the server
-        )
+        dirty, writer = self._writer_eliding_clean(context, snapshot)
         header = BufferWriter()
         header.write_uvarint(len(context.retained))
         header.write_uvarint(len(dirty))
@@ -362,11 +300,6 @@ class DeltaSlotsRestorePolicy(RestorePolicy):
         for index in dirty:
             header.write_uvarint(index - previous - 1)
             previous = index
-        writer = ObjectWriter(
-            profile=context.profile,
-            registry=context.registry,
-            externalizers=(oldref,) + tuple(context.externalizers),
-        )
         writer.write_root(result)
         writer.write_root([context.retained[i] for i in dirty])
         metrics = context.metrics
@@ -375,9 +308,6 @@ class DeltaSlotsRestorePolicy(RestorePolicy):
             metrics.counter("delta.slots_clean").add(
                 len(context.retained) - len(dirty)
             )
-            # Estimate: each elided slot would have cost at least its
-            # shallow-token length in a full-map reply.
-            metrics.counter("delta.reply_bytes_saved").add(bytes_saved)
             if context.retained:
                 metrics.distribution("delta.dirty_ratio").record(
                     len(dirty) / len(context.retained)

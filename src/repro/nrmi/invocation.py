@@ -86,8 +86,8 @@ class ReplyPolicyChooser:
     Tracks an exponentially-weighted dirty-slot ratio per remote address
     (fed by delta-slots replies). Sparse mutators keep the ratio low and
     ``auto`` keeps choosing ``delta``; once a peer's methods dirty most of
-    the map, full replies are cheaper (no per-slot header, no digest
-    passes) and the chooser switches to ``full`` — probing ``delta``
+    the map, full replies are cheaper (no per-slot header, no state
+    captures) and the chooser switches to ``full`` — probing ``delta``
     periodically so it can switch back when the workload changes.
     """
 
@@ -173,7 +173,7 @@ def compute_retained_indexed(
     over the graph; both endpoints hold the same spans over index-aligned
     maps, so position *i* on one side corresponds to position *i* on the
     other — the invariant that makes step 4's match-up positional. The
-    positions let the server look up digests captured per linear-map slot
+    positions let the server look up states captured per linear-map slot
     during deserialization without re-walking anything.
 
     When the spans cannot decide (see :func:`_retained_prefix`) the graph
@@ -732,7 +732,7 @@ def handle_call(
 
     # Method resolution and policy negotiation run BEFORE the arguments
     # are decoded: the effective policy decides whether the decoder
-    # captures slot digests as it traverses (the fused decode+digest
+    # captures slot states as it traverses (the fused decode+capture
     # pass), and a bad method is rejected without paying for a decode.
     impl = endpoint.exports.get(request.object_id)
     if request.method.startswith("_"):
@@ -763,11 +763,11 @@ def handle_call(
             policy_name = "delta-slots"
     policy = policy_by_name(policy_name)
 
-    # Dirty-slot calls digest every slot as it is registered in the
-    # linear map — the paper's "keep a reference to the map" walk and the
-    # delta snapshot collapse into the decode traversal, so the retained
-    # map is never re-walked before the method runs.
-    fuse_digest = policy_name == "delta-slots" and not request.ship_map
+    # Delta calls of either reply kind capture every slot's state as its
+    # frame finishes — the paper's "keep a reference to the map" walk and
+    # the delta snapshot collapse into the decode traversal, so the
+    # retained map is never re-walked before the method runs.
+    fuse_digest = policy_name in ("delta", "delta-slots") and not request.ship_map
     args_reader = ObjectReader(
         request.args_payload,
         profile=profile,

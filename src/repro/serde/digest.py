@@ -1,191 +1,182 @@
-"""Per-slot digests for the dirty-slot delta reply protocol.
+"""Per-slot state for the delta reply protocols: which retained slots changed.
 
 After the server deserializes a call's arguments, every retained
-linear-map slot gets a *digest*: a canonical shallow encoding of the
-slot's state (primitives by value, references by pinned identity). When
-the reply is built, the digests are recomputed and compared — slots whose
-digests still match are **clean** and are elided from the reply; the rest
-are **dirty** and ship in full. The guarantee is conservative: equal
-digests imply the slot is unchanged, while a false "dirty" merely costs
-bytes, never correctness.
+linear-map slot has its *state* captured: a pair ``(shape, values)`` whose
+``values`` tuple holds strong references to whatever the slot's fields,
+elements or keys and values refer to. When the reply is built the states
+are captured again and compared — a slot whose state still matches is
+**clean** and is elided from the reply; the rest are **dirty** and ship in
+full. The guarantee is conservative: a clean verdict implies the slot is
+unchanged, while a false "dirty" merely costs bytes, never correctness.
 
-Why not reuse the request-stream bytes directly? A slot's stream encoding
-embeds handle numbers assigned in stream order, so re-encoding the same
-unchanged slot inside a *reply* stream yields different bytes. The
-canonical shallow token below is order-independent: value-encode
-primitives, recurse through immutable containers, and reduce every other
-reference to its ``id()``. Identity tokens are sound because every
-id-tokenized object is *pinned* (a strong reference is kept for the life
-of the digest table), so CPython cannot recycle its id for a new object
-allocated during the call.
+A slot nobody wrote still holds the very objects the decoder stored into
+it, so the comparison is identity first (``is`` per value, at C speed).
+Only a pair that is not identical is compared by value, and only where a
+value can be *replaced by an equal one* without that being a change the
+caller could observe: primitives (type-exact, floats bit for bit) and the
+immutable containers built from them. Every other reference — mutable
+objects, subclasses of primitives, remote stubs, deep immutables — is the
+same only if it is the same object. Holding the references is also what
+keeps that identity meaningful: nothing a state refers to can be freed,
+and have its address reused, while the state is alive.
+
+The public names still say *digest* (``digest_slots``, ``SlotDigestTable``,
+the reader's ``digest_accessor`` / ``digest_table``, the context's
+``predigested``): states replaced the byte tokens those names were coined
+for, and ``benchmarks/callpath`` imports them as they are.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+import struct
+from collections import Counter
+from operator import is_
+from typing import Any, Callable, List, Tuple
 
 from repro.errors import RestoreError
-from repro.serde.accessors import FieldAccessor
+from repro.serde.accessors import FieldAccessor, OptimizedAccessor
 from repro.serde.kinds import Kind, classify
-from repro.util.buffers import BufferWriter
 
-# Token tags for the canonical shallow encoding. These never travel on the
-# wire — both digest passes run on the same server — but keeping them
-# disjoint makes the encoding prefix-free and unambiguous.
-_T_NONE = 0
-_T_TRUE = 1
-_T_FALSE = 2
-_T_INT = 3
-_T_FLOAT = 4
-_T_COMPLEX = 5
-_T_STR = 6
-_T_BYTES = 7
-_T_TUPLE = 8
-_T_FROZENSET = 9
-_T_REF = 10
-_T_BIGINT = 11
+#: ``(shape, values)``: *shape* is the field-name tuple of an object, or a
+#: marker for containers; *values* what the slot refers to, in slot order.
+SlotState = Tuple[Any, Tuple[Any, ...]]
 
 _MAX_IMMUTABLE_DEPTH = 16
 
+# Shape of a set slot: its values carry no order.
+_UNORDERED = "unordered"
+
+# How a class's instances are captured, decided once per capture function.
+_PLAIN = 0  # all state in __dict__ (OptimizedAccessor.dict_only)
+_FIELDS = 1  # fields read through the accessor, per object
+_LIST = 2
+_DICT = 3
+_SET = 4
+_BYTEARRAY = 5
+
+_BUILTIN_LAYOUTS = {list: _LIST, dict: _DICT, set: _SET, bytearray: _BYTEARRAY}
+
+_BY_EQUALITY = frozenset({type(None), bool, int, str, bytes})
+_REFERENCE = object()
+_F64_BITS = struct.Struct(">d").pack
+
 #: Number of full linear-map walks :func:`digest_slots` has performed in
-#: this process. Test observability for the fused decode+digest pass: a
-#: delta-slots call whose "before" table was captured during decoding
-#: performs exactly one walk (reply time) instead of two.
+#: this process. Test observability for the fused decode+capture pass: a
+#: delta call whose "before" table was captured during decoding performs
+#: exactly one walk (reply time) instead of two.
 walk_count = 0
 
 
+def state_capture(accessor: FieldAccessor) -> Callable[[Any], SlotState]:
+    """Return ``capture(obj) -> SlotState`` for linear-map slots.
+
+    With the optimized accessor a class that keeps all its state in
+    ``__dict__`` is read straight off that dict; the accessor's cached
+    layout is asked once per class for the life of the returned function.
+    Any other accessor keeps paying ``get_state`` per object, which is the
+    portable-vs-optimized axis of the paper's Tables 4-6.
+    """
+    layouts = dict(_BUILTIN_LAYOUTS)
+    dict_only = accessor.dict_only if isinstance(accessor, OptimizedAccessor) else None
+    get_state = accessor.get_state
+
+    def capture(obj: Any) -> SlotState:
+        cls = type(obj)
+        layout = layouts.get(cls)
+        if layout is None:
+            kind = classify(obj)
+            if kind is not Kind.OBJECT:
+                raise RestoreError(f"cannot capture linear-map slot of kind {kind}")
+            plain = dict_only is not None and dict_only(cls)
+            layout = layouts[cls] = _PLAIN if plain else _FIELDS
+        if layout == _PLAIN:
+            fields = obj.__dict__
+            return tuple(fields), tuple(fields.values())
+        if layout == _FIELDS:
+            state = get_state(obj)
+            return tuple([name for name, _ in state]), tuple([value for _, value in state])
+        if layout == _LIST:
+            return None, tuple(obj)
+        if layout == _DICT:
+            return None, (*obj, *obj.values())
+        if layout == _SET:
+            return _UNORDERED, tuple(obj)
+        return None, (bytes(obj),)
+
+    return capture
+
+
+def _value_key(value: Any, depth: int = 0) -> tuple:
+    """A hashable key equal for two values exactly when replacing one by
+    the other changes nothing a caller could observe."""
+    kind = type(value)
+    if kind in _BY_EQUALITY:
+        return kind, value
+    if kind is float:
+        return kind, _F64_BITS(value)  # -0.0 is not 0.0; a NaN is itself
+    if kind is complex:
+        return kind, _F64_BITS(value.real), _F64_BITS(value.imag)
+    if depth < _MAX_IMMUTABLE_DEPTH:
+        if kind is tuple:
+            return kind, tuple([_value_key(item, depth + 1) for item in value])
+        if kind is frozenset:
+            return kind, _bag(value, depth + 1)
+    # Both values are alive while they are compared, so ids are distinct.
+    return _REFERENCE, id(value)
+
+
+def _bag(values: Any, depth: int = 0) -> frozenset:
+    """Order-free key of *values*: equal sets match whatever their
+    iteration order."""
+    return frozenset(Counter([_value_key(item, depth) for item in values]).items())
+
+
+def same_value(old: Any, new: Any) -> bool:
+    """Identity for references, type-exact value equality for primitives
+    and the immutable containers made of them."""
+    return old is new or _value_key(old) == _value_key(new)
+
+
+def state_clean(before: SlotState, after: SlotState) -> bool:
+    """Whether one slot's state is unchanged between two captures."""
+    shape, old = before
+    new_shape, new = after
+    if shape != new_shape or len(old) != len(new):
+        return False
+    if all(map(is_, old, new)):
+        return True
+    if shape is _UNORDERED:
+        return _bag(old) == _bag(new)
+    return all(map(same_value, old, new))
+
+
 class SlotDigestTable:
-    """Digests for one retained list, plus the pins keeping ids stable."""
+    """The captured states of one retained list, in its order."""
 
-    __slots__ = ("tokens", "sizes", "_pins")
+    __slots__ = ("states",)
 
-    def __init__(self, tokens: List[bytes], sizes: List[int], pins: List[Any]) -> None:
-        self.tokens = tokens
-        self.sizes = sizes
-        self._pins = pins
+    def __init__(self, states: List[SlotState]) -> None:
+        self.states = states
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.states)
 
     def dirty_indices(self, current: "SlotDigestTable") -> List[int]:
-        """Positions whose digest changed between this table and *current*."""
-        if len(current.tokens) != len(self.tokens):
+        """Positions whose state changed between this table and *current*."""
+        if len(current.states) != len(self.states):
             raise RestoreError(
                 "digest tables cover different retained lists: "
-                f"{len(self.tokens)} vs {len(current.tokens)} slots"
+                f"{len(self.states)} vs {len(current.states)} slots"
             )
         return [
             index
-            for index, (before, after) in enumerate(
-                zip(self.tokens, current.tokens)
-            )
-            if before != after
+            for index, clean in enumerate(map(state_clean, self.states, current.states))
+            if not clean
         ]
 
 
-def _encode_value(writer: BufferWriter, value: Any, pins: List[Any], depth: int) -> None:
-    """Append the shallow token of one referenced *value*."""
-    value_type = type(value)
-    if value is None:
-        writer.write_u8(_T_NONE)
-    elif value_type is bool:
-        writer.write_u8(_T_TRUE if value else _T_FALSE)
-    elif value_type is int:
-        if -(1 << 63) <= value < (1 << 63):
-            writer.write_u8(_T_INT)
-            writer.write_varint(value)
-        else:
-            writer.write_u8(_T_BIGINT)
-            writer.write_len_bytes(repr(value).encode("ascii"))
-    elif value_type is float:
-        writer.write_u8(_T_FLOAT)
-        writer.write_f64(value)
-    elif value_type is complex:
-        writer.write_u8(_T_COMPLEX)
-        writer.write_f64(value.real)
-        writer.write_f64(value.imag)
-    elif value_type is str:
-        writer.write_u8(_T_STR)
-        writer.write_str(value)
-    elif value_type is bytes:
-        writer.write_u8(_T_BYTES)
-        writer.write_len_bytes(value)
-    elif value_type is tuple and depth < _MAX_IMMUTABLE_DEPTH:
-        writer.write_u8(_T_TUPLE)
-        writer.write_uvarint(len(value))
-        for item in value:
-            _encode_value(writer, item, pins, depth + 1)
-    elif value_type is frozenset and depth < _MAX_IMMUTABLE_DEPTH:
-        # Order-insensitive: XOR the per-element token hashes so two equal
-        # frozensets digest identically whatever their iteration order.
-        writer.write_u8(_T_FROZENSET)
-        writer.write_uvarint(len(value))
-        mixed = 0
-        for item in value:
-            item_writer = BufferWriter()
-            _encode_value(item_writer, item, pins, depth + 1)
-            mixed ^= hash(item_writer.getvalue())
-        writer.write_i64(mixed & ((1 << 63) - 1))
-    else:
-        # Everything else (mutable objects, subclasses of primitives,
-        # remote stubs, deep immutables) compares by identity. Pin the
-        # object so its id stays unique for the table's lifetime.
-        writer.write_u8(_T_REF)
-        writer.write_uvarint(id(value))
-        pins.append(value)
-
-
-def _encode_slot(writer: BufferWriter, obj: Any, accessor: FieldAccessor, pins: List[Any]) -> None:
-    """Append the canonical shallow encoding of one linear-map slot."""
-    kind = classify(obj)
-    if kind is Kind.OBJECT:
-        state = accessor.get_state(obj)
-        writer.write_uvarint(len(state))
-        for name, value in state:
-            writer.write_str(name)
-            _encode_value(writer, value, pins, 0)
-    elif kind is Kind.LIST:
-        writer.write_uvarint(len(obj))
-        for item in obj:
-            _encode_value(writer, item, pins, 0)
-    elif kind is Kind.DICT:
-        writer.write_uvarint(len(obj))
-        for key, value in obj.items():
-            _encode_value(writer, key, pins, 0)
-            _encode_value(writer, value, pins, 0)
-    elif kind is Kind.SET:
-        # Order-insensitive mix, same trick as frozensets above.
-        writer.write_uvarint(len(obj))
-        mixed = 0
-        for item in obj:
-            item_writer = BufferWriter()
-            _encode_value(item_writer, item, pins, 0)
-            mixed ^= hash(item_writer.getvalue())
-        writer.write_i64(mixed & ((1 << 63) - 1))
-    elif kind is Kind.BYTEARRAY:
-        writer.write_len_bytes(obj)
-    else:
-        raise RestoreError(f"cannot digest linear-map slot of kind {kind}")
-
-
 def digest_slots(slots: List[Any], accessor: FieldAccessor) -> SlotDigestTable:
-    """Digest every slot of a retained list.
-
-    Historically ran twice per delta-slots call: once right after
-    deserialization (the "before" picture) and once at reply-encode time.
-    With the fused decode+digest pass the "before" table is captured
-    during deserialization itself, leaving only the reply-time walk here.
-    """
+    """Capture the state of every slot of a retained list (one walk)."""
     global walk_count
     walk_count += 1
-    tokens: List[bytes] = []
-    sizes: List[int] = []
-    pins: List[Any] = []
-    writer = BufferWriter()
-    for obj in slots:
-        writer.reset()
-        _encode_slot(writer, obj, accessor, pins)
-        token = writer.getvalue()
-        tokens.append(token)
-        sizes.append(len(token))
-    return SlotDigestTable(tokens, sizes, pins)
+    return SlotDigestTable(list(map(state_capture(accessor), slots)))

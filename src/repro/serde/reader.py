@@ -23,11 +23,11 @@ inline loop instead of one full frame-machine cycle per field.
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import WireFormatError
 from repro.serde.codegen import BAIL
-from repro.serde.digest import SlotDigestTable, _encode_slot
+from repro.serde.digest import SlotDigestTable, SlotState, state_capture
 from repro.serde.hooks import (
     apply_resolve,
     apply_upgrade,
@@ -47,7 +47,7 @@ from repro.serde.schema import (
     SchemaRxCache,
 )
 from repro.serde.tags import Tag, WIRE_MAGIC, WIRE_VERSION
-from repro.util.buffers import BufferReader, BufferWriter, SlicingBufferReader
+from repro.util.buffers import BufferReader, SlicingBufferReader
 
 _F64_UNPACK = struct.Struct(">d").unpack_from
 
@@ -107,7 +107,7 @@ class _Frame:
         #: The shell's instance dict when batched dict stores are safe
         #: (plan.use_dict); None routes stores through the accessor.
         self.field_dict: Optional[dict] = None
-        #: Linear-map position to digest at frame finish (fused digest
+        #: Linear-map position to capture at frame finish (fused state
         #: capture); -1 when capture is off or the shell is not mapped.
         self.linear_slot = -1
 
@@ -154,15 +154,14 @@ class ObjectReader:
         # generated decoders (repro.serde.codegen); every member is bound
         # once in __init__ and only mutated in place, never rebound.
         self._codegen_ctx: Optional[tuple] = None
-        # Fused digest capture (repro.serde.digest): when the dispatcher
-        # passes the accessor it will later re-digest with, each mutable
-        # slot's "before" token is produced as its frame finishes, so the
-        # delta-slots snapshot needs no second walk over the linear map.
+        # Fused state capture (repro.serde.digest): when the dispatcher
+        # passes the accessor it will compare with at reply time, each
+        # mutable slot's "before" state is captured as its frame finishes,
+        # so the delta snapshot needs no second walk over the linear map.
         self._digest_accessor = digest_accessor
         if digest_accessor is not None:
-            self._digest_tokens: List[Optional[bytes]] = []
-            self._digest_pins: List[Any] = []
-            self._digest_writer = BufferWriter()
+            self._capture_state = state_capture(digest_accessor)
+            self._slot_states: Dict[int, SlotState] = {}
         magic = self._buf.read_bytes(len(WIRE_MAGIC))
         if magic != WIRE_MAGIC:
             raise WireFormatError(f"bad magic {magic!r}; not an NRMI stream")
@@ -351,7 +350,7 @@ class ObjectReader:
         one — back references, ``None`` and small ints — appending
         straight to the shell. Any other tag is left unread for ``_step``;
         ``_read_value`` re-enters here once that element is delivered and
-        finishes the frame (digest capture included) as before.
+        finishes the frame (state capture included) as before.
         """
         buf = self._buf
         handles = self._handles
@@ -772,7 +771,7 @@ class ObjectReader:
 
     def _spawn_object_frame(self, entry: tuple, count: int) -> _Frame:
         """Open the decoding frame for one object whose class key and
-        field count have been consumed (shell registered, digest slot
+        field count have been consumed (shell registered, capture slot
         noted). Shared by ``_step`` and the generated decoders' bail
         paths."""
         cls, wire_version, plan = entry
@@ -838,7 +837,7 @@ class ObjectReader:
             value = bytearray(buf.read_len_view())
             self._register(value, mutable=True)
             if self._digest_accessor is not None:
-                # Complete at registration (no frame): digest immediately.
+                # Complete at registration (no frame): capture immediately.
                 self._capture_slot(len(self.linear_map) - 1, value)
             return value
         if tag == Tag.REF:
@@ -962,49 +961,32 @@ class ObjectReader:
             self._handles[frame.handle_slot] = resolved
             return resolved
         if frame.linear_slot >= 0:
-            # Fused digest capture: the slot's shallow state is final once
-            # its frame finishes (its children are decoded; cycles enter
-            # the token as identity refs), so digest it here instead of
+            # Fused state capture: the slot's shallow state is final once
+            # its frame finishes (its children are decoded; a cycle is a
+            # reference like any other), so capture it here instead of
             # re-walking the linear map after decoding.
             self._capture_slot(frame.linear_slot, frame.shell)
         return frame.shell
 
-    # ------------------------------------------------- fused digest capture
+    # -------------------------------------------------- fused state capture
 
     def _capture_slot(self, index: int, obj: Any) -> None:
-        tokens = self._digest_tokens
-        while len(tokens) <= index:
-            tokens.append(None)
-        writer = self._digest_writer
-        writer.reset()
-        _encode_slot(writer, obj, self._digest_accessor, self._digest_pins)
-        tokens[index] = writer.getvalue()
+        self._slot_states[index] = self._capture_state(obj)
 
     def digest_table(self, indices: List[int]) -> SlotDigestTable:
-        """The fused "before" digest table for *indices* (linear-map
-        positions), equivalent to ``digest_slots`` over those slots.
+        """The fused "before" table for *indices* (linear-map positions),
+        equivalent to ``digest_slots`` over those slots.
 
         Only valid when the reader was built with ``digest_accessor``.
         Slots that somehow escaped capture (defensive: e.g. registered by
-        a hook outside the frame machine) are digested on demand.
+        a hook outside the frame machine) are captured on demand.
         """
-        captured = self._digest_tokens
-        captured_len = len(captured)
+        captured = self._slot_states.get
         slots = self.linear_map
-        accessor = self._digest_accessor
-        pins = self._digest_pins
-        tokens: List[bytes] = []
-        sizes: List[int] = []
-        for index in indices:
-            token = captured[index] if index < captured_len else None
-            if token is None:
-                writer = self._digest_writer
-                writer.reset()
-                _encode_slot(writer, slots[index], accessor, pins)
-                token = writer.getvalue()
-            tokens.append(token)
-            sizes.append(len(token))
-        return SlotDigestTable(tokens, sizes, pins)
+        capture = self._capture_state
+        return SlotDigestTable(
+            [captured(index) or capture(slots[index]) for index in indices]
+        )
 
 
 def decode_graph(

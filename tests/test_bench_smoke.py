@@ -8,8 +8,8 @@ Layers:
   that codegen actually engaged under the modern profile and beat the
   interpreted-plan baseline measured in the same run;
 * re-measure the full-size serde micro encode AND decode in-process and
-  hold both to the recorded ``BENCH_pr6.json`` within the runner's
-  regression budget;
+  hold the generated code to a same-run ratio over the interpreted plans
+  (no recorded microsecond is compared with a live one);
 * hold the plan-driven decode fast path to its defining property: modern
   decode stays within 1.5x of modern encode;
 * replay scenario III with a 1%-mutation mutator so the sparse
@@ -93,27 +93,30 @@ def test_regress_quick_runs_clean(tmp_path):
     assert sparse["delta"]["reply_bytes"] < sparse["full"]["reply_bytes"]
 
 
-# The recorded numbers come from a quiet dedicated run; re-measuring in
-# the middle of a loaded pytest run needs headroom beyond the runner's
-# 25% gate. 75% still catches every structural regression this test
-# exists for (losing the compiled-plan fast path alone is ~8x).
-IN_SUITE_LIMIT_PCT = 75.0
-
-
 @pytest.mark.bench_smoke
-def test_serde_micro_timings_within_recorded_budget():
-    recorded = regress._load_previous(REPO_ROOT / "BENCH_pr6.json")
-    failures = []
+def test_compiled_serde_beats_interpreted_plans_in_the_same_run():
+    """Modern (codegen) encode and decode each stay at least 1.2x faster
+    than the interpreted plans measured by the same call (full size).
+
+    Both sides of each ratio come from one ``run_serde_micro`` call, so
+    the box's speed state cancels out and no recorded microsecond is
+    read. Dedicated runs show 1.4-2.4x; a ratio under 1.2 means the
+    generated code stopped engaging (falling back to the interpreted
+    plans reads 1.0) — a structural regression, not noise.
+    """
     for _ in range(2):  # one re-measure before failing, for noise spikes
         serde = regress.run_serde_micro(
             regress.FULL_SIZE, SMOKE_WINDOWS, SMOKE_WINDOW_SECONDS
         )
-        failures = regress._check_gate(
-            recorded, serde, regress.FULL_SIZE, limit_pct=IN_SUITE_LIMIT_PCT
-        )
-        if not failures:
+        modern, interp = serde["modern"], serde["modern-interp"]
+        slow = [
+            side
+            for side in ("encode_us", "decode_us")
+            if modern[side] > interp[side] / 1.2
+        ]
+        if not slow:
             break
-    assert not failures, "; ".join(failures)
+    assert not slow, (slow, modern, interp)
 
 
 @pytest.mark.bench_smoke

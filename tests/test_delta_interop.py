@@ -72,6 +72,7 @@ class InteropWorld:
                 address,
                 lambda inner: SimulatedChannel(inner, NetworkModel()),
             )
+        self.address = address
         self.service = self.client.lookup(address, "svc")
 
     def scramble_fingerprint(self):
@@ -155,3 +156,39 @@ def test_dirty_slot_reply_is_smaller_than_full_map():
         finally:
             world.close()
     assert sizes["delta"] < sizes["full"]
+
+
+# ------------------------------------------- one dirtiness, both reply kinds
+#
+# A write that ``==`` cannot see is still a write the caller can see. Both
+# delta reply kinds must ship it; the local call is the reference.
+
+
+class OverwriteService(Remote):
+    def overwrite(self, node, value):
+        node.data = value
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [(0.0, -0.0), (1, True), (1, 1.0), (2.5, float("nan"))],
+    ids=["signed-zero", "int-to-bool", "int-to-float", "nan"],
+)
+@pytest.mark.parametrize("frames", [True, False], ids=["slot-frames", "object-delta"])
+@pytest.mark.parametrize("carrier", ["inproc", "tcp"])
+def test_writes_equality_cannot_see_are_restored(carrier, frames, old, new):
+    world = InteropWorld(
+        carrier,
+        client_config=NRMIConfig(policy="delta", delta_reply_frames=frames),
+    )
+    try:
+        world.server.bind("overwrite", OverwriteService())
+        service = world.client.lookup(world.address, "overwrite")
+        local, remote = Node(old, next=Node("kept")), Node(old, next=Node("kept"))
+        OverwriteService().overwrite(local, new)
+        service.overwrite(remote, new)
+        assert repr(remote.data) == repr(local.data)
+        assert remote.next.data == "kept"
+        assert world.client.metrics.counter("delta.slot_replies").value == int(frames)
+    finally:
+        world.close()

@@ -12,8 +12,9 @@ import time
 
 import pytest
 
-from repro.bench.mutators import mutator_for
+from repro.bench.mutators import mutate_sparse, mutator_for
 from repro.bench.trees import generate_workload
+from repro.nrmi.config import NRMIConfig
 from repro.nrmi.runtime import Endpoint
 from repro.nrmi.server_main import parse_binding
 from repro.transport.resolver import ChannelResolver
@@ -90,6 +91,27 @@ class TestAcrossProcesses:
                 service.mutate("II", workload.root, seed)
                 mutator_for("II")(local.root, seed)
                 assert workload.visible_data() == local.visible_data()
+        finally:
+            client.close()
+            resolver.close_all()
+
+    def test_sparse_delta_across_process_boundary(self, server_process):
+        """policy="delta": the server child decides what changed and ships
+        only that; the aliased tree must read as after a local call."""
+        resolver = ChannelResolver()
+        client = Endpoint(
+            name="mp-client-delta", config=NRMIConfig(policy="delta"), resolver=resolver
+        )
+        try:
+            service = client.lookup(server_process, "trees")
+            for seed in (7, 8, 9):  # the later calls ride negotiated schemas
+                workload = generate_workload("III", 64, seed)
+                local = generate_workload("III", 64, seed)
+                assert workload.aliases  # scenario III: aliases into the tree
+                changed = service.mutate_sparse(workload.root, seed, 0.1)
+                assert changed == mutate_sparse(local.root, seed, 0.1) > 0
+                assert workload.visible_data() == local.visible_data()
+            assert client.metrics.counter("delta.slot_replies").value == 3
         finally:
             client.close()
             resolver.close_all()

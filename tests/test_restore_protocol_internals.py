@@ -1,18 +1,27 @@
-"""Unit tests for restore-protocol internals: change detection, snapshots."""
+"""Unit tests for restore-protocol internals: change detection, snapshots.
+
+Both delta policies decide "did this slot change" through
+:mod:`repro.serde.digest`; these are the unit checks of that one
+implementation the policies used to carry a private copy of.
+"""
 
 import pytest
 
-from repro.core.restore_protocol import (
-    _decode_index,
-    _encode_index,
-    _shallow_state,
-    _state_changed,
-    _values_equal,
-)
+from repro.core.restore_protocol import _decode_index, _encode_index
 from repro.errors import RestoreError
 from repro.serde.accessors import OPTIMIZED_ACCESSOR
+from repro.serde.digest import same_value as _values_equal
+from repro.serde.digest import state_capture, state_clean
 
 from tests.model_helpers import Box, Node
+
+
+def _shallow_state(obj, accessor):
+    return state_capture(accessor)(obj)
+
+
+def _state_changed(before, after):
+    return not state_clean(before, after)
 
 
 class TestValuesEqual:
@@ -39,26 +48,31 @@ class TestValuesEqual:
 
 
 class TestShallowState:
+    """A state is ``(shape, values)``: field names (or a container
+    marker) and the very objects the slot refers to."""
+
     def test_object_state(self):
         node = Node(7)
-        state = _shallow_state(node, OPTIMIZED_ACCESSOR)
-        assert dict(state) == {"data": 7, "next": None}
+        names, values = _shallow_state(node, OPTIMIZED_ACCESSOR)
+        assert dict(zip(names, values)) == {"data": 7, "next": None}
 
     def test_list_state_is_shallow(self):
         inner = Node(1)
-        state = _shallow_state([inner, 2], OPTIMIZED_ACCESSOR)
-        assert state[0] is inner
-        assert state[1] == 2
+        _, values = _shallow_state([inner, 2], OPTIMIZED_ACCESSOR)
+        assert values[0] is inner
+        assert values[1] == 2
 
     def test_dict_state(self):
-        state = _shallow_state({"k": "v"}, OPTIMIZED_ACCESSOR)
-        assert state == (("k", "v"),)
+        _, values = _shallow_state({"k": "v"}, OPTIMIZED_ACCESSOR)
+        assert values == ("k", "v")
 
     def test_set_state(self):
-        assert set(_shallow_state({1, 2}, OPTIMIZED_ACCESSOR)) == {1, 2}
+        _, values = _shallow_state({1, 2}, OPTIMIZED_ACCESSOR)
+        assert set(values) == {1, 2}
 
     def test_bytearray_state(self):
-        assert _shallow_state(bytearray(b"ab"), OPTIMIZED_ACCESSOR) == (b"ab",)
+        _, values = _shallow_state(bytearray(b"ab"), OPTIMIZED_ACCESSOR)
+        assert values == (b"ab",)
 
     def test_unsupported_kind_raises(self):
         with pytest.raises(RestoreError):
