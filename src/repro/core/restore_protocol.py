@@ -13,10 +13,10 @@ handle table, linear map recorded on both endpoints):
 ``delta``
     The paper's future-work optimization (Section 5.2.4 #2): the server
     captures each retained object's shallow state while unmarshalling
-    (:mod:`repro.serde.digest`) and ships back only the objects that
-    changed, plus new objects. References
-    to *unchanged* old objects are encoded as back-references into the
-    caller's own linear map, so passing an object by copy-restore and not
+    (:mod:`repro.serde.digest`) and ships back only the slots that
+    changed, plus new objects (reply kind 4, ``delta-slots``). References
+    to *unchanged* old objects are encoded as their position in the
+    caller's retained list, so passing an object by copy-restore and not
     changing it costs almost the same as passing it by copy.
 
 ``dce``
@@ -62,7 +62,7 @@ class ServerRestoreContext:
     externalizers: Tuple = ()
     # Reachability stop predicate (remote stubs/pointers are leaves).
     stop: Optional[Any] = None
-    # Optional MetricsRegistry: delta-slots records dirty/clean counts.
+    # Optional MetricsRegistry: the delta policy records dirty/clean counts.
     metrics: Optional[Any] = None
     # "Before" slot states captured *during* argument deserialization (the
     # fused decode+capture pass). When present, a delta policy's snapshot
@@ -185,7 +185,18 @@ def _decode_index(payload: bytes) -> int:
 
 
 class DeltaRestorePolicy(RestorePolicy):
-    """Ship only changed old objects; reference unchanged ones by position."""
+    """Dirty-slot replies: capture every retained slot's state at
+    deserialization time, compare at reply-encode time, and ship only the
+    slots whose state changed (plus all new objects reachable from them
+    and the return value). References to clean slots travel as their
+    position in the caller's retained list.
+
+    The reply is kind 4 (``delta-slots``): a header of delta-coded dirty
+    indices followed by one serde stream. A caller requests ``delta`` and
+    advertises :data:`repro.rmi.protocol.CAP_DELTA_SLOTS`; a server that
+    does not see the bit answers with a full-map reply instead. Both
+    names resolve to this class.
+    """
 
     name = "delta"
 
@@ -200,17 +211,14 @@ class DeltaRestorePolicy(RestorePolicy):
             return context.predigested
         return digest_slots(context.retained, context.accessor)
 
-    def _writer_eliding_clean(
-        self, context: ServerRestoreContext, snapshot: SlotDigestTable
-    ) -> Tuple[List[int], ObjectWriter]:
-        """The dirty positions of the retained list, and a reply writer
-        that encodes a reference to any clean slot as its position."""
-        dirty = snapshot.dirty_indices(
-            digest_slots(context.retained, context.accessor)
-        )
-        clean: IdentityMap[int] = IdentityMap()
+    def build_response(
+        self, result: Any, context: ServerRestoreContext, snapshot: Any
+    ) -> bytes:
+        retained = context.retained
+        dirty = snapshot.dirty_indices(digest_slots(retained, context.accessor))
         dirty_set = set(dirty)
-        for index, obj in enumerate(context.retained):
+        clean: IdentityMap[int] = IdentityMap()
+        for index, obj in enumerate(retained):
             if index not in dirty_set:
                 clean[obj] = index
         oldref = Externalizer(
@@ -224,93 +232,22 @@ class DeltaRestorePolicy(RestorePolicy):
             registry=context.registry,
             externalizers=(oldref,) + tuple(context.externalizers),
         )
-        return dirty, writer
-
-    def build_response(
-        self, result: Any, context: ServerRestoreContext, snapshot: Any
-    ) -> bytes:
-        changed_indices, writer = self._writer_eliding_clean(context, snapshot)
-        writer.write_root(result)
-        writer.write_root(changed_indices)
-        writer.write_root([context.retained[i] for i in changed_indices])
-        return writer.getvalue()
-
-    def parse_response(
-        self, payload: bytes, context: ClientRestoreContext
-    ) -> Tuple[Any, Optional[RestoreStats]]:
-        originals = context.originals
-        resolved = IdentitySet()
-
-        def resolve(raw: bytes) -> Any:
-            index = _decode_index(raw)
-            try:
-                obj = originals[index]
-            except IndexError:
-                raise RestoreError(f"delta payload references old object {index}") from None
-            resolved.add(obj)
-            return obj
-
-        oldref = Externalizer(
-            name=_OLDREF_EXT,
-            claims=lambda obj: False,  # never used on the caller
-            replace=lambda obj: b"",
-            resolve=resolve,
-        )
-        reader = ObjectReader(
-            payload,
-            profile=context.profile,
-            registry=context.registry,
-            externalizers=(oldref,) + tuple(context.externalizers),
-        )
-        result = reader.read_root()
-        changed_indices = reader.read_root()
-        changed_objects = reader.read_root()
-        reader.expect_end()
-        match = match_maps(
-            [originals[i] for i in changed_indices], changed_objects
-        )
-        result, stats = context.engine.restore(match, result, skip=resolved)
-        return result, stats
-
-
-class DeltaSlotsRestorePolicy(DeltaRestorePolicy):
-    """Dirty-slot replies: capture every retained slot's state at
-    deserialization time, capture again at reply-encode time, and ship
-    only the slots whose state changed (plus all new objects reachable
-    from them and the return value).
-
-    This is the negotiated evolution of :class:`DeltaRestorePolicy`, with
-    the same snapshot and the same dirty set: the caller advertises
-    :data:`repro.rmi.protocol.CAP_DELTA_SLOTS` in the CALL flags byte, and
-    the server answers with reply kind 4 — a compact header of delta-coded
-    dirty indices followed by one serde stream. Non-advertising callers
-    transparently get the legacy object-delta or full-map reply instead.
-    """
-
-    name = "delta-slots"
-
-    def build_response(
-        self, result: Any, context: ServerRestoreContext, snapshot: Any
-    ) -> bytes:
-        dirty, writer = self._writer_eliding_clean(context, snapshot)
         header = BufferWriter()
-        header.write_uvarint(len(context.retained))
+        header.write_uvarint(len(retained))
         header.write_uvarint(len(dirty))
         previous = -1
         for index in dirty:
             header.write_uvarint(index - previous - 1)
             previous = index
         writer.write_root(result)
-        writer.write_root([context.retained[i] for i in dirty])
+        writer.write_root([retained[i] for i in dirty])
         metrics = context.metrics
         if metrics is not None:
             metrics.counter("delta.slots_dirty").add(len(dirty))
-            metrics.counter("delta.slots_clean").add(
-                len(context.retained) - len(dirty)
-            )
-            if context.retained:
+            metrics.counter("delta.slots_clean").add(len(retained) - len(dirty))
+            if retained:
                 metrics.distribution("delta.dirty_ratio").record(
-                    len(dirty) / len(context.retained)
+                    len(dirty) / len(retained)
                 )
         return header.getvalue() + writer.getvalue()
 
@@ -367,7 +304,7 @@ class DeltaSlotsRestorePolicy(DeltaRestorePolicy):
         match = match_sparse(originals, dirty_indices, dirty_objects)
         result, stats = context.engine.restore(match, result, skip=resolved)
         context.reply_info.update(
-            kind=self.name, dirty=dirty_count, total=total
+            kind="delta-slots", dirty=dirty_count, total=total
         )
         return result, stats
 
@@ -433,10 +370,11 @@ _POLICIES: Dict[str, Type[RestorePolicy]] = {
         NoRestorePolicy,
         FullRestorePolicy,
         DeltaRestorePolicy,
-        DeltaSlotsRestorePolicy,
         DceRestorePolicy,
     )
 }
+# The name of reply kind 4; a request names the same policy "delta".
+_POLICIES["delta-slots"] = DeltaRestorePolicy
 
 
 def policy_by_name(name: str) -> RestorePolicy:

@@ -308,16 +308,14 @@ def _plan_call(
             chooser.choose(descriptor.address) if chooser is not None else "delta"
         )
     plan.policy_name = policy_name
-    caps = 0
-    if getattr(endpoint.config, "delta_reply_frames", False):
-        # Advertise that our complete_call can decode the dirty-slot
-        # reply frame; the server only uses it for "delta" calls, so the
-        # bit is harmless on every other policy.
-        caps |= CAP_DELTA_SLOTS
+    # Advertise that complete_call decodes the dirty-slot reply frame; the
+    # server only uses it for "delta" calls, so the bit is harmless on
+    # every other policy.
+    caps = CAP_DELTA_SLOTS
 
     plan.schema_session = None
     plan.use_schema = False
-    if getattr(endpoint.config, "schema_cache", True) and channel is not None:
+    if endpoint.config.schema_cache and channel is not None:
         schema_session = getattr(channel, "schema_session", None)
         if schema_session is not None:
             plan.schema_session = schema_session
@@ -332,10 +330,7 @@ def _plan_call(
                 not endpoint.config.retry.enabled or channel.stable_sessions
             )
     plan.caps = caps
-    plan.ship_map = (
-        bool(getattr(endpoint.config, "ship_linear_map", False))
-        and policy_name != "none"
-    )
+    plan.ship_map = endpoint.config.ship_linear_map and policy_name != "none"
     return plan
 
 
@@ -470,6 +465,9 @@ def complete_call(endpoint: Any, prepared: PreparedCall, response: bytes) -> Any
     # Its high bit is the schema-cache acknowledgement.
     applied = reader.read_u8()
     applied_policy_name = policy_from_wire(applied & 0x7F)
+    if applied_policy_name == "delta":
+        # Requests name "delta"; replies to it are kind 4 or a full map.
+        raise UnmarshalError(f"reply for {method!r} uses the retired delta kind 2")
     if session is not None:
         if applied & REPLY_FLAG_SCHEMA_ACK:
             session.record_ack()
@@ -621,7 +619,7 @@ def client_call(
         not retry.enabled
         and endpoint.breaker_for(descriptor.address) is None
         and getattr(channel, "supports_zero_copy", False)
-        and getattr(endpoint.config, "shm_zero_copy", True)
+        and endpoint.config.shm_zero_copy
         # Chunked-buffer profiles (legacy) build their stream in chunks
         # and cannot target an external sink; they keep the staged path.
         and not endpoint.profile.chunked_buffers
@@ -721,13 +719,6 @@ def handle_call(
     """
     request = decode_call(reader, call_id=call_id, attempt=attempt)
     profile = profile_by_name(request.profile)
-    if profile.use_codegen and not getattr(endpoint.config, "serde_codegen", True):
-        # The codegen knob is per-endpoint, not per-wire: a server with
-        # codegen disabled still speaks identical bytes, it just runs the
-        # interpreted plan path for this call.
-        from dataclasses import replace as _dc_replace
-
-        profile = _dc_replace(profile, use_codegen=False)
     externalizers = endpoint.externalizers()
 
     # Method resolution and policy negotiation run BEFORE the arguments
@@ -751,23 +742,17 @@ def handle_call(
 
     policy_name = effective_policy(request.policy, target)
     if policy_name == "delta":
-        if not getattr(endpoint.config, "delta_replies", True):
-            # Full-only server: it will not build any delta reply, so the
-            # requested "delta" downgrades to a full-map reply. Legal
-            # because the reply leads with the policy actually applied.
-            policy_name = "full"
-        elif request.caps & CAP_DELTA_SLOTS:
-            # Negotiated upgrade: the caller can decode dirty-slot frames,
-            # so answer with reply kind 4 instead of the legacy object
-            # delta. Non-advertising (older) callers keep getting kind 2.
-            policy_name = "delta-slots"
+        # A caller that can decode dirty-slot frames gets reply kind 4;
+        # any other caller gets a full-map reply, which every client
+        # decodes. Legal because the reply leads with the policy applied.
+        policy_name = "delta-slots" if request.caps & CAP_DELTA_SLOTS else "full"
     policy = policy_by_name(policy_name)
 
-    # Delta calls of either reply kind capture every slot's state as its
-    # frame finishes — the paper's "keep a reference to the map" walk and
-    # the delta snapshot collapse into the decode traversal, so the
-    # retained map is never re-walked before the method runs.
-    fuse_digest = policy_name in ("delta", "delta-slots") and not request.ship_map
+    # Delta calls capture every slot's state as its frame finishes — the
+    # paper's "keep a reference to the map" walk and the delta snapshot
+    # collapse into the decode traversal, so the retained map is never
+    # re-walked before the method runs.
+    fuse_digest = policy_name == "delta-slots" and not request.ship_map
     args_reader = ObjectReader(
         request.args_payload,
         profile=profile,
@@ -835,7 +820,7 @@ def handle_call(
     if (
         session is not None
         and request.caps & CAP_SCHEMA_CACHE
-        and getattr(endpoint.config, "schema_cache", True)
+        and endpoint.config.schema_cache
     ):
         # Acknowledge the schema-cache capability on the applied-policy
         # byte's high bit: this connection keeps per-session decode state,

@@ -65,9 +65,9 @@ _MODE_TO_ID = {
 }
 _ID_TO_MODE = {v: k for k, v in _MODE_TO_ID.items()}
 
-# "delta-slots" (id 4) is a *reply* kind only: servers pick it when the
-# caller advertised CAP_DELTA_SLOTS and the effective policy is "delta";
-# callers never request it directly.
+# Requests name "delta" (id 2); a server answers it with "delta-slots"
+# (id 4) when the caller advertised CAP_DELTA_SLOTS and with "full" (id 1)
+# otherwise. Id 4 is a reply kind only and id 2 never appears in a reply.
 _POLICY_TO_ID = {"none": 0, "full": 1, "delta": 2, "dce": 3, "delta-slots": 4}
 _ID_TO_POLICY = {v: k for k, v in _POLICY_TO_ID.items()}
 
@@ -77,7 +77,7 @@ _ID_TO_POLICY = {v: k for k, v in _POLICY_TO_ID.items()}
 # ship_map meaning (old encoders only ever wrote 0 or 1), the remaining
 # bits advertise caller capabilities. Decoders MUST ignore flag bits they
 # do not know — a peer that never advertises (flags & ~1 == 0) simply gets
-# the classic full-map / legacy-delta replies.
+# full-map replies to its delta calls.
 
 #: The caller can decode the dirty-slot delta reply frame (kind 4).
 CAP_DELTA_SLOTS = 0x02

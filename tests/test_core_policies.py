@@ -49,6 +49,10 @@ class TestPolicyRegistry:
         with pytest.raises(ValueError):
             policy_by_name("magic")
 
+    def test_reply_kind_name_resolves_to_the_delta_policy(self):
+        assert type(policy_by_name("delta-slots")) is DeltaRestorePolicy
+        assert type(policy_by_name("delta")) is DeltaRestorePolicy
+
     def test_fresh_instance_per_lookup(self):
         assert policy_by_name("full") is not policy_by_name("full")
 

@@ -1,18 +1,20 @@
-"""Delta/full interop: the capability negotiation across transports.
+"""Delta/full interop across transports.
 
-A delta-requesting client that advertises ``CAP_DELTA_SLOTS`` gets the
-dirty-slot reply frame from a capable server; either side lacking the
-capability transparently falls back to a classic reply (full map from a
-"full-only" server, legacy object delta to a non-advertising client).
-Every combination, over every transport, must restore the client heap
-byte-identically to running the same mutation locally.
+A delta-requesting client advertises ``CAP_DELTA_SLOTS`` and gets the
+dirty-slot reply frame; a full-policy client gets the full map. Both,
+over every transport, must restore the client heap byte-identically to
+running the same mutation locally. A delta-requesting caller that does
+not advertise the capability gets the full map instead; its frames are
+checked byte by byte in ``tests/test_dispatcher_protocol_edges.py``.
 """
 
 import pytest
 
 from repro.core.markers import Remote
+from repro.nrmi import invocation
 from repro.nrmi.config import NRMIConfig
 from repro.nrmi.runtime import Endpoint
+from repro.rmi.protocol import CAP_DELTA_SLOTS
 from repro.transport.resolver import ChannelResolver
 from repro.transport.simnet import NetworkModel, SimulatedChannel
 
@@ -103,30 +105,21 @@ def test_both_capable_speak_dirty_slot_frames(transport):
         world.close()
 
 
-def test_delta_client_against_full_only_server(transport):
-    world = InteropWorld(
-        transport,
-        server_config=NRMIConfig(delta_replies=False),
-        client_config=NRMIConfig(policy="delta"),
-    )
+def test_non_advertising_client_against_delta_server(transport, monkeypatch):
+    plan_call = invocation._plan_call
+
+    def plan_without_delta_slots(*args, **kwargs):
+        plan = plan_call(*args, **kwargs)
+        plan.caps &= ~CAP_DELTA_SLOTS
+        return plan
+
+    # A client that predates the dirty-slot frame never sets the bit.
+    monkeypatch.setattr(invocation, "_plan_call", plan_without_delta_slots)
+    world = InteropWorld(transport, client_config=NRMIConfig(policy="delta"))
     try:
         assert world.scramble_fingerprint() == local_fingerprint()
-        # The server downgraded to a full-map reply; no delta frames flowed.
-        assert world.client.metrics.counter("delta.slot_replies").value == 0
-        assert world.server.metrics.counter("delta.slots_dirty").value == 0
-    finally:
-        world.close()
-
-
-def test_non_advertising_client_against_delta_server(transport):
-    world = InteropWorld(
-        transport,
-        client_config=NRMIConfig(policy="delta", delta_reply_frames=False),
-    )
-    try:
-        assert world.scramble_fingerprint() == local_fingerprint()
-        # Without the capability bit the server answers with the legacy
-        # object-delta reply, never the dirty-slot frame.
+        # Without the capability bit the server answers with the full
+        # map, never the dirty-slot frame.
         assert world.client.metrics.counter("delta.slot_replies").value == 0
         assert world.server.metrics.counter("delta.slots_dirty").value == 0
     finally:
@@ -158,10 +151,10 @@ def test_dirty_slot_reply_is_smaller_than_full_map():
     assert sizes["delta"] < sizes["full"]
 
 
-# ------------------------------------------- one dirtiness, both reply kinds
+# ------------------------------------------------------ what dirtiness sees
 #
-# A write that ``==`` cannot see is still a write the caller can see. Both
-# delta reply kinds must ship it; the local call is the reference.
+# A write that ``==`` cannot see is still a write the caller can see. The
+# delta reply must ship it; the local call is the reference.
 
 
 class OverwriteService(Remote):
@@ -174,13 +167,9 @@ class OverwriteService(Remote):
     [(0.0, -0.0), (1, True), (1, 1.0), (2.5, float("nan"))],
     ids=["signed-zero", "int-to-bool", "int-to-float", "nan"],
 )
-@pytest.mark.parametrize("frames", [True, False], ids=["slot-frames", "object-delta"])
 @pytest.mark.parametrize("carrier", ["inproc", "tcp"])
-def test_writes_equality_cannot_see_are_restored(carrier, frames, old, new):
-    world = InteropWorld(
-        carrier,
-        client_config=NRMIConfig(policy="delta", delta_reply_frames=frames),
-    )
+def test_writes_equality_cannot_see_are_restored(carrier, old, new):
+    world = InteropWorld(carrier, client_config=NRMIConfig(policy="delta"))
     try:
         world.server.bind("overwrite", OverwriteService())
         service = world.client.lookup(world.address, "overwrite")
@@ -189,6 +178,6 @@ def test_writes_equality_cannot_see_are_restored(carrier, frames, old, new):
         service.overwrite(remote, new)
         assert repr(remote.data) == repr(local.data)
         assert remote.next.data == "kept"
-        assert world.client.metrics.counter("delta.slot_replies").value == int(frames)
+        assert world.client.metrics.counter("delta.slot_replies").value == 1
     finally:
         world.close()

@@ -2,20 +2,27 @@
 
 import pytest
 
+from repro.core.markers import Remote
+from repro.core.semantics import PassingMode
+from repro.nrmi.invocation import PreparedCall, complete_call, compute_retained
 from repro.rmi.protocol import (
+    CAP_DELTA_SLOTS,
+    CallRequest,
     Op,
     Status,
     encode_batch,
+    encode_call,
     encode_ping,
     ok_response,
     policy_from_wire,
     policy_wire_id,
     split_response,
 )
-from repro.errors import WireFormatError
+from repro.errors import RemoteError, UnmarshalError, WireFormatError
+from repro.serde.writer import ObjectWriter
 from repro.util.buffers import BufferReader, BufferWriter
 
-from tests.model_helpers import Box
+from tests.model_helpers import Box, Node, heap_fingerprint
 
 
 def raw_request(endpoint_pair, payload: bytes) -> bytes:
@@ -139,3 +146,69 @@ class TestPolicyWireHelpers:
     def test_unknown_id(self):
         with pytest.raises(WireFormatError):
             policy_from_wire(200)
+
+
+class Toucher(Remote):
+    def touch(self, box):
+        box.payload[0].data = "touched"
+        box.payload.append(Node("fresh", next=box.payload[1]))
+        return box.payload[-1]
+
+
+def make_box():
+    nodes = [Node(i) for i in range(4)]
+    box = Box(nodes)
+    box.alias = nodes[2]
+    return box
+
+
+def delta_call(endpoint_pair, box, caps):
+    """A hand-built ``delta`` CALL frame for ``Toucher.touch(box)``, sent
+    through the server's dispatcher; returns (prepared call, reply)."""
+    descriptor = endpoint_pair.serve(Toucher()).descriptor
+    writer = ObjectWriter()
+    writer.write_root(box)
+    frame = encode_call(
+        CallRequest(
+            object_id=descriptor.object_id,
+            method="touch",
+            policy="delta",
+            profile="modern",
+            modes=(PassingMode.BY_COPY_RESTORE,),
+            args_payload=writer.getvalue(),
+            caps=caps,
+        )
+    )
+    originals = compute_retained(
+        writer.linear_map, [box], endpoint_pair.client.accessor
+    )
+    prepared = PreparedCall(frame, originals, descriptor, "touch")
+    return prepared, raw_request(endpoint_pair, frame)
+
+
+class TestDeltaReplyKinds:
+    def test_non_advertising_delta_call_gets_full_reply(self, endpoint_pair):
+        box = make_box()
+        prepared, reply = delta_call(endpoint_pair, box, caps=0)
+        status, reader = split_response(reply)
+        assert status is Status.OK
+        assert reader.read_u8() == policy_wire_id("full")
+        result = complete_call(endpoint_pair.client, prepared, reply)
+
+        local = make_box()
+        local_result = Toucher().touch(local)
+        assert heap_fingerprint([box, result]) == heap_fingerprint(
+            [local, local_result]
+        )
+        assert box.alias is box.payload[2]
+
+    def test_retired_object_delta_reply_is_rejected(self, endpoint_pair):
+        box = make_box()
+        before = heap_fingerprint([box])
+        prepared, reply = delta_call(endpoint_pair, box, caps=CAP_DELTA_SLOTS)
+        assert reply[1] == policy_wire_id("delta-slots")
+        forged = bytearray(reply)
+        forged[1] = policy_wire_id("delta")
+        with pytest.raises((UnmarshalError, RemoteError)):
+            complete_call(endpoint_pair.client, prepared, bytes(forged))
+        assert heap_fingerprint([box]) == before

@@ -138,17 +138,13 @@ def world():
     return _WORLD
 
 
-def run_both(shape, alias_indices, program, policy="full", delta_frames=True):
+def run_both(shape, alias_indices, program, policy="full"):
     box_local, aliases_local = build_workload(shape, alias_indices)
     result_local = apply_program(box_local, program)
 
     box_remote, aliases_remote = build_workload(shape, alias_indices)
     _server, client, service = world()
-    object.__setattr__(
-        client,
-        "config",
-        NRMIConfig(policy=policy, delta_reply_frames=delta_frames),
-    )
+    object.__setattr__(client, "config", NRMIConfig(policy=policy))
     result_remote = service.run(box_remote, list(program))
 
     local_fp = heap_fingerprint([box_local, result_local] + aliases_local)
@@ -177,19 +173,3 @@ def test_full_and_delta_agree(shape, alias_indices, program):
     _, delta_fp = run_both(shape, alias_indices, program, policy="delta")
     assert full_fp == delta_fp
 
-
-@settings(max_examples=40, deadline=None)
-@given(graph_shapes, alias_picks, programs)
-def test_all_delta_reply_kinds_agree(shape, alias_indices, program):
-    """The dirty-slot reply frame, the legacy object-delta reply (what a
-    non-capability-advertising client receives), and the full-map reply
-    restore the same heap for any graph and mutation program."""
-    _, full_fp = run_both(shape, alias_indices, program, policy="full")
-    _, slots_fp = run_both(
-        shape, alias_indices, program, policy="delta", delta_frames=True
-    )
-    _, legacy_fp = run_both(
-        shape, alias_indices, program, policy="delta", delta_frames=False
-    )
-    assert slots_fp == full_fp
-    assert legacy_fp == full_fp

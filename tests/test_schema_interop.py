@@ -290,24 +290,6 @@ def test_fused_delta_slots_call_walks_linear_map_once():
         world.close()
 
 
-def test_fused_legacy_object_delta_call_walks_linear_map_once():
-    """A caller that does not advertise dirty-slot frames gets reply kind
-    2 from the same snapshot: captured during the decode, one walk at
-    reply time."""
-    world = SchemaWorld(
-        "inproc",
-        client_config=NRMIConfig(policy="delta", delta_reply_frames=False),
-    )
-    try:
-        world.scramble_fingerprint()
-        before = digest.walk_count
-        assert world.scramble_fingerprint() == local_fingerprint()
-        assert digest.walk_count - before == 1
-        assert world.client.metrics.counter("delta.slot_replies").value == 0
-    finally:
-        world.close()
-
-
 def test_shipped_map_ablation_still_walks_twice():
     """The ship-linear-map ablation bypasses decode-time reconstruction,
     so there is nothing to fuse into: both walks remain."""
