@@ -1,10 +1,9 @@
-"""Serializability rules (NRMI011–NRMI014, NRMI033).
+"""Serializability rules (NRMI011–NRMI013, NRMI033).
 
 What the serde layer will reject (or silently mis-handle) at call time,
 surfaced at lint time: code-like fields the kind table refuses, dynamic
-attribute tricks the graph walker cannot see, identity-semantics
-overrides on linear-map node classes, and unordered iteration feeding a
-digest. The unserializable-constructor table is derived from
+attribute tricks the graph walker cannot see, and identity-semantics
+overrides on linear-map node classes. The unserializable-constructor table is derived from
 :func:`repro.serde.kinds.code_like_type_names` so the lint and the
 runtime classifier can never drift apart.
 """
@@ -168,72 +167,6 @@ def identity_override_restorable(module: ModuleModel) -> Iterable[Finding]:
                     hint="drop the override, or pass the type by-copy "
                     "(Serializable) if value semantics are intended",
                 )
-
-
-_UNORDERED_ACCESSORS = frozenset({"keys", "values", "items"})
-_UNORDERED_CONSTRUCTORS = frozenset({"set", "frozenset"})
-_ORDERING_WRAPPERS = frozenset({"sorted", "list", "tuple", "min", "max", "sum", "len"})
-
-
-def _digest_functions(module: ModuleModel):
-    """Functions that feed a digest: they call hashlib.* or *.digest()."""
-    for node in ast.walk(module.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        uses_digest = False
-        for child in ast.walk(node):
-            if isinstance(child, ast.Call):
-                name = dotted_name(child.func) or ""
-                if name.startswith("hashlib.") or last_component(name) in (
-                    "digest",
-                    "hexdigest",
-                ):
-                    uses_digest = True
-                    break
-        if uses_digest:
-            yield node
-
-
-def _unordered_iterable(node: ast.expr) -> Optional[str]:
-    """A description of *node* when its iteration order is unstable."""
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        short = last_component(name)
-        if short in _UNORDERED_ACCESSORS and isinstance(node.func, ast.Attribute):
-            return f".{short}()"
-        if short in _UNORDERED_CONSTRUCTORS and name == short:
-            return f"{short}()"
-    if isinstance(node, ast.Set):
-        return "a set literal"
-    if isinstance(node, ast.SetComp):
-        return "a set comprehension"
-    return None
-
-
-@rule("NRMI014", "unsorted-digest-iteration", FAMILY_SERDE, Severity.WARNING)
-def unsorted_digest_iteration(module: ModuleModel) -> Iterable[Finding]:
-    """Hashing entries in set/dict iteration order makes the digest a
-    function of insertion history, not content — two equal structures can
-    digest differently. Wrap the iterable in ``sorted(...)`` or mix with
-    an order-insensitive fold."""
-    for fn in _digest_functions(module):
-        for child in ast.walk(fn):
-            iterables = []
-            if isinstance(child, (ast.For, ast.AsyncFor)):
-                iterables.append(child.iter)
-            elif isinstance(child, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-                iterables.extend(gen.iter for gen in child.generators)
-            for iterable in iterables:
-                described = _unordered_iterable(iterable)
-                if described:
-                    yield unsorted_digest_iteration.at(
-                        module.path,
-                        iterable,
-                        f"digest-feeding function {fn.name!r} iterates "
-                        f"{described} in unspecified order",
-                        hint="iterate sorted(...) or combine per-element "
-                        "hashes with an order-insensitive XOR",
-                    )
 
 
 @rule("NRMI033", "version-upgrade-drift", FAMILY_RUNTIME, Severity.ERROR)

@@ -61,6 +61,7 @@ from repro.serde.codegen import codegen_metrics
 from repro.serde.profiles import LEGACY_PROFILE, MODERN_PROFILE
 from repro.serde.reader import ObjectReader
 from repro.serde.writer import ObjectWriter
+from repro.transport.reliability import RetryPolicy
 from repro.transport.resolver import ChannelResolver
 from repro.transport.shm import shm_supported
 
@@ -406,13 +407,14 @@ def run_zero_copy_matrix(
 ) -> Dict[str, Dict]:
     """Zero-copy × payload ladder over the shm transport.
 
-    Two rows per payload size: ``copy`` forces the staged path
-    (``shm_zero_copy=False`` — encode into a pooled buffer, write_frame
-    copies it into the ring, recv copies the reply out) and ``zerocopy``
-    lets the client encode straight into the ring reservation and decode
-    the reply off a borrowed ring slice while the server borrows the
-    request record in place. Wire bytes are identical; the ladder
-    isolates what the two staging copies cost at each size. The headline
+    Two rows per payload size: ``copy`` takes the client's staged route
+    (selected by allowing one resend, ``RetryPolicy(max_attempts=2)``:
+    encode into a pooled buffer, write_frame copies it into the ring,
+    recv copies the reply out) and ``zerocopy`` lets the client encode
+    straight into the ring reservation and decode the reply off a
+    borrowed ring slice. The server borrows the request record in place
+    in both rows. Wire bytes are identical; the ladder isolates what the
+    client's two staging copies cost at each size. The headline
     ``shm_zerocopy_vs_shm`` ratios are copy-p50 / zerocopy-p50 per cell
     (> 1.0 means zero-copy wins). Sequential framing on purpose, same
     rationale as :func:`run_transport_rt`.
@@ -427,11 +429,10 @@ def run_zero_copy_matrix(
     if unavailable:
         results["skipped"] = unavailable
         return results
-    for label, zero_copy in (("copy", False), ("zerocopy", True)):
+    staged = RetryPolicy(max_attempts=2)
+    for label, retry in (("copy", staged), ("zerocopy", RetryPolicy())):
         resolver = ChannelResolver()
-        config = NRMIConfig(
-            transport="shm", tcp_pipelined=False, shm_zero_copy=zero_copy
-        )
+        config = NRMIConfig(transport="shm", tcp_pipelined=False, retry=retry)
         server = Endpoint(
             name=f"zc-server-{label}", config=config, resolver=resolver
         )

@@ -14,6 +14,11 @@ NRMI optimized (1.4 only)    implementation="optimized", policy="full",
 NRMI + delta (future work)   policy="delta"
 DCE RPC semantics            policy="dce"
 ===========================  =========================================
+
+Two transport optimizations are not options: the session schema cache
+engages on every connection that keeps a schema session, and the shm
+zero-copy route on every duplex that supports it. Neither changes wire
+bytes or behaviour, so there is nothing to choose.
 """
 
 from __future__ import annotations
@@ -28,9 +33,7 @@ from repro.transport.reliability import (
 
 _VALID_PROFILES = ("legacy", "modern")
 _VALID_IMPLEMENTATIONS = ("portable", "optimized")
-# "auto" is a client-side choice, never a wire policy: each call resolves
-# it to "full" or "delta" from the observed dirty-slot ratio per address.
-_VALID_POLICIES = ("none", "full", "delta", "dce", "auto")
+_VALID_POLICIES = ("none", "full", "delta", "dce")
 
 
 @dataclass(frozen=True)
@@ -79,24 +82,11 @@ class NRMIConfig:
     # connection, replies demuxed by correlation id) for tcp:// peers.
     # Servers accept both framings regardless of this knob.
     tcp_pipelined: bool = True
-    # Session-cached wire schemas. Client side: advertise
-    # CAP_SCHEMA_CACHE on outgoing calls and, once the server acks,
-    # encode argument streams against a per-connection schema cache
-    # (class descriptors and field-name tables ship once, then collapse
-    # to compact ids). Server side: acknowledge and decode such streams.
-    # When False this endpoint behaves as a legacy peer on both sides.
-    schema_cache: bool = True
     # Socket transport ``serve_remote()`` exposes: "tcp" (cross-host),
     # "uds" (Unix domain socket — single host, lower latency), or "shm"
     # (shared-memory rings — single host, no kernel in the data path).
     # Servers accept both framings on any; this picks the listener.
     transport: str = "tcp"
-    # Over shm, encode CALL frames directly into the ring reservation and
-    # decode replies off borrowed ring slices (no staging copy). Wire
-    # bytes are identical either way; False forces the staged copy path
-    # — kept as an ablation knob and for the bench's copy-vs-zero-copy
-    # ladder. Ignored by socket transports.
-    shm_zero_copy: bool = True
     # Staged-server sizing: worker threads executing requests, and the
     # bounded job-queue capacity between the net loop and the workers.
     # The queue bound is the overload knob — see overload_policy.

@@ -17,6 +17,16 @@ Client side (:func:`client_call`):
 4. send; on reply, hand the payload to the agreed restore policy, which
    matches maps and applies steps 4-6 of the algorithm.
 
+A call travels one of two routes, and both plan and encode through the
+same code (:func:`_plan_call`, :func:`_encode_arguments`). The staged
+route marshals into a pooled frame and sends it under
+:func:`~repro.transport.reliability.call_with_retry`, which with the
+default policy is a single attempt. The zero-copy route encodes straight
+into a shared-memory ring; it is taken when the channel supports it, the
+profile writes one contiguous stream, and neither retry nor circuit
+breaking needs a frame kept for resending. Wire bytes are the same on
+both.
+
 Server side (:func:`handle_call`):
 
 1. unmarshal the arguments, reconstructing the linear map during
@@ -32,7 +42,6 @@ Server side (:func:`handle_call`):
 
 from __future__ import annotations
 
-import threading
 import traceback
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -43,8 +52,11 @@ from repro.core.restore_protocol import (
 )
 from repro.core.semantics import PassingMode, resolve_modes
 from repro.errors import (
+    CircuitOpenError,
+    DeadlineExceededError,
     RemoteError,
     RemoteInvocationError,
+    ServerBusyError,
     UnmarshalError,
 )
 from repro.nrmi.annotations import effective_policy
@@ -78,55 +90,6 @@ from repro.util.identity import IdentitySet
 from repro.util.logging import get_logger
 
 logger = get_logger("nrmi.invocation")
-
-
-class ReplyPolicyChooser:
-    """Resolves the per-call ``auto`` restore policy from observed traffic.
-
-    Tracks an exponentially-weighted dirty-slot ratio per remote address
-    (fed by delta-slots replies). Sparse mutators keep the ratio low and
-    ``auto`` keeps choosing ``delta``; once a peer's methods dirty most of
-    the map, full replies are cheaper (no per-slot header, no state
-    captures) and the chooser switches to ``full`` — probing ``delta``
-    periodically so it can switch back when the workload changes.
-    """
-
-    #: Above this EWMA dirty ratio, full-map replies win.
-    DENSE_THRESHOLD = 0.6
-    #: While in full mode, retry delta every this many calls.
-    PROBE_EVERY = 16
-    #: EWMA weight of the newest observation.
-    ALPHA = 0.3
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._ratio: dict = {}       # address -> EWMA dirty ratio
-        self._full_streak: dict = {} # address -> calls since last delta probe
-
-    def choose(self, address: str) -> str:
-        with self._lock:
-            ratio = self._ratio.get(address)
-            if ratio is None or ratio <= self.DENSE_THRESHOLD:
-                return "delta"
-            streak = self._full_streak.get(address, 0) + 1
-            if streak >= self.PROBE_EVERY:
-                self._full_streak[address] = 0
-                return "delta"
-            self._full_streak[address] = streak
-            return "full"
-
-    def observe(self, address: str, dirty: int, total: int) -> None:
-        if total <= 0:
-            return
-        sample = dirty / total
-        with self._lock:
-            previous = self._ratio.get(address)
-            if previous is None:
-                self._ratio[address] = sample
-            else:
-                self._ratio[address] = (
-                    previous + self.ALPHA * (sample - previous)
-                )
 
 
 def _retained_prefix(linear_map: LinearMap, roots: Sequence[Any]) -> Optional[int]:
@@ -273,20 +236,19 @@ class _CallPlan:
 
     __slots__ = (
         "args", "modes", "policy_name", "kwarg_names", "caps",
-        "schema_session", "use_schema", "ship_map",
+        "schema_session", "schema_tx", "ship_map",
     )
 
 
 def _plan_call(
     endpoint: Any,
-    descriptor: RemoteDescriptor,
     args: Tuple[Any, ...],
     policy_name: str | None,
     kwargs: dict | None,
     channel: Any,
 ) -> _CallPlan:
     """Resolve modes, restore policy, capability bits, and schema-cache
-    participation — shared by the staged and zero-copy encode paths."""
+    participation — shared by the staged and zero-copy routes."""
     plan = _CallPlan()
     kwarg_items = tuple((kwargs or {}).items())
     plan.kwarg_names = tuple(name for name, _value in kwarg_items)
@@ -299,39 +261,74 @@ def _plan_call(
         policy_name = "none"
     elif policy_name is None:
         policy_name = endpoint.config.policy
-    if policy_name == "auto":
-        # "auto" never crosses the wire: resolve it here from the per-
-        # address dirty-ratio history (delta while replies stay sparse,
-        # full once this peer's methods dirty most of the map).
-        chooser = getattr(endpoint, "reply_chooser", None)
-        policy_name = (
-            chooser.choose(descriptor.address) if chooser is not None else "delta"
-        )
     plan.policy_name = policy_name
     # Advertise that complete_call decodes the dirty-slot reply frame; the
     # server only uses it for "delta" calls, so the bit is harmless on
     # every other policy.
     caps = CAP_DELTA_SLOTS
 
-    plan.schema_session = None
-    plan.use_schema = False
-    if endpoint.config.schema_cache and channel is not None:
-        schema_session = getattr(channel, "schema_session", None)
-        if schema_session is not None:
-            plan.schema_session = schema_session
-            caps |= CAP_SCHEMA_CACHE
-            # Flag the stream only once (a) the peer has acked the
-            # capability and (b) schema references are safe: either no
-            # retries (each frame is sent on at most one connection) or a
-            # transport whose sessions cannot silently change between
-            # attempts. A defs-only stream would be a net byte loss, so
-            # the flag itself waits for the same conditions as refs.
-            plan.use_schema = schema_session.peer_ok and (
-                not endpoint.config.retry.enabled or channel.stable_sessions
-            )
+    plan.schema_session = schema_session = getattr(channel, "schema_session", None)
+    plan.schema_tx = None
+    if schema_session is not None:
+        caps |= CAP_SCHEMA_CACHE
+        # Flag the stream only once (a) the peer has acked the capability
+        # and (b) schema references are safe: either no retries (each
+        # frame is sent on at most one connection) or a transport whose
+        # sessions cannot silently change between attempts. A defs-only
+        # stream would be a net byte loss, so the flag itself waits for
+        # the same conditions as refs.
+        if schema_session.peer_ok and (
+            not endpoint.config.retry.enabled or channel.stable_sessions
+        ):
+            plan.schema_tx = schema_session.tx
     plan.caps = caps
     plan.ship_map = endpoint.config.ship_linear_map and policy_name != "none"
     return plan
+
+
+def _encode_arguments(
+    endpoint: Any, plan: _CallPlan, writer: ObjectWriter
+) -> Tuple[List[Any], Sequence[Any]]:
+    """Write the call's argument roots through *writer*; return the
+    retained originals and the schema definitions the stream carried."""
+    for arg in plan.args:
+        writer.write_root(arg)
+    if plan.ship_map:
+        # Ablation: transmit the map as an extra root. Its entries are all
+        # back references, so this costs ~2 bytes per reachable object plus
+        # an extra encode/decode pass — the cost optimization 5.2.4 #1 avoids.
+        writer.write_root(list(writer.linear_map.objects))
+    originals: List[Any] = []
+    if plan.policy_name != "none":
+        originals = compute_retained(
+            writer.linear_map, _restore_roots(plan.args, plan.modes),
+            endpoint.accessor,
+        )
+    return originals, writer.schemas_defined
+
+
+def _call_request(
+    endpoint: Any,
+    descriptor: RemoteDescriptor,
+    method: str,
+    plan: _CallPlan,
+    args_payload: Any,
+) -> CallRequest:
+    return CallRequest(
+        object_id=descriptor.object_id,
+        method=method,
+        policy=plan.policy_name,
+        profile=endpoint.profile.name,
+        modes=plan.modes,
+        args_payload=args_payload,
+        ship_map=plan.ship_map,
+        kwarg_names=plan.kwarg_names,
+        # Every call gets an at-most-once identity: should any layer
+        # (retry, a duplicated frame) deliver this request twice, the
+        # server's reply cache collapses it to one execution.
+        call_id=endpoint.next_call_id(),
+        caps=plan.caps,
+    )
 
 
 def prepare_call(
@@ -350,17 +347,7 @@ def prepare_call(
     advertised, and once the peer has acked, argument streams are encoded
     against the connection's schema cache.
     """
-    plan = _plan_call(endpoint, descriptor, args, policy_name, kwargs, channel)
-    args = plan.args
-    modes = plan.modes
-    policy_name = plan.policy_name
-    kwarg_names = plan.kwarg_names
-    caps = plan.caps
-    schema_session = plan.schema_session
-    use_schema = plan.use_schema
-    ship_map = plan.ship_map
-    profile = endpoint.profile
-    externalizers = endpoint.externalizers()
+    plan = _plan_call(endpoint, args, policy_name, kwargs, channel)
     # Steady-state calls allocate no fresh write buffers: the argument
     # stream and the request envelope are both built in recycled pool
     # storage, and the args bytes flow into the envelope through a view.
@@ -369,42 +356,15 @@ def prepare_call(
     envelope_buffer = None
     args_payload = None
     writer = ObjectWriter(
-        profile=profile, externalizers=externalizers, buffer=args_buffer,
-        schema_tx=schema_session.tx if use_schema else None,
+        profile=endpoint.profile, externalizers=endpoint.externalizers(),
+        buffer=args_buffer, schema_tx=plan.schema_tx,
     )
     try:
-        for arg in args:
-            writer.write_root(arg)
-        if ship_map:
-            # Ablation: transmit the map as an extra root. Its entries are all
-            # back references, so this costs ~2 bytes per reachable object plus
-            # an extra encode/decode pass — the cost optimization 5.2.4 #1 avoids.
-            writer.write_root(list(writer.linear_map.objects))
+        originals, schemas_defined = _encode_arguments(endpoint, plan, writer)
         args_payload = writer.view() if pool is not None else writer.getvalue()
-
-        originals: List[Any] = []
-        if policy_name != "none":
-            originals = compute_retained(
-                writer.linear_map, _restore_roots(args, modes), endpoint.accessor
-            )
-
         envelope_buffer = pool.acquire() if pool is not None else None
         request = encode_call(
-            CallRequest(
-                object_id=descriptor.object_id,
-                method=method,
-                policy=policy_name,
-                profile=profile.name,
-                modes=modes,
-                args_payload=args_payload,
-                ship_map=ship_map,
-                kwarg_names=kwarg_names,
-                # Every call gets an at-most-once identity: should any layer
-                # (retry, a duplicated frame) deliver this request twice, the
-                # server's reply cache collapses it to one execution.
-                call_id=endpoint.next_call_id(),
-                caps=caps,
-            ),
+            _call_request(endpoint, descriptor, method, plan, args_payload),
             buffer=envelope_buffer,
         )
     except BaseException:
@@ -429,9 +389,9 @@ def prepare_call(
         method=method,
         pool=pool,
         buffer=envelope_buffer,
-        schema_session=schema_session,
-        schemas_defined=writer.schemas_defined,
-        schema_flagged=use_schema,
+        schema_session=plan.schema_session,
+        schemas_defined=schemas_defined,
+        schema_flagged=plan.schema_tx is not None,
     )
 
 
@@ -499,9 +459,6 @@ def complete_call(endpoint: Any, prepared: PreparedCall, response: bytes) -> Any
         metrics.counter("delta.slot_replies").add()
         if total:
             metrics.distribution("delta.reply_dirty_ratio").record(dirty / total)
-        chooser = getattr(endpoint, "reply_chooser", None)
-        if chooser is not None:
-            chooser.observe(descriptor.address, dirty, total)
     return result
 
 
@@ -524,67 +481,37 @@ def _zero_copy_call(
     rx-ring slice inside the channel's exchange — ``complete_call``
     materializes every decoded value, so nothing aliases ring memory
     once the borrow is consumed. Wire bytes are identical to the staged
-    path's.
+    route's.
     """
-    plan = _plan_call(endpoint, descriptor, args, policy_name, kwargs, channel)
-    profile = endpoint.profile
-    externalizers = endpoint.externalizers()
-    request = CallRequest(
-        object_id=descriptor.object_id,
-        method=method,
-        policy=plan.policy_name,
-        profile=profile.name,
-        modes=plan.modes,
-        args_payload=b"",  # encoded in place, after the header
-        ship_map=plan.ship_map,
-        kwarg_names=plan.kwarg_names,
-        call_id=endpoint.next_call_id(),
-        caps=plan.caps,
+    plan = _plan_call(endpoint, args, policy_name, kwargs, channel)
+    # The args stream is encoded in place, right after the header.
+    header = _call_request(endpoint, descriptor, method, plan, b"")
+    prepared = PreparedCall(
+        request=b"", originals=[], descriptor=descriptor, method=method,
+        schema_session=plan.schema_session,
+        schema_flagged=plan.schema_tx is not None,
     )
-    originals: List[Any] = []
-    schemas_defined: Sequence[Any] = ()
 
-    def encode(writer: Any) -> None:
-        nonlocal originals, schemas_defined
-        encode_call_header(writer, request)
-        obj_writer = ObjectWriter(
-            profile=profile,
-            externalizers=externalizers,
-            schema_tx=plan.schema_session.tx if plan.use_schema else None,
-            out=writer,
+    def encode(sink: Any) -> None:
+        encode_call_header(sink, header)
+        writer = ObjectWriter(
+            profile=endpoint.profile, externalizers=endpoint.externalizers(),
+            schema_tx=plan.schema_tx, out=sink,
         )
         try:
-            for arg in plan.args:
-                obj_writer.write_root(arg)
-            if plan.ship_map:
-                obj_writer.write_root(list(obj_writer.linear_map.objects))
-            if plan.policy_name != "none":
-                originals = compute_retained(
-                    obj_writer.linear_map,
-                    _restore_roots(plan.args, plan.modes),
-                    endpoint.accessor,
-                )
+            prepared.originals, prepared.schemas_defined = _encode_arguments(
+                endpoint, plan, writer
+            )
         except BaseException:
             # The channel rolls the ring reservation back; dropping the
             # writer's memo pins here keeps the failed encode leak-free.
-            obj_writer.discard()
+            writer.discard()
             raise
-        schemas_defined = obj_writer.schemas_defined
-
-    def consume(response: Any) -> Any:
-        prepared = PreparedCall(
-            request=b"",
-            originals=originals,
-            descriptor=descriptor,
-            method=method,
-            schema_session=plan.schema_session,
-            schemas_defined=schemas_defined,
-            schema_flagged=plan.use_schema,
-        )
-        return complete_call(endpoint, prepared, response)
 
     return channel.request_zero_copy(
-        encode, consume, pool=getattr(endpoint, "buffer_pool", None)
+        encode,
+        lambda response: complete_call(endpoint, prepared, response),
+        pool=getattr(endpoint, "buffer_pool", None),
     )
 
 
@@ -615,95 +542,67 @@ def client_call(
     # whether the argument stream may use the connection's schema cache.
     channel = endpoint.channel_to(descriptor.address)
     retry = endpoint.config.retry
-    if (
-        not retry.enabled
-        and endpoint.breaker_for(descriptor.address) is None
-        and getattr(channel, "supports_zero_copy", False)
-        and endpoint.config.shm_zero_copy
-        # Chunked-buffer profiles (legacy) build their stream in chunks
-        # and cannot target an external sink; they keep the staged path.
-        and not endpoint.profile.chunked_buffers
-    ):
-        # Hot path over shm: encode straight into the tx ring and decode
-        # the reply off a borrowed rx-ring slice. Reliability machinery
-        # is incompatible by construction — a resend needs a retained
-        # frame to re-stamp, which is exactly the copy this path deletes.
-        return _zero_copy_call(
-            endpoint, channel, descriptor, method, args, policy_name, kwargs
-        )
-    prepared = prepare_call(
-        endpoint, descriptor, method, args, policy_name=policy_name,
-        kwargs=kwargs, channel=channel,
-    )
     breaker = endpoint.breaker_for(descriptor.address)
     try:
-        if breaker is None and not retry.enabled:
-            # Hot path: reliability machinery fully disabled.
-            response = channel.request(prepared.request)
-        else:
-            metrics = endpoint.metrics
-            frame = prepared.request
-            if not (
-                isinstance(frame, bytearray)
-                or (isinstance(frame, memoryview) and not frame.readonly)
-            ):
-                # Immutable frame (legacy no-pool path): one mutable copy
-                # so the attempt counter can be re-stamped across resends.
-                frame = bytearray(frame)
+        if (
+            not retry.enabled
+            and breaker is None
+            and getattr(channel, "supports_zero_copy", False)
+            # Chunked-buffer profiles (legacy) build their stream in
+            # chunks and cannot target an external sink.
+            and not endpoint.profile.chunked_buffers
+        ):
+            # A resend needs a retained frame to re-stamp, which is
+            # exactly the copy the zero-copy route deletes.
+            return _zero_copy_call(
+                endpoint, channel, descriptor, method, args, policy_name, kwargs
+            )
+        prepared = prepare_call(
+            endpoint, descriptor, method, args, policy_name=policy_name,
+            kwargs=kwargs, channel=channel,
+        )
+        metrics = endpoint.metrics
+        frame = prepared.request
 
-            def send(attempt: int, remaining: float | None) -> bytes:
-                if attempt:
-                    # Pooled frames are writable views: the attempt byte
-                    # sits at a fixed offset, so resends re-stamp it
-                    # without re-marshalling the arguments.
-                    set_attempt(frame, attempt)
-                    metrics.counter("calls.retries").add()
-                response = channel.request(frame, timeout=remaining)
-                # A BUSY shed must surface *inside* the retry boundary:
-                # to the transport it is a successful exchange, but to
-                # the call it is a retryable failure (the request never
-                # executed), so backoff-and-retry applies.
-                raise_if_busy(response)
-                return response
+        def send(attempt: int, remaining: float | None) -> bytes:
+            nonlocal frame
+            if attempt:
+                # The attempt byte sits at a fixed offset, so a resend
+                # re-stamps it without re-marshalling the arguments.
+                frame = set_attempt(frame, attempt)
+                metrics.counter("calls.retries").add()
+            response = channel.request(frame, timeout=remaining)
+            # A BUSY shed must surface *inside* the retry boundary: to the
+            # transport it is a successful exchange, but to the call it is
+            # a retryable failure (the request never executed).
+            raise_if_busy(response)
+            return response
 
-            def on_retry(attempt: int, exc: BaseException, delay: float) -> None:
-                logger.debug(
-                    "retrying %s on %s (attempt %d) after %s: backoff %.3fs",
-                    method,
-                    descriptor.address,
-                    attempt,
-                    exc,
-                    delay,
-                )
+        def on_retry(attempt: int, exc: BaseException, delay: float) -> None:
+            logger.debug(
+                "retrying %s on %s (attempt %d) after %s: backoff %.3fs",
+                method, descriptor.address, attempt, exc, delay,
+            )
 
-            try:
-                response = call_with_retry(
-                    send,
-                    retry,
-                    rng=endpoint.retry_rng,
-                    breaker=breaker,
-                    on_retry=on_retry,
-                )
-            except Exception as exc:
-                from repro.errors import (
-                    CircuitOpenError,
-                    DeadlineExceededError,
-                    ServerBusyError,
-                )
-
-                if isinstance(exc, DeadlineExceededError):
-                    metrics.counter("calls.deadline_exceeded").add()
-                elif isinstance(exc, CircuitOpenError):
-                    metrics.counter("calls.breaker_rejected").add()
-                elif isinstance(exc, ServerBusyError):
-                    # Every retry attempt was shed: the server stayed
-                    # saturated (or draining) through the whole backoff
-                    # schedule.
-                    metrics.counter("calls.server_busy").add()
-                raise
-    finally:
-        prepared.release()
-    return complete_call(endpoint, prepared, response)
+        try:
+            response = call_with_retry(
+                send, retry, rng=endpoint.retry_rng, breaker=breaker,
+                on_retry=on_retry,
+            )
+        finally:
+            prepared.release()
+        return complete_call(endpoint, prepared, response)
+    except DeadlineExceededError:
+        endpoint.metrics.counter("calls.deadline_exceeded").add()
+        raise
+    except CircuitOpenError:
+        endpoint.metrics.counter("calls.breaker_rejected").add()
+        raise
+    except ServerBusyError:
+        # Shed on every attempt the retry policy allowed: the server
+        # stayed saturated (or draining) throughout.
+        endpoint.metrics.counter("calls.server_busy").add()
+        raise
 
 
 def handle_call(
@@ -817,11 +716,7 @@ def handle_call(
 
     response_payload = policy.build_response(result, context, snapshot)
     applied = policy_wire_id(policy_name)
-    if (
-        session is not None
-        and request.caps & CAP_SCHEMA_CACHE
-        and endpoint.config.schema_cache
-    ):
+    if session is not None and request.caps & CAP_SCHEMA_CACHE:
         # Acknowledge the schema-cache capability on the applied-policy
         # byte's high bit: this connection keeps per-session decode state,
         # so the client may start encoding against its schema cache.

@@ -24,7 +24,7 @@ from repro.core.copy_restore import RestoreEngine, RestoreStats
 from repro.core.markers import Remote
 from repro.errors import RemoteError, TransportError
 from repro.nrmi.config import NRMIConfig
-from repro.nrmi.invocation import ReplyPolicyChooser, client_call
+from repro.nrmi.invocation import client_call
 from repro.rmi.dispatcher import Dispatcher
 from repro.rmi.export import ExportTable
 from repro.rmi.protocol import (
@@ -101,9 +101,6 @@ class Endpoint:
         # Backoff jitter draws from a stream seeded by the endpoint name:
         # deterministic under test, decorrelated across endpoints.
         self.retry_rng = DeterministicRandom(zlib.crc32(self.name.encode("utf-8")))
-        # Resolves the "auto" restore policy per call from the dirty-slot
-        # ratios observed in this endpoint's delta replies.
-        self.reply_chooser = ReplyPolicyChooser()
         self._breakers = BreakerRegistry(
             self.config.breaker, on_transition=self._record_breaker_transition
         )
@@ -147,9 +144,6 @@ class Endpoint:
             "max_inflight_per_conn": self.config.max_inflight_per_conn,
             "overload_policy": self.config.overload_policy,
             "metrics": self.metrics,
-            # Only shm duplexes are zero-copy capable; socket transports
-            # accept and ignore the knob.
-            "zero_copy": self.config.shm_zero_copy,
         }
 
     def serve_uds(self, path: Optional[str] = None) -> str:

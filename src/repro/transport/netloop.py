@@ -319,7 +319,6 @@ class StagedStreamServer:
         overload_policy: str = "shed",
         partial_read_timeout: Optional[float] = DEFAULT_PARTIAL_READ_TIMEOUT,
         metrics: Optional[MetricsRegistry] = None,
-        zero_copy: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -342,10 +341,6 @@ class StagedStreamServer:
         self._max_inflight = max_inflight_per_conn
         self._overload_policy = overload_policy
         self._partial_read_timeout = partial_read_timeout
-        #: Serve zero-copy-capable duplexes (shm) through borrowed ring
-        #: records and in-place replies. Off = the staged copy path for
-        #: every connection (ablation / copy-vs-zero-copy bench rows).
-        self._zero_copy = zero_copy
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._shed_counter = self.metrics.counter("server.shed.queue_full")
         self._drain_shed_counter = self.metrics.counter("server.shed.draining")
@@ -659,8 +654,7 @@ class StagedStreamServer:
         successful borrow submit is always within policy.
         """
         return (
-            self._zero_copy
-            and connection.zero_copy
+            connection.zero_copy
             and connection.framing != "pipelined"
             and not connection.inbuf
             and not connection.backlog
@@ -919,12 +913,7 @@ class StagedStreamServer:
         if length > MAX_FRAME_BYTES:
             self._close_conn(connection)
             return
-        if (
-            self._zero_copy
-            and connection.zero_copy
-            and corr_id is None
-            and not connection.out
-        ):
+        if connection.zero_copy and corr_id is None and not connection.out:
             # Reply fast path for shm: header + payload land as ONE
             # contiguous ring record, which is what lets the client
             # decode the reply off a borrowed slice instead of staging

@@ -4,7 +4,6 @@ Every pattern here skirts the edge of a rule without crossing it; the
 analyzer must report zero findings. Parsed, never imported.
 """
 
-import hashlib
 import threading
 
 
@@ -104,19 +103,6 @@ class StoreService(Remote):  # near-miss: NRMI004
     def touch(self, table):
         table.rows[0]["seen"] = True
         return 1
-
-
-def stable_digest(mapping):
-    digest = hashlib.sha256()
-    for key in sorted(mapping.keys()):  # near-miss: NRMI014
-        digest.update(str(key).encode())
-        digest.update(str(mapping[key]).encode())
-    return digest.hexdigest()
-
-
-def unordered_listing(mapping):
-    # Unordered iteration is fine outside digest-feeding functions.
-    return [key for key in mapping.keys()]
 
 
 def wire(endpoint):

@@ -1,10 +1,9 @@
-"""Seeded serializability violations (NRMI011–NRMI014, NRMI033).
+"""Seeded serializability violations (NRMI011–NRMI013, NRMI033).
 
 Parsed by the analyzer, never imported; ``# expect: CODE`` markers pin
 the expected findings to exact lines.
 """
 
-import hashlib
 import threading
 
 
@@ -42,22 +41,6 @@ class Node(Restorable):
 
     def __hash__(self):  # expect: NRMI013
         return hash(self.key)
-
-
-def table_digest(mapping):
-    digest = hashlib.sha256()
-    for key in mapping.keys():  # expect: NRMI014
-        digest.update(str(key).encode())
-    members = {str(item) for item in sorted(mapping)}
-    digest.update(b"|".join(sorted(x.encode() for x in members)))
-    return digest.hexdigest()
-
-
-def tag_digest(tags):
-    digest = hashlib.sha256()
-    for tag in set(tags):  # expect: NRMI014
-        digest.update(tag)
-    return digest.digest()
 
 
 class Evolved(Serializable):

@@ -1,22 +1,20 @@
 """Unit tests for invocation-pipeline pieces: retained-set computation,
-the auto reply-policy chooser, and pooled-buffer hygiene on failed calls."""
+pooled-buffer hygiene on failed calls, and the client's failure counters."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.markers import Restorable
+from repro.core.markers import Remote, Restorable
 from repro.core.semantics import PassingMode, resolve_modes
-from repro.errors import SerializationError
-from repro.nrmi.invocation import (
-    ReplyPolicyChooser,
-    compute_retained,
-    compute_retained_indexed,
-)
+from repro.errors import SerializationError, ServerBusyError
+from repro.nrmi.invocation import compute_retained, compute_retained_indexed
+from repro.rmi.protocol import busy_response
 from repro.serde.accessors import OPTIMIZED_ACCESSOR
 from repro.serde.hooks import transient_fields
 from repro.serde.linear_map import LinearMap
 from repro.serde.reader import ObjectReader
 from repro.serde.writer import ObjectWriter
+from repro.transport.base import Channel
 
 from tests.model_helpers import Box, Node
 
@@ -231,57 +229,6 @@ class TestRetainedSetEquivalence:
         assert [type(obj) for obj in client] == [type(obj) for obj in server]
 
 
-class TestReplyPolicyChooser:
-    ADDR = "inproc://peer"
-
-    def test_defaults_to_delta_without_data(self):
-        assert ReplyPolicyChooser().choose(self.ADDR) == "delta"
-
-    def test_sparse_traffic_keeps_delta(self):
-        chooser = ReplyPolicyChooser()
-        for _ in range(10):
-            chooser.observe(self.ADDR, dirty=2, total=100)
-        assert chooser.choose(self.ADDR) == "delta"
-
-    def test_dense_traffic_switches_to_full(self):
-        chooser = ReplyPolicyChooser()
-        for _ in range(10):
-            chooser.observe(self.ADDR, dirty=95, total=100)
-        assert chooser.choose(self.ADDR) == "full"
-
-    def test_full_mode_probes_delta_periodically(self):
-        chooser = ReplyPolicyChooser()
-        for _ in range(10):
-            chooser.observe(self.ADDR, dirty=100, total=100)
-        window = [
-            chooser.choose(self.ADDR)
-            for _ in range(ReplyPolicyChooser.PROBE_EVERY * 2)
-        ]
-        assert window.count("delta") == 2  # one probe per window
-        assert window[ReplyPolicyChooser.PROBE_EVERY - 1] == "delta"
-
-    def test_probe_observing_sparse_flips_back(self):
-        chooser = ReplyPolicyChooser()
-        chooser.observe(self.ADDR, dirty=100, total=100)
-        assert chooser.choose(self.ADDR) == "full"
-        # The workload turned sparse; a few probes pull the EWMA down.
-        for _ in range(10):
-            chooser.observe(self.ADDR, dirty=0, total=100)
-        assert chooser.choose(self.ADDR) == "delta"
-
-    def test_addresses_tracked_independently(self):
-        chooser = ReplyPolicyChooser()
-        chooser.observe("inproc://dense", dirty=100, total=100)
-        chooser.observe("inproc://sparse", dirty=1, total=100)
-        assert chooser.choose("inproc://dense") == "full"
-        assert chooser.choose("inproc://sparse") == "delta"
-
-    def test_empty_map_ignored(self):
-        chooser = ReplyPolicyChooser()
-        chooser.observe(self.ADDR, dirty=0, total=0)
-        assert chooser.choose(self.ADDR) == "delta"
-
-
 class Unmarshalable:
     """Not a marker subclass, not registered: marshalling it fails."""
 
@@ -309,3 +256,30 @@ class TestEncodeFailureBufferHygiene:
                 service.poke(Unmarshalable())
             assert len(pool) >= level  # nothing leaked out of the pool
         service.poke(Box(2))  # the pipeline still works afterwards
+
+
+class _Poke(Remote):
+    def poke(self, value):
+        return value
+
+
+class _BusyChannel(Channel):
+    """A server that sheds every request it is sent."""
+
+    def request(self, payload, timeout=None):
+        return busy_response()
+
+
+class TestFailureCounters:
+    def test_busy_reply_is_counted_without_retry(self, endpoint_pair):
+        """With the default config (one attempt, no breaker) a BUSY shed
+        still reaches the caller as ServerBusyError and is counted."""
+        service = endpoint_pair.serve(_Poke())
+        endpoint_pair.resolver.set_wrapper(
+            endpoint_pair.server.address, lambda inner: _BusyChannel()
+        )
+        with pytest.raises(ServerBusyError):
+            service.poke(Box(1))
+        metrics = endpoint_pair.client.metrics
+        assert metrics.counter("calls.server_busy").value == 1
+        assert metrics.counter("calls.retries").value == 0

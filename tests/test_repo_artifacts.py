@@ -51,6 +51,15 @@ class TestDocumentsPresent:
         assert "Ablation" in text
 
 
+    def test_policy_table_names_exactly_the_valid_policies(self):
+        from repro.nrmi.config import _VALID_POLICIES
+
+        text = (ROOT / "docs/calling_semantics.md").read_text(encoding="utf-8")
+        table = text.split("## Choosing a restore policy", 1)[1].split("\n\n")[1]
+        named = re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE)
+        assert sorted(named) == sorted(_VALID_POLICIES)
+
+
 class TestPromisedCommandsExist:
     def test_python_m_targets_resolve(self):
         import importlib

@@ -3,11 +3,12 @@
 The schema cache is a negotiated, per-connection layer (CAP_SCHEMA_CACHE
 on calls, the ack bit on OK replies): class descriptors and field-name
 tables ship once, then collapse to compact ids. Every cell of the matrix
-— cache on/off x modern/legacy profile x all four transports — must
-restore the client heap byte-identically to running the same mutation
-locally; the cache must *engage* only where it should (modern profile,
-both sides opted in), and a mid-connection ``__nrmi_version__`` bump must
-renegotiate a fresh schema id without dropping the connection.
+— advertising or non-advertising client x modern/legacy profile x all
+four transports — must restore the client heap byte-identically to
+running the same mutation locally; the cache must *engage* only where it
+should (modern profile, capability advertised and acked), and a
+mid-connection ``__nrmi_version__`` bump must renegotiate a fresh schema
+id without dropping the connection.
 
 Also here: the fused decode+digest traversal-count assertions and the
 reader's dangling-id error paths for handcrafted hostile streams.
@@ -17,8 +18,10 @@ import pytest
 
 from repro.core.markers import Remote, Restorable
 from repro.errors import WireFormatError
+from repro.nrmi import invocation
 from repro.nrmi.config import NRMIConfig
 from repro.nrmi.runtime import Endpoint
+from repro.rmi.protocol import CAP_SCHEMA_CACHE, REPLY_FLAG_SCHEMA_ACK, Status
 from repro.serde import digest
 from repro.serde.hooks import class_version
 from repro.serde.reader import ObjectReader
@@ -30,6 +33,7 @@ from repro.serde.schema import (
     SchemaRxCache,
 )
 from repro.serde.tags import Tag, WIRE_MAGIC, WIRE_VERSION
+from repro.transport.base import Channel
 from repro.transport.resolver import ChannelResolver
 from repro.transport.simnet import NetworkModel, SimulatedChannel
 from repro.util.buffers import BufferWriter
@@ -93,11 +97,37 @@ def client_config(transport, **kwargs):
     return NRMIConfig(**kwargs)
 
 
+class NeverAckedChannel(Channel):
+    """Clears the schema-cache ack bit on every OK reply: to the client,
+    a server that never accepts the capability."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self._inner = inner
+
+    @property
+    def stable_sessions(self):
+        return self._inner.stable_sessions
+
+    @property
+    def schema_session(self):
+        return self._inner.schema_session
+
+    def request(self, payload, timeout=None):
+        reply = bytearray(self._inner.request(payload, timeout=timeout))
+        if len(reply) > 1 and reply[0] == Status.OK:
+            reply[1] &= ~REPLY_FLAG_SCHEMA_ACK
+        return bytes(reply)
+
+    def close(self):
+        self._inner.close()
+
+
 class SchemaWorld:
     """One client/server pair over the requested transport."""
 
     def __init__(self, transport, server_config=None, client_config=None,
-                 service=None):
+                 service=None, server_acks=True):
         self.resolver = ChannelResolver()
         self.server = Endpoint(
             name="schema-server", config=server_config, resolver=self.resolver
@@ -113,11 +143,19 @@ class SchemaWorld:
             address = self.server.serve_uds()
         elif transport in ("shm", "shm-pipelined"):
             address = self.server.serve_shm()
-        elif transport == "simnet":
-            self.resolver.set_wrapper(
-                address,
-                lambda inner: SimulatedChannel(inner, NetworkModel()),
-            )
+        layers = []
+        if transport == "simnet":
+            layers.append(lambda inner: SimulatedChannel(inner, NetworkModel()))
+        if not server_acks:
+            layers.append(NeverAckedChannel)
+        if layers:
+
+            def wrap(inner):
+                for layer in layers:
+                    inner = layer(inner)
+                return inner
+
+            self.resolver.set_wrapper(address, wrap)
         self.address = address
         self.service = self.client.lookup(address, "svc")
 
@@ -147,16 +185,25 @@ def transport(request):
 
 @pytest.mark.parametrize("profile_name", sorted(PROFILES))
 @pytest.mark.parametrize("cache_on", (True, False), ids=("cache", "nocache"))
-def test_matrix_round_trips_byte_identically(transport, profile_name, cache_on):
+def test_matrix_round_trips_byte_identically(
+    transport, profile_name, cache_on, monkeypatch
+):
+    if not cache_on:
+        plan_call = invocation._plan_call
+
+        def plan_without_schema_cache(*args, **kwargs):
+            plan = plan_call(*args, **kwargs)
+            plan.caps &= ~CAP_SCHEMA_CACHE
+            return plan
+
+        # A client that predates the schema cache never sets the bit.
+        monkeypatch.setattr(invocation, "_plan_call", plan_without_schema_cache)
     profile, implementation = PROFILES[profile_name]
     world = SchemaWorld(
         transport,
         server_config=NRMIConfig(profile=profile, implementation=implementation),
         client_config=client_config(
-            transport,
-            profile=profile,
-            implementation=implementation,
-            schema_cache=cache_on,
+            transport, profile=profile, implementation=implementation
         ),
     )
     try:
@@ -185,12 +232,10 @@ def test_matrix_round_trips_byte_identically(transport, profile_name, cache_on):
 
 
 def test_client_against_legacy_server(transport):
-    """A server with the cache disabled never acks: the client keeps
-    sending classic streams forever and everything still round-trips."""
+    """A server that never acks: the client keeps sending classic
+    streams forever and everything still round-trips."""
     world = SchemaWorld(
-        transport,
-        server_config=NRMIConfig(schema_cache=False),
-        client_config=client_config(transport),
+        transport, client_config=client_config(transport), server_acks=False
     )
     try:
         expected = local_fingerprint()
@@ -204,23 +249,24 @@ def test_client_against_legacy_server(transport):
 
 
 def test_schema_cache_shrinks_steady_state_requests():
-    """Steady-state request frames are strictly smaller with the cache on
-    (class descriptors and field names have collapsed to ids)."""
-    sizes = {}
-    for cache_on in (True, False):
-        world = SchemaWorld(
-            "inproc", client_config=NRMIConfig(schema_cache=cache_on)
-        )
-        try:
-            for _ in range(3):
-                world.scramble_fingerprint()
-            channel = world.resolver.resolve(world.address)
+    """Steady-state request frames are strictly smaller than the first,
+    unflagged one on the same connection (class descriptors and field
+    names have collapsed to ids)."""
+    world = SchemaWorld("inproc")
+    try:
+        # A fresh connection, so the first scramble call is the one that
+        # negotiates: the lookup already did on the old one.
+        world.resolver.drop(world.address)
+        channel = world.channel
+        sizes = []
+        for _ in range(4):
             channel.stats.reset()
             world.scramble_fingerprint()
-            sizes[cache_on] = channel.stats.snapshot()["bytes_sent"]
-        finally:
-            world.close()
-    assert sizes[True] < sizes[False]
+            sizes.append(channel.stats.snapshot()["bytes_sent"])
+        assert channel.schema_session.peer_ok is True
+        assert sizes[-1] < sizes[0]
+    finally:
+        world.close()
 
 
 # ------------------------------------------------------- cache invalidation

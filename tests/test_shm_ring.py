@@ -11,6 +11,7 @@ reclaim, unlink-on-stop, and the inode guard that keeps a late-stopping
 predecessor from unlinking its successor).
 """
 
+import itertools
 import os
 import random
 import socket
@@ -851,23 +852,79 @@ class _ZcProbeService(Remote):
 
 
 class TestZeroCopyEndToEnd:
-    """shm endpoint calls: zero-copy on/off must be value-identical."""
+    """shm endpoint calls: the zero-copy and the staged client route must
+    send the same bytes and show the caller the same values."""
 
-    def _call_matrix(self, zero_copy: bool):
+    @staticmethod
+    def _world(name, **client_overrides):
         from repro.nrmi.config import NRMIConfig
         from repro.nrmi.runtime import Endpoint
-        from repro.transport.resolver import ChannelResolver
 
         resolver = ChannelResolver()
-        config = NRMIConfig(
-            transport="shm", tcp_pipelined=False, shm_zero_copy=zero_copy
-        )
         server = Endpoint(
-            name=f"zc-e2e-server-{zero_copy}", config=config, resolver=resolver
+            name=f"zc-e2e-server-{name}",
+            config=NRMIConfig(transport="shm", tcp_pipelined=False),
+            resolver=resolver,
         )
         client = Endpoint(
-            name=f"zc-e2e-client-{zero_copy}", config=config, resolver=resolver
+            name=f"zc-e2e-client-{name}",
+            config=NRMIConfig(
+                transport="shm", tcp_pipelined=False, **client_overrides
+            ),
+            resolver=resolver,
         )
+        # Same call ids on every run, so request frames compare bytewise.
+        client.next_call_id = itertools.count(1).__next__
+        return resolver, server, client
+
+    @pytest.mark.parametrize(
+        "retry_attempts, route", [(1, "request_zero_copy"), (2, "request")]
+    )
+    def test_retry_policy_picks_the_route(self, monkeypatch, retry_attempts, route):
+        """One call over shm goes through exactly one of the channel's
+        two exchanges: zero-copy with the default config, the staged
+        ``request`` once the retry policy may resend."""
+        from repro.transport.reliability import RetryPolicy
+
+        calls = {"request": 0, "request_zero_copy": 0}
+        for name in calls:
+            original = getattr(ShmChannel, name)
+
+            def spy(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ShmChannel, name, spy)
+        resolver, server, client = self._world(
+            f"route-{retry_attempts}",
+            retry=RetryPolicy(max_attempts=retry_attempts),
+        )
+        try:
+            address = server.serve_remote()
+            server.bind("probe", _ZcProbeService())
+            service = client.lookup(address, "probe")
+            for name in calls:
+                calls[name] = 0
+            assert service.echo(b"route") == b"route"
+        finally:
+            client.close()
+            server.close()
+            resolver.close_all()
+        other = "request" if route == "request_zero_copy" else "request_zero_copy"
+        assert calls == {route: 1, other: 0}
+
+    def _call_matrix(self, name, **client_overrides):
+        """(values the caller saw, request frames the server received)."""
+        resolver, server, client = self._world(name, **client_overrides)
+        requests = []
+        handle = server.dispatcher.handle
+
+        def recording(request, session=None):
+            requests.append(bytes(request))
+            return handle(request, session=session)
+
+        recording.wants_session = True
+        server.dispatcher.handle = recording
         try:
             address = server.serve_remote()
             server.bind("probe", _ZcProbeService())
@@ -877,16 +934,28 @@ class TestZeroCopyEndToEnd:
                 payload = bytes((i * 7) & 0xFF for i in range(size))
                 results.append(service.echo(payload))
             results.append(service.combine([1, "two", 3.5, None], 1.25))
-            return results
+            return results, requests
         finally:
             client.close()
             server.close()
             resolver.close_all()
 
     def test_zero_copy_results_match_staged_path(self):
-        staged = self._call_matrix(zero_copy=False)
-        zero_copy = self._call_matrix(zero_copy=True)
+        from repro.transport.reliability import CircuitBreakerPolicy, RetryPolicy
+
+        zero_copy, zero_copy_requests = self._call_matrix("zc")
+        # Allowing a resend selects the staged route.
+        staged, _requests = self._call_matrix(
+            "retry", retry=RetryPolicy(max_attempts=2)
+        )
         assert staged == zero_copy
+        # So does a breaker, which unlike retry leaves the schema cache
+        # engaged, so the two routes' frames compare byte for byte.
+        breaker, breaker_requests = self._call_matrix(
+            "breaker", breaker=CircuitBreakerPolicy()
+        )
+        assert breaker == zero_copy
+        assert breaker_requests == zero_copy_requests
         # Sanity on the shared shape, not just cross-equality.
         assert zero_copy[-1]["scale"] == 2.5
         assert zero_copy[-2] == bytes((i * 7) & 0xFF for i in range(70_000))
