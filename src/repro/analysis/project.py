@@ -1,9 +1,10 @@
 """Whole-program thread-role model for the concurrency rules.
 
 The staged runtime is a small set of *thread roles*: one selector-driven
-net thread, a pool of worker threads, a pipelined reader/demux thread,
-the external caller threads that enter through a class's public surface,
-and whoever runs ``stop()``/``close()`` at the end. The NRMI04x family
+net thread, a pool of worker threads, a reader/demux thread where a
+class spawns one, the external caller threads that enter through a
+class's public surface, and whoever runs ``stop()``/``close()`` at the
+end. The NRMI04x family
 asks a question the per-method rules cannot: *which roles can execute
 this statement, and what locks are they guaranteed to hold when they
 do?*
@@ -33,10 +34,18 @@ Happens-before assumptions baked in: ``__init__``/``__new__`` run before
 any thread is spawned or any reference escapes, so construction-time
 accesses carry no role (NRMI045 separately checks stores *after* a
 ``start()`` inside ``__init__``). Methods reachable only from
-construction are likewise role-free. The model is per-class: state
-handed across objects (``self._jobs.spin_hot`` written by another
-class's net loop) is out of scope and documented as an
-under-approximation in ``docs/static_analysis.md``.
+construction are likewise role-free.
+
+The model is per-class, with one extension: **peer records**. A
+slotted class that owns a lock in ``__init__`` (the staged server's
+``_Connection``) is a record the roles share by reference. A method's
+``<local>.<slot>`` touches of such a record — from the same module —
+count as accesses of the field ``<Record>.<slot>``, and ``with
+<local>.<lock>:`` holds the lock ``<Record>.<lock>``, so a worker and the
+net thread sharing a connection's fields are checked like ``self``
+state. Other state handed across objects (``self._jobs.spin_hot``
+written by another class's net loop) is out of scope and documented as
+an under-approximation in ``docs/static_analysis.md``.
 """
 
 from __future__ import annotations
@@ -77,8 +86,8 @@ INTERNAL_ROLES = frozenset({ROLE_NET, ROLE_WORKER, ROLE_READER})
 #: Method names that mean teardown when present on a class.
 FINALIZER_NAMES = frozenset({"stop", "close", "shutdown", "__exit__", "__del__"})
 
-#: A spawned target whose name says it reads/receives/demuxes is the
-#: pipelined reader thread, not a pool worker.
+#: A spawned target whose name says it reads/receives/demuxes is a
+#: reader/demux thread, not a pool worker.
 _READERISH = re.compile(r"read|recv|demux", re.IGNORECASE)
 
 #: SPSC ring endpoint APIs (see util/ring.py): exactly one role may sit
@@ -140,6 +149,45 @@ class MethodScan:
     calls_selector_select: bool = False
 
 
+@dataclass
+class PeerRecords:
+    """The peer-record classes of one module (see the module docstring):
+    slot name → field key and lock name → lock key. Names two such
+    classes share are ambiguous syntactically and left out."""
+
+    fields: Dict[str, str] = field(default_factory=dict)
+    locks: Dict[str, str] = field(default_factory=dict)
+
+
+def _literal_names(node: Optional[ast.AST]) -> List[str]:
+    if not isinstance(node, (ast.Tuple, ast.List)):
+        return []
+    return [
+        e.value for e in node.elts
+        if isinstance(e, ast.Constant) and isinstance(e.value, str)
+    ]
+
+
+def peer_records(module: ModuleModel) -> PeerRecords:
+    """The slotted, lock-owning classes of *module* as peer records."""
+    records = PeerRecords()
+    owners: Dict[str, int] = {}
+    for cls in module.classes:
+        slots = _literal_names(cls.class_assigns.get("__slots__"))
+        locks = lock_attr_names(cls)
+        if not slots or not locks:
+            continue
+        for name in slots:
+            owners[name] = owners.get(name, 0) + 1
+            table = records.locks if name in locks else records.fields
+            table[name] = f"{cls.name}.{name}"
+    for name, count in owners.items():
+        if count > 1:
+            records.fields.pop(name, None)
+            records.locks.pop(name, None)
+    return records
+
+
 def _is_self_name(node: ast.AST) -> bool:
     return isinstance(node, ast.Name) and node.id == "self"
 
@@ -151,16 +199,28 @@ def _self_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _chain_root_attr(node: ast.AST) -> Optional[str]:
-    """``x`` when *node* is ``self.x[...]...`` or ``self.x.y...`` (deeper
-    than the bare attribute — a store through it mutates x's value)."""
+def _peer_name(node: ast.AST, names: Dict[str, str]) -> Optional[str]:
+    """``names[x]`` when *node* is exactly ``<local>.x`` (not ``self``)."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id != "self"
+    ):
+        return names.get(node.attr)
+    return None
+
+
+def _chain_root_attr(node: ast.AST, key_of) -> Optional[str]:
+    """The field *key_of* names at the root of ``self.x[...]...`` or
+    ``self.x.y...`` (deeper than the bare attribute — a store through it
+    mutates x's value)."""
     seen_deeper = False
     while isinstance(node, (ast.Subscript, ast.Attribute)):
-        parent = node.value
-        if isinstance(node, ast.Attribute) and _is_self_name(parent):
-            return node.attr if seen_deeper else None
+        key = key_of(node) if isinstance(node, ast.Attribute) else None
+        if key is not None:
+            return key if seen_deeper else None
         seen_deeper = True
-        node = parent
+        node = node.value
     return None
 
 
@@ -216,12 +276,29 @@ def scan_method(
     method_node: ast.AST,
     lock_attrs: Set[str],
     method_names: Set[str],
+    peers: Optional[PeerRecords] = None,
 ) -> MethodScan:
-    """One guarded recursive descent over a method body."""
+    """One guarded recursive descent over a method body; *peers* are the
+    defining module's peer records."""
     scan = MethodScan()
     aliases = lock_aliases(method_node, lock_attrs)
+    peers = peers if peers is not None else PeerRecords()
     for target, node in _spawn_targets_in(method_node, method_names):
         scan.spawns.append(SpawnSite(target=target, node=node, method=method_node.name))
+
+    def field_key(node: ast.AST) -> Optional[str]:
+        """The tracked field *node* names: ``self.x`` or a peer slot."""
+        attr = _self_attr(node)
+        return attr if attr is not None else _peer_name(node, peers.fields)
+
+    def peer_locks_of_with(node: ast.AST) -> Set[str]:
+        return {
+            key
+            for key in (
+                _peer_name(item.context_expr, peers.locks) for item in node.items
+            )
+            if key is not None
+        }
 
     def record(attr: str, kind: str, node: ast.AST, locks: FrozenSet[str],
                checked: FrozenSet[str], op: str = "") -> None:
@@ -239,10 +316,10 @@ def scan_method(
             )
         )
 
-    def self_attrs_read(node: ast.AST) -> FrozenSet[str]:
+    def fields_read(node: ast.AST) -> FrozenSet[str]:
         return frozenset(
             a for a in (
-                _self_attr(child) for child in ast.walk(node)
+                field_key(child) for child in ast.walk(node)
                 if isinstance(child, ast.Attribute)
                 and isinstance(child.ctx, ast.Load)
             ) if a is not None
@@ -253,6 +330,7 @@ def scan_method(
             return  # nested defs run on their own schedule / discipline
         if isinstance(node, (ast.With, ast.AsyncWith)):
             held = locks | frozenset(held_locks_of_with(node, lock_attrs, aliases))
+            held |= peer_locks_of_with(node)
             for item in node.items:
                 visit(item.context_expr, locks, checked)
             for child in node.body:
@@ -260,7 +338,7 @@ def scan_method(
             return
         if isinstance(node, ast.If):
             visit(node.test, locks, checked)
-            branch_checked = checked | self_attrs_read(node.test)
+            branch_checked = checked | fields_read(node.test)
             for child in node.body:
                 visit(child, locks, branch_checked)
             for child in node.orelse:
@@ -274,38 +352,38 @@ def scan_method(
                 else:
                     targets.append(target)
             for target in targets:
-                attr = _self_attr(target)
+                attr = field_key(target)
                 if attr is not None:
                     record(attr, WRITE, node, locks, checked)
                 else:
-                    root = _chain_root_attr(target)
+                    root = _chain_root_attr(target, field_key)
                     if root is not None:
                         record(root, MUTATE, node, locks, checked, op="[]=")
             visit(node.value, locks, checked)
             return
         if isinstance(node, ast.AugAssign):
-            attr = _self_attr(node.target)
+            attr = field_key(node.target)
             if attr is not None:
                 record(attr, RMW, node, locks, checked)
             else:
-                root = _chain_root_attr(node.target)
+                root = _chain_root_attr(node.target, field_key)
                 if root is not None:
                     record(root, MUTATE, node, locks, checked, op="aug")
             visit(node.value, locks, checked)
             return
         if isinstance(node, ast.Delete):
             for target in node.targets:
-                attr = _self_attr(target)
+                attr = field_key(target)
                 if attr is not None:
                     record(attr, WRITE, node, locks, checked)
                 else:
-                    root = _chain_root_attr(target)
+                    root = _chain_root_attr(target, field_key)
                     if root is not None:
                         record(root, MUTATE, node, locks, checked, op="del")
             return
         if isinstance(node, (ast.For, ast.AsyncFor)):
             for child in ast.walk(node.iter):
-                attr = _self_attr(child)
+                attr = field_key(child)
                 if attr is not None and isinstance(child.ctx, ast.Load):
                     record(attr, ITERATE, child, locks, checked)
             visit(node.iter, locks, checked)
@@ -314,32 +392,35 @@ def scan_method(
             return
         if isinstance(node, ast.comprehension):
             for child in ast.walk(node.iter):
-                attr = _self_attr(child)
+                attr = field_key(child)
                 if attr is not None and isinstance(child.ctx, ast.Load):
                     record(attr, ITERATE, child, locks, checked)
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Attribute):
                 receiver_attr = _self_attr(func.value)
-                if receiver_attr is not None:
-                    if func.attr in RING_PRODUCER_OPS | RING_CONSUMER_OPS:
-                        scan.ring_ops.append(
-                            RingOp(
-                                attr=receiver_attr,
-                                op=func.attr,
-                                node=node,
-                                method=method_node.name,
-                            )
+                if (
+                    receiver_attr is not None
+                    and func.attr in RING_PRODUCER_OPS | RING_CONSUMER_OPS
+                ):
+                    scan.ring_ops.append(
+                        RingOp(
+                            attr=receiver_attr,
+                            op=func.attr,
+                            node=node,
+                            method=method_node.name,
                         )
-                    if func.attr in MUTATING_METHODS:
-                        record(receiver_attr, MUTATE, node, locks, checked,
-                               op=func.attr)
+                    )
+                receiver_key = field_key(func.value)
+                if receiver_key is not None and func.attr in MUTATING_METHODS:
+                    record(receiver_key, MUTATE, node, locks, checked,
+                           op=func.attr)
                 if _is_self_name(func.value) and func.attr in method_names:
                     scan.self_calls.append((func.attr, locks))
                 if func.attr == "select" and _self_attr(func.value) is not None:
                     scan.calls_selector_select = True
         elif isinstance(node, ast.Attribute):
-            attr = _self_attr(node)
+            attr = field_key(node)
             if attr is not None and isinstance(node.ctx, ast.Load):
                 record(attr, READ, node, locks, checked)
         for child in ast.iter_child_nodes(node):
@@ -552,12 +633,16 @@ def _build_class(
     module: ModuleModel,
     cls: ClassModel,
     index: Dict[str, List[Tuple[ModuleModel, ClassModel]]],
+    peers: Dict[str, PeerRecords],
 ) -> ClassConcurrency:
+    """*peers* caches :func:`peer_records` by module path."""
     cc = ClassConcurrency(module=module, cls=cls)
     cc.methods, cc.lock_attrs = _effective_methods(module, cls, index)
     names = set(cc.methods)
-    for name, (_mod, fn, _own) in cc.methods.items():
-        cc.scans[name] = scan_method(fn.node, cc.lock_attrs, names)
+    for name, (mod, fn, _own) in cc.methods.items():
+        if mod.path not in peers:
+            peers[mod.path] = peer_records(mod)
+        cc.scans[name] = scan_method(fn.node, cc.lock_attrs, names, peers[mod.path])
         cc.spawns.extend(cc.scans[name].spawns)
     cc.atomic_fields = _atomic_fields_of(cc)
     _infer_roles(cc)
@@ -643,9 +728,10 @@ def concurrency_model(project: ProjectModel) -> ProjectConcurrency:
     if cached is not None:
         return cached
     index = _class_index(project)
+    peers: Dict[str, PeerRecords] = {}
     model = ProjectConcurrency()
     for module in project.modules:
         for cls in module.classes:
-            model.classes.append(_build_class(module, cls, index))
+            model.classes.append(_build_class(module, cls, index, peers))
     project._concurrency_cache = model
     return model

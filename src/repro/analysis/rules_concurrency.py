@@ -7,7 +7,8 @@ shm-ring hardening: *can two different thread roles reach this state,
 and is there a lock both of them hold?*
 
 * **NRMI041** — an instance field written by one role and touched by
-  another with no common ``with self.<lock>:`` guard (lockset-style).
+  another with no common ``with self.<lock>:`` guard (lockset-style); a
+  peer record's fields (see :mod:`repro.analysis.project`) count too.
 * **NRMI042** — a non-atomic read-modify-write (``x += 1``,
   check-then-set) on a cross-role field outside any lock. ``deque`` and
   the ``util`` Counter/Gauge are the sanctioned atomics and exempt.
@@ -126,8 +127,9 @@ def cross_role_unguarded_field(project: ProjectModel) -> Iterable[Finding]:
                 f"{cc.cls.name}.{attr} is written in {anchor.method} "
                 f"({_roles_str(anchor.roles)} role) and touched from the "
                 f"{others} role with no common lock",
-                hint="guard every access with one 'with self.<lock>:', or "
-                "suppress with the ordering argument that makes it safe",
+                hint="guard every access with one 'with self.<lock>:' (for "
+                "a peer record's field, its own lock), or suppress with the "
+                "ordering argument that makes it safe",
             )
 
 

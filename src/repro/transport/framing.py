@@ -197,7 +197,8 @@ recv_exact = _recv_exact
 def write_frame_corr(
     sock: socket.socket, corr_id: int, payload, timeout: Optional[float] = None
 ) -> None:
-    """Send one correlation-tagged frame (scatter-gather, no joins)."""
+    """Send one correlation-tagged frame (scatter-gather, no joins); like
+    :func:`write_frame`, a short write finishes over views of *payload*."""
     length = len(payload)
     if length > MAX_FRAME_BYTES:
         raise TransportError(
@@ -208,11 +209,18 @@ def write_frame_corr(
     _apply_timeout(sock, timeout)
     try:
         if _HAS_SENDMSG:
-            total = 2 * _HEADER_SIZE + length
-            sent = sock.sendmsg((header, corr, payload))
-            if sent < total:
-                rest = header + corr + bytes(payload)
-                sock.sendall(rest[sent:])
+            segments = (header, corr, payload)
+            sent = sock.sendmsg(segments)
+            if sent < 2 * _HEADER_SIZE + length:
+                # Short scatter-gather write: finish each unsent segment
+                # over a view, as write_frame does — still no joins.
+                for segment in segments:
+                    size = len(segment)
+                    if sent >= size:
+                        sent -= size
+                        continue
+                    sock.sendall(memoryview(segment)[sent:])
+                    sent = 0
         else:  # pragma: no cover - platforms without sendmsg
             sock.sendall(header + corr + bytes(payload))
     except socket.timeout as exc:

@@ -1,16 +1,28 @@
 """The staged event-loop server core: net loop → bounded queue → workers.
 
-One selector-driven **net thread** owns every socket: it accepts
+One selector-driven **net thread** owns every read: it accepts
 connections, reads bytes without blocking, assembles frames (plain and
 pipelined framing auto-detected per connection exactly like the classic
-thread-per-connection server), and writes replies back. Execution happens
-on N **worker threads** that block on a bounded job queue; completed
-replies travel back to the net thread through a completion queue and a
-wake pipe. At rest nothing busy-polls: the net thread blocks in
-``select`` and workers block in the queue's condition variable (the
-Queueing design — one net thread, bounded workers, blocking waits). The
-one bounded exception is doorbell (shm) connections: after traffic the
-net thread *linger-polls* their rings for a short window — clearing the
+thread-per-connection server), and submits them. Execution happens on N
+**worker threads** that block on a bounded job queue. On a socket
+connection the worker then writes its own reply — one gather
+``sendmsg`` under the connection's write lock — unless output is
+already queued there, in which case the reply joins the queue through
+the net thread (the Queueing rule: a worker finishes processing *and
+sending* a reply before it takes the next job). Either way the worker
+posts a completion record, which keeps in-flight accounting and drain
+on the net thread, but it rings the wake pipe only when the net thread
+has to act on that record: queued frames or parked connections waiting
+for capacity, a reply (or its unsent tail) left for the net thread to
+write, or a drain in progress. Doorbell (shm) connections keep the
+original path: every reply is written by the net thread, so each ring
+keeps exactly one producer.
+
+At rest nothing busy-polls: the net thread blocks in ``select`` and
+workers block in the queue's condition variable (the Queueing design —
+one net thread, bounded workers, blocking waits). The one bounded
+exception is doorbell connections: after traffic the net thread
+*linger-polls* their rings for a short window — clearing the
 consumer-waiting flag so active clients skip the doorbell syscall
 entirely — and re-parks in ``select`` once the window passes quiet.
 
@@ -43,12 +55,14 @@ the transport-level analogue of an HTTP 503 sent by the listener.
 Net-thread discipline: every method reachable from the ``select`` loop
 must be non-blocking — no handler execution, no ``time.sleep``, no
 blocking frame reads, no blocking queue waits. ``nrmi-lint`` rule
-NRMI034 enforces this statically.
+NRMI034 enforces this statically. The one lock it shares with workers,
+a connection's write lock, is held only around non-blocking sends.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import selectors
 import socket
 import struct
@@ -73,6 +87,12 @@ from repro.util.ring import yield_cpu as _yield_cpu
 
 _LEN = struct.Struct(">I")
 _HEADER_SIZE = _LEN.size
+#: Pipelined reply head: u32 length, then u32 correlation id.
+_CORR_HEAD = struct.Struct(">II")
+
+#: Most queued segments one gather ``sendmsg`` carries (well under any
+#: platform's IOV_MAX).
+_SEND_BATCH = 64
 
 #: Bytes pulled off a readable socket per event — large enough to drain a
 #: pipelined burst in few syscalls, small enough to bound per-event work.
@@ -91,11 +111,18 @@ class _FramingViolation(Exception):
 
 
 class _Connection:
-    """Per-connection state, owned exclusively by the net thread.
+    """Per-connection state, owned by the net thread except for the
+    write side of socket connections.
 
-    No locks: every field is read and written only on the net thread.
-    Workers refer to a connection solely as an opaque token inside job
-    and completion tuples.
+    Workers write replies to socket connections themselves, so the
+    socket and its output queue (``sock``, ``out``) are shared there:
+    every send, every touch of ``out`` and the close of ``sock`` happen
+    under ``write_lock`` — closing under it means no worker can write to
+    the fd once it is closed (nor to a new connection reusing its
+    number). ``out_offset`` is the net thread's alone (a worker only
+    ever queues onto an empty ``out``). Doorbell (shm) connections never
+    see a worker write and take no lock. Every other field is read and
+    written only on the net thread.
     """
 
     __slots__ = (
@@ -108,6 +135,7 @@ class _Connection:
         "inflight",
         "out",
         "out_offset",
+        "write_lock",
         "registered",
         "closed",
         "last_progress",
@@ -120,6 +148,7 @@ class _Connection:
     def __init__(self, sock: socket.socket, now: float) -> None:
         self.sock = sock
         self.fd = sock.fileno()
+        self.write_lock = threading.Lock()
         #: Duplexes that signal write space via doorbell *reads* (shm).
         self.doorbell = bool(getattr(sock, "doorbell_interest", False))
         #: Duplexes whose rings support reserve/commit and borrow/consume
@@ -143,7 +172,8 @@ class _Connection:
         self.backlog: Deque[Tuple[Optional[int], bytes]] = collections.deque()
         #: Frames submitted to the queue / executing, reply not yet queued.
         self.inflight = 0
-        #: Outbound byte segments awaiting write, FIFO.
+        #: Outbound byte segments awaiting write, FIFO (under
+        #: ``write_lock`` on socket connections).
         self.out: Deque[memoryview] = collections.deque()
         self.out_offset = 0
         #: Current selector interest mask (0 = not registered).
@@ -351,9 +381,11 @@ class StagedStreamServer:
             self.metrics.gauge("server.queue_depth"),
             self.metrics.gauge("server.workers.active"),
         )
-        #: Finished work travelling worker → net thread:
-        #: (conn, corr_id, response bytes, handler_failed). Plain deque —
-        #: append/popleft are atomic, no lock needed.
+        #: Finished work travelling worker → net thread: (conn, corr_id,
+        #: response bytes, handler_failed, written) — *written* when the
+        #: worker already sent the reply (or queued its unsent tail on
+        #: ``conn.out``). Plain deque — append/popleft are atomic, no
+        #: lock needed.
         self._completions: Deque[tuple] = collections.deque()
 
         self._conns: Dict[int, _Connection] = {}
@@ -440,20 +472,76 @@ class StagedStreamServer:
             conn, corr_id, payload = job
             try:
                 response = call_handler(handler, payload, conn.session)
-                record = (conn, corr_id, response, False)
+                failed = False
             except Exception:  # noqa: BLE001 - handler must not kill server
                 # The RMI dispatcher encodes application errors itself;
                 # anything escaping to here is a protocol bug, and the
                 # only safe move is dropping the connection.
-                record = (conn, corr_id, b"", True)
-            # Publish the completion BEFORE task_done: the net thread's
-            # drain condition is "outstanding == 0 and no completions
-            # pending" — the other order could close a connection under
-            # a reply that was finished but not yet visible.
-            self._completions.append(record)
+                response, failed = b"", True
+            # Counted before the reply can leave: a caller holding its
+            # reply must find the job counted.
             completed.add()
+            # Either way the completion is published BEFORE task_done:
+            # the net thread's drain condition is "outstanding == 0 and
+            # no completions pending" — the other order could close a
+            # connection under a reply that was finished but not yet
+            # visible.
+            if failed or conn.doorbell:
+                self._completions.append((conn, corr_id, response, failed, False))
+                wake = True
+            else:
+                wake = self._send_reply(conn, corr_id, response)
             jobs.task_done()
-            self._wake()
+            # The record is posted before this test, so a backlog or a
+            # parked connection the test misses was queued after it: the
+            # net thread drains completions after every round of events.
+            if (
+                wake
+                or conn.backlog  # frames waiting for this in-flight slot
+                or self._parked  # connections waiting for queue space
+                or self._stopping.is_set()  # drain counts completions
+            ):
+                self._wake()
+
+    def _send_reply(self, connection: _Connection, corr_id, payload) -> bool:
+        """Worker side of a socket connection: post the completion and
+        send the reply frame with one gather ``sendmsg``.
+
+        Returns True when the net thread must act on the completion now:
+        a tail the kernel did not take (queued on ``connection.out``), or
+        a reply it must write itself — output already queued (the reply
+        must not overtake it) or an oversized reply.
+        """
+        length = len(payload)
+        if corr_id is None:
+            header = _LEN.pack(length)
+        else:
+            header = _CORR_HEAD.pack(length, corr_id & 0xFFFFFFFF)
+        with connection.write_lock:
+            writable = not connection.out and length <= MAX_FRAME_BYTES
+            # Posted before the reply can reach the peer, so its next
+            # request finds this one's in-flight slot already free and
+            # the net thread need not be woken to free it. The write lock
+            # keeps the next reply behind this one all the same.
+            self._completions.append((connection, corr_id, payload, False, writable))
+            if not writable:
+                return True
+            try:
+                sent = connection.sock.sendmsg((header, payload))
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError:
+                return False  # broken or closed: the net thread's read sees it
+            if sent == len(header) + length:
+                return False
+            for segment in (header, payload):
+                size = len(segment)
+                if sent >= size:
+                    sent -= size
+                    continue
+                connection.out.append(memoryview(segment)[sent:])
+                sent = 0
+            return True
 
     def _wake(self) -> None:
         if self._net_polling:
@@ -479,6 +567,10 @@ class StagedStreamServer:
                 if self._draining and self._drain_complete():
                     break
                 events = self._selector.select(self._select_timeout())
+                # Completions first: workers usually post theirs without
+                # a wake, and the next request of a plain connection must
+                # find the previous one's in-flight slot already free.
+                self._drain_completions()
                 for key, mask in events:
                     if key.data is _LISTENER:
                         self._handle_accept()
@@ -559,8 +651,10 @@ class StagedStreamServer:
                 self._mark_hot(connection)
 
     def _drain_waker(self) -> None:
+        # A short read means the pipe is empty: stop without paying a
+        # second syscall (and an exception) just to see EAGAIN.
         try:
-            while self._wake_rx.recv(4096):
+            while len(self._wake_rx.recv(4096)) == 4096:
                 pass
         except (BlockingIOError, OSError):
             pass
@@ -887,7 +981,9 @@ class StagedStreamServer:
 
     def _drain_completions(self) -> None:
         while self._completions:
-            connection, corr_id, response, failed = self._completions.popleft()
+            connection, corr_id, response, failed, written = (
+                self._completions.popleft()
+            )
             connection.inflight -= 1
             if connection.borrow:
                 # The reply proves the worker is done with its borrowed
@@ -903,7 +999,15 @@ class StagedStreamServer:
             if failed:
                 self._close_conn(connection)
                 continue
-            self._queue_reply(connection, corr_id, response)
+            if not written:
+                self._queue_reply(connection, corr_id, response)
+            else:
+                # The worker may still be sending: its lock says when it
+                # is done, and whether it left a tail behind.
+                with connection.write_lock:
+                    tail = bool(connection.out)
+                if tail:
+                    self._flush_conn(connection)
             self._pump_conn(connection)
 
     def _queue_reply(self, connection: _Connection, corr_id, payload) -> None:
@@ -927,19 +1031,34 @@ class StagedStreamServer:
                 self._close_conn(connection)
                 return
         if corr_id is None:
-            connection.out.append(memoryview(_LEN.pack(length)))
+            header = memoryview(_LEN.pack(length))
         else:
-            connection.out.append(
-                memoryview(_LEN.pack(length) + _LEN.pack(corr_id & 0xFFFFFFFF))
-            )
-        if length:
-            connection.out.append(memoryview(payload))
+            header = memoryview(_CORR_HEAD.pack(length, corr_id & 0xFFFFFFFF))
+        segments = (header, memoryview(payload)) if length else (header,)
+        if connection.doorbell:
+            connection.out.extend(segments)
+        else:
+            with connection.write_lock:
+                connection.out.extend(segments)
         self._flush_conn(connection)
 
     def _handle_write(self, connection: _Connection) -> None:
         self._flush_conn(connection)
 
     def _flush_conn(self, connection: _Connection) -> None:
+        if connection.doorbell:
+            broken = self._send_ring_out(connection)
+        else:
+            with connection.write_lock:
+                broken = self._send_socket_out(connection)
+        if broken:
+            self._close_conn(connection)
+            return
+        self._update_interest(connection)
+
+    def _send_ring_out(self, connection: _Connection) -> bool:
+        """Write a doorbell connection's queued output, one ``send`` per
+        segment; True when the duplex broke."""
         try:
             while connection.out:
                 head = connection.out[0]
@@ -952,11 +1071,33 @@ class StagedStreamServer:
                 else:
                     connection.out_offset = offset
         except (BlockingIOError, InterruptedError):
-            pass  # kernel buffer full: EVENT_WRITE finishes the job
+            pass  # ring full: the peer's doorbell byte finishes the job
         except OSError:
-            self._close_conn(connection)
-            return
-        self._update_interest(connection)
+            return True
+        return False
+
+    def _send_socket_out(self, connection: _Connection) -> bool:
+        """Write a socket connection's queued output as gather ``sendmsg``
+        calls (caller holds ``write_lock``); True when the socket broke."""
+        out = connection.out
+        while out:
+            segments = list(itertools.islice(out, _SEND_BATCH))
+            offset = connection.out_offset
+            if offset:
+                segments[0] = segments[0][offset:]
+            try:
+                sent = connection.sock.sendmsg(segments)
+            except (BlockingIOError, InterruptedError):
+                return False  # kernel buffer full: EVENT_WRITE finishes
+            except OSError:
+                return True
+            if not sent:
+                return False
+            sent += offset
+            while out and sent >= len(out[0]):
+                sent -= len(out.popleft())
+            connection.out_offset = sent
+        return False
 
     def _update_interest(self, connection: _Connection) -> None:
         if connection.closed:
@@ -1008,14 +1149,25 @@ class StagedStreamServer:
             except (KeyError, ValueError, OSError):
                 pass
             connection.registered = 0
-        try:
-            connection.sock.close()
-        except OSError:
-            pass
+        if connection.doorbell:
+            self._close_sock(connection)
+        else:
+            # Under the write lock: a worker mid-send finishes first, and
+            # every later worker send fails on the closed socket object
+            # instead of reaching whatever reuses the fd number.
+            with connection.write_lock:
+                self._close_sock(connection)
         self._parked.discard(connection)
         self._conns.pop(connection.fd, None)
         self._doorbells.pop(connection.fd, None)
         self._hot.pop(connection.fd, None)
+
+    @staticmethod
+    def _close_sock(connection: _Connection) -> None:
+        try:
+            connection.sock.close()
+        except OSError:
+            pass
 
     def _reap_stalled(self) -> None:
         deadline = self._partial_read_timeout

@@ -228,6 +228,11 @@ class _RingDuplex:
         # has kernel blocking state, and it must stay non-blocking.
         pass
 
+    def shutdown(self, how: int) -> None:
+        """Shut the doorbell down: the peer and any thread parked on it
+        here wake to EOF, while the rings stay readable."""
+        self._sock.shutdown(how)
+
     def close(self) -> None:
         """Idempotent. Shuts the doorbell down first so a peer (and any
         thread parked in ``select`` here) wakes immediately; the segment
@@ -319,6 +324,17 @@ class _RingDuplex:
         deadline = (
             None if self._timeout is None else time.monotonic() + self._timeout
         )
+        return self._recv_wait(view, want, deadline)
+
+    def recv_into_by(self, buffer, deadline: Optional[float]) -> int:
+        """:meth:`recv_into` bounded by a monotonic *deadline* (None: no
+        bound) instead of the duplex-wide ``settimeout`` value, which a
+        concurrent sender on the same duplex also reads."""
+        view = memoryview(buffer)
+        return self._recv_wait(view, len(view), deadline)
+
+    def _recv_wait(self, view: memoryview, want: int, deadline: Optional[float]) -> int:
+        rx = self._rx
         spin = self._spin
         while True:
             if self._closed:
@@ -336,6 +352,13 @@ class _RingDuplex:
                 continue
             self._park(rx, deadline, "recv")
             spin = self._spin
+
+    def peer_closed(self) -> bool:
+        """Non-consuming EOF probe for an idle client duplex: swallows
+        doorbell bytes (they carry no data) and leaves the rings alone."""
+        if not (self._closed or self._eof):
+            self._drain_doorbell()
+        return self._closed or self._eof
 
     def recv(self, bufsize: int, flags: int = 0):
         """Non-blocking net-thread read, socket semantics: at most
@@ -1012,3 +1035,15 @@ class PipelinedShmChannel(PipelinedStreamChannel):
 
     def _describe(self) -> str:
         return self.name
+
+    def _recv_into(self, sock: _RingDuplex, view, deadline: Optional[float]) -> int:
+        # The doorbell fd's readability says nothing about the rings, so
+        # no poll: the duplex spins and parks up to the deadline itself.
+        try:
+            return sock.recv_into_by(view, deadline)
+        except socket.timeout as exc:
+            raise DeadlineExceededError(f"shm recv timed out: {exc}") from exc
+
+    def _peer_closed(self, sock: _RingDuplex) -> bool:
+        # _RingDuplex.recv consumes ring bytes; this probe does not.
+        return sock.peer_closed()

@@ -57,6 +57,43 @@ class RacyStagedServer:
                 return
 
 
+class _Link:
+    """A peer record: slotted, owns a lock, shared by reference."""
+
+    __slots__ = ("sock", "pending", "closed", "write_lock")
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.pending = []
+        self.closed = False
+        self.write_lock = threading.Lock()
+
+
+class RacyLinkServer:
+    """041/044 baits on peer-record fields: the net loop and a worker
+    reach one link's state through locals, and neither takes its lock."""
+
+    def __init__(self):
+        self._selector = selectors.DefaultSelector()
+        self._jobs = []
+        self._thread = threading.Thread(target=self._reply_worker)
+        self._thread.start()
+
+    def _net_loop(self):
+        while True:
+            for key, _mask in self._selector.select(0.1):
+                link = key.data
+                link.closed = True  # expect: NRMI041
+                link.pending.append(key)  # expect: NRMI044
+
+    def _reply_worker(self):
+        while True:
+            link = self._jobs.pop()
+            if not link.closed:
+                for frame in link.pending:
+                    link.sock.sendall(frame)
+
+
 class DualProducerBridge:
     """043-A bait: ``try_write`` reachable from net-loop AND worker."""
 

@@ -65,6 +65,44 @@ class TidyStagedServer:
             self._mode = "cold"  # near-miss: NRMI031
 
 
+class _Link:
+    """A peer record: slotted, owns a lock, shared by reference."""
+
+    __slots__ = ("sock", "pending", "closed", "write_lock")
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.pending = []
+        self.closed = False
+        self.write_lock = threading.Lock()
+
+
+class TidyLinkServer:
+    """Peer-record sharing done right: both roles hold the link's lock."""
+
+    def __init__(self):
+        self._selector = selectors.DefaultSelector()
+        self._jobs = []
+        self._thread = threading.Thread(target=self._reply_worker)
+        self._thread.start()
+
+    def _net_loop(self):
+        while True:
+            for key, _mask in self._selector.select(0.1):
+                link = key.data
+                with link.write_lock:
+                    link.closed = True  # near-miss: NRMI041
+                    link.pending.append(key)  # near-miss: NRMI044
+
+    def _reply_worker(self):
+        while True:
+            link = self._jobs.pop()
+            with link.write_lock:
+                if not link.closed:
+                    for frame in link.pending:
+                        link.sock.sendall(frame)
+
+
 class SplitDuplex:
     """SPSC ownership respected: net produces tx, worker consumes rx."""
 

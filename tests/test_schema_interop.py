@@ -14,6 +14,9 @@ Also here: the fused decode+digest traversal-count assertions and the
 reader's dangling-id error paths for handcrafted hostile streams.
 """
 
+import select
+import socket
+
 import pytest
 
 from repro.core.markers import Remote, Restorable
@@ -265,6 +268,33 @@ def test_schema_cache_shrinks_steady_state_requests():
             sizes.append(channel.stats.snapshot()["bytes_sent"])
         assert channel.schema_session.peer_ok is True
         assert sizes[-1] < sizes[0]
+    finally:
+        world.close()
+
+
+@pytest.mark.parametrize("transport", ("pipelined", "uds-pipelined"))
+def test_idle_connection_closed_by_peer_renegotiates(transport):
+    """The server drops an idle pipelined connection after the schema
+    cache engaged. The next call (no retry) notices before it encodes,
+    so it goes out unflagged on a fresh connection instead of citing
+    schema ids the dead connection negotiated."""
+    world = SchemaWorld(transport, client_config=client_config(transport))
+    try:
+        expected = local_fingerprint()
+        for _ in range(3):
+            assert world.scramble_fingerprint() == expected
+        channel = world.channel
+        assert channel.schema_session.peer_ok is True
+        assert len(channel.schema_session.tx) > 0
+        server = world.server._tcp_server or world.server._uds_server
+        for connection in list(server._conns.values()):
+            connection.sock.shutdown(socket.SHUT_RDWR)
+        dead = channel._sock
+        ready, _, _ = select.select([dead], [], [], 5.0)
+        assert ready  # the peer's FIN has landed
+        assert world.scramble_fingerprint() == expected
+        assert channel._sock is not dead
+        assert channel.schema_session.peer_ok is True  # renegotiated
     finally:
         world.close()
 

@@ -8,6 +8,7 @@ behaviours end-to-end through proxies and retries.
 
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -17,7 +18,12 @@ from repro.errors import RetryableError, ServerBusyError, TransportError
 from repro.rmi.protocol import Status, busy_response, raise_if_busy
 from repro.transport.framing import read_frame, write_frame
 from repro.transport.netloop import StagedStreamServer
-from repro.transport.tcp import TcpChannel, TcpServer, ThreadedTcpServer
+from repro.transport.tcp import (
+    PipelinedTcpChannel,
+    TcpChannel,
+    TcpServer,
+    ThreadedTcpServer,
+)
 from repro.util.metrics import MetricsRegistry
 
 _LEN = struct.Struct(">I")
@@ -341,6 +347,134 @@ class TestContract:
                 _ = server.address
         finally:
             server.stop(grace=1.0)
+
+
+class TestWorkerWrittenReplies:
+    """On socket connections workers send their own replies; the net
+    thread only hears about it when it has something to do."""
+
+    def test_sequential_calls_never_wake_the_net_thread(self):
+        with TcpServer(echo, workers=2) as server:
+            calls = {"_wake": 0, "_queue_reply": 0, "_flush_conn": 0}
+            for name in calls:
+                original = getattr(server, name)
+
+                def counted(*args, _name=name, _original=original):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                setattr(server, name, counted)
+            sock = dial(server)
+            try:
+                for index in range(100):
+                    payload = b"call-%d" % index
+                    write_frame(sock, payload)
+                    assert bytes(read_frame(sock, timeout=5.0)) == payload
+            finally:
+                sock.close()
+            # No waker byte, and no reply went through the net thread's
+            # queue or its send path: each worker sent its own, in full.
+            assert calls == {"_wake": 0, "_queue_reply": 0, "_flush_conn": 0}
+
+    def test_pipelined_shedding_never_interleaves_frames(self):
+        """Net-thread BUSY frames and worker replies share one socket:
+        every caller gets exactly its reply or BUSY, every frame parses."""
+
+        def jittery(request):
+            time.sleep(0.0005 * (request[-1] % 3))
+            return b"echo:" + bytes(request)
+
+        metrics = MetricsRegistry()
+        with TcpServer(
+            jittery,
+            workers=2,
+            queue_capacity=2,
+            overload_policy="shed",
+            metrics=metrics,
+        ) as server:
+            channel = PipelinedTcpChannel(server.host, server.port, timeout=10.0)
+            outcomes = {"ok": 0, "busy": 0}
+            errors = []
+            lock = threading.Lock()
+
+            def caller(caller_id):
+                for index in range(40):
+                    payload = b"%d-%d" % (caller_id, index)
+                    try:
+                        reply = bytes(channel.request(payload))
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        errors.append(exc)
+                        return
+                    with lock:
+                        if reply == BUSY_QUEUE_FULL:
+                            outcomes["busy"] += 1
+                        elif reply == b"echo:" + payload:
+                            outcomes["ok"] += 1
+                        else:
+                            errors.append((payload, reply))
+
+            threads = [threading.Thread(target=caller, args=(n,)) for n in range(16)]
+            # Frequent GIL hand-offs interleave worker and net-thread sends.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+                channel.close()
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert outcomes["ok"] + outcomes["busy"] == 16 * 40
+            assert outcomes["ok"] > 0 and outcomes["busy"] > 0
+            assert metrics.counter("server.shed.queue_full").value == outcomes["busy"]
+
+    def test_replies_larger_than_the_socket_buffer_stay_whole(self):
+        """Replies far larger than a (shrunk) send buffer: workers send
+        part, leave the tail to the net thread, and replies finished
+        meanwhile queue behind it — every one still arrives whole."""
+
+        class SmallSendBufferServer(TcpServer):
+            def _configure_connection(self, conn):
+                super()._configure_connection(conn)
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+        blob = bytes(range(256)) * 256  # 64 KiB
+
+        def big(request):
+            return bytes(request) + blob
+
+        with SmallSendBufferServer(big, workers=4) as server:
+            flushes = []
+            flush_conn = server._flush_conn
+
+            def counted_flush(connection):
+                flushes.append(connection)
+                return flush_conn(connection)
+
+            server._flush_conn = counted_flush
+            channel = PipelinedTcpChannel(server.host, server.port, timeout=10.0)
+            errors = []
+
+            def caller(caller_id):
+                for index in range(8):
+                    payload = b"%d-%d" % (caller_id, index)
+                    if bytes(channel.request(payload)) != payload + blob:
+                        errors.append(payload)
+
+            threads = [threading.Thread(target=caller, args=(n,)) for n in range(4)]
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+            finally:
+                channel.close()
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert flushes  # tails really were left to the net thread
 
 
 @pytest.mark.soak

@@ -1,7 +1,11 @@
 """Transport layer: framing, in-process channel, TCP, simnet, resolver."""
 
 import os
+import random
+import select
 import socket
+import struct
+import sys
 import threading
 import time
 
@@ -14,6 +18,7 @@ from repro.transport.framing import (
     PIPELINE_PREAMBLE,
     read_frame,
     read_frame_corr,
+    recv_exact,
     write_frame,
     write_frame_corr,
 )
@@ -200,6 +205,33 @@ class TestCorrelatedFraming:
         announced = int.from_bytes(PIPELINE_PREAMBLE[:4], "big")
         assert announced > MAX_FRAME_BYTES
 
+    def test_short_write_finishes_over_views_without_copying(self):
+        """A sendmsg that takes 5 bytes (mid correlation id): the rest goes
+        out as slices of the original segments — the payload included —
+        never as a joined copy."""
+
+        class ShortWriteSocket:
+            def __init__(self):
+                self.sent = []
+
+            def sendmsg(self, buffers):
+                self.sent.append(bytes(b"".join(buffers))[:5])
+                return 5
+
+            def sendall(self, data):
+                self.sent.append(data)
+
+        sock = ShortWriteSocket()
+        payload = bytearray(b"payload-bytes")
+        write_frame_corr(sock, 0x01020304, payload)
+        head, *rest = sock.sent
+        wire = head + b"".join(bytes(part) for part in rest)
+        assert wire == (
+            len(payload).to_bytes(4, "big") + bytes([1, 2, 3, 4]) + payload
+        )
+        assert all(isinstance(part, memoryview) for part in rest)
+        assert rest[-1].obj is payload  # a view over the caller's buffer
+
 
 class TestPipelinedTcp:
     def test_request_response(self):
@@ -343,6 +375,139 @@ class TestPipelinedTcp:
         channel = resolver.resolve(address, pipelined=True)
         assert isinstance(channel, InProcChannel)
         assert resolver.resolve(address) is channel
+
+
+class _RawPipelinedServer:
+    """A one-thread pipelined peer scripted by the test: *script* gets
+    each accepted socket (preamble already consumed) and the listener."""
+
+    def __init__(self, script):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.error = None
+        self._thread = threading.Thread(target=self._run, args=(script,))
+        self._thread.start()
+
+    def _run(self, script):
+        try:
+            script(self)
+        except Exception as exc:  # noqa: BLE001 - reported by join()
+            self.error = exc
+
+    def accept(self):
+        conn, _peer = self.listener.accept()
+        conn.settimeout(5.0)
+        assert bytes(recv_exact(conn, len(PIPELINE_PREAMBLE))) == PIPELINE_PREAMBLE
+        return conn
+
+    def join(self):
+        self._thread.join(timeout=10.0)
+        self.listener.close()
+        assert self.error is None, self.error
+
+
+class TestPipelinedCallerReads:
+    """The pipelined channel starts no thread: callers read replies."""
+
+    def test_concurrent_callers_each_get_their_own_reply(self):
+        def jittery(request: bytes) -> bytes:
+            time.sleep(random.uniform(0.0, 0.002))
+            return b"echo:" + request
+
+        with TcpServer(jittery) as server:
+            channel = PipelinedTcpChannel(server.host, server.port)
+            errors = []
+
+            def worker(worker_id: int):
+                for i in range(50):
+                    payload = f"{worker_id}-{i}".encode()
+                    reply = channel.request(payload)
+                    if reply != b"echo:" + payload:
+                        errors.append((payload, reply))
+
+            # Frequent GIL hand-offs shake out lost reader-role wake-ups.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(target=worker, args=(n,)) for n in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+                assert channel.in_flight == 0
+                assert channel.max_in_flight >= 2
+                assert server.live_connections == 1
+                assert not [
+                    t.name for t in threading.enumerate()
+                    if t.name.endswith("-pipe-reader")
+                ]
+            finally:
+                sys.setswitchinterval(interval)
+                channel.close()
+
+    def test_deadline_mid_frame_keeps_the_stream_in_step(self):
+        """The reader times out with half a reply frame read; those bytes
+        stay buffered, so the next call on the channel still frames the
+        stream correctly and gets its own reply."""
+        stalled = threading.Event()
+
+        def script(server):
+            conn = server.accept()
+            with conn:
+                corr_id, request = read_frame_corr(conn)
+                assert bytes(request) == b"first"
+                reply = b"late:first"
+                frame = struct.pack(">II", len(reply), corr_id) + reply
+                conn.sendall(frame[: len(frame) // 2])
+                assert stalled.wait(5.0)  # the caller gave up meanwhile
+                conn.sendall(frame[len(frame) // 2 :])
+                corr_id, request = read_frame_corr(conn)
+                write_frame_corr(conn, corr_id, b"echo:" + bytes(request))
+
+        server = _RawPipelinedServer(script)
+        channel = PipelinedTcpChannel("127.0.0.1", server.port)
+        try:
+            with pytest.raises(DeadlineExceededError):
+                channel.request(b"first", timeout=0.2)
+            stalled.set()
+            assert channel.request(b"second") == b"echo:second"
+            assert channel.in_flight == 0
+        finally:
+            stalled.set()
+            channel.close()
+            server.join()
+
+    def test_connection_closed_by_peer_reconnects_without_retry(self):
+        """The server answers one call per connection, then closes it:
+        each next call (no retry layer) goes out on a fresh connection."""
+        closed = threading.Event()
+
+        def script(server):
+            for index in range(2):
+                conn = server.accept()
+                with conn:
+                    corr_id, request = read_frame_corr(conn)
+                    write_frame_corr(conn, corr_id, b"echo:" + bytes(request))
+                    conn.shutdown(socket.SHUT_RDWR)
+                closed.set()
+
+        server = _RawPipelinedServer(script)
+        channel = PipelinedTcpChannel("127.0.0.1", server.port)
+        try:
+            assert channel.request(b"one") == b"echo:one"
+            assert closed.wait(5.0)
+            first = channel._sock
+            ready, _, _ = select.select([first], [], [], 5.0)
+            assert ready  # the peer's FIN has landed
+            assert channel.request(b"two") == b"echo:two"
+            assert channel._sock is not first
+        finally:
+            channel.close()
+            server.join()
 
 
 class TestSimulatedChannel:
