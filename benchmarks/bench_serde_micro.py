@@ -57,7 +57,8 @@ def test_decode_tree(benchmark, profile_name, size):
 
 @pytest.mark.parametrize("accessor_name", ["portable", "optimized"])
 def test_restore_engine_only(benchmark, accessor_name):
-    """The restore pass in isolation: match + overwrite + convert."""
+    """The restore pass in isolation: match + overwrite + convert, over
+    the objects the reader listed while decoding."""
     benchmark.group = "serde/restore-engine"
     accessor = PORTABLE_ACCESSOR if accessor_name == "portable" else OPTIMIZED_ACCESSOR
     engine = RestoreEngine(accessor=accessor)
@@ -68,9 +69,9 @@ def test_restore_engine_only(benchmark, accessor_name):
         )
         reader = ObjectReader(payload)
         reader.read_root()
-        modified_map = reader.linear_map
-        match = match_maps(list(original_map), list(modified_map))
-        engine.restore(match, None)
+        modifieds = reader.linear_map.objects
+        table = match_maps(list(original_map), modifieds)
+        engine.restore(table, modifieds, None, reader.immutables, reader.resolved)
 
     benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=1)
 

@@ -7,9 +7,9 @@ Contents:
   ``java.rmi.Restorable`` / ``java.rmi.Remote``;
 * :mod:`repro.core.semantics` — per-parameter passing-mode resolution;
 * :mod:`repro.core.matching` — step 4 of the algorithm (linear-map
-  match-up, old/new classification);
+  match-up into an ``id(modified) -> original`` table);
 * :mod:`repro.core.copy_restore` — steps 5-6 (in-place overwrite and
-  pointer conversion, single DFS);
+  pointer conversion, one pass over what the reply decoded);
 * :mod:`repro.core.restore_protocol` — the four restore policies on the
   wire: full map (NRMI), delta (the paper's future-work optimization),
   DCE-RPC partial restore, and none (plain call-by-copy);
@@ -19,7 +19,7 @@ Contents:
 from repro.core.markers import Remote, Restorable, Serializable, is_restorable
 from repro.core.semantics import PassingMode, resolve_mode
 from repro.core.copy_restore import RestoreEngine
-from repro.core.matching import MatchResult, match_maps
+from repro.core.matching import match_maps
 from repro.core.restore_protocol import (
     RestorePolicy,
     NoRestorePolicy,
@@ -37,7 +37,6 @@ __all__ = [
     "PassingMode",
     "resolve_mode",
     "RestoreEngine",
-    "MatchResult",
     "match_maps",
     "RestorePolicy",
     "NoRestorePolicy",

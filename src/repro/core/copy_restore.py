@@ -1,7 +1,7 @@
 """Steps 5-6 of the algorithm: in-place overwrite and pointer conversion.
 
-Given the match between original and modified linear-map entries (step 4),
-the engine:
+Given the match between original and modified linear-map entries (step 4,
+an ``id(modified) -> original`` table), the engine:
 
 * **step 5** — for each old object, overwrites the *original* version's
   state with the *modified* version's state, converting any pointer to a
@@ -9,33 +9,44 @@ the engine:
 * **step 6** — for each new object (allocated by the server), converts its
   pointers to modified-old objects into pointers to the originals.
 
-Both steps run in a single traversal of the modified graph, as the paper's
-Section 5.2.3 describes. The only subtlety Python adds over Java is hashed
-containers: overwriting an object that is a key in a dict (or member of a
-set) can change its hash, so the engine applies rewrites in two waves —
-field/sequence overwrites first, dict/set rebuilds last — so every key is
-hashed exactly once, after its final state is in place.
+The engine does not traverse the modified graph. The reply reader already
+listed every object it decoded, once and in order: the mutable ones in
+its linear map, the tuples and frozensets as they finished (inner before
+outer), and what ``__nrmi_resolve__`` turned shells into. The engine runs
+steps 5-6 over exactly those objects — one flat pass, no stack, no
+visited set. An old object is one whose id is in the table; every other
+decoded object is new.
 
-Immutable containers (tuples, frozensets) cannot be overwritten; they are
-rebuilt with converted elements, preserving sharing, and the *parents* get
-the rebuilt value. This mirrors how Java treats Strings and boxed
-primitives as values.
+Converting a value is one lookup in one table. Immutable containers
+(tuples, frozensets) cannot be overwritten, so each is rebuilt from its
+converted parts before anything else — inner ones first, so an outer one
+finds its rebuilt parts — and entered in the same table; sharing is kept
+because each is rebuilt once. This mirrors how Java treats Strings and
+boxed primitives as values. A rebuilt frozenset hashes its members as they
+are before any overwrite, so a member whose hash follows its own fields
+should not sit in one.
 
-The traversal is one flat loop. What to do with an object is decided per
-*class*, once per restore: a dispatch tag, and — with the optimized
-accessor — its transient set and whether the accessor's cached layout
-says instances keep all state in ``__dict__``; such a class is
-overwritten with one ``clear()`` + ``update()`` and no per-object
-reflection. That is the paper's portable -> optimized move (Section 5.3.1)
-applied to restore; any other accessor keeps paying ``get_state`` /
-``set_state`` / ``transient_fields`` per object, uncached.
+The only subtlety Python adds over Java is hashed containers: overwriting
+an object that is a key in a dict (or member of a set) can change its
+hash, so the engine applies rewrites in two waves — field/sequence
+overwrites first, dict/set rebuilds last — so every key is hashed exactly
+once, after its final state is in place.
+
+What to do with an object is decided per *class*, once per restore: a
+dispatch tag, and — with the optimized accessor — its transient set and
+whether the accessor's cached layout says instances keep all state in
+``__dict__``; such a class is overwritten with one ``clear()`` +
+``update()`` and no per-object reflection. That is the paper's portable
+-> optimized move (Section 5.3.1) applied to restore; any other accessor
+keeps paying ``get_state`` / ``set_state`` / ``transient_fields`` per
+object, uncached.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.matching import MatchResult
 from repro.serde.accessors import (
     OPTIMIZED_ACCESSOR,
     FieldAccessor,
@@ -44,10 +55,9 @@ from repro.serde.accessors import (
 )
 from repro.serde.hooks import transient_fields
 from repro.serde.kinds import Kind, classify
-from repro.util.identity import IdentitySet
 
-# Dispatch tags: how the loop treats instances of one class.
-_LEAF = 0  # primitive or unsupported shape: a value, nothing to descend
+# Dispatch tags: how the pass treats instances of one class.
+_LEAF = 0  # primitive, unsupported shape or opaque: nothing to restore
 _TUPLE = 1
 _FROZENSET = 2
 _LIST = 3
@@ -105,9 +115,10 @@ class RestoreEngine:
         opaque: Optional[Callable[[Any], bool]] = None,
     ) -> None:
         self._accessor = accessor
-        # Objects the engine must treat as leaves: neither overwritten nor
-        # descended into. The RMI layer marks remote stubs and pointers
-        # opaque — they pass by reference and own no restorable state.
+        # Classes the engine must treat as leaves: neither overwritten nor
+        # adopted. The RMI layer marks remote stubs and pointers opaque —
+        # they pass by reference and own no restorable state. Asked once
+        # per class per restore, like the dispatch tag.
         self._opaque = opaque
         # Only the optimized accessor's cached layout may stand in for
         # its get_state/set_state; any other accessor is asked per object.
@@ -115,159 +126,130 @@ class RestoreEngine:
 
     def restore(
         self,
-        match: MatchResult,
+        table: Dict[int, Any],
+        decoded: Sequence[Any],
         result: Any = None,
-        skip: Optional[IdentitySet] = None,
+        immutables: Sequence[Any] = (),
+        resolved: Sequence[Any] = (),
     ) -> Tuple[Any, RestoreStats]:
         """Reproduce the server's mutations on the caller's originals.
 
-        ``match`` pairs each original object with its returned modified
-        version; ``result`` is the (deep-copied) return value, whose
-        pointers into the structure are converted too so the caller's view
-        is seamless; ``skip`` holds objects that are *already* originals
-        (delta restore resolves unchanged objects directly) and must be
-        neither overwritten nor descended into.
+        ``table`` maps ``id(modified)`` to its original
+        (:func:`repro.core.matching.match_maps`); the engine adds the
+        rebuilt immutables to it. ``decoded`` is every mutable object the
+        reply decoded except the reply's own list roots — the reader's
+        linear map, in stream order. ``immutables`` and ``resolved`` are
+        the reader's lists of the same names. ``result`` is the decoded
+        return value, converted too so the caller's view is seamless.
+        Every id key must stay alive until this returns; the reader's
+        lists pin them.
 
         Returns ``(converted_result, stats)``.
         """
+        # Converting a value v is ``get(id(v), v)``: its table entry, or
+        # v itself.
+        get = table.get
+        for value in immutables:
+            table[id(value)] = type(value)([get(id(item), item) for item in value])
+
+        objects: Any = decoded
+        if resolved:
+            # Resolved values are new objects whose fields are converted
+            # too; one canonical object may stand for several shells, or
+            # be a decoded object already listed.
+            seen = set(map(id, decoded))
+            extras = []
+            for obj in resolved:
+                if id(obj) not in seen:
+                    seen.add(id(obj))
+                    extras.append(obj)
+            objects = chain(decoded, extras)
+
         accessor = self._accessor
-        opaque = self._opaque
-        # Raw id()-keyed tables. Every key is an object of the modified
-        # graph, all of which exist before this call and are pinned until
-        # it returns (by ``match``, ``result`` and the captured states), so
-        # no id can be recycled under a live entry.
-        m2o_get = dict(zip(map(id, match.modifieds), match.originals)).get
-        skip_ids = {id(obj) for obj in skip} if skip is not None else ()
-        rebuilt: Dict[int, Any] = {}  # id(modified immutable) -> rebuilt
         tags = dict(_BUILTIN_TAGS)
         transients_of: Dict[type, FrozenSet[str]] = {}
-
-        def convert(value: Any) -> Any:
-            """Map a value in the modified graph to its caller-site value."""
-            original = m2o_get(id(value))
-            if original is not None:
-                return original
-            cls = type(value)
-            if cls is tuple or cls is frozenset:
-                cached = rebuilt.get(id(value))
-                if cached is None:
-                    cached = rebuilt[id(value)] = cls(map(convert, value))
-                return cached
-            # Primitive, new object (server-allocated) or already-original
-            # object: keep identity; its own slots are fixed by the traversal.
-            return value
-
-        # ---- traversal of the modified graph, collecting rewrite actions
-        # as (tag, target, state) — fields and sequences apart from hashed
-        # containers, each list in visit order.
-        sequence_actions: List[Tuple[int, Any, Any]] = []
-        hashed_actions: List[Tuple[int, Any, Any]] = []
+        # Hashed containers wait for the second wave, in decode order.
+        hashed: List[Tuple[int, Any, Any]] = []
         old_overwritten = new_adopted = 0
-
-        visited = set()
-        stack: List[Any] = [result]
-        stack.extend(reversed(match.modifieds))
-        pop = stack.pop
-        extend = stack.extend
-        while stack:
-            obj = pop()
-            tag = tags.get(type(obj))
+        for obj in objects:
+            cls = type(obj)
+            tag = tags.get(cls)
             if tag is None:
-                tag = tags[type(obj)] = self._tag_for(obj, transients_of)
-            if tag == _LEAF:
-                continue
-            obj_id = id(obj)
-            if obj_id in visited or obj_id in skip_ids:
-                continue
-            if opaque is not None and opaque(obj):
-                continue
-            visited.add(obj_id)
-
-            if tag == _TUPLE:
-                # Not rewritable; just keep walking through it.
-                extend(reversed(obj))
-                continue
-            if tag == _FROZENSET:
-                extend(reversed(list(obj)))
-                continue
-
-            target = m2o_get(obj_id)
+                tag = tags[cls] = self._tag_for(obj, transients_of)
+            if tag <= _FROZENSET:
+                continue  # a leaf, or an immutable already rebuilt
+            target = get(id(obj))
             if target is None:
                 target = obj
                 new_adopted += 1
             else:
                 old_overwritten += 1
 
+            # ---- first wave: fields and sequences
             if tag == _DICT_OBJECT:
-                fields = obj.__dict__
-                extend(reversed(fields.values()))
-                sequence_actions.append((tag, target, fields))
-            elif tag == _OBJECT:
-                state = accessor.get_state(obj)
-                extend(value for _name, value in reversed(state))
-                sequence_actions.append((tag, target, state))
-            elif tag == _LIST:
-                extend(reversed(obj))
-                sequence_actions.append((tag, target, obj))
-            elif tag == _BYTEARRAY:
-                sequence_actions.append((tag, target, obj))
-            elif tag == _DICT:
-                for key, value in reversed(obj.items()):
-                    stack.append(value)
-                    stack.append(key)
-                hashed_actions.append((tag, target, obj))
-            else:  # _SET: tags are exhaustive above
-                items = list(obj)
-                extend(reversed(items))
-                hashed_actions.append((tag, target, items))
-
-        # ---- apply: fields and sequences first, hashed containers last
-        for tag, target, state in sequence_actions:
-            if tag == _DICT_OBJECT:
-                converted = {name: convert(value) for name, value in state.items()}
+                state = obj.__dict__
                 fields = target.__dict__
-                transients = transients_of[type(target)]
-                if transients:
-                    # Transient fields never travel, so the caller's local
-                    # values must survive the overwrite untouched.
-                    for name, value in fields.items():
-                        if name in transients:
-                            converted[name] = value
-                # Names the modified version lacks go with the clear().
-                fields.clear()
-                fields.update(converted)
+                kept = None
+                if target is not obj:
+                    transients = transients_of[cls]
+                    if transients:
+                        # Transient fields never travel, so the caller's
+                        # local values must survive the overwrite untouched.
+                        kept = [
+                            (name, fields[name]) for name in transients if name in fields
+                        ]
+                    # Names the modified version lacks go with the clear().
+                    fields.clear()
+                    fields.update(state)
+                # Then convert, in place, the values that need it; a new
+                # object's own dict is patched the same way.
+                for name, value in state.items():
+                    original = get(id(value))
+                    if original is not None:
+                        fields[name] = original
+                if kept:
+                    fields.update(kept)
             elif tag == _OBJECT:
                 self._overwrite_fields(
                     target,
-                    [(name, convert(value)) for name, value in state],
-                    transients_of.get(type(target)),
+                    [
+                        (name, get(id(value), value))
+                        for name, value in accessor.get_state(obj)
+                    ],
+                    transients_of.get(cls),
                 )
             elif tag == _LIST:
-                target[:] = list(map(convert, state))
-            else:  # _BYTEARRAY
-                target[:] = bytes(state)
-        for tag, target, state in hashed_actions:
+                target[:] = [get(id(item), item) for item in obj]
+            elif tag == _BYTEARRAY:
+                target[:] = bytes(obj)
+            else:  # _DICT / _SET: tags are exhaustive above
+                hashed.append((tag, target, obj))
+
+        # ---- second wave: hashed containers, every key in its final state
+        for tag, target, obj in hashed:
             if tag == _DICT:
-                converted = [
-                    (convert(key), convert(value)) for key, value in state.items()
+                converted_items = [
+                    (get(id(key), key), get(id(value), value))
+                    for key, value in obj.items()
                 ]
             else:
-                converted = list(map(convert, state))
+                converted_items = [get(id(item), item) for item in obj]
             target.clear()
-            target.update(converted)
+            target.update(converted_items)
 
         stats = RestoreStats()
         stats.old_overwritten = old_overwritten
         stats.new_adopted = new_adopted
-        result = convert(result)
-        stats.immutables_rebuilt = len(rebuilt)
-        return result, stats
+        stats.immutables_rebuilt = len(immutables)
+        return get(id(result), result), stats
 
     def _tag_for(self, obj: Any, transients_of: Dict[type, FrozenSet[str]]) -> int:
         """The dispatch tag for ``type(obj)`` (exact builtins are pre-seeded),
         noting the class's transient set for the optimized accessor."""
         if classify(obj) is not Kind.OBJECT:
             return _LEAF  # primitive subclass or unsupported shape
+        if self._opaque is not None and self._opaque(obj):
+            return _LEAF
         if not self._optimized:
             return _OBJECT
         cls = type(obj)

@@ -80,7 +80,7 @@ class ClientRestoreContext:
     engine: RestoreEngine = field(default_factory=RestoreEngine)
     externalizers: Tuple = ()
     # Filled by parse_response with reply-shape facts (kind, dirty/total
-    # slot counts) so the caller can feed its adaptive policy chooser.
+    # slot counts), which the caller records in its delta metrics.
     reply_info: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -166,9 +166,36 @@ class FullRestorePolicy(RestorePolicy):
         reader.expect_end()
         if not isinstance(modifieds, list):
             raise RestoreError("full-restore payload root is not a list")
-        match = match_maps(context.originals, modifieds)
-        result, stats = context.engine.restore(match, result)
-        return result, stats
+        table = match_maps(context.originals, modifieds)
+        return _restore_decoded(reader, table, result, context)
+
+
+def _restore_decoded(
+    reader: ObjectReader, table: Dict[int, Any], result: Any,
+    context: ClientRestoreContext,
+) -> Tuple[Any, RestoreStats]:
+    """Steps 5-6 over everything *reader* decoded.
+
+    Every reply root after the first (the return value) is the policy's
+    own list — the retained objects, or the slot indices — and not part
+    of the caller's heap, so it is cut from the decoded objects. A list
+    root sits at the start of its span when the stream built it there; a
+    root that is a back reference built nothing to cut.
+    """
+    objects = reader.linear_map.objects
+    cuts = [
+        start
+        for root, start, end in reader.linear_map.spans[1:]
+        if start < end and objects[start] is root
+    ]
+    decoded = objects
+    if cuts:
+        decoded = list(objects)
+        for start in reversed(cuts):
+            del decoded[start]
+    return context.engine.restore(
+        table, decoded, result, reader.immutables, reader.resolved
+    )
 
 
 def _encode_index(index: int) -> bytes:
@@ -271,18 +298,17 @@ class DeltaRestorePolicy(RestorePolicy):
             previous = index
         stream = header.read_view(header.remaining)
 
-        resolved = IdentitySet()
-
         def resolve(raw: bytes) -> Any:
+            # An external: the original joins the decoded graph as a
+            # value, outside the reader's linear map, so the engine
+            # neither overwrites it nor adopts it.
             index = _decode_index(raw)
             try:
-                obj = originals[index]
+                return originals[index]
             except IndexError:
                 raise RestoreError(
                     f"delta-slots payload references old object {index}"
                 ) from None
-            resolved.add(obj)
-            return obj
 
         oldref = Externalizer(
             name=_OLDREF_EXT,
@@ -301,8 +327,8 @@ class DeltaRestorePolicy(RestorePolicy):
         reader.expect_end()
         if not isinstance(dirty_objects, list):
             raise RestoreError("delta-slots payload root is not a list")
-        match = match_sparse(originals, dirty_indices, dirty_objects)
-        result, stats = context.engine.restore(match, result, skip=resolved)
+        table = match_sparse(originals, dirty_indices, dirty_objects)
+        result, stats = _restore_decoded(reader, table, result, context)
         context.reply_info.update(
             kind="delta-slots", dirty=dirty_count, total=total
         )
@@ -357,11 +383,10 @@ class DceRestorePolicy(RestorePolicy):
         kept_indices = reader.read_root()
         kept_objects = reader.read_root()
         reader.expect_end()
-        match = match_maps(
-            [context.originals[i] for i in kept_indices], kept_objects
-        )
-        result, stats = context.engine.restore(match, result)
-        return result, stats
+        if not isinstance(kept_indices, list) or not isinstance(kept_objects, list):
+            raise RestoreError("dce payload index or object root is not a list")
+        table = match_sparse(context.originals, kept_indices, kept_objects)
+        return _restore_decoded(reader, table, result, context)
 
 
 _POLICIES: Dict[str, Type[RestorePolicy]] = {

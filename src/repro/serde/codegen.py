@@ -336,7 +336,6 @@ def _build_encode_source(
     add("            writer._buf.raw,")
     add("            writer._handles._entries,")
     add("            writer.linear_map._objects,")
-    add("            writer.linear_map._index._entries,")
     add("            writer._class_ids,")
     add("            writer._name_ids,")
     add("            writer._str_memo,")
@@ -348,16 +347,14 @@ def _build_encode_source(
     add("")
     add("")
     add("def _encode_inner(writer, obj, stack, _depth, ctx):")
-    add("    (buf, handles, lm_objects, lm_index, class_ids, name_ids,")
+    add("    (buf, handles, lm_objects, class_ids, name_ids,")
     add("     str_memo, bytes_memo, plan_cache, memo_limit) = ctx")
     add("    handle = writer._next_handle")
     add("    writer._next_handle = handle + 1")
     add("    handles[id(obj)] = (obj, handle)")
     if mutable:
         # The object just missed the handle table, so it cannot be in the
-        # linear map either: append unchecked, maintaining the identity
-        # index exactly as LinearMap.append would.
-        add("    lm_index[id(obj)] = (obj, len(lm_objects))")
+        # linear map either: LinearMap.append_new, inlined.
         add("    lm_objects.append(obj)")
     # -- state extraction, specialized per layout ------------------------
     if stream_dict:
@@ -593,11 +590,9 @@ def _emit_decode_alloc(indent: int, needs_resolve: bool, use_dict: bool) -> str:
     if needs_resolve:
         src += f"{p}slot = -1\n"
     else:
-        # LinearMap.append_new, inlined: the shell is freshly allocated,
-        # so the identity index entry is always new.
+        # LinearMap.append_new, inlined: the shell is freshly allocated.
         src += (
             f"{p}slot = len(lm_objects)\n"
-            f"{p}lm_index[id(shell)] = (shell, slot)\n"
             f"{p}lm_objects.append(shell)\n"
         )
     if use_dict:
@@ -676,7 +671,6 @@ def _build_decode_source(
     add("            reader._schema_rx,")
     add("            reader._names_seen,")
     add("            reader.linear_map._objects,")
-    add("            reader.linear_map._index._entries,")
     add("            reader._digest_accessor is not None,")
     add("        )")
     add("    return _decode_inner(")
@@ -686,7 +680,7 @@ def _build_decode_source(
     add("")
     add("def _decode_inner(reader, stack, wire_version, _depth, ctx, pos):")
     add("    (buf, mv, length, handles, names, classes, set_field,")
-    add("     schema_rx, names_seen, lm_objects, lm_index, capture) = ctx")
+    add("     schema_rx, names_seen, lm_objects, capture) = ctx")
     add("    base = len(stack)")
     add("    work = []")
     add("    try:")
@@ -807,6 +801,7 @@ def _build_decode_source(
     if needs_resolve:
         add("            value = _apply_resolve(shell)")
         add("            handles[handle_slot] = value")
+        add("            reader._note_resolved(value)")
     else:
         add("            if capture:")
         add("                reader._capture_slot(slot, shell)")

@@ -21,7 +21,7 @@ which objects travel is decided in one place — the serializer.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.util.identity import IdentityMap
 
@@ -32,13 +32,25 @@ RootSpan = Tuple[Any, int, int]
 
 
 class LinearMap:
-    """An ordered, identity-indexed list of the mutable reachable objects."""
+    """An ordered list of the mutable reachable objects, with an identity
+    index built on demand.
 
-    __slots__ = ("_objects", "_index", "spans", "replacements")
+    The encoder and decoder only append (each object once, which their own
+    handle tables already guarantee), and nothing on the call path asks
+    "where is this object?". So :meth:`append_new` is one list append, and
+    the ``id -> position`` index is built the first time
+    :meth:`position_of`, ``in`` or :meth:`append` needs it, then brought
+    up to date with whatever was appended since.
+    """
+
+    __slots__ = ("_objects", "_index", "_indexed", "spans", "replacements")
 
     def __init__(self, objects: Optional[List[Any]] = None) -> None:
         self._objects: List[Any] = []
-        self._index: IdentityMap[int] = IdentityMap()
+        # id(obj) -> first position, covering _objects[:_indexed]; the
+        # list pins every object, so no id can be recycled under an entry.
+        self._index: Dict[int, int] = {}
+        self._indexed = 0
         #: One ``(root, start, end)`` per traversed root, in stream order.
         #: Empty for a map filled by :meth:`append` alone; the spans
         #: describe the whole map only when they tile ``0..len(self)``.
@@ -52,27 +64,34 @@ class LinearMap:
             for obj in objects:
                 self.append(obj)
 
+    def _synced_index(self) -> Dict[int, int]:
+        """The identity index, extended over positions appended since the
+        last query."""
+        objects = self._objects
+        index = self._index
+        for position in range(self._indexed, len(objects)):
+            index.setdefault(id(objects[position]), position)
+        self._indexed = len(objects)
+        return index
+
     def append(self, obj: Any) -> int:
         """Add *obj* and return its position; each object appears once."""
-        existing = self._index.get(obj)
+        existing = self._synced_index().get(id(obj))
         if existing is not None:
             return existing
-        position = len(self._objects)
-        self._objects.append(obj)
-        self._index[obj] = position
-        return position
+        return self.append_new(obj)
 
     def append_new(self, obj: Any) -> int:
         """Unchecked append for objects known to be absent.
 
-        The decoder's case: every shell it registers is freshly
-        allocated, so the membership probe in :meth:`append` is a wasted
-        dict lookup on the hottest decode path.
+        The encoder's and decoder's case: the writer appends only on a
+        handle-table miss, and every shell the reader registers is freshly
+        allocated, so a membership probe would be wasted work on the
+        hottest paths.
         """
         objects = self._objects
         position = len(objects)
         objects.append(obj)
-        self._index[obj] = position
         return position
 
     def close_span(self, root: Any, start: int) -> None:
@@ -93,11 +112,11 @@ class LinearMap:
         return self._objects[position]
 
     def __contains__(self, obj: object) -> bool:
-        return obj in self._index
+        return id(obj) in self._synced_index()
 
     def position_of(self, obj: Any) -> Optional[int]:
         """The object's position, or None if it is not in the map."""
-        return self._index.get(obj)
+        return self._synced_index().get(id(obj))
 
     @property
     def objects(self) -> List[Any]:

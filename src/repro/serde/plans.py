@@ -177,7 +177,7 @@ def compile_encode_plan(cls: type, registered_name: str) -> EncodePlan:
         writer._next_handle = handle + 1
         writer._handles[obj] = handle
         if mutable:
-            writer.linear_map.append(obj)
+            writer.linear_map.append_new(obj)
         # -- state extraction (mirrors OptimizedAccessor.get_state) --------
         instance_dict = getattr(obj, "__dict__", None)
         if slot_names:

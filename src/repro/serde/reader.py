@@ -132,6 +132,14 @@ class ObjectReader:
         self.registry = registry if registry is not None else global_registry
         self._local_externalizers = {ext.name: ext for ext in externalizers}
         self.linear_map = LinearMap()
+        #: Every tuple and frozenset decoded, in the order they finished —
+        #: inner before outer. With the linear map and :attr:`resolved`
+        #: this is everything the stream built, which is what the
+        #: caller-side restore converts (repro.core.copy_restore).
+        self.immutables: List[Any] = []
+        #: What ``__nrmi_resolve__`` returned for each decoded instance of
+        #: a resolving class (those shells stay out of the linear map).
+        self.resolved: List[Any] = []
         if profile.chunked_buffers:
             self._buf = SlicingBufferReader(data)
         else:
@@ -943,10 +951,12 @@ class ObjectReader:
         if kind == _F_TUPLE:
             value = tuple(frame.items)
             self._handles[frame.handle_slot] = value
+            self.immutables.append(value)
             return value
         if kind == _F_FROZENSET:
             value = frozenset(frame.items)
             self._handles[frame.handle_slot] = value
+            self.immutables.append(value)
             return value
         if frame.wire_version is not None:
             # Schema evolution: the stream was written by a different
@@ -959,6 +969,7 @@ class ObjectReader:
             # documented limitation Java's readResolve has).
             resolved = apply_resolve(frame.shell)
             self._handles[frame.handle_slot] = resolved
+            self._note_resolved(resolved)
             return resolved
         if frame.linear_slot >= 0:
             # Fused state capture: the slot's shallow state is final once
@@ -967,6 +978,14 @@ class ObjectReader:
             # re-walking the linear map after decoding.
             self._capture_slot(frame.linear_slot, frame.shell)
         return frame.shell
+
+    def _note_resolved(self, value: Any) -> None:
+        """Record what a resolving instance decoded to; an immutable
+        container joins :attr:`immutables` (its parts finished first)."""
+        if type(value) is tuple or type(value) is frozenset:
+            self.immutables.append(value)
+        else:
+            self.resolved.append(value)
 
     # -------------------------------------------------- fused state capture
 

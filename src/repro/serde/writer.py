@@ -239,7 +239,9 @@ class ObjectWriter:
         self._next_handle += 1
         self._handles[obj] = handle
         if mutable:
-            self.linear_map.append(obj)
+            # Callers allocate only on a handle-table miss, so the object
+            # cannot be in the map yet.
+            self.linear_map.append_new(obj)
         return handle
 
     def _write_class_key(self, cls: type) -> None:

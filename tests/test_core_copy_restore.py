@@ -3,6 +3,9 @@
 These tests drive RestoreEngine directly with hand-built original/modified
 pairs, checking in-place overwrite, pointer conversion, new-object
 adoption, immutable rebuilding, and the hashed-container ordering rules.
+The engine runs over what a reply reader would have listed for the
+hand-built graph (``tests.restore_oracle.inventory``), and every case is
+also held against the graph-walking oracle.
 """
 
 import copy
@@ -14,35 +17,49 @@ from repro.core.markers import Restorable
 from repro.core.matching import match_maps
 from repro.core.verify import fingerprint
 from repro.serde.accessors import PORTABLE_ACCESSOR
-from repro.util.identity import IdentitySet
 
 from tests.model_helpers import Box, Node, Pair, SlottedPoint
+from tests.restore_oracle import OracleRestoreEngine, inventory
+
+
+def run_engine(engine, originals, modifieds, result=None, skip=(), opaque=None):
+    """Restore through *engine* over the hand-built graph's inventory."""
+    decoded, immutables = inventory([result] + list(modifieds), skip, opaque)
+    return engine.restore(
+        match_maps(originals, modifieds), decoded, result, immutables
+    )
 
 
 def restore(originals, modifieds, result=None, engine=None, skip=None, opaque=None):
     """Restore under the optimized (plan-driven) engine — and, unless a
-    specific *engine* is asked for, also under the portable one on a deep
-    copy of the same inputs: the two must leave isomorphic heaps, return
-    corresponding results and count the same work, on every case in this
-    module. Returns what the optimized engine returned."""
+    specific *engine* is asked for, also under the portable one and under
+    the graph-walking oracle, each on a deep copy of the same inputs: all
+    three must leave isomorphic heaps, return corresponding results and
+    count the same work, on every case in this module. Returns what the
+    optimized engine returned."""
+    skipped = list(skip) if skip is not None else []
     if engine is not None:
-        return engine.restore(match_maps(originals, modifieds), result, skip=skip)
-    skipped = list(skip) if skip is not None else None
-    twin = copy.deepcopy((originals, modifieds, result, skipped))
+        return run_engine(engine, originals, modifieds, result, skipped, opaque)
     outcomes = []
-    for accessor, (origs, mods, res, skp) in (
-        (None, (originals, modifieds, result, skipped)),
-        (PORTABLE_ACCESSOR, twin),
+    for name, (origs, mods, res, skp) in (
+        ("optimized", (originals, modifieds, result, skipped)),
+        ("portable", copy.deepcopy((originals, modifieds, result, skipped))),
+        ("oracle", copy.deepcopy((originals, modifieds, result, skipped))),
     ):
-        kwargs = {} if accessor is None else {"accessor": accessor}
-        converted, stats = RestoreEngine(opaque=opaque, **kwargs).restore(
-            match_maps(origs, mods), res,
-            skip=IdentitySet(skp) if skp is not None else None,
-        )
+        if name == "oracle":
+            converted, stats = OracleRestoreEngine(opaque=opaque).restore(
+                origs, mods, res, skip=skp
+            )
+        else:
+            kwargs = {"accessor": PORTABLE_ACCESSOR} if name == "portable" else {}
+            converted, stats = run_engine(
+                RestoreEngine(opaque=opaque, **kwargs), origs, mods, res, skp, opaque
+            )
         outcomes.append((converted, stats, fingerprint([origs, converted, skp])))
-    (converted, stats, optimized), (_, portable_stats, portable) = outcomes
-    assert optimized == portable
-    assert repr(stats) == repr(portable_stats)
+    (converted, stats, optimized), *others = outcomes
+    for _converted, other_stats, other_fingerprint in others:
+        assert other_fingerprint == optimized
+        assert repr(other_stats) == repr(stats)
     return converted, stats
 
 
@@ -235,7 +252,7 @@ class TestSkipAndOpaque:
         orig, mod = Node(1), Node(2)
         untouchable = Box("keep")
         mod.next = untouchable
-        skip = IdentitySet([untouchable])
+        skip = [untouchable]
         restore([orig], [mod], skip=skip)
         assert orig.next is untouchable
         assert untouchable.payload == "keep"
@@ -262,7 +279,7 @@ class TestSkipAndOpaque:
         mod.next = [resolved, sentinel, Node("new")]
         _result, stats = restore(
             [orig], [mod],
-            skip=IdentitySet([resolved]),
+            skip=[resolved],
             opaque=lambda o: isinstance(o, Opaque),
         )
         assert orig.next[0] is resolved and resolved.payload == "already-original"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.matching import MatchResult, match_maps, match_sparse
+from repro.core.matching import match_maps, match_sparse
 from repro.errors import LinearMapMismatchError, RestoreError
 
 from tests.model_helpers import Node, Pair
@@ -10,20 +10,20 @@ from tests.model_helpers import Node, Pair
 
 class TestMatchMaps:
     def test_empty_maps(self):
-        match = match_maps([], [])
-        assert len(match) == 0
+        table = match_maps([], [])
+        assert len(table) == 0
 
     def test_positional_pairing(self):
         originals = [Node(1), Node(2)]
         modifieds = [Node(10), Node(20)]
-        match = match_maps(originals, modifieds)
-        assert match.modified_to_original[modifieds[0]] is originals[0]
-        assert match.modified_to_original[modifieds[1]] is originals[1]
+        table = match_maps(originals, modifieds)
+        assert table[id(modifieds[0])] is originals[0]
+        assert table[id(modifieds[1])] is originals[1]
 
     def test_pairs_iteration(self):
         originals, modifieds = [Node(1)], [Node(9)]
-        match = match_maps(originals, modifieds)
-        assert list(match.pairs()) == [(originals[0], modifieds[0])]
+        table = match_maps(originals, modifieds)
+        assert list(table.items()) == [(id(modifieds[0]), originals[0])]
 
     def test_length_mismatch_raises(self):
         with pytest.raises(LinearMapMismatchError) as excinfo:
@@ -40,33 +40,33 @@ class TestMatchMaps:
             match_maps([[1]], [{1: 2}])
 
     def test_identical_object_allowed(self):
-        """Delta restore resolves unchanged entries to the originals."""
+        """A position may carry the original itself."""
         node = Node(1)
-        match = match_maps([node], [node])
-        assert match.modified_to_original[node] is node
+        table = match_maps([node], [node])
+        assert table[id(node)] is node
 
     def test_mixed_kinds_align(self):
         originals = [Node(1), [1], {"k": 1}, {1}]
         modifieds = [Node(2), [2], {"k": 2}, {2}]
-        match = match_maps(originals, modifieds)
-        assert len(match) == 4
+        table = match_maps(originals, modifieds)
+        assert len(table) == 4
 
 
 class TestMatchSparse:
-    """Dirty-slot replies match only the transmitted positions."""
+    """Sparse replies (delta, dce) match only the transmitted positions."""
 
     def test_no_dirty_slots_matches_nothing(self):
-        match = match_sparse([Node(1), Node(2)], [], [])
-        assert len(match) == 0
+        table = match_sparse([Node(1), Node(2)], [], [])
+        assert len(table) == 0
 
     def test_subset_pairs_with_indexed_originals(self):
         originals = [Node(1), Node(2), Node(3)]
         modifieds = [Node(20), Node(30)]
-        match = match_sparse(originals, [1, 2], modifieds)
-        assert match.modified_to_original[modifieds[0]] is originals[1]
-        assert match.modified_to_original[modifieds[1]] is originals[2]
+        table = match_sparse(originals, [1, 2], modifieds)
+        assert table[id(modifieds[0])] is originals[1]
+        assert table[id(modifieds[1])] is originals[2]
         # Clean originals never enter the match.
-        assert originals[0] not in list(dict(match.pairs()))
+        assert all(value is not originals[0] for value in table.values())
 
     def test_count_mismatch_raises(self):
         with pytest.raises(LinearMapMismatchError):
@@ -85,3 +85,12 @@ class TestMatchSparse:
     def test_type_mismatch_at_dirty_position_raises(self):
         with pytest.raises(RestoreError, match="position"):
             match_sparse([Node(1), Node(2)], [1], [Pair(1, 2)])
+
+    def test_negative_index_raises(self):
+        with pytest.raises(RestoreError, match="negative"):
+            match_sparse([Node(1), Node(2)], [-1, 0], [Node(9), Node(8)])
+
+    @pytest.mark.parametrize("index", [True, 0.0, "0", None])
+    def test_non_int_index_raises(self, index):
+        with pytest.raises(RestoreError, match="not an int"):
+            match_sparse([Node(1), Node(2)], [index], [Node(9)])

@@ -226,6 +226,32 @@ class TestPayloadValidation:
                 writer.getvalue(), ClientRestoreContext(originals=[])
             )
 
+    @pytest.mark.parametrize(
+        "kept_indices, kept_objects",
+        [
+            ([-1, 0], [Node("x"), Node("y")]),  # a negative index
+            ([1, 0], [Node("x"), Node("y")]),  # not increasing
+            ([0, 0], [Node("x"), Node("y")]),  # repeated
+            ([2], [Node("x")]),  # past the retained list
+            ([0], (Node("x"),)),  # objects not a list
+            ((0,), [Node("x")]),  # indices not a list
+            ([0, 1], [Node("x")]),  # counts disagree
+        ],
+        ids=["negative", "decreasing", "repeated", "out-of-range",
+             "objects-tuple", "indices-tuple", "count"],
+    )
+    def test_dce_rejects_bad_kept_slots(self, kept_indices, kept_objects):
+        originals = [Node("a"), Node("b")]
+        writer = ObjectWriter()
+        writer.write_root(None)
+        writer.write_root(kept_indices)
+        writer.write_root(kept_objects)
+        with pytest.raises(RestoreError):
+            DceRestorePolicy().parse_response(
+                writer.getvalue(), ClientRestoreContext(originals=originals)
+            )
+        assert [node.data for node in originals] == ["a", "b"]
+
     def test_delta_rejects_out_of_range_oldref(self):
         def build():
             return Box(Node("x"))

@@ -114,3 +114,27 @@ class TestLinearMap:
     def test_objects_property(self):
         items = [[1], [2]]
         assert LinearMap(items).objects == items
+
+    def test_index_follows_unchecked_appends(self):
+        """The identity index is built on the first query and extended
+        over whatever was appended since."""
+        lmap = LinearMap()
+        first, second, third = [1], [2], [3]
+        lmap.append_new(first)
+        assert lmap.position_of(first) == 0
+        lmap.append_new(second)
+        lmap.objects.append(third)  # the generated encoders' inlined append
+        assert second in lmap and third in lmap
+        assert lmap.position_of(third) == 2
+        assert lmap.append(second) == 1
+        assert len(lmap) == 3
+
+    def test_encoding_builds_no_index(self):
+        from repro.serde.writer import ObjectWriter
+
+        shared = [0]
+        writer = ObjectWriter()
+        writer.write_root([shared, {"k": shared}, shared])
+        lmap = writer.linear_map
+        assert len(lmap) == 3 and lmap._indexed == 0
+        assert lmap.position_of(shared) == 1
