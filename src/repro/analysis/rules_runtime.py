@@ -7,11 +7,9 @@ These lint the middleware's *own* threaded and protocol code:
   either a race or a missing justification.
 * **NRMI032** — protocol invariants: the constants that several modules
   must agree on (restore-policy/mode wire ids, capability bits, the
-  pipelined-framing magic vs the frame-size limit, the tag bytes
-  ``serde/plans.py``, ``serde/reader.py``, and ``serde/codegen.py``
-  mirror from ``serde/tags.py``, and the schema-cache class-key
-  discriminators in ``serde/schema.py``) are cross-checked from source,
-  so a drifting edit fails the lint gate before it ships a wire
+  pipelined-framing magic vs the frame-size limit, and the schema-cache
+  class-key discriminators in ``serde/schema.py``) are cross-checked from
+  source, so a drifting edit fails the lint gate before it ships a wire
   incompatibility.
 * **NRMI034** — blocking call on the net thread: any method reachable
   from a class's ``selector.select()`` loop must stay non-blocking
@@ -49,7 +47,6 @@ from repro.analysis.model import (
     const_env,
     dotted_name,
     enum_values,
-    fold_const,
     held_locks_of_with,
     last_component,
     lock_aliases,
@@ -161,10 +158,6 @@ def inconsistent_lock_guard(module: ModuleModel) -> Iterable[Finding]:
 
 _PROTOCOL_SUFFIX = "rmi/protocol.py"
 _FRAMING_SUFFIX = "transport/framing.py"
-_TAGS_SUFFIX = "serde/tags.py"
-_PLANS_SUFFIX = "serde/plans.py"
-_READER_SUFFIX = "serde/reader.py"
-_CODEGEN_SUFFIX = "serde/codegen.py"
 _SCHEMA_SUFFIX = "serde/schema.py"
 
 
@@ -219,10 +212,13 @@ def _dict_literal_values(
     scope="project",
 )
 def protocol_invariant_drift(project: ProjectModel) -> Iterable[Finding]:
-    """Cross-file consistency of the wire constants. Runs once per
+    """Cross-file consistency of the wire constants in ``rmi/protocol.py``,
+    ``transport/framing.py`` and ``serde/schema.py``. Runs once per
     ``rmi/protocol.py`` in the scanned set (so a fixture tree is checked
     independently of the real one); counterpart modules are pulled from
-    the same tree, the scan, or disk — in that order."""
+    the same tree, the scan, or disk — in that order. Tag bytes need no
+    cross-check: every module derives its plain-int copies from
+    ``serde/tags.py``."""
     for protocol in list(project.modules):
         if protocol.path.replace("\\", "/").endswith(_PROTOCOL_SUFFIX):
             yield from _check_protocol_tree(project, protocol)
@@ -344,51 +340,7 @@ def _check_protocol_tree(
                 hint="derive the preamble from the two constants",
             )
 
-    # 5. The tag bytes plans.py (``_TAG_*``), reader.py (``_T_*``), and
-    #    codegen.py (both prefixes: generated source interpolates the
-    #    writer-side AND reader-side literals) inline must mirror
-    #    serde/tags.py.
-    tags = _load_counterpart(project, protocol, _TAGS_SUFFIX)
-    if tags is not None:
-        tag_cls = tags.class_named("Tag")
-        if tag_cls is not None:
-            canonical = enum_values(tag_cls)
-            for suffix, prefix in (
-                (_PLANS_SUFFIX, "_TAG_"),
-                (_READER_SUFFIX, "_T_"),
-                (_CODEGEN_SUFFIX, "_TAG_"),
-                (_CODEGEN_SUFFIX, "_T_"),
-            ):
-                mirror = _load_counterpart(project, protocol, suffix)
-                if mirror is None:
-                    continue
-                menv = const_env(mirror)
-                for name in sorted(menv):
-                    if not name.startswith(prefix):
-                        continue
-                    tag_name = name[len(prefix):]
-                    mirrored = menv[name]
-                    expected = canonical.get(tag_name)
-                    node = mirror.module_assigns.get(name)
-                    if expected is None:
-                        yield protocol_invariant_drift.at(
-                            mirror.path,
-                            node or 1,
-                            f"constant {name} mirrors no Tag.{tag_name} "
-                            "member in serde/tags.py",
-                            hint="rename the constant to match a Tag member",
-                        )
-                    elif mirrored != expected:
-                        yield protocol_invariant_drift.at(
-                            mirror.path,
-                            node or 1,
-                            f"constant {name} = {mirrored:#x} drifted from "
-                            f"Tag.{tag_name} = {expected:#x} in serde/tags.py",
-                            hint="keep the inlined tag bytes byte-identical "
-                            "to the Tag enum",
-                        )
-
-    # 6. Session-cached wire schemas: the schema-mode class-key
+    # 5. Session-cached wire schemas: the schema-mode class-key
     #    discriminators and the stream-header flag bit.
     schema = _load_counterpart(project, protocol, _SCHEMA_SUFFIX)
     if schema is not None:

@@ -107,7 +107,7 @@ def dynamic_attr_serializable(module: ModuleModel) -> Iterable[Finding]:
     """The graph walker reads real storage (``__dict__``/``__slots__``);
     attributes synthesized by ``__getattr__``/``__getattribute__`` are
     silently dropped from the copy, and a computed ``__slots__`` defeats
-    the compiled plan's slot layout."""
+    the generated code's slot layout."""
     for cls in module.classes:
         if not cls.is_serializable:
             continue

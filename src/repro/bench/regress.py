@@ -1,20 +1,20 @@
 """Benchmark-regression runner: ``python -m repro.bench.regress``.
 
 Replays the serde micro-benchmark (``bench_serde_micro``: encode/decode of
-scenario III trees under the legacy, modern, and modern-interp — codegen
-disabled — profiles), a tcp/uds/shm transport round-trip comparison, a
-transport × payload × framing **matrix** (echo calls carrying 64 B–64 KiB
-byte payloads over plain and pipelined channels, one windowed-percentile
-row per cell), Table-5-style NRMI copy-restore calls, the delta-restore
-ablation (full-map vs dirty-slot replies under sparse and dense
-mutators), and a concurrency sweep (the staged event-loop server vs the
+scenario III trees under the legacy, modern, and modern-generic —
+generated code off, the generic frame machine on the modern wire format —
+profiles), a tcp/uds/shm transport round-trip comparison, a transport ×
+payload × framing **matrix** (echo calls carrying 64 B–64 KiB byte
+payloads over plain and pipelined channels, one windowed-percentile row
+per cell), Table-5-style NRMI copy-restore calls, the delta-restore
+ablation (full-map vs dirty-slot replies under sparse and dense mutators),
+and a concurrency sweep (the staged event-loop server vs the
 thread-per-connection baseline under 8/32/128 simultaneous echo clients:
-pooled p50/p99 latency, throughput, and the BUSY shed rate), a
-**zero-copy × payload** ladder over shm (the staged copy path vs
-in-place ring encode/borrowed decode, headline
-``shm_zerocopy_vs_shm`` ratio per payload size), and writes the
-measurements to ``BENCH_pr10.json`` at the repository root (override
-with ``--out``).
+pooled p50/p99 latency, throughput, and the BUSY shed rate), a **zero-copy
+× payload** ladder over shm (the staged copy path vs in-place ring
+encode/borrowed decode, headline ``shm_zerocopy_vs_shm`` ratio per payload
+size), and writes the measurements to ``BENCH_pr10.json`` at the
+repository root (override with ``--out``).
 
 Serde-micro and transport timings use **windowed percentiles**: the
 operation runs back-to-back inside fixed wall-clock windows (1 s each in
@@ -100,12 +100,13 @@ PRE_PR_BASELINE_US = {
     },
 }
 
-#: Serde-micro profile matrix. "modern-interp" is the modern wire format
-#: with exec-codegen disabled — the PR 5 configuration — kept as a
-#: measured row so the codegen speedup is visible inside one report.
+#: Serde-micro profile matrix. "modern-generic" is the modern wire format
+#: with generated code off — the generic frame machine the legacy profile
+#: also runs — kept as a measured row so the codegen speedup is visible
+#: inside one report.
 _PROFILES = {
     "modern": MODERN_PROFILE,
-    "modern-interp": _dc_replace(MODERN_PROFILE, use_codegen=False),
+    "modern-generic": _dc_replace(MODERN_PROFILE, use_compiled_plans=False),
     "legacy": LEGACY_PROFILE,
 }
 

@@ -41,12 +41,14 @@ class NRMIConfig:
     """How an endpoint marshals, restores, and accounts.
 
     ``profile``
-        Serialization substrate: ``legacy`` (JDK 1.3-like) or ``modern``
-        (JDK 1.4-like).
+        Serialization substrate: ``legacy`` (JDK 1.3-like: the generic
+        frame machine) or ``modern`` (JDK 1.4-like: generated per-class
+        serde, :mod:`repro.serde.codegen`).
     ``implementation``
         Field-access machinery used by the restore engine and reachability
         computation: ``portable`` (reflective, uncached) or ``optimized``
-        (cached class plans) — the paper's two NRMI implementations.
+        (cached per-class slot layouts) — the paper's two NRMI
+        implementations.
     ``policy``
         Restore policy applied when a call has restorable parameters.
     ``leak_budget``

@@ -18,9 +18,9 @@ paper. The design points that matter for the reproduction:
 
 * **Profiles.** The same format can be written by a ``legacy`` profile
   (per-field reflective access, no descriptor caching, per-object validation
-  — modelling JDK 1.3 RMI) or a ``modern`` profile (cached class plans,
-  interned descriptors — modelling JDK 1.4's flattened, "Unsafe"-based
-  serialization).
+  — modelling JDK 1.3 RMI) or a ``modern`` profile (generated per-class
+  encoders and decoders, interned descriptors — modelling JDK 1.4's
+  flattened, "Unsafe"-based serialization).
 
 * **Safety.** Unlike ``pickle``, decoding never imports or executes
   anything: only classes registered with :mod:`repro.serde.registry` can be

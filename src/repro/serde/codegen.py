@@ -1,33 +1,38 @@
-"""exec-specialized per-class encoders and decoders (PR 6 fast path).
+"""exec-specialized per-class encoders and decoders: the modern profile's
+serde.
 
-:mod:`repro.serde.plans` already compiles a per-class *closure* for the
-modern profile, but the closure still interprets one generic field loop
-per object and bounces every nested object through the writer's work
-stack (encode) or the reader's frame machine (decode).  This module goes
-one step further: for each registered class it ``exec``-builds a source
-function specialized to the class's layout —
+The paper's "optimized" NRMI implementation (Section 5.3.1) wins by
+flattening per-field reflection layers into direct access. This module is
+the reproduction's analogue: for each registered class it ``exec``-builds
+a source function specialized to the class's layout, so the steady-state
+hot loop does no per-object reflection —
 
 * field storage is baked in (plain ``__dict__`` stream, unrolled
-  ``__slots__`` reads, or the generic mixed path);
+  ``__slots__`` reads, or the generic mixed path); transient fields,
+  linear-map membership (``has_resolve`` classes are value-like and stay
+  out) and the first-occurrence class descriptor blob are resolved once;
 * scalar fields write/read straight against the buffer's ``bytearray`` /
   ``memoryview`` with literal tag bytes;
 * runs of float-valued slots collapse into a single
   ``struct.Struct(...).pack`` / ``unpack_from`` call;
 * *nested objects of the same class are unrolled into an iterative
   loop* (a lightweight suspension list, no Python call per node, any
-  depth), and nested plan-backed objects of *other* classes recurse
+  depth), and nested generated-backed objects of *other* classes recurse
   directly (bounded by :data:`MAX_CODEGEN_DEPTH`), so a tree of objects
   serializes with no per-node stack/frame churn at all;
 * any shape the specialization does not cover **bails out** to the
-  interpreted machinery mid-object, preserving pre-order byte-for-byte:
-  generated encode splices its remaining work under whatever the callee
-  left on the writer's work stack, generated decode parks a fully-formed
-  :class:`repro.serde.reader._Frame` for the frame machine to finish.
+  writer's and reader's generic machinery mid-object, preserving
+  pre-order byte-for-byte: generated encode splices its remaining work
+  under whatever the callee left on the writer's work stack, generated
+  decode parks a fully-formed :class:`repro.serde.reader._Frame` for the
+  frame machine to finish.
 
-The interpreted plan path remains both the fallback (any compile error
-degrades to it, counted on ``serde.codegen.fallbacks``) and the
-correctness oracle: generated and interpreted encoding are byte-identical
-and property-tested against each other.
+A class whose function fails to compile is encoded and decoded by that
+generic machinery (counted once per class and registry on
+``serde.codegen.fallbacks``). The generic machinery is also the legacy
+profile's implementation and the correctness oracle: generated and
+generic encoding are byte-identical and property-tested against each
+other.
 
 Compiled functions are cached per ``(class, registry)`` and invalidated
 when the class's ``__nrmi_version__`` moves *or* the process-wide schema
@@ -38,9 +43,10 @@ the global descriptor table means baked descriptor blobs must be rebuilt.
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from functools import partial
 
 from repro.errors import WireFormatError
+from repro.serde.accessors import _collect_slot_names
 from repro.serde.hooks import (
     apply_resolve,
     apply_upgrade,
@@ -49,107 +55,117 @@ from repro.serde.hooks import (
     has_upgrade,
     transient_fields,
 )
-from repro.serde.plans import (
-    DecodePlan,
-    EncodePlan,
-    _collect_slot_names,
-    _uvarint_bytes,
-    compile_encode_plan,
-)
+from repro.serde.schema import CKEY_STREAM_BASE, _str_blob, _uvarint, schema_epoch
+from repro.serde.tags import Tag
 from repro.util.metrics import MetricsRegistry
 
 #: Sentinel returned by a generated decode function when it has parked a
 #: frame for the reader's machine instead of finishing the object itself.
 BAIL = object()
 
-#: Generated functions recurse into nested plan-backed objects up to this
-#: depth; deeper graphs bail to the iterative machinery, which is correct
-#: at any depth. Well under CPython's default recursion limit even with
-#: the dispatcher's own frames on the C stack.
+#: Generated functions recurse into nested generated-backed objects up to
+#: this depth; deeper graphs bail to the iterative machinery, which is
+#: correct at any depth. Well under CPython's default recursion limit even
+#: with the dispatcher's own frames on the C stack.
 MAX_CODEGEN_DEPTH = 64
 
 #: Module-wide codegen telemetry: ``serde.codegen.compiled`` counts
 #: successfully generated functions, ``serde.codegen.fallbacks`` counts
-#: classes that degraded to the interpreted plan path.
+#: classes whose function failed to compile (they take the generic path).
 codegen_metrics = MetricsRegistry()
 
 _F64 = struct.Struct(">d")
 
-# Wire tag bytes interpolated into generated source as literals. Two
-# mirror sets on purpose: ``_TAG_*`` (writer-side, as in serde/plans.py)
-# and ``_T_*`` (reader-side, as in serde/reader.py) — both are
-# cross-checked against serde/tags.py by the NRMI032 lint rule.
-_TAG_NONE = 0x00
-_TAG_TRUE = 0x01
-_TAG_FALSE = 0x02
-_TAG_INT = 0x03
-_TAG_INT_BIG = 0x04
-_TAG_FLOAT = 0x05
-_TAG_STR = 0x07
-_TAG_BYTES = 0x08
-_TAG_REF = 0x09
-_TAG_OBJECT = 0x10
-
-_T_NONE = 0x00
-_T_TRUE = 0x01
-_T_FALSE = 0x02
-_T_INT = 0x03
-_T_FLOAT = 0x05
-_T_STR = 0x07
-_T_BYTES = 0x08
-_T_REF = 0x09
-_T_OBJECT = 0x10
+# Wire tag bytes, interpolated into generated source as int literals.
+_TAG_NONE = int(Tag.NONE)
+_TAG_TRUE = int(Tag.TRUE)
+_TAG_FALSE = int(Tag.FALSE)
+_TAG_INT = int(Tag.INT)
+_TAG_INT_BIG = int(Tag.INT_BIG)
+_TAG_FLOAT = int(Tag.FLOAT)
+_TAG_STR = int(Tag.STR)
+_TAG_BYTES = int(Tag.BYTES)
+_TAG_REF = int(Tag.REF)
+_TAG_OBJECT = int(Tag.OBJECT)
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
 
-def schema_epoch() -> int:
-    """The process-wide schema-table epoch codegen plans are stamped with."""
-    from repro.serde.schema import global_schema_table
+class CodegenEncodePlan:
+    """A class's generated encoder, stamped with what it was compiled for.
 
-    return global_schema_table.epoch
-
-
-class CodegenEncodePlan(EncodePlan):
-    """An :class:`EncodePlan` whose ``encode`` is a generated function.
-
-    Generated encoders return ``True`` when the object was written
-    completely and ``False`` when they handed remaining work to the
+    ``encode(writer, obj, stack)`` returns ``True`` when the object was
+    written completely and ``False`` when it handed remaining work to the
     writer's stack; the writer's hot loop ignores the return value, only
-    recursive generated callers look at it.
+    recursive generated callers look at it. ``encode`` is ``None`` when
+    compilation failed: the writer then takes its generic object path.
     """
 
-    __slots__ = ("epoch", "encode_inner")
+    __slots__ = ("version", "epoch", "encode", "encode_inner")
 
     def __init__(
-        self, cls: type, version: int, encode, epoch: int, encode_inner
+        self, version: int, epoch: int, encode=None, encode_inner=None
     ) -> None:
-        super().__init__(cls, version, encode)
+        self.version = version
         self.epoch = epoch
+        self.encode = encode
         #: ``encode_inner(writer, obj, stack, depth, ctx)`` — the recursion
         #: target generated parents call so the hot-internals tuple is
         #: unpacked once per root instead of once per object.
         self.encode_inner = encode_inner
 
 
-class CodegenDecodePlan(DecodePlan):
-    """A :class:`DecodePlan` carrying an optional generated decoder.
+class CodegenDecodePlan:
+    """A class's decoding facts plus its generated decoder.
 
     ``decode_fn(reader, stack, wire_version)`` returns the decoded object
     or :data:`BAIL`; ``None`` (compile failure) routes the class through
-    the interpreted frame machine using the inherited plan facts.
+    the reader's frame machine, which builds shells from the facts here.
     """
 
-    __slots__ = ("epoch", "decode_inner")
+    __slots__ = (
+        "version",
+        "epoch",
+        "factory",
+        "needs_resolve",
+        "has_upgrade",
+        "decode_fn",
+        "decode_inner",
+    )
 
     def __init__(self, cls: type, version: int, epoch: int) -> None:
-        super().__init__(cls, version)
+        self.version = version
         self.epoch = epoch
+        self.factory = partial(object.__new__, cls)
+        self.needs_resolve = has_resolve(cls)
+        self.has_upgrade = has_upgrade(cls)
+        self.decode_fn = None
         #: ``decode_inner(reader, stack, wire_version, depth, ctx, pos)``
         #: returning ``(value, pos)`` — the recursion target generated
         #: parents call, threading the buffer cursor as a plain local.
         self.decode_inner = None
+
+
+def _dict_store_safe(cls: type) -> bool:
+    """Whether plain ``__dict__`` stores are equivalent to ``setattr``.
+
+    True when no class in the MRO declares ``__slots__`` and no non-dunder
+    class attribute is a data descriptor (its type defines ``__set__``) —
+    then every attribute store lands in the instance dict, so generated
+    decoders may store fields straight into it. (Dunder names are skipped:
+    every class carries ``__dict__`` and ``__weakref__`` getset
+    descriptors, which are not field stores.)
+    """
+    for klass in cls.__mro__[:-1]:
+        if "__slots__" in klass.__dict__:
+            return False
+        for name, attr in klass.__dict__.items():
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if hasattr(type(attr), "__set__"):
+                return False
+    return True
 
 
 def _instances_have_dict(cls: type) -> bool:
@@ -195,7 +211,7 @@ def _read_uvarint_src(target: str, indent: int) -> str:
 
 
 def _encode_field_body(indent: int, materialize: str) -> str:
-    """One field's name + value emission, mirroring the plan closure.
+    """One field's name + value emission.
 
     *materialize* is source that (re)builds ``state`` as an indexable
     ``(name, value)`` list before a bail hands leftover fields to the
@@ -214,8 +230,7 @@ def _encode_field_body(indent: int, materialize: str) -> str:
         f"{p}    name_ids[field_name] = len(name_ids) + 1\n"
         f"{p}    blob = _name_blobs.get(field_name)\n"
         f"{p}    if blob is None:\n"
-        f'{p}        encoded = field_name.encode("utf-8")\n'
-        f'{p}        blob = b"\\x00" + _uvarint_bytes(len(encoded)) + encoded\n'
+        f'{p}        blob = b"\\x00" + _str_blob(field_name)\n'
         f"{p}        _name_blobs[field_name] = blob\n"
         f"{p}    buf += blob\n"
         f"{p}else:\n"
@@ -440,31 +455,25 @@ def _build_encode_source(
     return "\n".join(lines) + "\n"
 
 
-def compile_codegen_encode_plan(cls: type, registered_name: str) -> EncodePlan:
-    """Generate the specialized encoder for *cls*; fall back on any error.
+def compile_codegen_encode_plan(
+    cls: type, registered_name: str
+) -> CodegenEncodePlan:
+    """Generate the specialized encoder for *cls*.
 
-    The fallback wraps the interpreted closure and reports ``False``
-    (bailed) to recursive callers — correct whether the closure completed
-    or pushed leftovers, since a caller's splice point is below any work
-    the closure appended.
+    On any error the plan comes back with ``encode`` left ``None``, and
+    the writer encodes the class through its generic object path.
     """
     epoch = schema_epoch()
+    version = class_version(cls)
     try:
-        version = class_version(cls)
         transients = transient_fields(cls)
         mutable = not has_resolve(cls)
-        slot_names = _collect_slot_names(cls)
+        slot_names = tuple(_collect_slot_names(cls))
         stream_dict = not slot_names and not transients
         static_slots = bool(slot_names) and not _instances_have_dict(cls)
         usable_slots = tuple(s for s in slot_names if s not in transients)
         batch_fields = usable_slots if static_slots and len(usable_slots) >= 2 else ()
-        name_utf8 = registered_name.encode("utf-8")
-        class_blob = (
-            b"\x00"
-            + _uvarint_bytes(len(name_utf8))
-            + name_utf8
-            + _uvarint_bytes(version)
-        )
+        class_blob = b"\x00" + _str_blob(registered_name) + _uvarint(version)
         source = _build_encode_source(
             cls, mutable, slot_names, transients, stream_dict,
             static_slots, batch_fields,
@@ -475,7 +484,7 @@ def compile_codegen_encode_plan(cls: type, registered_name: str) -> EncodePlan:
             "_rname": registered_name,
             "_version": version,
             "_name_blobs": {},
-            "_uvarint_bytes": _uvarint_bytes,
+            "_str_blob": _str_blob,
             "_f64_pack": _F64.pack,
             "_slot_names": slot_names,
             "_transients": transients,
@@ -488,26 +497,13 @@ def compile_codegen_encode_plan(cls: type, registered_name: str) -> EncodePlan:
             source, f"<nrmi-codegen-encode:{registered_name}>", "exec"
         )
         exec(code, namespace)
-        codegen_metrics.counter("serde.codegen.compiled").add()
-        return CodegenEncodePlan(
-            cls, version, namespace["_encode"], epoch,
-            namespace["_encode_inner"],
-        )
     except Exception:
         codegen_metrics.counter("serde.codegen.fallbacks").add()
-        inner = compile_encode_plan(cls, registered_name)
-
-        def fallback(writer, obj, stack, _depth=0, _inner=inner.encode):
-            _inner(writer, obj, stack)
-            return False
-
-        def fallback_inner(writer, obj, stack, _depth, ctx, _inner=inner.encode):
-            _inner(writer, obj, stack)
-            return False
-
-        return CodegenEncodePlan(
-            cls, inner.version, fallback, epoch, fallback_inner
-        )
+        return CodegenEncodePlan(version, epoch)
+    codegen_metrics.counter("serde.codegen.compiled").add()
+    return CodegenEncodePlan(
+        version, epoch, namespace["_encode"], namespace["_encode_inner"]
+    )
 
 
 # --------------------------------------------------------------- decode
@@ -517,10 +513,10 @@ def _decode_scalar_arms_head(p: str) -> str:
     """The hottest dispatch arms; the builder puts the OBJECT arm right
     after these, ahead of the string/ref/float tail."""
     return (
-        f"{p}if tag == {_T_INT}:\n"
+        f"{p}if tag == {_TAG_INT}:\n"
         + _read_uvarint_src("raw", len(p) + 4)
         + f"{p}    value = (raw >> 1) ^ -(raw & 1)\n"
-        f"{p}elif tag == {_T_NONE}:\n"
+        f"{p}elif tag == {_TAG_NONE}:\n"
         f"{p}    value = None\n"
     )
 
@@ -528,7 +524,7 @@ def _decode_scalar_arms_head(p: str) -> str:
 def _decode_scalar_arms_tail(p: str) -> str:
     """The remaining scalar dispatch arms (all ``elif``)."""
     return (
-        f"{p}elif tag == {_T_REF}:\n"
+        f"{p}elif tag == {_TAG_REF}:\n"
         + _read_uvarint_src("ref", len(p) + 4)
         + f"{p}    try:\n"
         f"{p}        value = handles[ref]\n"
@@ -538,7 +534,7 @@ def _decode_scalar_arms_tail(p: str) -> str:
         f"{p}    if value is _NO_VALUE:\n"
         f"{p}        buf._pos = pos\n"
         f'{p}        raise _WireFormatError(f"forward reference to handle {{ref}}")\n'
-        f"{p}elif tag == {_T_STR}:\n"
+        f"{p}elif tag == {_TAG_STR}:\n"
         + _read_uvarint_src("size", len(p) + 4)
         + f"{p}    end = pos + size\n"
         f"{p}    if end > length:\n"
@@ -550,7 +546,7 @@ def _decode_scalar_arms_tail(p: str) -> str:
         f'{p}    value = str(mv[pos:end], "utf-8")\n'
         f"{p}    pos = end\n"
         f"{p}    handles.append(value)\n"
-        f"{p}elif tag == {_T_FLOAT}:\n"
+        f"{p}elif tag == {_TAG_FLOAT}:\n"
         f"{p}    end = pos + 8\n"
         f"{p}    if end > length:\n"
         f"{p}        buf._pos = pos\n"
@@ -560,11 +556,11 @@ def _decode_scalar_arms_tail(p: str) -> str:
         f"{p}        )\n"
         f"{p}    value = _unpack_f64(mv, pos)[0]\n"
         f"{p}    pos = end\n"
-        f"{p}elif tag == {_T_TRUE}:\n"
+        f"{p}elif tag == {_TAG_TRUE}:\n"
         f"{p}    value = True\n"
-        f"{p}elif tag == {_T_FALSE}:\n"
+        f"{p}elif tag == {_TAG_FALSE}:\n"
         f"{p}    value = False\n"
-        f"{p}elif tag == {_T_BYTES}:\n"
+        f"{p}elif tag == {_TAG_BYTES}:\n"
         + _read_uvarint_src("size", len(p) + 4)
         + f"{p}    end = pos + size\n"
         f"{p}    if end > length:\n"
@@ -612,7 +608,7 @@ def _emit_decode_batch(indent: int, batch_n: int) -> str:
         f"{p}    nlen = len(names)\n"
     )
     guard = " and ".join(
-        f"_v[{3 * k + 1}] == {_T_FLOAT} and 0 < _v[{3 * k}] < 128 "
+        f"_v[{3 * k + 1}] == {_TAG_FLOAT} and 0 < _v[{3 * k}] < 128 "
         f"and _v[{3 * k}] <= nlen"
         for k in range(batch_n)
     )
@@ -717,7 +713,7 @@ def _build_decode_source(
     lines.extend(_decode_scalar_arms_head(" " * 16).rstrip("\n").split("\n"))
     # -- nested object (hot in homogeneous graphs, hence dispatched
     # ahead of the string/ref/float tail) --------------------------------
-    add(f"                elif tag == {_T_OBJECT}:")
+    add(f"                elif tag == {_TAG_OBJECT}:")
     lines.extend(_read_uvarint_src("ckey", 20).rstrip("\n").split("\n"))
     add("                    if schema_rx is None:")
     add("                        if ckey:")
@@ -826,17 +822,16 @@ def _build_decode_source(
     add("    return value, pos")
     add("")
     add("")
-    # Bail helper: a frame in exactly the state the interpreted machinery
+    # Bail helper: a frame in exactly the state the reader's frame machine
     # expects mid-object (current field's name parked, count not yet
-    # decremented), so _read_value/_drain_object_fields finish the object.
+    # decremented), so _read_value finishes the object through
+    # _step/_deliver.
     add("def _bail_frame(reader, shell, handle_slot, slot, name, remaining,")
     add("                wire_version):")
     add("    frame = _Frame(_F_OBJECT, remaining)")
     add("    frame.shell = shell")
     add("    frame.handle_slot = handle_slot")
     add("    frame.pending_name = name")
-    if use_dict:
-        add("    frame.field_dict = shell.__dict__")
     if needs_resolve:
         add("    frame.needs_resolve = True")
     else:
@@ -863,31 +858,25 @@ def _build_decode_source(
     return "\n".join(lines) + "\n"
 
 
-def compile_codegen_decode_plan(cls: type, registered_name: str) -> DecodePlan:
-    """Generate the specialized decoder for *cls*; fall back on any error.
+def compile_codegen_decode_plan(
+    cls: type, registered_name: str
+) -> CodegenDecodePlan:
+    """Generate the specialized decoder for *cls*.
 
-    The fallback is a :class:`CodegenDecodePlan` with ``decode_fn`` left
-    ``None`` — the reader's frame machine then decodes the class through
-    the inherited interpreted plan facts.
+    On any error the plan comes back with ``decode_fn`` left ``None``, and
+    the reader's frame machine decodes the class from the plan's facts.
     """
-    epoch = schema_epoch()
-    plan = CodegenDecodePlan(cls, class_version(cls), epoch)
+    plan = CodegenDecodePlan(cls, class_version(cls), schema_epoch())
     try:
         from repro.serde.reader import _F_OBJECT, _Frame, _NO_VALUE
-        from repro.serde.schema import CKEY_STREAM_BASE
 
         slot_names = _collect_slot_names(cls)
         static_slots = bool(slot_names) and not _instances_have_dict(cls)
-        usable_slots = tuple(
-            s for s in slot_names if s not in transient_fields(cls)
-        )
-        batch_n = (
-            len(usable_slots)
-            if static_slots and not plan.use_dict and len(usable_slots) >= 2
-            else 0
-        )
+        usable_slots = [s for s in slot_names if s not in transient_fields(cls)]
+        # Static slots rule out an instance dict: batches use set_field.
+        batch_n = len(usable_slots) if static_slots and len(usable_slots) >= 2 else 0
         source = _build_decode_source(
-            plan.needs_resolve, plan.has_upgrade, plan.use_dict, batch_n
+            plan.needs_resolve, plan.has_upgrade, _dict_store_safe(cls), batch_n
         )
         namespace = {
             "_new": object.__new__,
@@ -912,11 +901,10 @@ def compile_codegen_decode_plan(cls: type, registered_name: str) -> DecodePlan:
             source, f"<nrmi-codegen-decode:{registered_name}>", "exec"
         )
         exec(code, namespace)
-        plan.decode_fn = namespace["_decode"]
-        plan.decode_inner = namespace["_decode_inner"]
-        codegen_metrics.counter("serde.codegen.compiled").add()
     except Exception:
         codegen_metrics.counter("serde.codegen.fallbacks").add()
-        plan.decode_fn = None
-        plan.decode_inner = None
+        return plan
+    plan.decode_fn = namespace["_decode"]
+    plan.decode_inner = namespace["_decode_inner"]
+    codegen_metrics.counter("serde.codegen.compiled").add()
     return plan

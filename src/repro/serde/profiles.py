@@ -9,7 +9,9 @@ The paper evaluates every configuration under two JDKs:
 
 The reproduction models the pair as *profiles* of one wire format. A profile
 bundles the field accessor, whether class/field descriptors are interned
-(cached) in the stream, and whether a per-object validation pass runs. The
+(cached) in the stream, whether a per-object validation pass runs, and
+whether registered classes go through generated per-class code
+(:mod:`repro.serde.codegen`) or the generic frame machine. The
 ``legacy`` profile therefore does strictly more work and writes strictly
 more bytes per object — the same mechanism, and hence the same *shape* of
 speedup, as the JDK 1.3 to 1.4 transition.
@@ -34,18 +36,13 @@ class SerializationProfile:
     accessor: FieldAccessor
     intern_descriptors: bool
     per_object_validation: bool
-    #: Use compiled per-class encode/decode plans (see repro.serde.plans)
-    #: and the zero-copy buffer fast path. The wire format is unchanged —
-    #: only the encoder/decoder implementation differs.
+    #: Encode and decode registered classes through generated per-class
+    #: functions (repro.serde.codegen) and the zero-copy buffer fast path.
+    #: The wire format is unchanged — only the implementation differs.
     use_compiled_plans: bool = False
     #: Route writes/reads through the chunk-list / slice-copy buffer classes
     #: that model the legacy stack's per-primitive allocation behaviour.
     chunked_buffers: bool = False
-    #: Use exec-generated per-class encode/decode functions
-    #: (see repro.serde.codegen) on top of compiled plans. Subordinate to
-    #: ``use_compiled_plans`` — ignored when plans are off. Byte-identical
-    #: to the interpreted plan path.
-    use_codegen: bool = False
 
     def __repr__(self) -> str:
         return f"SerializationProfile({self.name!r})"
@@ -62,7 +59,7 @@ LEGACY_PROFILE = SerializationProfile(
     chunked_buffers=True,
 )
 
-#: Models JDK 1.4-era RMI: compiled class plans, interned descriptors,
+#: Models JDK 1.4-era RMI: generated per-class serde, interned descriptors,
 #: single-buffer zero-copy stream layer.
 MODERN_PROFILE = SerializationProfile(
     name="modern",
@@ -71,7 +68,6 @@ MODERN_PROFILE = SerializationProfile(
     per_object_validation=False,
     use_compiled_plans=True,
     chunked_buffers=False,
-    use_codegen=True,
 )
 
 _PROFILES = {p.name: p for p in (LEGACY_PROFILE, MODERN_PROFILE)}

@@ -15,14 +15,16 @@ container is unconstructable in Python in the first place.
 Profile split (mirrors the writer): the legacy profile reads through the
 slice-copying buffer that models JDK 1.3's stream layer and re-derives
 per-class facts for every object; the modern profile reads through a
-``memoryview`` with no per-primitive copies, caches per-class decode plans
-(:mod:`repro.serde.plans`), and drains runs of scalar fields in a tight
-inline loop instead of one full frame-machine cycle per field.
+``memoryview`` with no per-primitive copies and hands each registered
+class to its generated decoder (:mod:`repro.serde.codegen`). A generated
+decoder that meets a shape it does not cover parks its object as a frame;
+the frame machine finishes that object's remaining fields one
+``_step``/``_deliver`` cycle each, and a nested object among them goes
+back to its own generated decoder.
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Any, Dict, List, Optional
 
 from repro.errors import WireFormatError
@@ -49,8 +51,6 @@ from repro.serde.schema import (
 from repro.serde.tags import Tag, WIRE_MAGIC, WIRE_VERSION
 from repro.util.buffers import BufferReader, SlicingBufferReader
 
-_F64_UNPACK = struct.Struct(">d").unpack_from
-
 _NO_VALUE = object()
 _FRAME_PUSHED = object()
 
@@ -62,17 +62,11 @@ _F_FROZENSET = 3
 _F_DICT = 4
 _F_OBJECT = 5
 
-# Tag bytes as plain ints for the scalar drain loop (mirrors Tag; enum
-# attribute access and __eq__ are measurable in the per-field hot path).
-_T_NONE = 0x00
-_T_TRUE = 0x01
-_T_FALSE = 0x02
-_T_INT = 0x03
-_T_FLOAT = 0x05
-_T_STR = 0x07
-_T_BYTES = 0x08
-_T_REF = 0x09
-_T_OBJECT = 0x10
+# Tag bytes as plain ints for the list drain loop (enum attribute access
+# and __eq__ are measurable in the per-element hot path).
+_T_NONE = int(Tag.NONE)
+_T_INT = int(Tag.INT)
+_T_REF = int(Tag.REF)
 
 
 class _Frame:
@@ -89,7 +83,6 @@ class _Frame:
         "pending_name",
         "needs_resolve",
         "wire_version",
-        "field_dict",
         "linear_slot",
     )
 
@@ -104,9 +97,6 @@ class _Frame:
         self.pending_name: Optional[str] = None
         self.needs_resolve = False
         self.wire_version: Optional[int] = None
-        #: The shell's instance dict when batched dict stores are safe
-        #: (plan.use_dict); None routes stores through the accessor.
-        self.field_dict: Optional[dict] = None
         #: Linear-map position to capture at frame finish (fused state
         #: capture); -1 when capture is off or the shell is not mapped.
         self.linear_slot = -1
@@ -147,16 +137,13 @@ class ObjectReader:
         self._handles: List[Any] = []
         self._classes: List[tuple] = []  # (class, wire_version, plan-or-None)
         self._names: List[str] = []
-        # Decode plans mirror the writer's gating: they bake in interned
-        # descriptors and no per-object validation.
+        # Generated decoders mirror the writer's gating: they bake in
+        # interned descriptors and no per-object validation.
         self._use_plans = (
             profile.use_compiled_plans
             and profile.intern_descriptors
             and not profile.per_object_validation
         )
-        # exec-generated decoders (repro.serde.codegen) ride on the plan
-        # pipeline: same wire bytes, direct function call per object.
-        self._use_codegen = self._use_plans and profile.use_codegen
         self._set_field = profile.accessor.set_field
         # Lazily-built tuple of hot internals bound in one load by
         # generated decoders (repro.serde.codegen); every member is bound
@@ -241,10 +228,8 @@ class ObjectReader:
 
     def _plan_for(self, cls: type):
         """The decode plan matching this reader's profile (or None)."""
-        if self._use_codegen:
-            return self.registry.codegen_decode_plan_for(cls)
         if self._use_plans:
-            return self.registry.decode_plan_for(cls)
+            return self.registry.codegen_decode_plan_for(cls)
         return None
 
     def _read_inline_class(self) -> tuple:
@@ -308,7 +293,7 @@ class ObjectReader:
             raise WireFormatError(f"dangling name id {key}") from None
 
     def _read_value(self) -> Any:
-        fast = self._use_plans
+        drain_lists = self._use_plans
         stack: List[_Frame] = []
         result: Any = _NO_VALUE
         while True:
@@ -317,8 +302,8 @@ class ObjectReader:
                 if result is _FRAME_PUSHED:
                     result = _NO_VALUE
                     frame = stack[-1]
-                    if fast and frame.remaining:
-                        self._drain(frame, stack)
+                    if drain_lists and frame.kind == _F_LIST and frame.remaining:
+                        self._drain_list_items(frame)
                     if frame.remaining == 0:
                         stack.pop()
                         result = self._finish(frame)
@@ -328,27 +313,14 @@ class ObjectReader:
             frame = stack[-1]
             self._deliver(frame, result)
             result = _NO_VALUE
-            if fast and frame.remaining:
-                # Back from decoding a value the direct loops do not
-                # inline: resume them before paying full frame-machine
-                # cycles for what follows. An object drain may leave
-                # deeper frames on the stack; *frame* can only hit
-                # remaining == 0 when it is back on top.
-                self._drain(frame, stack)
+            if drain_lists and frame.kind == _F_LIST and frame.remaining:
+                # Back from decoding an element the direct loop does not
+                # inline: resume it before paying full frame-machine
+                # cycles for what follows.
+                self._drain_list_items(frame)
             if frame.remaining == 0:
                 stack.pop()
                 result = self._finish(frame)
-
-    def _drain(self, frame: _Frame, stack: List[_Frame]) -> None:
-        """Run the direct loop for *frame*'s kind, if it has one."""
-        kind = frame.kind
-        # pending_name is set when a generated decoder bailed mid-field:
-        # the next value must route through _step/_deliver, not the
-        # name-first drain loop.
-        if kind == _F_OBJECT and frame.pending_name is None:
-            self._drain_object_fields(frame, stack)
-        elif kind == _F_LIST:
-            self._drain_list_items(frame)
 
     def _drain_list_items(self, frame: _Frame) -> None:
         """Decode list elements in one direct loop.
@@ -421,362 +393,6 @@ class ObjectReader:
             buf._pos = pos
             frame.remaining = remaining
 
-    def _drain_object_fields(self, frame: _Frame, stack: List[_Frame]) -> None:
-        """Decode an object subtree in one direct loop.
-
-        Reads ``name, tag, payload`` triples straight off the buffer — no
-        per-field ``_step``/``_deliver`` dispatch — and when a field's
-        value is itself a plan-backed object, opens its frame *inside the
-        loop* and keeps going, so a tree of objects with scalar leaves
-        decodes without ever bouncing through the generic frame machine.
-        Frames this loop pushes onto *stack* are in exactly the state
-        ``_step`` would have left them, so on any other value shape
-        (container, big int, external, ...) the already-read name is
-        parked on ``pending_name`` and the generic machinery takes over
-        exactly where it would have been. The frame the caller passed in
-        is never popped here: ``_read_value`` finishes it.
-        """
-        buf = self._buf
-        set_field = self._set_field
-        handles = self._handles
-        names = self._names
-        names_seen = self._names_seen
-        classes = self._classes
-        schema_rx = self._schema_rx
-        lm_append = self.linear_map.append_new
-        capture = self._digest_accessor is not None
-        accessor_new = self.profile.accessor.new_instance
-        unpack_f64 = _F64_UNPACK
-        base = len(stack)
-        cur = frame
-        shell = cur.shell
-        field_dict = cur.field_dict
-        remaining = cur.remaining
-        # Read through buffer internals directly: one attribute load up
-        # front instead of a method call per primitive. Every exit path
-        # (including raises) writes the cursor back into the buffer.
-        mv = buf._mv
-        pos = buf._pos
-        length = buf._len
-        try:
-            while True:
-                if not remaining:
-                    # The innermost object is complete. The caller's frame
-                    # is finished by _read_value; deeper frames finish and
-                    # deliver to their parent right here.
-                    cur.remaining = 0
-                    if len(stack) == base:
-                        break
-                    stack.pop()
-                    if (
-                        cur.wire_version is not None
-                        or cur.needs_resolve
-                        or cur.linear_slot >= 0
-                    ):
-                        value = self._finish(cur)
-                    else:
-                        value = cur.shell
-                    cur = stack[-1]
-                    shell = cur.shell
-                    field_dict = cur.field_dict
-                    remaining = cur.remaining
-                    name = cur.pending_name
-                    cur.pending_name = None
-                    if field_dict is not None:
-                        field_dict[name] = value
-                    else:
-                        set_field(shell, name, value)
-                    remaining -= 1
-                    continue
-                # -- field-name key (inline uvarint) ----------------------
-                byte = mv[pos]
-                pos += 1
-                if byte & 0x80:
-                    key = byte & 0x7F
-                    shift = 7
-                    while True:
-                        byte = mv[pos]
-                        pos += 1
-                        key |= (byte & 0x7F) << shift
-                        if not byte & 0x80:
-                            break
-                        shift += 7
-                        if shift > 70:
-                            buf._pos = pos
-                            raise WireFormatError(
-                                "uvarint too long (corrupt stream)"
-                            )
-                else:
-                    key = byte
-                if key:
-                    try:
-                        name = names[key - 1]
-                    except IndexError:
-                        buf._pos = pos
-                        raise WireFormatError(
-                            f"dangling name id {key}"
-                        ) from None
-                else:
-                    buf._pos = pos
-                    name = buf.read_str()
-                    pos = buf._pos
-                    names.append(name)
-                    if names_seen is not None:
-                        names_seen.add(name)
-                # -- value tag + payload ----------------------------------
-                tag = mv[pos]
-                pos += 1
-                if tag == _T_INT:
-                    byte = mv[pos]
-                    pos += 1
-                    if byte & 0x80:
-                        raw = byte & 0x7F
-                        shift = 7
-                        while True:
-                            byte = mv[pos]
-                            pos += 1
-                            raw |= (byte & 0x7F) << shift
-                            if not byte & 0x80:
-                                break
-                            shift += 7
-                            if shift > 70:
-                                buf._pos = pos
-                                raise WireFormatError(
-                                    "uvarint too long (corrupt stream)"
-                                )
-                    else:
-                        raw = byte
-                    value = (raw >> 1) ^ -(raw & 1)
-                elif tag == _T_STR:
-                    byte = mv[pos]
-                    pos += 1
-                    if byte & 0x80:
-                        count = byte & 0x7F
-                        shift = 7
-                        while True:
-                            byte = mv[pos]
-                            pos += 1
-                            count |= (byte & 0x7F) << shift
-                            if not byte & 0x80:
-                                break
-                            shift += 7
-                            if shift > 70:
-                                buf._pos = pos
-                                raise WireFormatError(
-                                    "uvarint too long (corrupt stream)"
-                                )
-                    else:
-                        count = byte
-                    end = pos + count
-                    if end > length:
-                        buf._pos = pos
-                        raise WireFormatError(
-                            f"truncated stream: need {count} bytes at offset "
-                            f"{pos}, have {length - pos}"
-                        )
-                    value = str(mv[pos:end], "utf-8")
-                    pos = end
-                    handles.append(value)
-                elif tag == _T_REF:
-                    byte = mv[pos]
-                    pos += 1
-                    if byte & 0x80:
-                        slot = byte & 0x7F
-                        shift = 7
-                        while True:
-                            byte = mv[pos]
-                            pos += 1
-                            slot |= (byte & 0x7F) << shift
-                            if not byte & 0x80:
-                                break
-                            shift += 7
-                            if shift > 70:
-                                buf._pos = pos
-                                raise WireFormatError(
-                                    "uvarint too long (corrupt stream)"
-                                )
-                    else:
-                        slot = byte
-                    try:
-                        value = handles[slot]
-                    except IndexError:
-                        buf._pos = pos
-                        raise WireFormatError(
-                            f"dangling handle {slot}"
-                        ) from None
-                    if value is _NO_VALUE:
-                        buf._pos = pos
-                        raise WireFormatError(
-                            f"forward reference to handle {slot}"
-                        )
-                elif tag == _T_FLOAT:
-                    end = pos + 8
-                    if end > length:
-                        buf._pos = pos
-                        raise WireFormatError(
-                            f"truncated stream: need 8 bytes at offset "
-                            f"{pos}, have {length - pos}"
-                        )
-                    value = unpack_f64(mv, pos)[0]
-                    pos = end
-                elif tag == _T_NONE:
-                    value = None
-                elif tag == _T_TRUE:
-                    value = True
-                elif tag == _T_FALSE:
-                    value = False
-                elif tag == _T_BYTES:
-                    byte = mv[pos]
-                    pos += 1
-                    if byte & 0x80:
-                        count = byte & 0x7F
-                        shift = 7
-                        while True:
-                            byte = mv[pos]
-                            pos += 1
-                            count |= (byte & 0x7F) << shift
-                            if not byte & 0x80:
-                                break
-                            shift += 7
-                            if shift > 70:
-                                buf._pos = pos
-                                raise WireFormatError(
-                                    "uvarint too long (corrupt stream)"
-                                )
-                    else:
-                        count = byte
-                    end = pos + count
-                    if end > length:
-                        buf._pos = pos
-                        raise WireFormatError(
-                            f"truncated stream: need {count} bytes at offset "
-                            f"{pos}, have {length - pos}"
-                        )
-                    value = bytes(mv[pos:end])
-                    pos = end
-                    handles.append(value)
-                elif tag == _T_OBJECT:
-                    # Nested object: decode the class key, open the child
-                    # frame in place, and keep draining inside it.
-                    byte = mv[pos]
-                    pos += 1
-                    if byte & 0x80:
-                        key = byte & 0x7F
-                        shift = 7
-                        while True:
-                            byte = mv[pos]
-                            pos += 1
-                            key |= (byte & 0x7F) << shift
-                            if not byte & 0x80:
-                                break
-                            shift += 7
-                            if shift > 70:
-                                buf._pos = pos
-                                raise WireFormatError(
-                                    "uvarint too long (corrupt stream)"
-                                )
-                    else:
-                        key = byte
-                    if schema_rx is None:
-                        if key:
-                            try:
-                                entry = classes[key - 1]
-                            except IndexError:
-                                buf._pos = pos
-                                raise WireFormatError(
-                                    f"dangling class id {key}"
-                                ) from None
-                        else:
-                            buf._pos = pos
-                            entry = self._read_inline_class()
-                            pos = buf._pos
-                    elif key >= CKEY_STREAM_BASE:
-                        try:
-                            entry = classes[key - CKEY_STREAM_BASE]
-                        except IndexError:
-                            buf._pos = pos
-                            raise WireFormatError(
-                                f"dangling class id {key}"
-                            ) from None
-                    else:
-                        buf._pos = pos
-                        entry = self._read_schema_class_key(key)
-                        pos = buf._pos
-                    cls, wire_version, plan = entry
-                    # field count (inline uvarint)
-                    byte = mv[pos]
-                    pos += 1
-                    if byte & 0x80:
-                        count = byte & 0x7F
-                        shift = 7
-                        while True:
-                            byte = mv[pos]
-                            pos += 1
-                            count |= (byte & 0x7F) << shift
-                            if not byte & 0x80:
-                                break
-                            shift += 7
-                            if shift > 70:
-                                buf._pos = pos
-                                raise WireFormatError(
-                                    "uvarint too long (corrupt stream)"
-                                )
-                    else:
-                        count = byte
-                    cur.pending_name = name
-                    cur.remaining = remaining
-                    child = _Frame(_F_OBJECT, count)
-                    if plan is not None:
-                        child_shell = plan.factory()
-                        needs_resolve = plan.needs_resolve
-                        if wire_version != plan.version and plan.has_upgrade:
-                            child.wire_version = wire_version
-                        if plan.use_dict:
-                            child.field_dict = child_shell.__dict__
-                    else:
-                        child_shell = accessor_new(cls)
-                        needs_resolve = has_resolve(cls)
-                        if wire_version != class_version(cls) and has_upgrade(
-                            cls
-                        ):
-                            child.wire_version = wire_version
-                    child.needs_resolve = needs_resolve
-                    child.shell = child_shell
-                    child.handle_slot = len(handles)
-                    handles.append(child_shell)
-                    if not needs_resolve:
-                        slot = lm_append(child_shell)
-                        if capture:
-                            child.linear_slot = slot
-                    stack.append(child)
-                    cur = child
-                    shell = child_shell
-                    field_dict = child.field_dict
-                    remaining = count
-                    continue
-                else:
-                    # Other value shape: un-consume the tag byte and hand
-                    # the parked name to the generic frame machine.
-                    pos -= 1
-                    cur.pending_name = name
-                    break
-                if field_dict is not None:
-                    field_dict[name] = value
-                else:
-                    set_field(shell, name, value)
-                remaining -= 1
-        except IndexError:
-            # mv[pos] past the end: the stream ended mid-field.
-            buf._pos = min(pos, length)
-            raise WireFormatError(
-                f"truncated stream: need 1 bytes at offset {length}, have 0"
-            ) from None
-        except UnicodeDecodeError as exc:
-            buf._pos = pos
-            raise WireFormatError(f"invalid UTF-8 in string: {exc}") from exc
-        buf._pos = pos
-        cur.remaining = remaining
-
     def _spawn_object_frame(self, entry: tuple, count: int) -> _Frame:
         """Open the decoding frame for one object whose class key and
         field count have been consumed (shell registered, capture slot
@@ -789,8 +405,6 @@ class ObjectReader:
             frame.needs_resolve = plan.needs_resolve
             if wire_version != plan.version and plan.has_upgrade:
                 frame.wire_version = wire_version
-            if plan.use_dict:
-                frame.field_dict = frame.shell.__dict__
         else:
             frame.shell = self.profile.accessor.new_instance(cls)
             frame.needs_resolve = has_resolve(cls)

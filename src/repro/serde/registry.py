@@ -9,6 +9,10 @@ Externalizers let higher layers hijack serialization of special objects —
 the RMI layer registers one so exported remote objects travel as remote
 references (by-reference semantics), exactly as ``UnicastRemoteObject``
 instances do in Java RMI.
+
+Each registry also owns one cache of generated encode plans and one of
+decode plans (:mod:`repro.serde.codegen`), so isolated registries never
+share compiled code.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ import threading
 from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.errors import ClassNotRegisteredError, SerializationError
+from repro.serde.codegen import compile_codegen_decode_plan, compile_codegen_encode_plan
+from repro.serde.hooks import class_version
+from repro.serde.schema import schema_epoch
 
 
 def qualified_name(cls: type) -> str:
@@ -33,7 +40,7 @@ class Externalizer:
     ``type_based`` declares that ``claims`` is a pure function of
     ``type(obj)`` (true for every built-in hook: they are all ``isinstance``
     or exact-type checks). The modern profile's encoder caches claim
-    decisions per class — and enables compiled per-class plans — only when
+    decisions per class — and enables generated per-class encoders — only when
     every externalizer in play is type-based. The default is ``False``
     (instance-dependent claims stay correct); hooks whose claim only looks
     at the type should pass ``type_based=True`` to keep the fast path on.
@@ -63,14 +70,10 @@ class ClassRegistry:
         self._names: Dict[type, str] = {}
         self._externalizers: Dict[str, Externalizer] = {}
         self._ext_order: Tuple[Externalizer, ...] = ()
-        # Compiled serde plans (repro.serde.plans), keyed by class. Each
+        # Generated serde plans (repro.serde.codegen), keyed by class. Each
         # registry owns its caches so isolated registries never share plans.
         self._encode_plans: Dict[type, Any] = {}
         self._decode_plans: Dict[type, Any] = {}
-        # exec-generated plans (repro.serde.codegen), cached separately so
-        # profiles with codegen off keep hitting the interpreted closures.
-        self._codegen_encode_plans: Dict[type, Any] = {}
-        self._codegen_decode_plans: Dict[type, Any] = {}
 
     def register(self, cls: type, name: Optional[str] = None) -> type:
         """Register *cls* for serialization; returns *cls* (decorator use)."""
@@ -142,75 +145,24 @@ class ClassRegistry:
         with self._lock:
             return frozenset(self._by_name)
 
-    # -------------------------------------------------- compiled serde plans
-
-    def encode_plan_for(self, cls: type):
-        """The compiled encode plan for *cls*, (re)compiled when the class's
-        declared ``__nrmi_version__`` no longer matches the cached plan."""
-        from repro.serde.hooks import class_version
-        from repro.serde.plans import compile_encode_plan
-
-        plan = self._encode_plans.get(cls)
-        if plan is not None and plan.version == class_version(cls):
-            return plan
-        with self._lock:
-            plan = self._encode_plans.get(cls)
-            if plan is None or plan.version != class_version(cls):
-                plan = compile_encode_plan(cls, self.name_of(cls))
-                self._encode_plans[cls] = plan
-            return plan
-
-    def decode_plan_for(self, cls: type):
-        """The cached decode plan for *cls*, version-invalidated like
-        :meth:`encode_plan_for`."""
-        from repro.serde.hooks import class_version
-        from repro.serde.plans import compile_decode_plan
-
-        plan = self._decode_plans.get(cls)
-        if plan is not None and plan.version == class_version(cls):
-            return plan
-        with self._lock:
-            plan = self._decode_plans.get(cls)
-            if plan is None or plan.version != class_version(cls):
-                plan = compile_decode_plan(cls)
-                self._decode_plans[cls] = plan
-            return plan
+    # ---------------------------------------------- generated serde plans
 
     def codegen_encode_plan_for(self, cls: type):
-        """The exec-generated encode plan for *cls*.
+        """The generated encode plan for *cls* (:mod:`repro.serde.codegen`).
 
-        Invalidated when the class's ``__nrmi_version__`` moves (like the
-        interpreted plans) *or* the process-wide schema epoch is bumped —
-        generated source bakes descriptor blobs in.
+        Recompiled when the class's ``__nrmi_version__`` moves *or* the
+        process-wide schema epoch is bumped — generated source bakes
+        descriptor blobs in. A failed compile is cached like a success.
         """
-        from repro.serde.codegen import compile_codegen_encode_plan, schema_epoch
-        from repro.serde.hooks import class_version
-
-        plan = self._codegen_encode_plans.get(cls)
-        if (
-            plan is not None
-            and plan.version == class_version(cls)
-            and plan.epoch == schema_epoch()
-        ):
-            return plan
-        with self._lock:
-            plan = self._codegen_encode_plans.get(cls)
-            if (
-                plan is None
-                or plan.version != class_version(cls)
-                or plan.epoch != schema_epoch()
-            ):
-                plan = compile_codegen_encode_plan(cls, self.name_of(cls))
-                self._codegen_encode_plans[cls] = plan
-            return plan
+        return self._cached_plan(self._encode_plans, cls, compile_codegen_encode_plan)
 
     def codegen_decode_plan_for(self, cls: type):
-        """The exec-generated decode plan for *cls*, invalidated like
+        """The generated decode plan for *cls*, invalidated like
         :meth:`codegen_encode_plan_for`."""
-        from repro.serde.codegen import compile_codegen_decode_plan, schema_epoch
-        from repro.serde.hooks import class_version
+        return self._cached_plan(self._decode_plans, cls, compile_codegen_decode_plan)
 
-        plan = self._codegen_decode_plans.get(cls)
+    def _cached_plan(self, cache: Dict[type, Any], cls: type, compile_plan):
+        plan = cache.get(cls)
         if (
             plan is not None
             and plan.version == class_version(cls)
@@ -218,14 +170,14 @@ class ClassRegistry:
         ):
             return plan
         with self._lock:
-            plan = self._codegen_decode_plans.get(cls)
+            plan = cache.get(cls)
             if (
                 plan is None
                 or plan.version != class_version(cls)
                 or plan.epoch != schema_epoch()
             ):
-                plan = compile_codegen_decode_plan(cls, self.name_of(cls))
-                self._codegen_decode_plans[cls] = plan
+                plan = compile_plan(cls, self.name_of(cls))
+                cache[cls] = plan
             return plan
 
     def invalidate_plans(self, cls: Optional[type] = None) -> None:
@@ -234,13 +186,9 @@ class ClassRegistry:
             if cls is None:
                 self._encode_plans.clear()
                 self._decode_plans.clear()
-                self._codegen_encode_plans.clear()
-                self._codegen_decode_plans.clear()
             else:
                 self._encode_plans.pop(cls, None)
                 self._decode_plans.pop(cls, None)
-                self._codegen_encode_plans.pop(cls, None)
-                self._codegen_decode_plans.pop(cls, None)
 
 
 #: Process-wide default registry. Tests that need isolation construct their

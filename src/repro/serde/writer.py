@@ -12,8 +12,9 @@ Profiles select the implementation, not the format:
   that models JDK 1.3's allocation-heavy stream layer and re-derives all
   per-object facts reflectively;
 * the **modern** profile writes into a single pooled ``bytearray`` and
-  dispatches registered classes through compiled per-class plans
-  (:mod:`repro.serde.plans`) — same bytes, a fraction of the work.
+  dispatches registered classes through generated per-class encoders
+  (:mod:`repro.serde.codegen`) — same bytes, a fraction of the work. A
+  class whose encoder failed to compile takes the generic object path.
 """
 
 from __future__ import annotations
@@ -127,9 +128,10 @@ class ObjectWriter:
         # encoders (repro.serde.codegen). Invalidated whenever any member
         # is *rebound* (discard); in-place mutation keeps it valid.
         self._codegen_ctx: Optional[tuple] = None
-        # Compiled-plan fast path. Requires the plan's baked-in assumptions
-        # to hold: interned descriptors, no per-object validation pass, and
-        # stats collection off (the fast path skips per-value counting).
+        # Generated-encoder fast path. Requires the generated code's baked-in
+        # assumptions to hold: interned descriptors, no per-object
+        # validation pass, and stats collection off (the fast path skips
+        # per-value counting).
         if (
             profile.use_compiled_plans
             and profile.intern_descriptors
@@ -139,9 +141,6 @@ class ObjectWriter:
             self._plan_cache: Optional[Dict[type, Any]] = {}
         else:
             self._plan_cache = None
-        # exec-generated encoders (repro.serde.codegen) ride on top of the
-        # plan pipeline; byte-identical, so the knob is purely perf.
-        self._use_codegen = profile.use_codegen
         # Per-class externalizer-claim cache, valid only while every
         # externalizer in play (writer-local and registry) declares its
         # claim a pure function of type.
@@ -153,8 +152,8 @@ class ObjectWriter:
         else:
             self._ext_cache = None
         # Session schema cache (repro.serde.schema): only engaged when the
-        # compiled-plan pipeline is fully on — the plan closures are where
-        # schema keys are emitted. On other configurations the stream goes
+        # generated-encoder pipeline is fully on — generated encoders are
+        # where schema keys are emitted. On other configurations the stream goes
         # out unflagged and byte-identical to a session-less writer.
         if schema_tx is not None and self._ext_cache is not None:
             self._schema_tx: Optional[SchemaTxCache] = schema_tx
@@ -348,7 +347,7 @@ class ObjectWriter:
             if obj is False:
                 buf.write_u8(Tag.FALSE)
                 continue
-            # --- compiled-plan fast path ---------------------------------
+            # --- generated-encoder fast path -----------------------------
             # Classes land in the cache only after the generic path has
             # proven them plan-safe (registered object kind, no replace
             # hook, no externalizer claim), so dispatching here is exact.
@@ -560,15 +559,15 @@ class ObjectWriter:
         cls = type(obj)
         if self._plan_cache is not None and self._ext_cache is not None:
             # First instance of a plan-safe class: compile (or fetch) the
-            # plan from the registry and cache it writer-locally so later
-            # instances dispatch straight from the hot loop.
-            if self._use_codegen:
-                plan = self.registry.codegen_encode_plan_for(cls)
-            else:
-                plan = self.registry.encode_plan_for(cls)
-            self._plan_cache[cls] = plan
-            plan.encode(self, obj, stack)
-            return
+            # generated encoder from the registry and cache it writer-locally
+            # so later instances dispatch straight from the hot loop. A
+            # class whose encoder failed to compile stays out of the cache
+            # and takes the generic path below.
+            plan = self.registry.codegen_encode_plan_for(cls)
+            if plan.encode is not None:
+                self._plan_cache[cls] = plan
+                plan.encode(self, obj, stack)
+                return
         accessor = self.profile.accessor
         state = accessor.get_state(obj)
         transients = transient_fields(cls)

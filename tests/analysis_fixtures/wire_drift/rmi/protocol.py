@@ -1,8 +1,8 @@
 """A deliberately drifted copy of the protocol constants (NRMI032 bait).
 
 The analyzer's protocol-invariant rule checks this tree against its own
-``transport/framing.py`` / ``serde/*`` siblings, independent of the real
-sources. Parsed, never imported.
+``transport/framing.py`` / ``serde/schema.py`` siblings, independent of
+the real sources. Parsed, never imported.
 """
 
 from enum import IntEnum
@@ -23,7 +23,7 @@ class Status(IntEnum):
 
 _POLICY_TO_ID = {"none": 0, "full": 1, "delta": 1, "dce": 3}  # expect: NRMI032
 
-_MODE_TO_ID = {"by_value": 0, "by_copy": 1, "by_ref": 2}
+_MODE_TO_ID = {"by_value": 0, "by_copy": 1, "by_ref": 2}  # near-miss: NRMI032
 
 _FLAG_SHIP_MAP = 0x01
 

@@ -1,5 +1,7 @@
 """Benchmark drivers: records, network accounting, the Table 6 failure."""
 
+import itertools
+
 import pytest
 
 from repro.bench.harness import (
@@ -38,12 +40,19 @@ class TestDrivers:
         assert record.ms_compute >= 0.0
         assert record.reps == 2
 
-    def test_slow_machine_scaled(self):
+    def test_slow_machine_scaled(self, monkeypatch):
+        # A clock that advances 2 ms per read makes every sample exactly
+        # 2 ms, so both runs measure the same samples and only the
+        # machine's scale factor tells them apart.
+        ticks = itertools.count(step=0.002)
+        monkeypatch.setattr(
+            "repro.bench.harness.time.perf_counter", lambda: next(ticks)
+        )
         fast = run_local("II", 64, reps=3, machine="fast", seed=5)
         slow = run_local("II", 64, reps=3, machine="slow", seed=5)
-        # Same measured samples, deterministically scaled.
+        assert fast.ms_compute == pytest.approx(2.0, rel=1e-9)
         assert slow.ms_compute == pytest.approx(
-            fast.ms_compute * CPU_SLOW_SCALE, rel=0.8
+            fast.ms_compute * CPU_SLOW_SCALE, rel=1e-9
         )
 
     def test_oneway_ships_request_only(self):

@@ -6,11 +6,11 @@ Layers:
   committed full-size ``BENCH_pr6.json`` at the repo root is not clobbered
   by quick-mode numbers) and validate the report it writes — including
   that codegen actually engaged under the modern profile and beat the
-  interpreted-plan baseline measured in the same run;
+  generic frame machine measured in the same run;
 * re-measure the full-size serde micro encode AND decode in-process and
-  hold the generated code to a same-run ratio over the interpreted plans
-  (no recorded microsecond is compared with a live one);
-* hold the plan-driven decode fast path to its defining property: modern
+  hold the generated code to a same-run ratio over the generic frame
+  machine (no recorded microsecond is compared with a live one);
+* hold the generated decoders to their defining property: modern
   decode stays within 1.5x of modern encode;
 * replay scenario III with a 1%-mutation mutator so the sparse
   dirty-slot reply path is regression-gated alongside the dense one.
@@ -40,7 +40,7 @@ def test_regress_quick_runs_clean(tmp_path):
     assert report["meta"]["quick"] is True
     assert report["meta"]["size"] == regress.QUICK_SIZE
     assert report["meta"]["git_rev"]  # stamped, "unknown" at worst
-    for profile in ("modern", "modern-interp", "legacy"):
+    for profile in ("modern", "modern-generic", "legacy"):
         row = report["serde_micro"][profile]
         assert row["encode_us"] > 0
         assert row["decode_us"] > 0
@@ -56,12 +56,12 @@ def test_regress_quick_runs_clean(tmp_path):
     )
     # Codegen must actually be engaged under the modern profile ...
     assert report["codegen"]["compiled"] > 0
-    # ... and pay for itself against the interpreted plans in the same
-    # run (dedicated full runs show ~1.5x; even quick windows clear 1.1x).
+    # ... and pay for itself against the generic frame machine in the
+    # same run.
     modern = report["serde_micro"]["modern"]
-    interp = report["serde_micro"]["modern-interp"]
-    assert modern["encode_us"] < interp["encode_us"]
-    assert modern["decode_us"] < interp["decode_us"]
+    generic = report["serde_micro"]["modern-generic"]
+    assert modern["encode_us"] < generic["encode_us"]
+    assert modern["decode_us"] < generic["decode_us"]
     # The transport round-trip section is present with sane timings.
     assert report["transport_rt"]["tcp"]["rt_us"] > 0
     for scheme in ("uds", "shm"):
@@ -95,40 +95,40 @@ def test_regress_quick_runs_clean(tmp_path):
 
 @pytest.mark.bench_smoke
 def test_compiled_serde_beats_interpreted_plans_in_the_same_run():
-    """Modern (codegen) encode and decode each stay at least 1.2x faster
-    than the interpreted plans measured by the same call (full size).
+    """Modern (codegen) encode and decode each stay at least 3x faster
+    than the generic frame machine measured by the same call (full size).
 
     Both sides of each ratio come from one ``run_serde_micro`` call, so
     the box's speed state cancels out and no recorded microsecond is
-    read. Dedicated runs show 1.4-2.4x; a ratio under 1.2 means the
-    generated code stopped engaging (falling back to the interpreted
-    plans reads 1.0) — a structural regression, not noise.
+    read. Runs on a 2-vCPU Xeon box show 4.5-7x; a ratio under 3 means
+    the generated code stopped engaging (falling back to the generic
+    path reads 1.0) — a structural regression, not noise.
     """
     for _ in range(2):  # one re-measure before failing, for noise spikes
         serde = regress.run_serde_micro(
             regress.FULL_SIZE, SMOKE_WINDOWS, SMOKE_WINDOW_SECONDS
         )
-        modern, interp = serde["modern"], serde["modern-interp"]
+        modern, generic = serde["modern"], serde["modern-generic"]
         slow = [
             side
             for side in ("encode_us", "decode_us")
-            if modern[side] > interp[side] / 1.2
+            if modern[side] > generic[side] / 3.0
         ]
         if not slow:
             break
-    assert not slow, (slow, modern, interp)
+    assert not slow, (slow, modern, generic)
 
 
 @pytest.mark.bench_smoke
 def test_modern_decode_fast_path_within_encode_budget():
     """Modern decode must stay within 1.5x of modern encode (full size).
 
-    Before the plan-driven decode fast path, decode ran ~3.5x slower than
-    encode on the scenario III micro (the per-object frame machine); the
-    direct subtree loop brought it under encode. A decode/encode ratio
-    above 1.5 means the fast path stopped engaging (e.g. plans no longer
-    report dict-safe stores) — a structural regression, not noise, since
-    both sides of the ratio are measured in the same process.
+    On the generic per-object frame machine, decode runs ~3.5x slower
+    than encode on the scenario III micro; the generated decoders keep it
+    under encode. A decode/encode ratio above 1.5 means they stopped
+    engaging (e.g. a class no longer compiles, or bails on every field) —
+    a structural regression, not noise, since both sides of the ratio are
+    measured in the same process.
     """
     for _ in range(2):  # one re-measure before failing, for noise spikes
         serde = regress.run_serde_micro(

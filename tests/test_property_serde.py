@@ -196,37 +196,32 @@ def test_compiled_plans_aliasing_and_cycles(n):
 
 
 # --------------------------------------------------------------------------
-# Exec-generated serde (repro.serde.codegen). The oracle here keeps the
-# interpreted plans *on* and only flips codegen off — same plans, same
-# accessor and buffer layer, so any byte difference is the generated
-# function's fault.
-
-MODERN_NO_CODEGEN = replace(
-    MODERN_PROFILE, name="modern-nocodegen", use_codegen=False
-)
+# Exec-generated serde (repro.serde.codegen). The oracle here is the generic
+# frame machine (MODERN_NO_PLANS) — same accessor, interning and buffer
+# layer, so any byte difference is the generated function's fault.
 
 
 @settings(max_examples=100)
 @given(object_graphs)
 def test_codegen_encode_byte_identical(graph):
-    """Generated encoders and interpreted plans agree byte for byte."""
+    """Generated encoders and the generic writer agree byte for byte."""
     with_codegen = ObjectWriter(profile=MODERN_PROFILE)
     with_codegen.write_root(graph)
-    interpreted = ObjectWriter(profile=MODERN_NO_CODEGEN)
-    interpreted.write_root(graph)
-    assert with_codegen.getvalue() == interpreted.getvalue()
+    generic = ObjectWriter(profile=MODERN_NO_PLANS)
+    generic.write_root(graph)
+    assert with_codegen.getvalue() == generic.getvalue()
 
 
 @settings(max_examples=60)
 @given(object_graphs)
 def test_codegen_decode_matches_interpreted(graph):
     """Generated decoders reconstruct the same heap, with aligned linear
-    maps, as the interpreted frame machine reading the same stream."""
+    maps, as the generic frame machine reading the same stream."""
     writer = ObjectWriter(profile=MODERN_PROFILE)
     writer.write_root(graph)
     stream = writer.getvalue()
     fast = ObjectReader(stream, profile=MODERN_PROFILE)
-    slow = ObjectReader(stream, profile=MODERN_NO_CODEGEN)
+    slow = ObjectReader(stream, profile=MODERN_NO_PLANS)
     fast_graph, slow_graph = fast.read_root(), slow.read_root()
     assert heap_fingerprint([fast_graph]) == heap_fingerprint([slow_graph])
     assert heap_fingerprint([graph]) == heap_fingerprint([fast_graph])
@@ -236,9 +231,9 @@ def test_codegen_decode_matches_interpreted(graph):
 @settings(max_examples=40)
 @given(object_graphs)
 def test_codegen_reads_interpreted_streams(graph):
-    """The cross direction: interpreted-written streams decode under the
-    generated functions — one wire format, three implementations."""
-    writer = ObjectWriter(profile=MODERN_NO_CODEGEN)
+    """The cross direction: generic-written streams decode under the
+    generated functions — one wire format, two implementations."""
+    writer = ObjectWriter(profile=MODERN_NO_PLANS)
     writer.write_root(graph)
     decoded = ObjectReader(writer.getvalue(), profile=MODERN_PROFILE).read_root()
     assert heap_fingerprint([graph]) == heap_fingerprint([decoded])
@@ -254,7 +249,7 @@ def test_codegen_aliasing_and_cycles(n):
     graph = Pair(first=head, second=head.next)
     writer = ObjectWriter(profile=MODERN_PROFILE)
     writer.write_root(graph)
-    baseline = ObjectWriter(profile=MODERN_NO_CODEGEN)
+    baseline = ObjectWriter(profile=MODERN_NO_PLANS)
     baseline.write_root(graph)
     assert writer.getvalue() == baseline.getvalue()
     decoded = ObjectReader(writer.getvalue(), profile=MODERN_PROFILE).read_root()
@@ -280,7 +275,7 @@ def test_list_of_backrefs_root_byte_identical():
     roots = [chain[0], backrefs, [], [None], [chain[199]]]
 
     streams = {}
-    for profile in (MODERN_PROFILE, MODERN_NO_CODEGEN, MODERN_NO_PLANS):
+    for profile in (MODERN_PROFILE, MODERN_NO_PLANS):
         writer = ObjectWriter(profile=profile)
         for root in roots:
             writer.write_root(root)
@@ -288,7 +283,7 @@ def test_list_of_backrefs_root_byte_identical():
     assert len(set(streams.values())) == 1
 
     stream = streams[MODERN_PROFILE.name]
-    for profile in (MODERN_PROFILE, MODERN_NO_CODEGEN, MODERN_NO_PLANS, LEGACY_PROFILE):
+    for profile in (MODERN_PROFILE, MODERN_NO_PLANS, LEGACY_PROFILE):
         reader = ObjectReader(stream, profile=profile)
         decoded = [reader.read_root() for _ in roots]
         reader.expect_end()
@@ -301,14 +296,14 @@ def test_list_of_backrefs_root_byte_identical():
 
 def test_codegen_deep_graph_bails_identically():
     """Past MAX_CODEGEN_DEPTH the generated functions bail to the
-    interpreted machinery mid-stream; the splice must be invisible."""
+    generic machinery mid-stream; the splice must be invisible."""
     head = tail = Node(data=0)
     for i in range(1, 300):  # well past the generated-recursion budget
         tail.next = Node(data=i)
         tail = tail.next
     fast = ObjectWriter(profile=MODERN_PROFILE)
     fast.write_root(head)
-    slow = ObjectWriter(profile=MODERN_NO_CODEGEN)
+    slow = ObjectWriter(profile=MODERN_NO_PLANS)
     slow.write_root(head)
     assert fast.getvalue() == slow.getvalue()
     decoded = ObjectReader(fast.getvalue(), profile=MODERN_PROFILE).read_root()
