@@ -1,12 +1,12 @@
 """Transport substrate: how request/response frames move between endpoints.
 
-Three interchangeable channels behind one interface:
+Interchangeable channels behind one interface:
 
 * :mod:`repro.transport.inproc` — direct in-process dispatch (Baseline 3's
   "no network" configuration, and the carrier the simulated network wraps);
-* :mod:`repro.transport.tcp` — a real threaded TCP server with
-  length-prefixed framing (integration tests exercise the full stack over
-  sockets);
+* :mod:`repro.transport.tcp` — a real TCP server (the staged core of
+  :mod:`repro.transport.netloop`) with length-prefixed framing
+  (integration tests exercise the full stack over sockets);
 * :mod:`repro.transport.uds` — the same stream machinery
   (:mod:`repro.transport.stream`) over Unix domain sockets, the low-
   latency single-host carrier;

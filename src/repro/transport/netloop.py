@@ -2,8 +2,7 @@
 
 One selector-driven **net thread** owns every read: it accepts
 connections, reads bytes without blocking, assembles frames (plain and
-pipelined framing auto-detected per connection exactly like the classic
-thread-per-connection server), and submits them. Execution happens on N
+pipelined framing auto-detected per connection), and submits them. Execution happens on N
 **worker threads** that block on a bounded job queue. On a socket
 connection the worker then writes its own reply — one gather
 ``sendmsg`` under the connection's write lock — unless output is

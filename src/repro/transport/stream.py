@@ -1,21 +1,19 @@
 """Shared machinery for byte-stream transports (TCP, Unix sockets).
 
-Everything above the socket — framing auto-detection, serving, graceful
-drain-then-force-close shutdown, the pooled client channel, and the
-multi-call-in-flight pipelined channel — is identical whether bytes
-travel over ``AF_INET`` or ``AF_UNIX``. This module holds that machinery
-once; :mod:`repro.transport.tcp` and :mod:`repro.transport.uds` supply
-only the endpoint-specific pieces: how a listener is bound, how a client
-socket is opened, how the endpoint is named in addresses and errors.
+Everything above the socket — the pooled client channel, the
+multi-call-in-flight pipelined channel, and the server core — is
+identical whether bytes travel over ``AF_INET`` or ``AF_UNIX``. This
+module holds that machinery once; :mod:`repro.transport.tcp` and
+:mod:`repro.transport.uds` supply only the endpoint-specific pieces: how
+a listener is bound, how a client socket is opened, how the endpoint is
+named in addresses and errors.
 
-The default server core is the **staged** design in
+The server core is the **staged** design in
 :mod:`repro.transport.netloop` (re-exported here as ``StreamServer``):
-one selector-based net thread frames requests, a bounded job queue feeds
-N worker threads, and overload behaviour (BUSY shedding, in-flight caps,
-graceful drain) is explicit policy. The classic thread-per-connection
-server survives as :class:`ThreadedStreamServer`, kept as the
-benchmarking baseline the concurrency sweep compares against — the model
-of classic RMI's connection handling, one thread per accepted socket.
+one selector-based net thread detects each connection's framing and
+frames its requests, a bounded job queue feeds N worker threads, and
+overload behaviour (BUSY shedding, in-flight caps, graceful
+drain-then-force-close shutdown) is explicit policy.
 
 The plain client channel keeps one connection and serializes requests
 over it with a lock; the pipelined channel keeps many calls in flight on
@@ -37,26 +35,15 @@ import socket
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional
 
 from repro.errors import DeadlineExceededError, RetryableError, TransportError
 from repro.serde.schema import SchemaSession
-from repro.transport.base import (
-    Channel,
-    RequestHandler,
-    TransportSession,
-    call_handler,
-)
+from repro.transport.base import Channel
 from repro.transport.framing import (
     MAX_FRAME_BYTES,
-    PIPELINE_MAGIC,
     PIPELINE_PREAMBLE,
-    PIPELINE_VERSION,
     read_frame,
-    read_frame_body,
-    read_frame_corr,
-    recv_exact,
     write_frame,
     write_frame_corr,
 )
@@ -65,7 +52,6 @@ from repro.util.metrics import Gauge
 
 __all__ = [
     "StreamServer",
-    "ThreadedStreamServer",
     "StreamChannel",
     "PipelinedStreamChannel",
 ]
@@ -88,242 +74,6 @@ def _wait_readable(sock, timeout: float) -> bool:
     poller = select.poll()
     poller.register(sock, select.POLLIN)
     return bool(poller.poll(timeout * 1000))  # ms; fractions round up
-
-
-class ThreadedStreamServer:
-    """Thread-per-connection server core, kept as the scaling baseline.
-
-    This is the classic model: an accept thread spawns one thread per
-    connection, which reads, executes, and writes in a loop. It is the
-    comparison point for the staged :class:`StreamServer`'s concurrency
-    sweep; production paths use the staged core.
-
-    Subclasses pass an already-bound, listening socket plus a *label*
-    used for thread naming, and implement :attr:`address` (the string a
-    resolver can dial) plus optionally :meth:`_configure_connection`
-    (per-accepted-socket options) and :meth:`_on_stop` (endpoint
-    cleanup, e.g. unlinking a Unix socket path).
-    """
-
-    #: Default seconds ``stop()`` waits for in-flight requests to drain.
-    STOP_GRACE_SECONDS = 2.0
-    #: Workers concurrently executing requests of one pipelined connection.
-    PIPELINE_WORKERS = 8
-    #: Cap on frames admitted but not yet answered per pipelined connection.
-    PIPELINE_MAX_IN_FLIGHT = 64
-
-    def __init__(
-        self, handler: RequestHandler, sock: socket.socket, label: str
-    ) -> None:
-        self._handler = handler
-        self._sock = sock
-        self._label = label
-        self._stopping = threading.Event()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"{label}-accept", daemon=True
-        )
-        self._conn_lock = threading.Lock()
-        self._conn_threads: set[threading.Thread] = set()
-        self._conn_socks: set[socket.socket] = set()
-        self._accept_thread.start()
-
-    @property
-    def address(self) -> str:
-        raise NotImplementedError
-
-    def _configure_connection(self, conn: socket.socket) -> None:
-        """Per-connection socket options (e.g. TCP_NODELAY); default none."""
-
-    def _on_stop(self) -> None:
-        """Endpoint cleanup after the listener closes; default none."""
-
-    @property
-    def live_connections(self) -> int:
-        """Connections currently being served (reaped handles excluded)."""
-        with self._conn_lock:
-            return len(self._conn_threads)
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _peer = self._sock.accept()
-            except OSError:
-                return  # listening socket closed during shutdown
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name=f"{self._label}-conn",
-                daemon=True,
-            )
-            with self._conn_lock:
-                if self._stopping.is_set():
-                    # Accepted during drain: never served, so give the
-                    # peer a deterministic clean close instead of letting
-                    # the socket leak until process exit.
-                    try:
-                        conn.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
-                    conn.close()
-                    return
-                self._conn_threads.add(thread)
-                self._conn_socks.add(conn)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            with conn:
-                self._configure_connection(conn)
-                # Framing auto-detect: a pipelined client opens with the
-                # 8-byte preamble; interpreted as a length header its first
-                # four bytes would announce an illegally oversized frame,
-                # so plain clients can never collide with it.
-                try:
-                    first = bytes(recv_exact(conn, 4))
-                except TransportError:
-                    return
-                if first == PIPELINE_MAGIC:
-                    try:
-                        version = bytes(recv_exact(conn, 4))
-                    except TransportError:
-                        return
-                    if version != PIPELINE_VERSION:
-                        return  # unknown pipeline revision: drop
-                    self._serve_pipelined(conn)
-                    return
-                self._serve_sequential(conn, first)
-        finally:
-            # Reap this handle so the sets track only live connections.
-            with self._conn_lock:
-                self._conn_threads.discard(threading.current_thread())
-                self._conn_socks.discard(conn)
-
-    def _serve_sequential(self, conn: socket.socket, first_header: bytes) -> None:
-        """Classic one-request-at-a-time framing (*first_header* pre-read)."""
-        header: Optional[bytes] = first_header
-        # Per-connection state (schema rx cache): dies with the socket, so
-        # a reconnecting client renegotiates from scratch.
-        session = TransportSession()
-        while not self._stopping.is_set():
-            try:
-                if header is not None:
-                    request = read_frame_body(conn, header)
-                    header = None
-                else:
-                    request = read_frame(conn)
-            except TransportError:
-                return  # peer closed or connection broke
-            try:
-                response = call_handler(self._handler, request, session)
-            except Exception:  # noqa: BLE001 - handler must not kill server
-                # The RMI dispatcher encodes application errors itself;
-                # anything escaping to here is a protocol bug, and the
-                # only safe move is dropping the connection.
-                return
-            try:
-                write_frame(conn, response)
-            except TransportError:
-                return
-
-    def _serve_pipelined(self, conn: socket.socket) -> None:
-        """Serve correlation-tagged frames, many requests in flight.
-
-        Each request runs on a worker; responses go out in completion
-        order under a write lock, tagged with the request's correlation
-        id so the client can demultiplex them.
-        """
-        write_lock = threading.Lock()
-        admission = threading.Semaphore(self.PIPELINE_MAX_IN_FLIGHT)
-        broken = threading.Event()
-        # One session shared by all workers of this connection: the
-        # underlying schema rx cache is thread-safe, and pipelined frames
-        # of one connection form one negotiated session.
-        session = TransportSession()
-        executor = ThreadPoolExecutor(
-            max_workers=self.PIPELINE_WORKERS,
-            thread_name_prefix=f"{self._label}-pipe",
-        )
-
-        def work(corr_id: int, request: bytearray) -> None:
-            try:
-                try:
-                    response = call_handler(self._handler, request, session)
-                except Exception:  # noqa: BLE001 - same contract as sequential
-                    broken.set()
-                    return
-                try:
-                    with write_lock:
-                        write_frame_corr(conn, corr_id, response)
-                except TransportError:
-                    broken.set()
-            finally:
-                admission.release()
-
-        try:
-            while not self._stopping.is_set() and not broken.is_set():
-                try:
-                    corr_id, request = read_frame_corr(conn)
-                except TransportError:
-                    return
-                admission.acquire()
-                executor.submit(work, corr_id, request)
-        finally:
-            # Dropping the connection (the context manager in the caller
-            # closes it) fails the client's pending calls; workers still
-            # running just hit a dead socket.
-            executor.shutdown(wait=False)
-
-    def stop(self, grace: Optional[float] = None) -> None:
-        """Stop accepting, drain in-flight requests, then force-close.
-
-        Connection threads get *grace* seconds (default
-        :attr:`STOP_GRACE_SECONDS`) to finish the request they are
-        serving; any connection still open afterwards is closed out from
-        under its thread, which unblocks its pending ``read_frame``.
-        """
-        if grace is None:
-            grace = self.STOP_GRACE_SECONDS
-        self._stopping.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=grace)
-        deadline = time.monotonic() + grace
-        with self._conn_lock:
-            threads = list(self._conn_threads)
-        for thread in threads:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            thread.join(timeout=remaining)
-        with self._conn_lock:
-            stragglers = list(self._conn_socks)
-        for conn in stragglers:
-            # Grace expired: half-close first so the peer observes a
-            # clean EOF (not a reset racing its last write), then close.
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        with self._conn_lock:
-            threads = list(self._conn_threads)
-        for thread in threads:
-            thread.join(timeout=0.1)
-        # Endpoint cleanup (e.g. UDS unlink) strictly after the listener
-        # closed above — a successor rebinding the endpoint must never be
-        # unlinked by this server's late shutdown.
-        self._on_stop()
-
-    def __enter__(self) -> "ThreadedStreamServer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
 
 class StreamChannel(Channel):

@@ -1,7 +1,8 @@
 """TCP transport: the stream-transport machinery bound to ``AF_INET``.
 
 All the serving, framing-autodetect, pipelining, and pooled-channel
-logic lives in :mod:`repro.transport.stream`; this module contributes
+logic lives in :mod:`repro.transport.stream` (whose ``StreamServer`` is
+the staged core of :mod:`repro.transport.netloop`); this module contributes
 only what is TCP-specific — binding a listening ``AF_INET`` socket,
 ``TCP_NODELAY`` on every connection, dialing ``host:port``, and the
 ``tcp://host:port`` address form.
@@ -18,7 +19,6 @@ from repro.transport.stream import (
     PipelinedStreamChannel,
     StreamChannel,
     StreamServer,
-    ThreadedStreamServer,
 )
 
 
@@ -70,25 +70,6 @@ class TcpServer(StreamServer):
         super().__init__(
             handler, sock, label=f"tcp-{self.port}", **server_options
         )
-
-    @property
-    def address(self) -> str:
-        return f"tcp://{self.host}:{self.port}"
-
-    def _configure_connection(self, conn: socket.socket) -> None:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
-class ThreadedTcpServer(ThreadedStreamServer):
-    """Thread-per-connection TCP server, kept as the scaling baseline
-    for the staged core's concurrency sweep (see ``repro.bench.regress``)."""
-
-    def __init__(
-        self, handler: RequestHandler, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        sock = _bind_tcp(host, port)
-        self.host, self.port = sock.getsockname()
-        super().__init__(handler, sock, label=f"tcp-thr-{self.port}")
 
     @property
     def address(self) -> str:

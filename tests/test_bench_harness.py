@@ -1,13 +1,14 @@
 """Benchmark drivers: records, network accounting, the Table 6 failure."""
 
 import itertools
+import time
+from dataclasses import replace
 
 import pytest
 
 from repro.bench.harness import (
     BenchRecord,
     CPU_SLOW_SCALE,
-    PAPER_NETWORK,
     run_local,
     run_manual_restore,
     run_nrmi,
@@ -15,8 +16,16 @@ from repro.bench.harness import (
     run_remote_ref,
 )
 from repro.bench.mutators import TreeService, mutator_for
-from repro.bench.trees import generate_workload
+from repro.bench.trees import TreeNode, generate_workload
 from repro.nrmi.config import NRMIConfig
+from repro.serde.codegen import codegen_metrics
+from repro.serde.profiles import LEGACY_PROFILE, MODERN_PROFILE
+from repro.serde.reader import ObjectReader
+from repro.serde.registry import global_registry
+from repro.serde.writer import ObjectWriter
+
+#: The modern wire format on the generic frame machine (generated code off).
+MODERN_GENERIC = replace(MODERN_PROFILE, use_compiled_plans=False)
 
 
 class TestBenchRecord:
@@ -90,7 +99,8 @@ class TestDrivers:
 
 
 class TestShapes:
-    """The qualitative claims of Section 5.3.3, at reduced scale."""
+    """The qualitative claims of Section 5.3.3, at reduced scale, and the
+    serde and reply-size ratios behind them, each taken within one run."""
 
     def test_nrmi_ships_more_than_oneway(self):
         oneway = run_oneway("II", 64, reps=2)
@@ -113,6 +123,72 @@ class TestShapes:
         remote_ref = run_remote_ref("II", 64, reps=2)
         assert remote_ref.ms_total > nrmi.ms_total * 5
         assert remote_ref.round_trips > nrmi.round_trips * 10
+
+    @pytest.mark.bench_smoke
+    def test_generated_serde_three_times_faster_than_generic(self):
+        """Generated encode and decode each beat the generic frame
+        machine 3x on the scenario III 256-node tree. Both sides come
+        from one run, so the box's speed state cancels out; 2-vCPU Xeon
+        runs read 3.7-7x, and a generated path that stopped engaging
+        reads 1.0."""
+        for _ in range(2):  # one re-measure before failing, for noise spikes
+            modern = _serde_micro(MODERN_PROFILE)
+            generic = _serde_micro(MODERN_GENERIC)
+            slow = [
+                op for op in ("encode_us", "decode_us")
+                if modern[op] * 3.0 > generic[op]
+            ]
+            if not slow:
+                break
+        assert not slow, (slow, modern, generic)
+
+    @pytest.mark.bench_smoke
+    def test_modern_decode_within_one_and_a_half_encodes(self):
+        """Generated decoders keep modern decode at parity with encode
+        (0.7-1.0x on a 2-vCPU Xeon box)."""
+        for _ in range(2):  # one re-measure before failing, for noise spikes
+            modern = _serde_micro(MODERN_PROFILE)
+            if modern["decode_us"] <= 1.5 * modern["encode_us"]:
+                break
+        assert modern["decode_us"] <= 1.5 * modern["encode_us"], modern
+
+    def test_modern_writes_fewer_bytes_than_legacy(self):
+        root = generate_workload("III", 256, 7).root
+        assert len(_encode(root, MODERN_PROFILE)) < len(_encode(root, LEGACY_PROFILE))
+
+    def test_codegen_engages_without_fallbacks(self):
+        global_registry.invalidate_plans(TreeNode)
+        compiled = codegen_metrics.counter("serde.codegen.compiled")
+        fallbacks = codegen_metrics.counter("serde.codegen.fallbacks")
+        compiled_before, fallbacks_before = compiled.value, fallbacks.value
+        payload = _encode(generate_workload("III", 256, 7).root, MODERN_PROFILE)
+        ObjectReader(payload, profile=MODERN_PROFILE).read_root()
+        assert compiled.value == compiled_before + 2  # one encoder, one decoder
+        assert fallbacks.value == fallbacks_before
+
+    def test_sparse_delta_reply_four_times_smaller_than_full(
+        self, make_endpoint_pair
+    ):
+        """At 1 % mutation of a 64-node tree a delta reply carries 0-2
+        dirty slots; under 4x smaller than the full map means clean slots
+        are leaking into it."""
+        reply_bytes = {}
+        for policy in ("full", "delta"):
+            config = NRMIConfig(policy=policy)
+            pair = make_endpoint_pair(server_config=config, client_config=config)
+            service = pair.serve(TreeService())
+            root = generate_workload("III", 64, 7).root
+            # Fresh seeds: a repeated one rewrites the same values, and
+            # every slot would digest clean.
+            seeds = itertools.count(7)
+            for _ in range(3):  # settle the session's schema cache
+                service.mutate_sparse(root, next(seeds), 0.01)
+            stats = pair.resolver.resolve(pair.server.address).stats
+            stats.reset()
+            for _ in range(5):
+                service.mutate_sparse(root, next(seeds), 0.01)
+            reply_bytes[policy] = stats.snapshot()["bytes_received"]
+        assert reply_bytes["delta"] * 4 <= reply_bytes["full"], reply_bytes
 
 
 class TestTable6Failure:
@@ -175,3 +251,33 @@ def _pointer_view(root):
         stack.append(node.right)
         stack.append(node.left)
     return out
+
+
+def _encode(root, profile):
+    writer = ObjectWriter(profile=profile)
+    writer.write_root(root)
+    return writer.getvalue()
+
+
+def _best_us(fn, rounds=5, iterations=10):
+    """Best per-call time of *fn* in µs over *rounds* timed loops."""
+    fn()  # warm generated code and caches outside the timed region
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for _ in range(iterations):
+            fn()
+        best = min(best, time.perf_counter() - start)
+    return best / iterations * 1e6
+
+
+def _serde_micro(profile):
+    """Encode and decode µs of the scenario III 256-node tree."""
+    root = generate_workload("III", 256, 7).root
+    payload = _encode(root, profile)
+    return {
+        "encode_us": _best_us(lambda: _encode(root, profile)),
+        "decode_us": _best_us(
+            lambda: ObjectReader(payload, profile=profile).read_root()
+        ),
+    }

@@ -18,12 +18,7 @@ from repro.errors import RetryableError, ServerBusyError, TransportError
 from repro.rmi.protocol import Status, busy_response, raise_if_busy
 from repro.transport.framing import read_frame, write_frame
 from repro.transport.netloop import StagedStreamServer
-from repro.transport.tcp import (
-    PipelinedTcpChannel,
-    TcpChannel,
-    TcpServer,
-    ThreadedTcpServer,
-)
+from repro.transport.tcp import PipelinedTcpChannel, TcpChannel, TcpServer
 from repro.util.metrics import MetricsRegistry
 
 _LEN = struct.Struct(">I")
@@ -329,13 +324,6 @@ class TestContract:
             with pytest.raises(TransportError):
                 read_frame(replacement, timeout=5.0)
             replacement.close()
-
-    def test_threaded_baseline_still_serves(self):
-        with ThreadedTcpServer(echo) as server:
-            sock = dial(server)
-            write_frame(sock, b"legacy")
-            assert bytes(read_frame(sock, timeout=5.0)) == b"legacy"
-            sock.close()
 
     def test_staged_server_requires_subclass_address(self):
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
