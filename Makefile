@@ -11,7 +11,7 @@ export PYTHONPATH := src
 # all three trees when available; the container image may not ship it, so
 # its absence is a skip, not a failure.
 lint:
-	$(PYTHON) -m repro.analysis --jobs 0 src examples
+	$(PYTHON) -m repro.analysis src examples
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests examples; \
 	else \

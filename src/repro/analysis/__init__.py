@@ -2,14 +2,14 @@
 
 The ``rmic``/``serialver`` analogue this reproduction was missing: an
 AST/introspection linter that rejects broken remote contracts,
-unserializable state, copy-restore hazards, and protocol-constant drift
+unserializable state, copy-restore hazards, and thread-safety hazards
 *before* anything hits the wire. Five rule families:
 
 ========  =================  ==============================================
 NRMI00x   contract           interfaces, impl drift, fake remote members
 NRMI01x   serializability    unencodable fields, walker blind spots, digests
 NRMI02x   copy-restore       @no_restore mutation, escapes, mutable defaults
-NRMI03x   runtime            lock discipline, wire-constant cross-checks
+NRMI03x   runtime            lock discipline, net-loop and ring blocking
 NRMI04x   concurrency        thread-role races, SPSC ring ownership
 ========  =================  ==============================================
 
@@ -20,7 +20,6 @@ sites and call graph, and shared fields are checked lockset-style across
 roles.
 
 Run it as ``nrmi-lint src examples`` or ``python -m repro.analysis …``;
-``--jobs N`` fans module rules out over worker processes and
 ``--format sarif`` emits SARIF 2.1.0 for CI annotation. See
 ``docs/static_analysis.md`` for the full catalogue and the suppression
 syntax (``# nrmi: disable=NRMI0xx -- reason``).

@@ -5,7 +5,6 @@ Usage::
     nrmi-lint src examples            # lint trees, human output
     nrmi-lint --json src              # stable machine-readable output
     nrmi-lint --format sarif src      # SARIF 2.1.0 for CI annotation
-    nrmi-lint --jobs 0 src            # fan module rules out per CPU
     nrmi-lint --select NRMI031 src    # run one rule
     nrmi-lint --list-rules            # print the rule catalogue
 
@@ -31,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nrmi-lint",
         description="Static checker for NRMI remote contracts, "
-        "serializability, copy-restore hazards, and protocol invariants.",
+        "serializability, copy-restore hazards, and thread-safety hazards.",
     )
     parser.add_argument(
         "paths",
@@ -48,13 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json", "sarif"),
         default=None,
         help="output format (default text; sarif emits SARIF 2.1.0)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run module rules in N worker processes (0 = one per CPU)",
     )
     parser.add_argument(
         "--select",
@@ -113,15 +105,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    if options.jobs < 0:
-        print("nrmi-lint: error: --jobs must be >= 0", file=sys.stderr)
-        return USAGE_ERROR
     try:
         result = analyze_paths(
             options.paths,
             select=_split_codes(options.select),
             ignore=_split_codes(options.ignore),
-            jobs=options.jobs,
         )
     except FileNotFoundError as exc:
         print(f"nrmi-lint: error: no such path: {exc}", file=sys.stderr)

@@ -143,26 +143,15 @@ def analyze_project(
     project: ProjectModel,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    module_findings: Optional[List[Finding]] = None,
 ) -> AnalysisResult:
-    """Run the selected rules over an already-built project.
-
-    *module_findings*, when given, replaces the serial per-module rule
-    loop — ``analyze_paths(jobs=N)`` computes it in worker processes.
-    Project-scoped rules always run here: they need the whole model.
-    """
+    """Run the selected rules over an already-built project."""
     rules = _selected_rules(select, ignore)
     raw: List[Finding] = []
     for module in project.modules:
         raw.extend(_engine_findings(module))
-    if module_findings is None:
-        for module in project.modules:
-            for descriptor in rules:
-                if descriptor.scope != "module":
-                    continue
+        for descriptor in rules:
+            if descriptor.scope == "module":
                 raw.extend(descriptor.check(module))
-    else:
-        raw.extend(module_findings)
     for descriptor in rules:
         if descriptor.scope == "project":
             raw.extend(descriptor.check(project))
@@ -183,88 +172,15 @@ def analyze_project(
     return result
 
 
-def _lint_chunk_worker(payload: Tuple) -> List[Finding]:
-    """Run the module-scoped rules over a chunk of files.
-
-    Executed in a worker process: rebuilds each module model from source
-    (models hold AST nodes and do not pickle; `Finding` does) and returns
-    the raw findings for the parent to merge, suppress, and sort. Parse
-    failures are skipped here — the parent's own ``build_project`` pass
-    already reported them.
-    """
-    chunk, select, ignore = payload
-    rules = [r for r in _selected_rules(select, ignore) if r.scope == "module"]
-    out: List[Finding] = []
-    for path in chunk:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                module = build_module(path, handle.read())
-        except (SyntaxError, UnicodeDecodeError, OSError):
-            continue
-        for descriptor in rules:
-            out.extend(descriptor.check(module))
-    return out
-
-
-def _parallel_module_findings(
-    files: Sequence[str],
-    select: Optional[Sequence[str]],
-    ignore: Optional[Sequence[str]],
-    jobs: int,
-) -> Optional[List[Finding]]:
-    """Module-rule findings via a process pool, or None to run serially.
-
-    Any pool failure (sandboxes without working semaphores, broken
-    workers) degrades to the serial path — parallelism is a speedup, not
-    a semantic."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks: List[List[str]] = [[] for _ in range(jobs)]
-    for index, path in enumerate(files):
-        chunks[index % jobs].append(path)
-    payloads = [
-        (chunk, tuple(select or ()), tuple(ignore or ()))
-        for chunk in chunks
-        if chunk
-    ]
-    try:
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            merged: List[Finding] = []
-            for part in pool.map(_lint_chunk_worker, payloads):
-                merged.extend(part)
-            return merged
-    except Exception:
-        return None
-
-
 def analyze_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    jobs: int = 1,
 ) -> AnalysisResult:
-    """Lint *paths* (files and/or directory trees) and return the result.
-
-    *jobs* > 1 fans the module-scoped rules out over that many worker
-    processes (0 = one per CPU); the project model, project-scoped rules,
-    suppression filtering, and the stable sort stay in the parent, so the
-    output is byte-identical to a serial run.
-    """
+    """Lint *paths* (files and/or directory trees) and return the result."""
     files = collect_files(paths)
     project, parse_failures = build_project(files)
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    module_findings = None
-    if jobs > 1 and len(files) > 1:
-        # Validate selection before forking: unknown codes should raise
-        # here, not surface as a silent serial fallback.
-        _selected_rules(select, ignore)
-        module_findings = _parallel_module_findings(
-            files, select, ignore, min(jobs, len(files))
-        )
-    result = analyze_project(
-        project, select=select, ignore=ignore, module_findings=module_findings
-    )
+    result = analyze_project(project, select=select, ignore=ignore)
     result.findings = sorted(
         result.findings + parse_failures, key=Finding.sort_key
     )

@@ -3,9 +3,8 @@
 One :class:`ModuleModel` per parsed file captures what the rules need:
 classes with their bases/decorators/methods, module-level names,
 ``bind(..., interface=...)`` sites, and the ``# nrmi:`` suppression
-comments. A :class:`ProjectModel` groups the modules of one run so
-cross-file rules (protocol invariants) can find their counterpart
-sources.
+comments. A :class:`ProjectModel` groups the modules of one run for
+the whole-program rules (the NRMI04x thread-role model).
 
 The model is purely syntactic — nothing here imports the code under
 analysis, so the linter can chew on broken, unimportable, or fixture
@@ -19,7 +18,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: Marker base-class names selecting serialization semantics (matched on
 #: the last component of a dotted base expression).
@@ -238,13 +237,6 @@ class ModuleModel:
 class ProjectModel:
     modules: List[ModuleModel] = field(default_factory=list)
 
-    def module_with_suffix(self, suffix: str) -> Optional[ModuleModel]:
-        normalized = suffix.replace("\\", "/")
-        for module in self.modules:
-            if module.path.replace("\\", "/").endswith(normalized):
-                return module
-        return None
-
 
 # ------------------------------------------------------------- construction
 
@@ -381,10 +373,6 @@ def build_module(path: str, source: str) -> ModuleModel:
 # --------------------------------------------------- shared AST utilities
 
 
-def iter_methods(cls: ClassModel) -> Iterable[FunctionModel]:
-    return cls.methods.values()
-
-
 #: Constructors whose result is a mutual-exclusion primitive: a ``with``
 #: block over one of these attributes counts as a guard.
 LOCK_CONSTRUCTORS = frozenset(
@@ -461,13 +449,6 @@ def held_locks_of_with(
     return held
 
 
-def stores_in(node: ast.AST) -> Iterable[ast.AST]:
-    """Assignment-like statements anywhere under *node*."""
-    for child in ast.walk(node):
-        if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
-            yield child
-
-
 #: Methods that mutate their receiver in place — used by the copy-restore
 #: hazard rules to spot writes routed through a call.
 MUTATING_METHODS = frozenset(
@@ -486,67 +467,3 @@ def root_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def const_env(module: ModuleModel) -> Dict[str, object]:
-    """Constant-fold the module's simple top-level assignments.
-
-    Supports int/str/bytes literals, references to already-folded names,
-    unary minus, and the arithmetic the protocol modules actually use
-    (``+ - * << >> | &``). Unfoldable values are simply absent.
-    """
-    env: Dict[str, object] = {}
-    for name, value in module.module_assigns.items():
-        folded = fold_const(value, env)
-        if folded is not None:
-            env[name] = folded
-    return env
-
-
-def fold_const(node: ast.AST, env: Dict[str, object]):
-    if isinstance(node, ast.Constant) and isinstance(
-        node.value, (int, str, bytes, float)
-    ):
-        return node.value
-    if isinstance(node, ast.Name):
-        return env.get(node.id)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        value = fold_const(node.operand, env)
-        return -value if isinstance(value, (int, float)) else None
-    if isinstance(node, ast.BinOp):
-        left = fold_const(node.left, env)
-        right = fold_const(node.right, env)
-        if left is None or right is None:
-            return None
-        try:
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.LShift):
-                return left << right
-            if isinstance(node.op, ast.RShift):
-                return left >> right
-            if isinstance(node.op, ast.BitOr):
-                return left | right
-            if isinstance(node.op, ast.BitAnd):
-                return left & right
-        except TypeError:
-            return None
-    return None
-
-
-def enum_values(cls: ClassModel) -> Dict[str, int]:
-    """NAME → int for an IntEnum-style class body."""
-    values: Dict[str, int] = {}
-    for name, node in cls.class_assigns.items():
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            values[name] = node.value
-        elif (
-            isinstance(node, ast.Call)
-            and last_component(dotted_name(node.func)) == "auto"
-        ):
-            values[name] = max(values.values(), default=0) + 1
-    return values

@@ -3,7 +3,7 @@
 A rule is a pure function from a model to findings, wrapped with its
 identity (code, name, family, default severity, scope). Module-scoped
 rules run once per file; project-scoped rules run once per lint run and
-may look across files (the protocol-invariant checks).
+see the whole program (the NRMI04x thread-role checks).
 """
 
 from __future__ import annotations

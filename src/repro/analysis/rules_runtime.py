@@ -1,16 +1,10 @@
-"""Runtime self-check rules (NRMI031–NRMI036).
+"""Runtime self-check rules (NRMI031, NRMI034–NRMI036).
 
-These lint the middleware's *own* threaded and protocol code:
+These lint the middleware's *own* threaded and ring code:
 
 * **NRMI031** — inconsistent lock discipline: an attribute that is
   written under ``with self._lock`` in one method but bare in another is
   either a race or a missing justification.
-* **NRMI032** — protocol invariants: the constants that several modules
-  must agree on (restore-policy/mode wire ids, capability bits, the
-  pipelined-framing magic vs the frame-size limit, and the schema-cache
-  class-key discriminators in ``serde/schema.py``) are cross-checked from
-  source, so a drifting edit fails the lint gate before it ships a wire
-  incompatibility.
 * **NRMI034** — blocking call on the net thread: any method reachable
   from a class's ``selector.select()`` loop must stay non-blocking
   (no handler execution, no ``time.sleep``, no blocking frame reads,
@@ -35,18 +29,13 @@ These lint the middleware's *own* threaded and protocol code:
 from __future__ import annotations
 
 import ast
-import os
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.model import (
     ClassModel,
     ModuleModel,
-    ProjectModel,
-    build_module,
-    const_env,
     dotted_name,
-    enum_values,
     held_locks_of_with,
     last_component,
     lock_aliases,
@@ -153,261 +142,6 @@ def inconsistent_lock_guard(module: ModuleModel) -> Iterable[Finding]:
                 )
 
 
-# ------------------------------------------------- protocol invariants
-
-
-_PROTOCOL_SUFFIX = "rmi/protocol.py"
-_FRAMING_SUFFIX = "transport/framing.py"
-_SCHEMA_SUFFIX = "serde/schema.py"
-
-
-def _load_counterpart(
-    project: ProjectModel, anchor: ModuleModel, suffix: str
-) -> Optional[ModuleModel]:
-    """Find the sibling protocol source belonging to *anchor*'s tree.
-
-    Resolution order: a scanned module under the same package root
-    (…/rmi/protocol.py → …/<suffix>), then any scanned module with the
-    suffix, then the file on disk beside the anchor. Keeping same-root
-    matches first lets a fixture copy of the protocol trio be checked
-    against *itself*, not against the real sources."""
-    anchor_path = anchor.path.replace("\\", "/")
-    root = anchor_path[: -len(_PROTOCOL_SUFFIX)]
-    sibling = project.module_with_suffix(root + suffix)
-    if sibling is not None:
-        return sibling
-    module = project.module_with_suffix(suffix)
-    if module is not None:
-        return module
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(anchor.path)))
-    candidate = os.path.join(package_root, *suffix.split("/"))
-    if os.path.isfile(candidate):
-        try:
-            with open(candidate, "r", encoding="utf-8") as handle:
-                return build_module(candidate, handle.read())
-        except (OSError, SyntaxError):
-            return None
-    return None
-
-
-def _dict_literal_values(
-    module: ModuleModel, name: str
-) -> Optional[Tuple[ast.Dict, List[int]]]:
-    node = module.module_assigns.get(name)
-    if not isinstance(node, ast.Dict):
-        return None
-    values = [
-        v.value
-        for v in node.values
-        if isinstance(v, ast.Constant) and isinstance(v.value, int)
-    ]
-    return node, values
-
-
-@rule(
-    "NRMI032",
-    "protocol-invariant-drift",
-    FAMILY_RUNTIME,
-    Severity.ERROR,
-    scope="project",
-)
-def protocol_invariant_drift(project: ProjectModel) -> Iterable[Finding]:
-    """Cross-file consistency of the wire constants in ``rmi/protocol.py``,
-    ``transport/framing.py`` and ``serde/schema.py``. Runs once per
-    ``rmi/protocol.py`` in the scanned set (so a fixture tree is checked
-    independently of the real one); counterpart modules are pulled from
-    the same tree, the scan, or disk — in that order. Tag bytes need no
-    cross-check: every module derives its plain-int copies from
-    ``serde/tags.py``."""
-    for protocol in list(project.modules):
-        if protocol.path.replace("\\", "/").endswith(_PROTOCOL_SUFFIX):
-            yield from _check_protocol_tree(project, protocol)
-
-
-def _check_protocol_tree(
-    project: ProjectModel, protocol: ModuleModel
-) -> Iterable[Finding]:
-    env = const_env(protocol)
-
-    # 1. Wire-id tables must be injective (ids are decoded back to names).
-    for table in ("_POLICY_TO_ID", "_MODE_TO_ID"):
-        found = _dict_literal_values(protocol, table)
-        if found is None:
-            continue
-        node, values = found
-        duplicates = sorted({v for v in values if values.count(v) > 1})
-        if duplicates:
-            yield protocol_invariant_drift.at(
-                protocol.path,
-                node,
-                f"{table} maps two entries to the same wire id(s) "
-                f"{duplicates}: decoding cannot invert it",
-                hint="assign each policy/mode a distinct id",
-            )
-
-    # 2. Op/Status enum values must be unique.
-    for enum_name in ("Op", "Status"):
-        cls = protocol.class_named(enum_name)
-        if cls is None:
-            continue
-        values = enum_values(cls)
-        dupes = sorted(
-            {v for v in values.values() if list(values.values()).count(v) > 1}
-        )
-        if dupes:
-            yield protocol_invariant_drift.at(
-                protocol.path,
-                cls.node,
-                f"enum {enum_name} reuses wire value(s) {dupes}",
-                hint="every operation/status needs a distinct byte",
-            )
-
-    # 3. Capability bits: distinct powers of two, one byte, clear of the
-    #    ship_map flag bit.
-    ship_map = env.get("_FLAG_SHIP_MAP")
-    cap_bits: Dict[str, int] = {
-        name: value
-        for name, value in env.items()
-        if name.startswith("CAP_") and isinstance(value, int)
-    }
-    used = ship_map if isinstance(ship_map, int) else 0
-    for name in sorted(cap_bits):
-        bit = cap_bits[name]
-        node = protocol.module_assigns.get(name)
-        where = node if node is not None else 1
-        if bit <= 0 or bit > 0xFF or (bit & (bit - 1)) != 0:
-            yield protocol_invariant_drift.at(
-                protocol.path,
-                where,
-                f"capability {name} = {bit:#x} is not a single flag bit "
-                "inside the one-byte flags field",
-                hint="use a distinct power of two below 0x100",
-            )
-        elif used & bit:
-            yield protocol_invariant_drift.at(
-                protocol.path,
-                where,
-                f"capability {name} = {bit:#x} collides with an "
-                "already-assigned flag bit",
-                hint="pick an unused bit of the flags byte",
-            )
-        else:
-            used |= bit
-
-    # 4. Pipelined framing auto-detect: the magic, read as a length
-    #    header, must exceed MAX_FRAME_BYTES or a legal plain frame could
-    #    be mistaken for a pipelined preamble.
-    framing = _load_counterpart(project, protocol, _FRAMING_SUFFIX)
-    if framing is not None:
-        fenv = const_env(framing)
-        magic = fenv.get("PIPELINE_MAGIC")
-        limit = fenv.get("MAX_FRAME_BYTES")
-        magic_node = framing.module_assigns.get("PIPELINE_MAGIC")
-        if isinstance(magic, bytes) and len(magic) != 4:
-            yield protocol_invariant_drift.at(
-                framing.path,
-                magic_node or 1,
-                f"PIPELINE_MAGIC must be exactly 4 bytes (got {len(magic)}): "
-                "it doubles as a u32 length header during auto-detect",
-                hint="keep the magic 4 bytes long",
-            )
-        if (
-            isinstance(magic, bytes)
-            and len(magic) == 4
-            and isinstance(limit, int)
-            and int.from_bytes(magic, "big") <= limit
-        ):
-            yield protocol_invariant_drift.at(
-                framing.path,
-                magic_node or 1,
-                "PIPELINE_MAGIC decodes to a frame length within "
-                "MAX_FRAME_BYTES: framing auto-detect can misread a legal "
-                "plain frame as a pipelined preamble",
-                hint="raise the magic's leading byte or lower MAX_FRAME_BYTES",
-            )
-        preamble = fenv.get("PIPELINE_PREAMBLE")
-        version = fenv.get("PIPELINE_VERSION")
-        if (
-            isinstance(magic, bytes)
-            and isinstance(version, bytes)
-            and isinstance(preamble, bytes)
-            and preamble != magic + version
-        ):
-            yield protocol_invariant_drift.at(
-                framing.path,
-                framing.module_assigns.get("PIPELINE_PREAMBLE") or 1,
-                "PIPELINE_PREAMBLE is not PIPELINE_MAGIC + PIPELINE_VERSION",
-                hint="derive the preamble from the two constants",
-            )
-
-    # 5. Session-cached wire schemas: the schema-mode class-key
-    #    discriminators and the stream-header flag bit.
-    schema = _load_counterpart(project, protocol, _SCHEMA_SUFFIX)
-    if schema is not None:
-        senv = const_env(schema)
-        inline = senv.get("CKEY_INLINE")
-        sdef = senv.get("CKEY_SCHEMA_DEF")
-        sref = senv.get("CKEY_SCHEMA_REF")
-        base = senv.get("CKEY_STREAM_BASE")
-
-        def _at(name: str):
-            return schema.module_assigns.get(name) or 1
-
-        if isinstance(inline, int) and inline != 0:
-            # Key 0 is "inline descriptor" in BOTH encodings; anything
-            # else and a legacy stream's first class key changes meaning.
-            yield protocol_invariant_drift.at(
-                schema.path,
-                _at("CKEY_INLINE"),
-                f"CKEY_INLINE = {inline} but the classic class-key "
-                "encoding reserves 0 for inline descriptors",
-                hint="keep CKEY_INLINE == 0",
-            )
-        discriminators = {
-            name: value
-            for name, value in (
-                ("CKEY_INLINE", inline),
-                ("CKEY_SCHEMA_DEF", sdef),
-                ("CKEY_SCHEMA_REF", sref),
-            )
-            if isinstance(value, int)
-        }
-        seen: Dict[int, str] = {}
-        for name, value in discriminators.items():
-            if value in seen:
-                yield protocol_invariant_drift.at(
-                    schema.path,
-                    _at(name),
-                    f"{name} = {value} collides with {seen[value]}: the "
-                    "decoder cannot tell the two class-key forms apart",
-                    hint="give every CKEY_* discriminator a distinct value",
-                )
-            else:
-                seen[value] = name
-        if isinstance(base, int) and any(
-            base <= value for value in discriminators.values()
-        ):
-            yield protocol_invariant_drift.at(
-                schema.path,
-                _at("CKEY_STREAM_BASE"),
-                f"CKEY_STREAM_BASE = {base} overlaps a CKEY_* "
-                "discriminator: stream back-references would shadow "
-                "schema defs/refs",
-                hint="keep CKEY_STREAM_BASE above every discriminator",
-            )
-        flag = senv.get("STREAM_FLAG_SCHEMA_CACHE")
-        if isinstance(flag, int) and (
-            flag <= 0 or flag > 0xFF or (flag & (flag - 1)) != 0
-        ):
-            yield protocol_invariant_drift.at(
-                schema.path,
-                _at("STREAM_FLAG_SCHEMA_CACHE"),
-                f"STREAM_FLAG_SCHEMA_CACHE = {flag:#x} is not a single "
-                "flag bit inside the stream header's one-byte flags field",
-                hint="use a distinct power of two below 0x100",
-            )
-
-
 # ------------------------------------------- net-loop blocking discipline
 
 
@@ -418,7 +152,6 @@ _BLOCKING_CALLABLES = frozenset(
     {
         "call_handler",
         "read_frame",
-        "read_frame_body",
         "read_frame_corr",
         "recv_exact",
     }
@@ -541,8 +274,6 @@ _RING_POLL_METHODS = frozenset(
         "readable",
         "writable",
         "poll_ready",
-        "try_recv",
-        "try_send",
     }
 )
 

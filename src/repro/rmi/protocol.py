@@ -27,7 +27,7 @@ dispatcher's reply cache only deduplicates non-zero IDs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
+from enum import IntEnum, unique
 from typing import List, Tuple
 
 from repro.core.semantics import PassingMode
@@ -35,6 +35,7 @@ from repro.errors import ServerBusyError, UnmarshalError, WireFormatError
 from repro.util.buffers import BufferReader, BufferWriter
 
 
+@unique
 class Op(IntEnum):
     CALL = 1
     FIELD_GET = 2
@@ -45,6 +46,7 @@ class Op(IntEnum):
     CALL_BATCH = 7
 
 
+@unique
 class Status(IntEnum):
     OK = 0
     EXCEPTION = 1

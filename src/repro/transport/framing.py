@@ -97,18 +97,7 @@ def _recv_exact(sock: socket.socket, count: int) -> bytearray:
 
 def read_frame(sock: socket.socket, timeout: Optional[float] = None) -> bytearray:
     _apply_timeout(sock, timeout)
-    header = _recv_exact(sock, _HEADER_SIZE)
-    return read_frame_body(sock, header)
-
-
-def read_frame_body(sock: socket.socket, header: bytes) -> bytearray:
-    """Finish reading a frame whose 4-byte length *header* is in hand.
-
-    Split out of :func:`read_frame` for the server's framing auto-detect:
-    it must read the first four connection bytes before knowing whether
-    they are a plain length header or the pipelined magic.
-    """
-    (length,) = _LEN.unpack(header)
+    (length,) = _LEN.unpack(_recv_exact(sock, _HEADER_SIZE))
     if length > MAX_FRAME_BYTES:
         raise TransportError(f"peer announced oversized frame: {length} bytes")
     return _recv_exact(sock, length)

@@ -23,10 +23,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_repo_sources_lint_clean():
-    # The gate runs with --jobs semantics (0 = one worker per CPU) so the
-    # growing rule set doesn't slow the suite; output is merge-identical
-    # to a serial run by construction.
-    result = analyze_paths([str(ROOT / "src"), str(ROOT / "examples")], jobs=0)
+    result = analyze_paths([str(ROOT / "src"), str(ROOT / "examples")])
     rendered = "\n".join(f.render() for f in result.findings)
     assert not result.findings, f"nrmi-lint findings in repo sources:\n{rendered}"
     assert result.files > 80  # the walk really covered the tree
@@ -49,29 +46,15 @@ def test_concurrency_rules_engage_on_repo():
 
 @pytest.mark.bench_smoke
 def test_full_repo_lint_wall_time():
-    """Full-repo lint stays under 10s with --jobs — the satellite gate
-    that keeps the rule catalogue from slowing tier-1."""
+    """Full-repo lint stays under 10s — the gate that keeps the rule
+    catalogue from slowing tier-1."""
     start = time.perf_counter()
     result = analyze_paths(
-        [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "examples")],
-        jobs=0,
+        [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "examples")]
     )
     elapsed = time.perf_counter() - start
     assert result.files > 100
     assert elapsed < 10.0, f"full-repo lint took {elapsed:.2f}s"
-
-
-def test_protocol_invariants_actually_ran():
-    """The cross-file rule must engage on the real protocol sources —
-    a silent skip (e.g. after a file move) would hollow out the gate."""
-    result = analyze_paths(
-        [str(ROOT / "src" / "repro" / "rmi" / "protocol.py")]
-    )
-    assert result.findings == []
-    # Counterparts are loaded from disk even when only protocol.py is
-    # scanned; corrupting the magic must therefore surface here, which
-    # proves the invariant checks ran (exercised via the fixture tree in
-    # test_analysis.py::TestFixtureFindings::test_wire_drift_tree).
 
 
 def test_cli_gate_over_repo(tmp_path):

@@ -1,0 +1,76 @@
+"""Invariants between the wire constants that several modules share.
+
+Each check reads the imported values, so a constant computed from
+another one is checked as the program sees it. ``Op`` and ``Status``
+carry ``@enum.unique``: a reused byte fails at import, where an IntEnum
+would otherwise turn the duplicate into a silent alias.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.rmi import protocol
+from repro.serde import schema
+from repro.transport import framing
+
+
+def _single_flag_bit(value: int) -> bool:
+    """A power of two inside a one-byte flags field."""
+    return 0 < value < 0x100 and value & (value - 1) == 0
+
+
+def _names(module, prefix: str):
+    return {
+        name: value
+        for name, value in vars(module).items()
+        if name.startswith(prefix) and isinstance(value, int)
+    }
+
+
+@pytest.mark.parametrize("table", ["_POLICY_TO_ID", "_MODE_TO_ID"])
+def test_wire_id_tables_are_injective(table):
+    ids = list(getattr(protocol, table).values())
+    assert len(set(ids)) == len(ids), f"{table} reuses a wire id: {ids}"
+
+
+@pytest.mark.parametrize("enum_cls", [protocol.Op, protocol.Status])
+def test_enum_values_have_no_aliases(enum_cls):
+    assert list(enum_cls.__members__) == [member.name for member in enum_cls]
+
+
+def test_capability_bits_are_distinct_single_bits_clear_of_ship_map():
+    caps = _names(protocol, "CAP_")
+    assert caps, "no CAP_* constants found"
+    used = protocol._FLAG_SHIP_MAP
+    for name, bit in sorted(caps.items()):
+        assert _single_flag_bit(bit), f"{name} = {bit:#x} is not one flag bit"
+        assert not used & bit, f"{name} = {bit:#x} reuses an assigned flag bit"
+        used |= bit
+
+
+def test_pipeline_magic_cannot_be_read_as_a_legal_frame_length():
+    magic = framing.PIPELINE_MAGIC
+    assert len(magic) == 4, "the magic doubles as a u32 length header"
+    assert int.from_bytes(magic, "big") > framing.MAX_FRAME_BYTES
+
+
+def test_pipeline_preamble_is_magic_then_version():
+    assert framing.PIPELINE_PREAMBLE == (
+        framing.PIPELINE_MAGIC + framing.PIPELINE_VERSION
+    )
+
+
+def test_class_key_discriminators():
+    # Key 0 means "inline descriptor" in both class-key encodings.
+    assert schema.CKEY_INLINE == 0
+    keys = _names(schema, "CKEY_")
+    base = keys.pop("CKEY_STREAM_BASE")
+    assert len(set(keys.values())) == len(keys), f"CKEY_* collide: {keys}"
+    assert all(value < base for value in keys.values()), (
+        f"CKEY_STREAM_BASE = {base} overlaps a discriminator: {keys}"
+    )
+
+
+def test_schema_cache_stream_flag_is_one_bit():
+    assert _single_flag_bit(schema.STREAM_FLAG_SCHEMA_CACHE)
