@@ -24,11 +24,12 @@ test:
 test-bench:
 	$(PYTHON) -m pytest -q -m bench_smoke
 
-# Interleaved A/B of two revisions on one callpath workload (ten pairs of
-# 21 s runs: about nine minutes). A is the parent, B the change:
-#   make ab A=HEAD~1 B=HEAD W=tree_full_tcp
+# Interleaved A/B of two revisions on callpath workloads (ten pairs of
+# 21 s runs per workload: about nine minutes each). A is the parent, B the
+# change; W may list several workloads, the first carries the claim:
+#   make ab A=HEAD~1 B=HEAD W="echo64_tcp echo64_shm"
 A ?= HEAD~1
 B ?= HEAD
 W ?= tree_full_tcp
 ab:
-	$(PYTHON) tools/ab_callpath.py $(A) $(B) --workload $(W)
+	$(PYTHON) tools/ab_callpath.py $(A) $(B) $(foreach w,$(W),--workload $(w))

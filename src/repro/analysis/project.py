@@ -43,9 +43,9 @@ slotted class that owns a lock in ``__init__`` (the staged server's
 count as accesses of the field ``<Record>.<slot>``, and ``with
 <local>.<lock>:`` holds the lock ``<Record>.<lock>``, so a worker and the
 net thread sharing a connection's fields are checked like ``self``
-state. Other state handed across objects (``self._jobs.spin_hot``
-written by another class's net loop) is out of scope and documented as
-an under-approximation in ``docs/static_analysis.md``.
+state. Other state handed across objects (a field of another object
+stored as ``self._jobs.<field> = ...``) is out of scope and documented
+as an under-approximation in ``docs/static_analysis.md``.
 """
 
 from __future__ import annotations

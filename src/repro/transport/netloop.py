@@ -2,8 +2,22 @@
 
 One selector-driven **net thread** owns every read: it accepts
 connections, reads bytes without blocking, assembles frames (plain and
-pipelined framing auto-detected per connection), and submits them. Execution happens on N
-**worker threads** that block on a bounded job queue. On a socket
+pipelined framing auto-detected per connection), and submits them.
+
+A frame that is the loop's only ready work — the only frame a round of
+events (or of the linger poll) yields, on the only open connection,
+from a peer that has never sent a frame while one of its calls ran
+inline, with nothing parked, queued or executing — runs **inline**: the net
+thread executes it itself and writes the reply as a worker would, so a
+short call wakes one server thread instead of two. The budget is
+enforced, not predicted: while inline calls happen one idle worker is
+the watchdog, waiting on the queue with a timeout of
+``sys.getswitchinterval()`` instead of forever; a call still running at
+its tick is handed over — that worker takes over the net loop, and the
+relieved thread joins the pool once its handler returns.
+
+Everything else executes on N **worker threads** that block on a
+bounded job queue. On a socket
 connection the worker then writes its own reply — one gather
 ``sendmsg`` under the connection's write lock — unless output is
 already queued there, in which case the reply joins the queue through
@@ -14,12 +28,13 @@ on the net thread, but it rings the wake pipe only when the net thread
 has to act on that record: queued frames or parked connections waiting
 for capacity, a reply (or its unsent tail) left for the net thread to
 write, or a drain in progress. Doorbell (shm) connections keep the
-original path: every reply is written by the net thread, so each ring
-keeps exactly one producer.
+original path: every reply, inline or not, is written by the thread
+that owns the loop, so each ring keeps exactly one producer.
 
 At rest nothing busy-polls: the net thread blocks in ``select`` and
 workers block in the queue's condition variable (the Queueing design —
-one net thread, bounded workers, blocking waits). The one bounded
+one net thread, bounded workers, blocking waits); the watchdog parks
+after a tick with no inline start. The one bounded
 exception is doorbell connections: after traffic the net thread
 *linger-polls* their rings for a short window — clearing the
 consumer-waiting flag so active clients skip the doorbell syscall
@@ -54,8 +69,11 @@ the transport-level analogue of an HTTP 503 sent by the listener.
 Net-thread discipline: every method reachable from the ``select`` loop
 must be non-blocking — no handler execution, no ``time.sleep``, no
 blocking frame reads, no blocking queue waits. ``nrmi-lint`` rule
-NRMI034 enforces this statically. The one lock it shares with workers,
-a connection's write lock, is held only around non-blocking sends.
+NRMI034 enforces this statically. The one exception is the handler call
+of an inline run (:meth:`StagedStreamServer._run_inline`), whose budget
+the watchdog takeover enforces; it carries the rule's only suppression.
+The locks the net thread shares with workers — a connection's write
+lock and the job queue's — are held only around non-blocking work.
 """
 
 from __future__ import annotations
@@ -65,6 +83,7 @@ import itertools
 import selectors
 import socket
 import struct
+import sys
 import threading
 import time
 from typing import Deque, Dict, Optional, Tuple
@@ -142,6 +161,7 @@ class _Connection:
         "hot_until",
         "zero_copy",
         "borrow",
+        "overlapped",
     )
 
     def __init__(self, sock: socket.socket, now: float) -> None:
@@ -162,6 +182,9 @@ class _Connection:
         #: Monotonic deadline of this connection's linger-poll window
         #: (doorbell duplexes only; 0.0 = not currently hot).
         self.hot_until = 0.0
+        #: The peer sent a frame while one of its calls ran inline: it
+        #: overlaps its calls, so none of them runs inline again.
+        self.overlapped = False
         # Schema rx cache etc.: dies with the socket, shared by every
         # worker executing this connection's frames (thread-safe inside).
         self.session = TransportSession()
@@ -181,15 +204,23 @@ class _Connection:
         self.last_progress = now
 
 
+#: What :meth:`_BoundedJobQueue.pop` hands the watching worker whose
+#: inline call outlived its budget: run the net loop from now on.
+_TAKEOVER = ("takeover",)
+
+
 class _BoundedJobQueue:
     """The stage boundary: net thread pushes without blocking, workers
-    block to pop. Capacity is the overload-policy knob, not a guess."""
+    block to pop. Capacity is the overload-policy knob, not a guess.
 
-    #: Yield-spin rounds one worker lingers on an empty queue before the
-    #: condition-variable wait. While it spins, a push costs no futex
-    #: wake (``notify`` with no waiters is lock-only), and the pop costs
-    #: no futex sleep — the two syscalls otherwise paid per request.
-    POP_SPIN = 500
+    It also keeps the books of the net thread's *inline* calls (a lone
+    request the net thread executes itself): :meth:`begin_inline` and
+    :meth:`end_inline` bracket one, and while they happen one idle worker
+    is the watchdog — it waits with a timeout of one switch interval
+    instead of forever, and a call still running at its next tick is
+    handed over (:data:`_TAKEOVER`). Both sides take this queue's lock, so
+    no inline call runs unwatched and a takeover is decided exactly once.
+    """
 
     def __init__(self, capacity: int, depth_gauge, active_gauge) -> None:
         self._capacity = capacity
@@ -198,17 +229,15 @@ class _BoundedJobQueue:
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
         self._active = 0
-        #: Set by the net loop while it linger-polls doorbell rings: the
-        #: whole pipeline is in low-latency mode, so one worker spins too
-        #: and the queue handoff sheds its futex round trip. Off (the
-        #: default) workers block immediately — kernel-wakeup transports
-        #: gain nothing from a spinner, it is pure scheduling noise.
-        self.spin_hot = False
-        #: True while some worker holds the (single) spin slot; plain
-        #: read-test-then-set under the GIL — the worst case of a lost
-        #: race is two spinners for one window, which is only wasted
-        #: yields, never a lost job.
-        self._spinning = False
+        #: An inline call is executing on the loop owner.
+        self._inline = False
+        #: Inline calls begun so far: the watchdog tells calls apart by it.
+        self._inline_seq = 0
+        #: Inline calls happened since the watchdog last parked: some
+        #: worker is, or is about to be, the watchdog.
+        self._watch = False
+        #: A worker holds the watchdog role.
+        self._watching = False
         self._depth_gauge = depth_gauge
         self._active_gauge = active_gauge
 
@@ -219,50 +248,71 @@ class _BoundedJobQueue:
                 return False
             self._items.append(job)
             self._depth_gauge.set(len(self._items))
-            if not self._spinning:
-                # With a spinner armed the notify would wake a second
-                # worker that loses the race and re-sleeps — a futex
-                # round trip per request for nothing. The spinner's
-                # post-spin locked re-check makes the skip safe, and
-                # ``pop`` cascades a notify when items are left over.
-                self._not_empty.notify()
+            self._not_empty.notify()
             return True
 
     def pop(self) -> Optional[tuple]:
-        """Blocking take for workers; None once closed and empty."""
-        if (
-            self.spin_hot
-            and not self._items
-            and not self._closed
-            and not self._spinning
-        ):
-            # Hot-path linger, queue edition: one worker stays runnable
-            # for a bounded window so the next job starts without a
-            # condvar sleep/wake round trip. Deque reads are atomic;
-            # the locked path below re-checks everything regardless.
-            self._spinning = True
-            try:
-                for _ in range(self.POP_SPIN):
-                    if self._items or self._closed or not self.spin_hot:
-                        break
-                    _yield_cpu()
-            finally:
-                self._spinning = False
+        """Blocking take for workers: a job, :data:`_TAKEOVER`, or None
+        once closed and empty."""
         with self._not_empty:
             while not self._items and not self._closed:
-                self._not_empty.wait()
+                if not self._watch or self._watching:
+                    self._not_empty.wait()
+                    continue
+                # Watchdog duty: tick every switch interval — the bound
+                # CPython already puts on any thread holding the GIL —
+                # while inline calls keep starting; park after a quiet
+                # tick. One call running across a whole tick becomes an
+                # executing job, and this worker takes the loop over.
+                self._watching = True
+                seen = self._inline_seq
+                while not self._items and not self._closed:
+                    self._not_empty.wait(sys.getswitchinterval())
+                    if self._inline_seq != seen:
+                        seen = self._inline_seq
+                        continue
+                    if self._inline:
+                        self._inline = False
+                        self._active += 1
+                        self._active_gauge.set(self._active)
+                        self._watching = self._watch = False
+                        return _TAKEOVER
+                    break
+                # However the watch ends, the next inline start re-arms it.
+                self._watching = self._watch = False
             if not self._items:
                 return None
             job = self._items.popleft()
             self._active += 1
             self._depth_gauge.set(len(self._items))
             self._active_gauge.set(self._active)
-            if self._items and not self._spinning:
-                # Baton pass: a push during a spin window skips its
-                # notify, so whoever takes an item wakes the next worker
-                # while a backlog remains.
-                self._not_empty.notify()
             return job
+
+    def idle(self) -> bool:
+        """Nothing queued and no worker executing (inline eligibility)."""
+        with self._lock:
+            return not self._items and not self._active and not self._closed
+
+    def begin_inline(self) -> None:
+        """The loop owner starts executing a job itself; arms the
+        watchdog with one ``notify`` when it is parked."""
+        with self._lock:
+            self._inline = True
+            self._inline_seq += 1
+            if not self._watch:
+                self._watch = True
+                self._not_empty.notify()
+
+    def end_inline(self) -> bool:
+        """The inline call returned. True when its thread still owns the
+        loop; False when the watchdog took the loop over meanwhile — the
+        call is then an executing job the caller finishes as a worker
+        does (:meth:`task_done` included)."""
+        with self._lock:
+            if self._inline:
+                self._inline = False
+                return True
+            return False
 
     def task_done(self) -> None:
         with self._lock:
@@ -284,9 +334,10 @@ class _BoundedJobQueue:
 
     @property
     def outstanding(self) -> int:
-        """Jobs queued plus jobs executing (drain-completion condition)."""
+        """Jobs queued plus jobs executing, inline call included
+        (drain-completion condition)."""
         with self._lock:
-            return len(self._items) + self._active
+            return len(self._items) + self._active + self._inline
 
     def __len__(self) -> int:
         with self._lock:
@@ -374,6 +425,9 @@ class StagedStreamServer:
         self._shed_counter = self.metrics.counter("server.shed.queue_full")
         self._drain_shed_counter = self.metrics.counter("server.shed.draining")
         self._jobs_counter = self.metrics.counter("server.jobs.submitted")
+        self._completed_counter = self.metrics.counter("server.jobs.completed")
+        self._inline_counter = self.metrics.counter("server.jobs.inline")
+        self._takeover_counter = self.metrics.counter("server.inline.takeovers")
 
         self._jobs = _BoundedJobQueue(
             queue_capacity,
@@ -399,6 +453,12 @@ class StagedStreamServer:
         #: Connections whose head frame met a full queue under the
         #: "block" policy; re-pumped when completions free queue space.
         self._parked: set = set()
+        #: True while the loop reads a round's events (or polls its hot
+        #: rings) with nothing parked, until the round's first frame is
+        #: stashed: that frame may run inline (:meth:`_admit`).
+        self._solo = False
+        #: The round's lone frame, stashed for :meth:`_run_inline`.
+        self._inline_job: Optional[tuple] = None
         self._stopping = threading.Event()
         self._force_stop = threading.Event()
         self._drained = threading.Event()
@@ -414,20 +474,29 @@ class StagedStreamServer:
         self._wake_tx.setblocking(False)
         self._selector.register(self._wake_rx, selectors.EVENT_READ, _WAKER)
 
-        self._workers = [
+        def serve(owns_loop: bool) -> None:
+            # A thread switches role only at a takeover: the watchdog
+            # worker becomes the net thread, and the net thread it
+            # relieved becomes a worker once its inline call returns.
+            while self._net_loop() if owns_loop else self._worker_loop():
+                owns_loop = not owns_loop
+
+        self._threads = [
             threading.Thread(
-                target=self._worker_loop,
+                target=serve,
+                args=(False,),
                 name=f"{label}-worker-{index}",
                 daemon=True,
             )
             for index in range(workers)
         ]
-        for thread in self._workers:
-            thread.start()
-        self._net_thread = threading.Thread(
-            target=self._net_loop, name=f"{label}-net", daemon=True
+        self._threads.append(
+            threading.Thread(
+                target=serve, args=(True,), name=f"{label}-net", daemon=True
+            )
         )
-        self._net_thread.start()
+        for thread in self._threads:
+            thread.start()
 
     # --------------------------------------------------- subclass surface
 
@@ -460,14 +529,19 @@ class StagedStreamServer:
 
     # ------------------------------------------------------- worker stage
 
-    def _worker_loop(self) -> None:
+    def _worker_loop(self) -> bool:
+        """Execute queued jobs until the queue closes (False), or until
+        this worker, as the inline watchdog, takes the net loop over
+        (True)."""
         jobs = self._jobs
         handler = self._handler
-        completed = self.metrics.counter("server.jobs.completed")
         while True:
             job = jobs.pop()
             if job is None:
-                return
+                return False
+            if job is _TAKEOVER:
+                self._takeover_counter.add()
+                return True
             conn, corr_id, payload = job
             try:
                 response = call_handler(handler, payload, conn.session)
@@ -477,30 +551,35 @@ class StagedStreamServer:
                 # anything escaping to here is a protocol bug, and the
                 # only safe move is dropping the connection.
                 response, failed = b"", True
-            # Counted before the reply can leave: a caller holding its
-            # reply must find the job counted.
-            completed.add()
-            # Either way the completion is published BEFORE task_done:
-            # the net thread's drain condition is "outstanding == 0 and
-            # no completions pending" — the other order could close a
-            # connection under a reply that was finished but not yet
-            # visible.
-            if failed or conn.doorbell:
-                self._completions.append((conn, corr_id, response, failed, False))
-                wake = True
-            else:
-                wake = self._send_reply(conn, corr_id, response)
-            jobs.task_done()
-            # The record is posted before this test, so a backlog or a
-            # parked connection the test misses was queued after it: the
-            # net thread drains completions after every round of events.
-            if (
-                wake
-                or conn.backlog  # frames waiting for this in-flight slot
-                or self._parked  # connections waiting for queue space
-                or self._stopping.is_set()  # drain counts completions
-            ):
-                self._wake()
+            self._finish_job(conn, corr_id, response, failed)
+
+    def _finish_job(self, conn: _Connection, corr_id, response, failed) -> None:
+        """Deliver a finished job off the loop: a worker's, or an inline
+        call whose thread lost the loop to a takeover meanwhile."""
+        # Counted before the reply can leave: a caller holding its
+        # reply must find the job counted.
+        self._completed_counter.add()
+        # Either way the completion is published BEFORE task_done: the
+        # net thread's drain condition is "outstanding == 0 and no
+        # completions pending" — the other order could close a
+        # connection under a reply that was finished but not yet
+        # visible.
+        if failed or conn.doorbell:
+            self._completions.append((conn, corr_id, response, failed, False))
+            wake = True
+        else:
+            wake = self._send_reply(conn, corr_id, response)
+        self._jobs.task_done()
+        # The record is posted before this test, so a backlog or a
+        # parked connection the test misses was queued after it: the
+        # net thread drains completions after every round of events.
+        if (
+            wake
+            or conn.backlog  # frames waiting for this in-flight slot
+            or self._parked  # connections waiting for queue space
+            or self._stopping.is_set()  # drain counts completions
+        ):
+            self._wake()
 
     def _send_reply(self, connection: _Connection, corr_id, payload) -> bool:
         """Worker side of a socket connection: post the completion and
@@ -558,55 +637,167 @@ class StagedStreamServer:
 
     # ---------------------------------------------------------- net stage
 
-    def _net_loop(self) -> None:
+    def _net_loop(self) -> bool:
+        """Own the event loop until the server stops (False), or until
+        the watchdog takes it over while this thread runs an inline call
+        (True: this thread is a worker from then on)."""
+        handed_off = False
         try:
-            while not self._force_stop.is_set():
-                if self._stopping.is_set() and not self._draining:
-                    self._begin_drain()
-                if self._draining and self._drain_complete():
-                    break
-                events = self._selector.select(self._select_timeout())
-                # Completions first: workers usually post theirs without
-                # a wake, and the next request of a plain connection must
-                # find the previous one's in-flight slot already free.
-                self._drain_completions()
-                for key, mask in events:
-                    if key.data is _LISTENER:
-                        self._handle_accept()
-                    elif key.data is _WAKER:
-                        self._drain_waker()
-                    else:
-                        connection = key.data
-                        if mask & selectors.EVENT_READ:
-                            self._handle_read(connection)
-                        if mask & selectors.EVENT_WRITE and not connection.closed:
-                            self._handle_write(connection)
-                if self._doorbells:
-                    self._doorbell_backstop()
-                if self._hot:
-                    # Amortize the selector service: many poll rounds per
-                    # ``select(0)``. Each round drains completions too, so
-                    # replies never wait on the outer loop; accepts and
-                    # doorbell EOFs wait at most POLL_ROUNDS yield-rounds.
-                    self._net_polling = True  # nrmi: disable=NRMI041 -- single boolean flag: workers only read it in _wake to skip the waker write, and a stale read merely costs one redundant doorbell byte (see the disarm-ordering comment below)
-                    self._jobs.spin_hot = True
-                    for _ in range(self.POLL_ROUNDS):
-                        self._poll_hot()
-                        self._drain_completions()
-                        self._pump_parked()
-                        if not self._hot:
-                            break
-                # Order matters: disarm waker suppression BEFORE the
-                # completion drain, so any worker that skipped the waker
-                # has its completion collected before ``select`` blocks.
-                self._net_polling = bool(self._hot)
-                self._jobs.spin_hot = self._net_polling
-                self._drain_completions()
-                self._pump_parked()
-                if self._partial_read_timeout is not None:
-                    self._reap_stalled()
+            handed_off = self._run_loop()
         finally:
-            self._shutdown_loop()
+            if not handed_off:
+                self._shutdown_loop()
+        return handed_off
+
+    def _run_loop(self) -> bool:
+        # A takeover starts here, on the state the last owner left when
+        # its inline call began. The selector is level-triggered, so any
+        # events it had not handled come back on the next ``select``;
+        # frames it had already parsed are no longer in the kernel, so
+        # every backlog is pumped now.
+        self._net_polling = False  # nrmi: disable=NRMI041 -- the relieved owner may have left it set mid-poll; clearing it only makes the next worker wake send its byte
+        for connection in list(self._conns.values()):
+            if connection.backlog:
+                self._pump_conn(connection)
+        while not self._force_stop.is_set():
+            if self._stopping.is_set() and not self._draining:
+                self._begin_drain()
+            if self._draining and self._drain_complete():
+                break
+            events = self._selector.select(self._select_timeout())
+            # Completions first: workers usually post theirs without
+            # a wake, and the next request of a plain connection must
+            # find the previous one's in-flight slot already free.
+            self._drain_completions()
+            self._solo = not self._parked
+            for key, mask in events:
+                if key.data is _LISTENER:
+                    self._handle_accept()
+                elif key.data is _WAKER:
+                    self._drain_waker()
+                else:
+                    connection = key.data
+                    if mask & selectors.EVENT_READ:
+                        self._handle_read(connection)
+                    if mask & selectors.EVENT_WRITE and not connection.closed:
+                        self._handle_write(connection)
+            self._solo = False
+            if self._inline_job is not None and not self._run_inline():
+                return True
+            if self._doorbells:
+                self._doorbell_backstop()
+            if self._hot:
+                # Amortize the selector service: many poll rounds per
+                # ``select(0)``. Each round drains completions too, so
+                # replies never wait on the outer loop; accepts and
+                # doorbell EOFs wait at most POLL_ROUNDS yield-rounds.
+                self._net_polling = True  # nrmi: disable=NRMI041 -- single boolean flag: workers only read it in _wake to skip the waker write, and a stale read merely costs one redundant doorbell byte (see the disarm-ordering comment below)
+                for _ in range(self.POLL_ROUNDS):
+                    self._solo = not self._parked
+                    self._poll_hot()
+                    self._solo = False
+                    if self._inline_job is not None and not self._run_inline():
+                        return True
+                    self._drain_completions()
+                    self._pump_parked()
+                    if not self._hot:
+                        break
+            # Order matters: disarm waker suppression BEFORE the
+            # completion drain, so any worker that skipped the waker
+            # has its completion collected before ``select`` blocks.
+            self._net_polling = bool(self._hot)
+            self._drain_completions()
+            self._pump_parked()
+            if self._partial_read_timeout is not None:
+                self._reap_stalled()
+        return False
+
+    def _admit(self, connection: _Connection, corr_id, payload, alone: bool) -> bool:
+        """Take a parsed frame into execution, counted as submitted.
+
+        A round's first frame, when its read yielded just this one
+        (*alone*), its connection is the only one open and has never
+        overlapped its calls, and nothing is queued or executing, is
+        stashed for :meth:`_run_inline`; anything else is pushed to the
+        job queue. Where another frame could arrive while the call runs —
+        on a second connection, or from a peer that overlaps its calls —
+        it would wait for the call, so that traffic keeps the worker
+        hand-off. A second frame in the same round means the stash was
+        not the only ready work after all: it goes to the queue first —
+        which was idle, so it fits — and the new frame follows it. False
+        when the queue is full; the caller applies the overload policy.
+        """
+        if self._inline_job is not None and self._jobs.try_push(self._inline_job):
+            self._inline_job = None
+        if (
+            self._solo
+            and alone
+            and not connection.overlapped
+            and len(self._conns) == 1
+            and self._jobs.idle()
+        ):
+            # Only this thread pushes, so the queue stays idle until the
+            # stash runs: begin_inline need not check again.
+            self._solo = False
+            self._inline_job = (connection, corr_id, payload)
+        elif not self._jobs.try_push((connection, corr_id, payload)):
+            return False
+        connection.inflight += 1
+        self._jobs_counter.add()
+        return True
+
+    def _run_inline(self) -> bool:
+        """Execute the stashed lone frame on this thread, which read it:
+        no queue hand-off and no worker wake.
+
+        The handler may block. The watchdog (see
+        :class:`_BoundedJobQueue`) bounds how long that can stall the
+        other connections: a call still running at its tick is handed
+        over, another thread runs the loop from then on, and this
+        thread — touching no loop state after the handler returns —
+        delivers the reply as a worker does and returns False.
+        """
+        connection, corr_id, payload = self._inline_job
+        self._inline_job = None
+        self._inline_counter.add()
+        self._jobs.begin_inline()
+        try:
+            response = call_handler(self._handler, payload, connection.session)  # nrmi: disable=NRMI034 -- budget enforced by the watchdog takeover
+            failed = False
+        except Exception:  # noqa: BLE001 - handler must not kill server
+            response, failed = b"", True
+        if not self._jobs.end_inline():
+            self._finish_job(connection, corr_id, response, failed)
+            return False
+        self._completed_counter.add()
+        # Read before the reply leaves: bytes already here were sent
+        # while the call ran, which a peer waiting for its reply cannot do.
+        early = self._early_bytes(connection)
+        if early is not None:
+            connection.overlapped = True
+        if failed or connection.doorbell:
+            # Doorbell rings keep one producer: the loop writes the reply.
+            self._completions.append((connection, corr_id, response, failed, False))
+        else:
+            self._send_reply(connection, corr_id, response)
+        if early is not None:
+            self._ingest(connection, early)
+            if connection.doorbell and not connection.closed:
+                self._mark_hot(connection)
+        return True
+
+    def _early_bytes(self, connection: _Connection) -> Optional[bytes]:
+        """What a pipelined connection sent while its inline call ran, or
+        None. Plain framing has one request in flight by protocol, and a
+        read error or EOF stays for the next read to find."""
+        if connection.framing != "pipelined":
+            return None
+        sock = connection.sock
+        try:
+            data = (sock.recv_ring if connection.doorbell else sock.recv)(_RECV_CHUNK)
+        except OSError:  # BlockingIOError included: nothing was sent
+            return None
+        return data or None
 
     def _select_timeout(self) -> Optional[float]:
         """Block indefinitely when idle; tick only while a deadline is
@@ -793,10 +984,8 @@ class StagedStreamServer:
             return
         connection.framing = "plain"
         payload = record[_HEADER_SIZE:end]
-        if self._jobs.try_push((connection, None, payload)):
+        if self._admit(connection, None, payload, True):
             connection.borrow = end
-            connection.inflight += 1
-            self._jobs_counter.add()
             return
         if self._overload_policy == "shed":
             sock.consume_borrow()
@@ -943,10 +1132,10 @@ class StagedStreamServer:
                 self._drain_shed_counter.add()
                 self._queue_reply(connection, corr_id, _BUSY_DRAINING)
                 continue
-            if self._jobs.try_push((connection, corr_id, payload)):
+            if self._admit(
+                connection, corr_id, payload, len(connection.backlog) == 1
+            ):
                 connection.backlog.popleft()
-                connection.inflight += 1
-                self._jobs_counter.add()
                 continue
             if self._overload_policy == "shed":
                 # Load shedding: the payload is never deserialized; the
@@ -1283,15 +1472,15 @@ class StagedStreamServer:
             self._force_stop.set()
             self._wake()
             self._drained.wait(5.0)
-        self._net_thread.join(timeout=5.0)
         try:
             self._sock.close()  # idempotent; the net loop normally did it
         except OSError:
             pass
         self._jobs.close()
-        for thread in self._workers:
-            # Workers stuck in a runaway handler are daemons; don't hang
-            # shutdown on them.
+        for thread in self._threads:
+            # Whichever thread owns the loop is past ``_drained`` and
+            # exits at once. Workers stuck in a runaway handler are
+            # daemons; don't hang shutdown on them.
             thread.join(timeout=0.5)
         self._on_stop()
 

@@ -170,3 +170,79 @@ class TestAbCallpathVerdict:
     def test_unequal_sides_rejected(self):
         with pytest.raises(ValueError):
             self.judge([1.0], [1.0, 2.0], "lower")
+
+    # Exit status: a gain on the first workload's claim, and no
+    # regression past a BENCHMARK.json bound on any workload.
+
+    tool = _load_ab_tool()
+    bounds = {"call_p50_us": 0.25, "rss_mb": 0.1}
+    parent_p50 = [200.0, 204.0, 198.0, 201.0, 203.0, 199.0, 202.0, 200.0, 197.0, 205.0]
+
+    def table(self, p50_factor=1.0, rss_factor=1.0):
+        rss = [60.0, 60.2, 59.9, 60.1, 60.0, 60.1, 59.8, 60.0, 60.2, 59.9]
+        return {
+            "call_p50_us": self.judge(
+                self.parent_p50, [v * p50_factor for v in self.parent_p50], "lower"
+            ),
+            "rss_mb": self.judge(rss, [v * rss_factor for v in rss], "lower"),
+        }
+
+    def blockers(self, verdicts, failed=None):
+        failed = failed or {name: (0.0, 0.0) for name in verdicts}
+        return self.tool.blockers(verdicts, self.bounds, failed)
+
+    def test_regression_inside_its_bound_does_not_block(self):
+        verdicts = {"echo64_tcp": self.table(p50_factor=0.85, rss_factor=1.01)}
+        assert verdicts["echo64_tcp"]["rss_mb"]["verdict"] == "regression"
+        assert self.blockers(verdicts) == []
+
+    def test_regression_past_its_bound_blocks_on_any_workload(self):
+        verdicts = {
+            "echo64_tcp": self.table(p50_factor=0.85),
+            "tree_full_tcp": self.table(rss_factor=1.2),
+        }
+        reasons = self.blockers(verdicts)
+        assert len(reasons) == 1 and reasons[0].startswith("tree_full_tcp: rss_mb")
+
+    def test_unresolved_move_past_its_bound_blocks(self):
+        # Eight of ten pairs lost, the median 30 % worse: the spread
+        # leaves the verdict unresolved, the bound still blocks.
+        change = [v * 1.3 for v in self.parent_p50]
+        change[0], change[1] = 150.0, 150.0
+        verdicts = {
+            "echo64_tcp": self.table(p50_factor=0.85),
+            "echo64_shm": {
+                "call_p50_us": self.judge(self.parent_p50, change, "lower")
+            },
+        }
+        shm = verdicts["echo64_shm"]["call_p50_us"]
+        assert (shm["losses"], shm["verdict"]) == (8, "unresolved")
+        assert self.blockers(verdicts) == [
+            "echo64_shm: call_p50_us got worse beyond its 25.0% bound"
+        ]
+
+    def test_better_median_never_blocks(self):
+        verdicts = {"echo64_tcp": self.table(p50_factor=0.5, rss_factor=0.5)}
+        assert self.blockers(verdicts) == []
+
+    def test_only_the_first_workload_carries_the_claim(self):
+        verdicts = {
+            "echo64_tcp": self.table(),
+            "echo64_shm": self.table(p50_factor=0.5),
+        }
+        reasons = self.blockers(verdicts)
+        assert reasons == ["echo64_tcp: call_p50_us is unresolved, not a gain"]
+        assert self.blockers(dict(reversed(list(verdicts.items())))) == []
+
+    def test_more_failed_calls_block(self):
+        verdicts = {"echo64_tcp": self.table(p50_factor=0.85)}
+        failed = {"echo64_tcp": (0.0, 1e-4)}
+        assert self.blockers(verdicts, failed) == [
+            "echo64_tcp: a larger share of calls failed"
+        ]
+
+    def test_workload_flag_repeats(self):
+        args = self.tool.build_parser().parse_args(
+            ["A", "B", "--workload", "echo64_tcp", "--workload", "echo64_shm"]
+        )
+        assert args.workload == ["echo64_tcp", "echo64_shm"]

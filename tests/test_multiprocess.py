@@ -5,6 +5,7 @@ runtimes — and the strongest end-to-end evidence: copy-restore working
 across a real process boundary and a real socket.
 """
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from repro.bench.trees import generate_workload
 from repro.nrmi.config import NRMIConfig
 from repro.nrmi.runtime import Endpoint
 from repro.nrmi.server_main import parse_binding
+from repro.transport.reliability import RetryPolicy
 from repro.transport.resolver import ChannelResolver
 
 
@@ -140,3 +142,60 @@ class TestAcrossProcesses:
         finally:
             client.close()
             resolver.close_all()
+
+
+class TestShmAcrossProcesses:
+    def test_echo_over_a_ring_shared_with_a_child(self, tmp_path):
+        """A ring pair between two real processes: the child serves echo
+        over shm, 2 000 calls come back intact, and the child's server
+        ran them on its net thread's inline path. The client config is
+        the one the echo64_shm benchmark workload uses."""
+        from repro.transport.shm import shm_supported
+
+        if not shm_supported():
+            pytest.skip("platform lacks AF_UNIX fd passing for shm")
+        announce = tmp_path / "address"
+        child = subprocess.Popen(
+            [
+                sys.executable,
+                str(pathlib.Path(__file__).with_name("shm_echo_child.py")),
+                str(announce),
+            ],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.time() + 30
+            while not announce.exists():
+                if child.poll() is not None:
+                    raise RuntimeError(f"shm child died:\n{child.stderr.read()}")
+                if time.time() > deadline:
+                    raise RuntimeError("shm child never announced its address")
+                time.sleep(0.05)
+            resolver = ChannelResolver()
+            client = Endpoint(
+                name="mp-shm-client",
+                config=NRMIConfig(
+                    tcp_pipelined=False, retry=RetryPolicy(max_attempts=2)
+                ),
+                resolver=resolver,
+            )
+            try:
+                service = client.lookup(announce.read_text(), "echo")
+                for index in range(2000):
+                    payload = index.to_bytes(8, "little") * 8
+                    assert service.echo(payload) == payload
+            finally:
+                client.close()
+                resolver.close_all()
+            out, err = child.communicate(timeout=30)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+        assert child.returncode == 0, err
+        counters = json.loads(out.strip().splitlines()[-1])
+        assert counters["completed"] == counters["submitted"] >= 2000
+        assert counters["inline"] > 0

@@ -6,6 +6,7 @@ raw sockets, below the RMI stack — the chaos matrix covers the same
 behaviours end-to-end through proxies and retries.
 """
 
+import queue
 import socket
 import struct
 import sys
@@ -14,10 +15,14 @@ import time
 
 import pytest
 
+from repro.core.markers import Remote
 from repro.errors import RetryableError, ServerBusyError, TransportError
+from repro.nrmi.config import NRMIConfig
+from repro.nrmi.runtime import Endpoint
 from repro.rmi.protocol import Status, busy_response, raise_if_busy
 from repro.transport.framing import read_frame, write_frame
 from repro.transport.netloop import StagedStreamServer
+from repro.transport.resolver import ChannelResolver
 from repro.transport.tcp import PipelinedTcpChannel, TcpChannel, TcpServer
 from repro.util.metrics import MetricsRegistry
 
@@ -537,3 +542,351 @@ class TestSaturationSoak:
             assert completed == submitted  # every admitted job answered
             shed = metrics.counter("server.shed.queue_full").value
             assert shed == outcomes["busy"]  # sheds and BUSYs reconcile
+
+
+TRANSPORTS = ["tcp", "uds", "shm"]
+
+
+def skip_unsupported(transport):
+    if transport == "uds" and not hasattr(socket, "AF_UNIX"):
+        pytest.skip("platform lacks AF_UNIX")
+    if transport == "shm":
+        from repro.transport.shm import shm_supported
+
+        if not shm_supported():
+            pytest.skip("platform lacks AF_UNIX fd passing for shm")
+
+
+def staged_server(transport, handler, **options):
+    """(server, plain-channel factory, pipelined-channel factory)."""
+    skip_unsupported(transport)
+    if transport == "tcp":
+        server = TcpServer(handler, **options)
+        return (
+            server,
+            lambda: TcpChannel(server.host, server.port, timeout=5.0),
+            lambda: PipelinedTcpChannel(server.host, server.port, timeout=5.0),
+        )
+    if transport == "uds":
+        from repro.transport.uds import PipelinedUdsChannel, UdsChannel, UdsServer
+
+        server = UdsServer(handler, **options)
+        return (
+            server,
+            lambda: UdsChannel(server.path, timeout=5.0),
+            lambda: PipelinedUdsChannel(server.path, timeout=5.0),
+        )
+    from repro.transport.shm import PipelinedShmChannel, ShmChannel, ShmServer
+
+    server = ShmServer(handler, **options)
+    return (
+        server,
+        lambda: ShmChannel(server.name, timeout=5.0),
+        lambda: PipelinedShmChannel(server.name, timeout=5.0),
+    )
+
+
+class Rendezvous:
+    """``take`` blocks until another call's ``put:<item>`` arrives;
+    counts executions."""
+
+    def __init__(self):
+        self.items = queue.Queue()
+        self.taking = threading.Event()
+        self.executions = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, request):
+        request = bytes(request)
+        with self._lock:
+            self.executions += 1
+        if request == b"take":
+            self.taking.set()
+            return self.items.get(timeout=5.0)
+        self.items.put(request[len(b"put:"):])
+        return b"ok"
+
+
+class Relay(Remote):
+    """One hop of a re-entrant chain: calls *peer* back with one hop
+    fewer, until the count runs out."""
+
+    def bounce(self, peer, hops):
+        if hops == 0:
+            return [threading.current_thread().name]
+        return peer.bounce(self, hops - 1) + [threading.current_thread().name]
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestInlineExecution:
+    """A lone frame runs on the net thread that read it; a call that
+    outlives the switch interval hands the loop to the watchdog worker,
+    so blocking handlers still make progress."""
+
+    def test_sequential_calls_all_run_inline(self, transport):
+        metrics = MetricsRegistry()
+        server, plain, _ = staged_server(transport, echo, metrics=metrics)
+        inline = metrics.counter("server.jobs.inline")
+        submitted = metrics.counter("server.jobs.submitted")
+        with server:
+            channel = plain()
+            try:
+                assert bytes(channel.request(b"warm")) == b"warm"
+                inline_before, submitted_before = inline.value, submitted.value
+                for index in range(50):
+                    payload = b"call-%d" % index
+                    assert bytes(channel.request(payload)) == payload
+            finally:
+                channel.close()
+            assert inline.value - inline_before == 50
+            assert submitted.value - submitted_before == 50
+        assert (
+            metrics.counter("server.jobs.completed").value == submitted.value
+        )
+
+    def _rendezvous(self, transport, pipelined):
+        handler = Rendezvous()
+        metrics = MetricsRegistry()
+        server, plain, piped = staged_server(transport, handler, metrics=metrics)
+        results = {}
+        with server:
+            if pipelined:
+                shared = piped()
+                channels = (shared, shared)
+            else:
+                channels = (plain(), plain())
+
+            def call(key, channel, payload):
+                results[key] = bytes(channel.request(payload))
+
+            started = time.monotonic()
+            taker = threading.Thread(
+                target=call, args=("take", channels[0], b"take")
+            )
+            taker.start()
+            try:
+                assert handler.taking.wait(2.0)
+                call("put", channels[1], b"put:item")
+                taker.join(timeout=2.0)
+                elapsed = time.monotonic() - started
+            finally:
+                for channel in set(channels):
+                    channel.close()
+            assert not taker.is_alive()
+            assert results == {"take": b"item", "put": b"ok"}
+            assert elapsed < 2.0
+        assert metrics.counter("server.inline.takeovers").value >= 1
+        assert handler.executions == len(results)
+        assert (
+            metrics.counter("server.jobs.completed").value
+            == metrics.counter("server.jobs.submitted").value
+        )
+
+    def test_blocked_inline_call_is_released_by_another_connection(
+        self, transport
+    ):
+        self._rendezvous(transport, pipelined=False)
+
+    def test_blocked_inline_call_is_released_on_its_own_pipelined_channel(
+        self, transport
+    ):
+        self._rendezvous(transport, pipelined=True)
+
+    def test_reentrant_callback_chain_completes(self, transport):
+        skip_unsupported(transport)
+        resolver = ChannelResolver()
+        config = NRMIConfig(transport=transport)
+        a = Endpoint(name="relay-a", config=config, resolver=resolver)
+        b = Endpoint(name="relay-b", config=config, resolver=resolver)
+        try:
+            a.serve_remote()
+            b.serve_remote()
+            relay_a = Relay()
+            a.bind("relay", relay_a)
+            b.bind("relay", Relay())
+            remote_b = a.lookup(b.address, "relay")
+            # A→B→A→B: B's net thread blocks in the first hop while A's
+            # call back into B needs reading — only a takeover reads it.
+            outcome = {}
+            caller = threading.Thread(
+                target=lambda: outcome.setdefault(
+                    "trail", remote_b.bounce(relay_a, 3)
+                )
+            )
+            caller.start()
+            caller.join(timeout=10.0)
+            assert not caller.is_alive()
+            assert len(outcome["trail"]) == 4
+            assert b.metrics.counter("server.inline.takeovers").value >= 1
+        finally:
+            a.close()
+            b.close()
+            resolver.close_all()
+
+    def test_second_open_connection_keeps_the_worker_hand_off(self, transport):
+        metrics = MetricsRegistry()
+        server, plain, _ = staged_server(transport, echo, metrics=metrics)
+        inline = metrics.counter("server.jobs.inline")
+        with server:
+            idle, busy = plain(), plain()
+            try:
+                assert bytes(idle.request(b"open")) == b"open"
+                assert bytes(busy.request(b"warm")) == b"warm"
+                inline_before = inline.value
+                for index in range(20):
+                    payload = b"call-%d" % index
+                    assert bytes(busy.request(payload)) == payload
+            finally:
+                idle.close()
+                busy.close()
+            assert inline.value == inline_before
+        assert metrics.counter("server.inline.takeovers").value == 0
+
+    def test_peer_that_overlaps_its_calls_keeps_the_worker_hand_off(
+        self, transport
+    ):
+        started = threading.Event()
+
+        def handler(request):
+            request = bytes(request)
+            if request == b"slow":
+                started.set()
+                time.sleep(0.1)
+            return request
+
+        metrics = MetricsRegistry()
+        server, _, piped = staged_server(transport, handler, metrics=metrics)
+        inline = metrics.counter("server.jobs.inline")
+        interval = sys.getswitchinterval()
+        with server:
+            shared = piped()
+            replies = {}
+            slow = threading.Thread(
+                target=lambda: replies.setdefault("slow", bytes(shared.request(b"slow")))
+            )
+            # No takeover: the second frame must meet the inline call.
+            sys.setswitchinterval(1.0)
+            try:
+                slow.start()
+                assert started.wait(5.0)
+                replies["fast"] = bytes(shared.request(b"fast"))
+                slow.join(timeout=5.0)
+            finally:
+                sys.setswitchinterval(interval)
+            try:
+                assert replies == {"slow": b"slow", "fast": b"fast"}
+                assert inline.value == 1  # the slow call only
+                for index in range(10):
+                    payload = b"call-%d" % index
+                    assert bytes(shared.request(payload)) == payload
+                assert inline.value == 1
+            finally:
+                shared.close()
+        assert metrics.counter("server.inline.takeovers").value == 0
+
+    def test_takeover_storm_loses_no_call(self, transport):
+        """A switch interval of 100 µs makes the watchdog take over from
+        almost every inline call that sleeps, while other threads keep
+        calling on the same pipelined connection and fresh connections
+        come and go: replies, executions and the job counters must still
+        reconcile exactly."""
+        executions = []
+        lock = threading.Lock()
+
+        def handler(request):
+            request = bytes(request)
+            if request == b"lone":
+                time.sleep(0.05)
+            elif request[-1] % 3 == 0:
+                time.sleep(0.002)
+            with lock:
+                executions.append(request)
+            return b"re:" + request
+
+        metrics = MetricsRegistry()
+        server, plain, piped = staged_server(
+            transport, handler, workers=3, queue_capacity=64, metrics=metrics
+        )
+        errors = []
+
+        def caller(channel, caller_id):
+            for index in range(30):
+                payload = b"%d-%d" % (caller_id, index)
+                try:
+                    if channel is None:
+                        # A connection of its own for this one call.
+                        own = plain()
+                        try:
+                            reply = bytes(own.request(payload))
+                        finally:
+                            own.close()
+                    else:
+                        reply = bytes(channel.request(payload))
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+                    return
+                if reply != b"re:" + payload:
+                    errors.append((payload, reply))
+                time.sleep(0.001 * (index % 3))  # lets lone calls run inline
+
+        interval = sys.getswitchinterval()
+        with server:
+            shared = piped()
+            threads = [
+                threading.Thread(target=caller, args=(channel, n))
+                for n, channel in enumerate([shared] * 5 + [None, None])
+            ]
+            sys.setswitchinterval(1e-4)
+            try:
+                # One call alone first: it runs inline and is taken over
+                # for sure, whatever the storm's timing then does.
+                assert bytes(shared.request(b"lone")) == b"re:lone"
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+                shared.close()
+            assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(executions) == len(set(executions)) == 7 * 30 + 1
+        assert metrics.counter("server.inline.takeovers").value >= 1
+        submitted = metrics.counter("server.jobs.submitted").value
+        assert submitted == len(executions)
+        assert metrics.counter("server.jobs.completed").value == submitted
+        assert metrics.counter("server.jobs.inline").value <= submitted
+
+    def test_stop_waits_for_a_blocked_inline_call(self, transport):
+        handler = GatedHandler()
+        metrics = MetricsRegistry()
+        server, plain, _ = staged_server(transport, handler, metrics=metrics)
+        channel = plain()
+        reply = {}
+        caller = threading.Thread(
+            target=lambda: reply.setdefault("value", bytes(channel.request(b"held")))
+        )
+        caller.start()
+        try:
+            assert handler.started.wait(5.0)
+            assert metrics.counter("server.jobs.inline").value == 1
+            stopper = threading.Thread(target=server.stop, args=(5.0,))
+            stopper.start()
+            # The watchdog hands the loop over, and the new owner drains.
+            takeovers = metrics.counter("server.inline.takeovers")
+            deadline = time.monotonic() + 5.0
+            while takeovers.value < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.05)
+            assert stopper.is_alive()  # the drain waits for the call
+            handler.release.set()
+            stopper.join(timeout=10.0)
+            caller.join(timeout=5.0)
+        finally:
+            handler.release.set()
+            channel.close()
+        assert not stopper.is_alive()
+        assert reply == {"value": b"held"}
+        assert metrics.counter("server.inline.takeovers").value == 1
+        assert metrics.counter("server.drain.graceful").value == 1
+        assert metrics.counter("server.jobs.completed").value == 1

@@ -1,6 +1,6 @@
-"""Interleaved A/B of two revisions on one callpath workload.
+"""Interleaved A/B of two revisions on callpath workloads.
 
-    python3 tools/ab_callpath.py REV_A REV_B --workload W [--pairs 10]
+    python3 tools/ab_callpath.py REV_A REV_B --workload W [--workload W2 ...] [--pairs 10]
 
 REV_A is the parent, REV_B the change. Both are exported with
 ``git archive`` into a temporary directory (committed files only, each in
@@ -12,15 +12,21 @@ export's *own* ``benchmarks/callpath/run.py --workload W --trace 0
 The box this repository is measured on drifts by tens of percent within
 the hour (``benchmarks/callpath/README.md``), so the two sides alternate:
 pair *i* runs A then B when *i* is even and B then A when it is odd, both
-with seed ``--seed + i``; run length is whatever each ``run.py`` takes
-from ``BENCHMARK.json``. The tool prints the claimed metric
-(``call_p50_us``) of every pair, then per end-to-end metric the wins,
-both medians and quartiles, and the verdict of the choosing-metrics rule:
-the change wins at least nine tenths of the pairs (ties count for
-neither) **and** the medians differ by more than the distance between
-the parent's quartiles. Exit 0 means a gain on the claimed metric with no
-larger share of failed calls. No network; reports go to the temporary
-directory, nothing is written under ``benchmarks/callpath``.
+with seed ``--seed + i``, and every pair visits each workload in turn;
+run length is whatever each ``run.py`` takes from ``BENCHMARK.json``.
+The tool prints the claimed metric (``call_p50_us``) of every pair, then
+one table per workload: per end-to-end metric the wins, both medians and
+quartiles, and the verdict of the choosing-metrics rule — the change
+wins at least nine tenths of the pairs (ties count for neither) **and**
+the medians differ by more than the distance between the parent's
+quartiles. The first workload carries the claim. Exit 0 means a gain on
+the claimed metric there, and on every workload no larger share of
+failed calls and no metric whose median got worse by more than its
+``BENCHMARK.json`` bound, whatever its verdict (a steady 1 % on a metric
+bounded at 10 % reads ``regression`` and still passes; a 30 % move that
+lost only eight pairs reads ``unresolved`` and still blocks). No network;
+reports go to the temporary directory, nothing is written under
+``benchmarks/callpath``.
 """
 
 from __future__ import annotations
@@ -81,6 +87,45 @@ def judge(parent: Sequence[float], change: Sequence[float], better: str) -> Dict
     }
 
 
+def beyond_bound(verdict: Dict[str, object], bound: float) -> bool:
+    """The change's median is worse than the parent's by more than
+    *bound* (a fraction of the parent's median), whatever the verdict:
+    a wide spread makes a large move ``unresolved``, not harmless."""
+    worse = -verdict["median_gap"]
+    if worse <= 0:
+        return False
+    base = abs(verdict["parent"][1])
+    return base == 0 or worse / base > bound
+
+
+def blockers(
+    verdicts: Dict[str, Dict[str, Dict[str, object]]],
+    bounds: Dict[str, float],
+    failed: Dict[str, Tuple[float, float]],
+) -> List[str]:
+    """Why the change does not pass; empty when it does.
+
+    *verdicts* maps workload → metric → :func:`judge` result, the claimed
+    workload first; *failed* maps workload → (parent, change) share of
+    failed calls.
+    """
+    reasons = []
+    claimed_workload = next(iter(verdicts))
+    claim = verdicts[claimed_workload][CLAIMED_METRIC]["verdict"]
+    if claim != "gain":
+        reasons.append(f"{claimed_workload}: {CLAIMED_METRIC} is {claim}, not a gain")
+    for workload, table in verdicts.items():
+        for name, verdict in table.items():
+            if beyond_bound(verdict, bounds[name]):
+                reasons.append(
+                    f"{workload}: {name} got worse beyond its {bounds[name]:.1%} bound"
+                )
+        parent_failed, change_failed = failed[workload]
+        if change_failed > parent_failed:
+            reasons.append(f"{workload}: a larger share of calls failed")
+    return reasons
+
+
 def _slashed(values: Sequence[float]) -> str:
     return "/".join(f"{value:.4g}" for value in values)
 
@@ -119,26 +164,37 @@ def run_once(checkout: str, workload: str, seed: int, report: str) -> dict:
     return json.loads(lines[-1])
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("rev_a", metavar="REV_A", help="the parent revision")
     parser.add_argument("rev_b", metavar="REV_B", help="the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", action="append", required=True,
+        help="repeatable; the first one carries the claim",
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="pair i uses seed + i on both sides")
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
+    workloads = list(dict.fromkeys(args.workload))
 
     repo = subprocess.run(
         ["git", "rev-parse", "--show-toplevel"], check=True, capture_output=True, text=True
     ).stdout.strip()
     with open(os.path.join(repo, "BENCHMARK.json"), encoding="utf-8") as handle:
-        better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+        end_to_end = json.load(handle)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
 
-    runs: Dict[str, List[dict]] = {"a": [], "b": []}
+    runs: Dict[str, Dict[str, List[dict]]] = {w: {"a": [], "b": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="ab-callpath-") as tmp:
         sides = {
             "a": os.path.join(tmp, "a"),
@@ -149,45 +205,56 @@ def main(argv: Optional[List[str]] = None) -> int:
             "b": export(repo, args.rev_b, sides["b"]),
         }
         print(f"A (parent) {revs['a'][:12]}   B (change) {revs['b'][:12]}   "
-              f"workload {args.workload}, {args.pairs} pairs")
+              f"workloads {' '.join(workloads)}, {args.pairs} pairs")
         for pair in range(args.pairs):
             order = "ab" if pair % 2 == 0 else "ba"
-            for side in order:
-                report = os.path.join(tmp, f"{side}-{pair}.json")
-                runs[side].append(
-                    run_once(sides[side], args.workload, args.seed + pair, report)
+            for workload in workloads:
+                for side in order:
+                    report = os.path.join(tmp, f"{workload}-{side}-{pair}.json")
+                    runs[workload][side].append(
+                        run_once(sides[side], workload, args.seed + pair, report)
+                    )
+                a, b = runs[workload]["a"][-1], runs[workload]["b"][-1]
+                print(
+                    f"pair {pair:>2} ({order}) seed {args.seed + pair} {workload}: "
+                    f"{CLAIMED_METRIC} A {a['metrics'][CLAIMED_METRIC]['value']:.1f}  "
+                    f"B {b['metrics'][CLAIMED_METRIC]['value']:.1f}   "
+                    f"failed A {a['failed']}/{a['attempted']} B {b['failed']}/{b['attempted']}",
+                    flush=True,
                 )
-            a, b = runs["a"][-1], runs["b"][-1]
-            print(
-                f"pair {pair:>2} ({order}) seed {args.seed + pair}: {CLAIMED_METRIC} "
-                f"A {a['metrics'][CLAIMED_METRIC]['value']:.1f}  "
-                f"B {b['metrics'][CLAIMED_METRIC]['value']:.1f}   "
-                f"failed A {a['failed']}/{a['attempted']} B {b['failed']}/{b['attempted']}",
-                flush=True,
-            )
 
-    verdicts = {}
-    print(f"\n{'metric':<22}{'wins':>5}{'loss':>5}  {'A q1/med/q3':>32}  {'B q1/med/q3':>32}  "
-          f"{'gap':>10} {'A iqr':>9}  verdict")
-    for name, direction in better.items():
-        a_values = [run["metrics"][name]["value"] for run in runs["a"]]
-        b_values = [run["metrics"][name]["value"] for run in runs["b"]]
-        verdict = verdicts[name] = judge(a_values, b_values, direction)
-        print(
-            f"{name:<22}{verdict['wins']:>5}{verdict['losses']:>5}  "
-            f"{_slashed(verdict['parent']):>32}  {_slashed(verdict['change']):>32}  "
-            f"{verdict['median_gap']:>10.4g} {verdict['parent_iqr']:>9.4g}  {verdict['verdict']}"
-        )
-    failed = {
-        side: sum(run["failed"] for run in runs[side])
-        / max(sum(run["attempted"] for run in runs[side]), 1)
-        for side in runs
-    }
-    print(f"failed share of calls: A {failed['a']:.2e}  B {failed['b']:.2e}")
-    claimed = verdicts[CLAIMED_METRIC]["verdict"]
-    print(f"claim on {CLAIMED_METRIC}: {claimed} "
+    verdicts: Dict[str, Dict[str, Dict[str, object]]] = {}
+    failed: Dict[str, Tuple[float, float]] = {}
+    for workload in workloads:
+        table = verdicts[workload] = {}
+        print(f"\n{workload}")
+        print(f"{'metric':<22}{'wins':>5}{'loss':>5}  {'A q1/med/q3':>32}  "
+              f"{'B q1/med/q3':>32}  {'gap':>10} {'A iqr':>9}  verdict")
+        for name, direction in better.items():
+            a_values = [run["metrics"][name]["value"] for run in runs[workload]["a"]]
+            b_values = [run["metrics"][name]["value"] for run in runs[workload]["b"]]
+            verdict = table[name] = judge(a_values, b_values, direction)
+            print(
+                f"{name:<22}{verdict['wins']:>5}{verdict['losses']:>5}  "
+                f"{_slashed(verdict['parent']):>32}  {_slashed(verdict['change']):>32}  "
+                f"{verdict['median_gap']:>10.4g} {verdict['parent_iqr']:>9.4g}  "
+                f"{verdict['verdict']}"
+                + (" beyond bound" if beyond_bound(verdict, bounds[name]) else "")
+            )
+        shares = [
+            sum(run["failed"] for run in runs[workload][side])
+            / max(sum(run["attempted"] for run in runs[workload][side]), 1)
+            for side in "ab"
+        ]
+        failed[workload] = (shares[0], shares[1])
+        print(f"failed share of calls: A {shares[0]:.2e}  B {shares[1]:.2e}")
+    reasons = blockers(verdicts, bounds, failed)
+    print(f"\nclaim on {workloads[0]} {CLAIMED_METRIC}: "
+          f"{verdicts[workloads[0]][CLAIMED_METRIC]['verdict']} "
           f"(needs >= {WIN_SHARE:.0%} of pairs and a median gap above the parent's IQR)")
-    return 0 if claimed == "gain" and failed["b"] <= failed["a"] else 1
+    for reason in reasons:
+        print(f"blocked: {reason}")
+    return 0 if not reasons else 1
 
 
 if __name__ == "__main__":
