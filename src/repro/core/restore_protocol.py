@@ -44,10 +44,9 @@ from repro.serde.registry import ClassRegistry, Externalizer
 from repro.serde.walker import reachable
 from repro.serde.writer import ObjectWriter
 from repro.serde.profiles import MODERN_PROFILE, SerializationProfile
+from repro.serde.tags import OLDREF_EXTERNALIZER
 from repro.util.buffers import BufferReader, BufferWriter
-from repro.util.identity import IdentityMap, IdentitySet
-
-_OLDREF_EXT = "nrmi.oldref"
+from repro.util.identity import IdentitySet
 
 
 @dataclass
@@ -199,6 +198,8 @@ def _restore_decoded(
 
 
 def _encode_index(index: int) -> bytes:
+    """An old-object reference's payload; ``ObjectWriter`` writes the
+    same bytes from its oldref table."""
     writer = BufferWriter()
     writer.write_uvarint(index)
     return writer.getvalue()
@@ -243,21 +244,17 @@ class DeltaRestorePolicy(RestorePolicy):
     ) -> bytes:
         retained = context.retained
         dirty = snapshot.dirty_indices(digest_slots(retained, context.accessor))
-        dirty_set = set(dirty)
-        clean: IdentityMap[int] = IdentityMap()
-        for index, obj in enumerate(retained):
-            if index not in dirty_set:
-                clean[obj] = index
-        oldref = Externalizer(
-            name=_OLDREF_EXT,
-            claims=lambda obj: obj in clean,
-            replace=lambda obj: _encode_index(clean[obj]),
-            resolve=lambda payload: None,  # never used on the server
-        )
+        # Clean slots travel as their index: the writer's oldref table,
+        # keyed by identity. ``retained`` keeps every key alive while the
+        # writer runs, and holds each object once (a linear-map subset).
+        oldrefs = dict(zip(map(id, retained), range(len(retained))))
+        for index in dirty:
+            del oldrefs[id(retained[index])]
         writer = ObjectWriter(
             profile=context.profile,
             registry=context.registry,
-            externalizers=(oldref,) + tuple(context.externalizers),
+            externalizers=context.externalizers,
+            oldrefs=oldrefs,
         )
         header = BufferWriter()
         header.write_uvarint(len(retained))
@@ -311,7 +308,7 @@ class DeltaRestorePolicy(RestorePolicy):
                 ) from None
 
         oldref = Externalizer(
-            name=_OLDREF_EXT,
+            name=OLDREF_EXTERNALIZER,
             claims=lambda obj: False,  # never used on the caller
             replace=lambda obj: b"",
             resolve=resolve,

@@ -20,6 +20,10 @@ hot loop does no per-object reflection —
   depth), and nested generated-backed objects of *other* classes recurse
   directly (bounded by :data:`MAX_CODEGEN_DEPTH`), so a tree of objects
   serializes with no per-node stack/frame churn at all;
+* externals stay in generated code: decoders resolve any ``EXTERNAL``
+  (remote references, value adapters, a delta reply's old-object
+  references) in place, and encoders write an old-object reference for
+  an object in the writer's oldref table;
 * any shape the specialization does not cover **bails out** to the
   writer's and reader's generic machinery mid-object, preserving
   pre-order byte-for-byte: generated encode splices its remaining work
@@ -44,9 +48,10 @@ from __future__ import annotations
 
 import struct
 from functools import partial
+from typing import Dict, Tuple
 
 from repro.errors import WireFormatError
-from repro.serde.accessors import _collect_slot_names
+from repro.serde.accessors import OPTIMIZED_ACCESSOR, _collect_slot_names
 from repro.serde.hooks import (
     apply_resolve,
     apply_upgrade,
@@ -55,8 +60,9 @@ from repro.serde.hooks import (
     has_upgrade,
     transient_fields,
 )
+from repro.serde.kinds import Kind, classify
 from repro.serde.schema import CKEY_STREAM_BASE, _str_blob, _uvarint, schema_epoch
-from repro.serde.tags import Tag
+from repro.serde.tags import OLDREF_EXTERNALIZER, Tag
 from repro.util.metrics import MetricsRegistry
 
 #: Sentinel returned by a generated decode function when it has parked a
@@ -71,8 +77,67 @@ MAX_CODEGEN_DEPTH = 64
 
 #: Module-wide codegen telemetry: ``serde.codegen.compiled`` counts
 #: successfully generated functions, ``serde.codegen.fallbacks`` counts
-#: classes whose function failed to compile (they take the generic path).
+#: classes whose function failed to compile (they take the generic path),
+#: and ``serde.codegen.bails.<reason>`` counts each hand-over of an object
+#: to the generic machinery mid-object, by the site that bailed.
 codegen_metrics = MetricsRegistry()
+
+#: The bail sites. ``depth``: a nested object past
+#: :data:`MAX_CODEGEN_DEPTH`; ``uncompiled``: a nested object whose class
+#: has no generated function at hand (not yet met by this writer, not
+#: plan-safe, or failed to compile); ``container``: a list, tuple, set,
+#: frozenset, dict or bytearray value; ``other``: any other value (big
+#: ints, complex numbers, primitive subclasses, externalized values on
+#: the encoder; an unknown tag on the decoder).
+BAIL_REASONS = tuple(
+    f"{side}.{site}"
+    for side in ("encode", "decode")
+    for site in ("depth", "uncompiled", "container", "other")
+)
+_BAILS = {
+    reason: codegen_metrics.counter(f"serde.codegen.bails.{reason}")
+    for reason in BAIL_REASONS
+}
+
+
+def bail_counts() -> Dict[str, int]:
+    """Bails since the counters were last reset, by reason."""
+    return {reason: counter.value for reason, counter in _BAILS.items()}
+
+
+_CONTAINER_KINDS = frozenset(
+    {Kind.LIST, Kind.TUPLE, Kind.SET, Kind.FROZENSET, Kind.DICT, Kind.BYTEARRAY}
+)
+_CONTAINER_TAGS = frozenset(
+    int(tag)
+    for tag in (Tag.LIST, Tag.TUPLE, Tag.SET, Tag.FROZENSET, Tag.DICT, Tag.BYTEARRAY)
+)
+
+
+def _note_encode_bail(value, plan_cache) -> None:
+    if value.__class__ in plan_cache:
+        reason = "encode.depth"
+    else:
+        kind = classify(value)
+        if kind is Kind.OBJECT:
+            reason = "encode.uncompiled"
+        elif kind in _CONTAINER_KINDS:
+            reason = "encode.container"
+        else:
+            reason = "encode.other"
+    _BAILS[reason].add()
+
+
+class _ResolveError(Exception):
+    """Carries what an externalizer's ``resolve`` raised out of a
+    generated decoder, past the handlers that turn the decoder's own
+    ``IndexError`` and ``UnicodeDecodeError`` into ``WireFormatError``:
+    both paths raise the same error for a malformed external."""
+
+    def __init__(self, error: BaseException) -> None:
+        super().__init__(error)
+        self.error = error
+
 
 _F64 = struct.Struct(">d")
 
@@ -87,9 +152,13 @@ _TAG_STR = int(Tag.STR)
 _TAG_BYTES = int(Tag.BYTES)
 _TAG_REF = int(Tag.REF)
 _TAG_OBJECT = int(Tag.OBJECT)
+_TAG_EXTERNAL = int(Tag.EXTERNAL)
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+
+# First occurrence of the oldref name key on an interned stream.
+_OLDREF_NAME_BLOB = b"\x00" + _str_blob(OLDREF_EXTERNALIZER)
 
 
 class CodegenEncodePlan:
@@ -210,6 +279,31 @@ def _read_uvarint_src(target: str, indent: int) -> str:
 # --------------------------------------------------------------- encode
 
 
+def _emit_oldref_src(indent: int) -> str:
+    """``ObjectWriter._write_oldref`` for ``value``, inlined: an immutable
+    handle, the ``EXTERNAL`` tag, the oldref name key and the index as a
+    length-prefixed uvarint."""
+    p = " " * indent
+    return (
+        f"{p}oldref = oldrefs[id(value)]\n"
+        f"{p}ref = writer._next_handle\n"
+        f"{p}writer._next_handle = ref + 1\n"
+        f"{p}handles[id(value)] = (value, ref)\n"
+        f"{p}buf.append({_TAG_EXTERNAL})\n"
+        f"{p}name_id = name_ids.get(_OLDREF)\n"
+        f"{p}if name_id is None:\n"
+        f"{p}    name_ids[_OLDREF] = len(name_ids) + 1\n"
+        f"{p}    buf += _oldref_name_blob\n"
+        f"{p}else:\n"
+        + _emit_uvarint_src("name_id", indent + 4)
+        + f"{p}if oldref < 0x80:\n"
+        f"{p}    buf.append(1)\n"
+        f"{p}else:\n"
+        f"{p}    buf.append((oldref.bit_length() + 6) // 7)\n"
+        + _emit_uvarint_src("oldref", indent)
+    )
+
+
 def _encode_field_body(indent: int, materialize: str) -> str:
     """One field's name + value emission.
 
@@ -264,6 +358,8 @@ def _encode_field_body(indent: int, materialize: str) -> str:
         f"{p}            ref = handle_entry[1]\n"
         f"{p}            buf.append({_TAG_REF})\n"
         + _emit_uvarint_src("ref", indent + 12)
+        + f"{p}        elif oldrefs and id(value) in oldrefs:\n"
+        + _emit_oldref_src(indent + 12)
         + f"{p}        else:\n"
         f"{p}            _base = len(stack)\n"
         f"{p}            if not plan2.encode_inner(\n"
@@ -316,6 +412,7 @@ def _encode_field_body(indent: int, materialize: str) -> str:
         f"{p}    elif value_cls is bool:\n"
         f"{p}        buf.append({_TAG_TRUE} if value else {_TAG_FALSE})\n"
         f"{p}    else:\n"
+        f"{p}        _note_encode_bail(value, plan_cache)\n"
         f"{mat}"
         f"{p}        j = count - 1\n"
         f"{p}        while j > i:\n"
@@ -357,13 +454,14 @@ def _build_encode_source(
     add("            writer._bytes_memo,")
     add("            writer._plan_cache,")
     add("            writer._memo_limit,")
+    add("            writer._oldrefs,")
     add("        )")
     add("    return _encode_inner(writer, obj, stack, _depth, ctx)")
     add("")
     add("")
     add("def _encode_inner(writer, obj, stack, _depth, ctx):")
     add("    (buf, handles, lm_objects, class_ids, name_ids,")
-    add("     str_memo, bytes_memo, plan_cache, memo_limit) = ctx")
+    add("     str_memo, bytes_memo, plan_cache, memo_limit, oldrefs) = ctx")
     add("    handle = writer._next_handle")
     add("    writer._next_handle = handle + 1")
     add("    handles[id(obj)] = (obj, handle)")
@@ -373,7 +471,10 @@ def _build_encode_source(
         add("    lm_objects.append(obj)")
     # -- state extraction, specialized per layout ------------------------
     if stream_dict:
-        add('    instance_dict = getattr(obj, "__dict__", None)')
+        if _instances_have_dict(cls):
+            add("    instance_dict = obj.__dict__")
+        else:
+            add('    instance_dict = getattr(obj, "__dict__", None)')
         add("    count = len(instance_dict) if instance_dict else 0")
         names_expr = "list(instance_dict) if instance_dict else []"
         materialize = "state = list(instance_dict.items())"
@@ -488,6 +589,9 @@ def compile_codegen_encode_plan(
             "_f64_pack": _F64.pack,
             "_slot_names": slot_names,
             "_transients": transients,
+            "_OLDREF": OLDREF_EXTERNALIZER,
+            "_oldref_name_blob": _OLDREF_NAME_BLOB,
+            "_note_encode_bail": _note_encode_bail,
         }
         if batch_fields:
             namespace["_pack_batch"] = struct.Struct(
@@ -507,6 +611,30 @@ def compile_codegen_encode_plan(
 
 
 # --------------------------------------------------------------- decode
+
+
+def _read_name_key_src(target: str, indent: int) -> str:
+    """A field or externalizer name key: a back reference into the
+    stream's name table, or 0 and the name inline (``_read_name``)."""
+    p = " " * indent
+    return (
+        _read_uvarint_src("key", indent)
+        + f"{p}if key:\n"
+        f"{p}    try:\n"
+        f"{p}        {target} = names[key - 1]\n"
+        f"{p}    except IndexError:\n"
+        f"{p}        buf._pos = pos\n"
+        f"{p}        raise _WireFormatError(\n"
+        f'{p}            f"dangling name id {{key}}"\n'
+        f"{p}        ) from None\n"
+        f"{p}else:\n"
+        f"{p}    buf._pos = pos\n"
+        f"{p}    {target} = buf.read_str()\n"
+        f"{p}    pos = buf._pos\n"
+        f"{p}    names.append({target})\n"
+        f"{p}    if names_seen is not None:\n"
+        f"{p}        names_seen.add({target})\n"
+    )
 
 
 def _decode_scalar_arms_head(p: str) -> str:
@@ -628,6 +756,7 @@ def _build_decode_source(
     upgrade: bool,
     use_dict: bool,
     batch_n: int,
+    plain: bool,
 ) -> str:
     store = (
         "field_dict[name] = value" if use_dict else "set_field(shell, name, value)"
@@ -667,16 +796,22 @@ def _build_decode_source(
     add("            reader._schema_rx,")
     add("            reader._names_seen,")
     add("            reader.linear_map._objects,")
-    add("            reader._digest_accessor is not None,")
+    add("            reader._slot_states,")
+    add("            reader._plain_capture,")
+    add("            reader._local_externalizers,")
     add("        )")
-    add("    return _decode_inner(")
-    add("        reader, stack, wire_version, _depth, ctx, ctx[0]._pos")
-    add("    )[0]")
+    add("    try:")
+    add("        return _decode_inner(")
+    add("            reader, stack, wire_version, _depth, ctx, ctx[0]._pos")
+    add("        )[0]")
+    add("    except _ResolveError as escaped:")
+    add("        raise escaped.error from None")
     add("")
     add("")
     add("def _decode_inner(reader, stack, wire_version, _depth, ctx, pos):")
     add("    (buf, mv, length, handles, names, classes, set_field,")
-    add("     schema_rx, names_seen, lm_objects, capture) = ctx")
+    add("     schema_rx, names_seen, lm_objects, slot_states, plain_capture,")
+    add("     local_externalizers) = ctx")
     add("    base = len(stack)")
     add("    work = []")
     add("    try:")
@@ -692,22 +827,7 @@ def _build_decode_source(
     # subgraph, at any depth.
     add("        while True:")
     add("            while count:")
-    lines.extend(_read_uvarint_src("key", 16).rstrip("\n").split("\n"))
-    add("                if key:")
-    add("                    try:")
-    add("                        name = names[key - 1]")
-    add("                    except IndexError:")
-    add("                        buf._pos = pos")
-    add("                        raise _WireFormatError(")
-    add('                            f"dangling name id {key}"')
-    add("                        ) from None")
-    add("                else:")
-    add("                    buf._pos = pos")
-    add("                    name = buf.read_str()")
-    add("                    pos = buf._pos")
-    add("                    names.append(name)")
-    add("                    if names_seen is not None:")
-    add("                        names_seen.add(name)")
+    lines.extend(_read_name_key_src("name", 16).rstrip("\n").split("\n"))
     add("                tag = mv[pos]")
     add("                pos += 1")
     lines.extend(_decode_scalar_arms_head(" " * 16).rstrip("\n").split("\n"))
@@ -769,6 +889,11 @@ def _build_decode_source(
     add("                                  wire_version)")
     add("                            return BAIL, pos")
     add("                    else:")
+    add("                        _bails[")
+    add('                            "decode.uncompiled"')
+    add("                            if plan2 is None or plan2.decode_fn is None")
+    add('                            else "decode.depth"')
+    add("                        ].add()")
     lines.extend(_read_uvarint_src("count2", 24).rstrip("\n").split("\n"))
     add("                        buf._pos = pos")
     add("                        child = reader._spawn_object_frame(")
@@ -780,8 +905,33 @@ def _build_decode_source(
     add("                        stack.append(child)")
     add("                        return BAIL, pos")
     lines.extend(_decode_scalar_arms_tail(" " * 16).rstrip("\n").split("\n"))
+    # -- externals: what _step's arm does, with the same errors ---------
+    add(f"                elif tag == {_TAG_EXTERNAL}:")
+    lines.extend(_read_name_key_src("ext_name", 20).rstrip("\n").split("\n"))
+    lines.extend(_read_uvarint_src("size", 20).rstrip("\n").split("\n"))
+    add("                    end = pos + size")
+    add("                    if end > length:")
+    add("                        buf._pos = pos")
+    add("                        raise _WireFormatError(")
+    add('                            f"truncated stream: need {size} bytes at offset "')
+    add('                            f"{pos}, have {length - pos}"')
+    add("                        )")
+    add("                    payload = mv[pos:end]")
+    add("                    pos = buf._pos = end")
+    add("                    ext = local_externalizers.get(ext_name)")
+    add("                    if ext is None:")
+    add("                        ext = reader.registry.externalizer_named(ext_name)")
+    add("                    try:")
+    add("                        value = ext.resolve(payload)")
+    add("                    except (IndexError, UnicodeDecodeError) as exc:")
+    add("                        raise _ResolveError(exc) from None")
+    add("                    handles.append(value)")
     # -- anything else: park frames and hand over ------------------------
     add("                else:")
+    add("                    _bails[")
+    add('                        "decode.container" if tag in _CONTAINER_TAGS')
+    add('                        else "decode.other"')
+    add("                    ].add()")
     add("                    pos -= 1")
     add("                    buf._pos = pos")
     add("                    _park(reader, stack, base, work, shell,")
@@ -799,8 +949,21 @@ def _build_decode_source(
         add("            handles[handle_slot] = value")
         add("            reader._note_resolved(value)")
     else:
-        add("            if capture:")
-        add("                reader._capture_slot(slot, shell)")
+        # Fused state capture (repro.serde.digest.state_capture): a
+        # dict-only class's "before" state is its instance dict's keys
+        # and values, stored here without the two calls per object.
+        add("            if slot_states is not None:")
+        if plain:
+            fields = "field_dict" if use_dict else "shell.__dict__"
+            add("                if plain_capture:")
+            add(f"                    fields = {fields}")
+            add("                    slot_states[slot] = (")
+            add("                        tuple(fields), tuple(fields.values())")
+            add("                    )")
+            add("                else:")
+            add("                    reader._capture_slot(slot, shell)")
+        else:
+            add("                reader._capture_slot(slot, shell)")
         add("            value = shell")
     add("            if work:")
     add(f"                {work_pop} = work.pop()")
@@ -876,7 +1039,11 @@ def compile_codegen_decode_plan(
         # Static slots rule out an instance dict: batches use set_field.
         batch_n = len(usable_slots) if static_slots and len(usable_slots) >= 2 else 0
         source = _build_decode_source(
-            plan.needs_resolve, plan.has_upgrade, _dict_store_safe(cls), batch_n
+            plan.needs_resolve,
+            plan.has_upgrade,
+            _dict_store_safe(cls),
+            batch_n,
+            OPTIMIZED_ACCESSOR.dict_only(cls),
         )
         namespace = {
             "_new": object.__new__,
@@ -892,6 +1059,9 @@ def compile_codegen_decode_plan(
             "_apply_upgrade": apply_upgrade,
             "_apply_resolve": apply_resolve,
             "_unpack_f64": _F64.unpack_from,
+            "_ResolveError": _ResolveError,
+            "_bails": _BAILS,
+            "_CONTAINER_TAGS": _CONTAINER_TAGS,
         }
         if batch_n:
             namespace["_unpack_batch"] = struct.Struct(

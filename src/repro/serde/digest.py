@@ -67,6 +67,14 @@ _F64_BITS = struct.Struct(">d").pack
 walk_count = 0
 
 
+def captures_plain_dicts(accessor: FieldAccessor) -> bool:
+    """Whether :func:`state_capture` reads a class that
+    ``OptimizedAccessor.dict_only`` admits straight off its instance dict,
+    as ``(tuple(d), tuple(d.values()))`` — the form generated decoders
+    store themselves (:mod:`repro.serde.codegen`)."""
+    return isinstance(accessor, OptimizedAccessor)
+
+
 def state_capture(accessor: FieldAccessor) -> Callable[[Any], SlotState]:
     """Return ``capture(obj) -> SlotState`` for linear-map slots.
 
@@ -77,7 +85,7 @@ def state_capture(accessor: FieldAccessor) -> Callable[[Any], SlotState]:
     portable-vs-optimized axis of the paper's Tables 4-6.
     """
     layouts = dict(_BUILTIN_LAYOUTS)
-    dict_only = accessor.dict_only if isinstance(accessor, OptimizedAccessor) else None
+    dict_only = accessor.dict_only if captures_plain_dicts(accessor) else None
     get_state = accessor.get_state
 
     def capture(obj: Any) -> SlotState:

@@ -29,7 +29,12 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import WireFormatError
 from repro.serde.codegen import BAIL
-from repro.serde.digest import SlotDigestTable, SlotState, state_capture
+from repro.serde.digest import (
+    SlotDigestTable,
+    SlotState,
+    captures_plain_dicts,
+    state_capture,
+)
 from repro.serde.hooks import (
     apply_resolve,
     apply_upgrade,
@@ -67,6 +72,7 @@ _F_OBJECT = 5
 _T_NONE = int(Tag.NONE)
 _T_INT = int(Tag.INT)
 _T_REF = int(Tag.REF)
+_T_OBJECT = int(Tag.OBJECT)
 
 
 class _Frame:
@@ -154,9 +160,14 @@ class ObjectReader:
         # mutable slot's "before" state is captured as its frame finishes,
         # so the delta snapshot needs no second walk over the linear map.
         self._digest_accessor = digest_accessor
+        self._slot_states: Optional[Dict[int, SlotState]] = None
+        # Generated decoders inline the capture of dict-only classes when
+        # the capture function would read their instance dict whole.
+        self._plain_capture = False
         if digest_accessor is not None:
             self._capture_state = state_capture(digest_accessor)
-            self._slot_states: Dict[int, SlotState] = {}
+            self._slot_states = {}
+            self._plain_capture = captures_plain_dicts(digest_accessor)
         magic = self._buf.read_bytes(len(WIRE_MAGIC))
         if magic != WIRE_MAGIC:
             raise WireFormatError(f"bad magic {magic!r}; not an NRMI stream")
@@ -303,7 +314,7 @@ class ObjectReader:
                     result = _NO_VALUE
                     frame = stack[-1]
                     if drain_lists and frame.kind == _F_LIST and frame.remaining:
-                        self._drain_list_items(frame)
+                        self._drain_list_items(frame, stack)
                     if frame.remaining == 0:
                         stack.pop()
                         result = self._finish(frame)
@@ -317,81 +328,109 @@ class ObjectReader:
                 # Back from decoding an element the direct loop does not
                 # inline: resume it before paying full frame-machine
                 # cycles for what follows.
-                self._drain_list_items(frame)
+                self._drain_list_items(frame, stack)
             if frame.remaining == 0:
                 stack.pop()
                 result = self._finish(frame)
 
-    def _drain_list_items(self, frame: _Frame) -> None:
+    def _drain_list_items(self, frame: _Frame, stack: List[_Frame]) -> None:
         """Decode list elements in one direct loop.
 
-        Inlines the three element shapes that make up the retained-map
-        root of a ``full`` reply and the dirty list of a ``delta-slots``
-        one — back references, ``None`` and small ints — appending
-        straight to the shell. Any other tag is left unread for ``_step``;
-        ``_read_value`` re-enters here once that element is delivered and
-        finishes the frame (state capture included) as before.
+        Inlines the element shapes that make up the retained-map root of
+        a ``full`` reply and the dirty list of a ``delta-slots`` one —
+        back references, ``None`` and small ints, appended straight to the
+        shell, and objects whose class key refers back to a class with a
+        generated decoder, handed to that decoder as ``_step`` would. Any
+        other tag is left unread for ``_step``; ``_read_value`` re-enters
+        here once that element is delivered — or once the frames a bailing
+        decoder parked above this one are done — and finishes the frame
+        (state capture included) as before.
         """
         buf = self._buf
         handles = self._handles
+        classes = self._classes
+        class_base = 1 if self._schema_rx is None else CKEY_STREAM_BASE
         append = frame.shell.append
         remaining = frame.remaining
         mv = buf._mv
         pos = buf._pos
-        try:
-            while remaining:
-                tag = mv[pos]
-                if tag == _T_REF or tag == _T_INT:
-                    # Both payloads are one uvarint: a handle, or a
-                    # zig-zag encoded value.
-                    pos += 1
-                    byte = mv[pos]
-                    pos += 1
-                    if byte & 0x80:
-                        raw = byte & 0x7F
-                        shift = 7
-                        while True:
-                            byte = mv[pos]
-                            pos += 1
-                            raw |= (byte & 0x7F) << shift
-                            if not byte & 0x80:
-                                break
-                            shift += 7
-                            if shift > 70:
+        while True:
+            entry = None
+            try:
+                while remaining:
+                    tag = mv[pos]
+                    if tag == _T_REF or tag == _T_INT:
+                        # Both payloads are one uvarint: a handle, or a
+                        # zig-zag encoded value.
+                        pos += 1
+                        byte = mv[pos]
+                        pos += 1
+                        if byte & 0x80:
+                            raw = byte & 0x7F
+                            shift = 7
+                            while True:
+                                byte = mv[pos]
+                                pos += 1
+                                raw |= (byte & 0x7F) << shift
+                                if not byte & 0x80:
+                                    break
+                                shift += 7
+                                if shift > 70:
+                                    raise WireFormatError(
+                                        "uvarint too long (corrupt stream)"
+                                    )
+                        else:
+                            raw = byte
+                        if tag == _T_INT:
+                            value = (raw >> 1) ^ -(raw & 1)
+                        else:
+                            try:
+                                value = handles[raw]
+                            except IndexError:
                                 raise WireFormatError(
-                                    "uvarint too long (corrupt stream)"
+                                    f"dangling handle {raw}"
+                                ) from None
+                            if value is _NO_VALUE:
+                                raise WireFormatError(
+                                    f"forward reference to handle {raw}"
                                 )
+                    elif tag == _T_NONE:
+                        pos += 1
+                        value = None
                     else:
-                        raw = byte
-                    if tag == _T_INT:
-                        value = (raw >> 1) ^ -(raw & 1)
-                    else:
-                        try:
-                            value = handles[raw]
-                        except IndexError:
-                            raise WireFormatError(
-                                f"dangling handle {raw}"
-                            ) from None
-                        if value is _NO_VALUE:
-                            raise WireFormatError(
-                                f"forward reference to handle {raw}"
-                            )
-                elif tag == _T_NONE:
-                    pos += 1
-                    value = None
-                else:
-                    break
-                append(value)
-                remaining -= 1
-        except IndexError:
-            # mv[pos] past the end: the stream ended mid-element.
-            pos = buf._len
-            raise WireFormatError(
-                f"truncated stream: need 1 bytes at offset {pos}, have 0"
-            ) from None
-        finally:
-            buf._pos = pos
-            frame.remaining = remaining
+                        if tag == _T_OBJECT:
+                            # A one-byte class key naming a class already
+                            # in the stream's table.
+                            ckey = mv[pos + 1]
+                            index = ckey - class_base
+                            if ckey < 0x80 and 0 <= index < len(classes):
+                                entry = classes[index]
+                                plan = entry[2]
+                                if plan is not None and plan.decode_fn is not None:
+                                    pos += 2
+                                else:
+                                    entry = None
+                        break
+                    append(value)
+                    remaining -= 1
+            except IndexError:
+                # mv[pos] past the end: the stream ended mid-element.
+                pos = buf._len
+                raise WireFormatError(
+                    f"truncated stream: need 1 bytes at offset {pos}, have 0"
+                ) from None
+            finally:
+                buf._pos = pos
+                frame.remaining = remaining
+            if entry is None:
+                return
+            # Outside the try: what the decoder raises passes unchanged.
+            value = entry[2].decode_fn(self, stack, entry[1])
+            if value is BAIL:
+                return
+            append(value)
+            remaining -= 1
+            pos = buf._pos
 
     def _spawn_object_frame(self, entry: tuple, count: int) -> _Frame:
         """Open the decoding frame for one object whose class key and

@@ -35,6 +35,12 @@ class Tag(IntEnum):
     EXTERNAL = 0x11   # externalizer hook (e.g. remote references)
 
 
+#: Externalizer name of an old-object reference in a delta-slots reply: an
+#: ``EXTERNAL`` whose payload is the uvarint index of an unchanged object in
+#: the caller's retained list (:mod:`repro.core.restore_protocol`).
+OLDREF_EXTERNALIZER = "nrmi.oldref"
+
+
 # Tags that allocate a new handle when encountered in the stream, in the
 # exact order the writer allocated them. The decoder mirrors this rule to
 # reconstruct the handle table (and linear map) without transmitting either.

@@ -38,8 +38,9 @@ from repro.serde.schema import (
     CKEY_STREAM_BASE,
     STREAM_FLAG_SCHEMA_CACHE,
     SchemaTxCache,
+    _uvarint,
 )
-from repro.serde.tags import Tag, WIRE_MAGIC, WIRE_VERSION
+from repro.serde.tags import OLDREF_EXTERNALIZER, Tag, WIRE_MAGIC, WIRE_VERSION
 from repro.util.buffers import BufferWriter, ChunkedBufferWriter
 from repro.util.identity import IdentityMap
 
@@ -84,6 +85,14 @@ class ObjectWriter:
     cleared and the stream header is appended after whatever the caller
     already wrote (a CALL envelope header). Mutually exclusive with
     *buffer*, and only meaningful for non-chunked profiles.
+
+    *oldrefs* is a delta reply's identity table, ``id(obj) → index`` in
+    the caller's retained list. The first time the writer meets an object
+    the table holds, it writes an old-object reference (an ``EXTERNAL``
+    named :data:`~repro.serde.tags.OLDREF_EXTERNALIZER`) instead of the
+    object, ahead of any externalizer; later meetings are back
+    references, as for any external. The caller keeps every keyed object
+    alive while the writer runs, so no key can name a recycled address.
     """
 
     def __init__(
@@ -96,10 +105,12 @@ class ObjectWriter:
         memo_limit: int = DEFAULT_MEMO_LIMIT,
         schema_tx: Optional[SchemaTxCache] = None,
         out: Optional[BufferWriter] = None,
+        oldrefs: Optional[Dict[int, int]] = None,
     ) -> None:
         self.profile = profile
         self.registry = registry if registry is not None else global_registry
         self._local_externalizers = tuple(externalizers)
+        self._oldrefs = oldrefs
         #: Optional per-tag value counts (opt-in: costs one dict update
         #: per encoded value, so benchmarks leave it off).
         self.stats: Optional[Dict[str, int]] = {} if collect_stats else None
@@ -325,6 +336,7 @@ class ObjectWriter:
         buf = self._buf
         plan_cache = self._plan_cache
         handles = self._handles
+        oldrefs = self._oldrefs
         stack: List[Tuple[int, Any]] = [(_EMIT_VALUE, root)]
         while stack:
             opcode, payload = stack.pop()
@@ -358,6 +370,9 @@ class ObjectWriter:
                     if handle is not None:
                         buf.write_u8(Tag.REF)
                         buf.write_uvarint(handle)
+                        continue
+                    if oldrefs and id(obj) in oldrefs:
+                        self._write_oldref(obj)
                         continue
                     plan.encode(self, obj, stack)
                     continue
@@ -428,19 +443,22 @@ class ObjectWriter:
 
     def _emit_list_items(self, items: Iterator[Any], stack: List[Tuple[int, Any]]) -> None:
         """Write list elements straight off *items* while they need no
-        work stack: scalars, and back references to plan-backed objects
+        generic work: scalars, back references to plan-backed objects
         already written — every element of the retained-map root of a
-        ``full`` reply after its first. An element of any other shape goes
-        to the generic loop with the iterator parked beneath it, to resume
-        here once that element's subtree is out: pre-order, and therefore
-        bytes, are those of one ``(_EMIT_VALUE, item)`` task per element.
+        ``full`` reply after its first — and other plan-backed objects,
+        through their generated encoder (the dirty slots of a delta
+        reply). An element of any other shape goes to the generic loop
+        with the iterator parked beneath it, to resume here once that
+        element's subtree is out: pre-order, and therefore bytes, are
+        those of one ``(_EMIT_VALUE, item)`` task per element.
         Compiled-plan writers only (``_plan_cache`` says which classes
         the hot loop may reference by handle without further checks).
         """
         buf = self._buf
         raw = buf.raw
         plan_cache = self._plan_cache
-        handles = self._handles
+        handles = self._handles._entries
+        oldrefs = self._oldrefs
         for item in items:
             if item is None:
                 buf.write_u8(Tag.NONE)
@@ -453,14 +471,26 @@ class ObjectWriter:
                 buf.write_u8(Tag.TRUE if item else Tag.FALSE)
                 continue
             if cls in plan_cache:
-                handle = handles.get(item)
-                if handle is not None:
+                entry = handles.get(id(item))
+                if entry is not None:
+                    handle = entry[1]
                     raw.append(_TAG_REF)
                     while handle > 0x7F:
                         raw.append((handle & 0x7F) | 0x80)
                         handle >>= 7
                     raw.append(handle)
                     continue
+                if oldrefs and id(item) in oldrefs:
+                    self._write_oldref(item)
+                    continue
+                # What the generic loop would do with the element, with
+                # the rest of the list parked beneath anything the
+                # encoder leaves on the stack.
+                stack.append((_EMIT_ITEMS, items))
+                if not plan_cache[cls].encode(self, item, stack):
+                    return
+                stack.pop()
+                continue
             stack.append((_EMIT_ITEMS, items))
             stack.append((_EMIT_VALUE, item))
             return
@@ -551,7 +581,20 @@ class ObjectWriter:
         self._write_name_key(ext.name)
         self._buf.write_len_bytes(ext.replace(obj))
 
+    def _write_oldref(self, obj: Any) -> None:
+        """Write *obj*, which the oldref table holds, as an old-object
+        reference: the bytes an externalizer claiming exactly the table's
+        objects would write. Generated encoders inline the same bytes."""
+        self._alloc_handle(obj, mutable=False)
+        self._buf.write_u8(Tag.EXTERNAL)
+        self._write_name_key(OLDREF_EXTERNALIZER)
+        self._buf.write_len_bytes(_uvarint(self._oldrefs[id(obj)]))
+
     def _emit_object(self, obj: Any, stack: List[Tuple[int, Any]]) -> None:
+        oldrefs = self._oldrefs
+        if oldrefs and id(obj) in oldrefs:
+            self._write_oldref(obj)
+            return
         ext = self._find_externalizer(obj)
         if ext is not None:
             self._emit_external(obj, ext)

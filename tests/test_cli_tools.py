@@ -1,4 +1,5 @@
-"""CLI entry points: the one-shot client, server arg handling."""
+"""CLI entry points: the one-shot client, server arg handling, and the
+repository tools under ``tools/``."""
 
 import json
 import subprocess
@@ -115,6 +116,41 @@ class TestServerCliParsing:
         )
         assert completed.returncode == 0, completed.stderr
         assert json.loads(completed.stdout) == 3
+
+
+def _run_table5_stages(*options):
+    """tools/table5_stages.py in a fresh process; its JSON last line."""
+    from pathlib import Path
+
+    tool = Path(__file__).resolve().parents[1] / "tools" / "table5_stages.py"
+    completed = subprocess.run(
+        [sys.executable, str(tool), *options],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+class TestTable5Stages:
+    """The in-process stage probe: both call shapes run and check out
+    against a local call, and call counts repeat exactly."""
+
+    @pytest.mark.parametrize("policy", ["full", "delta"])
+    def test_times_every_stage(self, policy):
+        report = _run_table5_stages("--policy", policy, "--seeds", "3")
+        (stages,) = report["sets"]
+        assert report["policy"] == policy
+        assert set(stages) == {
+            "encode", "decode", "build_response", "reply_decode", "restore", "sum"
+        }
+
+    @pytest.mark.parametrize("policy", ["full", "delta"])
+    def test_call_counts_repeat_across_processes(self, policy):
+        options = ("--policy", policy, "--seeds", "3", "--count")
+        first, second = _run_table5_stages(*options), _run_table5_stages(*options)
+        assert first["unit"] == "mean calls"
+        assert first["sets"] == second["sets"]
+        assert first["sets"][0]["build_response"] > 0
 
 
 def _load_ab_tool():

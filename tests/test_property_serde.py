@@ -1,13 +1,31 @@
 """Property-based tests: the wire format on arbitrary value shapes."""
 
+import datetime
 import math
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.markers import Remote
+from repro.core.restore_protocol import (
+    ClientRestoreContext,
+    DeltaRestorePolicy,
+    _decode_index,
+    _encode_index,
+)
+from repro.core.verify import fingerprint
+from repro.errors import RestoreError, SerializationError, WireFormatError
+from repro.nrmi.runtime import Endpoint
+from repro.rmi.remote_ref import is_opaque_remote
 from repro.serde.profiles import LEGACY_PROFILE, MODERN_PROFILE
 from repro.serde.reader import ObjectReader
+from repro.serde.registry import Externalizer
+from repro.serde.tags import OLDREF_EXTERNALIZER
 from repro.serde.writer import ObjectWriter
+from repro.transport.resolver import ChannelResolver
+from repro.util.buffers import BufferWriter
+from repro.util.identity import IdentityMap
 
 from tests.model_helpers import Box, Node, Pair, SlottedPoint, heap_fingerprint
 
@@ -210,6 +228,180 @@ def test_codegen_encode_byte_identical(graph):
     generic = ObjectWriter(profile=MODERN_NO_PLANS)
     generic.write_root(graph)
     assert with_codegen.getvalue() == generic.getvalue()
+
+
+# Old-object references (the delta reply's ``nrmi.oldref`` externals). The
+# oracle is the identity externalizer delta replies used before the writer
+# took an oldref table: it claims exactly the clean objects, ahead of every
+# other externalizer, and forces the generic path on whatever it rides in.
+
+
+def _identity_oldref_externalizer(retained, clean_indices):
+    clean = IdentityMap()
+    for index in clean_indices:
+        clean[retained[index]] = index
+    return Externalizer(
+        name=OLDREF_EXTERNALIZER,
+        claims=lambda obj: obj in clean,
+        replace=lambda obj: _encode_index(clean[obj]),
+        resolve=lambda payload: None,
+    )
+
+
+def _oldref_resolver(originals):
+    return Externalizer(
+        name=OLDREF_EXTERNALIZER,
+        claims=lambda obj: False,
+        replace=lambda obj: b"",
+        resolve=lambda payload: originals[_decode_index(payload)],
+    )
+
+
+@settings(max_examples=100)
+@given(object_graphs, st.randoms(use_true_random=False))
+def test_oldref_table_encode_byte_identical(graph, rng):
+    """A reply writer with an oldref table writes the bytes the generic
+    writer writes with the identity externalizer: the graph as the return
+    value, then the list of its dirty objects."""
+    probe = ObjectWriter(profile=MODERN_NO_PLANS)
+    probe.write_root(graph)
+    retained = list(probe.linear_map)
+    clean = [index for index in range(len(retained)) if rng.random() < 0.5]
+    clean_set = set(clean)
+    roots = [graph, [obj for i, obj in enumerate(retained) if i not in clean_set]]
+    table = {id(retained[index]): index for index in clean}
+
+    def encode(profile, **kwargs):
+        writer = ObjectWriter(profile=profile, **kwargs)
+        for root in roots:
+            writer.write_root(root)
+        return writer.getvalue()
+
+    for profile in (MODERN_PROFILE, LEGACY_PROFILE):
+        oracle = encode(
+            replace(profile, use_compiled_plans=False),
+            externalizers=(_identity_oldref_externalizer(retained, clean),),
+        )
+        assert encode(profile, oldrefs=table) == oracle
+        assert encode(replace(profile, use_compiled_plans=False), oldrefs=table) == oracle
+
+
+class _Service(Remote):
+    pass
+
+
+_EXTERNAL_KINDS = ("oldref", "adapter", "remote")
+
+
+@settings(max_examples=60)
+@given(
+    object_graphs,
+    st.lists(
+        st.tuples(st.sampled_from(_EXTERNAL_KINDS), st.integers(0, 3)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_externals_decode_to_the_same_heap(graph, externals):
+    """Streams holding old-object references, value adapters and remote
+    descriptors — as object fields, where generated decoders meet them,
+    and as list elements, where the frame machine does — decode to the
+    same heap on both paths, the referenced originals included."""
+    endpoint = Endpoint(name="externals", resolver=ChannelResolver())
+    try:
+        service = _Service()
+        originals = [Node(data=f"original {i}") for i in range(4)]
+
+        def external(kind, index):
+            if kind == "oldref":
+                return originals[index]
+            if kind == "adapter":
+                return datetime.date(2003, 5, 19 + index)
+            return service
+
+        values = [external(kind, index) for kind, index in externals]
+        chain = None
+        for value in values:
+            chain = Node(data=value, next=chain)
+        root = Pair(first=Box(payload=[graph, chain]), second=list(values))
+        writer = ObjectWriter(
+            profile=MODERN_PROFILE,
+            externalizers=endpoint.externalizers(),
+            oldrefs={id(obj): index for index, obj in enumerate(originals)},
+        )
+        writer.write_root(root)
+        stream = writer.getvalue()
+        externalizers = (_oldref_resolver(originals),) + endpoint.externalizers()
+        expected = fingerprint([root, originals], opaque=is_opaque_remote)
+        for profile in (MODERN_PROFILE, MODERN_NO_PLANS):
+            reader = ObjectReader(stream, profile=profile, externalizers=externalizers)
+            decoded = reader.read_root()
+            reader.expect_end()
+            assert fingerprint([decoded, originals], opaque=is_opaque_remote) == expected
+            remotes = [value for value in decoded.second if is_opaque_remote(value)]
+            assert remotes == [service] * sum(value is service for value in values)
+    finally:
+        endpoint.close()
+
+
+def _delta_payload(dirty_node, total, cut=0, **writer_kwargs):
+    """A delta-slots reply whose one dirty slot is *dirty_node*, minus
+    the last *cut* bytes."""
+    header = BufferWriter()
+    header.write_uvarint(total)
+    header.write_uvarint(1)
+    header.write_uvarint(0)
+    writer = ObjectWriter(**writer_kwargs)
+    writer.write_root(None)
+    writer.write_root([dirty_node])
+    payload = header.getvalue() + writer.getvalue()
+    return payload[: len(payload) - cut]
+
+
+def _malformed_unknown_name(originals):
+    marker = object()
+    ext = Externalizer("tests.nosuch", lambda obj: obj is marker, lambda obj: b"?", None)
+    return _delta_payload(Node("dirty", marker), len(originals), externalizers=(ext,))
+
+
+def _malformed_truncated(originals):
+    table = {id(originals[1]): 1}
+    return _delta_payload(Node("dirty", originals[1]), len(originals), cut=1, oldrefs=table)
+
+
+def _malformed_out_of_range(originals):
+    stranger = Node("stranger")
+    return _delta_payload(Node("dirty", stranger), len(originals), oldrefs={id(stranger): 99})
+
+
+def _malformed_adapter(originals):
+    moment = datetime.date(2003, 5, 19)
+    ext = Externalizer("std.date", lambda obj: obj is moment, lambda obj: b"\xff", None)
+    return _delta_payload(Node("dirty", moment), len(originals), externalizers=(ext,))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (_malformed_unknown_name, SerializationError),
+        (_malformed_truncated, WireFormatError),
+        (_malformed_out_of_range, RestoreError),
+        (_malformed_adapter, UnicodeDecodeError),
+    ],
+    ids=["unknown-name", "truncated-payload", "out-of-range-oldref", "bad-adapter-payload"],
+)
+def test_malformed_externals_raise_alike_and_restore_nothing(build, error):
+    """A malformed external in a delta reply raises the same error class
+    from the generated decoder as from the frame machine, and the failed
+    ``parse_response`` leaves the caller's heap as it was."""
+    for profile in (MODERN_PROFILE, MODERN_NO_PLANS):
+        originals = [Node("a", Node("a child")), Node("b")]
+        before = heap_fingerprint(originals)
+        context = ClientRestoreContext(originals=originals, profile=profile)
+        with pytest.raises(Exception) as caught:
+            DeltaRestorePolicy().parse_response(build(originals), context)
+        assert type(caught.value) is error, profile.name
+        assert heap_fingerprint(originals) == before
 
 
 @settings(max_examples=60)

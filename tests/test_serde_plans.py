@@ -20,6 +20,7 @@ from repro.serde import codegen as codegen_mod
 from repro.serde.codegen import (
     CodegenDecodePlan,
     CodegenEncodePlan,
+    bail_counts,
     codegen_metrics,
 )
 from repro.serde.profiles import MODERN_PROFILE
@@ -317,18 +318,28 @@ class TestCodegenPlanCache:
             global_registry.invalidate_plans(Uncompilable)
 
 
+def _bails_since(before):
+    """The bail counters that moved since *before*, by how much."""
+    after = bail_counts()
+    return {r: after[r] - before[r] for r in after if after[r] != before[r]}
+
+
 class TestBailRouting:
     """After a generated decoder bails, the frame machine finishes the
     object; a nested object in a later field goes back to its own
-    generated decoder."""
+    generated decoder. An external does not bail: the generated decoder
+    resolves it and goes on."""
 
     @pytest.mark.parametrize(
-        "bail_value",
-        [[1, "two"], datetime.datetime(2003, 5, 19, 12, 30)],
+        "bail_value, dispatches, bails",
+        [
+            ([1, "two"], [0], {"decode.container": 1}),
+            (datetime.datetime(2003, 5, 19, 12, 30), [], {}),
+        ],
         ids=["list", "external"],
     )
     def test_later_nested_object_decodes_through_codegen(
-        self, bail_value, monkeypatch
+        self, bail_value, dispatches, bails, monkeypatch
     ):
         plan = global_registry.codegen_decode_plan_for(Node)
         generated = plan.decode_fn
@@ -343,15 +354,18 @@ class TestBailRouting:
         writer = ObjectWriter(profile=MODERN_PROFILE)
         writer.write_root(graph)
         reader = ObjectReader(writer.getvalue(), profile=MODERN_PROFILE)
+        before = bail_counts()
         decoded = reader.read_root()
         reader.expect_end()
         assert decoded.first == bail_value
         assert decoded.second.data == 3
         assert decoded.second.next.data == 4
         assert len(reader.linear_map) == len(writer.linear_map)
-        # One dispatch for the outer Node; its same-class child is
-        # unrolled inside the generated decoder.
-        assert calls == [0]
+        # After a bail, one dispatch for the outer Node (its same-class
+        # child is unrolled inside the generated decoder); without one,
+        # Pair's decoder recurses into Node's inner function directly.
+        assert calls == dispatches
+        assert _bails_since(before) == bails
 
 
 class TestByteIdentity:
@@ -416,3 +430,52 @@ class TestByteIdentity:
         # The property tests in test_property_serde.py rely on these.
         assert global_registry.is_registered(Node)
         assert global_registry.is_registered(Pair)
+
+
+class _Echo(Remote):
+    def echo(self, data):
+        return data
+
+
+class TestBenchmarkShapesStayCompiled:
+    """The callpath workloads' call shapes, through a real in-process
+    endpoint pair: every object of every request and reply, on both
+    sides, is written and read by generated code — no bail, no fallback."""
+
+    SEEDS = range(6)
+
+    @pytest.mark.parametrize(
+        "policy, method",
+        [("full", "mutate"), ("delta", "mutate_sparse")],
+        ids=["tree_full", "tree_sparse_delta"],
+    )
+    def test_tree_calls(self, make_endpoint_pair, policy, method):
+        from repro.bench.mutators import TreeService
+        from repro.bench.trees import generate_workload
+        from repro.nrmi.config import NRMIConfig
+
+        pair = make_endpoint_pair(client_config=NRMIConfig(policy=policy))
+        service = pair.serve(TreeService())
+        fallbacks = codegen_metrics.counter("serde.codegen.fallbacks")
+        before, failed = bail_counts(), fallbacks.value
+        for seed in self.SEEDS:
+            tree = generate_workload("III", 256, seed)
+            local = generate_workload("III", 256, seed)
+            if policy == "delta":
+                args, local_args = (tree.root, seed, 0.05), (local.root, seed, 0.05)
+            else:
+                args, local_args = ("III", tree.root, seed), ("III", local.root, seed)
+            result = getattr(service, method)(*args)
+            expected = getattr(TreeService(), method)(*local_args)
+            assert (result, tree.visible_data()) == (expected, local.visible_data())
+        assert _bails_since(before) == {}
+        assert fallbacks.value == failed
+
+    def test_echo64(self, make_endpoint_pair):
+        pair = make_endpoint_pair()
+        service = pair.serve(_Echo())
+        before = bail_counts()
+        for seed in self.SEEDS:
+            payload = bytes([seed]) * 64
+            assert service.echo(payload) == payload
+        assert _bails_since(before) == {}

@@ -1,16 +1,23 @@
-"""In-process stage probe of the Table-5 call: where a ``full`` call spends
-its serde and restore time, with no transport in the way.
+"""In-process stage probe of the Table-5 call: where a ``full`` or a
+``delta`` call spends its serde and restore time, with no transport in
+the way.
 
-    PYTHONPATH=src python3 tools/table5_stages.py [--seeds 100] [--first 0]
-        [--sets 1] [--src DIR]
+    PYTHONPATH=src python3 tools/table5_stages.py [--policy full|delta]
+        [--seeds 100] [--first 0] [--sets 1] [--count] [--src DIR]
 
-Each seed is one call of ``tree_full_tcp``'s shape (a fresh 256-node
-aliased tree of scenario III, ``TreeService.mutate`` under policy
-``full``), split into the halves of a remote call and run in one process:
+Each seed is one call on a fresh 256-node aliased tree of scenario III,
+split into the halves of a remote call and run in one process. With
+``--policy full`` (the default) the call has ``tree_full_tcp``'s shape,
+``TreeService.mutate`` under policy ``full``; with ``--policy delta`` it
+has ``tree_sparse_delta_tcp``'s, ``TreeService.mutate_sparse`` on 5 % of
+the payloads, the arguments decoded with the fused state capture and a
+delta-slots reply. The stages:
 
 ``encode``          client: marshal the arguments (``ObjectWriter``)
-``decode``          server: unmarshal them (``ObjectReader``)
+``decode``          server: unmarshal them (``ObjectReader``; for delta,
+                    with the "before" states captured on the way)
 ``build_response``  server: encode the return value and the retained map
+                    (for delta: the dirty scan and the dirty slots)
 ``reply_decode``    client: decode the reply alone, nothing restored
 ``restore``         client: ``parse_response`` minus ``reply_decode`` of the
                     same call — match, overwrite and convert
@@ -24,10 +31,14 @@ than the benchmark's traced ``serde.*`` spans.
 
 The probe prints, per set of ``--seeds`` calls, the median of each stage
 in microseconds and the median per-call sum, then the same as a JSON last
-line. It uses only interfaces older revisions share: ``--src`` points it
-at another checkout's ``src`` to measure that revision with this file.
-The first calls of a process compile codegen plans, so each set starts
-with a few untimed warm-up calls on seeds from 1 000 000 up.
+line. ``--count`` replaces the clock by a count of function calls, Python
+and built-in, as ``sys.setprofile`` reports them, and prints each stage's
+mean per call: a figure that repeats exactly on fixed seeds, whatever the
+machine is doing. The probe uses only interfaces older revisions share:
+``--src`` points it at another checkout's ``src`` to measure that
+revision with this file. The first calls of a process compile codegen
+plans, so each set starts with a few unmeasured warm-up calls on seeds
+from 1 000 000 up.
 """
 
 from __future__ import annotations
@@ -38,80 +49,139 @@ import os
 import statistics
 import sys
 from time import perf_counter_ns
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 STAGES = ("encode", "decode", "build_response", "reply_decode", "restore")
 SCENARIO = "III"
 NODES = 256
+SPARSE_FRACTION = 0.05
 WARMUP = 8
 WARMUP_SEED = 1_000_000
+# The externalizer name of an old-object reference in a delta-slots reply.
+OLDREF = "nrmi.oldref"
 
 
-def _one_call(seed: int, api: Dict[str, Any]) -> Dict[str, float]:
-    """One Table-5 call, split into stages; returns microseconds per stage.
-    Raises AssertionError when the restored caller differs from a local
-    call."""
+class Clock:
+    """Microseconds between ``begin`` and ``end``."""
+
+    def begin(self) -> None:
+        self._start = perf_counter_ns()
+
+    def end(self) -> float:
+        return (perf_counter_ns() - self._start) / 1e3
+
+
+class CallCounter:
+    """Function calls between ``begin`` and ``end``: every ``call`` and
+    ``c_call`` event ``sys.setprofile`` reports, ``end``'s own
+    ``sys.setprofile(None)`` included."""
+
+    def begin(self) -> None:
+        self.calls = 0
+        sys.setprofile(self._event)
+
+    def _event(self, frame: Any, event: str, arg: Any) -> None:
+        if event == "call" or event == "c_call":
+            self.calls += 1
+
+    def end(self) -> int:
+        sys.setprofile(None)
+        return self.calls
+
+
+def _arguments(policy: str, root: Any, seed: int) -> Tuple[str, Tuple[Any, ...]]:
+    """The remote method and its arguments, as the workload passes them."""
+    if policy == "delta":
+        return "mutate_sparse", (root, seed, SPARSE_FRACTION)
+    return "mutate", (SCENARIO, root, seed)
+
+
+def _decode_reply(reply: bytes, policy: str, originals: List[Any], api: Dict[str, Any]) -> None:
+    """Decode a reply the way ``parse_response`` does, and restore nothing."""
+    if policy == "delta":
+        header = api["BufferReader"](reply)
+        header.read_uvarint()  # retained slots
+        for _ in range(header.read_uvarint()):
+            header.read_uvarint()  # dirty index gaps
+        stream = header.read_view(header.remaining)
+
+        def resolve(payload: bytes) -> Any:
+            return originals[api["BufferReader"](payload).read_uvarint()]
+
+        oldref = api["Externalizer"](OLDREF, lambda obj: False, lambda obj: b"", resolve)
+        reader = api["ObjectReader"](stream, externalizers=(oldref,))
+    else:
+        reader = api["ObjectReader"](reply)
+    reader.read_root()
+    reader.read_root()
+    reader.expect_end()
+
+
+def _one_call(seed: int, api: Dict[str, Any], policy_name: str, meter: Any) -> Dict[str, float]:
+    """One Table-5 call, split into stages; returns *meter*'s reading per
+    stage. Raises AssertionError when the restored caller differs from a
+    local call."""
     generate = api["generate_workload"]
+    delta = policy_name == "delta"
     tree = generate(SCENARIO, NODES, seed)
-    args = (SCENARIO, tree.root, seed)
+    method, args = _arguments(policy_name, tree.root, seed)
     modes = api["resolve_modes"](args)
     accessor = api["accessor"]
-    policy = api["policy_by_name"]("full")
+    policy = api["policy_by_name"]("delta-slots" if delta else "full")
     copy_restore = api["BY_COPY_RESTORE"]
 
-    t0 = perf_counter_ns()
+    meter.begin()
     writer = api["ObjectWriter"]()
     for arg in args:
         writer.write_root(arg)
     request = writer.getvalue()
-    t1 = perf_counter_ns()
+    encode = meter.end()
     roots = [arg for arg, mode in zip(args, modes) if mode is copy_restore]
     originals = api["compute_retained"](writer.linear_map, roots, accessor)
 
-    t2 = perf_counter_ns()
-    reader = api["ObjectReader"](request)
+    meter.begin()
+    reader = api["ObjectReader"](request, digest_accessor=accessor if delta else None)
     server_args = [reader.read_root() for _ in args]
     reader.expect_end()
-    t3 = perf_counter_ns()
+    decode = meter.end()
     server_roots = [arg for arg, mode in zip(server_args, modes) if mode is copy_restore]
-    retained = api["compute_retained"](reader.linear_map, server_roots, accessor)
+    retained, indices = api["compute_retained_indexed"](
+        reader.linear_map, server_roots, accessor
+    )
     context = api["ServerRestoreContext"](
         retained=retained, restore_roots=server_roots, accessor=accessor,
         stop=api["is_opaque_remote"],
+        predigested=reader.digest_table(indices) if delta else None,
     )
     snapshot = policy.snapshot(context)
-    result = api["TreeService"]().mutate(*server_args)
+    result = getattr(api["TreeService"](), method)(*server_args)
 
-    t4 = perf_counter_ns()
+    meter.begin()
     reply = policy.build_response(result, context, snapshot)
-    t5 = perf_counter_ns()
+    build_response = meter.end()
 
-    t6 = perf_counter_ns()
-    probe = api["ObjectReader"](reply)
-    probe.read_root()
-    probe.read_root()
-    probe.expect_end()
-    t7 = perf_counter_ns()
+    meter.begin()
+    _decode_reply(reply, policy_name, originals, api)
+    reply_decode = meter.end()
 
     client_context = api["ClientRestoreContext"](
         originals=originals, engine=api["engine"]
     )
-    t8 = perf_counter_ns()
+    meter.begin()
     restored, _stats = policy.parse_response(reply, client_context)
-    t9 = perf_counter_ns()
+    parse = meter.end()
 
     local = generate(SCENARIO, NODES, seed)
-    local_result = api["TreeService"]().mutate(SCENARIO, local.root, seed)
+    local_result = getattr(api["TreeService"](), method)(*_arguments(policy_name, local.root, seed)[1])
     if (restored, tree.visible_data()) != (local_result, local.visible_data()):
         raise AssertionError(f"seed {seed}: remote call differs from the local call")
 
-    reply_decode = (t7 - t6) / 1e3
     return {
-        "encode": (t1 - t0) / 1e3,
-        "decode": (t3 - t2) / 1e3,
-        "build_response": (t5 - t4) / 1e3,
+        "encode": encode,
+        "decode": decode,
+        "build_response": build_response,
         "reply_decode": reply_decode,
-        "restore": (t9 - t8) / 1e3 - reply_decode,
+        "restore": parse - reply_decode,
     }
 
 
@@ -125,11 +195,13 @@ def _load_api() -> Dict[str, Any]:
         policy_by_name,
     )
     from repro.core.semantics import PassingMode, resolve_modes
-    from repro.nrmi.invocation import compute_retained
+    from repro.nrmi.invocation import compute_retained, compute_retained_indexed
     from repro.rmi.remote_ref import is_opaque_remote
     from repro.serde.accessors import OPTIMIZED_ACCESSOR
     from repro.serde.reader import ObjectReader
+    from repro.serde.registry import Externalizer
     from repro.serde.writer import ObjectWriter
+    from repro.util.buffers import BufferReader
 
     return {
         "TreeService": TreeService,
@@ -140,22 +212,34 @@ def _load_api() -> Dict[str, Any]:
         "resolve_modes": resolve_modes,
         "BY_COPY_RESTORE": PassingMode.BY_COPY_RESTORE,
         "compute_retained": compute_retained,
+        "compute_retained_indexed": compute_retained_indexed,
         "is_opaque_remote": is_opaque_remote,
         "accessor": OPTIMIZED_ACCESSOR,
         "engine": RestoreEngine(accessor=OPTIMIZED_ACCESSOR, opaque=is_opaque_remote),
         "ObjectReader": ObjectReader,
         "ObjectWriter": ObjectWriter,
+        "Externalizer": Externalizer,
+        "BufferReader": BufferReader,
     }
 
 
-def run_set(seeds: List[int], api: Dict[str, Any]) -> Dict[str, float]:
-    """Medians of every stage (and of the per-call sum) over *seeds*."""
+def run_set(
+    seeds: List[int], api: Dict[str, Any], policy: str = "full", count: bool = False
+) -> Dict[str, float]:
+    """Medians of every stage (and of the per-call sum) over *seeds*; with
+    *count*, the mean number of function calls instead."""
+    meter = CallCounter() if count else Clock()
     for seed in range(WARMUP_SEED, WARMUP_SEED + WARMUP):
-        _one_call(seed, api)
-    samples = [_one_call(seed, api) for seed in seeds]
-    medians = {stage: statistics.median(s[stage] for s in samples) for stage in STAGES}
-    medians["sum"] = statistics.median(sum(s[stage] for stage in STAGES) for s in samples)
-    return medians
+        _one_call(seed, api, policy, meter)
+    samples = [_one_call(seed, api, policy, meter) for seed in seeds]
+    sums = [sum(s[stage] for stage in STAGES) for s in samples]
+    if count:
+        table = {stage: statistics.fmean(s[stage] for s in samples) for stage in STAGES}
+        table["sum"] = statistics.fmean(sums)
+        return table
+    table = {stage: statistics.median(s[stage] for s in samples) for stage in STAGES}
+    table["sum"] = statistics.median(sums)
+    return table
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -163,26 +247,41 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, default=100, help="calls per set")
     parser.add_argument("--first", type=int, default=0, help="first seed")
     parser.add_argument("--sets", type=int, default=1, help="sets, each on fresh seeds")
+    parser.add_argument(
+        "--policy", choices=("full", "delta"), default="full",
+        help="the call's shape: tree_full_tcp's or tree_sparse_delta_tcp's",
+    )
+    parser.add_argument(
+        "--count", action="store_true",
+        help="count function calls per stage (mean per call) instead of timing",
+    )
     parser.add_argument("--src", default=None, help="the src directory to import")
     options = parser.parse_args(argv)
     src = options.src or os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     sys.path.insert(0, os.path.abspath(src))
     api = _load_api()
 
+    unit = "mean calls" if options.count else "median us"
     sets = []
-    print("set  " + "  ".join(f"{name:>14}" for name in STAGES + ("sum",)) + "   (median us)")
+    print("set  " + "  ".join(f"{name:>14}" for name in STAGES + ("sum",)) + f"   ({unit})")
     for number in range(options.sets):
         first = options.first + number * options.seeds
         try:
-            medians = run_set(list(range(first, first + options.seeds)), api)
+            table = run_set(
+                list(range(first, first + options.seeds)), api,
+                options.policy, options.count,
+            )
         except AssertionError as exc:
             print(f"FAILED: {exc}", file=sys.stderr)
             return 1
-        sets.append(medians)
+        sets.append(table)
         print(f"{number:>3}  " + "  ".join(
-            f"{medians[name]:>14.1f}" for name in STAGES + ("sum",)
+            f"{table[name]:>14.1f}" for name in STAGES + ("sum",)
         ))
-    print(json.dumps({"seeds_per_set": options.seeds, "first": options.first, "sets": sets}))
+    print(json.dumps({
+        "policy": options.policy, "unit": unit, "seeds_per_set": options.seeds,
+        "first": options.first, "sets": sets,
+    }))
     return 0
 
 
