@@ -8,9 +8,14 @@ a source function specialized to the class's layout, so the steady-state
 hot loop does no per-object reflection —
 
 * field storage is baked in (plain ``__dict__`` stream, unrolled
-  ``__slots__`` reads, or the generic mixed path); transient fields,
+  ``__slots__`` reads, or the generic mixed path); transient fields and
   linear-map membership (``has_resolve`` classes are value-like and stay
-  out) and the first-occurrence class descriptor blob are resolved once;
+  out) are resolved once;
+* an object's header is one layout lookup: the encoder probes the
+  writer's layout table with ``(class, field names)`` and writes a
+  one-byte key, the decoder walks the layout's names tuple while it
+  reads the values (a layout's first instance defines it through the
+  writer's and reader's generic layout methods);
 * scalar fields write/read straight against the buffer's ``bytearray`` /
   ``memoryview`` with literal tag bytes;
 * runs of float-valued slots collapse into a single
@@ -61,7 +66,7 @@ from repro.serde.hooks import (
     transient_fields,
 )
 from repro.serde.kinds import Kind, classify
-from repro.serde.schema import CKEY_STREAM_BASE, _str_blob, _uvarint, schema_epoch
+from repro.serde.schema import _str_blob, schema_epoch
 from repro.serde.tags import OLDREF_EXTERNALIZER, Tag
 from repro.util.metrics import MetricsRegistry
 
@@ -188,9 +193,11 @@ class CodegenEncodePlan:
 class CodegenDecodePlan:
     """A class's decoding facts plus its generated decoder.
 
-    ``decode_fn(reader, stack, wire_version)`` returns the decoded object
-    or :data:`BAIL`; ``None`` (compile failure) routes the class through
-    the reader's frame machine, which builds shells from the facts here.
+    ``decode_fn(reader, stack, wire_version)`` decodes the fields of the
+    layout the caller just read (``reader._dispatch_layout``) and returns
+    the object or :data:`BAIL`; ``None`` (compile failure) routes the
+    class through the reader's frame machine, which builds shells from
+    the facts here.
     """
 
     __slots__ = (
@@ -210,9 +217,10 @@ class CodegenDecodePlan:
         self.needs_resolve = has_resolve(cls)
         self.has_upgrade = has_upgrade(cls)
         self.decode_fn = None
-        #: ``decode_inner(reader, stack, wire_version, depth, ctx, pos)``
-        #: returning ``(value, pos)`` — the recursion target generated
-        #: parents call, threading the buffer cursor as a plain local.
+        #: ``decode_inner(reader, stack, wire_version, depth, ctx, pos,
+        #: layout)`` returning ``(value, pos)`` — the recursion target
+        #: generated parents call, threading the buffer cursor as a plain
+        #: local and handing over the layout they read.
         self.decode_inner = None
 
 
@@ -305,11 +313,12 @@ def _emit_oldref_src(indent: int) -> str:
 
 
 def _encode_field_body(indent: int, materialize: str) -> str:
-    """One field's name + value emission.
+    """One field value's emission; the object's layout key carries the
+    field names.
 
-    *materialize* is source that (re)builds ``state`` as an indexable
-    ``(name, value)`` list before a bail hands leftover fields to the
-    writer's work stack — empty when ``state`` already exists.
+    *materialize* is source that (re)builds ``values`` as an indexable
+    list before a bail hands the fields after ``i`` to the writer's work
+    stack — empty when ``values`` already exists.
     """
     p = " " * indent
     mat = ""
@@ -319,17 +328,7 @@ def _encode_field_body(indent: int, materialize: str) -> str:
     if materialize:
         mat_deep = f"{p}                {materialize}\n"
     return (
-        f"{p}name_id = name_ids.get(field_name)\n"
-        f"{p}if name_id is None:\n"
-        f"{p}    name_ids[field_name] = len(name_ids) + 1\n"
-        f"{p}    blob = _name_blobs.get(field_name)\n"
-        f"{p}    if blob is None:\n"
-        f'{p}        blob = b"\\x00" + _str_blob(field_name)\n'
-        f"{p}        _name_blobs[field_name] = blob\n"
-        f"{p}    buf += blob\n"
-        f"{p}else:\n"
-        + _emit_uvarint_src("name_id", indent + 4)
-        + f"{p}value_cls = value.__class__\n"
+        f"{p}value_cls = value.__class__\n"
         f"{p}if value is None:\n"
         f"{p}    buf.append({_TAG_NONE})\n"
         f"{p}elif value_cls is int:\n"
@@ -366,14 +365,9 @@ def _encode_field_body(indent: int, materialize: str) -> str:
         f"{p}                writer, value, stack, _depth + 1, ctx\n"
         f"{p}            ):\n"
         f"{mat_deep}"
-        f"{p}                pending = []\n"
-        f"{p}                j = count - 1\n"
-        f"{p}                while j > i:\n"
-        f"{p}                    later_name, later_value = state[j]\n"
-        f"{p}                    pending.append((0, later_value))\n"
-        f"{p}                    pending.append((1, later_name))\n"
-        f"{p}                    j -= 1\n"
-        f"{p}                stack[_base:_base] = pending\n"
+        f"{p}                stack[_base:_base] = [\n"
+        f"{p}                    (0, values[j]) for j in range(len(values) - 1, i, -1)\n"
+        f"{p}                ]\n"
         f"{p}                return False\n"
         f"{p}    elif value_cls is float:\n"
         f"{p}        buf.append({_TAG_FLOAT})\n"
@@ -414,12 +408,9 @@ def _encode_field_body(indent: int, materialize: str) -> str:
         f"{p}    else:\n"
         f"{p}        _note_encode_bail(value, plan_cache)\n"
         f"{mat}"
-        f"{p}        j = count - 1\n"
-        f"{p}        while j > i:\n"
-        f"{p}            later_name, later_value = state[j]\n"
-        f"{p}            stack.append((0, later_value))\n"
-        f"{p}            stack.append((1, later_name))\n"
-        f"{p}            j -= 1\n"
+        f"{p}        stack.extend(\n"
+        f"{p}            [(0, values[j]) for j in range(len(values) - 1, i, -1)]\n"
+        f"{p}        )\n"
         f"{p}        stack.append((0, value))\n"
         f"{p}        return False\n"
     )
@@ -432,7 +423,7 @@ def _build_encode_source(
     transients: frozenset,
     stream_dict: bool,
     static_slots: bool,
-    batch_fields: Tuple[str, ...],
+    batch_n: int,
 ) -> str:
     lines = []
     add = lines.append
@@ -448,7 +439,7 @@ def _build_encode_source(
     add("            writer._buf.raw,")
     add("            writer._handles._entries,")
     add("            writer.linear_map._objects,")
-    add("            writer._class_ids,")
+    add("            writer._layout_ids,")
     add("            writer._name_ids,")
     add("            writer._str_memo,")
     add("            writer._bytes_memo,")
@@ -460,7 +451,7 @@ def _build_encode_source(
     add("")
     add("")
     add("def _encode_inner(writer, obj, stack, _depth, ctx):")
-    add("    (buf, handles, lm_objects, class_ids, name_ids,")
+    add("    (buf, handles, lm_objects, layout_ids, name_ids,")
     add("     str_memo, bytes_memo, plan_cache, memo_limit, oldrefs) = ctx")
     add("    handle = writer._next_handle")
     add("    writer._next_handle = handle + 1")
@@ -469,27 +460,35 @@ def _build_encode_source(
         # The object just missed the handle table, so it cannot be in the
         # linear map either: LinearMap.append_new, inlined.
         add("    lm_objects.append(obj)")
-    # -- state extraction, specialized per layout ------------------------
+    # -- state extraction and layout key, specialized per class ----------
+    # The key is (class, field names in write order), as the generic
+    # writer builds it.
+    usable = tuple(slot for slot in slot_names if slot not in transients)
     if stream_dict:
         if _instances_have_dict(cls):
             add("    instance_dict = obj.__dict__")
+            add("    key = (_cls, tuple(instance_dict))")
         else:
             add('    instance_dict = getattr(obj, "__dict__", None)')
-        add("    count = len(instance_dict) if instance_dict else 0")
-        names_expr = "list(instance_dict) if instance_dict else []"
-        materialize = "state = list(instance_dict.items())"
+            add("    key = (_cls, tuple(instance_dict) if instance_dict else ())")
+        materialize = "values = list(instance_dict.values())"
     elif static_slots:
-        add("    state = []")
-        add("    _append = state.append")
-        for slot in slot_names:
-            if slot in transients:
-                continue
-            add("    try:")
-            add(f"        _append(({slot!r}, obj.{slot}))")
-            add("    except AttributeError:")
-            add("        pass")
-        add("    count = len(state)")
-        names_expr = "[n_ for n_, _v in state]"
+        # Every slot set is the common case: one read per slot and a
+        # prebuilt key. An unset slot is absent from the wire.
+        add("    try:")
+        add("        values = [" + ", ".join(f"obj.{slot}" for slot in usable) + "]")
+        add("        key = _full_key")
+        add("    except AttributeError:")
+        add("        names = []")
+        add("        values = []")
+        for slot in usable:
+            add("        try:")
+            add(f"            values.append(obj.{slot})")
+            add(f"            names.append({slot!r})")
+            add("        except AttributeError:")
+            add("            pass")
+        add("        key = (_cls, tuple(names))")
+        add("    count = len(values)")
         materialize = ""
     else:
         add('    instance_dict = getattr(obj, "__dict__", None)')
@@ -502,53 +501,39 @@ def _build_encode_source(
             add("            continue")
         if transients:
             add("    state = [(n_, v_) for n_, v_ in state if n_ not in _transients]")
-        add("    count = len(state)")
-        names_expr = "[n_ for n_, _v in state]"
+        add("    key = (_cls, tuple([n_ for n_, _v in state]))")
+        add("    values = [v_ for _n, v_ in state]")
+        add("    count = len(values)")
         materialize = ""
-    # -- object header ---------------------------------------------------
+    # -- object header: one layout lookup ---------------------------------
     add(f"    buf.append({_TAG_OBJECT})")
-    add("    class_id = class_ids.get(_cls)")
-    add("    if class_id is None:")
-    add("        class_ids[_cls] = len(class_ids) + 1")
-    add("        if writer._schema_tx is None:")
-    add("            buf += _class_blob")
-    add("        else:")
-    add("            writer._emit_schema_class(")
-    add(f"                _cls, _version, _class_blob, _rname, {names_expr}")
-    add("            )")
+    add("    layout_id = layout_ids.get(key)")
+    add("    if layout_id is None:")
+    add("        writer._write_layout_key(key)")
     add("    else:")
-    add("        class_id += writer._class_key_offset")
-    lines.extend(_emit_uvarint_src("class_id", 8).rstrip("\n").split("\n"))
-    add("    value = count")
-    lines.extend(_emit_uvarint_src("value", 4).rstrip("\n").split("\n"))
+    lines.extend(_emit_uvarint_src("layout_id", 8).rstrip("\n").split("\n"))
     # -- float-run batch (static slot layouts only) ----------------------
-    if batch_fields:
-        n = len(batch_fields)
-        add(f"    if count == {n}:")
-        for k, field in enumerate(batch_fields):
-            add(f"        nid_{k} = name_ids.get({field!r})")
-            add(f"        v_{k} = state[{k}][1]")
+    if batch_n:
+        add(f"    if count == {batch_n}:")
         guard = " and ".join(
-            f"nid_{k} is not None and nid_{k} < 128 "
-            f"and v_{k}.__class__ is float"
-            for k in range(n)
+            f"values[{k}].__class__ is float" for k in range(batch_n)
         )
         add(f"        if {guard}:")
-        args = ", ".join(f"nid_{k}, {_TAG_FLOAT}, v_{k}" for k in range(n))
+        args = ", ".join(f"{_TAG_FLOAT}, values[{k}]" for k in range(batch_n))
         add(f"            buf += _pack_batch({args})")
         add("            return True")
     # -- field loop ------------------------------------------------------
     if stream_dict:
-        add("    if count:")
+        add("    if instance_dict:")
         add("        i = 0")
-        add("        for field_name, value in instance_dict.items():")
+        add("        for value in instance_dict.values():")
         body = _encode_field_body(12, materialize)
         lines.extend(body.rstrip("\n").split("\n"))
         add("            i += 1")
     else:
         add("    i = 0")
         add("    while i < count:")
-        add("        field_name, value = state[i]")
+        add("        value = values[i]")
         body = _encode_field_body(8, materialize)
         lines.extend(body.rstrip("\n").split("\n"))
         add("        i += 1")
@@ -573,19 +558,14 @@ def compile_codegen_encode_plan(
         stream_dict = not slot_names and not transients
         static_slots = bool(slot_names) and not _instances_have_dict(cls)
         usable_slots = tuple(s for s in slot_names if s not in transients)
-        batch_fields = usable_slots if static_slots and len(usable_slots) >= 2 else ()
-        class_blob = b"\x00" + _str_blob(registered_name) + _uvarint(version)
+        batch_n = len(usable_slots) if static_slots and len(usable_slots) >= 2 else 0
         source = _build_encode_source(
             cls, mutable, slot_names, transients, stream_dict,
-            static_slots, batch_fields,
+            static_slots, batch_n,
         )
         namespace = {
             "_cls": cls,
-            "_class_blob": class_blob,
-            "_rname": registered_name,
-            "_version": version,
-            "_name_blobs": {},
-            "_str_blob": _str_blob,
+            "_full_key": (cls, usable_slots),
             "_f64_pack": _F64.pack,
             "_slot_names": slot_names,
             "_transients": transients,
@@ -593,10 +573,8 @@ def compile_codegen_encode_plan(
             "_oldref_name_blob": _OLDREF_NAME_BLOB,
             "_note_encode_bail": _note_encode_bail,
         }
-        if batch_fields:
-            namespace["_pack_batch"] = struct.Struct(
-                ">" + "BBd" * len(batch_fields)
-            ).pack
+        if batch_n:
+            namespace["_pack_batch"] = struct.Struct(">" + "Bd" * batch_n).pack
         code = compile(
             source, f"<nrmi-codegen-encode:{registered_name}>", "exec"
         )
@@ -614,8 +592,8 @@ def compile_codegen_encode_plan(
 
 
 def _read_name_key_src(target: str, indent: int) -> str:
-    """A field or externalizer name key: a back reference into the
-    stream's name table, or 0 and the name inline (``_read_name``)."""
+    """An externalizer name key: a back reference into the stream's name
+    table, or 0 and the name inline (``_read_name``)."""
     p = " " * indent
     return (
         _read_uvarint_src("key", indent)
@@ -704,19 +682,26 @@ def _decode_scalar_arms_tail(p: str) -> str:
 
 
 def _emit_decode_alloc(indent: int, needs_resolve: bool, use_dict: bool) -> str:
-    """Shell allocation + handle / linear-map registration."""
+    """Shell allocation + handle / linear-map registration.
+
+    ``slot`` is the one position the object needs later: a resolving
+    class's handle (the resolved value replaces the shell there); for
+    every other class its linear-map position, which only the fused state
+    capture reads — ``-1`` without one.
+    """
     p = " " * indent
-    src = (
-        f"{p}shell = _new(_cls)\n"
-        f"{p}handle_slot = len(handles)\n"
-        f"{p}handles.append(shell)\n"
-    )
     if needs_resolve:
-        src += f"{p}slot = -1\n"
+        src = (
+            f"{p}shell = _new(_cls)\n"
+            f"{p}slot = len(handles)\n"
+            f"{p}handles.append(shell)\n"
+        )
     else:
         # LinearMap.append_new, inlined: the shell is freshly allocated.
-        src += (
-            f"{p}slot = len(lm_objects)\n"
+        src = (
+            f"{p}shell = _new(_cls)\n"
+            f"{p}handles.append(shell)\n"
+            f"{p}slot = -1 if slot_states is None else len(lm_objects)\n"
             f"{p}lm_objects.append(shell)\n"
         )
     if use_dict:
@@ -725,29 +710,22 @@ def _emit_decode_alloc(indent: int, needs_resolve: bool, use_dict: bool) -> str:
 
 
 def _emit_decode_batch(indent: int, batch_n: int) -> str:
-    """The float-run unpack batch (static slot layouts only)."""
+    """The float-run unpack batch (static slot layouts only): the layout
+    is the class's full slot list and every value is a ``FLOAT``."""
     if not batch_n:
         return ""
     p = " " * indent
-    span = 10 * batch_n
+    span = 9 * batch_n
     src = (
-        f"{p}if count == {batch_n} and length - pos >= {span}:\n"
+        f"{p}if fnames == _batch_names and length - pos >= {span}:\n"
         f"{p}    _v = _unpack_batch(mv, pos)\n"
-        f"{p}    nlen = len(names)\n"
     )
-    guard = " and ".join(
-        f"_v[{3 * k + 1}] == {_TAG_FLOAT} and 0 < _v[{3 * k}] < 128 "
-        f"and _v[{3 * k}] <= nlen"
-        for k in range(batch_n)
-    )
+    guard = " and ".join(f"_v[{2 * k}] == {_TAG_FLOAT}" for k in range(batch_n))
     src += f"{p}    if {guard}:\n"
     for k in range(batch_n):
-        src += (
-            f"{p}        set_field(shell, names[_v[{3 * k}] - 1], "
-            f"_v[{3 * k + 2}])\n"
-        )
+        src += f"{p}        set_field(shell, _batch_names[{k}], _v[{2 * k + 1}])\n"
     src += f"{p}        pos += {span}\n"
-    src += f"{p}        count = 0\n"
+    src += f"{p}        i = nf\n"
     return src
 
 
@@ -759,13 +737,16 @@ def _build_decode_source(
     plain: bool,
 ) -> str:
     store = (
-        "field_dict[name] = value" if use_dict else "set_field(shell, name, value)"
+        "field_dict[fnames[i]] = value"
+        if use_dict
+        else "set_field(shell, fnames[i], value)"
     )
-    # The suspension tuple stays minimal: ``field_dict`` is recomputed
-    # from the shell on resume rather than carried per level.
-    work_push = "(shell, handle_slot, slot, name, count)"
-    work_pop = "shell, handle_slot, slot, name, count"
-    park_unpack = "s_shell, s_hs, s_slot, s_name, s_count"
+    # The suspension tuple stays minimal: ``field_dict`` and ``nf`` are
+    # recomputed from the shell and the names on resume rather than
+    # carried per level.
+    work_push = "(shell, slot, fnames, i, nf)"
+    work_pop = "shell, slot, fnames, i, nf"
+    park_unpack = "s_shell, s_slot, s_names, s_index, _s_nf"
     lines = []
     add = lines.append
     # Wrapper: binds the hot-internals tuple once (every member is bound
@@ -774,7 +755,9 @@ def _build_decode_source(
     # functions, threading the cursor as a local — the per-object cost of
     # re-reading ``buf._pos`` and re-unpacking the tuple disappears. The
     # inner function returns ``(value, new_pos)`` and has synced
-    # ``buf._pos`` itself on every exit, so the wrapper just unwraps.
+    # ``buf._pos`` itself on every exit, so the wrapper just unwraps. The
+    # caller has read the object's layout key and left the layout entry
+    # in ``reader._dispatch_layout``.
     add("def _decode(reader, stack, wire_version, _depth=0):")
     add("    ctx = reader._codegen_ctx")
     add("    if ctx is None:")
@@ -791,9 +774,8 @@ def _build_decode_source(
     add("            reader._buf._len,")
     add("            reader._handles,")
     add("            reader._names,")
-    add("            reader._classes,")
+    add("            reader._layouts,")
     add("            reader._set_field,")
-    add("            reader._schema_rx,")
     add("            reader._names_seen,")
     add("            reader.linear_map._objects,")
     add("            reader._slot_states,")
@@ -802,23 +784,26 @@ def _build_decode_source(
     add("        )")
     add("    try:")
     add("        return _decode_inner(")
-    add("            reader, stack, wire_version, _depth, ctx, ctx[0]._pos")
+    add("            reader, stack, wire_version, _depth, ctx, ctx[0]._pos,")
+    add("            reader._dispatch_layout,")
     add("        )[0]")
     add("    except _ResolveError as escaped:")
     add("        raise escaped.error from None")
     add("")
     add("")
-    add("def _decode_inner(reader, stack, wire_version, _depth, ctx, pos):")
-    add("    (buf, mv, length, handles, names, classes, set_field,")
-    add("     schema_rx, names_seen, lm_objects, slot_states, plain_capture,")
+    add("def _decode_inner(reader, stack, wire_version, _depth, ctx, pos, layout):")
+    add("    (buf, mv, length, handles, names, layouts, set_field,")
+    add("     names_seen, lm_objects, slot_states, plain_capture,")
     add("     local_externalizers) = ctx")
     add("    base = len(stack)")
     add("    work = []")
     add("    try:")
-    lines.extend(_read_uvarint_src("count", 8).rstrip("\n").split("\n"))
     lines.extend(
         _emit_decode_alloc(8, needs_resolve, use_dict).rstrip("\n").split("\n")
     )
+    add("        fnames = layout[3]")
+    add("        nf = layout[4]")
+    add("        i = 0")
     if batch_n:
         lines.extend(_emit_decode_batch(8, batch_n).rstrip("\n").split("\n"))
     # Same-class children are unrolled into this loop: the node's locals
@@ -826,46 +811,33 @@ def _build_decode_source(
     # with the child's state — one Python frame for the whole homogeneous
     # subgraph, at any depth.
     add("        while True:")
-    add("            while count:")
-    lines.extend(_read_name_key_src("name", 16).rstrip("\n").split("\n"))
+    add("            while i < nf:")
     add("                tag = mv[pos]")
     add("                pos += 1")
     lines.extend(_decode_scalar_arms_head(" " * 16).rstrip("\n").split("\n"))
     # -- nested object (hot in homogeneous graphs, hence dispatched
     # ahead of the string/ref/float tail) --------------------------------
     add(f"                elif tag == {_TAG_OBJECT}:")
-    lines.extend(_read_uvarint_src("ckey", 20).rstrip("\n").split("\n"))
-    add("                    if schema_rx is None:")
-    add("                        if ckey:")
-    add("                            try:")
-    add("                                entry = classes[ckey - 1]")
-    add("                            except IndexError:")
-    add("                                buf._pos = pos")
-    add("                                raise _WireFormatError(")
-    add('                                    f"dangling class id {ckey}"')
-    add("                                ) from None")
-    add("                        else:")
-    add("                            buf._pos = pos")
-    add("                            entry = reader._read_inline_class()")
-    add("                            pos = buf._pos")
-    add("                    elif ckey >= _CKEY_STREAM_BASE:")
+    lines.extend(_read_uvarint_src("lkey", 20).rstrip("\n").split("\n"))
+    add("                    if lkey:")
     add("                        try:")
-    add("                            entry = classes[ckey - _CKEY_STREAM_BASE]")
+    add("                            entry = layouts[lkey - 1]")
     add("                        except IndexError:")
     add("                            buf._pos = pos")
     add("                            raise _WireFormatError(")
-    add('                                f"dangling class id {ckey}"')
+    add('                                f"dangling layout id {lkey}"')
     add("                            ) from None")
     add("                    else:")
     add("                        buf._pos = pos")
-    add("                        entry = reader._read_schema_class_key(ckey)")
+    add("                        entry = reader._read_layout_def()")
     add("                        pos = buf._pos")
     # Same class as this decoder: suspend the current node and continue
     # iteratively — no Python call, no frame churn.
     add("                    if entry[2] is _plan and entry[1] == wire_version:")
-    lines.extend(_read_uvarint_src("count2", 24).rstrip("\n").split("\n"))
     add(f"                        work.append({work_push})")
-    add("                        count = count2")
+    add("                        fnames = entry[3]")
+    add("                        nf = entry[4]")
+    add("                        i = 0")
     lines.extend(
         _emit_decode_alloc(24, needs_resolve, use_dict).rstrip("\n").split("\n")
     )
@@ -881,12 +853,11 @@ def _build_decode_source(
     add(f"                            and _depth < {MAX_CODEGEN_DEPTH}):")
     add("                        value, pos = plan2.decode_inner(")
     add("                            reader, stack, entry[1], _depth + 1,")
-    add("                            ctx, pos,")
+    add("                            ctx, pos, entry,")
     add("                        )")
     add("                        if value is BAIL:")
     add("                            _park(reader, stack, base, work, shell,")
-    add("                                  handle_slot, slot, name, count,")
-    add("                                  wire_version)")
+    add("                                  slot, fnames, i, wire_version)")
     add("                            return BAIL, pos")
     add("                    else:")
     add("                        _bails[")
@@ -894,14 +865,10 @@ def _build_decode_source(
     add("                            if plan2 is None or plan2.decode_fn is None")
     add('                            else "decode.depth"')
     add("                        ].add()")
-    lines.extend(_read_uvarint_src("count2", 24).rstrip("\n").split("\n"))
     add("                        buf._pos = pos")
-    add("                        child = reader._spawn_object_frame(")
-    add("                            entry, count2")
-    add("                        )")
+    add("                        child = reader._spawn_object_frame(entry)")
     add("                        _park(reader, stack, base, work, shell,")
-    add("                              handle_slot, slot, name, count,")
-    add("                              wire_version)")
+    add("                              slot, fnames, i, wire_version)")
     add("                        stack.append(child)")
     add("                        return BAIL, pos")
     lines.extend(_decode_scalar_arms_tail(" " * 16).rstrip("\n").split("\n"))
@@ -935,30 +902,32 @@ def _build_decode_source(
     add("                    pos -= 1")
     add("                    buf._pos = pos")
     add("                    _park(reader, stack, base, work, shell,")
-    add("                          handle_slot, slot, name, count,")
-    add("                          wire_version)")
+    add("                          slot, fnames, i, wire_version)")
     add("                    return BAIL, pos")
     add(f"                {store}")
-    add("                count -= 1")
+    add("                i += 1")
     # -- node complete ---------------------------------------------------
     if upgrade:
         add("            if wire_version != _version:")
         add("                _apply_upgrade(shell, wire_version)")
     if needs_resolve:
         add("            value = _apply_resolve(shell)")
-        add("            handles[handle_slot] = value")
+        add("            handles[slot] = value")
         add("            reader._note_resolved(value)")
     else:
         # Fused state capture (repro.serde.digest.state_capture): a
         # dict-only class's "before" state is its instance dict's keys
-        # and values, stored here without the two calls per object.
+        # and values, stored here without the two calls per object. When
+        # the fields went straight into the dict and no upgrade hook
+        # rewrote it, the keys are the layout's names tuple itself.
         add("            if slot_states is not None:")
         if plain:
             fields = "field_dict" if use_dict else "shell.__dict__"
+            shape = "fnames" if use_dict and not upgrade else "tuple(fields)"
             add("                if plain_capture:")
             add(f"                    fields = {fields}")
             add("                    slot_states[slot] = (")
-            add("                        tuple(fields), tuple(fields.values())")
+            add(f"                        {shape}, tuple(fields.values())")
             add("                    )")
             add("                else:")
             add("                    reader._capture_slot(slot, shell)")
@@ -970,7 +939,7 @@ def _build_decode_source(
     if use_dict:
         add("                field_dict = shell.__dict__")
     add(f"                {store}")
-    add("                count -= 1")
+    add("                i += 1")
     add("                continue")
     add("            break")
     add("    except IndexError:")
@@ -986,20 +955,19 @@ def _build_decode_source(
     add("")
     add("")
     # Bail helper: a frame in exactly the state the reader's frame machine
-    # expects mid-object (current field's name parked, count not yet
-    # decremented), so _read_value finishes the object through
+    # expects mid-object (the field being decoded at *index*, not yet
+    # delivered), so _read_value finishes the object through
     # _step/_deliver.
-    add("def _bail_frame(reader, shell, handle_slot, slot, name, remaining,")
-    add("                wire_version):")
-    add("    frame = _Frame(_F_OBJECT, remaining)")
+    add("def _bail_frame(reader, shell, slot, fnames, index, wire_version):")
+    add("    frame = _Frame(_F_OBJECT, len(fnames) - index)")
     add("    frame.shell = shell")
-    add("    frame.handle_slot = handle_slot")
-    add("    frame.pending_name = name")
+    add("    frame.names = fnames")
+    add("    frame.index = index")
     if needs_resolve:
+        add("    frame.handle_slot = slot")
         add("    frame.needs_resolve = True")
     else:
-        add("    if reader._digest_accessor is not None:")
-        add("        frame.linear_slot = slot")
+        add("    frame.linear_slot = slot")
     if upgrade:
         add("    if wire_version != _version:")
         add("        frame.wire_version = wire_version")
@@ -1009,14 +977,14 @@ def _build_decode_source(
     # Park the whole in-flight chain: suspended parents outermost-first
     # below the current node, all below anything a nested callee already
     # parked — the frame machine resumes innermost-first.
-    add("def _park(reader, stack, base, work, shell, handle_slot, slot, name,")
-    add("          count, wire_version):")
+    add("def _park(reader, stack, base, work, shell, slot, fnames, index,")
+    add("          wire_version):")
     add("    frames = []")
     add(f"    for {park_unpack} in work:")
-    add("        frames.append(_bail_frame(reader, s_shell, s_hs, s_slot,")
-    add("                                  s_name, s_count, wire_version))")
-    add("    frames.append(_bail_frame(reader, shell, handle_slot, slot, name,")
-    add("                              count, wire_version))")
+    add("        frames.append(_bail_frame(reader, s_shell, s_slot, s_names,")
+    add("                                  s_index, wire_version))")
+    add("    frames.append(_bail_frame(reader, shell, slot, fnames, index,")
+    add("                              wire_version))")
     add("    stack[base:base] = frames")
     return "\n".join(lines) + "\n"
 
@@ -1035,7 +1003,7 @@ def compile_codegen_decode_plan(
 
         slot_names = _collect_slot_names(cls)
         static_slots = bool(slot_names) and not _instances_have_dict(cls)
-        usable_slots = [s for s in slot_names if s not in transient_fields(cls)]
+        usable_slots = tuple(s for s in slot_names if s not in transient_fields(cls))
         # Static slots rule out an instance dict: batches use set_field.
         batch_n = len(usable_slots) if static_slots and len(usable_slots) >= 2 else 0
         source = _build_decode_source(
@@ -1053,7 +1021,6 @@ def compile_codegen_decode_plan(
             "_Frame": _Frame,
             "_F_OBJECT": _F_OBJECT,
             "_NO_VALUE": _NO_VALUE,
-            "_CKEY_STREAM_BASE": CKEY_STREAM_BASE,
             "_WireFormatError": WireFormatError,
             "BAIL": BAIL,
             "_apply_upgrade": apply_upgrade,
@@ -1064,9 +1031,8 @@ def compile_codegen_decode_plan(
             "_CONTAINER_TAGS": _CONTAINER_TAGS,
         }
         if batch_n:
-            namespace["_unpack_batch"] = struct.Struct(
-                ">" + "BBd" * batch_n
-            ).unpack_from
+            namespace["_batch_names"] = usable_slots
+            namespace["_unpack_batch"] = struct.Struct(">" + "Bd" * batch_n).unpack_from
         code = compile(
             source, f"<nrmi-codegen-decode:{registered_name}>", "exec"
         )

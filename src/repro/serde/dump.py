@@ -18,27 +18,45 @@ need to see what a peer actually sent.
 from __future__ import annotations
 
 import sys
-from typing import List
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import WireFormatError
+from repro.serde.schema import (
+    CKEY_INLINE,
+    CKEY_SCHEMA_DEF,
+    CKEY_STREAM_BASE,
+    STREAM_FLAG_SCHEMA_CACHE,
+    SchemaRxCache,
+)
 from repro.serde.tags import Tag, WIRE_MAGIC, WIRE_VERSION
 from repro.util.buffers import BufferReader
 
 
 class _Inspector:
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes, schema_rx: Optional[SchemaRxCache]) -> None:
         self.buf = BufferReader(data)
         self.lines: List[str] = []
         self.next_handle = 0
         self.classes: List[str] = []
         self.names: List[str] = []
+        #: (class label, field names) per layout, in definition order.
+        self.layouts: List[Tuple[str, Tuple[str, ...]]] = []
+        self.schema_mode = False
+        self.schema_rx = schema_rx
+        #: Schemas this stream defines: id -> (name, version, field names).
+        self.schemas: Dict[int, Tuple[str, int, Tuple[str, ...]]] = {}
 
     def run(self) -> str:
         magic = self.buf.read_bytes(len(WIRE_MAGIC))
         if magic != WIRE_MAGIC:
             raise WireFormatError(f"not an NRMI stream (magic {magic!r})")
         version = self.buf.read_u8()
+        if version != WIRE_VERSION:
+            raise WireFormatError(
+                f"unsupported wire version {version} (expected {WIRE_VERSION})"
+            )
         flags = self.buf.read_u8()
+        self.schema_mode = bool(flags & STREAM_FLAG_SCHEMA_CACHE)
         self.lines.append(f"NRMI stream v{version} flags=0x{flags:02x}")
         root = 0
         while self.buf.remaining:
@@ -55,15 +73,50 @@ class _Inspector:
         self.next_handle += 1
         return handle
 
-    def _read_class(self) -> str:
-        key = self.buf.read_uvarint()
-        if key == 0:
-            name = self.buf.read_str()
-            version = self.buf.read_uvarint()
-            label = f"{name}@v{version}" if version else name
-            self.classes.append(label)
-            return label
-        return self.classes[key - 1]
+    @staticmethod
+    def _lookup(table: list, index: int, what: str, key: int):
+        if 0 <= index < len(table):
+            return table[index]
+        raise WireFormatError(f"dangling {what} id {key}")
+
+    def _new_class(self, name: str, version: int) -> str:
+        label = f"{name}@v{version}" if version else name
+        self.classes.append(label)
+        return label
+
+    def _read_class(self) -> Tuple[str, str]:
+        """A class key: ``(label, note)``; *note* says which schema form
+        a schema-mode key took, if any."""
+        buf = self.buf
+        key = buf.read_uvarint()
+        base = CKEY_STREAM_BASE if self.schema_mode else 1
+        if key >= base:
+            return self._lookup(self.classes, key - base, "class", key), ""
+        if key == CKEY_INLINE:
+            return self._new_class(buf.read_str(), buf.read_uvarint()), ""
+        schema_id = buf.read_uvarint()
+        if key == CKEY_SCHEMA_DEF:
+            name, version = buf.read_str(), buf.read_uvarint()
+            fields = tuple(buf.read_str() for _ in range(buf.read_uvarint()))
+            self.schemas[schema_id] = (name, version, fields)
+            note = f"schema #{schema_id} defined"
+        else:  # CKEY_SCHEMA_REF
+            known = self.schemas.get(schema_id)
+            if known is None:
+                if self.schema_rx is None:
+                    raise WireFormatError(
+                        f"schema #{schema_id} is defined on an earlier stream; "
+                        "pass the connection's schema cache"
+                    )
+                schema = self.schema_rx.lookup(schema_id)
+                known = (schema.class_name, schema.version, schema.field_names)
+            name, version, fields = known
+            note = f"schema #{schema_id}"
+        # Schema keys seed the field-name table, as the reader's do.
+        for field in fields:
+            if field not in self.names:
+                self.names.append(field)
+        return self._new_class(name, version), note
 
     def _read_name(self) -> str:
         key = self.buf.read_uvarint()
@@ -71,10 +124,29 @@ class _Inspector:
             name = self.buf.read_str()
             self.names.append(name)
             return name
-        return self.names[key - 1]
+        return self._lookup(self.names, key - 1, "name", key)
+
+    def _read_layout(self) -> Tuple[str, Tuple[str, ...], str]:
+        """A layout key: ``(class label, field names, note)``."""
+        key = self.buf.read_uvarint()
+        if key:
+            label, fields = self._lookup(self.layouts, key - 1, "layout", key)
+            return label, fields, f"layout {key}"
+        label, schema_note = self._read_class()
+        count = self.buf.read_uvarint()
+        fields = tuple(self._read_name() for _ in range(count))
+        self.layouts.append((label, fields))
+        note = f"layout {len(self.layouts)} defined"
+        if schema_note:
+            note += f", {schema_note}"
+        return label, fields, note
 
     def _value(self, depth: int) -> None:
-        tag = Tag(self.buf.read_u8())
+        byte = self.buf.read_u8()
+        try:
+            tag = Tag(byte)
+        except ValueError:
+            raise WireFormatError(f"unknown tag byte 0x{byte:02x}") from None
         if tag is Tag.NONE:
             self._emit(depth, "None")
         elif tag is Tag.TRUE:
@@ -121,30 +193,34 @@ class _Inspector:
                 self._value(depth + 1)  # value
         elif tag is Tag.OBJECT:
             handle = self._alloc()
-            class_name = self._read_class()
-            count = self.buf.read_uvarint()
-            self._emit(depth, f"object #{handle} {class_name} ({count} fields)")
-            for _ in range(count):
-                field = self._read_name()
+            class_name, fields, note = self._read_layout()
+            self._emit(
+                depth, f"object #{handle} {class_name} ({len(fields)} fields) [{note}]"
+            )
+            for field in fields:
                 self._emit(depth + 1, f".{field} =")
                 self._value(depth + 2)
-        elif tag is Tag.EXTERNAL:
+        else:  # Tag.EXTERNAL
             handle = self._alloc()
             ext_name = self._read_name()
             payload = self.buf.read_len_bytes()
             self._emit(
                 depth, f"external #{handle} {ext_name!r} ({len(payload)} bytes)"
             )
-        else:  # pragma: no cover - Tag() above rejects unknown bytes
-            raise WireFormatError(f"unhandled tag {tag}")
 
 
-def dump_stream(data: bytes) -> str:
-    """Render an NRMI wire stream as an indented structural listing."""
+def dump_stream(data: bytes, schema_rx: Optional[SchemaRxCache] = None) -> str:
+    """Render an NRMI wire stream as an indented structural listing.
+
+    A schema-flagged stream may reference schemas an earlier stream on
+    its connection defined; *schema_rx* is that connection's receive
+    cache, consulted read-only. Malformed input raises
+    :class:`~repro.errors.WireFormatError`.
+    """
     try:
-        return _Inspector(data).run()
-    except ValueError as exc:
-        raise WireFormatError(f"unknown tag byte in stream: {exc}") from exc
+        return _Inspector(data, schema_rx).run()
+    except UnicodeDecodeError as exc:
+        raise WireFormatError(f"invalid UTF-8 in string: {exc}") from exc
 
 
 def main(argv: List[str] | None = None) -> int:

@@ -25,7 +25,7 @@ back to its own generated decoder.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import WireFormatError
 from repro.serde.codegen import BAIL
@@ -86,7 +86,8 @@ class _Frame:
         "handle_slot",
         "pending_key",
         "has_pending_key",
-        "pending_name",
+        "names",
+        "index",
         "needs_resolve",
         "wire_version",
         "linear_slot",
@@ -100,7 +101,9 @@ class _Frame:
         self.handle_slot = -1
         self.pending_key: Any = None
         self.has_pending_key = False
-        self.pending_name: Optional[str] = None
+        #: An object's layout names and the index of the next field.
+        self.names: Tuple[str, ...] = ()
+        self.index = 0
         self.needs_resolve = False
         self.wire_version: Optional[int] = None
         #: Linear-map position to capture at frame finish (fused state
@@ -143,6 +146,13 @@ class ObjectReader:
         self._handles: List[Any] = []
         self._classes: List[tuple] = []  # (class, wire_version, plan-or-None)
         self._names: List[str] = []
+        #: The stream's layout table: a class entry plus its field names
+        #: and their count, ``(class, wire_version, plan-or-None, names,
+        #: len(names))``.
+        self._layouts: List[tuple] = []
+        # The layout of the object a generated decoder is entered for;
+        # set by whoever read the object's layout key.
+        self._dispatch_layout: Optional[tuple] = None
         # Generated decoders mirror the writer's gating: they bake in
         # interned descriptors and no per-object validation.
         self._use_plans = (
@@ -225,6 +235,26 @@ class ObjectReader:
         self._handles.append(_NO_VALUE)
         return slot
 
+    def _read_layout(self) -> tuple:
+        """Return the layout entry for the layout key at the cursor."""
+        key = self._buf.read_uvarint()
+        if key:
+            try:
+                return self._layouts[key - 1]
+            except IndexError:
+                raise WireFormatError(f"dangling layout id {key}") from None
+        return self._read_layout_def()
+
+    def _read_layout_def(self) -> tuple:
+        """Decode an inline layout definition (key 0 already read) and
+        append it to the stream's layout table."""
+        entry = self._read_class()
+        count = self._buf.read_uvarint()
+        names = tuple([self._read_name() for _ in range(count)])
+        layout = entry + (names, len(names))
+        self._layouts.append(layout)
+        return layout
+
     def _read_class(self) -> tuple:
         """Return (class, wire_version, decode_plan_or_None) for a class key."""
         key = self._buf.read_uvarint()
@@ -281,7 +311,8 @@ class ObjectReader:
         entry = (cls, schema.version, plan)
         self._classes.append(entry)
         # Seed the per-stream field-name table (the writer seeds its table
-        # identically) so per-field name keys become 1-2 byte back refs.
+        # identically) so the name keys of layout definitions become 1-2
+        # byte back refs.
         seen = self._names_seen
         names = self._names
         for field_name in schema.field_names:
@@ -339,7 +370,7 @@ class ObjectReader:
         Inlines the element shapes that make up the retained-map root of
         a ``full`` reply and the dirty list of a ``delta-slots`` one —
         back references, ``None`` and small ints, appended straight to the
-        shell, and objects whose class key refers back to a class with a
+        shell, and objects whose layout key refers back to a layout with a
         generated decoder, handed to that decoder as ``_step`` would. Any
         other tag is left unread for ``_step``; ``_read_value`` re-enters
         here once that element is delivered — or once the frames a bailing
@@ -348,8 +379,7 @@ class ObjectReader:
         """
         buf = self._buf
         handles = self._handles
-        classes = self._classes
-        class_base = 1 if self._schema_rx is None else CKEY_STREAM_BASE
+        layouts = self._layouts
         append = frame.shell.append
         remaining = frame.remaining
         mv = buf._mv
@@ -399,12 +429,11 @@ class ObjectReader:
                         value = None
                     else:
                         if tag == _T_OBJECT:
-                            # A one-byte class key naming a class already
-                            # in the stream's table.
-                            ckey = mv[pos + 1]
-                            index = ckey - class_base
-                            if ckey < 0x80 and 0 <= index < len(classes):
-                                entry = classes[index]
+                            # A one-byte layout key naming a layout
+                            # already in the stream's table.
+                            lkey = mv[pos + 1]
+                            if 0 < lkey < 0x80 and lkey <= len(layouts):
+                                entry = layouts[lkey - 1]
                                 plan = entry[2]
                                 if plan is not None and plan.decode_fn is not None:
                                     pos += 2
@@ -425,6 +454,7 @@ class ObjectReader:
             if entry is None:
                 return
             # Outside the try: what the decoder raises passes unchanged.
+            self._dispatch_layout = entry
             value = entry[2].decode_fn(self, stack, entry[1])
             if value is BAIL:
                 return
@@ -432,13 +462,13 @@ class ObjectReader:
             remaining -= 1
             pos = buf._pos
 
-    def _spawn_object_frame(self, entry: tuple, count: int) -> _Frame:
-        """Open the decoding frame for one object whose class key and
-        field count have been consumed (shell registered, capture slot
-        noted). Shared by ``_step`` and the generated decoders' bail
-        paths."""
-        cls, wire_version, plan = entry
+    def _spawn_object_frame(self, layout: tuple) -> _Frame:
+        """Open the decoding frame for one object whose layout key has
+        been consumed (shell registered, capture slot noted). Shared by
+        ``_step`` and the generated decoders' bail paths."""
+        cls, wire_version, plan, names, count = layout
         frame = _Frame(_F_OBJECT, count)
+        frame.names = names
         if plan is not None:
             frame.shell = plan.factory()
             frame.needs_resolve = plan.needs_resolve
@@ -460,10 +490,6 @@ class ObjectReader:
 
     def _step(self, stack: List[_Frame]) -> Any:
         """Read one value header; return a value or push a frame."""
-        if stack:
-            frame = stack[-1]
-            if frame.kind == _F_OBJECT and frame.pending_name is None:
-                frame.pending_name = self._read_name()
         buf = self._buf
         tag = buf.read_u8()
         if tag == Tag.NONE:
@@ -552,18 +578,19 @@ class ObjectReader:
             stack.append(frame)
             return _FRAME_PUSHED
         if tag == Tag.OBJECT:
-            entry = self._read_class()
-            plan = entry[2]
+            layout = self._read_layout()
+            plan = layout[2]
             if plan is not None and plan.decode_fn is not None:
-                # Generated decoder: reads its own field count, returns the
-                # finished object — or BAIL after parking frames in exactly
-                # the mid-object state the machine expects.
-                value = plan.decode_fn(self, stack, entry[1])
+                # Generated decoder: reads the layout's field values,
+                # returns the finished object — or BAIL after parking
+                # frames in exactly the mid-object state the machine
+                # expects.
+                self._dispatch_layout = layout
+                value = plan.decode_fn(self, stack, layout[1])
                 if value is BAIL:
                     return _FRAME_PUSHED
                 return value
-            count = buf.read_uvarint()
-            stack.append(self._spawn_object_frame(entry, count))
+            stack.append(self._spawn_object_frame(layout))
             return _FRAME_PUSHED
         if tag == Tag.EXTERNAL:
             ext_name = self._read_name()
@@ -592,10 +619,9 @@ class ObjectReader:
         elif kind == _F_SET:
             frame.shell.add(value)
         elif kind == _F_OBJECT:
-            if frame.pending_name is None:
-                raise WireFormatError("object field value without a field name")
-            self._set_field(frame.shell, frame.pending_name, value)
-            frame.pending_name = None
+            index = frame.index
+            self._set_field(frame.shell, frame.names[index], value)
+            frame.index = index + 1
         else:  # tuple / frozenset accumulate
             frame.items.append(value)
 

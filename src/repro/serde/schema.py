@@ -18,7 +18,8 @@ stream format:
 * the decoder keeps a :class:`SchemaRxCache` per connection resolving
   references back to descriptors.
 
-Schema-mode class keys (the uvarint that follows ``Tag.OBJECT``)::
+Schema-mode class keys (the uvarint that opens an inline layout
+definition, after ``Tag.OBJECT`` and layout key 0)::
 
     0 (CKEY_INLINE)       name str + version uvarint   (classic inline form)
     1 (CKEY_SCHEMA_DEF)   schema_id, name, version, field-name table
@@ -32,8 +33,8 @@ unaffected — the cache is pure negotiated opt-in.
 Both a definition and a reference also **seed the per-stream field-name
 table** with the schema's field names (appending only names not already
 present, on both sides in the same order), so field-name strings stop
-crossing the wire entirely once a schema id is in force: every per-field
-name key collapses to a 1-2 byte back reference.
+crossing the wire entirely once a schema id is in force: every name key
+of a layout definition collapses to a 1-2 byte back reference.
 
 Consistency protocol (why this is safe under concurrency, retries and
 reconnects):

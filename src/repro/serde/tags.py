@@ -2,6 +2,13 @@
 
 Every encoded value starts with one tag byte; every tag's payload is
 self-describing, so the stream can be decoded in a single pass.
+
+An ``OBJECT`` is a *layout key* and then the field values in that
+layout's order. A layout is a class and its field names in write order.
+Key 0 defines a layout inline — class key, field count, one name key per
+field — and appends it to the stream's layout table; key k >= 1 is
+layout k - 1 of this stream. Wire version 2 introduced the layout key;
+version 1 streams (a field count and a name key per field) are refused.
 """
 
 from __future__ import annotations
@@ -9,7 +16,7 @@ from __future__ import annotations
 from enum import IntEnum
 
 WIRE_MAGIC = b"NRM1"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 
 class Tag(IntEnum):
@@ -31,7 +38,7 @@ class Tag(IntEnum):
     FROZENSET = 0x0D
     DICT = 0x0E       # mutable: enters the linear map
     BYTEARRAY = 0x0F  # mutable: enters the linear map
-    OBJECT = 0x10     # mutable: enters the linear map
+    OBJECT = 0x10     # layout key + field values; mutable: enters the linear map
     EXTERNAL = 0x11   # externalizer hook (e.g. remote references)
 
 

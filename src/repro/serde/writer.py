@@ -49,8 +49,7 @@ _INT64_MAX = (1 << 63) - 1
 
 # Work-stack task opcodes.
 _EMIT_VALUE = 0
-_EMIT_NAME = 1
-_EMIT_ITEMS = 2  # payload: iterator over the rest of a list's elements
+_EMIT_ITEMS = 1  # payload: iterator over the rest of a list's elements
 
 # A plain int for the per-element loop (enum attribute access is not free).
 _TAG_REF = int(Tag.REF)
@@ -130,6 +129,8 @@ class ObjectWriter:
         self._next_handle = 0
         self._class_ids: Dict[type, int] = {}
         self._name_ids: Dict[str, int] = {}
+        #: ``(class, field names in write order)`` → layout key.
+        self._layout_ids: Dict[Tuple[type, Tuple[str, ...]], int] = {}
         # writeReplace cache, shared with the linear map: a retained-set
         # walk must follow the stand-in that was written, not the original.
         self._replacements: IdentityMap[Any] = self.linear_map.replacements
@@ -254,8 +255,29 @@ class ObjectWriter:
             self.linear_map.append_new(obj)
         return handle
 
-    def _write_class_key(self, cls: type) -> None:
-        """Write a class reference: interned id, or 0 + name + version."""
+    def _write_layout_key(self, key: Tuple[type, Tuple[str, ...]]) -> None:
+        """Write an object's layout key: a back reference into the
+        stream's layout table, or 0 and the layout's definition — class
+        key, field count, one name key per field. *key* is ``(class,
+        field names in write order)``. Writers that intern no descriptors
+        define every layout inline."""
+        buf = self._buf
+        if self.profile.intern_descriptors:
+            layout_id = self._layout_ids.get(key)
+            if layout_id is not None:
+                buf.write_uvarint(layout_id)
+                return
+            self._layout_ids[key] = len(self._layout_ids) + 1
+        cls, names = key
+        buf.write_uvarint(0)
+        self._write_class_key(cls, names)
+        buf.write_uvarint(len(names))
+        for name in names:
+            self._write_name_key(name)
+
+    def _write_class_key(self, cls: type, field_names: Tuple[str, ...]) -> None:
+        """Write a class reference: interned id, or its first occurrence
+        (0 + name + version; on a schema-mode stream, a schema key)."""
         if self.profile.intern_descriptors:
             class_id = self._class_ids.get(cls)
             if class_id is not None:
@@ -265,9 +287,32 @@ class ObjectWriter:
                 self._buf.write_uvarint(class_id + self._class_key_offset)
                 return
             self._class_ids[cls] = len(self._class_ids) + 1
-        self._buf.write_uvarint(0)
-        self._buf.write_str(self.registry.name_of(cls))
-        self._buf.write_uvarint(class_version(cls))
+        name = self.registry.name_of(cls)
+        version = class_version(cls)
+        entry = None
+        if self._schema_tx is not None:
+            # None once the schema id space is exhausted: inline form.
+            entry = self._schema_tx.lookup(cls, version, name, field_names)
+        buf = self._buf
+        if entry is None:
+            buf.write_uvarint(0)
+            buf.write_str(name)
+            buf.write_uvarint(version)
+            return
+        # A reference when the peer provably holds the definition, the
+        # (re)definition while confirmation is pending.
+        if entry.confirmed:
+            buf.write_uvarint(CKEY_SCHEMA_REF)
+            buf.write_uvarint(entry.schema_id)
+        else:
+            buf.write_bytes(entry.def_blob)
+            self.schemas_defined.append(entry)
+        # Either form seeds the per-stream field-name table (the reader
+        # mirrors this), so the layout's name keys are back references.
+        name_ids = self._name_ids
+        for field_name in entry.field_names:
+            if field_name not in name_ids:
+                name_ids[field_name] = len(name_ids) + 1
 
     def _write_name_key(self, name: str) -> None:
         """Write a field/externalizer name: interned id, or 0 + inline str."""
@@ -279,42 +324,6 @@ class ObjectWriter:
             self._name_ids[name] = len(self._name_ids) + 1
         self._buf.write_uvarint(0)
         self._buf.write_str(name)
-
-    def _emit_schema_class(
-        self,
-        cls: type,
-        version: int,
-        class_blob: bytes,
-        registered_name: str,
-        field_names: List[str],
-    ) -> None:
-        """Write a first-occurrence class key on a schema-mode stream.
-
-        Emits a 2-3 byte schema reference when the peer provably holds the
-        definition, a (re)definition while confirmation is pending, and the
-        classic inline descriptor when the id space is exhausted. Either
-        schema form also seeds the per-stream field-name table (the reader
-        mirrors this), so field-name strings stop crossing the wire.
-        """
-        entry = self._schema_tx.lookup(cls, version, registered_name, field_names)
-        buf = self._buf.raw
-        if entry is None:
-            buf += class_blob
-            return
-        if entry.confirmed:
-            buf.append(CKEY_SCHEMA_REF)
-            schema_id = entry.schema_id
-            while schema_id > 0x7F:
-                buf.append((schema_id & 0x7F) | 0x80)
-                schema_id >>= 7
-            buf.append(schema_id)
-        else:
-            buf += entry.def_blob
-            self.schemas_defined.append(entry)
-        name_ids = self._name_ids
-        for name in entry.field_names:
-            if name not in name_ids:
-                name_ids[name] = len(name_ids) + 1
 
     def _validate_object(self, obj: Any, state: List[Tuple[str, Any]]) -> None:
         """Legacy-profile per-object pass (models JDK 1.3 security checks)."""
@@ -340,9 +349,6 @@ class ObjectWriter:
         stack: List[Tuple[int, Any]] = [(_EMIT_VALUE, root)]
         while stack:
             opcode, payload = stack.pop()
-            if opcode == _EMIT_NAME:
-                self._write_name_key(payload)
-                continue
             if opcode == _EMIT_ITEMS:
                 self._emit_list_items(payload, stack)
                 continue
@@ -623,11 +629,9 @@ class ObjectWriter:
         # endpoints (the decoder applies the same rule).
         self._alloc_handle(obj, mutable=not has_resolve(cls))
         self._buf.write_u8(Tag.OBJECT)
-        self._write_class_key(type(obj))
-        self._buf.write_uvarint(len(state))
-        for field_name, value in reversed(state):
+        self._write_layout_key((cls, tuple([name for name, _ in state])))
+        for _name, value in reversed(state):
             stack.append((_EMIT_VALUE, value))
-            stack.append((_EMIT_NAME, field_name))
 
     @staticmethod
     def _describe_context(stack: List[Tuple[int, Any]]) -> str:

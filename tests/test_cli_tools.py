@@ -152,6 +152,15 @@ class TestTable5Stages:
         assert first["sets"] == second["sets"]
         assert first["sets"][0]["build_response"] > 0
 
+    @pytest.mark.parametrize("count", [False, True], ids=["clock", "count"])
+    def test_body_bytes_repeat_across_processes(self, count):
+        options = ("--seeds", "3") + (("--count",) if count else ())
+        first, second = _run_table5_stages(*options), _run_table5_stages(*options)
+        (sizes,) = first["bytes"]
+        assert set(sizes) == {"request", "reply"}
+        assert sizes["request"] > 0 and sizes["reply"] > 0
+        assert first["bytes"] == second["bytes"]
+
 
 def _load_ab_tool():
     import importlib.util

@@ -7,10 +7,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.markers import Remote
+from repro.core.markers import Remote, Restorable, Serializable
 from repro.core.restore_protocol import (
     ClientRestoreContext,
     DeltaRestorePolicy,
+    FullRestorePolicy,
     _decode_index,
     _encode_index,
 )
@@ -20,7 +21,8 @@ from repro.nrmi.runtime import Endpoint
 from repro.rmi.remote_ref import is_opaque_remote
 from repro.serde.profiles import LEGACY_PROFILE, MODERN_PROFILE
 from repro.serde.reader import ObjectReader
-from repro.serde.registry import Externalizer
+from repro.serde.registry import Externalizer, global_registry
+from repro.serde.schema import _str_blob
 from repro.serde.tags import OLDREF_EXTERNALIZER
 from repro.serde.writer import ObjectWriter
 from repro.transport.resolver import ChannelResolver
@@ -228,6 +230,268 @@ def test_codegen_encode_byte_identical(graph):
     generic = ObjectWriter(profile=MODERN_NO_PLANS)
     generic.write_root(graph)
     assert with_codegen.getvalue() == generic.getvalue()
+
+
+# Object layouts (wire version 2): an OBJECT is a layout key and then its
+# field values, the first instance of each (class, field names) pair
+# defining the layout inline. Instances of one class that differ in which
+# fields they hold, or in their order, take different layouts.
+
+
+class LayoutRecord(Restorable):
+    """A plain ``__dict__`` class."""
+
+
+class SlottedLayout(Serializable):
+    __slots__ = ("a", "b", "c", "d")
+
+
+class MixedLayout(SlottedLayout):
+    """Slots from the base, an instance dict of its own."""
+
+
+class TransientLayout(Restorable):
+    __nrmi_transient__ = ("c",)
+
+
+class ResolvingLayout(Serializable):
+    """Value-like: outside the linear map, resolved to itself."""
+
+    def __nrmi_resolve__(self):
+        return self
+
+
+class PureSlotted:
+    """No instance dict anywhere in the MRO: the static-slot encoder and
+    decoder, float-run batch included."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+
+global_registry.register(PureSlotted, name="tests.property_serde.PureSlotted")
+
+_LAYOUT_CLASSES = (
+    LayoutRecord, SlottedLayout, MixedLayout, TransientLayout, ResolvingLayout,
+    PureSlotted,
+)
+_SLOTS_ONLY = (SlottedLayout, PureSlotted)
+#: Slots a-d; "e" lands in MixedLayout's instance dict (the slots-only
+#: classes never get one).
+_LAYOUT_FIELDS = ("a", "b", "c", "d", "e")
+
+
+class _Alias:
+    """Placeholder for a reference to the *index*-th instance."""
+
+    def __init__(self, index):
+        self.index = index
+
+
+_layout_values = st.one_of(
+    st.none(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.builds(_Alias, st.integers(0, 5)),
+)
+
+
+@st.composite
+def layout_graphs(draw):
+    """Instances of one class whose field sets and orders vary: fields
+    set in any order, some deleted again (and maybe set once more, which
+    moves them last), slots left unset, transient fields, fields that
+    alias other instances of the list (cycles included)."""
+    cls = draw(st.sampled_from(_LAYOUT_CLASSES))
+    names = _LAYOUT_FIELDS[:4] if cls in _SLOTS_ONLY else _LAYOUT_FIELDS
+    steps = st.tuples(st.sampled_from(names), _layout_values, st.booleans())
+    instances = []
+    for _ in range(draw(st.integers(1, 6))):
+        obj = cls.__new__(cls)
+        if draw(st.booleans()):
+            for name in names:
+                setattr(obj, name, draw(st.floats(allow_nan=False) | _layout_values))
+        for name, value, delete in draw(st.lists(steps, max_size=5)):
+            setattr(obj, name, value)
+            if delete:
+                delattr(obj, name)
+        instances.append(obj)
+    for obj in instances:
+        for name, value in _stored_fields(obj):
+            if isinstance(value, _Alias):
+                setattr(obj, name, instances[value.index % len(instances)])
+    return instances
+
+
+def _stored_fields(obj):
+    """Every field the instance holds, transient ones included: the
+    instance dict's, then the slots that are set."""
+    fields = list(getattr(obj, "__dict__", {}).items())
+    if isinstance(obj, _SLOTS_ONLY):
+        fields += [
+            (name, getattr(obj, name))
+            for name in _LAYOUT_FIELDS[:4]
+            if hasattr(obj, name)
+        ]
+    return fields
+
+
+def _field_order(obj):
+    """The fields that travel, in the order a decoded copy must hold
+    them: ``list(vars(obj))`` for the instance dict, slots after it."""
+    transients = getattr(type(obj), "__nrmi_transient__", ())
+    return [name for name, _ in _stored_fields(obj) if name not in transients]
+
+
+def _without_transients(instances):
+    for obj in instances:
+        for name in getattr(type(obj), "__nrmi_transient__", ()):
+            obj.__dict__.pop(name, None)
+    return instances
+
+
+@settings(max_examples=100)
+@given(layout_graphs())
+def test_layout_variants_encode_byte_identical(instances):
+    """Generated encoders and the generic writer agree byte for byte on
+    instances of one class with any mix of layouts."""
+    with_codegen = ObjectWriter(profile=MODERN_PROFILE)
+    with_codegen.write_root(instances)
+    generic = ObjectWriter(profile=MODERN_NO_PLANS)
+    generic.write_root(instances)
+    assert with_codegen.getvalue() == generic.getvalue()
+
+
+@settings(max_examples=60)
+@given(layout_graphs())
+def test_layout_variants_roundtrip_keep_aliasing_and_field_order(instances):
+    """Every decoder rebuilds the same heap, aliases and cycles included,
+    and each copy holds its fields in the original's order."""
+    streams = {}
+    for profile in (MODERN_PROFILE, LEGACY_PROFILE):
+        writer = ObjectWriter(profile=profile)
+        writer.write_root(instances)
+        streams[profile] = writer.getvalue()
+    expected_order = [_field_order(obj) for obj in instances]
+    expected_heap = heap_fingerprint([_without_transients(instances)])
+    for profile, decoding in (
+        (MODERN_PROFILE, MODERN_PROFILE),
+        (MODERN_PROFILE, MODERN_NO_PLANS),
+        (LEGACY_PROFILE, LEGACY_PROFILE),
+    ):
+        reader = ObjectReader(streams[profile], profile=decoding)
+        decoded = reader.read_root()
+        reader.expect_end()
+        assert heap_fingerprint([decoded]) == expected_heap, decoding.name
+        assert [_field_order(obj) for obj in decoded] == expected_order
+
+
+def _node_stream(tail: bytes) -> bytes:
+    """A one-Node stream whose last field value (``next``, ``None``) is
+    replaced by *tail*: inside the Node's generated decoder on the
+    modern profile, inside a frame of the generic machine otherwise."""
+    writer = ObjectWriter()
+    writer.write_root(Node(1))
+    stream = writer.getvalue()
+    assert stream[-1] == 0  # Tag.NONE
+    return stream[:-1] + tail
+
+
+#: A nested object whose layout key names no layout of the stream, and
+#: one whose inline definition ends inside its class name.
+_BAD_LAYOUTS = {
+    "dangling": bytes([0x10, 9]),
+    "truncated-definition": bytes([0x10, 0, 0, 5]) + b"ab",
+}
+
+
+@pytest.mark.parametrize("tail", _BAD_LAYOUTS.values(), ids=_BAD_LAYOUTS)
+def test_bad_layout_keys_raise_alike_on_both_paths(tail):
+    errors = []
+    for profile in (MODERN_PROFILE, MODERN_NO_PLANS):
+        with pytest.raises(WireFormatError) as caught:
+            ObjectReader(_node_stream(tail), profile=profile).read_root()
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert "dangling layout id 9" in errors[0] or "truncated" in errors[0]
+
+
+def _full_reply_with(tail, originals):
+    writer = ObjectWriter()
+    writer.write_root(None)
+    writer.write_root([Node("a2"), Node("b2")])
+    stream = writer.getvalue()
+    return stream[:-1] + tail
+
+
+def _delta_reply_with(tail, originals):
+    return _delta_payload(Node("dirty"), len(originals))[:-1] + tail
+
+
+@pytest.mark.parametrize("tail", _BAD_LAYOUTS.values(), ids=_BAD_LAYOUTS)
+@pytest.mark.parametrize(
+    "policy, build",
+    [(FullRestorePolicy, _full_reply_with), (DeltaRestorePolicy, _delta_reply_with)],
+    ids=["full", "delta"],
+)
+def test_bad_layout_keys_in_a_reply_restore_nothing(policy, build, tail):
+    """A reply carrying a bad layout key fails in ``parse_response`` with
+    a WireFormatError on both decoding paths, and the caller's heap is as
+    it was."""
+    for profile in (MODERN_PROFILE, MODERN_NO_PLANS):
+        originals = [Node("a", Node("a child")), Node("b")]
+        before = heap_fingerprint(originals)
+        context = ClientRestoreContext(originals=originals, profile=profile)
+        with pytest.raises(WireFormatError):
+            policy().parse_response(build(tail, originals), context)
+        assert heap_fingerprint(originals) == before
+
+
+def test_repeated_layout_costs_two_bytes_plus_values():
+    """After the first instance, every instance of one layout costs its
+    tag, a one-byte layout key and its values; a static-slot float run
+    goes through the packed float batch."""
+
+    def floats(i):
+        obj = PureSlotted()
+        obj.a, obj.b, obj.c, obj.d = float(i), 0.5, -1.0, 2.0
+        return obj
+
+    for make, value_bytes in (
+        (lambda i: Pair(i, -i), 2 + 2),
+        (lambda i: SlottedPoint(float(i), 0.5), 9 + 9),
+        (floats, 4 * 9),
+    ):
+        def size(count):
+            writer = ObjectWriter()
+            writer.write_root([make(i) for i in range(count)])
+            return len(writer.getvalue())
+
+        for count in (2, 10, 60):
+            assert size(count) - size(1) == (count - 1) * (2 + value_bytes)
+
+
+def test_new_layouts_cost_one_byte_more_than_version_1():
+    """An object whose layout is new to the stream pays what version 1
+    paid for it — class key, field count, one name key per field — plus
+    the layout key's byte. Here every object has a new layout: one new
+    field name each, so version 1 wrote every name inline too."""
+    count = 20
+    instances = []
+    for index in range(count):
+        obj = LayoutRecord()
+        setattr(obj, f"f{index}", index)
+        instances.append(obj)
+    writer = ObjectWriter()
+    writer.write_root(instances)
+    class_name = global_registry.name_of(LayoutRecord)
+    first_class_key = 1 + len(_str_blob(class_name)) + 1  # 0, name, version
+    version_1 = 6 + 2  # header; list tag and count
+    for index in range(count):
+        class_key = first_class_key if index == 0 else 1
+        name_key = 1 + len(_str_blob(f"f{index}"))
+        version_1 += 1 + class_key + 1 + name_key + 2  # tag ... int value
+    assert len(writer.getvalue()) == version_1 + count
 
 
 # Old-object references (the delta reply's ``nrmi.oldref`` externals). The

@@ -397,6 +397,7 @@ def _stream(flags, build_body):
 def test_dangling_field_name_id_is_rejected():
     def body(buf):
         buf.write_u8(Tag.OBJECT)
+        buf.write_uvarint(0)  # inline layout definition
         buf.write_uvarint(0)  # inline class descriptor
         buf.write_str(global_registry.name_of(Node))
         buf.write_uvarint(class_version(Node))
@@ -411,6 +412,7 @@ def test_dangling_field_name_id_is_rejected():
 def test_dangling_class_id_is_rejected():
     def body(buf):
         buf.write_u8(Tag.OBJECT)
+        buf.write_uvarint(0)  # inline layout definition
         buf.write_uvarint(4)  # back reference, but no class was interned
 
     reader = ObjectReader(_stream(0, body))
@@ -421,6 +423,7 @@ def test_dangling_class_id_is_rejected():
 def test_dangling_schema_id_is_rejected():
     def body(buf):
         buf.write_u8(Tag.OBJECT)
+        buf.write_uvarint(0)  # inline layout definition
         buf.write_uvarint(CKEY_SCHEMA_REF)
         buf.write_uvarint(9)  # never defined on this connection
 
@@ -434,6 +437,7 @@ def test_dangling_schema_id_is_rejected():
 def test_dangling_stream_backref_on_schema_stream_is_rejected():
     def body(buf):
         buf.write_u8(Tag.OBJECT)
+        buf.write_uvarint(0)  # inline layout definition
         buf.write_uvarint(CKEY_STREAM_BASE)  # stream class 0: none interned
 
     reader = ObjectReader(

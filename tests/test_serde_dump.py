@@ -4,6 +4,9 @@ import pytest
 
 from repro.errors import WireFormatError
 from repro.serde.dump import dump_stream
+from repro.serde.reader import ObjectReader
+from repro.serde.schema import SchemaRxCache, SchemaTxCache
+from repro.serde.tags import Tag, WIRE_MAGIC, WIRE_VERSION
 from repro.serde.writer import ObjectWriter
 from repro.serde.profiles import LEGACY_PROFILE
 
@@ -79,3 +82,83 @@ class TestDump:
         from repro.serde.dump import main
 
         assert main([]) == 2
+
+
+class TestLayoutsAndSchemaKeys:
+    """What the writer writes since wire version 2: layout keys, and
+    schema-mode class keys inside layout definitions."""
+
+    @staticmethod
+    def schema_streams():
+        """Two streams on one connection: the first defines the Node
+        schema, the second (after confirmation) references it."""
+        tx, rx = SchemaTxCache(), SchemaRxCache()
+        streams = []
+        for _ in range(2):
+            writer = ObjectWriter(schema_tx=tx)
+            writer.write_root(Node("a", next=Node("b", next=Node("c"))))
+            stream = writer.getvalue()
+            ObjectReader(stream, schema_rx=rx).read_root()
+            for entry in writer.schemas_defined:
+                entry.confirmed = True
+            streams.append(stream)
+        return streams, rx
+
+    def test_flagged_stream_with_a_schema_definition(self):
+        (defining, _referencing), _rx = self.schema_streams()
+        out = dump_stream(defining)
+        assert "flags=0x01" in out
+        lines = [line.strip() for line in out.splitlines()]
+        objects = [line for line in lines if line.startswith("object")]
+        assert len(objects) == 3
+        assert "Node (2 fields) [layout 1 defined, schema #" in objects[0]
+        assert objects[0].endswith(" defined]")
+        assert objects[1].endswith("[layout 1]")
+        assert lines.count(".data =") == 3
+        assert "str #3 'b'" in out
+
+    def test_flagged_stream_with_a_schema_reference(self):
+        (_defining, referencing), rx = self.schema_streams()
+        out = dump_stream(referencing, schema_rx=rx)
+        first = next(line for line in out.splitlines() if "object #0" in line)
+        assert "Node (2 fields) [layout 1 defined, schema #" in first
+        assert not first.endswith("defined]")  # a reference, not a definition
+        assert out.count(".next =") == 3
+        # Without the connection's cache the reference cannot be named.
+        with pytest.raises(WireFormatError, match="schema cache"):
+            dump_stream(referencing)
+
+    def test_one_class_with_two_layouts(self):
+        short = Node("short")
+        del short.next
+        out = dump_stream(encode([Node(1), short, Node(2), short]))
+        assert "Node (2 fields) [layout 1 defined]" in out
+        assert "Node (1 fields) [layout 2 defined]" in out
+        assert "Node (2 fields) [layout 1]" in out
+        assert "ref -> #2" in out
+
+    def test_truncated_inside_a_layout_definition(self):
+        stream = encode(Pair(1, 2))
+        # Header (6), OBJECT, layout key 0, class key 0, then the name.
+        for cut in range(8, 14):
+            with pytest.raises(WireFormatError, match="truncated"):
+                dump_stream(stream[:cut])
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (bytes([Tag.OBJECT, 4]), "dangling layout id 4"),
+            (bytes([Tag.OBJECT, 0, 3]), "dangling class id 3"),
+            (bytes([Tag.OBJECT, 0, 0, 1, 0x41, 0, 1, 7]), "dangling name id 7"),
+            (bytes([0x7F]), "unknown tag byte 0x7f"),
+            (bytes([Tag.STR, 1, 0xFF]), "invalid UTF-8"),
+        ],
+        ids=["layout", "class", "name", "tag", "utf8"],
+    )
+    def test_malformed_input_raises_wire_format_error(self, body, message):
+        with pytest.raises(WireFormatError, match=message):
+            dump_stream(WIRE_MAGIC + bytes([WIRE_VERSION, 0]) + body)
+
+    def test_other_wire_versions_are_refused(self):
+        with pytest.raises(WireFormatError, match="unsupported wire version 1"):
+            dump_stream(WIRE_MAGIC + bytes([1, 0, Tag.NONE]))

@@ -30,6 +30,13 @@ class TestHeader:
         with pytest.raises(WireFormatError, match="version"):
             ObjectReader(data)
 
+    def test_version_1_stream_is_refused(self):
+        """A version-1 peer's objects carry a field count and name keys
+        where version 2 expects a layout key; its streams are refused."""
+        data = WIRE_MAGIC + bytes([1, 0, Tag.NONE])
+        with pytest.raises(WireFormatError, match="unsupported wire version 1"):
+            ObjectReader(data)
+
     def test_header_only_stream_is_at_end(self):
         reader = ObjectReader(WIRE_MAGIC + bytes([WIRE_VERSION, 0]))
         assert reader.at_end()
@@ -78,8 +85,9 @@ class TestCorruption:
 
     def test_dangling_class_id(self):
         header = WIRE_MAGIC + bytes([WIRE_VERSION, 0])
-        # OBJECT with interned class id 9 that was never defined.
-        stream = header + bytes([Tag.OBJECT, 9])
+        # OBJECT defining a layout whose interned class id 9 was never
+        # defined.
+        stream = header + bytes([Tag.OBJECT, 0, 9])
         with pytest.raises(WireFormatError, match="class"):
             ObjectReader(stream).read_root()
 

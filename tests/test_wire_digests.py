@@ -8,7 +8,10 @@ set, runs the method and builds the reply (the *reply body*, what follows
 the applied-policy byte). ``full`` and ``dce`` cases call
 ``TreeService.mutate``; ``delta`` cases call ``mutate_sparse`` at 5 %
 and answer with a delta-slots reply. Streams carry inline class
-descriptors (no session schema cache).
+descriptors (no session schema cache), except in the schema-on table:
+there a modern caller makes two calls over one schema cache pair and the
+second call is pinned, so the request's layout definitions hold schema
+references rather than class names.
 
 The table below pins a SHA-256 of both bodies per case. A change that
 moves any byte of either fails here; a change of the wire format on
@@ -20,7 +23,7 @@ as well, so a table regenerated over a broken encoder cannot pass.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import pytest
 
@@ -38,6 +41,12 @@ from repro.rmi.remote_ref import is_opaque_remote
 from repro.serde.accessors import accessor_by_name
 from repro.serde.profiles import profile_by_name
 from repro.serde.reader import ObjectReader
+from repro.serde.schema import (
+    STREAM_FLAG_SCHEMA_CACHE,
+    GlobalSchemaTable,
+    SchemaRxCache,
+    SchemaTxCache,
+)
 from repro.serde.writer import ObjectWriter
 
 SCENARIO = "III"
@@ -49,9 +58,14 @@ POLICIES = ("full", "delta", "dce")
 PROFILES = {"modern": "optimized", "legacy": "portable"}
 
 
-def call_bodies(seed: int, policy_name: str, profile_name: str) -> Tuple[bytes, bytes]:
+def call_bodies(
+    seed: int, policy_name: str, profile_name: str, schema: Optional[tuple] = None
+) -> Tuple[bytes, bytes]:
     """One call"s (request body, reply body); asserts the caller ends up
-    where a local call leaves it."""
+    where a local call leaves it. *schema* is a connection"s
+    ``(SchemaTxCache, SchemaRxCache)`` pair; the definitions the request
+    carried count as confirmed once the server has decoded it."""
+    schema_tx, schema_rx = schema or (None, None)
     profile = profile_by_name(profile_name)
     accessor = accessor_by_name(PROFILES[profile_name])
     delta = policy_name == "delta"
@@ -66,7 +80,7 @@ def call_bodies(seed: int, policy_name: str, profile_name: str) -> Tuple[bytes, 
     args = arguments(tree)
     modes = resolve_modes(args)
 
-    writer = ObjectWriter(profile=profile)
+    writer = ObjectWriter(profile=profile, schema_tx=schema_tx)
     for arg in args:
         writer.write_root(arg)
     request = writer.getvalue()
@@ -74,10 +88,13 @@ def call_bodies(seed: int, policy_name: str, profile_name: str) -> Tuple[bytes, 
     originals = compute_retained(writer.linear_map, roots, accessor)
 
     reader = ObjectReader(
-        request, profile=profile, digest_accessor=accessor if delta else None
+        request, profile=profile, digest_accessor=accessor if delta else None,
+        schema_rx=schema_rx,
     )
     server_args = [reader.read_root() for _ in args]
     reader.expect_end()
+    for entry in writer.schemas_defined:
+        entry.confirmed = True
     server_roots = [
         arg for arg, mode in zip(server_args, modes) if mode is PassingMode.BY_COPY_RESTORE
     ]
@@ -107,6 +124,16 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def schema_call_bodies(seed: int, policy_name: str) -> Tuple[bytes, bytes]:
+    """The second call"s bodies on a fresh schema cache pair (its own
+    descriptor table, so schema ids do not depend on what else ran)."""
+    schema = (SchemaTxCache(GlobalSchemaTable()), SchemaRxCache())
+    call_bodies(seed, policy_name, "modern", schema)
+    request, reply = call_bodies(seed, policy_name, "modern", schema)
+    assert request[5] == STREAM_FLAG_SCHEMA_CACHE
+    return request, reply
+
+
 def _table() -> Dict[Tuple[str, str, int], Tuple[str, str]]:
     return {
         (profile, policy, seed): tuple(map(_sha, call_bodies(seed, policy, profile)))
@@ -116,295 +143,451 @@ def _table() -> Dict[Tuple[str, str, int], Tuple[str, str]]:
     }
 
 
+def _schema_table() -> Dict[Tuple[str, int], Tuple[str, str]]:
+    return {
+        (policy, seed): tuple(map(_sha, schema_call_bodies(seed, policy)))
+        for policy in POLICIES
+        for seed in SEEDS
+    }
+
+
 #: (profile, policy, seed) → (sha256 of the request body, of the reply body).
 DIGESTS: Dict[Tuple[str, str, int], Tuple[str, str]] = {
     ("modern", "full", 0): (
-        "7f6db3829c3e9ac81707f30ce9910b7b9489aca44f35df2d8e45494beed5bbab",
-        "cd0974a2cd37b5397d84d127af0086c24d9a6a134ba5be6ebb21f3281976e4d4",
+        "30c607488dc2b8aca872a9d349de2231373d954aeab9bbc1794bdd19fc62d05a",
+        "011fb51a94145fa761db1de20e30ed4c4d17bac8363a8074cf95d62d5fe0823a",
     ),
     ("modern", "full", 1): (
-        "ee3ce74ac8f78e53d0474f484c9384f6e7ef6e2b2adbb2f6b98a9e50b42c1406",
-        "8670d70795ac491951f5378bac93e4d0fbb3c2e57e439410fb6957ff30d76b16",
+        "5878670dfe3f6798da7b071c516ff1f32a5058f4a575d28db5c08c2878dd2c53",
+        "85de948eac52d0a18c85edd8019c50ce8ec036ff0b75cbdd1162eaa59cbbce04",
     ),
     ("modern", "full", 2): (
-        "9e8dbf8ac4d2ea236b6ea402b37c61a8c2de14d0a752991be6d64f9795668f00",
-        "8de8e257683ab66addfb86ff9283b86e7c524ec41b70a39c78c60118bf30cd2e",
+        "d395c55a341853d8737e5d8531305b9edb0536b2d34b57b638338454418635cd",
+        "86988c322db91c9e50685ef86b36c1a2fba64be61b0ec4c68fcc4855acedac0c",
     ),
     ("modern", "full", 3): (
-        "45df4fcd4da036e5a288f28f5b00553ed5bc670eade3cd5dad2bf7c61b899370",
-        "7e91099c31a69fdf906ceb471d93dc95a148beeee86fffc0c6d0e80423aa804c",
+        "e5049158aa000370bdb5ca80796a86cf5d50b43fed2f2a98e8ec04325f2beb1f",
+        "05176b9fcdee811d34f63f4f823c8e4548e756d7e18db509ebbb65cdcb2aca4a",
     ),
     ("modern", "full", 4): (
-        "c963c99c4a7856f7a60a7079c7959e6239e7f18983dd1c126265dd746101527a",
-        "e48e5f6a6584a7f64bdddd3f781cf3c5e88db3cedc7db8c3e5e8014b308ddb52",
+        "b7d464b24722abe56ae77950bd75c6681378ddccaa8df855582fbbcb28e0c68c",
+        "e018952f44cf706b82e6ed862c71c55e03f5ff9dd28d94558c6e0e1ca9551d1e",
     ),
     ("modern", "full", 5): (
-        "6b5c8ee9164a4e099742674806ca83f5d819db01fd9c86bdb112c1db5371115f",
-        "f086a6d5e0e994c309593ec6ed37a06d6c5dc158e6bbaa23d2b73ba601766d01",
+        "41aac67c26fcbbae95f1256506310b3a862b7ea296a2fdd11b4464a844dfa24c",
+        "19feba37c5ac3b8a70c3086307eab15f159a5eee4bd403c023ed1bf4c627da3a",
     ),
     ("modern", "full", 6): (
-        "d9b7f100a365582209d21c71f9c21cd6f2022444d3716d43c65d365a6b661672",
-        "16715ab8ec8bf69849896ee970e6747ef42b125101332fb42c4e90c19915f223",
+        "62041d7b0021e8b1e419607d56f9eec89da3958098c37e784a70103ff791cae1",
+        "9d601dd877941db69a8fbfa02b64b5477c6c0cb59f387a20d70f91094bdd8ed7",
     ),
     ("modern", "full", 7): (
-        "ec10098844d27f4885129675cb761719bd746e0339b0d16166c66efb98d9ca1e",
-        "3bcf5127ddf2b034922d2585063e882f3b91b9319ea752e85975cace5fbaad7a",
+        "232c35ed8d1485c874bc400a891ef0a9f301eac62df0045f85d36ee7e5b1360b",
+        "72c30be89ad9ae17c444f547aace1a727118acba79bfd0f958e5d4579fbcac83",
     ),
     ("modern", "full", 8): (
-        "1a9f628bc3e10685a40840bef24e0db78d899481e584d7ca0edb1a2c423c52da",
-        "6b19aa9024eae5765274770c9f1fd6bf75b80f2b0c3347b57d64b5d62af110ac",
+        "898dbca83172e3a9919a91d79292487bfbf082353f8493e19ce6d9c6da4931e5",
+        "cdb5fe9d43f84a37afd0ef4e9d4f559d59b49d385175952475a010af3d6c28cf",
     ),
     ("modern", "full", 9): (
-        "46809688c162b9a439acbf2535d96f8132751b8b4622c4e51bb517b416d5f98b",
-        "a715d7b41ac218d53d9a9b023d2ec046ef1e193dfbb28f524e32bdb1f1ad6269",
+        "508fc2691ee705f1f50018bdb2961d14687b2d902246e2486abbfb029f3fc354",
+        "d4f3036cab35589238323b4f6b49b4d9938711b73c39161bbd776a1d8b14ab9b",
     ),
     ("modern", "full", 10): (
-        "d38bdb7b8c943c661a704bd5493c131155dc15b6d29706009b0d8271261e1dd4",
-        "8ac9aee38f4276308c6f4bc9ec92467672698605bc8ee8abbde07a64f9158b49",
+        "09294f4b060587624006303727705a700cf366558e263eeda97ddd5f392cf241",
+        "1503fcc85bcea8548ff89237b8c40bdde6fea09391e65b87ee6c6962bfb61f2d",
     ),
     ("modern", "full", 11): (
-        "c905defc2d7ec3fb6467b0759ae69ba2c162970bd9ce78dc29b19f6300ada964",
-        "d9ab6533dd53dd938da83e001a0ebd09426e570784f7e9a132d62ff8384302ce",
+        "a2735f85e0966cde4195075d051b516d2d24740fba5b38239e9e90dbee6854c8",
+        "fecb9569fda23fe05563dedf653a238596ae75be21230d95116acf8b98e58f71",
     ),
     ("modern", "delta", 0): (
-        "fa763ca4fff547e7b38d70485e5a7bc0d04ffb6b098ac021b5d11b06d4bbc1d6",
-        "2002bdc9b35305404aa15513100dfb2e623bbce50ab550c6b160a793a563fdb5",
+        "ab9ddfd6f34aded84b9142b28dec44aabd20a801e5892260bffd856bc92b9100",
+        "c6d15eff913511ce90b1f429d4149ee50c163dd40e46e04a8ea9700fbd2e5417",
     ),
     ("modern", "delta", 1): (
-        "000d99382130d8aba992cfb29034c33c360a69ef51cdfd8274852e7d6aee2e03",
-        "44824c27742ef2a006e3ab678446509e8ba251156bd3ccde2cba3735ea874359",
+        "0519dc4910b2e7bd6fc59c1c1c7ea27927169c0a51a622450104b3f504bc4162",
+        "eb4360eb9635daae176ed60ac922e9937e4e76bde88cb716130f84515c11005b",
     ),
     ("modern", "delta", 2): (
-        "fcd057efb58d164df8ad6fa22063bb83c53733d6db17ac15c288976160429525",
-        "3830a9e2e8198463c1212877301f52347029d566e5dd4675c3d847578e130d39",
+        "9f2230e30ffd7755a55b03a4008332b2d8e061e1b2228df43052fba500c580b0",
+        "374ec587dbb8b4221106fd401d70fdf64404a4ca08c39e99c2a20eb844741731",
     ),
     ("modern", "delta", 3): (
-        "6964306ef8ec1d282f1cc80079bce19f5a6a3d728ff82accd2699c44d2af668c",
-        "463d284dc46d30d01197f5ba17f92650f70be1997d60bf4ea70f3682451e906d",
+        "a9c17de79d6f61edf4d9d2128504a3bf9482522fe1d9bb4a3436f96debfc26ab",
+        "5eef997b10f39ff183feda79cd21fc722362883361ffbeccd72f40b12fd23411",
     ),
     ("modern", "delta", 4): (
-        "9d096037353517f326a18b7a7dedaff48565f4740694ee5cc99ae12a9a5e4cd1",
-        "2f58df1a2ab80a6f6fb98c3966e720e307e1ef12d31ca6e5d0e3df6c1f7aaa1f",
+        "e7c1cedc3bdbee949193d171f7aadc24118a8eeb75bbda1edb92b44a9f6a695f",
+        "44811793259dc08953954095107ffd0db863e791bc66021b38a6e14c2d89b9d4",
     ),
     ("modern", "delta", 5): (
-        "0bf8fb35daca45e1f727f8a082eec4635164b41831c0c6d1550441416b58980b",
-        "f794fd01de3fd1d9721e5a6593520436e10c9e8bfa145f894c5af8ef7cd94d1a",
+        "79569c670c450b10f691c563c77c25469dab71480adeea3735edceb0df4ed940",
+        "34067a688645fab900dab7cdf1188d08ccd36ea4ed3516b173d46782d846929d",
     ),
     ("modern", "delta", 6): (
-        "6d70c4d920ee1989cc43afead4ee6ed668d7b58500245d70e899e784f8a57408",
-        "c27fb6012baf62354ba7ddc83233c3ec12488b2ba384eed97e1a66870dc276d2",
+        "84a13835e64b18eaf3f3bc4a99c694d111d4d019ca01ef18c8d6a3c1744e8c23",
+        "8aad351ab3d53e8706d0fcd94fd4e965a7a28b4c8a784752fd69df25c6b79367",
     ),
     ("modern", "delta", 7): (
-        "f0ac9bc00cb58e65cb3d3121acc046f33a12643a293be177f207285c5011f263",
-        "52ac09c6f14b4788f6f99452d38e9fbe6662d1f4f2625cc37a690764e18d771c",
+        "0fb69405670309e33baf2bff0657072c73206556178f22273447c9dbddcdb3d1",
+        "a321e1c1abead540b7a343cb91738a82440e8ca7071d2adb908010d92bb58539",
     ),
     ("modern", "delta", 8): (
-        "72906949208cd191d29a7b92f2a82818e35cf9d2ba3751b83c928befbe0ef244",
-        "3e310e21f337a40f99bba640fa2595ca8537db416d1b7b91c6b50af44d4f7a19",
+        "a87c14edb7ae3cd0a85192fc1dc902b41fd060427fc5c5d0ff0374df75c41886",
+        "2caf593d807c7ea4db84da1cc6f368b729087b5b1a26381e6bca003e94113cba",
     ),
     ("modern", "delta", 9): (
-        "ddbf1fa04eb4bf29d43874cbf74a9b4b697eb2ab700aa74ecae2d1238f6975fd",
-        "0c6f5bad1b88098decfd405882d749413007ad902cceb35c057d3bf83ca60787",
+        "7115205b5bb54e3edfe67ae4b8eeda932cf98265bf616f97caad1221cd64c06f",
+        "e65e2c5727bd2e7a38c61281b0dfb8c39b8c81b763430d0caba17f98e8bd481f",
     ),
     ("modern", "delta", 10): (
-        "d70f91335d2ed3bce956294ee046eabec25e84d6610389ca18144e4292d9c4a3",
-        "7639a9f884c1f01747408256eb9f9e19c1804f3329228bd100726792746f9275",
+        "b085eb49c1ebe2464e7e63c4ae2f55d5cac2210320e50754436353e785ceb553",
+        "f34c38774149d0d9c84543cf3c5f880fcedee6151e97850883027ece65e0be6b",
     ),
     ("modern", "delta", 11): (
-        "76d76133fbf0931ee88a20251093f16279e0b8798733b1ce478da3e8828c837f",
-        "4c086636e75d7fb2fa55c99c7dbd4e578bdc0adc93ed135bd1ac18ddb445e6b1",
+        "ad95d8aa3226d18aab0e5ea7f3eb006cc8bc5fefc80bd6b48d2e22b0168dd4e7",
+        "e754aca7644ed704a7bf96987b8a03a5036a6dea546327c48f5cd4b9a5f16994",
     ),
     ("modern", "dce", 0): (
-        "7f6db3829c3e9ac81707f30ce9910b7b9489aca44f35df2d8e45494beed5bbab",
-        "d5d3d71cc1754eefa01ae4c1fe894b5d1daa67c2dc630253d40754644ef54b5b",
+        "30c607488dc2b8aca872a9d349de2231373d954aeab9bbc1794bdd19fc62d05a",
+        "34faaa1f0aa6901797f29d7520bd42c98fa0a88a941eb143578cbf6f706b8a93",
     ),
     ("modern", "dce", 1): (
-        "ee3ce74ac8f78e53d0474f484c9384f6e7ef6e2b2adbb2f6b98a9e50b42c1406",
-        "6fdd9224f9d51467c09bcf065a125c155068654c86cf61701820347bd97701f0",
+        "5878670dfe3f6798da7b071c516ff1f32a5058f4a575d28db5c08c2878dd2c53",
+        "07cd65594253b89a4eaf564742e921914a769ef26367034816272d8ea7a04bef",
     ),
     ("modern", "dce", 2): (
-        "9e8dbf8ac4d2ea236b6ea402b37c61a8c2de14d0a752991be6d64f9795668f00",
-        "6154bad88945bb7fb86534f95008aad516dc6a66c9052996c939fea6449f762a",
+        "d395c55a341853d8737e5d8531305b9edb0536b2d34b57b638338454418635cd",
+        "2262877a01ff50cd1ec387cced4eb379f777d19b9da3afa1bed7c856e0232882",
     ),
     ("modern", "dce", 3): (
-        "45df4fcd4da036e5a288f28f5b00553ed5bc670eade3cd5dad2bf7c61b899370",
-        "9952fcb33128505666b0afc95e03798b46d2c3e3056c9447585859d47dae7877",
+        "e5049158aa000370bdb5ca80796a86cf5d50b43fed2f2a98e8ec04325f2beb1f",
+        "c2a05054d8fec5527e6223606dc25808fd1159eab7ac88135a81c6a4aca55fa5",
     ),
     ("modern", "dce", 4): (
-        "c963c99c4a7856f7a60a7079c7959e6239e7f18983dd1c126265dd746101527a",
-        "f0d5aebb2e365f4447a627856c575dd9c5780dfff7894cbcc2dddc5cc6e42baf",
+        "b7d464b24722abe56ae77950bd75c6681378ddccaa8df855582fbbcb28e0c68c",
+        "2632543f39acf2e7b6e8198c36b8ba56c0fa564864715412001732afe149c16c",
     ),
     ("modern", "dce", 5): (
-        "6b5c8ee9164a4e099742674806ca83f5d819db01fd9c86bdb112c1db5371115f",
-        "8de8af4d785c094c3b82e156cd6161cb1a41c662e7f5ea9484a072d182aeb483",
+        "41aac67c26fcbbae95f1256506310b3a862b7ea296a2fdd11b4464a844dfa24c",
+        "14eaa2dbb0e02039e541778ff48d15472ea2997d56ba571dc6e8b7ead28e6f67",
     ),
     ("modern", "dce", 6): (
-        "d9b7f100a365582209d21c71f9c21cd6f2022444d3716d43c65d365a6b661672",
-        "e349ccd63159d451fde94b407860efcd21d3f25e437e432f72ea0081ee1084f1",
+        "62041d7b0021e8b1e419607d56f9eec89da3958098c37e784a70103ff791cae1",
+        "0df0bb64bb34b9b07d412e8064bf0f263bbf5e671766ede500e47994d6bbd84d",
     ),
     ("modern", "dce", 7): (
-        "ec10098844d27f4885129675cb761719bd746e0339b0d16166c66efb98d9ca1e",
-        "9430d6da7d98b88c689d972995c1ce5b9cfd7feb6f19a46b2d282e0ea6d0af6c",
+        "232c35ed8d1485c874bc400a891ef0a9f301eac62df0045f85d36ee7e5b1360b",
+        "dc1cf1eca296aaa2c1557ef31e1b6e78f4f22c5c74b518456d6079cf3eb53f18",
     ),
     ("modern", "dce", 8): (
-        "1a9f628bc3e10685a40840bef24e0db78d899481e584d7ca0edb1a2c423c52da",
-        "3fed90829aa9b24ac019419caa9b5c4b7fd50a95bef0caeda5b3f07ce255ad4e",
+        "898dbca83172e3a9919a91d79292487bfbf082353f8493e19ce6d9c6da4931e5",
+        "e81bcab1674998d6e1d07a940ef718b5e466f999b27e780335cf59178fb14a43",
     ),
     ("modern", "dce", 9): (
-        "46809688c162b9a439acbf2535d96f8132751b8b4622c4e51bb517b416d5f98b",
-        "bc308a2d40174f70380c11e89aac7085fea8b6ce49da095765bc723fc78c2461",
+        "508fc2691ee705f1f50018bdb2961d14687b2d902246e2486abbfb029f3fc354",
+        "96e174e254d652fb6f7dbd40fe3381fa97920d34613b6c07cc4657b78b8fce95",
     ),
     ("modern", "dce", 10): (
-        "d38bdb7b8c943c661a704bd5493c131155dc15b6d29706009b0d8271261e1dd4",
-        "6b140b7fffdd3eb378107b529025ff5271b1188c67c9797b421a715704e69b69",
+        "09294f4b060587624006303727705a700cf366558e263eeda97ddd5f392cf241",
+        "7e9704a74b388cedf5d420b21fec7466ced95277401d147f2ce7bcb105994412",
     ),
     ("modern", "dce", 11): (
-        "c905defc2d7ec3fb6467b0759ae69ba2c162970bd9ce78dc29b19f6300ada964",
-        "56bf520b5eb1373f71b1ea6516a9b9a5f4b382349cfbc8b9cc1e84f3b196cc86",
+        "a2735f85e0966cde4195075d051b516d2d24740fba5b38239e9e90dbee6854c8",
+        "398da3b2938639d379de142349730267b95ec0a99f45844e5568d131e2353b48",
     ),
     ("legacy", "full", 0): (
-        "b3a310a632dc75c64dd96ae176a8ffedc4b5d704ad2492645c9b0ae303627f50",
-        "3f7daa1805b197802f6d0ffd86c17c2f5e8d55b612256c88c277bc01bd49f0ea",
+        "c8e3e6224fcf4125773aa8749d92e4123076fb4883c64f5ce0a36e06fbb2580a",
+        "e5754ea9a3c6240c16feffa48c59c079abee9e7693f8740b96208d2c238e3298",
     ),
     ("legacy", "full", 1): (
-        "f012f670ed8544944ca56404fddb6e6dfaac91754b3116b6f9309f460f343288",
-        "0bf28a7c4464969083d1ab4385cd08145f654f04c628ee54e0df4665c29258dd",
+        "88fa4fe1a96d192c5c6f4affc72f0ff4ea44f6ab1e379f93bee367b720975070",
+        "aa6fa93fe01b746a88315369f1b9dc7c1199e573cc5dea55c4eba833dbcfc212",
     ),
     ("legacy", "full", 2): (
-        "3aebd3c0e41d4436d898750be18e6b1c3885ac7b3e4ffe17116b81118beb4ae0",
-        "253cd31c357c66c34bdefdfb8bd0521e90c5dcd444e1475fe4fbd27a961a4a39",
+        "ecd75e07f95a856bbd877cfe608a1d41f9e910190c59367181c9e9b012818d14",
+        "766524256337fba89e0e87fc869780ee2d30082d242e06f4563705f5bb29d6ee",
     ),
     ("legacy", "full", 3): (
-        "ceb44cdf5aa469f5862f9d47835dc5f2c040e90870f88416f2e1642db16683d1",
-        "cc5d7eccd7ab1ba275ef76291d7cadb85f480b59c7d934495858b3081caa4e10",
+        "ebf7dbb9bcf13dd994ecfc212cb7025744b9a276a2b18963d705a17288ddf922",
+        "e53e049a0795de1fab872df07844afecea9b7bb355b14bd52766dee386e93dd6",
     ),
     ("legacy", "full", 4): (
-        "e17781a06603a06183ea5f6c66420e2d49443b6f78897173a66224324a6af6b7",
-        "e2d04319e43e8efb86c75776e4b88f4032339eab96dcf39086f9601a44228aa7",
+        "49b164b10f7d51185072dd786187d806aa52820ff116ff9369b68528da344e1a",
+        "04e509bc1515893f59f4968ce882992c507c24feb432a24732fea46a2cb98286",
     ),
     ("legacy", "full", 5): (
-        "89671814f394ba9d1fe30e4ee99016df10aef4f7ee1245bbb7ecc36ac2beb88b",
-        "0b1e0c0a0d3074337e0d2fc57170f06be63421d657e9bc407d43f40d1f0aebb7",
+        "cdb3f51e940aba0bb8a3eda5bfb128659d95c5af170bb86fe9ee0508099e4f27",
+        "774aab586c43bb4a0fc56510a4f814c977757dac38266049827c5c4bba295711",
     ),
     ("legacy", "full", 6): (
-        "fda1fc98faeca6297e9b808c6836c22707dbc268bdb05dfd5e89770e23d73a69",
-        "0a0f2e78fd75a5ad2e813f11a30d6d94d56d4a50ca441213f5e398e04ecf5e6c",
+        "7b4255ade165a18d262fff412113027c533f52fb2f64502625db9a607f50f1c5",
+        "c9117f6b97ba37acf866fb2f211f8f9ff87925b34e9571d9b58abf2d939b45db",
     ),
     ("legacy", "full", 7): (
-        "0c9ebea89cdf63cff75f17fb02aedf9ba6b5ad433c0199a012210a17bcff543e",
-        "5c9a08e597aec46df0d1b4de3955c25eedd20cd188c9eba241a072092ec139dc",
+        "0ddb586ece7abec3fb2ee912087bd8a97ba7a25d79f3e44461653f301bad0ed5",
+        "4efa493c8b0f67b8f65a9dda0b03705cd3c0f747cf170f14e89909689a9b7abf",
     ),
     ("legacy", "full", 8): (
-        "3fda4513ade7f0ef26a81c5d377cbbdb63c5f1aeccdf0ad51652b61655d71c95",
-        "d614b0f05b6a16027823c838ab12e12b045e11e1e417424db55f3719df6cb625",
+        "65a8c72f2b6f27a962a1ffeebc68c6d3ecb3719405be9bee95c72522988fc71f",
+        "6b1ac38dbcbec7b3b2cf9f4fcc48b59544de13f7007d70ba1e7e196c028f4c14",
     ),
     ("legacy", "full", 9): (
-        "5e76225716f4e70d9d45fdae73cc242d54eede17bcf40cd13ad242ee1c46b736",
-        "5d74fd75564e54b90ddb50fd95da875d2c0b312d739c3ae2a39e8bfe2d020499",
+        "df3a86915679c3857c7be807113baedc074cb31cb4695cb39998d53a66815835",
+        "3906894fa7ea4cde496fdc6e2d01f13910621103a14db96227d89a489bb7ce79",
     ),
     ("legacy", "full", 10): (
-        "8a26dd74cc334ef201b2d8574d1ceccf4ab4267a66cf741ef5f8e2b054bfa344",
-        "c4b8d1d687b8c488c00a134fdb4496b17e26a1d3b4481c89ca8888a9f1a5e0a5",
+        "25d3012ee6ca0fec0fefdd5c1fd008dfc09021165d79d25dc7481f735aff91bc",
+        "bbd3100fbdfe9ca1759daa7480a46b4b8618ff0750c35fdc1fb64e9e804898e4",
     ),
     ("legacy", "full", 11): (
-        "0d153a4b2373fe211e39fc3751d2befe72857e8d1d017b20e1b6e9c193d769d1",
-        "4059c28972f2a4e0e3118c72a06a0fe8080e4f98388dd20a571bd846ea8c700d",
+        "3ec0c3e2dcc9515695f2a2905c660ed6687c300dccf3118e481a9fe85b9ca642",
+        "daba07b29766f8c5df13628f9d6508328751a6f57e6f7fc4cc4f07deaa4a6223",
     ),
     ("legacy", "delta", 0): (
-        "edefe0fc0e45c4b9d5b38d98116ce6603aa08701695046768649b9f63f9d27cb",
-        "d292cc2e0892f4b527eae9af7f11b28e3e7f556b00d0684411e524fa54b86849",
+        "e79a8b70046d523fd531cb5abcdfd43080144bc534940871d5436b7f75d71d72",
+        "96ffd057c2e407148db58878a0b145428c2259e1425b790e5a8ec31446204723",
     ),
     ("legacy", "delta", 1): (
-        "71912222a743980d2489f4fe2655d0c4af6bdbcf8366b3079507640dd8f4906f",
-        "8594f52cde6b07c646ae80903da9f3d14bac0dfd362b5592b1553e0650fec333",
+        "4097fbf953842251d236ac3960e6aae0b3b99a3384a8867fccc1f836e67585ed",
+        "403c71eabef7e4197112459ca99f073bcddbdd29286fcf45976d2809ee7cf777",
     ),
     ("legacy", "delta", 2): (
-        "3f34bff4d05cc285b74a84102338c9cfb7bdc7a233d38c2dd287d5b5fe6fa65e",
-        "99e5e99149c160b778d4338292d88a9b2d8fc3898c2ca935aecbe36e90361949",
+        "2ec5d86223d2485d26c09b651d03202f248a54cf376ff95186718a0d067497d8",
+        "4c200cffa44da956bcf56b7fbe7f149c5692c7d454f44254eddf49f453f6c886",
     ),
     ("legacy", "delta", 3): (
-        "baf08d914c40e8d85ed4855ca8ad655fa40ee154e0a4825bbe14b05827d9e8b7",
-        "f40c08bacf56b53cedc7b8fa6d5926ca1bb684a9a2bb991f5cbd2ebda7d0febc",
+        "e23e456bc3bb39f7d730bcd69bb06bdba0851775383fa4a3e4eebad363852f25",
+        "d9e59874548eeb05b32386fc967b0e9639ef2b4d9d02415303203f1ada8988ba",
     ),
     ("legacy", "delta", 4): (
-        "ac09d8a70633e16afd524eb0cc12e21034e9ee3eb9fd882c4696df4be007dfc4",
-        "65aa381d5766969c78fb5609905f91d52cb75033dd05e122ce6d0d13066b5265",
+        "6feb3afe6d724b0e3c01b1dec8708d204b36c30894849b3aa74ddaa82b901148",
+        "0902413d07f9cee7684fe935b6d5e057403f35985d269a14fd1a0d0b10cdb453",
     ),
     ("legacy", "delta", 5): (
-        "0d4302400177d04a7c2bb81644ddeefdbb7d87b4b91d344c011debd0c8579387",
-        "62059355b62dec35f2a4b23edb14f28be7e38c49e617baedee4a0518d1a8ac47",
+        "c913ee859238f2610e5f2f771a1ca3aae31c56832b7bbb2e44da188f45abc6d0",
+        "6130babc5f6a604507667876ea6e0b24b452b6e2e4f39e05679bc581ca3084c4",
     ),
     ("legacy", "delta", 6): (
-        "c80a61497625ff79c771759994082defcc6db683abec8e5a2d0a036affb278ff",
-        "972feed8df86d6fcf57823b286c2f6e1c0b5e2d55a02f84bca2901fb4e71b7cc",
+        "a1a100743a7615b9fb3c82ee40ca4d24eeabbd83e4af4532ee27b89712297aef",
+        "ada7ddafaa7277ef090f6fb76899a105a82e2b715904b5bf54b9e366a7b832ab",
     ),
     ("legacy", "delta", 7): (
-        "3d786886f8a3fcc5ab55fcbab3643bbc09d6b2fbf46f6c7613e602507db2f85f",
-        "e6fc52f592b006c906793d95562e904c6c7f30d9a129a3a7e4a7a72dce66a567",
+        "f66e11c6b0ba6ef1f3fe0a9d22416ad85d072ab57c6e5b9ad1ec812e70ce9044",
+        "53f2b4bdfac7faa42b74d2f2f8b6ffda75970219d020e4af056484d538b5fdd3",
     ),
     ("legacy", "delta", 8): (
-        "a9cc675fed38094b422acf03a2a013562dc8e8ef8963c82243df659340ec0a58",
-        "ccce8942222455a046ab56c6f0fd1a175b61d77239c222f2f8f7c6348e36addc",
+        "45322bdaf491830fa315f9d42b1c0e0a6d942755df226b1c8058809afd9b16e2",
+        "65245d3642f2bfdd44815d8eb877d017147f33368baa5eb79d87b3bfc1dee127",
     ),
     ("legacy", "delta", 9): (
-        "e1e2f989e4fc658309a1aa9ac41ac766f3b5104f32f4359578e34689c63a5a02",
-        "97c90c0405ec66fbd0548064c29af9846b6ed868a90cf572ce4856f0defa4fd6",
+        "a4b0daf8974d7b0e77b0617bd85a433bfd00abca98e067baac52455dc9b7ca65",
+        "4ed69652145d10507e35ab26f463d5773d931c894034398eb6845065c94655b0",
     ),
     ("legacy", "delta", 10): (
-        "468188636a7bd366a4bd1e94e1f2ab90885f1c76517a502e2cf2c1f5ee915de5",
-        "b1b4b44b81eb29da04df3e704294cd2992729094a5b701ec2b8c05463bdd7058",
+        "cd0ad31e8d506bec2b3f778aa0fd31269e86224ad1732a5ff217d3e2b6c1bf53",
+        "b18ea2991a035e2adc014e30245636422f8ddbbb035c308e6f83ed0d15b4f649",
     ),
     ("legacy", "delta", 11): (
-        "fbaf1a4378bc8e71f662a6c2dd97767019000b5c0c864c1f45ac8eeb288cb27a",
-        "4c086636e75d7fb2fa55c99c7dbd4e578bdc0adc93ed135bd1ac18ddb445e6b1",
+        "d2c6ec482ba2f98e0bf43b1b2414c317fed3a44db31f2087306ceac7e381658c",
+        "e754aca7644ed704a7bf96987b8a03a5036a6dea546327c48f5cd4b9a5f16994",
     ),
     ("legacy", "dce", 0): (
-        "b3a310a632dc75c64dd96ae176a8ffedc4b5d704ad2492645c9b0ae303627f50",
-        "129217eecbb918e86fac1268738ee6e56a56f1556307e00eab9d0ba140c3a4fe",
+        "c8e3e6224fcf4125773aa8749d92e4123076fb4883c64f5ce0a36e06fbb2580a",
+        "8b46b85c81b7836f557e0ad8e34ece2e47758a2975d595eda3694178a4334c0f",
     ),
     ("legacy", "dce", 1): (
-        "f012f670ed8544944ca56404fddb6e6dfaac91754b3116b6f9309f460f343288",
-        "be7a9d833ccead84b2fd9cf90d624ea636fb56bff9ccafae313d6d70233a9d2a",
+        "88fa4fe1a96d192c5c6f4affc72f0ff4ea44f6ab1e379f93bee367b720975070",
+        "b789d495af89de74483e9b06b29fd2b505fe42f085a3f0407f9ce9fc9a1fa340",
     ),
     ("legacy", "dce", 2): (
-        "3aebd3c0e41d4436d898750be18e6b1c3885ac7b3e4ffe17116b81118beb4ae0",
-        "a8921744bdab6feb629034cd39364afb20ba1d99b0538802ce97d46920aff7d2",
+        "ecd75e07f95a856bbd877cfe608a1d41f9e910190c59367181c9e9b012818d14",
+        "12946a33b7d20f285773e6a729d75ae0d52aceb51bd5768685c837e1337c5578",
     ),
     ("legacy", "dce", 3): (
-        "ceb44cdf5aa469f5862f9d47835dc5f2c040e90870f88416f2e1642db16683d1",
-        "28afb52b0d8dd0b6a0fad5b7e7acc4ed14de237a3d5b773106036e97dc980a3a",
+        "ebf7dbb9bcf13dd994ecfc212cb7025744b9a276a2b18963d705a17288ddf922",
+        "446b690da41b7bae6b9a50b47aafba1751f4ef86da7192ac8f5e0289bb5d3fd2",
     ),
     ("legacy", "dce", 4): (
-        "e17781a06603a06183ea5f6c66420e2d49443b6f78897173a66224324a6af6b7",
-        "946437ec0cc7492e03858dba6489f930158969ca7b935aac2106a12f5d89b69a",
+        "49b164b10f7d51185072dd786187d806aa52820ff116ff9369b68528da344e1a",
+        "f2d52ae9f6811a8aaabcbbc17c895d2bd69fbbf665e066dc25a5c1cdc23272c7",
     ),
     ("legacy", "dce", 5): (
-        "89671814f394ba9d1fe30e4ee99016df10aef4f7ee1245bbb7ecc36ac2beb88b",
-        "71d115e84b59fa08d82308fbad52686f037e76a919cccf8456c0efbcfea2d4da",
+        "cdb3f51e940aba0bb8a3eda5bfb128659d95c5af170bb86fe9ee0508099e4f27",
+        "f9823ac7783ad40c2e85e0ef57d13e4a5b9260d363abd0055236c303bbeafec2",
     ),
     ("legacy", "dce", 6): (
-        "fda1fc98faeca6297e9b808c6836c22707dbc268bdb05dfd5e89770e23d73a69",
-        "64ab2c6495bb72f9d7a24d17ac3e1d666aefaf039c28713c1443d592dfcd39d3",
+        "7b4255ade165a18d262fff412113027c533f52fb2f64502625db9a607f50f1c5",
+        "050a327aaf1292c667f04b5871b32f26a4d6f57b67b539c57a389494f90b6cd1",
     ),
     ("legacy", "dce", 7): (
-        "0c9ebea89cdf63cff75f17fb02aedf9ba6b5ad433c0199a012210a17bcff543e",
-        "c5f3248cda9f1aee6e253069974e99711d0d7c9ad462ad24c44ae268191ef2d7",
+        "0ddb586ece7abec3fb2ee912087bd8a97ba7a25d79f3e44461653f301bad0ed5",
+        "161fdda3a5cfdf5e912a493330011a85501354ea45ef8f88b709c2bfafb7123c",
     ),
     ("legacy", "dce", 8): (
-        "3fda4513ade7f0ef26a81c5d377cbbdb63c5f1aeccdf0ad51652b61655d71c95",
-        "3172dcdde4f61b854f935dd11725226e98df1e08ef6e135392e12abed04cc882",
+        "65a8c72f2b6f27a962a1ffeebc68c6d3ecb3719405be9bee95c72522988fc71f",
+        "db20a8d433fc4da3662ea6ac5cd5ff9426776816c39e9edcc3a5d7a520a46e7e",
     ),
     ("legacy", "dce", 9): (
-        "5e76225716f4e70d9d45fdae73cc242d54eede17bcf40cd13ad242ee1c46b736",
-        "ffc799d0cc27375b933d521e1a5a0c33ed971b90d282e3c17dcf5f844ed4bc61",
+        "df3a86915679c3857c7be807113baedc074cb31cb4695cb39998d53a66815835",
+        "fb4d42a6a5d2a9df1b798efe1a77114e6de97d762cb9001b9ebbff3a595cd077",
     ),
     ("legacy", "dce", 10): (
-        "8a26dd74cc334ef201b2d8574d1ceccf4ab4267a66cf741ef5f8e2b054bfa344",
-        "a9ada97fa7bafdc16c41f08c169621f7acdf5e59cf1d4e240ca0b18037f93259",
+        "25d3012ee6ca0fec0fefdd5c1fd008dfc09021165d79d25dc7481f735aff91bc",
+        "adeceaad4f400453afa11f57eb7e047666bf348aeada0d00eee5349cc84e6818",
     ),
     ("legacy", "dce", 11): (
-        "0d153a4b2373fe211e39fc3751d2befe72857e8d1d017b20e1b6e9c193d769d1",
-        "3b2fc995d01c7d37ec7f49bf93af15454fdb958522b1efad1e02261ac14b8b8f",
+        "3ec0c3e2dcc9515695f2a2905c660ed6687c300dccf3118e481a9fe85b9ca642",
+        "7f90b2976e423eedde6061267b68ad0e038ef193852d932c6bed98297fa89e0f",
+    ),
+}
+
+#: (policy, seed) → the schema-on second call's (request, reply) sha256.
+SCHEMA_DIGESTS: Dict[Tuple[str, int], Tuple[str, str]] = {
+    ("full", 0): (
+        "2581f39706151787a6816fb62b26b456bc9b896a27d220827b25f7c4712082e8",
+        "011fb51a94145fa761db1de20e30ed4c4d17bac8363a8074cf95d62d5fe0823a",
+    ),
+    ("full", 1): (
+        "3c823d4132704389f3e667b44a637bd9d0e1b95462daa28bf015c5ab128458fa",
+        "85de948eac52d0a18c85edd8019c50ce8ec036ff0b75cbdd1162eaa59cbbce04",
+    ),
+    ("full", 2): (
+        "3a586ff69b3d9338b33e1a6724628945ed4256907b8fb8335eac41b6d44c82e0",
+        "86988c322db91c9e50685ef86b36c1a2fba64be61b0ec4c68fcc4855acedac0c",
+    ),
+    ("full", 3): (
+        "5f2511199a21a2e455434646f8cd54a3eabe760c6d1f8e17d8319c6d190a0b61",
+        "05176b9fcdee811d34f63f4f823c8e4548e756d7e18db509ebbb65cdcb2aca4a",
+    ),
+    ("full", 4): (
+        "9644db277d0a9f7a31e015b239cfe9c8c50dcee1ef4c1ec1f8af228e32ea6801",
+        "e018952f44cf706b82e6ed862c71c55e03f5ff9dd28d94558c6e0e1ca9551d1e",
+    ),
+    ("full", 5): (
+        "07936546a8b3965e5f6e5d83ad87e644955bb2b8c3bf6c5b266072d3bed5ca72",
+        "19feba37c5ac3b8a70c3086307eab15f159a5eee4bd403c023ed1bf4c627da3a",
+    ),
+    ("full", 6): (
+        "f005365e379ed319a41822b5363a4da76c1d35e25e844811fbbbc61861720a91",
+        "9d601dd877941db69a8fbfa02b64b5477c6c0cb59f387a20d70f91094bdd8ed7",
+    ),
+    ("full", 7): (
+        "8127e5daf539f34e063b5419b07e7db84916d4702572c99b82aecafc2a4ca61b",
+        "72c30be89ad9ae17c444f547aace1a727118acba79bfd0f958e5d4579fbcac83",
+    ),
+    ("full", 8): (
+        "7a0c2ae48f78f841f07e695cafde67238f250dd53e5257db32d5bb1e434dfda4",
+        "cdb5fe9d43f84a37afd0ef4e9d4f559d59b49d385175952475a010af3d6c28cf",
+    ),
+    ("full", 9): (
+        "b7915cee7f36784e01e872f29384b1de8ae797098898aaf4e2ec39ce92be5868",
+        "d4f3036cab35589238323b4f6b49b4d9938711b73c39161bbd776a1d8b14ab9b",
+    ),
+    ("full", 10): (
+        "976fe063eed5bdd5802d881faf91bd1b08b5e296679c279c07bde76992bb6976",
+        "1503fcc85bcea8548ff89237b8c40bdde6fea09391e65b87ee6c6962bfb61f2d",
+    ),
+    ("full", 11): (
+        "c23661e98cfd3333c37635641703136e304540bf903279138dddce29c4592751",
+        "fecb9569fda23fe05563dedf653a238596ae75be21230d95116acf8b98e58f71",
+    ),
+    ("delta", 0): (
+        "b6eadec5a689a3886e36b8d815975a2b17bc8c2ebec6379813d3771b69a8d4a5",
+        "c6d15eff913511ce90b1f429d4149ee50c163dd40e46e04a8ea9700fbd2e5417",
+    ),
+    ("delta", 1): (
+        "c8a92f1c65304e08d2a8d7f86c3b3fd3bb3aad1508383ff36037d9aa75af656d",
+        "eb4360eb9635daae176ed60ac922e9937e4e76bde88cb716130f84515c11005b",
+    ),
+    ("delta", 2): (
+        "e523b00d5ff81f7a9b0758d89f59675e4f57ef3614e44d7310b54a447263f84d",
+        "374ec587dbb8b4221106fd401d70fdf64404a4ca08c39e99c2a20eb844741731",
+    ),
+    ("delta", 3): (
+        "564244fbb1028c580093d148bdb9bf9179fab4beb93b49d72fd495aa8f48d289",
+        "5eef997b10f39ff183feda79cd21fc722362883361ffbeccd72f40b12fd23411",
+    ),
+    ("delta", 4): (
+        "ade8c65f89bc143a3433bff9beb63daac748ef631a4b1901e79b60bbf5dff63c",
+        "44811793259dc08953954095107ffd0db863e791bc66021b38a6e14c2d89b9d4",
+    ),
+    ("delta", 5): (
+        "2653fb5a01ce8d2c5fdbdc09f58d56ecba531f184150d69943f03de796e18eb3",
+        "34067a688645fab900dab7cdf1188d08ccd36ea4ed3516b173d46782d846929d",
+    ),
+    ("delta", 6): (
+        "280fbf1eb31409687fdd7318546842ef08888d6658e6d6d39b3332c8531c02a9",
+        "8aad351ab3d53e8706d0fcd94fd4e965a7a28b4c8a784752fd69df25c6b79367",
+    ),
+    ("delta", 7): (
+        "e91a5cc378f5d91cb3548f481e78d79c9b67eb8afeabb269be377771bf85e580",
+        "a321e1c1abead540b7a343cb91738a82440e8ca7071d2adb908010d92bb58539",
+    ),
+    ("delta", 8): (
+        "c8d1595c685dc71cb46cd3c1e804b5053b1dfd92a0d8512af566ac44464620e5",
+        "2caf593d807c7ea4db84da1cc6f368b729087b5b1a26381e6bca003e94113cba",
+    ),
+    ("delta", 9): (
+        "322c2f37b06cac0f239fb54c5d25ea1d5c3dca84840b3f9afc4727cce0799f21",
+        "e65e2c5727bd2e7a38c61281b0dfb8c39b8c81b763430d0caba17f98e8bd481f",
+    ),
+    ("delta", 10): (
+        "12773dd78005bd1788e8cf6a128a0f5f6de3abca2c76089f9fe157baa639ac63",
+        "f34c38774149d0d9c84543cf3c5f880fcedee6151e97850883027ece65e0be6b",
+    ),
+    ("delta", 11): (
+        "ae169993edcb0766fb23f90ca4453aa8dd173ec690c183e6456057b5574786de",
+        "e754aca7644ed704a7bf96987b8a03a5036a6dea546327c48f5cd4b9a5f16994",
+    ),
+    ("dce", 0): (
+        "2581f39706151787a6816fb62b26b456bc9b896a27d220827b25f7c4712082e8",
+        "34faaa1f0aa6901797f29d7520bd42c98fa0a88a941eb143578cbf6f706b8a93",
+    ),
+    ("dce", 1): (
+        "3c823d4132704389f3e667b44a637bd9d0e1b95462daa28bf015c5ab128458fa",
+        "07cd65594253b89a4eaf564742e921914a769ef26367034816272d8ea7a04bef",
+    ),
+    ("dce", 2): (
+        "3a586ff69b3d9338b33e1a6724628945ed4256907b8fb8335eac41b6d44c82e0",
+        "2262877a01ff50cd1ec387cced4eb379f777d19b9da3afa1bed7c856e0232882",
+    ),
+    ("dce", 3): (
+        "5f2511199a21a2e455434646f8cd54a3eabe760c6d1f8e17d8319c6d190a0b61",
+        "c2a05054d8fec5527e6223606dc25808fd1159eab7ac88135a81c6a4aca55fa5",
+    ),
+    ("dce", 4): (
+        "9644db277d0a9f7a31e015b239cfe9c8c50dcee1ef4c1ec1f8af228e32ea6801",
+        "2632543f39acf2e7b6e8198c36b8ba56c0fa564864715412001732afe149c16c",
+    ),
+    ("dce", 5): (
+        "07936546a8b3965e5f6e5d83ad87e644955bb2b8c3bf6c5b266072d3bed5ca72",
+        "14eaa2dbb0e02039e541778ff48d15472ea2997d56ba571dc6e8b7ead28e6f67",
+    ),
+    ("dce", 6): (
+        "f005365e379ed319a41822b5363a4da76c1d35e25e844811fbbbc61861720a91",
+        "0df0bb64bb34b9b07d412e8064bf0f263bbf5e671766ede500e47994d6bbd84d",
+    ),
+    ("dce", 7): (
+        "8127e5daf539f34e063b5419b07e7db84916d4702572c99b82aecafc2a4ca61b",
+        "dc1cf1eca296aaa2c1557ef31e1b6e78f4f22c5c74b518456d6079cf3eb53f18",
+    ),
+    ("dce", 8): (
+        "7a0c2ae48f78f841f07e695cafde67238f250dd53e5257db32d5bb1e434dfda4",
+        "e81bcab1674998d6e1d07a940ef718b5e466f999b27e780335cf59178fb14a43",
+    ),
+    ("dce", 9): (
+        "b7915cee7f36784e01e872f29384b1de8ae797098898aaf4e2ec39ce92be5868",
+        "96e174e254d652fb6f7dbd40fe3381fa97920d34613b6c07cc4657b78b8fce95",
+    ),
+    ("dce", 10): (
+        "976fe063eed5bdd5802d881faf91bd1b08b5e296679c279c07bde76992bb6976",
+        "7e9704a74b388cedf5d420b21fec7466ced95277401d147f2ce7bcb105994412",
+    ),
+    ("dce", 11): (
+        "c23661e98cfd3333c37635641703136e304540bf903279138dddce29c4592751",
+        "398da3b2938639d379de142349730267b95ec0a99f45844e5568d131e2353b48",
     ),
 }
 
@@ -431,7 +614,28 @@ def test_table_covers_every_case():
     }
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_schema_on_call_bodies_match_golden_digests(policy):
+    mismatched = []
+    for seed in SEEDS:
+        got = tuple(map(_sha, schema_call_bodies(seed, policy)))
+        want = SCHEMA_DIGESTS[(policy, seed)]
+        for body, have, expected in zip(("request", "reply"), got, want):
+            if have != expected:
+                mismatched.append(f"seed {seed} {body}: {have[:16]}… != {expected[:16]}…")
+    assert not mismatched, "schema-on wire bytes moved:\n" + "\n".join(mismatched)
+
+
+def test_schema_table_covers_every_case():
+    assert set(SCHEMA_DIGESTS) == {(policy, seed) for policy in POLICIES for seed in SEEDS}
+
+
 if __name__ == "__main__":
+    print("DIGESTS")
     for (profile, policy, seed), (request_sha, reply_sha) in _table().items():
         print(f'    ("{profile}", "{policy}", {seed}): (')
+        print(f'        "{request_sha}",\n        "{reply_sha}",\n    ),')
+    print("SCHEMA_DIGESTS")
+    for (policy, seed), (request_sha, reply_sha) in _schema_table().items():
+        print(f'    ("{policy}", {seed}): (')
         print(f'        "{request_sha}",\n        "{reply_sha}",\n    ),')

@@ -31,7 +31,8 @@ than the benchmark's traced ``serde.*`` spans.
 
 The probe prints, per set of ``--seeds`` calls, the median of each stage
 in microseconds and the median per-call sum, then the same as a JSON last
-line. ``--count`` replaces the clock by a count of function calls, Python
+line; its ``"bytes"`` key holds each set's mean request and reply body
+sizes, which depend on the seeds alone. ``--count`` replaces the clock by a count of function calls, Python
 and built-in, as ``sys.setprofile`` reports them, and prints each stage's
 mean per call: a figure that repeats exactly on fixed seeds, whatever the
 machine is doing. The probe uses only interfaces older revisions share:
@@ -117,10 +118,14 @@ def _decode_reply(reply: bytes, policy: str, originals: List[Any], api: Dict[str
     reader.expect_end()
 
 
-def _one_call(seed: int, api: Dict[str, Any], policy_name: str, meter: Any) -> Dict[str, float]:
+def _one_call(
+    seed: int, api: Dict[str, Any], policy_name: str, meter: Any,
+    sizes: List[Tuple[int, int]] | None = None,
+) -> Dict[str, float]:
     """One Table-5 call, split into stages; returns *meter*'s reading per
-    stage. Raises AssertionError when the restored caller differs from a
-    local call."""
+    stage and appends the call's (request, reply) body sizes to *sizes*.
+    Raises AssertionError when the restored caller differs from a local
+    call."""
     generate = api["generate_workload"]
     delta = policy_name == "delta"
     tree = generate(SCENARIO, NODES, seed)
@@ -175,6 +180,8 @@ def _one_call(seed: int, api: Dict[str, Any], policy_name: str, meter: Any) -> D
     local_result = getattr(api["TreeService"](), method)(*_arguments(policy_name, local.root, seed)[1])
     if (restored, tree.visible_data()) != (local_result, local.visible_data()):
         raise AssertionError(f"seed {seed}: remote call differs from the local call")
+    if sizes is not None:
+        sizes.append((len(request), len(reply)))
 
     return {
         "encode": encode,
@@ -225,21 +232,24 @@ def _load_api() -> Dict[str, Any]:
 
 def run_set(
     seeds: List[int], api: Dict[str, Any], policy: str = "full", count: bool = False
-) -> Dict[str, float]:
+) -> Tuple[Dict[str, float], Dict[str, float]]:
     """Medians of every stage (and of the per-call sum) over *seeds*; with
-    *count*, the mean number of function calls instead."""
+    *count*, the mean number of function calls instead. Also the mean
+    request and reply body bytes of those calls."""
     meter = CallCounter() if count else Clock()
     for seed in range(WARMUP_SEED, WARMUP_SEED + WARMUP):
         _one_call(seed, api, policy, meter)
-    samples = [_one_call(seed, api, policy, meter) for seed in seeds]
+    sizes: List[Tuple[int, int]] = []
+    samples = [_one_call(seed, api, policy, meter, sizes) for seed in seeds]
     sums = [sum(s[stage] for stage in STAGES) for s in samples]
-    if count:
-        table = {stage: statistics.fmean(s[stage] for s in samples) for stage in STAGES}
-        table["sum"] = statistics.fmean(sums)
-        return table
-    table = {stage: statistics.median(s[stage] for s in samples) for stage in STAGES}
-    table["sum"] = statistics.median(sums)
-    return table
+    body_bytes = {
+        "request": statistics.fmean(request for request, _ in sizes),
+        "reply": statistics.fmean(reply for _, reply in sizes),
+    }
+    average = statistics.fmean if count else statistics.median
+    table = {stage: average(s[stage] for s in samples) for stage in STAGES}
+    table["sum"] = average(sums)
+    return table, body_bytes
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -263,11 +273,12 @@ def main(argv: List[str] | None = None) -> int:
 
     unit = "mean calls" if options.count else "median us"
     sets = []
+    set_bytes = []
     print("set  " + "  ".join(f"{name:>14}" for name in STAGES + ("sum",)) + f"   ({unit})")
     for number in range(options.sets):
         first = options.first + number * options.seeds
         try:
-            table = run_set(
+            table, body_bytes = run_set(
                 list(range(first, first + options.seeds)), api,
                 options.policy, options.count,
             )
@@ -275,12 +286,13 @@ def main(argv: List[str] | None = None) -> int:
             print(f"FAILED: {exc}", file=sys.stderr)
             return 1
         sets.append(table)
+        set_bytes.append(body_bytes)
         print(f"{number:>3}  " + "  ".join(
             f"{table[name]:>14.1f}" for name in STAGES + ("sum",)
-        ))
+        ) + f"   request {body_bytes['request']:.1f} B, reply {body_bytes['reply']:.1f} B")
     print(json.dumps({
         "policy": options.policy, "unit": unit, "seeds_per_set": options.seeds,
-        "first": options.first, "sets": sets,
+        "first": options.first, "sets": sets, "bytes": set_bytes,
     }))
     return 0
 
