@@ -17,8 +17,8 @@ These lint the middleware's *own* threaded and ring code:
   microsecond-scale spin turns the shm transport's latency win into a
   scheduler round trip per call.
 * **NRMI036** — borrowed-view escape: a ``memoryview`` handed out by a
-  ring borrow/reservation (``reserve``/``peek_record``/``recv_borrow``/
-  ``recv_frame_borrow``) is only valid until the matching
+  ring borrow/reservation (``reserve``/``peek_record``/``recv_borrow``)
+  is only valid until the matching
   ``consume``/``consume_borrow``/``commit``/``abort``; storing it on
   ``self``, returning it to a caller, or touching it after the release
   reads recycled ring memory. The transport's sanctioned handoffs
@@ -341,13 +341,11 @@ def blocking_call_in_ring_spin(module: ModuleModel) -> Iterable[Finding]:
 
 
 #: Calls that hand out a memoryview over borrowed/reserved ring memory.
-_BORROW_SOURCES = frozenset(
-    {"reserve", "peek_record", "recv_borrow", "recv_frame_borrow"}
-)
+_BORROW_SOURCES = frozenset({"reserve", "peek_record", "recv_borrow"})
 
 #: Calls that end the borrow/reservation and release the view.
 _BORROW_RELEASES = frozenset(
-    {"consume", "consume_borrow", "commit", "abort", "abort_frame", "close"}
+    {"consume", "consume_borrow", "commit", "abort", "close"}
 )
 
 
@@ -391,9 +389,9 @@ def _walk_own(func_node: ast.AST) -> Iterable[ast.AST]:
 
 @rule("NRMI036", "borrowed-view-escape", FAMILY_RUNTIME, Severity.ERROR)
 def borrowed_view_escape(module: ModuleModel) -> Iterable[Finding]:
-    """A view from ``reserve``/``peek_record``/``recv_borrow``/
-    ``recv_frame_borrow`` borrows mapped ring memory the producer will
-    recycle the moment the borrow ends. Three escapes are flagged per
+    """A view from ``reserve``/``peek_record``/``recv_borrow`` borrows
+    mapped ring memory the producer will recycle the moment the borrow
+    ends. Three escapes are flagged per
     function: storing the view on ``self`` (it outlives the borrow
     window), returning it (the releasing call invalidates what the
     caller holds — copy with ``bytes(view)`` instead, or document the

@@ -15,16 +15,9 @@ NRMI + delta (future work)   policy="delta"
 DCE RPC semantics            policy="dce"
 ===========================  =========================================
 
-Two transport optimizations are not options, and neither changes wire
-bytes or behaviour, so there is nothing to choose:
-
-* the session schema cache engages on every connection that keeps a
-  schema session;
-* a client call takes the shm zero-copy route only when the channel is
-  the plain ``ShmChannel`` (``tcp_pipelined=False``), ``retry`` is off,
-  no ``breaker`` is set and the profile is not the chunked legacy one.
-  The defaults (``tcp_pipelined=True``) open a pipelined shm channel, so
-  a default endpoint takes the staged route.
+The session schema cache is not an option: it engages on every
+connection that keeps a schema session and changes no behaviour, so
+there is nothing to choose.
 """
 
 from __future__ import annotations

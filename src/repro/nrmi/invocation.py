@@ -17,15 +17,11 @@ Client side (:func:`client_call`):
 4. send; on reply, hand the payload to the agreed restore policy, which
    matches maps and applies steps 4-6 of the algorithm.
 
-A call travels one of two routes, and both plan and encode through the
-same code (:func:`_plan_call`, :func:`_encode_arguments`). The staged
-route marshals into a pooled frame and sends it under
-:func:`~repro.transport.reliability.call_with_retry`, which with the
-default policy is a single attempt. The zero-copy route encodes straight
-into a shared-memory ring; it is taken when the channel supports it, the
-profile writes one contiguous stream, and neither retry nor circuit
-breaking needs a frame kept for resending. Wire bytes are the same on
-both.
+Every call takes one route: :func:`prepare_call` marshals the request
+into a pooled frame, :func:`~repro.transport.reliability.call_with_retry`
+sends it through the channel (with the default policy that is a single
+attempt, and a resend re-stamps the same frame), and
+:func:`complete_call` applies the reply.
 
 Server side (:func:`handle_call`):
 
@@ -68,7 +64,6 @@ from repro.rmi.protocol import (
     Status,
     decode_call,
     encode_call,
-    encode_call_header,
     exception_response,
     ok_response,
     policy_from_wire,
@@ -248,7 +243,7 @@ def _plan_call(
     channel: Any,
 ) -> _CallPlan:
     """Resolve modes, restore policy, capability bits, and schema-cache
-    participation — shared by the staged and zero-copy routes."""
+    participation: everything decided before marshalling."""
     plan = _CallPlan()
     kwarg_items = tuple((kwargs or {}).items())
     plan.kwarg_names = tuple(name for name, _value in kwarg_items)
@@ -286,51 +281,6 @@ def _plan_call(
     return plan
 
 
-def _encode_arguments(
-    endpoint: Any, plan: _CallPlan, writer: ObjectWriter
-) -> Tuple[List[Any], Sequence[Any]]:
-    """Write the call's argument roots through *writer*; return the
-    retained originals and the schema definitions the stream carried."""
-    for arg in plan.args:
-        writer.write_root(arg)
-    if plan.ship_map:
-        # Ablation: transmit the map as an extra root. Its entries are all
-        # back references, so this costs ~2 bytes per reachable object plus
-        # an extra encode/decode pass — the cost optimization 5.2.4 #1 avoids.
-        writer.write_root(list(writer.linear_map.objects))
-    originals: List[Any] = []
-    if plan.policy_name != "none":
-        originals = compute_retained(
-            writer.linear_map, _restore_roots(plan.args, plan.modes),
-            endpoint.accessor,
-        )
-    return originals, writer.schemas_defined
-
-
-def _call_request(
-    endpoint: Any,
-    descriptor: RemoteDescriptor,
-    method: str,
-    plan: _CallPlan,
-    args_payload: Any,
-) -> CallRequest:
-    return CallRequest(
-        object_id=descriptor.object_id,
-        method=method,
-        policy=plan.policy_name,
-        profile=endpoint.profile.name,
-        modes=plan.modes,
-        args_payload=args_payload,
-        ship_map=plan.ship_map,
-        kwarg_names=plan.kwarg_names,
-        # Every call gets an at-most-once identity: should any layer
-        # (retry, a duplicated frame) deliver this request twice, the
-        # server's reply cache collapses it to one execution.
-        call_id=endpoint.next_call_id(),
-        caps=plan.caps,
-    )
-
-
 def prepare_call(
     endpoint: Any,
     descriptor: RemoteDescriptor,
@@ -360,11 +310,39 @@ def prepare_call(
         buffer=args_buffer, schema_tx=plan.schema_tx,
     )
     try:
-        originals, schemas_defined = _encode_arguments(endpoint, plan, writer)
+        for arg in plan.args:
+            writer.write_root(arg)
+        if plan.ship_map:
+            # Ablation: transmit the map as an extra root. Its entries are
+            # all back references, so this costs ~2 bytes per reachable
+            # object plus an extra encode/decode pass — the cost
+            # optimization 5.2.4 #1 avoids.
+            writer.write_root(list(writer.linear_map.objects))
+        originals: List[Any] = []
+        if plan.policy_name != "none":
+            originals = compute_retained(
+                writer.linear_map, _restore_roots(plan.args, plan.modes),
+                endpoint.accessor,
+            )
         args_payload = writer.view() if pool is not None else writer.getvalue()
         envelope_buffer = pool.acquire() if pool is not None else None
         request = encode_call(
-            _call_request(endpoint, descriptor, method, plan, args_payload),
+            CallRequest(
+                object_id=descriptor.object_id,
+                method=method,
+                policy=plan.policy_name,
+                profile=endpoint.profile.name,
+                modes=plan.modes,
+                args_payload=args_payload,
+                ship_map=plan.ship_map,
+                kwarg_names=plan.kwarg_names,
+                # Every call gets an at-most-once identity: should any
+                # layer (retry, a duplicated frame) deliver this request
+                # twice, the server's reply cache collapses it to one
+                # execution.
+                call_id=endpoint.next_call_id(),
+                caps=plan.caps,
+            ),
             buffer=envelope_buffer,
         )
     except BaseException:
@@ -390,7 +368,7 @@ def prepare_call(
         pool=pool,
         buffer=envelope_buffer,
         schema_session=plan.schema_session,
-        schemas_defined=schemas_defined,
+        schemas_defined=writer.schemas_defined,
         schema_flagged=plan.schema_tx is not None,
     )
 
@@ -462,59 +440,6 @@ def complete_call(endpoint: Any, prepared: PreparedCall, response: bytes) -> Any
     return result
 
 
-def _zero_copy_call(
-    endpoint: Any,
-    channel: Any,
-    descriptor: RemoteDescriptor,
-    method: str,
-    args: Tuple[Any, ...],
-    policy_name: str | None,
-    kwargs: dict | None,
-) -> Any:
-    """One remote call with both client-side payload copies deleted.
-
-    Instead of marshalling into a pooled staging buffer and handing the
-    channel a finished frame, the envelope header and the argument
-    stream are encoded *through* the channel, directly into its tx-ring
-    reservation (spilling to a pooled buffer only when the frame
-    outgrows the contiguous span). The reply is decoded off a borrowed
-    rx-ring slice inside the channel's exchange — ``complete_call``
-    materializes every decoded value, so nothing aliases ring memory
-    once the borrow is consumed. Wire bytes are identical to the staged
-    route's.
-    """
-    plan = _plan_call(endpoint, args, policy_name, kwargs, channel)
-    # The args stream is encoded in place, right after the header.
-    header = _call_request(endpoint, descriptor, method, plan, b"")
-    prepared = PreparedCall(
-        request=b"", originals=[], descriptor=descriptor, method=method,
-        schema_session=plan.schema_session,
-        schema_flagged=plan.schema_tx is not None,
-    )
-
-    def encode(sink: Any) -> None:
-        encode_call_header(sink, header)
-        writer = ObjectWriter(
-            profile=endpoint.profile, externalizers=endpoint.externalizers(),
-            schema_tx=plan.schema_tx, out=sink,
-        )
-        try:
-            prepared.originals, prepared.schemas_defined = _encode_arguments(
-                endpoint, plan, writer
-            )
-        except BaseException:
-            # The channel rolls the ring reservation back; dropping the
-            # writer's memo pins here keeps the failed encode leak-free.
-            writer.discard()
-            raise
-
-    return channel.request_zero_copy(
-        encode,
-        lambda response: complete_call(endpoint, prepared, response),
-        pool=getattr(endpoint, "buffer_pool", None),
-    )
-
-
 def client_call(
     endpoint: Any,
     descriptor: RemoteDescriptor,
@@ -544,19 +469,6 @@ def client_call(
     retry = endpoint.config.retry
     breaker = endpoint.breaker_for(descriptor.address)
     try:
-        if (
-            not retry.enabled
-            and breaker is None
-            and getattr(channel, "supports_zero_copy", False)
-            # Chunked-buffer profiles (legacy) build their stream in
-            # chunks and cannot target an external sink.
-            and not endpoint.profile.chunked_buffers
-        ):
-            # A resend needs a retained frame to re-stamp, which is
-            # exactly the copy the zero-copy route deletes.
-            return _zero_copy_call(
-                endpoint, channel, descriptor, method, args, policy_name, kwargs
-            )
         prepared = prepare_call(
             endpoint, descriptor, method, args, policy_name=policy_name,
             kwargs=kwargs, channel=channel,

@@ -185,19 +185,6 @@ def encode_call(request: CallRequest, buffer=None):
     the view has been sent.
     """
     writer = BufferWriter(buffer)
-    encode_call_header(writer, request)
-    writer.write_bytes(request.args_payload)
-    return writer.view() if buffer is not None else writer.getvalue()
-
-
-def encode_call_header(writer, request: CallRequest) -> None:
-    """Write everything of a CALL envelope except the args payload.
-
-    The args stream is the envelope's final field (no trailing length),
-    so the zero-copy path can write this header into a ring reservation
-    and then let the serde layer encode the arguments directly after it
-    — same wire bytes as :func:`encode_call`, no staging buffer.
-    """
     writer.write_u8(Op.CALL)
     if not 0 <= request.attempt <= 255:
         raise WireFormatError(f"attempt counter out of range: {request.attempt}")
@@ -216,6 +203,9 @@ def encode_call_header(writer, request: CallRequest) -> None:
     writer.write_uvarint(len(request.kwarg_names))
     for name in request.kwarg_names:
         writer.write_str(name)
+    # The args stream is the envelope's final field: no trailing length.
+    writer.write_bytes(request.args_payload)
+    return writer.view() if buffer is not None else writer.getvalue()
 
 
 def decode_call(

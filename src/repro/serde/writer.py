@@ -78,13 +78,6 @@ class ObjectWriter:
     ``bytearray`` storage from a :class:`repro.util.buffers.BufferPool`;
     it is ignored for profiles that use the chunked legacy buffer.
 
-    *out* goes one step further: an externally supplied writer (the
-    zero-copy path passes a ``SinkBufferWriter`` over a shm ring
-    reservation) becomes the stream destination as-is — nothing is
-    cleared and the stream header is appended after whatever the caller
-    already wrote (a CALL envelope header). Mutually exclusive with
-    *buffer*, and only meaningful for non-chunked profiles.
-
     *oldrefs* is a delta reply's identity table, ``id(obj) → index`` in
     the caller's retained list. The first time the writer meets an object
     the table holds, it writes an old-object reference (an ``EXTERNAL``
@@ -103,7 +96,6 @@ class ObjectWriter:
         buffer: Optional[bytearray] = None,
         memo_limit: int = DEFAULT_MEMO_LIMIT,
         schema_tx: Optional[SchemaTxCache] = None,
-        out: Optional[BufferWriter] = None,
         oldrefs: Optional[Dict[int, int]] = None,
     ) -> None:
         self.profile = profile
@@ -114,11 +106,7 @@ class ObjectWriter:
         #: per encoded value, so benchmarks leave it off).
         self.stats: Optional[Dict[str, int]] = {} if collect_stats else None
         self.linear_map = LinearMap()
-        if out is not None:
-            if profile.chunked_buffers:
-                raise ValueError("external sinks require a non-chunked profile")
-            self._buf = out
-        elif profile.chunked_buffers:
+        if profile.chunked_buffers:
             self._buf = ChunkedBufferWriter()
         else:
             self._buf = BufferWriter(buffer)

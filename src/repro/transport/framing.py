@@ -25,7 +25,6 @@ import struct
 from typing import Optional
 
 from repro.errors import DeadlineExceededError, RetryableError, TransportError
-from repro.util.buffers import SinkBufferWriter, SpillSink
 
 _LEN = struct.Struct(">I")
 _HEADER_SIZE = _LEN.size
@@ -101,65 +100,6 @@ def read_frame(sock: socket.socket, timeout: Optional[float] = None) -> bytearra
     if length > MAX_FRAME_BYTES:
         raise TransportError(f"peer announced oversized frame: {length} bytes")
     return _recv_exact(sock, length)
-
-
-class InPlaceFrameWriter:
-    """Builds one ``u32 length + payload`` frame inside a reservation.
-
-    Wraps a writable ``memoryview`` handed out by a shm ring
-    reservation: the first four bytes are left for the length header,
-    the rest becomes a :class:`SpillSink` so the serde layer encodes
-    the payload straight into the mapped segment. ``finish`` backfills
-    the header over the bytes already in place and reports how much of
-    the frame landed in the reservation versus spilled; the caller
-    commits the in-place span as one ring record and streams the spill
-    (if any) as ordinary copied records — the receiver sees one
-    contiguous byte stream either way.
-
-    Exactly one of :meth:`finish` or :meth:`abort` must run; both drop
-    the view references and return the spill buffer to the pool, so an
-    encode failure never leaks a pooled buffer or publishes a torn
-    frame (the reservation owner's ``abort`` unpublishes the span).
-    """
-
-    __slots__ = ("_view", "_sink", "writer")
-
-    def __init__(self, view: memoryview, pool=None) -> None:
-        if len(view) <= _HEADER_SIZE:
-            raise ValueError("reservation too small for a frame header")
-        self._view = view
-        self._sink = SpillSink(view[_HEADER_SIZE:], pool)
-        self.writer = SinkBufferWriter(self._sink)
-
-    def finish(self):
-        """Backfill the length header; returns ``(in_place, spill)``.
-
-        *in_place* is the number of reservation bytes to commit (header
-        included); *spill* is the overflow ``bytearray`` still owed to
-        the stream, or ``None`` when the whole frame fit. Ownership of
-        the spill transfers to the caller (send it, then pool it)."""
-        sink = self._sink
-        length = len(sink)
-        if length > MAX_FRAME_BYTES:
-            self.abort()
-            raise TransportError(
-                f"frame of {length} bytes exceeds limit {MAX_FRAME_BYTES}"
-            )
-        view = self._view
-        _LEN.pack_into(view, 0, length)
-        in_place = _HEADER_SIZE + sink.in_place
-        spill = sink.spill
-        self._sink = None
-        self._view = None
-        return in_place, spill
-
-    def abort(self) -> None:
-        """Drop the frame: pool the spill, forget the reservation view."""
-        sink = self._sink
-        if sink is not None:
-            self._sink = None
-            self._view = None
-            sink.release()
 
 
 # ----------------------------------------------------- pipelined framing

@@ -1207,9 +1207,9 @@ class StagedStreamServer:
             return
         if connection.zero_copy and corr_id is None and not connection.out:
             # Reply fast path for shm: header + payload land as ONE
-            # contiguous ring record, which is what lets the client
-            # decode the reply off a borrowed slice instead of staging
-            # a copy. A full ring falls through to the queued path.
+            # contiguous ring record, written straight into the ring
+            # instead of queued as segments and copied in by the flush.
+            # A full ring falls through to the queued path.
             try:
                 connection.sock.send_frame(_LEN.pack(length), payload)
                 return

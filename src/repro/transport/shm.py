@@ -49,18 +49,11 @@ except ImportError:  # pragma: no cover - non-POSIX; shm is gated anyway
 
 from repro.errors import DeadlineExceededError, RetryableError, TransportError
 from repro.transport.base import RequestHandler
-from repro.transport.framing import (
-    InPlaceFrameWriter,
-    MAX_FRAME_BYTES,
-    read_frame,
-    write_frame,
-)
 from repro.transport.stream import (
     PipelinedStreamChannel,
     StreamChannel,
     StreamServer,
 )
-from repro.util.buffers import BufferWriter
 from repro.util.ring import (
     CTRL_BYTES,
     RingConsumer,
@@ -92,10 +85,6 @@ _HS = struct.Struct("!8sII")
 _HEADER_BYTES = 4096
 
 _DOORBELL_BYTE = b"\x00"
-
-#: Frame header (u32 big-endian length), shared with the framing layer.
-_FRAME_LEN = struct.Struct(">I")
-_FRAME_HEADER = _FRAME_LEN.size
 
 #: Longest a parked side sleeps before re-checking its ring unprompted.
 #: The flag handshake ("set waiting, re-check, park" vs "publish, see
@@ -482,60 +471,25 @@ class _RingDuplex:
             self._ring_peer()
         return wrote
 
-    # ------------------------------------------------ zero-copy fast path
+    # ---------------------------------------------- server borrow path
     #
-    # The staged paths above copy every frame twice per direction: the
-    # serde buffer into the ring, and the ring into a staging bytearray.
-    # The methods below delete both copies. A sender reserves a span of
-    # the mapped segment, builds the frame in place, and commits it as
-    # one record; a receiver borrows the record's payload as a
+    # The net-thread paths above copy every frame through a staging
+    # bytearray. The methods below let the server skip one copy per
+    # direction: it borrows a pending record's payload as a
     # ``memoryview`` and decodes straight off the ring, consuming (and
-    # thereby freeing) the span only when done. View lifetime is strict:
-    # a borrow ends at ``consume_borrow`` and a reservation at
-    # commit/abort — both release the underlying views, and every
-    # borrowed slice must be dead before the segment unmaps.
+    # thereby freeing) the span only when done, and it writes a reply's
+    # header and payload as one record. View lifetime is strict: a
+    # borrow ends at ``consume_borrow``, which releases the view, and
+    # every borrowed slice must be dead before the segment unmaps.
 
-    #: Capability flag the session/server layers test with ``getattr``.
+    #: Capability flag the server layer tests with ``getattr``.
     zero_copy_capable = True
-
-    def reserve_frame(self, pool=None) -> Optional[InPlaceFrameWriter]:
-        """Reserve tx-ring space and wrap it as an in-place frame writer.
-
-        Grants the largest contiguous record span currently available
-        (overflow spills to a *pool* bytearray inside the writer), or
-        returns ``None`` when the ring can't host even a minimal frame —
-        the caller falls back to the staged path. The reservation is
-        live until :meth:`commit_frame` / :meth:`abort_frame`.
-        """
-        tx = self._tx
-        view = tx.reserve(tx.capacity)
-        if view is None:
-            return None
-        if len(view) <= _FRAME_HEADER:
-            tx.abort()
-            return None
-        return InPlaceFrameWriter(view, pool)
-
-    def commit_frame(self, in_place: int, spill) -> None:
-        """Publish an in-place frame: commit the reserved record, then
-        stream the *spill* remainder (if any) as ordinary copied records.
-        One doorbell at the end, matching :meth:`sendmsg`."""
-        self._tx.commit(in_place)
-        if spill:
-            self._sendall_ring(spill, ring_after=False)
-        if self._tx.peer_waiting:
-            self._ring_peer()
-
-    def abort_frame(self) -> None:
-        """Roll back a reservation after a failed in-place encode: the
-        record was never published, so the connection stays clean."""
-        self._tx.abort()
 
     def send_frame(self, header, payload) -> int:
         """Non-blocking header+payload write as ONE contiguous record.
 
-        The server's reply fast path: a frame that lands in a single
-        record is what makes the client's borrowed decode engage. Raises
+        The server's reply fast path: one ring reservation and one
+        commit instead of a queued copy per part. Raises
         ``BlockingIOError`` without side effects when the ring lacks a
         contiguous span — the caller falls back to the queued-send path.
         """
@@ -555,49 +509,6 @@ class _RingDuplex:
         if tx.peer_waiting:
             self._ring_peer()
         return total
-
-    def recv_frame_borrow(self):
-        """Blocking client-side borrow of one complete reply frame.
-
-        Returns a ``memoryview`` over the frame *payload* (the 4-byte
-        length header already validated and skipped) when the whole
-        frame sits in one ring record, or ``None`` when it doesn't (a
-        chunked or split frame, EOF) — the caller then falls back to the
-        copying :func:`read_frame`, which re-reads from the unconsumed
-        cursor. On success the borrow is live: the caller must finish
-        with :meth:`consume_borrow` before touching this duplex again.
-        """
-        rx = self._rx
-        deadline = (
-            None if self._timeout is None else time.monotonic() + self._timeout
-        )
-        spin = self._spin
-        while True:
-            if self._closed:
-                raise OSError(errno.EBADF, "shm duplex closed")
-            record = rx.peek_record()
-            if record is not None:
-                break
-            if self._eof:
-                return None
-            if spin > 0:
-                spin -= 1
-                _yield_cpu()
-                continue
-            self._park(rx, deadline, "recv")
-            spin = self._spin
-        if len(record) < _FRAME_HEADER:
-            rx.consume(0)
-            return None
-        (length,) = _FRAME_LEN.unpack_from(record, 0)
-        if length > MAX_FRAME_BYTES or _FRAME_HEADER + length > len(record):
-            # Oversized announcements fall back too: the copying reader
-            # re-reads the same bytes and raises its usual TransportError.
-            rx.consume(0)
-            return None
-        return record[  # nrmi: disable=NRMI036 -- sanctioned handoff: the borrow stays live by contract; the caller must consume_borrow after decoding
-            _FRAME_HEADER : _FRAME_HEADER + length
-        ]
 
     def recv_borrow(self, drain: bool = True):
         """Non-blocking net-thread borrow of the next pending record.
@@ -902,10 +813,6 @@ class ShmServer(StreamServer):
 class ShmChannel(StreamChannel):
     """Client channel over a single pooled shared-memory connection."""
 
-    #: The invocation layer probes this to route eligible calls through
-    #: :meth:`request_zero_copy` instead of the staged :meth:`request`.
-    supports_zero_copy = True
-
     def __init__(
         self,
         name: str,
@@ -922,97 +829,6 @@ class ShmChannel(StreamChannel):
 
     def _describe(self) -> str:
         return self.name
-
-    def request_zero_copy(
-        self,
-        encode,
-        consume,
-        timeout: Optional[float] = None,
-        pool=None,
-    ):
-        """One exchange with both payload copies deleted.
-
-        *encode(writer)* receives a ``BufferWriter``-shaped object and
-        writes one complete request frame payload through it — on the
-        fast path that writer targets a tx-ring reservation, so the
-        bytes land directly in the mapped segment. *consume(response)*
-        receives the reply frame payload — on the fast path a borrowed
-        ``memoryview`` over the rx ring — and must extract everything it
-        needs before returning: the view is invalidated afterwards.
-        Returns whatever *consume* returns.
-
-        Wire bytes are identical to ``request(encoded_frame)``; every
-        degraded case (no contiguous reservation, a reply chunked across
-        records) falls back to the staged copy path mid-exchange.
-        Failure semantics match :meth:`request`: transport errors drop
-        the pooled connection and never resend. Exceptions raised by
-        *consume* itself (a BUSY reply, an unmarshal failure) propagate
-        without dropping the connection — exactly as they would have
-        after a staged ``request`` returned.
-        """
-        with self._lock:
-            sock = self._connect(timeout)
-            borrowed = False
-            try:
-                try:
-                    if timeout is not None:
-                        sock.settimeout(timeout)
-                    sent = self._send_zero_copy(sock, encode, pool, timeout)
-                    reply = sock.recv_frame_borrow()
-                    if reply is None:
-                        reply = read_frame(sock, timeout=timeout)
-                    else:
-                        borrowed = True
-                except socket.timeout as exc:
-                    self._drop_connection()
-                    raise DeadlineExceededError(
-                        f"shm exchange timed out: {exc}"
-                    ) from exc
-                except TransportError:
-                    self._drop_connection()
-                    raise
-                except OSError as exc:
-                    self._drop_connection()
-                    raise RetryableError(f"shm exchange failed: {exc}") from exc
-                self.stats.record(sent=sent, received=len(reply))
-                try:
-                    return consume(reply)
-                finally:
-                    if borrowed:
-                        borrowed = False
-                        try:
-                            sock.consume_borrow(_FRAME_HEADER + len(reply))
-                        except (OSError, RuntimeError):
-                            pass
-            finally:
-                if timeout is not None and self._sock is not None:
-                    self._sock.settimeout(self._timeout)
-
-    @staticmethod
-    def _send_zero_copy(sock: _RingDuplex, encode, pool, timeout) -> int:
-        """Encode into a ring reservation and commit; staged fallback
-        when no reservation is available. Returns frame bytes sent."""
-        frame = sock.reserve_frame(pool)
-        if frame is None:
-            writer = BufferWriter()
-            encode(writer)
-            payload = writer.raw
-            write_frame(sock, payload, timeout=timeout)
-            return _FRAME_HEADER + len(payload)
-        try:
-            encode(frame.writer)
-            in_place, spill = frame.finish()
-        except BaseException:
-            frame.abort()
-            sock.abort_frame()
-            raise
-        spill_len = len(spill) if spill is not None else 0
-        try:
-            sock.commit_frame(in_place, spill)
-        finally:
-            if spill is not None and pool is not None:
-                pool.release(spill)
-        return in_place + spill_len
 
 
 class PipelinedShmChannel(PipelinedStreamChannel):

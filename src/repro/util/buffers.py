@@ -134,131 +134,6 @@ class BufferWriter:
         del self._buf[:]
 
 
-class SpillSink:
-    """A writable ``memoryview`` destination with pooled overflow.
-
-    Drop-in for the growable ``bytearray`` behind :class:`BufferWriter`
-    on the operations the encode hot paths use — ``append`` and ``+=`` —
-    but the bytes land directly in an externally supplied view (a shm
-    ring reservation) instead of heap storage. When the reservation is
-    exhausted the remainder spills to a (pool-acquired) ``bytearray``,
-    so encoding never fails mid-object; the transport sends the spill
-    as ordinary copied records after committing the in-place prefix.
-
-    The sink never releases the view it was given — the reservation
-    owner (ring producer / frame writer) controls that lifetime. It
-    does own the spill buffer: :meth:`release` returns it to the pool.
-    """
-
-    __slots__ = ("_view", "_pos", "_cap", "_spill", "_pool")
-
-    def __init__(self, view: memoryview, pool: Optional["BufferPool"] = None) -> None:
-        self._view = view
-        self._pos = 0
-        self._cap = len(view)
-        self._spill: Optional[bytearray] = None
-        self._pool = pool
-
-    def __len__(self) -> int:
-        spill = self._spill
-        return self._pos + (len(spill) if spill is not None else 0)
-
-    @property
-    def in_place(self) -> int:
-        """Bytes written into the supplied view."""
-        return self._pos
-
-    @property
-    def spill(self) -> Optional[bytearray]:
-        """The overflow buffer, or None while everything fit in place."""
-        return self._spill
-
-    def _ensure_spill(self) -> bytearray:
-        spill = self._spill
-        if spill is None:
-            pool = self._pool
-            spill = bytearray() if pool is None else pool.acquire()
-            self._spill = spill
-        return spill
-
-    def append(self, value: int) -> None:
-        pos = self._pos
-        if self._spill is None and pos < self._cap:
-            self._view[pos] = value
-            self._pos = pos + 1
-        else:
-            self._ensure_spill().append(value)
-
-    def __iadd__(self, data: BytesLike) -> "SpillSink":
-        spill = self._spill
-        if spill is not None:
-            spill += data
-            return self
-        pos = self._pos
-        end = pos + len(data)
-        if end <= self._cap:
-            self._view[pos:end] = data
-            self._pos = end
-            return self
-        fit = self._cap - pos
-        view = data if type(data) is memoryview else memoryview(data)
-        if fit:
-            self._view[pos : self._cap] = view[:fit]
-            self._pos = self._cap
-        spill = self._ensure_spill()
-        spill += view[fit:]
-        return self
-
-    def getvalue(self) -> bytes:
-        """Copying snapshot of everything written (tests/debugging)."""
-        out = bytes(self._view[: self._pos])
-        if self._spill is not None:
-            out += bytes(self._spill)
-        return out
-
-    def release(self) -> None:
-        """Drop the view reference and pool the spill buffer, if any."""
-        spill = self._spill
-        self._spill = None
-        if spill is not None and self._pool is not None:
-            self._pool.release(spill)
-        self._view = None  # type: ignore[assignment]
-
-
-class SinkBufferWriter(BufferWriter):
-    """A :class:`BufferWriter` writing through a :class:`SpillSink`.
-
-    Every append-shaped primitive (u8, varints, ``write_bytes``) is
-    inherited unchanged — the sink speaks ``append``/``+=``. Only the
-    fixed-width writes are overridden: the base class extends the
-    bytearray with padding and packs in place, which a view-backed sink
-    cannot do, so these pack to a small immutable first.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sink: SpillSink) -> None:
-        self._buf = sink  # type: ignore[assignment]
-
-    def write_u32(self, value: int) -> None:
-        self._buf += _U32.pack(value)
-
-    def write_i64(self, value: int) -> None:
-        self._buf += _I64.pack(value)
-
-    def write_f64(self, value: float) -> None:
-        self._buf += _F64.pack(value)
-
-    def getvalue(self) -> bytes:
-        return self._buf.getvalue()
-
-    def view(self) -> memoryview:
-        raise TypeError("a sink-backed writer has no contiguous view")
-
-    def reset(self) -> None:
-        raise TypeError("a sink-backed writer is single-use")
-
-
 class BufferReader:
     """A sequential reader with bounds checking.
 

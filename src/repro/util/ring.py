@@ -513,7 +513,12 @@ class RingConsumer(_RingSide):
         and padding still to be skipped) — cheap sizing hint for read
         buffers; the exact count comes out of :meth:`try_read_into`."""
         tail = _U64.unpack_from(self._ctrl, _OFF_TAIL)[0]
-        return tail - self._head + self._rec_remaining
+        pending = tail - self._head + self._rec_remaining
+        if pending < 0:
+            # A tail behind the head is a torn read or a trampled control
+            # block, like a corrupt record length: fail the connection.
+            raise OSError(errno.EIO, "shm ring corrupt tail")
+        return pending
 
     def readable(self) -> bool:
         """Whether at least one stream byte is pending."""

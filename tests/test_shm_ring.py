@@ -11,6 +11,7 @@ reclaim, unlink-on-stop, and the inode guard that keeps a late-stopping
 predecessor from unlinking its successor).
 """
 
+import errno
 import itertools
 import os
 import random
@@ -213,6 +214,39 @@ class TestRingPrimitives:
                 rx.try_read_into(bytearray(16))
 
 
+def duplex_pair(capacity: int = 4096):
+    """Two in-process ``_RingDuplex`` ends over one bytearray segment."""
+    from repro.transport.shm import _RingDuplex
+
+    region = ring_region_size(capacity)
+    buffer = bytearray(2 * region)
+    init_ring(buffer, 0, capacity)
+    init_ring(buffer, region, capacity)
+    left, right = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+    sender = _RingDuplex(
+        buffer,
+        left,
+        consumer_view(buffer, region, capacity),
+        producer_view(buffer, 0, capacity),
+    )
+    receiver = _RingDuplex(
+        buffer,
+        right,
+        consumer_view(buffer, 0, capacity),
+        producer_view(buffer, region, capacity),
+    )
+    return sender, receiver
+
+
+def plant_tail_behind_head(duplex) -> None:
+    """Write a tail eight bytes behind the head into *duplex*'s tx
+    control block, as a torn cross-process tail read would see it."""
+    ctrl = duplex._tx._ctrl
+    (head,) = struct.unpack_from("<Q", ctrl, 64)
+    assert head >= 8
+    struct.pack_into("<Q", ctrl, 0, head - 8)
+
+
 def echo_handler(request: bytes) -> bytes:
     return b"echo:" + bytes(request)
 
@@ -338,26 +372,7 @@ class TestShmTransport:
     def test_recv_caps_at_bufsize(self):
         """The non-blocking ``recv`` obeys socket semantics: at most
         *bufsize* bytes per call, residue delivered by later calls."""
-        from repro.transport.shm import _RingDuplex
-        from repro.util.ring import ring_region_size as region
-
-        capacity = 4096
-        buffer = bytearray(2 * region(capacity))
-        init_ring(buffer, 0, capacity)
-        init_ring(buffer, region(capacity), capacity)
-        left, right = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
-        sender = _RingDuplex(
-            buffer,
-            left,
-            consumer_view(buffer, region(capacity), capacity),
-            producer_view(buffer, 0, capacity),
-        )
-        receiver = _RingDuplex(
-            buffer,
-            right,
-            consumer_view(buffer, 0, capacity),
-            producer_view(buffer, region(capacity), capacity),
-        )
+        sender, receiver = duplex_pair()
         try:
             payload = bytes(range(256)) * 8  # 2 KiB across several records
             sender.sendall(payload)
@@ -372,6 +387,45 @@ class TestShmTransport:
         finally:
             sender.close()
             receiver.close()
+
+    def test_recv_on_tail_behind_head_raises_eio(self):
+        """A torn tail read (tail behind head) is a corrupt ring: ``recv``
+        fails with ``OSError(EIO)``, which the net loop turns into a
+        closed connection, not an escaping ``ValueError``."""
+        sender, receiver = duplex_pair()
+        try:
+            sender.sendall(b"x" * 40)
+            assert receiver.recv(64) == b"x" * 40
+            plant_tail_behind_head(sender)
+            with pytest.raises(OSError) as info:
+                receiver.recv(64)
+            assert info.value.errno == errno.EIO
+        finally:
+            sender.close()
+            receiver.close()
+
+    def test_corrupt_ring_closes_only_its_connection(self):
+        """One connection's torn tail closes that connection; the loop
+        owner survives and keeps serving the other one."""
+        with ShmServer(echo_handler) as server:
+            healthy = ShmChannel(server.name, timeout=5.0)
+            # Pipelined framing reads through the copying ``recv`` path.
+            corrupt = PipelinedShmChannel(server.name, timeout=5.0)
+            try:
+                assert healthy.request(b"a") == b"echo:a"
+                assert corrupt.request(b"b") == b"echo:b"
+                assert server.live_connections == 2
+                duplex = corrupt._sock
+                plant_tail_behind_head(duplex)
+                duplex._ring_peer()
+                deadline = time.monotonic() + 5.0
+                while server.live_connections > 1:
+                    assert time.monotonic() < deadline, "connection not closed"
+                    time.sleep(0.01)
+                assert healthy.request(b"after") == b"echo:after"
+            finally:
+                corrupt.close()
+                healthy.close()
 
     def test_lost_doorbell_backstop_recovers(self, monkeypatch):
         """With every doorbell byte suppressed (the worst case of the
@@ -748,95 +802,7 @@ class TestRingZeroCopy:
         assert bytes(received) == payload
 
 
-class TestInPlaceFrames:
-    """InPlaceFrameWriter: header backfill, spill handoff, rollback."""
-
-    def _ring_frame(self, capacity=256, request=64):
-        tx, rx = make_ring(capacity)
-        view = tx.reserve(request)
-        return tx, rx, view
-
-    def test_frame_fits_reservation(self):
-        from repro.transport.framing import InPlaceFrameWriter
-
-        tx, rx, view = self._ring_frame()
-        frame = InPlaceFrameWriter(view)
-        frame.writer.write_bytes(b"body-bytes")
-        in_place, spill = frame.finish()
-        assert spill is None
-        assert in_place == 4 + 10
-        tx.commit(in_place)
-        record = read_all(rx)
-        assert record == struct.pack(">I", 10) + b"body-bytes"
-
-    def test_frame_spills_past_reservation(self):
-        from repro.transport.framing import InPlaceFrameWriter
-
-        tx, rx, view = self._ring_frame(capacity=1024, request=16)
-        grant = len(view)
-        frame = InPlaceFrameWriter(view)
-        body = bytes(range(200))
-        frame.writer.write_bytes(body)
-        in_place, spill = frame.finish()
-        assert in_place == grant
-        assert spill is not None
-        assert in_place + len(spill) == 4 + len(body)
-        tx.commit(in_place)
-        remainder = memoryview(bytes(spill))
-        stream = bytearray(read_all(rx))
-        while len(remainder):
-            wrote = tx.try_write(remainder)
-            remainder = remainder[wrote:]
-            stream += read_all(rx)
-        assert bytes(stream) == struct.pack(">I", len(body)) + body
-
-    def test_frame_stream_is_wire_identical_with_and_without_spill(self):
-        from repro.transport.framing import InPlaceFrameWriter
-
-        body = bytes(range(256)) * 3
-        expected = struct.pack(">I", len(body)) + body
-        for request in (16, 64, 1024):
-            tx, rx, view = self._ring_frame(capacity=4096, request=request)
-            frame = InPlaceFrameWriter(view)
-            frame.writer.write_bytes(body)
-            in_place, spill = frame.finish()
-            tx.commit(in_place)
-            stream = bytearray(read_all(rx))
-            if spill is not None:
-                remainder = memoryview(bytes(spill))
-                while len(remainder):
-                    wrote = tx.try_write(remainder)
-                    remainder = remainder[wrote:]
-                    stream += read_all(rx)
-            assert bytes(stream) == expected
-
-    def test_abort_pools_spill_and_rolls_back_reservation(self):
-        """Satellite audit: a failed in-place encode must return the
-        pooled spill buffer and unpublish the reservation — no torn
-        record, no leaked pool buffer."""
-        from repro.transport.framing import InPlaceFrameWriter
-        from repro.util.buffers import BufferPool
-
-        pool = BufferPool()
-        tx, rx, view = self._ring_frame(request=8)
-        frame = InPlaceFrameWriter(view, pool)
-        frame.writer.write_bytes(b"q" * 100)  # forces a pooled spill
-        assert len(pool) == 0
-        frame.abort()
-        assert len(pool) == 1  # spill returned, not leaked
-        tx.abort()
-        assert not rx.readable()  # nothing published
-        assert tx.try_write(b"next") == 4
-        assert read_all(rx) == b"next"
-
-    def test_reservation_too_small_for_header_rejected(self):
-        from repro.transport.framing import InPlaceFrameWriter
-
-        with pytest.raises(ValueError, match="header"):
-            InPlaceFrameWriter(memoryview(bytearray(4)))
-
-
-class _ZcProbeService(Remote):
+class _ShmProbeService(Remote):
     """Exercises values whose encode touches every writer primitive."""
 
     def echo(self, data: bytes) -> bytes:
@@ -851,9 +817,10 @@ class _ZcProbeService(Remote):
         }
 
 
-class TestZeroCopyEndToEnd:
-    """shm endpoint calls: the zero-copy and the staged client route must
-    send the same bytes and show the caller the same values."""
+class TestStagedShmEndToEnd:
+    """Endpoint calls over plain ``ShmChannel``: every call goes through
+    the staged ``request`` whatever the retry and breaker settings, and
+    the server's borrowed read and one-record reply serve them all."""
 
     @staticmethod
     def _world(name, **client_overrides):
@@ -862,12 +829,12 @@ class TestZeroCopyEndToEnd:
 
         resolver = ChannelResolver()
         server = Endpoint(
-            name=f"zc-e2e-server-{name}",
+            name=f"shm-e2e-server-{name}",
             config=NRMIConfig(transport="shm", tcp_pipelined=False),
             resolver=resolver,
         )
         client = Endpoint(
-            name=f"zc-e2e-client-{name}",
+            name=f"shm-e2e-client-{name}",
             config=NRMIConfig(
                 transport="shm", tcp_pipelined=False, **client_overrides
             ),
@@ -877,41 +844,37 @@ class TestZeroCopyEndToEnd:
         client.next_call_id = itertools.count(1).__next__
         return resolver, server, client
 
-    @pytest.mark.parametrize(
-        "retry_attempts, route", [(1, "request_zero_copy"), (2, "request")]
-    )
-    def test_retry_policy_picks_the_route(self, monkeypatch, retry_attempts, route):
-        """One call over shm goes through exactly one of the channel's
-        two exchanges: zero-copy with the default config, the staged
-        ``request`` once the retry policy may resend."""
-        from repro.transport.reliability import RetryPolicy
+    @pytest.mark.parametrize("setting", ["retry-off", "retry-on", "breaker"])
+    def test_every_call_enters_request_once(self, monkeypatch, setting):
+        """Retry off, retry on, breaker set: one call is one
+        ``ShmChannel.request``."""
+        from repro.transport.reliability import CircuitBreakerPolicy, RetryPolicy
 
-        calls = {"request": 0, "request_zero_copy": 0}
-        for name in calls:
-            original = getattr(ShmChannel, name)
+        overrides = {
+            "retry-off": {},
+            "retry-on": {"retry": RetryPolicy(max_attempts=2)},
+            "breaker": {"breaker": CircuitBreakerPolicy()},
+        }[setting]
+        calls = []
+        original = ShmChannel.request
 
-            def spy(self, *args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(self, *args, **kwargs)
+        def spy(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
 
-            monkeypatch.setattr(ShmChannel, name, spy)
-        resolver, server, client = self._world(
-            f"route-{retry_attempts}",
-            retry=RetryPolicy(max_attempts=retry_attempts),
-        )
+        monkeypatch.setattr(ShmChannel, "request", spy)
+        resolver, server, client = self._world(f"route-{setting}", **overrides)
         try:
             address = server.serve_remote()
-            server.bind("probe", _ZcProbeService())
+            server.bind("probe", _ShmProbeService())
             service = client.lookup(address, "probe")
-            for name in calls:
-                calls[name] = 0
+            calls.clear()
             assert service.echo(b"route") == b"route"
         finally:
             client.close()
             server.close()
             resolver.close_all()
-        other = "request" if route == "request_zero_copy" else "request_zero_copy"
-        assert calls == {route: 1, other: 0}
+        assert len(calls) == 1
 
     def _call_matrix(self, name, **client_overrides):
         """(values the caller saw, request frames the server received)."""
@@ -927,7 +890,7 @@ class TestZeroCopyEndToEnd:
         server.dispatcher.handle = recording
         try:
             address = server.serve_remote()
-            server.bind("probe", _ZcProbeService())
+            server.bind("probe", _ShmProbeService())
             service = client.lookup(address, "probe")
             results = []
             for size in (0, 1, 64, 4096, 70_000):
@@ -940,40 +903,38 @@ class TestZeroCopyEndToEnd:
             server.close()
             resolver.close_all()
 
-    def test_zero_copy_results_match_staged_path(self):
+    def test_results_match_across_retry_and_breaker(self):
         from repro.transport.reliability import CircuitBreakerPolicy, RetryPolicy
 
-        zero_copy, zero_copy_requests = self._call_matrix("zc")
-        # Allowing a resend selects the staged route.
-        staged, _requests = self._call_matrix(
+        default, default_requests = self._call_matrix("default")
+        retry, _requests = self._call_matrix(
             "retry", retry=RetryPolicy(max_attempts=2)
         )
-        assert staged == zero_copy
-        # So does a breaker, which unlike retry leaves the schema cache
-        # engaged, so the two routes' frames compare byte for byte.
+        assert retry == default
+        # A breaker, unlike retry, leaves the schema cache engaged, so
+        # its frames compare with the default's byte for byte.
         breaker, breaker_requests = self._call_matrix(
             "breaker", breaker=CircuitBreakerPolicy()
         )
-        assert breaker == zero_copy
-        assert breaker_requests == zero_copy_requests
+        assert breaker == default
+        assert breaker_requests == default_requests
         # Sanity on the shared shape, not just cross-equality.
-        assert zero_copy[-1]["scale"] == 2.5
-        assert zero_copy[-2] == bytes((i * 7) & 0xFF for i in range(70_000))
+        assert default[-1]["scale"] == 2.5
+        assert default[-2] == bytes((i * 7) & 0xFF for i in range(70_000))
 
-    def test_zero_copy_calls_survive_many_iterations(self):
-        """Borrow/consume discipline across sequential calls: no view
-        leak, no ring desync, wraps included (payload > ring slack)."""
+    def test_staged_calls_survive_many_iterations(self):
+        """Server borrow/consume discipline across sequential calls: no
+        view leak, no ring desync, wraps included (payload > ring slack)."""
         from repro.nrmi.config import NRMIConfig
         from repro.nrmi.runtime import Endpoint
-        from repro.transport.resolver import ChannelResolver
 
         resolver = ChannelResolver()
         config = NRMIConfig(transport="shm", tcp_pipelined=False)
-        server = Endpoint(name="zc-iter-server", config=config, resolver=resolver)
-        client = Endpoint(name="zc-iter-client", config=config, resolver=resolver)
+        server = Endpoint(name="shm-iter-server", config=config, resolver=resolver)
+        client = Endpoint(name="shm-iter-client", config=config, resolver=resolver)
         try:
             address = server.serve_remote()
-            server.bind("probe", _ZcProbeService())
+            server.bind("probe", _ShmProbeService())
             service = client.lookup(address, "probe")
             for index in range(200):
                 payload = bytes([index & 0xFF]) * (17 * index % 3000)

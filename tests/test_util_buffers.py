@@ -316,97 +316,3 @@ class TestBufferPool:
         buffer += b"0123456789"
         pool.release(buffer)
         assert pool.acquire() is not buffer
-
-
-class TestSpillSink:
-    """The external-view sink behind the shm zero-copy encode path."""
-
-    def _drive(self, writer):
-        """Every primitive the serde encode hot paths emit."""
-        writer.write_u8(7)
-        writer.write_u32(0xDEADBEEF)
-        writer.write_i64(-12345678901234)
-        writer.write_f64(2.5)
-        writer.write_varint(-300)
-        writer.write_uvarint(1 << 40)
-        writer.write_len_bytes(b"payload-bytes")
-        writer.write_str("café ☃")
-        writer.write_bytes(b"x" * 100)
-
-    def test_byte_identical_to_buffer_writer_in_place(self):
-        from repro.util.buffers import SinkBufferWriter, SpillSink
-
-        staged = BufferWriter()
-        self._drive(staged)
-        expected = staged.getvalue()
-
-        backing = bytearray(len(expected) + 32)
-        sink = SpillSink(memoryview(backing))
-        writer = SinkBufferWriter(sink)
-        self._drive(writer)
-        assert sink.spill is None  # everything fit in the view
-        assert sink.getvalue() == expected
-        assert bytes(backing[: sink.in_place]) == expected
-
-    def test_byte_identical_when_spilling_mid_write(self):
-        from repro.util.buffers import SinkBufferWriter, SpillSink
-
-        staged = BufferWriter()
-        self._drive(staged)
-        expected = staged.getvalue()
-
-        # A tiny view forces the spill boundary to land inside a
-        # multi-byte write; the logical stream must still be exact.
-        for cap in (1, 5, 17, 64):
-            backing = bytearray(cap)
-            sink = SpillSink(memoryview(backing))
-            writer = SinkBufferWriter(sink)
-            self._drive(writer)
-            assert sink.in_place == min(cap, len(expected))
-            assert sink.spill is not None
-            assert sink.getvalue() == expected
-            assert (
-                bytes(backing[: sink.in_place]) + bytes(sink.spill) == expected
-            )
-
-    def test_append_path_spills_after_view_fills(self):
-        from repro.util.buffers import SpillSink
-
-        backing = bytearray(2)
-        sink = SpillSink(memoryview(backing))
-        for value in (1, 2, 3, 4):
-            sink.append(value)
-        assert bytes(backing) == b"\x01\x02"
-        assert bytes(sink.spill) == b"\x03\x04"
-        assert len(sink) == 4
-
-    def test_release_returns_spill_to_pool(self):
-        from repro.util.buffers import BufferPool, SpillSink
-
-        pool = BufferPool()
-        backing = bytearray(4)
-        sink = SpillSink(memoryview(backing), pool)
-        sink += b"0123456789"  # 4 in place, 6 spilled via the pool
-        spill = sink.spill
-        assert spill is not None and len(pool) == 0
-        sink.release()
-        assert len(pool) == 1
-        assert pool.acquire() is spill  # same storage, cleared
-
-    def test_release_without_spill_is_clean(self):
-        from repro.util.buffers import BufferPool, SpillSink
-
-        pool = BufferPool()
-        sink = SpillSink(memoryview(bytearray(16)), pool)
-        sink += b"fits"
-        sink.release()
-        assert len(pool) == 0  # nothing acquired, nothing pooled
-
-    def test_sink_writer_rejects_view_and_reset(self):
-        from repro.util.buffers import SinkBufferWriter, SpillSink
-
-        writer = SinkBufferWriter(SpillSink(memoryview(bytearray(8))))
-        with pytest.raises(TypeError):
-            writer.view()
-        with pytest.raises(TypeError):
-            writer.reset()
