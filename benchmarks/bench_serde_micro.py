@@ -8,9 +8,14 @@ modern ≈ JDK 1.3 vs 1.4; copy-restore's extra decode+restore pass).
 
 import pytest
 
+from repro.bench.mutators import mutate_structure
 from repro.bench.trees import generate_workload
-from repro.core.matching import match_maps
 from repro.core.copy_restore import RestoreEngine
+from repro.core.restore_protocol import (
+    ClientRestoreContext,
+    ServerRestoreContext,
+    policy_by_name,
+)
 from repro.serde.accessors import OPTIMIZED_ACCESSOR, PORTABLE_ACCESSOR
 from repro.serde.profiles import LEGACY_PROFILE, MODERN_PROFILE, profile_by_name
 from repro.serde.reader import ObjectReader
@@ -57,21 +62,24 @@ def test_decode_tree(benchmark, profile_name, size):
 
 @pytest.mark.parametrize("accessor_name", ["portable", "optimized"])
 def test_restore_engine_only(benchmark, accessor_name):
-    """The restore pass in isolation: match + overwrite + convert, over
-    the objects the reader listed while decoding."""
+    """The caller's half of a ``full`` call in isolation: decode the reply
+    into the caller's heap and apply the slot definitions
+    (``parse_response``), on a restructured 256-node tree."""
     benchmark.group = "serde/restore-engine"
     accessor = PORTABLE_ACCESSOR if accessor_name == "portable" else OPTIMIZED_ACCESSOR
     engine = RestoreEngine(accessor=accessor)
+    policy = policy_by_name("full")
+    payload, original_map = encode(generate_workload("III", 256, 11).root, MODERN_PROFILE)
+    reader = ObjectReader(payload)
+    root = reader.read_root()
+    server = ServerRestoreContext(retained=list(reader.linear_map), restore_roots=[root])
+    mutate_structure(root, 11)
+    reply = policy.build_response(None, server, None)
+    originals = list(original_map)
 
     def run():
-        payload, original_map = encode(
-            generate_workload("III", 256, 11).root, MODERN_PROFILE
-        )
-        reader = ObjectReader(payload)
-        reader.read_root()
-        modifieds = reader.linear_map.objects
-        table = match_maps(list(original_map), modifieds)
-        engine.restore(table, modifieds, None, reader.immutables, reader.resolved)
+        # Re-applying the same reply leaves the originals as the first did.
+        policy.parse_response(reply, ClientRestoreContext(originals=originals, engine=engine))
 
     benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=1)
 

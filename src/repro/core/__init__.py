@@ -6,10 +6,9 @@ Contents:
   semantics per class, mirroring ``java.io.Serializable`` /
   ``java.rmi.Restorable`` / ``java.rmi.Remote``;
 * :mod:`repro.core.semantics` — per-parameter passing-mode resolution;
-* :mod:`repro.core.matching` — step 4 of the algorithm (linear-map
-  match-up into an ``id(modified) -> original`` table);
-* :mod:`repro.core.copy_restore` — steps 5-6 (in-place overwrite and
-  pointer conversion, one pass over what the reply decoded);
+* :mod:`repro.core.copy_restore` — steps 5-6 (in-place overwrite of the
+  originals from the states a reply decoded into the caller's heap; the
+  reply's slot numbers are step 4's match);
 * :mod:`repro.core.restore_protocol` — the four restore policies on the
   wire: full map (NRMI), delta (the paper's future-work optimization),
   DCE-RPC partial restore, and none (plain call-by-copy);
@@ -19,7 +18,6 @@ Contents:
 from repro.core.markers import Remote, Restorable, Serializable, is_restorable
 from repro.core.semantics import PassingMode, resolve_mode
 from repro.core.copy_restore import RestoreEngine
-from repro.core.matching import match_maps
 from repro.core.restore_protocol import (
     RestorePolicy,
     NoRestorePolicy,
@@ -37,7 +35,6 @@ __all__ = [
     "PassingMode",
     "resolve_mode",
     "RestoreEngine",
-    "match_maps",
     "RestorePolicy",
     "NoRestorePolicy",
     "FullRestorePolicy",

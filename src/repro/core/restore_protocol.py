@@ -14,9 +14,9 @@ handle table, linear map recorded on both endpoints):
     The paper's future-work optimization (Section 5.2.4 #2): the server
     captures each retained object's shallow state while unmarshalling
     (:mod:`repro.serde.digest`) and ships back only the slots that
-    changed, plus new objects (reply kind 4, ``delta-slots``). References
-    to *unchanged* old objects are encoded as their position in the
-    caller's retained list, so passing an object by copy-restore and not
+    changed, plus new objects (reply kind 4, ``delta-slots``). A
+    reference to an *unchanged* old object is a back reference to the
+    caller's original, so passing an object by copy-restore and not
     changing it costs almost the same as passing it by copy.
 
 ``dce``
@@ -24,6 +24,14 @@ handle table, linear map recorded on both endpoints):
     *reachable from the parameters after the call* are restored. Changes to
     data that became unreachable are silently lost — the behaviour the
     paper's Figure 9 illustrates with Microsoft RPC.
+
+The three restoring policies share one reply grammar, a *slot stream*
+(:mod:`repro.serde.tags`): handles ``0 … n-1`` are the caller's retained
+objects, and the reply *defines* a slot the first time it meets one it
+restores. They differ only in which slots they define — ``full`` all of
+them, ``delta`` the dirty ones, ``dce`` the reachable ones. The caller
+decodes the reply into its own heap and applies the definitions only
+once the whole reply has decoded (:mod:`repro.core.copy_restore`).
 
 A policy runs on both endpoints: ``snapshot``/``build_response`` on the
 server, ``parse_response`` on the caller.
@@ -35,17 +43,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.core.copy_restore import RestoreEngine, RestoreStats
-from repro.core.matching import match_maps, match_sparse
-from repro.errors import RestoreError
+from repro.errors import LinearMapMismatchError
 from repro.serde.digest import SlotDigestTable, digest_slots
 from repro.serde.accessors import FieldAccessor, OPTIMIZED_ACCESSOR
 from repro.serde.reader import ObjectReader
-from repro.serde.registry import ClassRegistry, Externalizer
+from repro.serde.registry import ClassRegistry
 from repro.serde.walker import reachable
 from repro.serde.writer import ObjectWriter
 from repro.serde.profiles import MODERN_PROFILE, SerializationProfile
-from repro.serde.tags import OLDREF_EXTERNALIZER
-from repro.util.buffers import BufferReader, BufferWriter
 from repro.util.identity import IdentitySet
 
 
@@ -142,85 +147,67 @@ class FullRestorePolicy(RestorePolicy):
     def build_response(
         self, result: Any, context: ServerRestoreContext, snapshot: Any
     ) -> bytes:
-        writer = ObjectWriter(
-            profile=context.profile,
-            registry=context.registry,
-            externalizers=context.externalizers,
-        )
-        writer.write_root(result)
-        writer.write_root(context.retained)
-        return writer.getvalue()
+        return _write_reply(result, context, None)
 
     def parse_response(
         self, payload: bytes, context: ClientRestoreContext
     ) -> Tuple[Any, Optional[RestoreStats]]:
-        reader = ObjectReader(
-            payload,
-            profile=context.profile,
-            registry=context.registry,
-            externalizers=context.externalizers,
-        )
-        result = reader.read_root()
-        modifieds = reader.read_root()
-        reader.expect_end()
-        if not isinstance(modifieds, list):
-            raise RestoreError("full-restore payload root is not a list")
-        table = match_maps(context.originals, modifieds)
-        return _restore_decoded(reader, table, result, context)
+        result, stats, _defined = _read_reply(payload, context, complete=True)
+        return result, stats
 
 
-def _restore_decoded(
-    reader: ObjectReader, table: Dict[int, Any], result: Any,
-    context: ClientRestoreContext,
-) -> Tuple[Any, RestoreStats]:
-    """Steps 5-6 over everything *reader* decoded.
-
-    Every reply root after the first (the return value) is the policy's
-    own list — the retained objects, or the slot indices — and not part
-    of the caller's heap, so it is cut from the decoded objects. A list
-    root sits at the start of its span when the stream built it there; a
-    root that is a back reference built nothing to cut.
-    """
-    objects = reader.linear_map.objects
-    cuts = [
-        start
-        for root, start, end in reader.linear_map.spans[1:]
-        if start < end and objects[start] is root
-    ]
-    decoded = objects
-    if cuts:
-        decoded = list(objects)
-        for start in reversed(cuts):
-            del decoded[start]
-    return context.engine.restore(
-        table, decoded, result, reader.immutables, reader.resolved
+def _write_reply(
+    result: Any, context: ServerRestoreContext, defined: Optional[List[int]]
+) -> bytes:
+    """A slot stream: the return value, then every slot in *defined*
+    (all of them when ``None``) it did not reach, in slot order. Slots
+    outside *defined* are bound, not written: a reference to one is a
+    back reference to the caller's original."""
+    writer = ObjectWriter(
+        profile=context.profile,
+        registry=context.registry,
+        externalizers=context.externalizers,
+        slots=context.retained,
+        defined=defined,
     )
-
-
-def _encode_index(index: int) -> bytes:
-    """An old-object reference's payload; ``ObjectWriter`` writes the
-    same bytes from its oldref table."""
-    writer = BufferWriter()
-    writer.write_uvarint(index)
+    writer.write_root(result)
+    writer.write_slots()
     return writer.getvalue()
 
 
-def _decode_index(payload: bytes) -> int:
-    reader = BufferReader(payload)
-    index = reader.read_uvarint()
-    reader.expect_end()
-    return index
+def _read_reply(
+    payload: bytes, context: ClientRestoreContext, complete: bool
+) -> Tuple[Any, RestoreStats, int]:
+    """Steps 4-6: decode a slot stream into the caller's heap, check that
+    it defined every slot when *complete*, then apply the pending states.
+    Returns ``(result, stats, slots defined)``. Any error before the
+    apply leaves every original untouched."""
+    originals = context.originals
+    reader = ObjectReader(
+        payload,
+        profile=context.profile,
+        registry=context.registry,
+        externalizers=context.externalizers,
+        originals=originals,
+    )
+    defined = reader.definitions
+    if complete and defined != len(originals):
+        raise LinearMapMismatchError(expected=len(originals), received=defined)
+    result = reader.read_root()
+    reader.read_definitions()
+    stats = context.engine.apply(
+        reader.pending, reader.fills, len(reader.linear_map), len(reader.immutables)
+    )
+    return result, stats, defined
 
 
 class DeltaRestorePolicy(RestorePolicy):
     """Dirty-slot replies: capture every retained slot's state at
-    deserialization time, compare at reply-encode time, and ship only the
-    slots whose state changed (plus all new objects reachable from them
-    and the return value). References to clean slots travel as their
-    position in the caller's retained list.
+    deserialization time, compare at reply-encode time, and define only
+    the slots whose state changed; a reference to a clean slot is a back
+    reference to the caller's original.
 
-    The reply is kind 4 (``delta-slots``): a header of delta-coded dirty
-    indices followed by one serde stream. A caller requests ``delta`` and
+    The reply is kind 4 (``delta-slots``). A caller requests ``delta`` and
     advertises :data:`repro.rmi.protocol.CAP_DELTA_SLOTS`; a server that
     does not see the bit answers with a full-map reply instead. Both
     names resolve to this class.
@@ -244,27 +231,6 @@ class DeltaRestorePolicy(RestorePolicy):
     ) -> bytes:
         retained = context.retained
         dirty = snapshot.dirty_indices(digest_slots(retained, context.accessor))
-        # Clean slots travel as their index: the writer's oldref table,
-        # keyed by identity. ``retained`` keeps every key alive while the
-        # writer runs, and holds each object once (a linear-map subset).
-        oldrefs = dict(zip(map(id, retained), range(len(retained))))
-        for index in dirty:
-            del oldrefs[id(retained[index])]
-        writer = ObjectWriter(
-            profile=context.profile,
-            registry=context.registry,
-            externalizers=context.externalizers,
-            oldrefs=oldrefs,
-        )
-        header = BufferWriter()
-        header.write_uvarint(len(retained))
-        header.write_uvarint(len(dirty))
-        previous = -1
-        for index in dirty:
-            header.write_uvarint(index - previous - 1)
-            previous = index
-        writer.write_root(result)
-        writer.write_root([retained[i] for i in dirty])
         metrics = context.metrics
         if metrics is not None:
             metrics.counter("delta.slots_dirty").add(len(dirty))
@@ -273,61 +239,14 @@ class DeltaRestorePolicy(RestorePolicy):
                 metrics.distribution("delta.dirty_ratio").record(
                     len(dirty) / len(retained)
                 )
-        return header.getvalue() + writer.getvalue()
+        return _write_reply(result, context, dirty)
 
     def parse_response(
         self, payload: bytes, context: ClientRestoreContext
     ) -> Tuple[Any, Optional[RestoreStats]]:
-        originals = context.originals
-        header = BufferReader(payload)
-        total = header.read_uvarint()
-        if total != len(originals):
-            raise RestoreError(
-                f"delta-slots reply covers {total} slots, caller retained "
-                f"{len(originals)}"
-            )
-        dirty_count = header.read_uvarint()
-        dirty_indices: List[int] = []
-        previous = -1
-        for _ in range(dirty_count):
-            index = previous + 1 + header.read_uvarint()
-            dirty_indices.append(index)
-            previous = index
-        stream = header.read_view(header.remaining)
-
-        def resolve(raw: bytes) -> Any:
-            # An external: the original joins the decoded graph as a
-            # value, outside the reader's linear map, so the engine
-            # neither overwrites it nor adopts it.
-            index = _decode_index(raw)
-            try:
-                return originals[index]
-            except IndexError:
-                raise RestoreError(
-                    f"delta-slots payload references old object {index}"
-                ) from None
-
-        oldref = Externalizer(
-            name=OLDREF_EXTERNALIZER,
-            claims=lambda obj: False,  # never used on the caller
-            replace=lambda obj: b"",
-            resolve=resolve,
-        )
-        reader = ObjectReader(
-            stream,
-            profile=context.profile,
-            registry=context.registry,
-            externalizers=(oldref,) + tuple(context.externalizers),
-        )
-        result = reader.read_root()
-        dirty_objects = reader.read_root()
-        reader.expect_end()
-        if not isinstance(dirty_objects, list):
-            raise RestoreError("delta-slots payload root is not a list")
-        table = match_sparse(originals, dirty_indices, dirty_objects)
-        result, stats = _restore_decoded(reader, table, result, context)
+        result, stats, dirty = _read_reply(payload, context, complete=False)
         context.reply_info.update(
-            kind="delta-slots", dirty=dirty_count, total=total
+            kind="delta-slots", dirty=dirty, total=len(context.originals)
         )
         return result, stats
 
@@ -352,38 +271,18 @@ class DceRestorePolicy(RestorePolicy):
             stop=context.stop,
         ):
             still_reachable.add(obj)
-        kept_indices = [
+        kept = [
             index
             for index, obj in enumerate(context.retained)
             if obj in still_reachable
         ]
-        writer = ObjectWriter(
-            profile=context.profile,
-            registry=context.registry,
-            externalizers=context.externalizers,
-        )
-        writer.write_root(result)
-        writer.write_root(kept_indices)
-        writer.write_root([context.retained[i] for i in kept_indices])
-        return writer.getvalue()
+        return _write_reply(result, context, kept)
 
     def parse_response(
         self, payload: bytes, context: ClientRestoreContext
     ) -> Tuple[Any, Optional[RestoreStats]]:
-        reader = ObjectReader(
-            payload,
-            profile=context.profile,
-            registry=context.registry,
-            externalizers=context.externalizers,
-        )
-        result = reader.read_root()
-        kept_indices = reader.read_root()
-        kept_objects = reader.read_root()
-        reader.expect_end()
-        if not isinstance(kept_indices, list) or not isinstance(kept_objects, list):
-            raise RestoreError("dce payload index or object root is not a list")
-        table = match_sparse(context.originals, kept_indices, kept_objects)
-        return _restore_decoded(reader, table, result, context)
+        result, stats, _defined = _read_reply(payload, context, complete=False)
+        return result, stats
 
 
 _POLICIES: Dict[str, Type[RestorePolicy]] = {

@@ -44,7 +44,6 @@ from repro.rmi.remote_ref import (
     RemoteDescriptor,
     RemotePointer,
     RemoteStub,
-    is_opaque_remote,
 )
 from repro.serde.accessors import accessor_by_name
 from repro.serde.profiles import profile_by_name
@@ -77,7 +76,7 @@ class Endpoint:
         self.resolver = resolver
         self.profile = profile_by_name(self.config.profile)
         self.accessor = accessor_by_name(self.config.implementation)
-        self.engine = RestoreEngine(accessor=self.accessor, opaque=is_opaque_remote)
+        self.engine = RestoreEngine(accessor=self.accessor)
         self.exports = ExportTable(
             leak_budget=self.config.leak_budget,
             lease_seconds=self.config.lease_seconds,

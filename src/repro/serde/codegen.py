@@ -26,9 +26,11 @@ hot loop does no per-object reflection —
   directly (bounded by :data:`MAX_CODEGEN_DEPTH`), so a tree of objects
   serializes with no per-node stack/frame churn at all;
 * externals stay in generated code: decoders resolve any ``EXTERNAL``
-  (remote references, value adapters, a delta reply's old-object
-  references) in place, and encoders write an old-object reference for
-  an object in the writer's oldref table;
+  (remote references, value adapters) in place;
+* a reply's slot definitions stay in generated code too: encoders write
+  ``OLD_OBJECT`` for a slot the writer defines, and decoders read one
+  into a scratch instance for the caller's original, queued on the
+  reader's pending list;
 * any shape the specialization does not cover **bails out** to the
   writer's and reader's generic machinery mid-object, preserving
   pre-order byte-for-byte: generated encode splices its remaining work
@@ -66,8 +68,8 @@ from repro.serde.hooks import (
     transient_fields,
 )
 from repro.serde.kinds import Kind, classify
-from repro.serde.schema import _str_blob, schema_epoch
-from repro.serde.tags import OLDREF_EXTERNALIZER, Tag
+from repro.serde.schema import schema_epoch
+from repro.serde.tags import Tag
 from repro.util.metrics import MetricsRegistry
 
 #: Sentinel returned by a generated decode function when it has parked a
@@ -158,12 +160,10 @@ _TAG_BYTES = int(Tag.BYTES)
 _TAG_REF = int(Tag.REF)
 _TAG_OBJECT = int(Tag.OBJECT)
 _TAG_EXTERNAL = int(Tag.EXTERNAL)
+_TAG_OLD_OBJECT = int(Tag.OLD_OBJECT)
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
-
-# First occurrence of the oldref name key on an interned stream.
-_OLDREF_NAME_BLOB = b"\x00" + _str_blob(OLDREF_EXTERNALIZER)
 
 
 class CodegenEncodePlan:
@@ -193,11 +193,13 @@ class CodegenEncodePlan:
 class CodegenDecodePlan:
     """A class's decoding facts plus its generated decoder.
 
-    ``decode_fn(reader, stack, wire_version)`` decodes the fields of the
-    layout the caller just read (``reader._dispatch_layout``) and returns
-    the object or :data:`BAIL`; ``None`` (compile failure) routes the
-    class through the reader's frame machine, which builds shells from
-    the facts here.
+    ``decode_fn(reader, stack, wire_version, old=None)`` decodes the
+    fields of the layout the caller just read (``reader._dispatch_layout``)
+    and returns the object or :data:`BAIL`; with *old*, a slot's
+    original, the fields go to a scratch instance queued on the reader's
+    pending list and the object returned is *old*. ``None`` (compile
+    failure) routes the class through the reader's frame machine, which
+    builds shells from the facts here.
     """
 
     __slots__ = (
@@ -218,7 +220,7 @@ class CodegenDecodePlan:
         self.has_upgrade = has_upgrade(cls)
         self.decode_fn = None
         #: ``decode_inner(reader, stack, wire_version, depth, ctx, pos,
-        #: layout)`` returning ``(value, pos)`` — the recursion target
+        #: layout, old)`` returning ``(value, pos)`` — the recursion target
         #: generated parents call, threading the buffer cursor as a plain
         #: local and handing over the layout they read.
         self.decode_inner = None
@@ -287,31 +289,6 @@ def _read_uvarint_src(target: str, indent: int) -> str:
 # --------------------------------------------------------------- encode
 
 
-def _emit_oldref_src(indent: int) -> str:
-    """``ObjectWriter._write_oldref`` for ``value``, inlined: an immutable
-    handle, the ``EXTERNAL`` tag, the oldref name key and the index as a
-    length-prefixed uvarint."""
-    p = " " * indent
-    return (
-        f"{p}oldref = oldrefs[id(value)]\n"
-        f"{p}ref = writer._next_handle\n"
-        f"{p}writer._next_handle = ref + 1\n"
-        f"{p}handles[id(value)] = (value, ref)\n"
-        f"{p}buf.append({_TAG_EXTERNAL})\n"
-        f"{p}name_id = name_ids.get(_OLDREF)\n"
-        f"{p}if name_id is None:\n"
-        f"{p}    name_ids[_OLDREF] = len(name_ids) + 1\n"
-        f"{p}    buf += _oldref_name_blob\n"
-        f"{p}else:\n"
-        + _emit_uvarint_src("name_id", indent + 4)
-        + f"{p}if oldref < 0x80:\n"
-        f"{p}    buf.append(1)\n"
-        f"{p}else:\n"
-        f"{p}    buf.append((oldref.bit_length() + 6) // 7)\n"
-        + _emit_uvarint_src("oldref", indent)
-    )
-
-
 def _encode_field_body(indent: int, materialize: str) -> str:
     """One field value's emission; the object's layout key carries the
     field names.
@@ -357,8 +334,6 @@ def _encode_field_body(indent: int, materialize: str) -> str:
         f"{p}            ref = handle_entry[1]\n"
         f"{p}            buf.append({_TAG_REF})\n"
         + _emit_uvarint_src("ref", indent + 12)
-        + f"{p}        elif oldrefs and id(value) in oldrefs:\n"
-        + _emit_oldref_src(indent + 12)
         + f"{p}        else:\n"
         f"{p}            _base = len(stack)\n"
         f"{p}            if not plan2.encode_inner(\n"
@@ -445,21 +420,37 @@ def _build_encode_source(
     add("            writer._bytes_memo,")
     add("            writer._plan_cache,")
     add("            writer._memo_limit,")
-    add("            writer._oldrefs,")
+    add("            writer._defs,")
     add("        )")
     add("    return _encode_inner(writer, obj, stack, _depth, ctx)")
     add("")
     add("")
     add("def _encode_inner(writer, obj, stack, _depth, ctx):")
     add("    (buf, handles, lm_objects, layout_ids, name_ids,")
-    add("     str_memo, bytes_memo, plan_cache, memo_limit, oldrefs) = ctx")
-    add("    handle = writer._next_handle")
-    add("    writer._next_handle = handle + 1")
-    add("    handles[id(obj)] = (obj, handle)")
+    add("     str_memo, bytes_memo, plan_cache, memo_limit, defs) = ctx")
     if mutable:
+        # A slot the stream defines: bound to its slot, written as an
+        # old-object definition, outside the linear map.
+        add("    key_id = id(obj)")
+        add("    if defs and key_id in defs:")
+        add("        slot = defs[key_id]")
+        add("        del defs[key_id]")
+        add("        handles[key_id] = (obj, slot)")
+        add(f"        buf.append({_TAG_OLD_OBJECT})")
+        lines.extend(_emit_uvarint_src("slot", 8).rstrip("\n").split("\n"))
+        add("    else:")
+        add("        handle = writer._next_handle")
+        add("        writer._next_handle = handle + 1")
+        add("        handles[key_id] = (obj, handle)")
         # The object just missed the handle table, so it cannot be in the
         # linear map either: LinearMap.append_new, inlined.
-        add("    lm_objects.append(obj)")
+        add("        lm_objects.append(obj)")
+        add(f"        buf.append({_TAG_OBJECT})")
+    else:
+        add("    handle = writer._next_handle")
+        add("    writer._next_handle = handle + 1")
+        add("    handles[id(obj)] = (obj, handle)")
+        add(f"    buf.append({_TAG_OBJECT})")
     # -- state extraction and layout key, specialized per class ----------
     # The key is (class, field names in write order), as the generic
     # writer builds it.
@@ -505,8 +496,7 @@ def _build_encode_source(
         add("    values = [v_ for _n, v_ in state]")
         add("    count = len(values)")
         materialize = ""
-    # -- object header: one layout lookup ---------------------------------
-    add(f"    buf.append({_TAG_OBJECT})")
+    # -- layout key: one lookup ------------------------------------------
     add("    layout_id = layout_ids.get(key)")
     add("    if layout_id is None:")
     add("        writer._write_layout_key(key)")
@@ -569,8 +559,6 @@ def compile_codegen_encode_plan(
             "_f64_pack": _F64.pack,
             "_slot_names": slot_names,
             "_transients": transients,
-            "_OLDREF": OLDREF_EXTERNALIZER,
-            "_oldref_name_blob": _OLDREF_NAME_BLOB,
             "_note_encode_bail": _note_encode_bail,
         }
         if batch_n:
@@ -687,7 +675,9 @@ def _emit_decode_alloc(indent: int, needs_resolve: bool, use_dict: bool) -> str:
     ``slot`` is the one position the object needs later: a resolving
     class's handle (the resolved value replaces the shell there); for
     every other class its linear-map position, which only the fused state
-    capture reads — ``-1`` without one.
+    capture reads — ``-1`` without one. A slot definition (``old`` is the
+    caller's original, whose handle is bound already) decodes into a
+    scratch shell queued on the pending list instead.
     """
     p = " " * indent
     if needs_resolve:
@@ -700,9 +690,13 @@ def _emit_decode_alloc(indent: int, needs_resolve: bool, use_dict: bool) -> str:
         # LinearMap.append_new, inlined: the shell is freshly allocated.
         src = (
             f"{p}shell = _new(_cls)\n"
-            f"{p}handles.append(shell)\n"
-            f"{p}slot = -1 if slot_states is None else len(lm_objects)\n"
-            f"{p}lm_objects.append(shell)\n"
+            f"{p}if old is None:\n"
+            f"{p}    handles.append(shell)\n"
+            f"{p}    slot = -1 if slot_states is None else len(lm_objects)\n"
+            f"{p}    lm_objects.append(shell)\n"
+            f"{p}else:\n"
+            f"{p}    pending.append((old, shell))\n"
+            f"{p}    slot = -1\n"
         )
     if use_dict:
         src += f"{p}field_dict = shell.__dict__\n"
@@ -729,6 +723,78 @@ def _emit_decode_batch(indent: int, batch_n: int) -> str:
     return src
 
 
+def _read_layout_key_src(indent: int) -> list:
+    """An object's layout key into ``entry``: a layout of the stream's
+    table, or its inline definition (``_read_layout``)."""
+    p = " " * indent
+    return (
+        _read_uvarint_src("lkey", indent)
+        + f"{p}if lkey:\n"
+        f"{p}    try:\n"
+        f"{p}        entry = layouts[lkey - 1]\n"
+        f"{p}    except IndexError:\n"
+        f"{p}        buf._pos = pos\n"
+        f"{p}        raise _WireFormatError(\n"
+        f'{p}            f"dangling layout id {{lkey}}"\n'
+        f"{p}        ) from None\n"
+        f"{p}else:\n"
+        f"{p}    buf._pos = pos\n"
+        f"{p}    entry = reader._read_layout_def()\n"
+        f"{p}    pos = buf._pos\n"
+    ).rstrip("\n").split("\n")
+
+
+def _object_dispatch_src(
+    target: str, needs_resolve: bool, use_dict: bool, batch_n: int, work_push: str
+) -> list:
+    """Decode the object whose layout is ``entry``; *target* is the source
+    of the slot's original, or ``None`` for a new object. Same class as
+    this decoder: suspend the current node and continue iteratively — no
+    Python call, no frame churn. Another class: recurse through its
+    generated decoder, or park frames for the frame machine."""
+    lines = [
+        "                    if entry[2] is _plan and entry[1] == wire_version:",
+        f"                        work.append({work_push})",
+        f"                        old = {target}",
+        "                        fnames = entry[3]",
+        "                        nf = entry[4]",
+        "                        i = 0",
+    ]
+    lines.extend(
+        _emit_decode_alloc(24, needs_resolve, use_dict).rstrip("\n").split("\n")
+    )
+    if batch_n:
+        lines.extend(_emit_decode_batch(24, batch_n).rstrip("\n").split("\n"))
+    lines += [
+        "                        continue",
+        "                    plan2 = entry[2]",
+        "                    if (plan2 is not None",
+        "                            and plan2.decode_fn is not None",
+        f"                            and _depth < {MAX_CODEGEN_DEPTH}):",
+        "                        value, pos = plan2.decode_inner(",
+        "                            reader, stack, entry[1], _depth + 1,",
+        f"                            ctx, pos, entry, {target},",
+        "                        )",
+        "                        if value is BAIL:",
+        "                            _park(reader, stack, base, work, shell,",
+        "                                  slot, fnames, i, wire_version, old)",
+        "                            return BAIL, pos",
+        "                    else:",
+        "                        _bails[",
+        '                            "decode.uncompiled"',
+        "                            if plan2 is None or plan2.decode_fn is None",
+        '                            else "decode.depth"',
+        "                        ].add()",
+        "                        buf._pos = pos",
+        f"                        child = reader._spawn_object_frame(entry, {target})",
+        "                        _park(reader, stack, base, work, shell,",
+        "                              slot, fnames, i, wire_version, old)",
+        "                        stack.append(child)",
+        "                        return BAIL, pos",
+    ]
+    return lines
+
+
 def _build_decode_source(
     needs_resolve: bool,
     upgrade: bool,
@@ -744,9 +810,9 @@ def _build_decode_source(
     # The suspension tuple stays minimal: ``field_dict`` and ``nf`` are
     # recomputed from the shell and the names on resume rather than
     # carried per level.
-    work_push = "(shell, slot, fnames, i, nf)"
-    work_pop = "shell, slot, fnames, i, nf"
-    park_unpack = "s_shell, s_slot, s_names, s_index, _s_nf"
+    work_push = "(shell, slot, fnames, i, nf, old)"
+    work_pop = "shell, slot, fnames, i, nf, old"
+    park_unpack = "s_shell, s_slot, s_names, s_index, _s_nf, s_old"
     lines = []
     add = lines.append
     # Wrapper: binds the hot-internals tuple once (every member is bound
@@ -758,7 +824,7 @@ def _build_decode_source(
     # ``buf._pos`` itself on every exit, so the wrapper just unwraps. The
     # caller has read the object's layout key and left the layout entry
     # in ``reader._dispatch_layout``.
-    add("def _decode(reader, stack, wire_version, _depth=0):")
+    add("def _decode(reader, stack, wire_version, old=None):")
     add("    ctx = reader._codegen_ctx")
     add("    if ctx is None:")
     add("        reader._codegen_ctx = ctx = (")
@@ -781,20 +847,25 @@ def _build_decode_source(
     add("            reader._slot_states,")
     add("            reader._plain_capture,")
     add("            reader._local_externalizers,")
+    add("            reader._originals,")
+    add("            reader._defined,")
+    add("            len(reader._defined),")
+    add("            reader.pending,")
     add("        )")
     add("    try:")
     add("        return _decode_inner(")
-    add("            reader, stack, wire_version, _depth, ctx, ctx[0]._pos,")
-    add("            reader._dispatch_layout,")
+    add("            reader, stack, wire_version, 0, ctx, ctx[0]._pos,")
+    add("            reader._dispatch_layout, old,")
     add("        )[0]")
     add("    except _ResolveError as escaped:")
     add("        raise escaped.error from None")
     add("")
     add("")
-    add("def _decode_inner(reader, stack, wire_version, _depth, ctx, pos, layout):")
+    add("def _decode_inner(reader, stack, wire_version, _depth, ctx, pos, layout,")
+    add("                  old):")
     add("    (buf, mv, length, handles, names, layouts, set_field,")
     add("     names_seen, lm_objects, slot_states, plain_capture,")
-    add("     local_externalizers) = ctx")
+    add("     local_externalizers, originals, defined, slot_count, pending) = ctx")
     add("    base = len(stack)")
     add("    work = []")
     add("    try:")
@@ -818,59 +889,25 @@ def _build_decode_source(
     # -- nested object (hot in homogeneous graphs, hence dispatched
     # ahead of the string/ref/float tail) --------------------------------
     add(f"                elif tag == {_TAG_OBJECT}:")
-    lines.extend(_read_uvarint_src("lkey", 20).rstrip("\n").split("\n"))
-    add("                    if lkey:")
-    add("                        try:")
-    add("                            entry = layouts[lkey - 1]")
-    add("                        except IndexError:")
-    add("                            buf._pos = pos")
-    add("                            raise _WireFormatError(")
-    add('                                f"dangling layout id {lkey}"')
-    add("                            ) from None")
-    add("                    else:")
-    add("                        buf._pos = pos")
-    add("                        entry = reader._read_layout_def()")
-    add("                        pos = buf._pos")
-    # Same class as this decoder: suspend the current node and continue
-    # iteratively — no Python call, no frame churn.
-    add("                    if entry[2] is _plan and entry[1] == wire_version:")
-    add(f"                        work.append({work_push})")
-    add("                        fnames = entry[3]")
-    add("                        nf = entry[4]")
-    add("                        i = 0")
+    lines.extend(_read_layout_key_src(20))
     lines.extend(
-        _emit_decode_alloc(24, needs_resolve, use_dict).rstrip("\n").split("\n")
+        _object_dispatch_src("None", needs_resolve, use_dict, batch_n, work_push)
     )
-    if batch_n:
-        lines.extend(
-            _emit_decode_batch(24, batch_n).rstrip("\n").split("\n")
-        )
-    add("                        continue")
-    # Different class: recurse through the child's generated decoder.
-    add("                    plan2 = entry[2]")
-    add("                    if (plan2 is not None")
-    add("                            and plan2.decode_fn is not None")
-    add(f"                            and _depth < {MAX_CODEGEN_DEPTH}):")
-    add("                        value, pos = plan2.decode_inner(")
-    add("                            reader, stack, entry[1], _depth + 1,")
-    add("                            ctx, pos, entry,")
-    add("                        )")
-    add("                        if value is BAIL:")
-    add("                            _park(reader, stack, base, work, shell,")
-    add("                                  slot, fnames, i, wire_version)")
-    add("                            return BAIL, pos")
-    add("                    else:")
-    add("                        _bails[")
-    add('                            "decode.uncompiled"')
-    add("                            if plan2 is None or plan2.decode_fn is None")
-    add('                            else "decode.depth"')
-    add("                        ].add()")
+    # -- a slot definition: the caller's original is the value -----------
+    add(f"                elif tag == {_TAG_OLD_OBJECT}:")
+    lines.extend(_read_uvarint_src("oslot", 20).rstrip("\n").split("\n"))
+    add("                    if oslot >= slot_count or defined[oslot]:")
     add("                        buf._pos = pos")
-    add("                        child = reader._spawn_object_frame(entry)")
-    add("                        _park(reader, stack, base, work, shell,")
-    add("                              slot, fnames, i, wire_version)")
-    add("                        stack.append(child)")
-    add("                        return BAIL, pos")
+    add("                        reader._bad_slot(oslot)")
+    add("                    defined[oslot] = 1")
+    add("                    target = originals[oslot]")
+    lines.extend(_read_layout_key_src(20))
+    add("                    if entry[0] is not target.__class__:")
+    add("                        buf._pos = pos")
+    add("                        reader._slot_class_mismatch(oslot, entry[0])")
+    lines.extend(
+        _object_dispatch_src("target", needs_resolve, use_dict, batch_n, work_push)
+    )
     lines.extend(_decode_scalar_arms_tail(" " * 16).rstrip("\n").split("\n"))
     # -- externals: what _step's arm does, with the same errors ---------
     add(f"                elif tag == {_TAG_EXTERNAL}:")
@@ -902,7 +939,7 @@ def _build_decode_source(
     add("                    pos -= 1")
     add("                    buf._pos = pos")
     add("                    _park(reader, stack, base, work, shell,")
-    add("                          slot, fnames, i, wire_version)")
+    add("                          slot, fnames, i, wire_version, old)")
     add("                    return BAIL, pos")
     add(f"                {store}")
     add("                i += 1")
@@ -933,7 +970,7 @@ def _build_decode_source(
             add("                    reader._capture_slot(slot, shell)")
         else:
             add("                reader._capture_slot(slot, shell)")
-        add("            value = shell")
+        add("            value = shell if old is None else old")
     add("            if work:")
     add(f"                {work_pop} = work.pop()")
     if use_dict:
@@ -958,9 +995,10 @@ def _build_decode_source(
     # expects mid-object (the field being decoded at *index*, not yet
     # delivered), so _read_value finishes the object through
     # _step/_deliver.
-    add("def _bail_frame(reader, shell, slot, fnames, index, wire_version):")
+    add("def _bail_frame(reader, shell, slot, fnames, index, wire_version, old):")
     add("    frame = _Frame(_F_OBJECT, len(fnames) - index)")
     add("    frame.shell = shell")
+    add("    frame.old = old")
     add("    frame.names = fnames")
     add("    frame.index = index")
     if needs_resolve:
@@ -978,13 +1016,13 @@ def _build_decode_source(
     # below the current node, all below anything a nested callee already
     # parked — the frame machine resumes innermost-first.
     add("def _park(reader, stack, base, work, shell, slot, fnames, index,")
-    add("          wire_version):")
+    add("          wire_version, old):")
     add("    frames = []")
     add(f"    for {park_unpack} in work:")
     add("        frames.append(_bail_frame(reader, s_shell, s_slot, s_names,")
-    add("                                  s_index, wire_version))")
+    add("                                  s_index, wire_version, s_old))")
     add("    frames.append(_bail_frame(reader, shell, slot, fnames, index,")
-    add("                              wire_version))")
+    add("                              wire_version, old))")
     add("    stack[base:base] = frames")
     return "\n".join(lines) + "\n"
 

@@ -12,7 +12,9 @@ or from the shell::
 The inspector is *structural*: it parses tags, handles, class and field
 descriptors without instantiating anything, so it works even when the
 receiving process has none of the classes registered — exactly when you
-need to see what a peer actually sent.
+need to see what a peer actually sent. A reply's slot stream lists each
+slot definition as ``[slot i]`` and a back reference to a slot as
+``ref -> [slot i]``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.serde.schema import (
     STREAM_FLAG_SCHEMA_CACHE,
     SchemaRxCache,
 )
-from repro.serde.tags import Tag, WIRE_MAGIC, WIRE_VERSION
+from repro.serde.tags import STREAM_FLAG_SLOTS, Tag, WIRE_MAGIC, WIRE_VERSION
 from repro.util.buffers import BufferReader
 
 
@@ -45,6 +47,9 @@ class _Inspector:
         self.schema_rx = schema_rx
         #: Schemas this stream defines: id -> (name, version, field names).
         self.schemas: Dict[int, Tuple[str, int, Tuple[str, ...]]] = {}
+        #: A slot stream's stated slot count, and the slots it defined.
+        self.slot_count = 0
+        self.defined: set = set()
 
     def run(self) -> str:
         magic = self.buf.read_bytes(len(WIRE_MAGIC))
@@ -57,7 +62,11 @@ class _Inspector:
             )
         flags = self.buf.read_u8()
         self.schema_mode = bool(flags & STREAM_FLAG_SCHEMA_CACHE)
-        self.lines.append(f"NRMI stream v{version} flags=0x{flags:02x}")
+        header = f"NRMI stream v{version} flags=0x{flags:02x}"
+        if flags & STREAM_FLAG_SLOTS:
+            self.slot_count = self.next_handle = self.buf.read_uvarint()
+            header += f" slots={self.slot_count} defines={self.buf.read_uvarint()}"
+        self.lines.append(header)
         root = 0
         while self.buf.remaining:
             self.lines.append(f"root[{root}]:")
@@ -72,6 +81,18 @@ class _Inspector:
         handle = self.next_handle
         self.next_handle += 1
         return handle
+
+    def _slot(self) -> str:
+        """A definition's slot, checked against the stated count."""
+        slot = self.buf.read_uvarint()
+        if slot >= self.slot_count:
+            raise WireFormatError(
+                f"slot {slot} past the stream's {self.slot_count} slots"
+            )
+        if slot in self.defined:
+            raise WireFormatError(f"slot {slot} defined twice")
+        self.defined.add(slot)
+        return f"[slot {slot}]"
 
     @staticmethod
     def _lookup(table: list, index: int, what: str, key: int):
@@ -141,12 +162,26 @@ class _Inspector:
             note += f", {schema_note}"
         return label, fields, note
 
-    def _value(self, depth: int) -> None:
+    def _tag(self) -> Tag:
         byte = self.buf.read_u8()
         try:
-            tag = Tag(byte)
+            return Tag(byte)
         except ValueError:
             raise WireFormatError(f"unknown tag byte 0x{byte:02x}") from None
+
+    def _value(self, depth: int) -> None:
+        tag = self._tag()
+        label = ""
+        if tag is Tag.OLD_CONTAINER:
+            label = self._slot()
+            tag = self._tag()
+            if tag not in (Tag.LIST, Tag.SET, Tag.DICT, Tag.BYTEARRAY):
+                raise WireFormatError(f"{label} defines a {tag.name.lower()}")
+        elif tag is Tag.OLD_OBJECT:
+            label = self._slot()
+        elif tag in (Tag.LIST, Tag.TUPLE, Tag.SET, Tag.FROZENSET, Tag.DICT,
+                     Tag.BYTEARRAY, Tag.OBJECT):
+            label = f"#{self._alloc()}"
         if tag is Tag.NONE:
             self._emit(depth, "None")
         elif tag is Tag.TRUE:
@@ -173,29 +208,27 @@ class _Inspector:
             data = self.buf.read_len_bytes()
             self._emit(depth, f"bytes #{handle} ({len(data)} bytes)")
         elif tag is Tag.BYTEARRAY:
-            handle = self._alloc()
             data = self.buf.read_len_bytes()
-            self._emit(depth, f"bytearray #{handle} ({len(data)} bytes)")
+            self._emit(depth, f"bytearray {label} ({len(data)} bytes)")
         elif tag is Tag.REF:
-            self._emit(depth, f"ref -> #{self.buf.read_uvarint()}")
+            handle = self.buf.read_uvarint()
+            target = f"[slot {handle}]" if handle < self.slot_count else f"#{handle}"
+            self._emit(depth, f"ref -> {target}")
         elif tag in (Tag.LIST, Tag.TUPLE, Tag.SET, Tag.FROZENSET):
-            handle = self._alloc()
             count = self.buf.read_uvarint()
-            self._emit(depth, f"{tag.name.lower()} #{handle} ({count} items)")
+            self._emit(depth, f"{tag.name.lower()} {label} ({count} items)")
             for _ in range(count):
                 self._value(depth + 1)
         elif tag is Tag.DICT:
-            handle = self._alloc()
             count = self.buf.read_uvarint()
-            self._emit(depth, f"dict #{handle} ({count} entries)")
+            self._emit(depth, f"dict {label} ({count} entries)")
             for _ in range(count):
                 self._value(depth + 1)  # key
                 self._value(depth + 1)  # value
-        elif tag is Tag.OBJECT:
-            handle = self._alloc()
+        elif tag is Tag.OBJECT or tag is Tag.OLD_OBJECT:
             class_name, fields, note = self._read_layout()
             self._emit(
-                depth, f"object #{handle} {class_name} ({len(fields)} fields) [{note}]"
+                depth, f"object {label} {class_name} ({len(fields)} fields) [{note}]"
             )
             for field in fields:
                 self._emit(depth + 1, f".{field} =")

@@ -21,13 +21,22 @@ decoder that meets a shape it does not cover parks its object as a frame;
 the frame machine finishes that object's remaining fields one
 ``_step``/``_deliver`` cycle each, and a nested object among them goes
 back to its own generated decoder.
+
+A reply's slot stream (:mod:`repro.serde.tags`) decodes into the caller's
+heap without touching it: the reader binds handles ``0 … n-1`` to the
+caller's originals, so every reference to a slot resolves to the original
+itself, and reads each slot definition into a scratch instance (or
+container) queued on :attr:`ObjectReader.pending` as ``(original,
+scratch)``. Nothing is written to an original; the caller applies the
+pending list once the whole stream has decoded
+(:mod:`repro.core.copy_restore`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import WireFormatError
+from repro.errors import LinearMapMismatchError, RestoreError, WireFormatError
 from repro.serde.codegen import BAIL
 from repro.serde.digest import (
     SlotDigestTable,
@@ -53,7 +62,7 @@ from repro.serde.schema import (
     STREAM_FLAG_SCHEMA_CACHE,
     SchemaRxCache,
 )
-from repro.serde.tags import Tag, WIRE_MAGIC, WIRE_VERSION
+from repro.serde.tags import STREAM_FLAG_SLOTS, Tag, WIRE_MAGIC, WIRE_VERSION
 from repro.util.buffers import BufferReader, SlicingBufferReader
 
 _NO_VALUE = object()
@@ -74,6 +83,12 @@ _T_INT = int(Tag.INT)
 _T_REF = int(Tag.REF)
 _T_OBJECT = int(Tag.OBJECT)
 
+# The container tag a slot definition must carry, by the original's class.
+_CONTAINER_TAGS = {
+    list: Tag.LIST, set: Tag.SET, dict: Tag.DICT, bytearray: Tag.BYTEARRAY,
+}
+_DEFINITION_TAGS = (Tag.OLD_OBJECT, Tag.OLD_CONTAINER)
+
 
 class _Frame:
     """Decoding state for one container whose children are still arriving."""
@@ -91,6 +106,7 @@ class _Frame:
         "needs_resolve",
         "wire_version",
         "linear_slot",
+        "old",
     )
 
     def __init__(self, kind: int, remaining: int) -> None:
@@ -109,6 +125,9 @@ class _Frame:
         #: Linear-map position to capture at frame finish (fused state
         #: capture); -1 when capture is off or the shell is not mapped.
         self.linear_slot = -1
+        #: The caller's original a slot definition decodes for; the frame
+        #: finishes to it rather than to its scratch shell.
+        self.old: Any = None
 
 
 class ObjectReader:
@@ -116,6 +135,9 @@ class ObjectReader:
 
     *data* may be ``bytes``, ``bytearray``, or a ``memoryview`` — the modern
     profile decodes through a view without copying the payload.
+
+    A slot stream needs *originals*, the caller's retained objects in
+    linear-map order; their count must be the one the stream states.
     """
 
     def __init__(
@@ -126,19 +148,26 @@ class ObjectReader:
         externalizers: tuple = (),
         schema_rx: Optional[SchemaRxCache] = None,
         digest_accessor=None,
+        originals: Optional[List[Any]] = None,
     ) -> None:
         self.profile = profile
         self.registry = registry if registry is not None else global_registry
         self._local_externalizers = {ext.name: ext for ext in externalizers}
         self.linear_map = LinearMap()
         #: Every tuple and frozenset decoded, in the order they finished —
-        #: inner before outer. With the linear map and :attr:`resolved`
-        #: this is everything the stream built, which is what the
-        #: caller-side restore converts (repro.core.copy_restore).
+        #: inner before outer.
         self.immutables: List[Any] = []
-        #: What ``__nrmi_resolve__`` returned for each decoded instance of
-        #: a resolving class (those shells stay out of the linear map).
-        self.resolved: List[Any] = []
+        #: ``(original, scratch)`` per slot definition, in decode order:
+        #: a scratch instance for an object, a list of items (a dict's
+        #: keys flat with their values) for a container, a bytearray.
+        self.pending: List[Tuple[Any, Any]] = []
+        #: ``(container, items)`` for each new dict and set of a slot
+        #: stream: it stays empty while the stream decodes, because its
+        #: keys may be originals whose hash follows state not yet applied.
+        self.fills: List[Tuple[Any, List[Any]]] = []
+        self._originals: Optional[List[Any]] = None
+        #: One byte per slot, set once the stream has defined it.
+        self._defined = bytearray()
         if profile.chunked_buffers:
             self._buf = SlicingBufferReader(data)
         else:
@@ -187,6 +216,26 @@ class ObjectReader:
                 f"unsupported wire version {version} (expected {WIRE_VERSION})"
             )
         flags = self._buf.read_u8()
+        #: How many slots a slot stream states it defines.
+        self.definitions = 0
+        if flags & STREAM_FLAG_SLOTS:
+            count = self._buf.read_uvarint()
+            self.definitions = self._buf.read_uvarint()
+            if originals is None:
+                raise WireFormatError(
+                    "slot stream decoded without the caller's originals"
+                )
+            if count != len(originals):
+                raise LinearMapMismatchError(expected=len(originals), received=count)
+            if self.definitions > count:
+                raise RestoreError(
+                    f"reply defines {self.definitions} of {count} slots"
+                )
+            self._originals = originals
+            self._defined = bytearray(count)
+            self._handles = list(originals)
+        elif originals is not None:
+            raise RestoreError("stream carries no slots for the caller's originals")
         if flags & STREAM_FLAG_SCHEMA_CACHE:
             if schema_rx is None:
                 raise WireFormatError(
@@ -214,6 +263,25 @@ class ObjectReader:
         linear_map.close_span(value, start)
         return value
 
+    def read_definitions(self) -> None:
+        """Decode the roots that follow a reply's result, each a slot
+        definition, until the stream has defined as many slots as it
+        states; then expect its end."""
+        buf = self._buf
+        pending = self.pending
+        read = self._read_value
+        while len(pending) < self.definitions:
+            if buf.peek_u8() not in _DEFINITION_TAGS:
+                raise RestoreError(
+                    f"reply root 0x{buf.peek_u8():02x} is not a slot definition"
+                )
+            read()
+        if len(pending) != self.definitions:
+            raise RestoreError(
+                f"reply defines {len(pending)} slots, states {self.definitions}"
+            )
+        buf.expect_end()
+
     def at_end(self) -> bool:
         return self._buf.remaining == 0
 
@@ -229,6 +297,30 @@ class ObjectReader:
             # Shells are freshly allocated, so skip the membership probe.
             self.linear_map.append_new(obj)
         return slot
+
+    def _take_slot(self) -> Tuple[int, Any]:
+        """Read a definition's slot; return it and the caller's original."""
+        slot = self._buf.read_uvarint()
+        defined = self._defined
+        if slot >= len(defined) or defined[slot]:
+            self._bad_slot(slot)
+        defined[slot] = 1
+        return slot, self._originals[slot]
+
+    def _bad_slot(self, slot: int) -> None:
+        if self._originals is None:
+            raise WireFormatError("slot definition in a stream without slots")
+        if slot >= len(self._defined):
+            raise RestoreError(
+                f"slot {slot} outside retained list of {len(self._defined)} slots"
+            )
+        raise RestoreError(f"slot {slot} defined twice")
+
+    def _slot_class_mismatch(self, slot: int, cls: type) -> None:
+        raise RestoreError(
+            f"linear map position {slot}: original is "
+            f"{type(self._originals[slot]).__name__}, reply defines {cls.__name__}"
+        )
 
     def _reserve(self) -> int:
         slot = len(self._handles)
@@ -462,10 +554,11 @@ class ObjectReader:
             remaining -= 1
             pos = buf._pos
 
-    def _spawn_object_frame(self, layout: tuple) -> _Frame:
+    def _spawn_object_frame(self, layout: tuple, old: Any = None) -> _Frame:
         """Open the decoding frame for one object whose layout key has
-        been consumed (shell registered, capture slot noted). Shared by
-        ``_step`` and the generated decoders' bail paths."""
+        been consumed (shell registered, capture slot noted; for a slot
+        definition, *old* is the original and the shell is pending).
+        Shared by ``_step`` and the generated decoders' bail paths."""
         cls, wire_version, plan, names, count = layout
         frame = _Frame(_F_OBJECT, count)
         frame.names = names
@@ -479,6 +572,10 @@ class ObjectReader:
             frame.needs_resolve = has_resolve(cls)
             if wire_version != class_version(cls) and has_upgrade(cls):
                 frame.wire_version = wire_version
+        if old is not None:
+            frame.old = old
+            self.pending.append((old, frame.shell))
+            return frame
         # Mirrors the writer: readResolve classes are value-like and
         # stay out of the linear map, keeping the maps index-aligned.
         frame.handle_slot = self._register(
@@ -559,6 +656,9 @@ class ObjectReader:
             self._register(frame.shell, mutable=True)
             if self._digest_accessor is not None:
                 frame.linear_slot = len(self.linear_map) - 1
+            elif self._originals is not None:
+                frame.items = []
+                self.fills.append((frame.shell, frame.items))
             stack.append(frame)
             return _FRAME_PUSHED
         if tag == Tag.FROZENSET:
@@ -575,6 +675,9 @@ class ObjectReader:
             self._register(frame.shell, mutable=True)
             if self._digest_accessor is not None:
                 frame.linear_slot = len(self.linear_map) - 1
+            elif self._originals is not None:
+                frame.items = []
+                self.fills.append((frame.shell, frame.items))
             stack.append(frame)
             return _FRAME_PUSHED
         if tag == Tag.OBJECT:
@@ -592,6 +695,22 @@ class ObjectReader:
                 return value
             stack.append(self._spawn_object_frame(layout))
             return _FRAME_PUSHED
+        if tag == Tag.OLD_OBJECT:
+            slot, old = self._take_slot()
+            layout = self._read_layout()
+            if layout[0] is not type(old):
+                self._slot_class_mismatch(slot, layout[0])
+            plan = layout[2]
+            if plan is not None and plan.decode_fn is not None:
+                self._dispatch_layout = layout
+                value = plan.decode_fn(self, stack, layout[1], old)
+                if value is BAIL:
+                    return _FRAME_PUSHED
+                return value
+            stack.append(self._spawn_object_frame(layout, old))
+            return _FRAME_PUSHED
+        if tag == Tag.OLD_CONTAINER:
+            return self._step_old_container(stack)
         if tag == Tag.EXTERNAL:
             ext_name = self._read_name()
             payload = buf.read_len_bytes()
@@ -603,11 +722,42 @@ class ObjectReader:
             return resolved
         raise WireFormatError(f"unknown tag byte 0x{tag:02x}")
 
+    def _step_old_container(self, stack: List[_Frame]) -> Any:
+        """A container slot's definition: its items go to a scratch list
+        (or bytearray) queued on the pending list."""
+        buf = self._buf
+        slot, old = self._take_slot()
+        tag = buf.read_u8()
+        if tag != _CONTAINER_TAGS.get(type(old)):
+            raise RestoreError(
+                f"linear map position {slot}: original is {type(old).__name__}, "
+                f"reply defines tag 0x{tag:02x}"
+            )
+        if tag == Tag.BYTEARRAY:
+            self.pending.append((old, bytearray(buf.read_len_view())))
+            return old
+        count = buf.read_uvarint()
+        if tag == Tag.LIST:
+            frame = _Frame(_F_LIST, count)
+        elif tag == Tag.SET:
+            frame = _Frame(_F_SET, count)
+        else:
+            frame = _Frame(_F_DICT, count * 2)
+        frame.shell = frame.items = []
+        frame.old = old
+        self.pending.append((old, frame.items))
+        stack.append(frame)
+        return _FRAME_PUSHED
+
     def _deliver(self, frame: _Frame, value: Any) -> None:
         frame.remaining -= 1
         kind = frame.kind
         if kind == _F_LIST:
             frame.shell.append(value)
+        elif frame.items is not None:
+            # Tuple and frozenset parts, and a slot stream's dict and set
+            # items (keys flat with their values), wait for their finish.
+            frame.items.append(value)
         elif kind == _F_DICT:
             if frame.has_pending_key:
                 frame.shell[frame.pending_key] = value
@@ -618,12 +768,10 @@ class ObjectReader:
                 frame.has_pending_key = True
         elif kind == _F_SET:
             frame.shell.add(value)
-        elif kind == _F_OBJECT:
+        else:  # _F_OBJECT
             index = frame.index
             self._set_field(frame.shell, frame.names[index], value)
             frame.index = index + 1
-        else:  # tuple / frozenset accumulate
-            frame.items.append(value)
 
     def _finish(self, frame: _Frame) -> Any:
         kind = frame.kind
@@ -656,6 +804,8 @@ class ObjectReader:
             # reference like any other), so capture it here instead of
             # re-walking the linear map after decoding.
             self._capture_slot(frame.linear_slot, frame.shell)
+        if frame.old is not None:
+            return frame.old
         return frame.shell
 
     def _note_resolved(self, value: Any) -> None:
@@ -663,8 +813,6 @@ class ObjectReader:
         container joins :attr:`immutables` (its parts finished first)."""
         if type(value) is tuple or type(value) is frozenset:
             self.immutables.append(value)
-        else:
-            self.resolved.append(value)
 
     # -------------------------------------------------- fused state capture
 

@@ -7,8 +7,18 @@ An ``OBJECT`` is a *layout key* and then the field values in that
 layout's order. A layout is a class and its field names in write order.
 Key 0 defines a layout inline — class key, field count, one name key per
 field — and appends it to the stream's layout table; key k >= 1 is
-layout k - 1 of this stream. Wire version 2 introduced the layout key;
-version 1 streams (a field count and a name key per field) are refused.
+layout k - 1 of this stream. Wire version 2 introduced the layout key.
+
+A *slot stream* (a reply that restores the caller's retained objects) sets
+:data:`STREAM_FLAG_SLOTS` and states, after the flags byte, its slot count
+``n`` and how many slots it defines: handles ``0 … n-1`` are the caller's
+retained objects, in linear-map order, and the stream's own handles
+number from ``n``. The first time it
+meets a slot it restores, it *defines* it — ``OLD_OBJECT`` (slot, layout
+key, values) or ``OLD_CONTAINER`` (slot, then a list, set, dict or
+bytearray value) — without allocating a handle; every other reference to
+a slot is a ``REF``. Wire version 3 introduced slot streams; older
+streams are refused.
 """
 
 from __future__ import annotations
@@ -16,7 +26,11 @@ from __future__ import annotations
 from enum import IntEnum
 
 WIRE_MAGIC = b"NRM1"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
+
+#: Stream flag: a slot count and a definition count follow the flags byte
+#: (a reply's slot stream).
+STREAM_FLAG_SLOTS = 0x02
 
 
 class Tag(IntEnum):
@@ -40,12 +54,8 @@ class Tag(IntEnum):
     BYTEARRAY = 0x0F  # mutable: enters the linear map
     OBJECT = 0x10     # layout key + field values; mutable: enters the linear map
     EXTERNAL = 0x11   # externalizer hook (e.g. remote references)
-
-
-#: Externalizer name of an old-object reference in a delta-slots reply: an
-#: ``EXTERNAL`` whose payload is the uvarint index of an unchanged object in
-#: the caller's retained list (:mod:`repro.core.restore_protocol`).
-OLDREF_EXTERNALIZER = "nrmi.oldref"
+    OLD_OBJECT = 0x12     # slot + layout key + field values; no new handle
+    OLD_CONTAINER = 0x13  # slot + a LIST/SET/DICT/BYTEARRAY value; no new handle
 
 
 # Tags that allocate a new handle when encountered in the stream, in the

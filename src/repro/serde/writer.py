@@ -38,9 +38,8 @@ from repro.serde.schema import (
     CKEY_STREAM_BASE,
     STREAM_FLAG_SCHEMA_CACHE,
     SchemaTxCache,
-    _uvarint,
 )
-from repro.serde.tags import OLDREF_EXTERNALIZER, Tag, WIRE_MAGIC, WIRE_VERSION
+from repro.serde.tags import STREAM_FLAG_SLOTS, Tag, WIRE_MAGIC, WIRE_VERSION
 from repro.util.buffers import BufferWriter, ChunkedBufferWriter
 from repro.util.identity import IdentityMap
 
@@ -78,13 +77,15 @@ class ObjectWriter:
     ``bytearray`` storage from a :class:`repro.util.buffers.BufferPool`;
     it is ignored for profiles that use the chunked legacy buffer.
 
-    *oldrefs* is a delta reply's identity table, ``id(obj) → index`` in
-    the caller's retained list. The first time the writer meets an object
-    the table holds, it writes an old-object reference (an ``EXTERNAL``
-    named :data:`~repro.serde.tags.OLDREF_EXTERNALIZER`) instead of the
-    object, ahead of any externalizer; later meetings are back
-    references, as for any external. The caller keeps every keyed object
-    alive while the writer runs, so no key can name a recycled address.
+    *slots* makes the stream a reply's slot stream: the server's copies
+    of the caller's retained objects, which take handles ``0 … n-1``.
+    The slots named in *defined* (increasing slot numbers; every slot
+    when ``None``) are defined
+    the first time the writer meets them (``OLD_OBJECT`` /
+    ``OLD_CONTAINER``); the others are bound from the start, so every
+    reference to them is a back reference. :meth:`write_slots` writes
+    the defined slots the roots did not reach. *slots* holds each object
+    once and stays alive while the writer runs.
     """
 
     def __init__(
@@ -96,12 +97,12 @@ class ObjectWriter:
         buffer: Optional[bytearray] = None,
         memo_limit: int = DEFAULT_MEMO_LIMIT,
         schema_tx: Optional[SchemaTxCache] = None,
-        oldrefs: Optional[Dict[int, int]] = None,
+        slots: Optional[List[Any]] = None,
+        defined: Optional[List[int]] = None,
     ) -> None:
         self.profile = profile
         self.registry = registry if registry is not None else global_registry
         self._local_externalizers = tuple(externalizers)
-        self._oldrefs = oldrefs
         #: Optional per-tag value counts (opt-in: costs one dict update
         #: per encoded value, so benchmarks leave it off).
         self.stats: Optional[Dict[str, int]] = {} if collect_stats else None
@@ -164,11 +165,19 @@ class ObjectWriter:
         #: Schema definitions this stream carries (the caller confirms them
         #: once the peer provably decoded this stream).
         self.schemas_defined: List[Any] = []
+        flags = STREAM_FLAG_SCHEMA_CACHE if self._schema_tx is not None else 0
+        #: ``id(slot object) → slot`` for the slots this stream defines
+        #: and has not met yet, in slot order.
+        self._defs: Optional[Dict[int, int]] = None
+        if slots is not None:
+            flags |= STREAM_FLAG_SLOTS
+            self._bind_slots(slots, defined)
         self._buf.write_bytes(WIRE_MAGIC)
         self._buf.write_u8(WIRE_VERSION)
-        self._buf.write_u8(
-            STREAM_FLAG_SCHEMA_CACHE if self._schema_tx is not None else 0
-        )
+        self._buf.write_u8(flags)
+        if slots is not None:
+            self._buf.write_uvarint(len(slots))
+            self._buf.write_uvarint(len(self._defs))
 
     # ------------------------------------------------------------------ API
 
@@ -183,6 +192,20 @@ class ObjectWriter:
         self._write_value(value)
         linear_map.close_span(value, start)
         self._root_count += 1
+
+    def write_slots(self) -> None:
+        """Write, as roots in slot order, every slot this stream defines
+        and has not met yet. A definition owns no linear-map position, so
+        these roots record no span."""
+        defs = self._defs
+        slots = self._slots
+        write = self._write_value
+        while defs:
+            key = next(iter(defs))
+            write(slots[defs[key]])
+            if key in defs:
+                # Its class's __nrmi_replace__ wrote a stand-in instead.
+                raise SerializationError(f"slot {defs[key]} cannot be defined")
 
     @property
     def root_count(self) -> int:
@@ -232,6 +255,37 @@ class ObjectWriter:
             pool.release(buffer)
 
     # ------------------------------------------------------------ internals
+
+    def _bind_slots(self, slots: List[Any], defined: Optional[List[int]]) -> None:
+        count = len(slots)
+        self._slots = slots
+        self._next_handle = count
+        if defined is None:
+            self._defs = dict(zip(map(id, slots), range(count)))
+            return
+        entries = self._handles._entries
+        entries.update(zip(map(id, slots), zip(slots, range(count))))
+        defs = self._defs = {}
+        for slot in defined:
+            key = id(slots[slot])
+            del entries[key]
+            defs[key] = slot
+
+    def _open_mutable(self, obj: Any, tag: int) -> None:
+        """Allocate *obj*'s handle and write its tag — or, for a slot this
+        stream defines, bind the slot and write its definition header."""
+        defs = self._defs
+        if defs and id(obj) in defs:
+            slot = defs.pop(id(obj))
+            self._handles[obj] = slot
+            buf = self._buf
+            buf.write_u8(Tag.OLD_OBJECT if tag == Tag.OBJECT else Tag.OLD_CONTAINER)
+            buf.write_uvarint(slot)
+            if tag == Tag.OBJECT:
+                return
+        else:
+            self._alloc_handle(obj, mutable=True)
+        self._buf.write_u8(tag)
 
     def _alloc_handle(self, obj: Any, mutable: bool) -> int:
         handle = self._next_handle
@@ -333,7 +387,6 @@ class ObjectWriter:
         buf = self._buf
         plan_cache = self._plan_cache
         handles = self._handles
-        oldrefs = self._oldrefs
         stack: List[Tuple[int, Any]] = [(_EMIT_VALUE, root)]
         while stack:
             opcode, payload = stack.pop()
@@ -365,9 +418,6 @@ class ObjectWriter:
                         buf.write_u8(Tag.REF)
                         buf.write_uvarint(handle)
                         continue
-                    if oldrefs and id(obj) in oldrefs:
-                        self._write_oldref(obj)
-                        continue
                     plan.encode(self, obj, stack)
                     continue
             kind = classify(obj)
@@ -390,8 +440,7 @@ class ObjectWriter:
                 buf.write_uvarint(handle)
                 continue
             if kind is Kind.LIST:
-                self._alloc_handle(obj, mutable=True)
-                buf.write_u8(Tag.LIST)
+                self._open_mutable(obj, Tag.LIST)
                 buf.write_uvarint(len(obj))
                 if plan_cache is not None:
                     # A snapshot: hooks run between elements and may
@@ -405,22 +454,22 @@ class ObjectWriter:
                 buf.write_uvarint(len(obj))
                 stack.extend((_EMIT_VALUE, item) for item in reversed(obj))
             elif kind is Kind.SET or kind is Kind.FROZENSET:
-                mutable = kind is Kind.SET
-                self._alloc_handle(obj, mutable=mutable)
-                buf.write_u8(Tag.SET if mutable else Tag.FROZENSET)
+                if kind is Kind.SET:
+                    self._open_mutable(obj, Tag.SET)
+                else:
+                    self._alloc_handle(obj, mutable=False)
+                    buf.write_u8(Tag.FROZENSET)
                 items = list(obj)
                 buf.write_uvarint(len(items))
                 stack.extend((_EMIT_VALUE, item) for item in reversed(items))
             elif kind is Kind.DICT:
-                self._alloc_handle(obj, mutable=True)
-                buf.write_u8(Tag.DICT)
+                self._open_mutable(obj, Tag.DICT)
                 buf.write_uvarint(len(obj))
                 for key, value in reversed(list(obj.items())):
                     stack.append((_EMIT_VALUE, value))
                     stack.append((_EMIT_VALUE, key))
             elif kind is Kind.BYTEARRAY:
-                self._alloc_handle(obj, mutable=True)
-                buf.write_u8(Tag.BYTEARRAY)
+                self._open_mutable(obj, Tag.BYTEARRAY)
                 buf.write_len_bytes(bytes(obj))
             elif kind is Kind.OBJECT:
                 self._emit_object(obj, stack)
@@ -452,7 +501,6 @@ class ObjectWriter:
         raw = buf.raw
         plan_cache = self._plan_cache
         handles = self._handles._entries
-        oldrefs = self._oldrefs
         for item in items:
             if item is None:
                 buf.write_u8(Tag.NONE)
@@ -473,9 +521,6 @@ class ObjectWriter:
                         raw.append((handle & 0x7F) | 0x80)
                         handle >>= 7
                     raw.append(handle)
-                    continue
-                if oldrefs and id(item) in oldrefs:
-                    self._write_oldref(item)
                     continue
                 # What the generic loop would do with the element, with
                 # the rest of the list parked beneath anything the
@@ -575,20 +620,7 @@ class ObjectWriter:
         self._write_name_key(ext.name)
         self._buf.write_len_bytes(ext.replace(obj))
 
-    def _write_oldref(self, obj: Any) -> None:
-        """Write *obj*, which the oldref table holds, as an old-object
-        reference: the bytes an externalizer claiming exactly the table's
-        objects would write. Generated encoders inline the same bytes."""
-        self._alloc_handle(obj, mutable=False)
-        self._buf.write_u8(Tag.EXTERNAL)
-        self._write_name_key(OLDREF_EXTERNALIZER)
-        self._buf.write_len_bytes(_uvarint(self._oldrefs[id(obj)]))
-
     def _emit_object(self, obj: Any, stack: List[Tuple[int, Any]]) -> None:
-        oldrefs = self._oldrefs
-        if oldrefs and id(obj) in oldrefs:
-            self._write_oldref(obj)
-            return
         ext = self._find_externalizer(obj)
         if ext is not None:
             self._emit_external(obj, ext)
@@ -615,8 +647,11 @@ class ObjectWriter:
         # readResolve classes are value-like: the decoded identity is not
         # the shell's, so they must stay out of the linear map on both
         # endpoints (the decoder applies the same rule).
-        self._alloc_handle(obj, mutable=not has_resolve(cls))
-        self._buf.write_u8(Tag.OBJECT)
+        if has_resolve(cls):
+            self._alloc_handle(obj, mutable=False)
+            self._buf.write_u8(Tag.OBJECT)
+        else:
+            self._open_mutable(obj, Tag.OBJECT)
         self._write_layout_key((cls, tuple([name for name, _ in state])))
         for _name, value in reversed(state):
             stack.append((_EMIT_VALUE, value))

@@ -513,12 +513,13 @@ class RingConsumer(_RingSide):
         and padding still to be skipped) — cheap sizing hint for read
         buffers; the exact count comes out of :meth:`try_read_into`."""
         tail = _U64.unpack_from(self._ctrl, _OFF_TAIL)[0]
-        pending = tail - self._head + self._rec_remaining
-        if pending < 0:
-            # A tail behind the head is a torn read or a trampled control
-            # block, like a corrupt record length: fail the connection.
+        ahead = tail - self._head
+        if ahead < 0 or ahead > self._cap:
+            # A tail behind the head, or further ahead than the ring
+            # holds, is a torn read or a trampled control block, like a
+            # corrupt record length: fail the connection.
             raise OSError(errno.EIO, "shm ring corrupt tail")
-        return pending
+        return ahead + self._rec_remaining
 
     def readable(self) -> bool:
         """Whether at least one stream byte is pending."""

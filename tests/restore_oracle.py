@@ -1,18 +1,14 @@
-"""The restore engine's independent oracle: steps 5-6 by walking the graph.
+"""The restore's independent oracle: steps 4-6 by walking the graph.
 
-:class:`repro.core.copy_restore.RestoreEngine` runs over the objects a
-reply reader listed while decoding. This module keeps the older way, which
-needs no reader: walk the modified graph from the return value and the
-modified linear map with a stack and a visited set, collect the rewrite
-actions, then apply them in the same two waves. Tests hold the engine to
-it — on graphs built by hand, through :func:`inventory`, and on real
-replies.
-
-:func:`inventory` lists what a reader would have listed for a hand-built
-modified graph: every mutable object the walk reaches, and every tuple
-and frozenset, inner before outer. Like the walk, it stops at primitives,
-unsupported shapes, opaque objects and the *skip* set (objects that
-arrive as externals, such as the originals a ``delta`` reply names).
+A reply decodes straight into the caller's heap and
+:class:`repro.core.copy_restore.RestoreEngine` applies what it queued.
+This module keeps the older way, which needs no reader: given the
+server's modified copies of the caller's originals, walk the modified
+graph from the return value and the modified linear map with a stack and
+a visited set, collect the rewrite actions — converting every reference
+to a modified old object into the original — then apply them in the
+same two waves. Tests hold the reply path to it, on graphs built by hand
+and on real replies.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from repro.serde.accessors import (
     FieldState,
     OptimizedAccessor,
 )
-from repro.serde.hooks import transient_fields
+from repro.serde.hooks import has_resolve, transient_fields
 from repro.serde.kinds import Kind, classify
 
 _LEAF = 0
@@ -56,45 +52,6 @@ _BUILTIN_TAGS: Dict[type, int] = {
 }
 
 
-def inventory(
-    roots: Iterable[Any],
-    skip: Iterable[Any] = (),
-    opaque: Optional[Callable[[Any], bool]] = None,
-) -> Tuple[List[Any], List[Any]]:
-    """``(mutables, immutables)`` reachable from *roots*, in the shape an
-    :class:`repro.serde.reader.ObjectReader` lists them."""
-    mutables: List[Any] = []
-    immutables: List[Any] = []
-    seen: Dict[int, Any] = {id(obj): obj for obj in skip}
-    stack: List[Tuple[Any, bool]] = [(root, False) for root in reversed(list(roots))]
-    while stack:
-        obj, finished = stack.pop()
-        if finished:
-            immutables.append(obj)
-            continue
-        kind = classify(obj)
-        if kind is Kind.PRIMITIVE or kind is Kind.UNSUPPORTED or id(obj) in seen:
-            continue
-        seen[id(obj)] = obj
-        if opaque is not None and opaque(obj):
-            continue
-        if kind is Kind.TUPLE or kind is Kind.FROZENSET:
-            stack.append((obj, True))
-            children = list(obj)
-        else:
-            mutables.append(obj)
-            if kind is Kind.OBJECT:
-                children = [value for _name, value in OPTIMIZED_ACCESSOR.get_state(obj)]
-            elif kind is Kind.DICT:
-                children = [part for item in obj.items() for part in item]
-            elif kind is Kind.BYTEARRAY:
-                children = []
-            else:
-                children = list(obj)
-        stack.extend((child, False) for child in reversed(children))
-    return mutables, immutables
-
-
 class OracleRestoreEngine:
     """Steps 5-6 by a traversal of the modified graph."""
 
@@ -115,8 +72,9 @@ class OracleRestoreEngine:
         skip: Iterable[Any] = (),
     ) -> Tuple[Any, RestoreStats]:
         """Overwrite *originals* from *modifieds* (index-aligned) and
-        convert *result*; *skip* holds objects that are already originals
-        and must be neither overwritten nor descended into."""
+        convert *result*; *skip* holds objects that must be neither
+        overwritten nor descended into — originals themselves, or modified
+        objects that stand for their originals."""
         accessor = self._accessor
         opaque = self._opaque
         m2o_get = dict(zip(map(id, modifieds), originals)).get
@@ -168,7 +126,10 @@ class OracleRestoreEngine:
             target = m2o_get(obj_id)
             if target is None:
                 target = obj
-                new_adopted += 1
+                # What ``__nrmi_resolve__`` returned is a canonical value,
+                # not an object the reply built.
+                if not has_resolve(type(obj)):
+                    new_adopted += 1
             else:
                 old_overwritten += 1
 

@@ -1,11 +1,14 @@
-"""The restore engine (steps 5-6) at unit level.
+"""Steps 4-6 at unit level: a reply decoded into the caller's heap.
 
-These tests drive RestoreEngine directly with hand-built original/modified
-pairs, checking in-place overwrite, pointer conversion, new-object
-adoption, immutable rebuilding, and the hashed-container ordering rules.
-The engine runs over what a reply reader would have listed for the
-hand-built graph (``tests.restore_oracle.inventory``), and every case is
-also held against the graph-walking oracle.
+Each case hand-builds the caller's originals and the server's modified
+copies of them, writes the reply a ``full`` call would (slot *i* is the
+server's ``modifieds[i]``, defined for the caller's ``originals[i]``),
+decodes it into the originals and applies it through ``RestoreEngine``,
+checking in-place overwrite, references that land on originals, new
+objects, tuples and frozensets built around originals, and the
+hashed-container ordering rules. Every case is also held against the
+graph-walking oracle (``tests.restore_oracle``), which still walks the
+hand-built modified graph.
 """
 
 import copy
@@ -14,32 +17,77 @@ import pytest
 
 from repro.core.copy_restore import RestoreEngine
 from repro.core.markers import Restorable
-from repro.core.matching import match_maps
 from repro.core.verify import fingerprint
 from repro.serde.accessors import PORTABLE_ACCESSOR
+from repro.serde.profiles import LEGACY_PROFILE, MODERN_PROFILE
+from repro.serde.reader import ObjectReader
+from repro.serde.registry import Externalizer, global_registry
+from repro.serde.writer import ObjectWriter
 
 from tests.model_helpers import Box, Node, Pair, SlottedPoint
-from tests.restore_oracle import OracleRestoreEngine, inventory
+from tests.restore_oracle import OracleRestoreEngine
 
 
-def run_engine(engine, originals, modifieds, result=None, skip=(), opaque=None):
-    """Restore through *engine* over the hand-built graph's inventory."""
-    decoded, immutables = inventory([result] + list(modifieds), skip, opaque)
-    return engine.restore(
-        match_maps(originals, modifieds), decoded, result, immutables
+def _identity_externalizer(opaque):
+    """Objects *opaque* claims travel as externals that resolve to the
+    very object, as remote stubs keep their identity."""
+    table = []
+
+    def replace(obj):
+        table.append(obj)
+        return str(len(table) - 1).encode()
+
+    return Externalizer(
+        "tests.opaque", claims=opaque, replace=replace,
+        resolve=lambda payload: table[int(bytes(payload))],
     )
 
 
-def restore(originals, modifieds, result=None, engine=None, skip=None, opaque=None):
-    """Restore under the optimized (plan-driven) engine — and, unless a
-    specific *engine* is asked for, also under the portable one and under
-    the graph-walking oracle, each on a deep copy of the same inputs: all
-    three must leave isomorphic heaps, return corresponding results and
-    count the same work, on every case in this module. Returns what the
-    optimized engine returned."""
+def run_engine(engine, originals, modifieds, result=None, skip=(), opaque=None,
+               profile=MODERN_PROFILE, around=None):
+    """Restore through *engine* from the reply the server copies
+    *modifieds* and the return value *result* make. Objects in *skip*
+    are slots the reply binds without defining them, as a delta reply
+    binds its clean slots; *opaque* objects travel as externals.
+    *around* is a pair of callables run before encoding and before
+    decoding."""
+    slots = list(modifieds) + list(skip)
+    externalizers = (_identity_externalizer(opaque),) if opaque is not None else ()
+    if around is not None:
+        around[0]()
+    writer = ObjectWriter(
+        profile=profile, externalizers=externalizers, slots=slots,
+        defined=range(len(modifieds)),
+    )
+    writer.write_root(result)
+    writer.write_slots()
+    if around is not None:
+        around[1]()
+    reader = ObjectReader(
+        writer.getvalue(), profile=profile, externalizers=externalizers,
+        originals=list(originals) + list(skip),
+    )
+    converted = reader.read_root()
+    reader.read_definitions()
+    stats = engine.apply(
+        reader.pending, reader.fills, len(reader.linear_map), len(reader.immutables)
+    )
+    return converted, stats
+
+
+def restore(originals, modifieds, result=None, engine=None, skip=None, opaque=None,
+            around=None):
+    """Restore under the optimized engine on the modern profile — and,
+    unless a specific *engine* is asked for, also under the portable one
+    on the legacy profile and under the graph-walking oracle, each on a
+    deep copy of the same inputs: all three must leave isomorphic heaps,
+    return corresponding results and count the same work, on every case
+    in this module. Returns what the optimized engine returned."""
     skipped = list(skip) if skip is not None else []
     if engine is not None:
-        return run_engine(engine, originals, modifieds, result, skipped, opaque)
+        return run_engine(
+            engine, originals, modifieds, result, skipped, opaque, around=around
+        )
     outcomes = []
     for name, (origs, mods, res, skp) in (
         ("optimized", (originals, modifieds, result, skipped)),
@@ -50,10 +98,14 @@ def restore(originals, modifieds, result=None, engine=None, skip=None, opaque=No
             converted, stats = OracleRestoreEngine(opaque=opaque).restore(
                 origs, mods, res, skip=skp
             )
-        else:
-            kwargs = {"accessor": PORTABLE_ACCESSOR} if name == "portable" else {}
+        elif name == "portable":
             converted, stats = run_engine(
-                RestoreEngine(opaque=opaque, **kwargs), origs, mods, res, skp, opaque
+                RestoreEngine(accessor=PORTABLE_ACCESSOR), origs, mods, res, skp,
+                opaque, LEGACY_PROFILE, around,
+            )
+        else:
+            converted, stats = run_engine(
+                RestoreEngine(), origs, mods, res, skp, opaque, around=around
             )
         outcomes.append((converted, stats, fingerprint([origs, converted, skp])))
     (converted, stats, optimized), *others = outcomes
@@ -112,8 +164,8 @@ class TestNewObjects:
         mod = Node("old-changed")
         fresh = Node("fresh", next=mod)  # new node points at modified old
         result, _stats = restore([orig], [mod], result=fresh)
-        assert result is fresh
-        assert fresh.next is orig  # converted to the original
+        assert result.data == "fresh"  # a new object the reply built
+        assert result.next is orig  # built around the original
 
     def test_chain_of_new_objects(self):
         orig = Node(0)
@@ -182,6 +234,25 @@ class TestContainers:
         restore([original_dict, orig_key], [modified_dict, mod_key])
         assert orig_key.payload == "k2"
         assert original_dict[orig_key] == "v"  # findable under the NEW hash
+
+
+    def test_keys_equal_only_before_the_call_stay_distinct(self):
+        """A dict keyed by two originals that compared equal before the
+        call keeps both entries: it is filled after they are restored."""
+
+        class ValueHashed(Box):
+            def __hash__(self):
+                return hash(self.payload)
+
+            def __eq__(self, other):
+                return isinstance(other, ValueHashed) and self.payload == other.payload
+
+        orig_a, orig_b = ValueHashed("k"), ValueHashed("k")
+        mod_a, mod_b = ValueHashed("k"), ValueHashed("k2")
+        holder, modified_holder = Box(None), Box({mod_a: 1, mod_b: 2})
+        restore([holder, orig_a, orig_b], [modified_holder, mod_a, mod_b])
+        assert len(holder.payload) == 2
+        assert holder.payload[orig_a] == 1 and holder.payload[orig_b] == 2
 
 
 class TestImmutables:
@@ -298,12 +369,28 @@ class Stateless:
     __slots__ = ()
 
 
+global_registry.register(Stateless)
+
+
 class Cached(Restorable):
     __nrmi_transient__ = ("cache",)
     __nrmi_version__ = 1
 
     def __init__(self, data=None):
         self.data = data
+
+
+class Upgrading(Restorable):
+    """Its upgrade hook sets the transient ``cache`` while decoding."""
+
+    __nrmi_transient__ = ("cache",)
+    __nrmi_version__ = 1
+
+    def __init__(self, data=None):
+        self.data = data
+
+    def __nrmi_upgrade__(self, wire_version):
+        self.cache = ["set-while-decoding"]
 
 
 class TestRestorePlans:
@@ -360,21 +447,24 @@ class TestRestorePlans:
         assert original.data == 2
         assert original.cache is local
 
-    def test_transient_preserved_on_new_object(self):
-        fresh = Cached("fresh")
-        fresh.cache = local = ["set-while-decoding"]
-        original, modified = Node(1), Node(2, next=fresh)
-        restore([original], [modified])
-        assert original.next is fresh
-        assert fresh.cache is local and fresh.data == "fresh"
+    def test_transient_preserved_on_new_object(self, monkeypatch):
+        """A transient a new object got while decoding (here from its
+        upgrade hook) is what it keeps: the apply never touches it. The
+        oracle is left out: its graph walk has no decoding to hook."""
+        original, modified = Node(1), Node(2, next=Upgrading("fresh"))
+        versions = (
+            lambda: monkeypatch.setattr(Upgrading, "__nrmi_version__", 1),
+            lambda: monkeypatch.setattr(Upgrading, "__nrmi_version__", 2),
+        )
+        restore([original], [modified], engine=RestoreEngine(), around=versions)
+        assert original.next.data == "fresh"
+        assert original.next.cache == ["set-while-decoding"]
 
     def test_instance_dict_identity_preserved(self):
         original, modified = Node(1), Node(2, next=Node(3))
         fields = vars(original)
-        new_fields = vars(modified.next)
         restore([original], [modified])
         assert vars(original) is fields
-        assert vars(original.next) is new_fields
         assert fields == {"data": 2, "next": original.next}
 
     def test_declaration_change_between_restores(self, monkeypatch):

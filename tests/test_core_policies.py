@@ -11,7 +11,8 @@ from repro.core.restore_protocol import (
     ServerRestoreContext,
     policy_by_name,
 )
-from repro.errors import RestoreError
+from repro.core.markers import Restorable
+from repro.errors import RestoreError, SerializationError
 from repro.serde.reader import ObjectReader
 from repro.serde.writer import ObjectWriter
 
@@ -215,6 +216,20 @@ class TestDcePolicy:
         assert dce_bytes < full_bytes
 
 
+def _dce_reply(server, defined, count=None, patch=()):
+    """A dce reply defining *defined* of the server's copies; *count*
+    restates the slot count, *patch* edits ``(offset, byte)`` pairs."""
+    writer = ObjectWriter(slots=server, defined=defined)
+    writer.write_root(None)
+    writer.write_slots()
+    payload = bytearray(writer.getvalue())
+    if count is not None:
+        payload[6] = count  # the slot count, after magic, version, flags
+    for offset, byte in patch:
+        payload[offset] = byte
+    return bytes(payload)
+
+
 class TestPayloadValidation:
     def test_full_restore_rejects_non_list_payload(self):
         policy = FullRestorePolicy()
@@ -227,30 +242,45 @@ class TestPayloadValidation:
             )
 
     @pytest.mark.parametrize(
-        "kept_indices, kept_objects",
+        "build",
         [
-            ([-1, 0], [Node("x"), Node("y")]),  # a negative index
-            ([1, 0], [Node("x"), Node("y")]),  # not increasing
-            ([0, 0], [Node("x"), Node("y")]),  # repeated
-            ([2], [Node("x")]),  # past the retained list
-            ([0], (Node("x"),)),  # objects not a list
-            ((0,), [Node("x")]),  # indices not a list
-            ([0, 1], [Node("x")]),  # counts disagree
+            # Slot 2 of a reply restated to two slots.
+            lambda: _dce_reply([Node("x"), Node("y"), Node("z")], [2], count=2),
+            # The first definition edited to name slot 1, as the second does.
+            lambda: _dce_reply([Node("x"), Node("y")], [0, 1], patch=[(10, 1)]),
+            # One slot stated, two retained.
+            lambda: _dce_reply([Node("x")], [0]),
+            # Slot 1 defined as an (empty) tuple: OLD_CONTAINER, 1, TUPLE, 0.
+            lambda: _dce_reply([Node("x"), Node("y")], [], patch=[(7, 1)])
+            + bytes([0x13, 1, 0x0B, 0]),
+            # A tuple root where the stated definition belongs.
+            lambda: _dce_reply([Node("x"), Node("y")], [], patch=[(7, 1)])
+            + bytes([0x0B, 0]),
+            # A Box where the caller retained a Node.
+            lambda: _dce_reply([Node("x"), Box("y")], [1]),
         ],
-        ids=["negative", "decreasing", "repeated", "out-of-range",
-             "objects-tuple", "indices-tuple", "count"],
+        ids=["out-of-range", "repeated", "count", "objects-tuple", "indices-tuple",
+             "class-mismatch"],
     )
-    def test_dce_rejects_bad_kept_slots(self, kept_indices, kept_objects):
+    def test_dce_rejects_bad_kept_slots(self, build):
         originals = [Node("a"), Node("b")]
-        writer = ObjectWriter()
-        writer.write_root(None)
-        writer.write_root(kept_indices)
-        writer.write_root(kept_objects)
         with pytest.raises(RestoreError):
             DceRestorePolicy().parse_response(
-                writer.getvalue(), ClientRestoreContext(originals=originals)
+                build(), ClientRestoreContext(originals=originals)
             )
         assert [node.data for node in originals] == ["a", "b"]
+
+    def test_full_reply_of_a_replacing_slot_raises(self):
+        """A retained object whose class writes a stand-in can never be
+        defined: the server fails the reply instead of writing it again."""
+
+        class Replacing(Restorable):
+            def __nrmi_replace__(self):
+                return Node("stand-in")
+
+        server = ServerRestoreContext(retained=[Replacing()], restore_roots=[])
+        with pytest.raises(SerializationError, match="slot 0"):
+            FullRestorePolicy().build_response(None, server, None)
 
     def test_delta_rejects_out_of_range_oldref(self):
         def build():

@@ -7,13 +7,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.copy_restore import RestoreEngine
 from repro.core.markers import Remote, Restorable, Serializable
 from repro.core.restore_protocol import (
     ClientRestoreContext,
     DeltaRestorePolicy,
     FullRestorePolicy,
-    _decode_index,
-    _encode_index,
 )
 from repro.core.verify import fingerprint
 from repro.errors import RestoreError, SerializationError, WireFormatError
@@ -23,11 +22,8 @@ from repro.serde.profiles import LEGACY_PROFILE, MODERN_PROFILE
 from repro.serde.reader import ObjectReader
 from repro.serde.registry import Externalizer, global_registry
 from repro.serde.schema import _str_blob
-from repro.serde.tags import OLDREF_EXTERNALIZER
 from repro.serde.writer import ObjectWriter
 from repro.transport.resolver import ChannelResolver
-from repro.util.buffers import BufferWriter
-from repro.util.identity import IdentityMap
 
 from tests.model_helpers import Box, Node, Pair, SlottedPoint, heap_fingerprint
 
@@ -417,15 +413,15 @@ def test_bad_layout_keys_raise_alike_on_both_paths(tail):
 
 
 def _full_reply_with(tail, originals):
-    writer = ObjectWriter()
+    writer = ObjectWriter(slots=[Node("a2"), Node("b2")])
     writer.write_root(None)
-    writer.write_root([Node("a2"), Node("b2")])
+    writer.write_slots()
     stream = writer.getvalue()
     return stream[:-1] + tail
 
 
 def _delta_reply_with(tail, originals):
-    return _delta_payload(Node("dirty"), len(originals))[:-1] + tail
+    return _delta_payload([Node("dirty"), Node("b")])[:-1] + tail
 
 
 @pytest.mark.parametrize("tail", _BAD_LAYOUTS.values(), ids=_BAD_LAYOUTS)
@@ -494,67 +490,44 @@ def test_new_layouts_cost_one_byte_more_than_version_1():
     assert len(writer.getvalue()) == version_1 + count
 
 
-# Old-object references (the delta reply's ``nrmi.oldref`` externals). The
-# oracle is the identity externalizer delta replies used before the writer
-# took an oldref table: it claims exactly the clean objects, ahead of every
-# other externalizer, and forces the generic path on whatever it rides in.
-
-
-def _identity_oldref_externalizer(retained, clean_indices):
-    clean = IdentityMap()
-    for index in clean_indices:
-        clean[retained[index]] = index
-    return Externalizer(
-        name=OLDREF_EXTERNALIZER,
-        claims=lambda obj: obj in clean,
-        replace=lambda obj: _encode_index(clean[obj]),
-        resolve=lambda payload: None,
-    )
-
-
-def _oldref_resolver(originals):
-    return Externalizer(
-        name=OLDREF_EXTERNALIZER,
-        claims=lambda obj: False,
-        replace=lambda obj: b"",
-        resolve=lambda payload: originals[_decode_index(payload)],
-    )
+# Slot streams: a reply binds the caller's retained objects to handles
+# 0 … n-1 and defines some of them. The oracle is the generic writer.
 
 
 @settings(max_examples=100)
 @given(object_graphs, st.randoms(use_true_random=False))
-def test_oldref_table_encode_byte_identical(graph, rng):
-    """A reply writer with an oldref table writes the bytes the generic
-    writer writes with the identity externalizer: the graph as the return
-    value, then the list of its dirty objects."""
+def test_slot_stream_encode_byte_identical(graph, rng):
+    """A reply writer that binds a random half of the retained slots and
+    defines the rest writes the bytes the generic writer writes, on both
+    profiles, and the stream defines exactly the slots it states."""
     probe = ObjectWriter(profile=MODERN_NO_PLANS)
     probe.write_root(graph)
     retained = list(probe.linear_map)
-    clean = [index for index in range(len(retained)) if rng.random() < 0.5]
-    clean_set = set(clean)
-    roots = [graph, [obj for i, obj in enumerate(retained) if i not in clean_set]]
-    table = {id(retained[index]): index for index in clean}
+    defined = [index for index in range(len(retained)) if rng.random() < 0.5]
 
-    def encode(profile, **kwargs):
-        writer = ObjectWriter(profile=profile, **kwargs)
-        for root in roots:
-            writer.write_root(root)
+    def encode(profile):
+        writer = ObjectWriter(profile=profile, slots=retained, defined=defined)
+        writer.write_root(graph)
+        writer.write_slots()
         return writer.getvalue()
 
     for profile in (MODERN_PROFILE, LEGACY_PROFILE):
-        oracle = encode(
-            replace(profile, use_compiled_plans=False),
-            externalizers=(_identity_oldref_externalizer(retained, clean),),
-        )
-        assert encode(profile, oldrefs=table) == oracle
-        assert encode(replace(profile, use_compiled_plans=False), oldrefs=table) == oracle
+        oracle = encode(replace(profile, use_compiled_plans=False))
+        assert encode(profile) == oracle
+        reader = ObjectReader(oracle, profile=profile, originals=list(retained))
+        reader.read_root()
+        reader.read_definitions()
+        assert sorted(
+            index for index, obj in enumerate(retained)
+            for original, _state in reader.pending if original is obj
+        ) == defined
 
 
 class _Service(Remote):
     pass
 
 
-_EXTERNAL_KINDS = ("oldref", "adapter", "remote")
+_EXTERNAL_KINDS = ("slot", "adapter", "remote")
 
 
 @settings(max_examples=60)
@@ -567,17 +540,17 @@ _EXTERNAL_KINDS = ("oldref", "adapter", "remote")
     ),
 )
 def test_externals_decode_to_the_same_heap(graph, externals):
-    """Streams holding old-object references, value adapters and remote
-    descriptors — as object fields, where generated decoders meet them,
-    and as list elements, where the frame machine does — decode to the
-    same heap on both paths, the referenced originals included."""
+    """Slot streams holding references to bound slots, value adapters and
+    remote descriptors — as object fields, where generated decoders meet
+    them, and as list elements, where the frame machine does — decode to
+    the same heap on both paths, the referenced originals included."""
     endpoint = Endpoint(name="externals", resolver=ChannelResolver())
     try:
         service = _Service()
         originals = [Node(data=f"original {i}") for i in range(4)]
 
         def external(kind, index):
-            if kind == "oldref":
+            if kind == "slot":
                 return originals[index]
             if kind == "adapter":
                 return datetime.date(2003, 5, 19 + index)
@@ -591,16 +564,20 @@ def test_externals_decode_to_the_same_heap(graph, externals):
         writer = ObjectWriter(
             profile=MODERN_PROFILE,
             externalizers=endpoint.externalizers(),
-            oldrefs={id(obj): index for index, obj in enumerate(originals)},
+            slots=originals,
+            defined=[],
         )
         writer.write_root(root)
         stream = writer.getvalue()
-        externalizers = (_oldref_resolver(originals),) + endpoint.externalizers()
+        externalizers = endpoint.externalizers()
         expected = fingerprint([root, originals], opaque=is_opaque_remote)
         for profile in (MODERN_PROFILE, MODERN_NO_PLANS):
-            reader = ObjectReader(stream, profile=profile, externalizers=externalizers)
+            reader = ObjectReader(
+                stream, profile=profile, externalizers=externalizers, originals=originals
+            )
             decoded = reader.read_root()
-            reader.expect_end()
+            reader.read_definitions()
+            RestoreEngine().apply(reader.pending, reader.fills)  # new dicts, sets
             assert fingerprint([decoded, originals], opaque=is_opaque_remote) == expected
             remotes = [value for value in decoded.second if is_opaque_remote(value)]
             assert remotes == [service] * sum(value is service for value in values)
@@ -608,40 +585,39 @@ def test_externals_decode_to_the_same_heap(graph, externals):
         endpoint.close()
 
 
-def _delta_payload(dirty_node, total, cut=0, **writer_kwargs):
-    """A delta-slots reply whose one dirty slot is *dirty_node*, minus
-    the last *cut* bytes."""
-    header = BufferWriter()
-    header.write_uvarint(total)
-    header.write_uvarint(1)
-    header.write_uvarint(0)
-    writer = ObjectWriter(**writer_kwargs)
+def _delta_payload(slots, defined=(0,), count=None, cut=0, **writer_kwargs):
+    """A delta reply over the server copies *slots* defining *defined*,
+    its slot count restated as *count*, minus the last *cut* bytes."""
+    writer = ObjectWriter(slots=slots, defined=list(defined), **writer_kwargs)
     writer.write_root(None)
-    writer.write_root([dirty_node])
-    payload = header.getvalue() + writer.getvalue()
-    return payload[: len(payload) - cut]
+    writer.write_slots()
+    payload = bytearray(writer.getvalue())
+    if count is not None:
+        payload[6] = count  # the slot count, after magic, version, flags
+    return bytes(payload[: len(payload) - cut])
 
 
 def _malformed_unknown_name(originals):
     marker = object()
     ext = Externalizer("tests.nosuch", lambda obj: obj is marker, lambda obj: b"?", None)
-    return _delta_payload(Node("dirty", marker), len(originals), externalizers=(ext,))
+    return _delta_payload([Node("dirty", marker), Node("b")], externalizers=(ext,))
 
 
 def _malformed_truncated(originals):
-    table = {id(originals[1]): 1}
-    return _delta_payload(Node("dirty", originals[1]), len(originals), cut=1, oldrefs=table)
+    # Slot 1 is bound: the dirty node refers to the caller's original.
+    return _delta_payload([Node("dirty", originals[1]), originals[1]], cut=1)
 
 
 def _malformed_out_of_range(originals):
     stranger = Node("stranger")
-    return _delta_payload(Node("dirty", stranger), len(originals), oldrefs={id(stranger): 99})
+    slots = [Node("dirty", stranger)] + [Node(i) for i in range(1, 99)] + [stranger]
+    return _delta_payload(slots, defined=(0, 99), count=len(originals))
 
 
 def _malformed_adapter(originals):
     moment = datetime.date(2003, 5, 19)
     ext = Externalizer("std.date", lambda obj: obj is moment, lambda obj: b"\xff", None)
-    return _delta_payload(Node("dirty", moment), len(originals), externalizers=(ext,))
+    return _delta_payload([Node("dirty", moment), Node("b")], externalizers=(ext,))
 
 
 @pytest.mark.parametrize(

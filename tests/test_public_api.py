@@ -14,7 +14,6 @@ PUBLIC_MODULES = [
     "repro.core.copy_restore",
     "repro.core.local",
     "repro.core.markers",
-    "repro.core.matching",
     "repro.core.restore_protocol",
     "repro.core.semantics",
     "repro.core.verify",

@@ -1,22 +1,26 @@
-"""The restore engine against the graph-walking oracle, on real replies.
+"""The reply path against the graph-walking oracle, on real replies.
 
-``RestoreEngine`` restores from what the reply reader decoded; the oracle
-(``tests.restore_oracle``) walks the modified graph instead. For generated
-caller graphs and server mutation programs, one reply is built per case
-and restored twice — by the policy's own ``parse_response`` into one copy
-of the caller, and by the oracle into an identically built second copy.
-Both callers must end up with the same fingerprint and both restores must
-count the same work.
+A policy's ``parse_response`` decodes the reply into the caller's heap
+and applies it; the oracle (``tests.restore_oracle``) walks a modified
+graph instead — a copy of the server's own objects after the call, in
+which a slot the reply does not define (a clean ``delta`` slot, an
+unreachable ``dce`` one) is the caller's original. For generated caller
+graphs and server mutation programs, one reply is built per case and
+restored twice — by ``parse_response`` into one copy of the caller, and
+by the oracle into an identically built second copy. Both callers must
+end up with the same fingerprint and both restores must count the same
+work, on the modern profile with the optimized accessor and on the
+legacy profile with the portable one.
 
-The graphs mix plain, ``__slots__`` and transient-field classes, a
-``__nrmi_resolve__`` class and a ``__nrmi_replace__`` class, remote stubs,
-old objects as dict keys and set members, and tuples and frozensets of
-old objects nested in each other; calls may pass a by-copy argument ahead
-of the copy-restore root. Set and frozenset members are drawn from a pool
-of field-only ``Leaf`` objects: ``fingerprint`` orders set members by
-their own fingerprints, which never ends on a cycle back through the set.
-The policies are ``full``, ``delta`` (whose clean objects come back as
-``nrmi.oldref`` externals) and ``dce``.
+The graphs mix plain, ``__slots__`` and transient-field classes, a class
+whose hash follows its fields, a ``__nrmi_resolve__`` class and a
+``__nrmi_replace__`` class, remote stubs, old objects as dict keys and
+set members, and tuples and frozensets of old objects nested in each
+other; calls may pass a by-copy argument ahead of the copy-restore root.
+Set and frozenset members are drawn from a pool of field-only ``Leaf``
+objects: ``fingerprint`` orders set members by their own fingerprints,
+which never ends on a cycle back through the set. The policies are
+``full``, ``delta`` and ``dce``.
 
 A second group cuts real replies short and checks that the caller's heap
 is untouched.
@@ -31,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.copy_restore import RestoreEngine
 from repro.core.markers import Remote, Restorable, Serializable
+from repro.serde.digest import digest_slots
 from repro.core.restore_protocol import (
     ClientRestoreContext,
     ServerRestoreContext,
@@ -43,10 +48,11 @@ from repro.nrmi.invocation import PreparedCall, complete_call, compute_retained
 from repro.rmi.protocol import CAP_DELTA_SLOTS, CallRequest, encode_call
 from repro.rmi.remote_ref import RemoteDescriptor, RemoteStub, is_opaque_remote
 from repro.serde.accessors import OPTIMIZED_ACCESSOR, PORTABLE_ACCESSOR
+from repro.serde.profiles import LEGACY_PROFILE, MODERN_PROFILE
 from repro.serde.reader import ObjectReader
 from repro.serde.registry import Externalizer
+from repro.serde.walker import reachable
 from repro.serde.writer import ObjectWriter
-from repro.util.buffers import BufferReader
 
 from tests.model_helpers import Box, Node
 from tests.restore_oracle import OracleRestoreEngine
@@ -106,6 +112,21 @@ class Swapped(Restorable):
         return Node(("swapped", self.label))
 
 
+class Keyed(Restorable):
+    """Its hash and equality follow its ``data`` field, so a dict keyed by
+    one must be rehashed once the field is restored."""
+
+    def __init__(self, data=None, link=None):
+        self.data = data
+        self.link = link
+
+    def __hash__(self):
+        return hash(("keyed", repr(self.data)))
+
+    def __eq__(self, other):
+        return type(other) is Keyed and repr(other.data) == repr(self.data)
+
+
 class Leaf(Restorable):
     """An old object that sits in sets and frozensets; it links nowhere."""
 
@@ -135,7 +156,7 @@ EXTERNALIZERS = (_stub_externalizer(),)
 
 # ------------------------------------------------------------------ worlds
 
-KINDS = ("node", "slotted", "mixed", "cached", "swapped")
+KINDS = ("node", "slotted", "mixed", "cached", "swapped", "keyed")
 
 
 def build_world(recipe):
@@ -153,6 +174,8 @@ def build_world(recipe):
         elif kind == "cached":
             obj = Cached(position)
             obj.cache = ["caller-local", position]
+        elif kind == "keyed":
+            obj = Keyed(position)
         else:
             obj = Swapped(position)
         objects.append(obj)
@@ -234,21 +257,23 @@ def run_program(box, program):
     return result
 
 
-def encode_call_args(args):
+def encode_call_args(args, profile, accessor):
     """The client half of marshalling: request bytes and the originals."""
-    writer = ObjectWriter(externalizers=EXTERNALIZERS)
+    writer = ObjectWriter(profile=profile, externalizers=EXTERNALIZERS)
     for arg in args:
         writer.write_root(arg)
     roots = [
         arg for arg, mode in zip(args, resolve_modes(args))
         if mode is PassingMode.BY_COPY_RESTORE
     ]
-    return writer.getvalue(), compute_retained(writer.linear_map, roots, OPTIMIZED_ACCESSOR)
+    return writer.getvalue(), compute_retained(writer.linear_map, roots, accessor)
 
 
-def serve(policy_name, request, arg_count, program):
-    """The server half: decode, run the program, build the reply."""
-    reader = ObjectReader(request, externalizers=EXTERNALIZERS)
+def serve(policy_name, request, arg_count, program, profile, accessor):
+    """The server half: decode, run the program, build the reply. Also
+    returns the oracle's view of the call: the server's result, its
+    retained copies and the slots the reply should define."""
+    reader = ObjectReader(request, profile=profile, externalizers=EXTERNALIZERS)
     args = [reader.read_root() for _ in range(arg_count)]
     reader.expect_end()
     roots = [
@@ -256,46 +281,47 @@ def serve(policy_name, request, arg_count, program):
         if mode is PassingMode.BY_COPY_RESTORE
     ]
     policy = policy_by_name("delta-slots" if policy_name == "delta" else policy_name)
+    retained = compute_retained(reader.linear_map, roots, accessor)
     context = ServerRestoreContext(
-        retained=compute_retained(reader.linear_map, roots, OPTIMIZED_ACCESSOR),
+        retained=retained,
         restore_roots=roots,
+        profile=profile,
+        accessor=accessor,
         externalizers=EXTERNALIZERS,
         stop=is_opaque_remote,
     )
     snapshot = policy.snapshot(context)
     result = run_program(args[-1], program)
-    return policy.build_response(result, context, snapshot)
-
-
-def oracle_parse(policy_name, reply, originals, accessor):
-    """What ``parse_response`` does, with the oracle as the restore step."""
-    oracle = OracleRestoreEngine(accessor=accessor, opaque=is_opaque_remote)
+    reply = policy.build_response(result, context, snapshot)
+    # The slots each policy restores, worked out here on its own terms.
     if policy_name == "delta":
-        header = BufferReader(reply)
-        assert header.read_uvarint() == len(originals)
-        indices, previous = [], -1
-        for _ in range(header.read_uvarint()):
-            previous += 1 + header.read_uvarint()
-            indices.append(previous)
-        skip = []
+        defined = snapshot.dirty_indices(digest_slots(retained, accessor))
+    elif policy_name == "dce":
+        live = {id(obj) for obj in reachable(roots, accessor, mutable_only=True,
+                                             stop=is_opaque_remote)}
+        defined = [index for index, obj in enumerate(retained) if id(obj) in live]
+    else:
+        defined = list(range(len(retained)))
+    return reply, (result, retained, defined)
 
-        def resolve(raw):
-            obj = originals[BufferReader(raw).read_uvarint()]
-            skip.append(obj)
-            return obj
 
-        oldref = Externalizer("nrmi.oldref", lambda obj: False, lambda obj: b"", resolve)
-        reader = ObjectReader(
-            header.read_view(header.remaining), externalizers=(oldref,) + EXTERNALIZERS
-        )
-        result, dirty = reader.read_root(), reader.read_root()
-        return oracle.restore([originals[i] for i in indices], dirty, result, skip)
-    reader = ObjectReader(reply, externalizers=EXTERNALIZERS)
-    result = reader.read_root()
-    if policy_name == "dce":
-        kept = reader.read_root()
-        return oracle.restore([originals[i] for i in kept], reader.read_root(), result)
-    return oracle.restore(originals, reader.read_root(), result)
+def oracle_parse(server_view, originals, accessor):
+    """The oracle's restore of the call *server_view* describes: the
+    modified graph is the server's own objects, in which every slot the
+    reply does not define stands for the caller's original and is not
+    walked. The server's graph is walked as it is, not copied: a copy
+    re-inserts dict entries and so merges two entries whose key's hash
+    changed between their insertions, which the reply still carries."""
+    result, retained, defined = server_view
+    defined_set = set(defined)
+    undefined = [index for index in range(len(retained)) if index not in defined_set]
+    oracle = OracleRestoreEngine(accessor=accessor, opaque=is_opaque_remote)
+    return oracle.restore(
+        [originals[index] for index in defined + undefined],
+        [retained[index] for index in defined + undefined],
+        result,
+        [retained[index] for index in undefined],
+    )
 
 
 # ------------------------------------------------------------------ strategies
@@ -324,26 +350,30 @@ programs = st.lists(
 )
 
 
-@pytest.mark.parametrize("accessor", [OPTIMIZED_ACCESSOR, PORTABLE_ACCESSOR],
-                         ids=["optimized", "portable"])
+@pytest.mark.parametrize(
+    "profile, accessor",
+    [(MODERN_PROFILE, OPTIMIZED_ACCESSOR), (LEGACY_PROFILE, PORTABLE_ACCESSOR)],
+    ids=["optimized", "portable"],
+)
 @settings(max_examples=60, deadline=None)
 @given(recipe=recipes, program=programs, policy_name=st.sampled_from(["full", "delta", "dce"]))
-def test_engine_matches_the_graph_walk(accessor, recipe, program, policy_name):
+def test_engine_matches_the_graph_walk(profile, accessor, recipe, program, policy_name):
     args, held_a = build_world(recipe)
-    request, originals_a = encode_call_args(args)
+    request, originals_a = encode_call_args(args, profile, accessor)
     # The oracle's caller is a copy taken before the call, its originals
-    # the copies of the engine caller's, position by position.
+    # the copies of the reply caller's, position by position.
     held_b, originals_b = copy.deepcopy((held_a, originals_a))
-    reply = serve(policy_name, request, len(args), program)
+    reply, server_view = serve(policy_name, request, len(args), program, profile, accessor)
 
     policy = policy_by_name("delta-slots" if policy_name == "delta" else policy_name)
     context = ClientRestoreContext(
         originals=originals_a,
-        engine=RestoreEngine(accessor=accessor, opaque=is_opaque_remote),
+        profile=profile,
+        engine=RestoreEngine(accessor=accessor),
         externalizers=EXTERNALIZERS,
     )
     result_a, stats_a = policy.parse_response(reply, context)
-    result_b, stats_b = oracle_parse(policy_name, reply, originals_b, accessor)
+    result_b, stats_b = oracle_parse(server_view, originals_b, accessor)
 
     assert repr(stats_a) == repr(stats_b)
     assert fingerprint(held_a + [result_a], opaque=is_opaque_remote) == fingerprint(

@@ -7,11 +7,12 @@ implementation the policies used to carry a private copy of.
 
 import pytest
 
-from repro.core.restore_protocol import _decode_index, _encode_index
 from repro.errors import RestoreError
 from repro.serde.accessors import OPTIMIZED_ACCESSOR
 from repro.serde.digest import same_value as _values_equal
 from repro.serde.digest import state_capture, state_clean
+from repro.serde.reader import ObjectReader
+from repro.serde.writer import ObjectWriter
 
 from tests.model_helpers import Box, Node
 
@@ -138,12 +139,34 @@ class TestStateChanged:
 
 
 class TestIndexCoding:
+    """A definition's slot index travels as a uvarint after its tag."""
+
+    @staticmethod
+    def _stream(index):
+        # Only the defined slot needs to be a real object: the others are
+        # bound, never written, and never looked at by the reader.
+        slots = [None] * (index + 1)
+        slots[index] = Box(index)
+        writer = ObjectWriter(slots=slots, defined=[index])
+        writer.write_root(None)
+        writer.write_slots()
+        return writer.getvalue(), [None] * index + [Box("caller")]
+
     @pytest.mark.parametrize("index", [0, 1, 127, 128, 2**20])
     def test_roundtrip(self, index):
-        assert _decode_index(_encode_index(index)) == index
+        payload, originals = self._stream(index)
+        reader = ObjectReader(payload, originals=originals)
+        reader.read_root()
+        reader.read_definitions()
+        [(original, scratch)] = reader.pending
+        assert original is originals[index]
+        assert scratch.payload == index
 
     def test_trailing_bytes_rejected(self):
         from repro.errors import WireFormatError
 
+        payload, originals = self._stream(1)
+        reader = ObjectReader(payload + b"\x00", originals=originals)
+        reader.read_root()
         with pytest.raises(WireFormatError):
-            _decode_index(_encode_index(1) + b"\x00")
+            reader.read_definitions()

@@ -6,7 +6,7 @@ from repro.errors import WireFormatError
 from repro.serde.dump import dump_stream
 from repro.serde.reader import ObjectReader
 from repro.serde.schema import SchemaRxCache, SchemaTxCache
-from repro.serde.tags import Tag, WIRE_MAGIC, WIRE_VERSION
+from repro.serde.tags import STREAM_FLAG_SLOTS, Tag, WIRE_MAGIC, WIRE_VERSION
 from repro.serde.writer import ObjectWriter
 from repro.serde.profiles import LEGACY_PROFILE
 
@@ -162,3 +162,61 @@ class TestLayoutsAndSchemaKeys:
     def test_other_wire_versions_are_refused(self):
         with pytest.raises(WireFormatError, match="unsupported wire version 1"):
             dump_stream(WIRE_MAGIC + bytes([1, 0, Tag.NONE]))
+
+    def test_wire_version_2_is_refused(self):
+        with pytest.raises(WireFormatError, match="unsupported wire version 2"):
+            dump_stream(WIRE_MAGIC + bytes([2, 0, Tag.NONE]))
+
+
+def slot_stream(slots, defined=None, result=None):
+    writer = ObjectWriter(slots=slots, defined=defined)
+    writer.write_root(result)
+    writer.write_slots()
+    return writer.getvalue()
+
+
+class TestSlotStreams:
+    """Version-3 replies: slot definitions and references to slots."""
+
+    def test_definitions_and_slot_references(self):
+        first, second = Node(1), Node(2)
+        first.next = second
+        out = dump_stream(slot_stream([first, second, [first]], defined=[0, 2]))
+        lines = out.splitlines()
+        assert lines[0].endswith("slots=3 defines=2")
+        assert "object [slot 0] " in out and "Node" in out
+        assert "ref -> [slot 1]" in out  # bound, not defined
+        assert "list [slot 2] (1 items)" in out
+        assert "ref -> [slot 0]" in out
+
+    def test_new_objects_number_from_the_slot_count(self):
+        old = Node(1)
+        old.next = Node("new")
+        out = dump_stream(slot_stream([old]))
+        assert "object #1 " in out  # handles 0 … n-1 are the slots
+
+    @pytest.mark.parametrize("cut", range(1, 6))
+    def test_truncated_definition(self, cut):
+        stream = slot_stream([Node(1), {"k": 2}])
+        with pytest.raises(WireFormatError, match="truncated"):
+            dump_stream(stream[:-cut])
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (bytes([Tag.OLD_OBJECT, 2]), "slot 2 past the stream's 2 slots"),
+            (bytes([Tag.OLD_CONTAINER, 9, Tag.LIST, 0]), "slot 9 past"),
+            (bytes([Tag.OLD_CONTAINER, 0, Tag.LIST, 0,
+                    Tag.OLD_CONTAINER, 0, Tag.LIST, 0]), "slot 0 defined twice"),
+            (bytes([Tag.OLD_CONTAINER, 1, Tag.TUPLE, 0]), r"\[slot 1\] defines a tuple"),
+        ],
+        ids=["object-past-count", "container-past-count", "twice", "tuple"],
+    )
+    def test_bad_slots_raise_wire_format_error(self, body, message):
+        header = WIRE_MAGIC + bytes([WIRE_VERSION, STREAM_FLAG_SLOTS, 2, 1])
+        with pytest.raises(WireFormatError, match=message):
+            dump_stream(header + body)
+
+    def test_definition_outside_a_slot_stream(self):
+        with pytest.raises(WireFormatError, match="slot 0 past the stream's 0 slots"):
+            dump_stream(WIRE_MAGIC + bytes([WIRE_VERSION, 0, Tag.OLD_OBJECT, 0]))

@@ -137,6 +137,21 @@ class TestRingPrimitives:
         assert read_all(rx) == b"bc"
         assert rx.pending_bytes() == 0
 
+    def test_pending_bytes_rejects_a_tail_past_capacity(self):
+        """A tail further ahead of the head than the ring holds is a torn
+        read, like a tail behind the head: ``OSError(EIO)``, not a size
+        to allocate a read buffer by."""
+        tx, rx = make_ring(256)
+        tx.try_write(b"abc")
+        assert read_all(rx) == b"abc"
+        (head,) = struct.unpack_from("<Q", rx._ctrl, 64)
+        struct.pack_into("<Q", rx._ctrl, 0, head + rx.capacity + 1)
+        with pytest.raises(OSError) as info:
+            rx.pending_bytes()
+        assert info.value.errno == errno.EIO
+        struct.pack_into("<Q", rx._ctrl, 0, head + rx.capacity)
+        assert rx.pending_bytes() == rx.capacity
+
     def test_waiting_flags_cross_sides(self):
         tx, rx = make_ring(256)
         assert not tx.peer_waiting and not rx.peer_waiting
@@ -245,6 +260,16 @@ def plant_tail_behind_head(duplex) -> None:
     (head,) = struct.unpack_from("<Q", ctrl, 64)
     assert head >= 8
     struct.pack_into("<Q", ctrl, 0, head - 8)
+
+
+def plant_tail_past_capacity(duplex) -> None:
+    """Write a tail one byte further ahead of the head than the ring
+    holds into *duplex*'s tx control block: a torn read in the other
+    direction, small enough that a reader sizing a buffer by it
+    allocates no more than one ring's worth."""
+    ctrl = duplex._tx._ctrl
+    (head,) = struct.unpack_from("<Q", ctrl, 64)
+    struct.pack_into("<Q", ctrl, 0, head + duplex._tx.capacity + 1)
 
 
 def echo_handler(request: bytes) -> bytes:
@@ -417,6 +442,29 @@ class TestShmTransport:
                 assert server.live_connections == 2
                 duplex = corrupt._sock
                 plant_tail_behind_head(duplex)
+                duplex._ring_peer()
+                deadline = time.monotonic() + 5.0
+                while server.live_connections > 1:
+                    assert time.monotonic() < deadline, "connection not closed"
+                    time.sleep(0.01)
+                assert healthy.request(b"after") == b"echo:after"
+            finally:
+                corrupt.close()
+                healthy.close()
+
+    def test_tail_past_capacity_closes_only_its_connection(self):
+        """A tail further ahead of the head than the ring's capacity is a
+        torn read too: it closes that connection, and the loop owner
+        keeps serving the other one."""
+        with ShmServer(echo_handler) as server:
+            healthy = ShmChannel(server.name, timeout=5.0)
+            corrupt = PipelinedShmChannel(server.name, timeout=5.0)
+            try:
+                assert healthy.request(b"a") == b"echo:a"
+                assert corrupt.request(b"b") == b"echo:b"
+                assert server.live_connections == 2
+                duplex = corrupt._sock
+                plant_tail_past_capacity(duplex)
                 duplex._ring_peer()
                 deadline = time.monotonic() + 5.0
                 while server.live_connections > 1:

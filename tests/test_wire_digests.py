@@ -13,11 +13,18 @@ there a modern caller makes two calls over one schema cache pair and the
 second call is pinned, so the request's layout definitions hold schema
 references rather than class names.
 
-The table below pins a SHA-256 of both bodies per case. A change that
-moves any byte of either fails here; a change of the wire format on
-purpose regenerates the table with ``python -m tests.test_wire_digests``
-and says so. The caller"s restored state is checked against a local call
-as well, so a table regenerated over a broken encoder cannot pass.
+A third table pins the shapes trees never reach, on both profiles and
+all three policies: a by-copy argument ahead of the copy-restore root, a
+retained list, dict and set, dict keys and set members whose hash
+follows their fields (and changes in the call), a transient field and a
+``__slots__`` class (``shapes_world``). Its sets hold only int-hashed
+members, so their order, and the bytes, do not depend on the process.
+
+The tables pin a SHA-256 of both bodies per case. A change that moves
+any byte of either fails here; a change of the wire format on purpose
+regenerates the tables with ``python -m tests.test_wire_digests`` and
+says so. The caller"s restored state is checked against a local call as
+well, so a table regenerated over a broken encoder cannot pass.
 """
 
 from __future__ import annotations
@@ -30,12 +37,14 @@ import pytest
 from repro.bench.mutators import TreeService
 from repro.bench.trees import generate_workload
 from repro.core.copy_restore import RestoreEngine
+from repro.core.markers import Restorable, Serializable
 from repro.core.restore_protocol import (
     ClientRestoreContext,
     ServerRestoreContext,
     policy_by_name,
 )
 from repro.core.semantics import PassingMode, resolve_modes
+from repro.core.verify import fingerprint
 from repro.nrmi.invocation import compute_retained, compute_retained_indexed
 from repro.rmi.remote_ref import is_opaque_remote
 from repro.serde.accessors import accessor_by_name
@@ -48,36 +57,27 @@ from repro.serde.schema import (
     SchemaTxCache,
 )
 from repro.serde.writer import ObjectWriter
+from repro.util.rng import DeterministicRandom
 
 SCENARIO = "III"
 NODES = 64
 SPARSE_FRACTION = 0.05
 SEEDS = range(12)
+SHAPE_SEEDS = range(3)
 POLICIES = ("full", "delta", "dce")
 #: Profile → the implementation (accessor) an endpoint pairs it with.
 PROFILES = {"modern": "optimized", "legacy": "portable"}
 
 
-def call_bodies(
-    seed: int, policy_name: str, profile_name: str, schema: Optional[tuple] = None
-) -> Tuple[bytes, bytes]:
-    """One call"s (request body, reply body); asserts the caller ends up
-    where a local call leaves it. *schema* is a connection"s
-    ``(SchemaTxCache, SchemaRxCache)`` pair; the definitions the request
-    carried count as confirmed once the server has decoded it."""
+def _call(args, run, policy_name, profile_name, schema=None):
+    """One call of *run* on *args*, taken apart as the server runs it:
+    ``(request body, reply body, the caller's result)``. *schema* is a
+    connection's ``(SchemaTxCache, SchemaRxCache)`` pair; the definitions
+    the request carried count as confirmed once the server decoded it."""
     schema_tx, schema_rx = schema or (None, None)
     profile = profile_by_name(profile_name)
     accessor = accessor_by_name(PROFILES[profile_name])
     delta = policy_name == "delta"
-
-    def arguments(tree):
-        if delta:
-            return (tree.root, seed, SPARSE_FRACTION)
-        return (SCENARIO, tree.root, seed)
-
-    method = "mutate_sparse" if delta else "mutate"
-    tree = generate_workload(SCENARIO, NODES, seed)
-    args = arguments(tree)
     modes = resolve_modes(args)
 
     writer = ObjectWriter(profile=profile, schema_tx=schema_tx)
@@ -106,17 +106,132 @@ def call_bodies(
         predigested=reader.digest_table(indices) if delta else None,
     )
     snapshot = policy.snapshot(context)
-    result = getattr(TreeService(), method)(*server_args)
+    result = run(*server_args)
     reply = policy.build_response(result, context, snapshot)
 
     client = ClientRestoreContext(
-        originals=originals, profile=profile,
-        engine=RestoreEngine(accessor=accessor, opaque=is_opaque_remote),
+        originals=originals, profile=profile, engine=RestoreEngine(accessor=accessor),
     )
     restored, _stats = policy.parse_response(reply, client)
+    return request, reply, restored
+
+
+def call_bodies(
+    seed: int, policy_name: str, profile_name: str, schema: Optional[tuple] = None
+) -> Tuple[bytes, bytes]:
+    """One tree call"s (request body, reply body); asserts the caller ends
+    up where a local call leaves it."""
+    delta = policy_name == "delta"
+
+    def arguments(tree):
+        if delta:
+            return (tree.root, seed, SPARSE_FRACTION)
+        return (SCENARIO, tree.root, seed)
+
+    method = "mutate_sparse" if delta else "mutate"
+    tree = generate_workload(SCENARIO, NODES, seed)
+    request, reply, restored = _call(
+        arguments(tree), getattr(TreeService(), method), policy_name, profile_name, schema
+    )
     local = generate_workload(SCENARIO, NODES, seed)
     expected = getattr(TreeService(), method)(*arguments(local))
     assert (restored, tree.visible_data()) == (expected, local.visible_data())
+    return request, reply
+
+
+# ------------------------------------------------------------------ shapes
+
+
+class Keyed(Restorable):
+    """Hash and equality follow ``rank``, an int (so a set of these has
+    one order in every process)."""
+
+    def __init__(self, rank: int) -> None:
+        self.rank = rank
+
+    def __hash__(self) -> int:
+        return hash(self.rank)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Keyed and other.rank == self.rank
+
+
+class Held(Restorable):
+    """``cache`` never travels; the caller's value survives the call."""
+
+    __nrmi_transient__ = ("cache",)
+
+    def __init__(self, data: int) -> None:
+        self.data = data
+        self.cache = None
+
+
+class Slotted(Restorable):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: int, y: int) -> None:
+        self.x = x
+        self.y = y
+
+
+class Item(Restorable):
+    def __init__(self, data) -> None:
+        self.data = data
+
+
+class Carrier(Serializable):
+    """The by-copy argument: it shares objects with the copy-restore root."""
+
+    def __init__(self, first, second) -> None:
+        self.first = first
+        self.second = second
+
+
+def shapes_world(seed: int):
+    """``(args, held)``: the call's arguments — a by-copy ``Carrier`` ahead
+    of the copy-restore root — and what the caller keeps a reference to."""
+    rng = DeterministicRandom(seed)
+    keys = [Keyed(rank) for rank in range(4)]
+    items = [Item(rng.randint(0, 99)) for _ in range(5)]
+    root = Item("root")
+    root.items = list(items)
+    root.table = {key: items[index] for index, key in enumerate(keys)}
+    root.ranks = {keys[0], keys[1], 7, 8}
+    root.held = Held(seed)
+    root.held.cache = ["caller-local", seed]
+    root.point = Slotted(seed, -seed)
+    args = (Carrier(items[0], keys[0]), root)
+    return args, [args, keys, items]
+
+
+def shapes_program(carrier, root):
+    """Change a key's hash while it sits in the dict and the set, grow the
+    list, dict and set, and touch the transient holder and the slots."""
+    key = carrier.second
+    key.rank += 10
+    root.items.append(Item("new"))
+    root.items[1].data = "changed"
+    root.table[Keyed(100)] = root.items[-1]
+    root.ranks.discard(7)
+    root.ranks.add(Keyed(50))
+    root.held.data += 1
+    root.point.x += 1
+    return root.items[1]
+
+
+def shapes_call_bodies(seed: int, policy_name: str, profile_name: str) -> Tuple[bytes, bytes]:
+    """One shapes call"s (request body, reply body); asserts the caller
+    ends up where a local call leaves it."""
+    args, held = shapes_world(seed)
+    request, reply, restored = _call(args, shapes_program, policy_name, profile_name)
+    local_args, local_held = shapes_world(seed)
+    expected = shapes_program(*local_args)
+    assert fingerprint([restored, held]) == fingerprint([expected, local_held])
+    root = args[1]
+    assert root.held.cache == ["caller-local", seed]
+    for key in root.table:  # rehashed: every key is found under its hash
+        assert root.table[key] is not None
+    assert all(key in root.ranks for key in list(root.ranks))
     return request, reply
 
 
@@ -143,6 +258,15 @@ def _table() -> Dict[Tuple[str, str, int], Tuple[str, str]]:
     }
 
 
+def _shapes_table() -> Dict[Tuple[str, str, int], Tuple[str, str]]:
+    return {
+        (profile, policy, seed): tuple(map(_sha, shapes_call_bodies(seed, policy, profile)))
+        for profile in PROFILES
+        for policy in POLICIES
+        for seed in SHAPE_SEEDS
+    }
+
+
 def _schema_table() -> Dict[Tuple[str, int], Tuple[str, str]]:
     return {
         (policy, seed): tuple(map(_sha, schema_call_bodies(seed, policy)))
@@ -154,440 +278,517 @@ def _schema_table() -> Dict[Tuple[str, int], Tuple[str, str]]:
 #: (profile, policy, seed) → (sha256 of the request body, of the reply body).
 DIGESTS: Dict[Tuple[str, str, int], Tuple[str, str]] = {
     ("modern", "full", 0): (
-        "30c607488dc2b8aca872a9d349de2231373d954aeab9bbc1794bdd19fc62d05a",
-        "011fb51a94145fa761db1de20e30ed4c4d17bac8363a8074cf95d62d5fe0823a",
+        "6df8e9e0b9a063256169d3295bda1033a59847eb054740f43430a156cf4bc09f",
+        "e1906f2c37739af13ceaa269648f4597b8ba7c72a45415c13b983abaa3b360a8",
     ),
     ("modern", "full", 1): (
-        "5878670dfe3f6798da7b071c516ff1f32a5058f4a575d28db5c08c2878dd2c53",
-        "85de948eac52d0a18c85edd8019c50ce8ec036ff0b75cbdd1162eaa59cbbce04",
+        "05f9f4d5f19bf157b54b7c2d159aba5064d622b7f4026b78662adfe1e2b5c11b",
+        "a09056067effa7fe5996d3140b53508a4f5538b4687d2bf13cd4f0459564e92c",
     ),
     ("modern", "full", 2): (
-        "d395c55a341853d8737e5d8531305b9edb0536b2d34b57b638338454418635cd",
-        "86988c322db91c9e50685ef86b36c1a2fba64be61b0ec4c68fcc4855acedac0c",
+        "20ea33f71825561ff3c3c6660dd7530c164db8d1fc49d8c6fb33179360c21e3b",
+        "7b05210c7850087e4ebc432344857dbade581c0c1bb80d6b32056c72f8f3b363",
     ),
     ("modern", "full", 3): (
-        "e5049158aa000370bdb5ca80796a86cf5d50b43fed2f2a98e8ec04325f2beb1f",
-        "05176b9fcdee811d34f63f4f823c8e4548e756d7e18db509ebbb65cdcb2aca4a",
+        "f772dd0db21f6f4234dd2437e4b3b5721c64d3fca38bacd6e3c1baffe010c7fd",
+        "6d9ecd6e1290e7ac72a65763a29c5d6eb60ffd76097ff00daa1c058aa2725919",
     ),
     ("modern", "full", 4): (
-        "b7d464b24722abe56ae77950bd75c6681378ddccaa8df855582fbbcb28e0c68c",
-        "e018952f44cf706b82e6ed862c71c55e03f5ff9dd28d94558c6e0e1ca9551d1e",
+        "742a71f00f37df8b292d822f8777cef63335a2c6ee5f7d695afc5f8e66516784",
+        "34fec91f6c90534040dc538ed758d6a32edf249383ad2527509f4555cf719bcd",
     ),
     ("modern", "full", 5): (
-        "41aac67c26fcbbae95f1256506310b3a862b7ea296a2fdd11b4464a844dfa24c",
-        "19feba37c5ac3b8a70c3086307eab15f159a5eee4bd403c023ed1bf4c627da3a",
+        "3bc4fee745a66cad9e431abdb7a76c9fcef266da5b60b66ebc7e919f66ad82e2",
+        "ef4338838c4bd6c6a7b878250ceffd2f042524db6a72a843a9cb0034bcb88c79",
     ),
     ("modern", "full", 6): (
-        "62041d7b0021e8b1e419607d56f9eec89da3958098c37e784a70103ff791cae1",
-        "9d601dd877941db69a8fbfa02b64b5477c6c0cb59f387a20d70f91094bdd8ed7",
+        "4485825a64b00ef02969b885d8c4d8fe54fbb863520bd8d22d63addc4ab02588",
+        "9bce0000d32312cc3ad5e54058590101b625d5aa013dc6827772297b4da771d8",
     ),
     ("modern", "full", 7): (
-        "232c35ed8d1485c874bc400a891ef0a9f301eac62df0045f85d36ee7e5b1360b",
-        "72c30be89ad9ae17c444f547aace1a727118acba79bfd0f958e5d4579fbcac83",
+        "8ae77077d178f5516ea283e91288d7686c0a8b8d3fbd396a5d6845608db378a4",
+        "7c6120b8365ec7d96d69ba033fecfbf6d9fc3721caa21d3abe312eb14b4ffdbc",
     ),
     ("modern", "full", 8): (
-        "898dbca83172e3a9919a91d79292487bfbf082353f8493e19ce6d9c6da4931e5",
-        "cdb5fe9d43f84a37afd0ef4e9d4f559d59b49d385175952475a010af3d6c28cf",
+        "b8d2530b182c1beb989dd524e29dfe5ef161bfe6396d785e68d41c7843c4ae22",
+        "eb6746ff6a18d104e0e6ffe939db46106161ef6df73ae459121b6e73061938ec",
     ),
     ("modern", "full", 9): (
-        "508fc2691ee705f1f50018bdb2961d14687b2d902246e2486abbfb029f3fc354",
-        "d4f3036cab35589238323b4f6b49b4d9938711b73c39161bbd776a1d8b14ab9b",
+        "a897aa46182ad2e0875e0b91425a74cb013e2a45c7f5cc33e1d6af3c2904c8d1",
+        "0f15b2ed9f0bb8a5a10d7a425828446d701c218d73453c4ccc2be22ae12e1dd3",
     ),
     ("modern", "full", 10): (
-        "09294f4b060587624006303727705a700cf366558e263eeda97ddd5f392cf241",
-        "1503fcc85bcea8548ff89237b8c40bdde6fea09391e65b87ee6c6962bfb61f2d",
+        "6c7d8ac6d3587b9d4e19a6bac14a557988a52885adbe0ce3c61d8cfd466d3e61",
+        "11a746b66cc40f93be12c72cec24d3d10770afc7171f93270bf370d0f0d71941",
     ),
     ("modern", "full", 11): (
-        "a2735f85e0966cde4195075d051b516d2d24740fba5b38239e9e90dbee6854c8",
-        "fecb9569fda23fe05563dedf653a238596ae75be21230d95116acf8b98e58f71",
+        "1992badea57e1c6728c42f021c5fc22b2ed87fa7b75c28b9225f3917681bb9de",
+        "32155bda02e59ca2e33584b1c73bec2c71437237b13d3b9191e7190e33a95b56",
     ),
     ("modern", "delta", 0): (
-        "ab9ddfd6f34aded84b9142b28dec44aabd20a801e5892260bffd856bc92b9100",
-        "c6d15eff913511ce90b1f429d4149ee50c163dd40e46e04a8ea9700fbd2e5417",
+        "057f84ca418b11821c68c3e704c482b059744138b416a0eff2693d442d94a65f",
+        "a52efc4f7e223210cb07720358419293bba03d18b29a3421b5840f709772aec5",
     ),
     ("modern", "delta", 1): (
-        "0519dc4910b2e7bd6fc59c1c1c7ea27927169c0a51a622450104b3f504bc4162",
-        "eb4360eb9635daae176ed60ac922e9937e4e76bde88cb716130f84515c11005b",
+        "9ba3a6b9963f19c96e8671b0dcd22cadc2887d319325adfc88aa6e7a20277a33",
+        "e08def9ae357bad070ab64e50a58bf298e2b7a3febb40e014d77d3bdfcfbdac3",
     ),
     ("modern", "delta", 2): (
-        "9f2230e30ffd7755a55b03a4008332b2d8e061e1b2228df43052fba500c580b0",
-        "374ec587dbb8b4221106fd401d70fdf64404a4ca08c39e99c2a20eb844741731",
+        "f11a9e0ee143ae3623bf37118169cce62f67afc7780b2c40e9522352f675444a",
+        "e1ef8a31b79bb4126ff4c3f592fa56797cd722d11c13b67e9457c9bbf625d6fd",
     ),
     ("modern", "delta", 3): (
-        "a9c17de79d6f61edf4d9d2128504a3bf9482522fe1d9bb4a3436f96debfc26ab",
-        "5eef997b10f39ff183feda79cd21fc722362883361ffbeccd72f40b12fd23411",
+        "dc702a3535410d3325ff19704a57ccd9c22e492857258fc110fda41ef209b82a",
+        "c3cec5d4f222d24c85632a908bae77a8e7b4044fa83d8ba9defb01a849b35d52",
     ),
     ("modern", "delta", 4): (
-        "e7c1cedc3bdbee949193d171f7aadc24118a8eeb75bbda1edb92b44a9f6a695f",
-        "44811793259dc08953954095107ffd0db863e791bc66021b38a6e14c2d89b9d4",
+        "20cd26fbdb7020faba603d68ec0a8f5ca1b2eaac8398bf720af37a8ceb70dcbe",
+        "2f89c30e512058a1faecd3c54a91893a603567cd8e42361c6e1a52e5e334ca7a",
     ),
     ("modern", "delta", 5): (
-        "79569c670c450b10f691c563c77c25469dab71480adeea3735edceb0df4ed940",
-        "34067a688645fab900dab7cdf1188d08ccd36ea4ed3516b173d46782d846929d",
+        "f46fb77791f3b458741e0939519828bdb4a535732ca3de94db0fc3e9f8f85108",
+        "93b74e042c455e503ad55a49d416bcb3af0b2550b2fef71f360b8ead66389dfb",
     ),
     ("modern", "delta", 6): (
-        "84a13835e64b18eaf3f3bc4a99c694d111d4d019ca01ef18c8d6a3c1744e8c23",
-        "8aad351ab3d53e8706d0fcd94fd4e965a7a28b4c8a784752fd69df25c6b79367",
+        "3b62884637c64cb3fb95b1e836838bd963ac53bbcf5320eac828ef624a7b49fc",
+        "515835a3627814d80113fa93d3c158127bc45c49eec98484e1730b104a225c77",
     ),
     ("modern", "delta", 7): (
-        "0fb69405670309e33baf2bff0657072c73206556178f22273447c9dbddcdb3d1",
-        "a321e1c1abead540b7a343cb91738a82440e8ca7071d2adb908010d92bb58539",
+        "6125e0c128243156a51c75d59abb5fda15322cb8a06efbb8ffd7d7cac74104f8",
+        "20971bb20d6cca5d16a625c42662c9631eb6ca787d8402213af412c63e6f4362",
     ),
     ("modern", "delta", 8): (
-        "a87c14edb7ae3cd0a85192fc1dc902b41fd060427fc5c5d0ff0374df75c41886",
-        "2caf593d807c7ea4db84da1cc6f368b729087b5b1a26381e6bca003e94113cba",
+        "84aa240e58b0d146445c9f3551ce546ce895c4a00f7537f7d19d0bd536c7f7aa",
+        "aa19dcce17d6bc07735abbda47c8b26862808c43c1f7b5dacd381c4d7355b762",
     ),
     ("modern", "delta", 9): (
-        "7115205b5bb54e3edfe67ae4b8eeda932cf98265bf616f97caad1221cd64c06f",
-        "e65e2c5727bd2e7a38c61281b0dfb8c39b8c81b763430d0caba17f98e8bd481f",
+        "cb0c2d2a41b5ca61b50c17426740e5a55a5e740bd5cb5fcc10e76ed6426771b7",
+        "4ab6fc6a7ed7cb79b09630cdfb088756dd83c4a1f31ac3c5576f71956745996e",
     ),
     ("modern", "delta", 10): (
-        "b085eb49c1ebe2464e7e63c4ae2f55d5cac2210320e50754436353e785ceb553",
-        "f34c38774149d0d9c84543cf3c5f880fcedee6151e97850883027ece65e0be6b",
+        "cb81206a92ab57005cb1151c6201f253c51fa23b82d4238ebedde2cb5fd31a4d",
+        "726bfccb6848162e531ba314c162051d23ac9d790922256255e1769bbf9a87e5",
     ),
     ("modern", "delta", 11): (
-        "ad95d8aa3226d18aab0e5ea7f3eb006cc8bc5fefc80bd6b48d2e22b0168dd4e7",
-        "e754aca7644ed704a7bf96987b8a03a5036a6dea546327c48f5cd4b9a5f16994",
+        "8a37626d5315b8323ba202f5028c0d61e1747fbe207061819c12e61aa29434d4",
+        "0a113cf3c8089352fb56e1a0d7f8fc3cd31724ec9627718ca82608813bebdd7b",
     ),
     ("modern", "dce", 0): (
-        "30c607488dc2b8aca872a9d349de2231373d954aeab9bbc1794bdd19fc62d05a",
-        "34faaa1f0aa6901797f29d7520bd42c98fa0a88a941eb143578cbf6f706b8a93",
+        "6df8e9e0b9a063256169d3295bda1033a59847eb054740f43430a156cf4bc09f",
+        "e1906f2c37739af13ceaa269648f4597b8ba7c72a45415c13b983abaa3b360a8",
     ),
     ("modern", "dce", 1): (
-        "5878670dfe3f6798da7b071c516ff1f32a5058f4a575d28db5c08c2878dd2c53",
-        "07cd65594253b89a4eaf564742e921914a769ef26367034816272d8ea7a04bef",
+        "05f9f4d5f19bf157b54b7c2d159aba5064d622b7f4026b78662adfe1e2b5c11b",
+        "e9b7f1e98d6a0c8417c123aca79f965cf9e35b78bdc766f1a953268d519ed741",
     ),
     ("modern", "dce", 2): (
-        "d395c55a341853d8737e5d8531305b9edb0536b2d34b57b638338454418635cd",
-        "2262877a01ff50cd1ec387cced4eb379f777d19b9da3afa1bed7c856e0232882",
+        "20ea33f71825561ff3c3c6660dd7530c164db8d1fc49d8c6fb33179360c21e3b",
+        "395180bc9c32410eaf7ca50d40e551fb82f89601811847672782172c80301268",
     ),
     ("modern", "dce", 3): (
-        "e5049158aa000370bdb5ca80796a86cf5d50b43fed2f2a98e8ec04325f2beb1f",
-        "c2a05054d8fec5527e6223606dc25808fd1159eab7ac88135a81c6a4aca55fa5",
+        "f772dd0db21f6f4234dd2437e4b3b5721c64d3fca38bacd6e3c1baffe010c7fd",
+        "ad180583cc8cb90e404885466b824e2eac50977838167493dc7a72a7c9882edb",
     ),
     ("modern", "dce", 4): (
-        "b7d464b24722abe56ae77950bd75c6681378ddccaa8df855582fbbcb28e0c68c",
-        "2632543f39acf2e7b6e8198c36b8ba56c0fa564864715412001732afe149c16c",
+        "742a71f00f37df8b292d822f8777cef63335a2c6ee5f7d695afc5f8e66516784",
+        "8bf8950e3c16e795b4166b5b1b9b6f82dfe2438423461fb5e0881d28bcec76a7",
     ),
     ("modern", "dce", 5): (
-        "41aac67c26fcbbae95f1256506310b3a862b7ea296a2fdd11b4464a844dfa24c",
-        "14eaa2dbb0e02039e541778ff48d15472ea2997d56ba571dc6e8b7ead28e6f67",
+        "3bc4fee745a66cad9e431abdb7a76c9fcef266da5b60b66ebc7e919f66ad82e2",
+        "4d17bdb8056a3cd849bd6e75ce96d13322d8e6aba0b310a8280287eb0b8d687c",
     ),
     ("modern", "dce", 6): (
-        "62041d7b0021e8b1e419607d56f9eec89da3958098c37e784a70103ff791cae1",
-        "0df0bb64bb34b9b07d412e8064bf0f263bbf5e671766ede500e47994d6bbd84d",
+        "4485825a64b00ef02969b885d8c4d8fe54fbb863520bd8d22d63addc4ab02588",
+        "6f7a02097759deac075a978c630cabc3e8efd54e6b07dfa54c41aa38f53b9ecf",
     ),
     ("modern", "dce", 7): (
-        "232c35ed8d1485c874bc400a891ef0a9f301eac62df0045f85d36ee7e5b1360b",
-        "dc1cf1eca296aaa2c1557ef31e1b6e78f4f22c5c74b518456d6079cf3eb53f18",
+        "8ae77077d178f5516ea283e91288d7686c0a8b8d3fbd396a5d6845608db378a4",
+        "70fd0caf5fdf962558893de9fbab361dbc92ebf42452a9096eecbd8bcaa2ec4f",
     ),
     ("modern", "dce", 8): (
-        "898dbca83172e3a9919a91d79292487bfbf082353f8493e19ce6d9c6da4931e5",
-        "e81bcab1674998d6e1d07a940ef718b5e466f999b27e780335cf59178fb14a43",
+        "b8d2530b182c1beb989dd524e29dfe5ef161bfe6396d785e68d41c7843c4ae22",
+        "c752018bd2dafb2a9af7eb718d70f2efffe92416dd70fabae5a5ba56e7f541c6",
     ),
     ("modern", "dce", 9): (
-        "508fc2691ee705f1f50018bdb2961d14687b2d902246e2486abbfb029f3fc354",
-        "96e174e254d652fb6f7dbd40fe3381fa97920d34613b6c07cc4657b78b8fce95",
+        "a897aa46182ad2e0875e0b91425a74cb013e2a45c7f5cc33e1d6af3c2904c8d1",
+        "7031e5b75cd36cf981095faf8245bb1257d17ecf787d55b8d90f53e60097f3f1",
     ),
     ("modern", "dce", 10): (
-        "09294f4b060587624006303727705a700cf366558e263eeda97ddd5f392cf241",
-        "7e9704a74b388cedf5d420b21fec7466ced95277401d147f2ce7bcb105994412",
+        "6c7d8ac6d3587b9d4e19a6bac14a557988a52885adbe0ce3c61d8cfd466d3e61",
+        "d496684dc6bfd4ad033ca9f711f836607178b210ebedd05aa91351387c833997",
     ),
     ("modern", "dce", 11): (
-        "a2735f85e0966cde4195075d051b516d2d24740fba5b38239e9e90dbee6854c8",
-        "398da3b2938639d379de142349730267b95ec0a99f45844e5568d131e2353b48",
+        "1992badea57e1c6728c42f021c5fc22b2ed87fa7b75c28b9225f3917681bb9de",
+        "e9b2d2fecdc6540544e8cf5ca0074bc1443b851347784da761984f6656f69b3a",
     ),
     ("legacy", "full", 0): (
-        "c8e3e6224fcf4125773aa8749d92e4123076fb4883c64f5ce0a36e06fbb2580a",
-        "e5754ea9a3c6240c16feffa48c59c079abee9e7693f8740b96208d2c238e3298",
+        "665327d9a510edf063edc4b4c392e0dcb239751d5fbccefc6aee947dc7ff5e8e",
+        "26879386d6bc1c202a4e1a7fd973b7b5c1d53c2bb19546b8a206636227065ae7",
     ),
     ("legacy", "full", 1): (
-        "88fa4fe1a96d192c5c6f4affc72f0ff4ea44f6ab1e379f93bee367b720975070",
-        "aa6fa93fe01b746a88315369f1b9dc7c1199e573cc5dea55c4eba833dbcfc212",
+        "475b0fe5aac19229714d765c3c7cab62d727669a7cce192c2f95671ab89383ce",
+        "22b0c5c328dc623fdfffe04b727a8417c1bc3fc106228ce432cd20ae83db6f8f",
     ),
     ("legacy", "full", 2): (
-        "ecd75e07f95a856bbd877cfe608a1d41f9e910190c59367181c9e9b012818d14",
-        "766524256337fba89e0e87fc869780ee2d30082d242e06f4563705f5bb29d6ee",
+        "f93948c0f98d1bb4d21786836eb2fffdc694e4ece48e2614ab02700fe79f2862",
+        "ac43e27d5025d58230d251aa6691b0b9b1252a7dcd93b0d7253f718e8e3af899",
     ),
     ("legacy", "full", 3): (
-        "ebf7dbb9bcf13dd994ecfc212cb7025744b9a276a2b18963d705a17288ddf922",
-        "e53e049a0795de1fab872df07844afecea9b7bb355b14bd52766dee386e93dd6",
+        "c93782a1e7ef49e12b98ca3c9d5dea564c86f1f71610aaec8ed4d0eb5e8d7c09",
+        "8efa82bdda946c59b42c515e04843f17bdad882a8552cd72393dc089f3143675",
     ),
     ("legacy", "full", 4): (
-        "49b164b10f7d51185072dd786187d806aa52820ff116ff9369b68528da344e1a",
-        "04e509bc1515893f59f4968ce882992c507c24feb432a24732fea46a2cb98286",
+        "66d91c2767eb61d232e937b48266d683159964f652099aaf19e3cf5bb61c53f8",
+        "f64007f4c8741b2ecbda2e8659d6f9e73b9aad1524180b33e6dee97148082eca",
     ),
     ("legacy", "full", 5): (
-        "cdb3f51e940aba0bb8a3eda5bfb128659d95c5af170bb86fe9ee0508099e4f27",
-        "774aab586c43bb4a0fc56510a4f814c977757dac38266049827c5c4bba295711",
+        "852efab609767cee5104f6a5178a6c101edbc5feb7207a5d8cc30f2071c7db2f",
+        "bd891f65215c33b07983788d1aaf6ee0b0db6c3272fc7f7e5589f145bf0ed551",
     ),
     ("legacy", "full", 6): (
-        "7b4255ade165a18d262fff412113027c533f52fb2f64502625db9a607f50f1c5",
-        "c9117f6b97ba37acf866fb2f211f8f9ff87925b34e9571d9b58abf2d939b45db",
+        "db555ad20a27ac52dfabb61c1e672a4063de334f1958b09f5a5fecfc2a446b3c",
+        "8b26555af4b30b259476e721e89b8d5954813e62960b8e6dd103805cefbe065e",
     ),
     ("legacy", "full", 7): (
-        "0ddb586ece7abec3fb2ee912087bd8a97ba7a25d79f3e44461653f301bad0ed5",
-        "4efa493c8b0f67b8f65a9dda0b03705cd3c0f747cf170f14e89909689a9b7abf",
+        "30ed4be302589587e99702acb6ba54ebe90351e98a1015708af413f53517bfaf",
+        "231ed0fc7aa7a97e002f97363d8e1d24d24c17bdcfd0be1204262cc78b530610",
     ),
     ("legacy", "full", 8): (
-        "65a8c72f2b6f27a962a1ffeebc68c6d3ecb3719405be9bee95c72522988fc71f",
-        "6b1ac38dbcbec7b3b2cf9f4fcc48b59544de13f7007d70ba1e7e196c028f4c14",
+        "4b61ad801c3a7b23fbf9c9598243cd897545cbad08282bb1e25dff7c0bad6cd5",
+        "22c430f408a8795c13c3de80b591599ef52161e435e700417b041fa10b8e8e18",
     ),
     ("legacy", "full", 9): (
-        "df3a86915679c3857c7be807113baedc074cb31cb4695cb39998d53a66815835",
-        "3906894fa7ea4cde496fdc6e2d01f13910621103a14db96227d89a489bb7ce79",
+        "5de590858508babf2ca1d1cbdfd3fc7fc00f7dd3e8208464d9ab13e3a0b8ab2d",
+        "d37a03a6c9f391d31ce947d661ca8b0fc511e885789a6d7e85667ecc955e0652",
     ),
     ("legacy", "full", 10): (
-        "25d3012ee6ca0fec0fefdd5c1fd008dfc09021165d79d25dc7481f735aff91bc",
-        "bbd3100fbdfe9ca1759daa7480a46b4b8618ff0750c35fdc1fb64e9e804898e4",
+        "dea2342c186f75a9810103636de75dfdcefecf6bada681bbcf34b9be9a2d8c8a",
+        "b0110947f7c9857de4a1c44fc86d9f162a423f787a875c2b265eea6abfb6b90b",
     ),
     ("legacy", "full", 11): (
-        "3ec0c3e2dcc9515695f2a2905c660ed6687c300dccf3118e481a9fe85b9ca642",
-        "daba07b29766f8c5df13628f9d6508328751a6f57e6f7fc4cc4f07deaa4a6223",
+        "14deafa62efc9f8bec45a696ca74db136acaa03f97e855442c6929ee7a83016a",
+        "d4564d6aa976d9da37dcb1fdae43b79366821965bd33477cb10882ffbebce342",
     ),
     ("legacy", "delta", 0): (
-        "e79a8b70046d523fd531cb5abcdfd43080144bc534940871d5436b7f75d71d72",
-        "96ffd057c2e407148db58878a0b145428c2259e1425b790e5a8ec31446204723",
+        "710df7c2a5fcc9da015f7fdf47d5093b3446648d90502dab485c4116ad95ffdd",
+        "61d5aad16425c3fb9177aa9acc58aca5cd0f7b60ee4a543a2822b3a8f0e538f1",
     ),
     ("legacy", "delta", 1): (
-        "4097fbf953842251d236ac3960e6aae0b3b99a3384a8867fccc1f836e67585ed",
-        "403c71eabef7e4197112459ca99f073bcddbdd29286fcf45976d2809ee7cf777",
+        "c2c89863c6a9cec7a4b41be4b80020540da4d13324865c9d08048fb5df58e8d8",
+        "7a58bed1d750d5338bc2c704c6705df49a108a48c5b2c42a0fb81eb4bef9a5bd",
     ),
     ("legacy", "delta", 2): (
-        "2ec5d86223d2485d26c09b651d03202f248a54cf376ff95186718a0d067497d8",
-        "4c200cffa44da956bcf56b7fbe7f149c5692c7d454f44254eddf49f453f6c886",
+        "1eea617500dc8433b0ea114069a8cb7605b9699282d777fe771db68791104030",
+        "e6c2920483e9e2fbf4cb840b01c3e7f80c0f01dbd3b8dea0eb325800a462793b",
     ),
     ("legacy", "delta", 3): (
-        "e23e456bc3bb39f7d730bcd69bb06bdba0851775383fa4a3e4eebad363852f25",
-        "d9e59874548eeb05b32386fc967b0e9639ef2b4d9d02415303203f1ada8988ba",
+        "126cd01200d489b10def12846e9ce989e7c8016fdd323fb98af9be85c12706d2",
+        "2d0b59c8cd546a36b8ebc837f102254e3666dee0055d63d521aefa59fb484e5f",
     ),
     ("legacy", "delta", 4): (
-        "6feb3afe6d724b0e3c01b1dec8708d204b36c30894849b3aa74ddaa82b901148",
-        "0902413d07f9cee7684fe935b6d5e057403f35985d269a14fd1a0d0b10cdb453",
+        "c7af01c06e845ae266e67a421f9fcbdfa0a4e75af477bd85627e543a145469a2",
+        "ea3a7cbeb0bb9e636845f2dfdfb2d343394f25d57932d0bbadba48c5c4d62437",
     ),
     ("legacy", "delta", 5): (
-        "c913ee859238f2610e5f2f771a1ca3aae31c56832b7bbb2e44da188f45abc6d0",
-        "6130babc5f6a604507667876ea6e0b24b452b6e2e4f39e05679bc581ca3084c4",
+        "003ed1b5bfad8a46bdbc76eff2de0aea9f79e173cf1dd4116ba9025c54500661",
+        "ff3b0f1007532bfc46db94541ad075d345db954a4a0896d585aa3795dedf6ab1",
     ),
     ("legacy", "delta", 6): (
-        "a1a100743a7615b9fb3c82ee40ca4d24eeabbd83e4af4532ee27b89712297aef",
-        "ada7ddafaa7277ef090f6fb76899a105a82e2b715904b5bf54b9e366a7b832ab",
+        "3979ebbb92d89437c64f1c37b09cfd2d3b2915ee83454dee369a185006fd3c88",
+        "0ec08435ff28daf44be6e46723f871fc29ed7530d2f0d98984eec680b455fb27",
     ),
     ("legacy", "delta", 7): (
-        "f66e11c6b0ba6ef1f3fe0a9d22416ad85d072ab57c6e5b9ad1ec812e70ce9044",
-        "53f2b4bdfac7faa42b74d2f2f8b6ffda75970219d020e4af056484d538b5fdd3",
+        "a5c59fc0640e3e6a7985f6f700b08f7cf5e7aa41a5c572ff2866b01f844de05f",
+        "bf49f8c8893264a3770af0a4bfae217d5b68d470843213f1ee10ff64a44e8890",
     ),
     ("legacy", "delta", 8): (
-        "45322bdaf491830fa315f9d42b1c0e0a6d942755df226b1c8058809afd9b16e2",
-        "65245d3642f2bfdd44815d8eb877d017147f33368baa5eb79d87b3bfc1dee127",
+        "f2f5f61551ee7e8efb8bf37112c4092ef7b0efa22e3dad0d5f4681bbd1fbb1b0",
+        "eb8c4700cf383c1b26dbe69c4df75ca89e62375f85b98ed9741b88fb1b243b93",
     ),
     ("legacy", "delta", 9): (
-        "a4b0daf8974d7b0e77b0617bd85a433bfd00abca98e067baac52455dc9b7ca65",
-        "4ed69652145d10507e35ab26f463d5773d931c894034398eb6845065c94655b0",
+        "8af0dd497f4fb78c7dc798a070417f232e0a34df0859c2bb87a98d7f8cc3a3e0",
+        "c4196b1e38a6e87ec254f3fca042c608ec752f935b5317a1cb384bc869153285",
     ),
     ("legacy", "delta", 10): (
-        "cd0ad31e8d506bec2b3f778aa0fd31269e86224ad1732a5ff217d3e2b6c1bf53",
-        "b18ea2991a035e2adc014e30245636422f8ddbbb035c308e6f83ed0d15b4f649",
+        "03847e389c45ac0dc3a2c53f79f53f683e28718675f7f2d0184e2f039f647e6d",
+        "b72bc0ea6182ebb2054102fd9f2f4404256cbf8516f919c7cad497feb36a71e1",
     ),
     ("legacy", "delta", 11): (
-        "d2c6ec482ba2f98e0bf43b1b2414c317fed3a44db31f2087306ceac7e381658c",
-        "e754aca7644ed704a7bf96987b8a03a5036a6dea546327c48f5cd4b9a5f16994",
+        "dfa93fa34b88141ea9edcef8fb2b706991956521e013b3c04e3c91870ad191e8",
+        "0a113cf3c8089352fb56e1a0d7f8fc3cd31724ec9627718ca82608813bebdd7b",
     ),
     ("legacy", "dce", 0): (
-        "c8e3e6224fcf4125773aa8749d92e4123076fb4883c64f5ce0a36e06fbb2580a",
-        "8b46b85c81b7836f557e0ad8e34ece2e47758a2975d595eda3694178a4334c0f",
+        "665327d9a510edf063edc4b4c392e0dcb239751d5fbccefc6aee947dc7ff5e8e",
+        "26879386d6bc1c202a4e1a7fd973b7b5c1d53c2bb19546b8a206636227065ae7",
     ),
     ("legacy", "dce", 1): (
-        "88fa4fe1a96d192c5c6f4affc72f0ff4ea44f6ab1e379f93bee367b720975070",
-        "b789d495af89de74483e9b06b29fd2b505fe42f085a3f0407f9ce9fc9a1fa340",
+        "475b0fe5aac19229714d765c3c7cab62d727669a7cce192c2f95671ab89383ce",
+        "97be93dca3ae127b5195939898ab115be560c4200f52584b6a773ebb2a98073a",
     ),
     ("legacy", "dce", 2): (
-        "ecd75e07f95a856bbd877cfe608a1d41f9e910190c59367181c9e9b012818d14",
-        "12946a33b7d20f285773e6a729d75ae0d52aceb51bd5768685c837e1337c5578",
+        "f93948c0f98d1bb4d21786836eb2fffdc694e4ece48e2614ab02700fe79f2862",
+        "de1e0a7ec8e414baef21e9a409c0d4132ead030303a6c2a285b70df70fbc8cac",
     ),
     ("legacy", "dce", 3): (
-        "ebf7dbb9bcf13dd994ecfc212cb7025744b9a276a2b18963d705a17288ddf922",
-        "446b690da41b7bae6b9a50b47aafba1751f4ef86da7192ac8f5e0289bb5d3fd2",
+        "c93782a1e7ef49e12b98ca3c9d5dea564c86f1f71610aaec8ed4d0eb5e8d7c09",
+        "7fa797ff1d6284509833b193ff6f66f157188530e0e88b45f6dc8b3c339162d8",
     ),
     ("legacy", "dce", 4): (
-        "49b164b10f7d51185072dd786187d806aa52820ff116ff9369b68528da344e1a",
-        "f2d52ae9f6811a8aaabcbbc17c895d2bd69fbbf665e066dc25a5c1cdc23272c7",
+        "66d91c2767eb61d232e937b48266d683159964f652099aaf19e3cf5bb61c53f8",
+        "862dbe4ebaf74d97dded515332d817dd4afc10790409e57429153b2730ebbb74",
     ),
     ("legacy", "dce", 5): (
-        "cdb3f51e940aba0bb8a3eda5bfb128659d95c5af170bb86fe9ee0508099e4f27",
-        "f9823ac7783ad40c2e85e0ef57d13e4a5b9260d363abd0055236c303bbeafec2",
+        "852efab609767cee5104f6a5178a6c101edbc5feb7207a5d8cc30f2071c7db2f",
+        "f61dc6a50580682cc6c9684c6fa920940838d94f5cb222399ca64cfe73726644",
     ),
     ("legacy", "dce", 6): (
-        "7b4255ade165a18d262fff412113027c533f52fb2f64502625db9a607f50f1c5",
-        "050a327aaf1292c667f04b5871b32f26a4d6f57b67b539c57a389494f90b6cd1",
+        "db555ad20a27ac52dfabb61c1e672a4063de334f1958b09f5a5fecfc2a446b3c",
+        "9c379207f17b538c4ea1f82b1110ae5ed1deee197eeaaa2384cc4ed3c3a21ee4",
     ),
     ("legacy", "dce", 7): (
-        "0ddb586ece7abec3fb2ee912087bd8a97ba7a25d79f3e44461653f301bad0ed5",
-        "161fdda3a5cfdf5e912a493330011a85501354ea45ef8f88b709c2bfafb7123c",
+        "30ed4be302589587e99702acb6ba54ebe90351e98a1015708af413f53517bfaf",
+        "9ab2747c5abdcbff1183296ae8492a6d74d360a6676b00d1834269807fab8dfb",
     ),
     ("legacy", "dce", 8): (
-        "65a8c72f2b6f27a962a1ffeebc68c6d3ecb3719405be9bee95c72522988fc71f",
-        "db20a8d433fc4da3662ea6ac5cd5ff9426776816c39e9edcc3a5d7a520a46e7e",
+        "4b61ad801c3a7b23fbf9c9598243cd897545cbad08282bb1e25dff7c0bad6cd5",
+        "f6a23a78e26d902f1ba279cf3a67585ae59e0a2da9011b12df06e5b0313c657e",
     ),
     ("legacy", "dce", 9): (
-        "df3a86915679c3857c7be807113baedc074cb31cb4695cb39998d53a66815835",
-        "fb4d42a6a5d2a9df1b798efe1a77114e6de97d762cb9001b9ebbff3a595cd077",
+        "5de590858508babf2ca1d1cbdfd3fc7fc00f7dd3e8208464d9ab13e3a0b8ab2d",
+        "70bea557c114c78c45008a8f0d8a132a6542e61fec7ba859e67a386f116b3afe",
     ),
     ("legacy", "dce", 10): (
-        "25d3012ee6ca0fec0fefdd5c1fd008dfc09021165d79d25dc7481f735aff91bc",
-        "adeceaad4f400453afa11f57eb7e047666bf348aeada0d00eee5349cc84e6818",
+        "dea2342c186f75a9810103636de75dfdcefecf6bada681bbcf34b9be9a2d8c8a",
+        "a9d184d27aa159bdb030795d065039e30d68b858e4d85eef3e3d23aa111a9891",
     ),
     ("legacy", "dce", 11): (
-        "3ec0c3e2dcc9515695f2a2905c660ed6687c300dccf3118e481a9fe85b9ca642",
-        "7f90b2976e423eedde6061267b68ad0e038ef193852d932c6bed98297fa89e0f",
+        "14deafa62efc9f8bec45a696ca74db136acaa03f97e855442c6929ee7a83016a",
+        "1bb30ba6d2963dab1c7c932e779de3bcea2f8ff023dd16c6e0e56ea805764d49",
     ),
 }
 
 #: (policy, seed) → the schema-on second call's (request, reply) sha256.
 SCHEMA_DIGESTS: Dict[Tuple[str, int], Tuple[str, str]] = {
     ("full", 0): (
-        "2581f39706151787a6816fb62b26b456bc9b896a27d220827b25f7c4712082e8",
-        "011fb51a94145fa761db1de20e30ed4c4d17bac8363a8074cf95d62d5fe0823a",
+        "54c731586579a849ee16f8c1187c50f093a1c32498315b8e57a3c08b1c4edb8f",
+        "e1906f2c37739af13ceaa269648f4597b8ba7c72a45415c13b983abaa3b360a8",
     ),
     ("full", 1): (
-        "3c823d4132704389f3e667b44a637bd9d0e1b95462daa28bf015c5ab128458fa",
-        "85de948eac52d0a18c85edd8019c50ce8ec036ff0b75cbdd1162eaa59cbbce04",
+        "2332d093f39d31da2cf1057d630b20ee37b2c4d3b76b96d7e00e00f326522b70",
+        "a09056067effa7fe5996d3140b53508a4f5538b4687d2bf13cd4f0459564e92c",
     ),
     ("full", 2): (
-        "3a586ff69b3d9338b33e1a6724628945ed4256907b8fb8335eac41b6d44c82e0",
-        "86988c322db91c9e50685ef86b36c1a2fba64be61b0ec4c68fcc4855acedac0c",
+        "bbff9dc7c12fedaca83d62003a5827aa2724b9a5fdec0368657f937563c2818e",
+        "7b05210c7850087e4ebc432344857dbade581c0c1bb80d6b32056c72f8f3b363",
     ),
     ("full", 3): (
-        "5f2511199a21a2e455434646f8cd54a3eabe760c6d1f8e17d8319c6d190a0b61",
-        "05176b9fcdee811d34f63f4f823c8e4548e756d7e18db509ebbb65cdcb2aca4a",
+        "e49211f61b50d5155e1492486cbd74993356534eeeb08dbfc21ce53ec3ca94cb",
+        "6d9ecd6e1290e7ac72a65763a29c5d6eb60ffd76097ff00daa1c058aa2725919",
     ),
     ("full", 4): (
-        "9644db277d0a9f7a31e015b239cfe9c8c50dcee1ef4c1ec1f8af228e32ea6801",
-        "e018952f44cf706b82e6ed862c71c55e03f5ff9dd28d94558c6e0e1ca9551d1e",
+        "0325090871cf616f1b1b73f53db8cc4eda7b8d573324237b774db91945524953",
+        "34fec91f6c90534040dc538ed758d6a32edf249383ad2527509f4555cf719bcd",
     ),
     ("full", 5): (
-        "07936546a8b3965e5f6e5d83ad87e644955bb2b8c3bf6c5b266072d3bed5ca72",
-        "19feba37c5ac3b8a70c3086307eab15f159a5eee4bd403c023ed1bf4c627da3a",
+        "0e9375ed93bac83d41c6d92400087b5087912f81a57916d45a6c5d27ff25c0a7",
+        "ef4338838c4bd6c6a7b878250ceffd2f042524db6a72a843a9cb0034bcb88c79",
     ),
     ("full", 6): (
-        "f005365e379ed319a41822b5363a4da76c1d35e25e844811fbbbc61861720a91",
-        "9d601dd877941db69a8fbfa02b64b5477c6c0cb59f387a20d70f91094bdd8ed7",
+        "c856c54d2ad0ac0310be8f3ba38ea31adceb9ba9f2e562a64f2089884b4eba5c",
+        "9bce0000d32312cc3ad5e54058590101b625d5aa013dc6827772297b4da771d8",
     ),
     ("full", 7): (
-        "8127e5daf539f34e063b5419b07e7db84916d4702572c99b82aecafc2a4ca61b",
-        "72c30be89ad9ae17c444f547aace1a727118acba79bfd0f958e5d4579fbcac83",
+        "d17a4b3e29fe1865160ce92728e9376ed47a7adcf099dbdecf00ca3211265ac2",
+        "7c6120b8365ec7d96d69ba033fecfbf6d9fc3721caa21d3abe312eb14b4ffdbc",
     ),
     ("full", 8): (
-        "7a0c2ae48f78f841f07e695cafde67238f250dd53e5257db32d5bb1e434dfda4",
-        "cdb5fe9d43f84a37afd0ef4e9d4f559d59b49d385175952475a010af3d6c28cf",
+        "46c7d0e07a71703229dd8e4c5e96e87a7807cb76faacdbefd24049d2c95e162b",
+        "eb6746ff6a18d104e0e6ffe939db46106161ef6df73ae459121b6e73061938ec",
     ),
     ("full", 9): (
-        "b7915cee7f36784e01e872f29384b1de8ae797098898aaf4e2ec39ce92be5868",
-        "d4f3036cab35589238323b4f6b49b4d9938711b73c39161bbd776a1d8b14ab9b",
+        "79eff3d04fbd891b5600565d0189fefe2d0e8f61bb257f4e6a11d37e4b3bb6c6",
+        "0f15b2ed9f0bb8a5a10d7a425828446d701c218d73453c4ccc2be22ae12e1dd3",
     ),
     ("full", 10): (
-        "976fe063eed5bdd5802d881faf91bd1b08b5e296679c279c07bde76992bb6976",
-        "1503fcc85bcea8548ff89237b8c40bdde6fea09391e65b87ee6c6962bfb61f2d",
+        "b4f8974aeb1616eb05326fc8f5225a31117c42be3d4911b97e5af36c94905d3d",
+        "11a746b66cc40f93be12c72cec24d3d10770afc7171f93270bf370d0f0d71941",
     ),
     ("full", 11): (
-        "c23661e98cfd3333c37635641703136e304540bf903279138dddce29c4592751",
-        "fecb9569fda23fe05563dedf653a238596ae75be21230d95116acf8b98e58f71",
+        "82a43e23d74ee01d8b7043e7c046da8c544ae67b6c5204aae7c836a4c8396694",
+        "32155bda02e59ca2e33584b1c73bec2c71437237b13d3b9191e7190e33a95b56",
     ),
     ("delta", 0): (
-        "b6eadec5a689a3886e36b8d815975a2b17bc8c2ebec6379813d3771b69a8d4a5",
-        "c6d15eff913511ce90b1f429d4149ee50c163dd40e46e04a8ea9700fbd2e5417",
+        "98854000ce46a210296132841a873d9a4cc5d843f84217d6acddd986f3970d2a",
+        "a52efc4f7e223210cb07720358419293bba03d18b29a3421b5840f709772aec5",
     ),
     ("delta", 1): (
-        "c8a92f1c65304e08d2a8d7f86c3b3fd3bb3aad1508383ff36037d9aa75af656d",
-        "eb4360eb9635daae176ed60ac922e9937e4e76bde88cb716130f84515c11005b",
+        "6a11440461b07bfa259a7100da71ccba5318c52eeff6cb928f4eea622c0d8a43",
+        "e08def9ae357bad070ab64e50a58bf298e2b7a3febb40e014d77d3bdfcfbdac3",
     ),
     ("delta", 2): (
-        "e523b00d5ff81f7a9b0758d89f59675e4f57ef3614e44d7310b54a447263f84d",
-        "374ec587dbb8b4221106fd401d70fdf64404a4ca08c39e99c2a20eb844741731",
+        "889f190d025c35e76a2a66cd84f4c0a37cf30fe2c43f10ebb582287c78022271",
+        "e1ef8a31b79bb4126ff4c3f592fa56797cd722d11c13b67e9457c9bbf625d6fd",
     ),
     ("delta", 3): (
-        "564244fbb1028c580093d148bdb9bf9179fab4beb93b49d72fd495aa8f48d289",
-        "5eef997b10f39ff183feda79cd21fc722362883361ffbeccd72f40b12fd23411",
+        "44479cf5244775be9016609fa7af598f8c21d0e39d4b116f51710598967815ed",
+        "c3cec5d4f222d24c85632a908bae77a8e7b4044fa83d8ba9defb01a849b35d52",
     ),
     ("delta", 4): (
-        "ade8c65f89bc143a3433bff9beb63daac748ef631a4b1901e79b60bbf5dff63c",
-        "44811793259dc08953954095107ffd0db863e791bc66021b38a6e14c2d89b9d4",
+        "063ad5d0838e590919391db6a67d19a99a56f49dff81100447526e231cfad047",
+        "2f89c30e512058a1faecd3c54a91893a603567cd8e42361c6e1a52e5e334ca7a",
     ),
     ("delta", 5): (
-        "2653fb5a01ce8d2c5fdbdc09f58d56ecba531f184150d69943f03de796e18eb3",
-        "34067a688645fab900dab7cdf1188d08ccd36ea4ed3516b173d46782d846929d",
+        "b8a78ecd5463debb77293dc2dbfb9b9e40126c82d18a8a2573f4ee36f864db66",
+        "93b74e042c455e503ad55a49d416bcb3af0b2550b2fef71f360b8ead66389dfb",
     ),
     ("delta", 6): (
-        "280fbf1eb31409687fdd7318546842ef08888d6658e6d6d39b3332c8531c02a9",
-        "8aad351ab3d53e8706d0fcd94fd4e965a7a28b4c8a784752fd69df25c6b79367",
+        "e7996329b525613989e72d167b1320b9e60a305cd4ab39aaf55311d5bf72f112",
+        "515835a3627814d80113fa93d3c158127bc45c49eec98484e1730b104a225c77",
     ),
     ("delta", 7): (
-        "e91a5cc378f5d91cb3548f481e78d79c9b67eb8afeabb269be377771bf85e580",
-        "a321e1c1abead540b7a343cb91738a82440e8ca7071d2adb908010d92bb58539",
+        "f9a7225031fa72371fed0d61ac3921bbd855ee7591be99f18ef23276265b1edd",
+        "20971bb20d6cca5d16a625c42662c9631eb6ca787d8402213af412c63e6f4362",
     ),
     ("delta", 8): (
-        "c8d1595c685dc71cb46cd3c1e804b5053b1dfd92a0d8512af566ac44464620e5",
-        "2caf593d807c7ea4db84da1cc6f368b729087b5b1a26381e6bca003e94113cba",
+        "023ef1a92fcda76e3acb306228cf06dda00aa1261c01c7018d16034eaf04034a",
+        "aa19dcce17d6bc07735abbda47c8b26862808c43c1f7b5dacd381c4d7355b762",
     ),
     ("delta", 9): (
-        "322c2f37b06cac0f239fb54c5d25ea1d5c3dca84840b3f9afc4727cce0799f21",
-        "e65e2c5727bd2e7a38c61281b0dfb8c39b8c81b763430d0caba17f98e8bd481f",
+        "2bd2d175d2c6644c711d35ce4853c756f1af10267bc3df78cd013b8a62a4efe4",
+        "4ab6fc6a7ed7cb79b09630cdfb088756dd83c4a1f31ac3c5576f71956745996e",
     ),
     ("delta", 10): (
-        "12773dd78005bd1788e8cf6a128a0f5f6de3abca2c76089f9fe157baa639ac63",
-        "f34c38774149d0d9c84543cf3c5f880fcedee6151e97850883027ece65e0be6b",
+        "ffadfdcb7717202fe0b12a7944fc6964d6205fffdd639bd3c72e1fa907d921d9",
+        "726bfccb6848162e531ba314c162051d23ac9d790922256255e1769bbf9a87e5",
     ),
     ("delta", 11): (
-        "ae169993edcb0766fb23f90ca4453aa8dd173ec690c183e6456057b5574786de",
-        "e754aca7644ed704a7bf96987b8a03a5036a6dea546327c48f5cd4b9a5f16994",
+        "e0bafb7d51d19bb2ebed4b73b0e81c976d0992271ee7169e6ab3a8a5f02b200b",
+        "0a113cf3c8089352fb56e1a0d7f8fc3cd31724ec9627718ca82608813bebdd7b",
     ),
     ("dce", 0): (
-        "2581f39706151787a6816fb62b26b456bc9b896a27d220827b25f7c4712082e8",
-        "34faaa1f0aa6901797f29d7520bd42c98fa0a88a941eb143578cbf6f706b8a93",
+        "54c731586579a849ee16f8c1187c50f093a1c32498315b8e57a3c08b1c4edb8f",
+        "e1906f2c37739af13ceaa269648f4597b8ba7c72a45415c13b983abaa3b360a8",
     ),
     ("dce", 1): (
-        "3c823d4132704389f3e667b44a637bd9d0e1b95462daa28bf015c5ab128458fa",
-        "07cd65594253b89a4eaf564742e921914a769ef26367034816272d8ea7a04bef",
+        "2332d093f39d31da2cf1057d630b20ee37b2c4d3b76b96d7e00e00f326522b70",
+        "e9b7f1e98d6a0c8417c123aca79f965cf9e35b78bdc766f1a953268d519ed741",
     ),
     ("dce", 2): (
-        "3a586ff69b3d9338b33e1a6724628945ed4256907b8fb8335eac41b6d44c82e0",
-        "2262877a01ff50cd1ec387cced4eb379f777d19b9da3afa1bed7c856e0232882",
+        "bbff9dc7c12fedaca83d62003a5827aa2724b9a5fdec0368657f937563c2818e",
+        "395180bc9c32410eaf7ca50d40e551fb82f89601811847672782172c80301268",
     ),
     ("dce", 3): (
-        "5f2511199a21a2e455434646f8cd54a3eabe760c6d1f8e17d8319c6d190a0b61",
-        "c2a05054d8fec5527e6223606dc25808fd1159eab7ac88135a81c6a4aca55fa5",
+        "e49211f61b50d5155e1492486cbd74993356534eeeb08dbfc21ce53ec3ca94cb",
+        "ad180583cc8cb90e404885466b824e2eac50977838167493dc7a72a7c9882edb",
     ),
     ("dce", 4): (
-        "9644db277d0a9f7a31e015b239cfe9c8c50dcee1ef4c1ec1f8af228e32ea6801",
-        "2632543f39acf2e7b6e8198c36b8ba56c0fa564864715412001732afe149c16c",
+        "0325090871cf616f1b1b73f53db8cc4eda7b8d573324237b774db91945524953",
+        "8bf8950e3c16e795b4166b5b1b9b6f82dfe2438423461fb5e0881d28bcec76a7",
     ),
     ("dce", 5): (
-        "07936546a8b3965e5f6e5d83ad87e644955bb2b8c3bf6c5b266072d3bed5ca72",
-        "14eaa2dbb0e02039e541778ff48d15472ea2997d56ba571dc6e8b7ead28e6f67",
+        "0e9375ed93bac83d41c6d92400087b5087912f81a57916d45a6c5d27ff25c0a7",
+        "4d17bdb8056a3cd849bd6e75ce96d13322d8e6aba0b310a8280287eb0b8d687c",
     ),
     ("dce", 6): (
-        "f005365e379ed319a41822b5363a4da76c1d35e25e844811fbbbc61861720a91",
-        "0df0bb64bb34b9b07d412e8064bf0f263bbf5e671766ede500e47994d6bbd84d",
+        "c856c54d2ad0ac0310be8f3ba38ea31adceb9ba9f2e562a64f2089884b4eba5c",
+        "6f7a02097759deac075a978c630cabc3e8efd54e6b07dfa54c41aa38f53b9ecf",
     ),
     ("dce", 7): (
-        "8127e5daf539f34e063b5419b07e7db84916d4702572c99b82aecafc2a4ca61b",
-        "dc1cf1eca296aaa2c1557ef31e1b6e78f4f22c5c74b518456d6079cf3eb53f18",
+        "d17a4b3e29fe1865160ce92728e9376ed47a7adcf099dbdecf00ca3211265ac2",
+        "70fd0caf5fdf962558893de9fbab361dbc92ebf42452a9096eecbd8bcaa2ec4f",
     ),
     ("dce", 8): (
-        "7a0c2ae48f78f841f07e695cafde67238f250dd53e5257db32d5bb1e434dfda4",
-        "e81bcab1674998d6e1d07a940ef718b5e466f999b27e780335cf59178fb14a43",
+        "46c7d0e07a71703229dd8e4c5e96e87a7807cb76faacdbefd24049d2c95e162b",
+        "c752018bd2dafb2a9af7eb718d70f2efffe92416dd70fabae5a5ba56e7f541c6",
     ),
     ("dce", 9): (
-        "b7915cee7f36784e01e872f29384b1de8ae797098898aaf4e2ec39ce92be5868",
-        "96e174e254d652fb6f7dbd40fe3381fa97920d34613b6c07cc4657b78b8fce95",
+        "79eff3d04fbd891b5600565d0189fefe2d0e8f61bb257f4e6a11d37e4b3bb6c6",
+        "7031e5b75cd36cf981095faf8245bb1257d17ecf787d55b8d90f53e60097f3f1",
     ),
     ("dce", 10): (
-        "976fe063eed5bdd5802d881faf91bd1b08b5e296679c279c07bde76992bb6976",
-        "7e9704a74b388cedf5d420b21fec7466ced95277401d147f2ce7bcb105994412",
+        "b4f8974aeb1616eb05326fc8f5225a31117c42be3d4911b97e5af36c94905d3d",
+        "d496684dc6bfd4ad033ca9f711f836607178b210ebedd05aa91351387c833997",
     ),
     ("dce", 11): (
-        "c23661e98cfd3333c37635641703136e304540bf903279138dddce29c4592751",
-        "398da3b2938639d379de142349730267b95ec0a99f45844e5568d131e2353b48",
+        "82a43e23d74ee01d8b7043e7c046da8c544ae67b6c5204aae7c836a4c8396694",
+        "e9b2d2fecdc6540544e8cf5ca0074bc1443b851347784da761984f6656f69b3a",
+    ),
+}
+
+
+#: (profile, policy, seed) → (sha256 of the request body, of the reply body).
+SHAPE_DIGESTS: Dict[Tuple[str, str, int], Tuple[str, str]] = {
+    ("modern", "full", 0): (
+        "1cf1595732637f413e8e3a578b28bb28530c4e78ccedf371d22ec123050ced2b",
+        "f88acca3949a3b2179cf8aaf78eaac2f28a021d3f3a15468efadeb46650b8a4b",
+    ),
+    ("modern", "full", 1): (
+        "cd492447b57bdf95f7ef5b3fe6d64561d781e5264020ca24468630a26ad396f5",
+        "db3031cae40ad2e25905773bc31c46aa8bd07258355024a896b323e5b349ca87",
+    ),
+    ("modern", "full", 2): (
+        "afd026c8345eb8f3309ba3141baa7fd15ed0505546c1a4cedcb37b0d38888871",
+        "3c3c504d3bc25665d0802a2d0661e04725ada8701370276367f26d27c7fe1179",
+    ),
+    ("modern", "delta", 0): (
+        "1cf1595732637f413e8e3a578b28bb28530c4e78ccedf371d22ec123050ced2b",
+        "7d4edb65168af2b8d55041e0c7134d712be2c44591575033208cacb38fd87514",
+    ),
+    ("modern", "delta", 1): (
+        "cd492447b57bdf95f7ef5b3fe6d64561d781e5264020ca24468630a26ad396f5",
+        "8f900b7e1769054822c6474029ccf35290757e104803ff698267fa9dac421fb6",
+    ),
+    ("modern", "delta", 2): (
+        "afd026c8345eb8f3309ba3141baa7fd15ed0505546c1a4cedcb37b0d38888871",
+        "ead497ec449a8fc06f17f0f9fbcf782c433cd2373a18b0746f7e860e402d09a1",
+    ),
+    ("modern", "dce", 0): (
+        "1cf1595732637f413e8e3a578b28bb28530c4e78ccedf371d22ec123050ced2b",
+        "f88acca3949a3b2179cf8aaf78eaac2f28a021d3f3a15468efadeb46650b8a4b",
+    ),
+    ("modern", "dce", 1): (
+        "cd492447b57bdf95f7ef5b3fe6d64561d781e5264020ca24468630a26ad396f5",
+        "db3031cae40ad2e25905773bc31c46aa8bd07258355024a896b323e5b349ca87",
+    ),
+    ("modern", "dce", 2): (
+        "afd026c8345eb8f3309ba3141baa7fd15ed0505546c1a4cedcb37b0d38888871",
+        "3c3c504d3bc25665d0802a2d0661e04725ada8701370276367f26d27c7fe1179",
+    ),
+    ("legacy", "full", 0): (
+        "49f156400e173f16051ceeea8a1c754f517453f04ea503341ad0d38dba581840",
+        "4ecb08fab611a08668c7927c583db94ea94c744005f098d298c771ea0be66727",
+    ),
+    ("legacy", "full", 1): (
+        "28f9bc7ea4ac9eaa382ec9e09f3135ff0aa28d00e50f82ae3d0aea391ac89df7",
+        "c2c8c75310e6c38115d84a7dddad30560a4fae317d413bcd0d4c8fa3c26dabde",
+    ),
+    ("legacy", "full", 2): (
+        "df145e6c5bc88ad4b112bafb899f74510cc646f261e4cd0d60790ecb2965073a",
+        "59be4aea576e6f9fe4b4a0973f946ea340059e5fbebbfff21b7fdace9aae6500",
+    ),
+    ("legacy", "delta", 0): (
+        "49f156400e173f16051ceeea8a1c754f517453f04ea503341ad0d38dba581840",
+        "600b1f6a6c12dafdad01042ce99554bc32d36c3afb9de8e36171bdb831612e84",
+    ),
+    ("legacy", "delta", 1): (
+        "28f9bc7ea4ac9eaa382ec9e09f3135ff0aa28d00e50f82ae3d0aea391ac89df7",
+        "8b668f8dc06dc6d01bb3f5a025e76d8142e76bd7404ce6d214c93537e61da54b",
+    ),
+    ("legacy", "delta", 2): (
+        "df145e6c5bc88ad4b112bafb899f74510cc646f261e4cd0d60790ecb2965073a",
+        "bd08bc1fab1178851d3bba8781b7b1894e021315ee6abd97dfd9d9b9db912122",
+    ),
+    ("legacy", "dce", 0): (
+        "49f156400e173f16051ceeea8a1c754f517453f04ea503341ad0d38dba581840",
+        "4ecb08fab611a08668c7927c583db94ea94c744005f098d298c771ea0be66727",
+    ),
+    ("legacy", "dce", 1): (
+        "28f9bc7ea4ac9eaa382ec9e09f3135ff0aa28d00e50f82ae3d0aea391ac89df7",
+        "c2c8c75310e6c38115d84a7dddad30560a4fae317d413bcd0d4c8fa3c26dabde",
+    ),
+    ("legacy", "dce", 2): (
+        "df145e6c5bc88ad4b112bafb899f74510cc646f261e4cd0d60790ecb2965073a",
+        "59be4aea576e6f9fe4b4a0973f946ea340059e5fbebbfff21b7fdace9aae6500",
     ),
 }
 
@@ -630,9 +831,42 @@ def test_schema_table_covers_every_case():
     assert set(SCHEMA_DIGESTS) == {(policy, seed) for policy in POLICIES for seed in SEEDS}
 
 
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_shape_call_bodies_match_golden_digests(profile, policy):
+    mismatched = []
+    for seed in SHAPE_SEEDS:
+        got = tuple(map(_sha, shapes_call_bodies(seed, policy, profile)))
+        want = SHAPE_DIGESTS[(profile, policy, seed)]
+        for body, have, expected in zip(("request", "reply"), got, want):
+            if have != expected:
+                mismatched.append(f"seed {seed} {body}: {have[:16]}… != {expected[:16]}…")
+    assert not mismatched, "shape wire bytes moved:\n" + "\n".join(mismatched)
+
+
+def test_shape_table_covers_every_case():
+    assert set(SHAPE_DIGESTS) == {
+        (profile, policy, seed)
+        for profile in PROFILES
+        for policy in POLICIES
+        for seed in SHAPE_SEEDS
+    }
+
+
 if __name__ == "__main__":
+    # The shape classes must carry this module's name, not ``__main__``'s:
+    # the class names travel in the bodies.
+    from tests import test_wire_digests as _module
+
+    _table, _shapes_table, _schema_table = (
+        _module._table, _module._shapes_table, _module._schema_table
+    )
     print("DIGESTS")
     for (profile, policy, seed), (request_sha, reply_sha) in _table().items():
+        print(f'    ("{profile}", "{policy}", {seed}): (')
+        print(f'        "{request_sha}",\n        "{reply_sha}",\n    ),')
+    print("SHAPE_DIGESTS")
+    for (profile, policy, seed), (request_sha, reply_sha) in _shapes_table().items():
         print(f'    ("{profile}", "{policy}", {seed}): (')
         print(f'        "{request_sha}",\n        "{reply_sha}",\n    ),')
     print("SCHEMA_DIGESTS")

@@ -18,9 +18,11 @@ delta-slots reply. The stages:
                     with the "before" states captured on the way)
 ``build_response``  server: encode the return value and the retained map
                     (for delta: the dirty scan and the dirty slots)
-``reply_decode``    client: decode the reply alone, nothing restored
+``reply_decode``    client: decode the reply alone, nothing applied to the
+                    caller's originals
 ``restore``         client: ``parse_response`` minus ``reply_decode`` of the
-                    same call — match, overwrite and convert
+                    same call — the apply of the decoded slot states (on
+                    a wire-version-2 revision: match, overwrite, convert)
 
 The method itself and the retained-set bookkeeping run untimed. Every
 call's caller-visible state (return value and ``visible_data()``, aliases
@@ -58,7 +60,8 @@ NODES = 256
 SPARSE_FRACTION = 0.05
 WARMUP = 8
 WARMUP_SEED = 1_000_000
-# The externalizer name of an old-object reference in a delta-slots reply.
+# The externalizer name of an old-object reference in a wire-version-2
+# delta-slots reply.
 OLDREF = "nrmi.oldref"
 
 
@@ -99,6 +102,13 @@ def _arguments(policy: str, root: Any, seed: int) -> Tuple[str, Tuple[Any, ...]]
 
 def _decode_reply(reply: bytes, policy: str, originals: List[Any], api: Dict[str, Any]) -> None:
     """Decode a reply the way ``parse_response`` does, and restore nothing."""
+    if api["WIRE_VERSION"] >= 3:
+        # A slot stream decodes into the caller's heap; the definitions
+        # wait on the reader's pending list.
+        reader = api["ObjectReader"](reply, originals=originals)
+        reader.read_root()
+        reader.read_definitions()
+        return
     if policy == "delta":
         header = api["BufferReader"](reply)
         header.read_uvarint()  # retained slots
@@ -207,9 +217,14 @@ def _load_api() -> Dict[str, Any]:
     from repro.serde.accessors import OPTIMIZED_ACCESSOR
     from repro.serde.reader import ObjectReader
     from repro.serde.registry import Externalizer
+    from repro.serde.tags import WIRE_VERSION
     from repro.serde.writer import ObjectWriter
     from repro.util.buffers import BufferReader
 
+    try:
+        engine = RestoreEngine(accessor=OPTIMIZED_ACCESSOR, opaque=is_opaque_remote)
+    except TypeError:  # wire version 3: the engine converts nothing
+        engine = RestoreEngine(accessor=OPTIMIZED_ACCESSOR)
     return {
         "TreeService": TreeService,
         "generate_workload": generate_workload,
@@ -222,7 +237,8 @@ def _load_api() -> Dict[str, Any]:
         "compute_retained_indexed": compute_retained_indexed,
         "is_opaque_remote": is_opaque_remote,
         "accessor": OPTIMIZED_ACCESSOR,
-        "engine": RestoreEngine(accessor=OPTIMIZED_ACCESSOR, opaque=is_opaque_remote),
+        "engine": engine,
+        "WIRE_VERSION": WIRE_VERSION,
         "ObjectReader": ObjectReader,
         "ObjectWriter": ObjectWriter,
         "Externalizer": Externalizer,
