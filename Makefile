@@ -26,10 +26,12 @@ test-bench:
 
 # Interleaved A/B of two revisions on callpath workloads (ten pairs of
 # 21 s runs per workload: about nine minutes each). A is the parent, B the
-# change; W may list several workloads, the first carries the claim:
-#   make ab A=HEAD~1 B=HEAD W="echo64_tcp echo64_shm"
+# change; W may list several workloads, each held to its BENCHMARK.json
+# bounds. CLAIM=WORKLOAD:METRIC names the gain claimed, if there is one:
+#   make ab A=HEAD~1 B=HEAD W="echo64_tcp echo64_shm" CLAIM=echo64_tcp:call_p50_us
 A ?= HEAD~1
 B ?= HEAD
 W ?= tree_full_tcp
+CLAIM ?=
 ab:
-	$(PYTHON) tools/ab_callpath.py $(A) $(B) $(foreach w,$(W),--workload $(w))
+	$(PYTHON) tools/ab_callpath.py $(A) $(B) $(foreach w,$(W),--workload $(w)) $(if $(CLAIM),--claim $(CLAIM))

@@ -4,18 +4,19 @@ Client side (:func:`client_call`):
 
 1. resolve each argument's passing mode from its type;
 2. marshal all arguments into **one** stream (one handle table → aliasing
-   across arguments preserved), recording the linear map as a side effect;
+   across arguments preserved), recording the linear map as a side effect.
+   The stream carries the arguments in :func:`wire_order`: every by-copy
+   argument after the copy-restore roots, so the map is built from the
+   reference parameters first (algorithm step 1);
 3. keep the subset of the map reachable from the copy-restore arguments —
    "create a linear map ... keep a reference to it" (algorithm step 1).
    Like the map itself, the subset falls out of step 2: the writer
    records per root the span of map positions first reached under it,
-   and the copy-restore roots' spans *are* the subset. The graph is
-   walked a second time only when a by-copy argument put mutable objects
-   into the map ahead of a copy-restore root (that root may reach into
-   them), and then the walk sees what the stream carried — no transient
-   fields, ``__nrmi_replace__`` stand-ins instead of their originals;
+   and since the roots lead the stream, the subset is the map's prefix
+   that ends with the last root's span;
 4. send; on reply, hand the payload to the agreed restore policy, which
-   matches maps and applies steps 4-6 of the algorithm.
+   decodes it into the retained originals by position and applies steps
+   4-6 of the algorithm.
 
 Every call takes one route: :func:`prepare_call` marshals the request
 into a pooled frame, :func:`~repro.transport.reliability.call_with_retry`
@@ -25,12 +26,12 @@ attempt, and a resend re-stamps the same frame), and
 
 Server side (:func:`handle_call`):
 
-1. unmarshal the arguments, reconstructing the linear map during
-   deserialization (the paper's optimization — the map never crosses the
-   wire);
-2. retain the same subset, computed by the same deterministic rule — the
-   reader records the same spans over its index-aligned map — so the two
-   endpoints' retained lists are index-aligned by construction;
+1. unmarshal the arguments in the same :func:`wire_order`, reconstructing
+   the linear map during deserialization (the paper's optimization — the
+   map never crosses the wire), and put each back at its call position;
+2. retain the same prefix, read off the same spans over the index-aligned
+   map, so the two endpoints' retained lists are index-aligned by
+   construction;
 3. run the method at full speed — no read/write barriers, no traffic;
 4. let the policy build the response (return value + restore payload in
    one stream, so the return value shares structure with restored data).
@@ -39,7 +40,7 @@ Server side (:func:`handle_call`):
 from __future__ import annotations
 
 import traceback
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.core.restore_protocol import (
     ClientRestoreContext,
@@ -54,6 +55,7 @@ from repro.errors import (
     RemoteInvocationError,
     ServerBusyError,
     UnmarshalError,
+    WireFormatError,
 )
 from repro.nrmi.annotations import effective_policy
 from repro.rmi.protocol import (
@@ -78,46 +80,27 @@ from repro.serde.accessors import FieldAccessor
 from repro.serde.linear_map import LinearMap
 from repro.serde.profiles import profile_by_name
 from repro.serde.reader import ObjectReader
-from repro.serde.walker import reachable
 from repro.serde.writer import ObjectWriter
 from repro.util.buffers import BufferReader
-from repro.util.identity import IdentitySet
 from repro.util.logging import get_logger
 
 logger = get_logger("nrmi.invocation")
 
 
-def _retained_prefix(linear_map: LinearMap, roots: Sequence[Any]) -> Optional[int]:
-    """Length of the map prefix the copy-restore roots' spans cover, or
-    ``None`` when only a walk can tell.
+def wire_order(modes: Sequence[PassingMode]) -> List[int]:
+    """Call positions in the order the argument stream carries them.
 
-    A root's span is what the serializer first reached under it, so the
-    roots' spans are the retained set unless a root can reach into a span
-    that is not one of theirs. That takes a by-copy argument that put
-    mutable objects into the map *before* some copy-restore root was
-    traversed; a trailing one holds only what no root reached. Spans that
-    do not tile the map (a hand-built or shipped map, objects appended
-    between roots) or roots that were never traversed as stream roots
-    decide nothing either.
+    Every by-copy argument goes after the last copy-restore root; the
+    others keep their relative order (a stable partition). Value and
+    by-reference arguments put nothing into the linear map, so the roots
+    are the stream's leading map writers and the retained set is a prefix
+    of the map. Both endpoints derive the order from the request's modes,
+    so no wire field carries it.
     """
-    root_ids = {id(root) for root in roots}
-    traversed = set()
-    covered = retained_end = 0
-    by_copy_objects = False
-    for root, start, end in linear_map.spans:
-        if start != covered:
-            return None
-        covered = end
-        if id(root) in root_ids:
-            if by_copy_objects:
-                return None
-            traversed.add(id(root))
-            retained_end = end
-        elif end > start:
-            by_copy_objects = True
-    if covered != len(linear_map) or traversed != root_ids:
-        return None
-    return retained_end
+    by_copy = PassingMode.BY_COPY
+    return [index for index, mode in enumerate(modes) if mode is not by_copy] + [
+        index for index, mode in enumerate(modes) if mode is by_copy
+    ]
 
 
 def compute_retained_indexed(
@@ -126,36 +109,33 @@ def compute_retained_indexed(
     """The retained subset plus each member's position in the linear map.
 
     The subset is the part of the map reachable from the copy-restore
-    roots *as the serializer traversed them*. Normally that is read off
-    the spans ``write_root``/``read_root`` recorded, with no second pass
-    over the graph; both endpoints hold the same spans over index-aligned
-    maps, so position *i* on one side corresponds to position *i* on the
-    other — the invariant that makes step 4's match-up positional. The
-    positions let the server look up states captured per linear-map slot
-    during deserialization without re-walking anything.
+    roots as the serializer traversed them. A root's span is what was
+    first reached under it, and :func:`wire_order` writes the roots ahead
+    of every argument that fills the map, so the subset is the prefix
+    that ends with the last root's span. Both endpoints hold the same
+    spans over index-aligned maps, so position *i* on one side
+    corresponds to position *i* on the other. The positions let the
+    server look up states captured per linear-map slot during
+    deserialization. *accessor* is not needed to read the spans.
 
-    When the spans cannot decide (see :func:`_retained_prefix`) the graph
-    is walked, seeing what the stream carried: transient fields are not
-    followed and ``__nrmi_replace__`` stand-ins are.
+    Raises :class:`WireFormatError` when the roots are not the stream's
+    leading map writers: a stream not written in :func:`wire_order`.
     """
     if not roots:
         return [], []
-    prefix = _retained_prefix(linear_map, roots)
-    if prefix is not None:
-        return linear_map.objects[:prefix], list(range(prefix))
-    reach = IdentitySet()
-    for obj in reachable(
-        list(roots), accessor, mutable_only=True, stop=is_opaque_remote,
-        written=linear_map.replacements,
-    ):
-        reach.add(obj)
-    retained: List[Any] = []
-    indices: List[int] = []
-    for index, obj in enumerate(linear_map):
-        if obj in reach:
-            retained.append(obj)
-            indices.append(index)
-    return retained, indices
+    root_ids = {id(root) for root in roots}
+    pending = set(root_ids)
+    prefix = 0
+    for root, start, end in linear_map.spans:
+        if not pending or start != prefix or (end > start and id(root) not in root_ids):
+            break
+        pending.discard(id(root))
+        prefix = end
+    if pending:
+        raise WireFormatError(
+            "the copy-restore roots are not the stream's leading linear-map writers"
+        )
+    return linear_map.objects[:prefix], list(range(prefix))
 
 
 def compute_retained(
@@ -310,8 +290,8 @@ def prepare_call(
         buffer=args_buffer, schema_tx=plan.schema_tx,
     )
     try:
-        for arg in plan.args:
-            writer.write_root(arg)
+        for index in wire_order(plan.modes):
+            writer.write_root(plan.args[index])
         if plan.ship_map:
             # Ablation: transmit the map as an extra root. Its entries are
             # all back references, so this costs ~2 bytes per reachable
@@ -571,7 +551,10 @@ def handle_call(
         schema_rx=session.schema_rx if session is not None else None,
         digest_accessor=endpoint.accessor if fuse_digest else None,
     )
-    args = [args_reader.read_root() for _ in request.modes]
+    order = wire_order(request.modes)
+    args: List[Any] = [None] * len(order)
+    for index in order:
+        args[index] = args_reader.read_root()
     shipped_map: List[Any] | None = None
     if request.ship_map:
         shipped_map = args_reader.read_root()
@@ -581,18 +564,15 @@ def handle_call(
     retained: List[Any] = []
     predigested = None
     if policy_name != "none":
+        retained, retained_indices = compute_retained_indexed(
+            args_reader.linear_map, roots, endpoint.accessor
+        )
         if shipped_map is not None:
             # Ablation path: trust the transmitted map instead of the one
             # reconstructed during deserialization.
-            retained = compute_retained(
-                LinearMap(shipped_map), roots, endpoint.accessor
-            )
-        else:
-            retained, retained_indices = compute_retained_indexed(
-                args_reader.linear_map, roots, endpoint.accessor
-            )
-            if fuse_digest:
-                predigested = args_reader.digest_table(retained_indices)
+            retained = shipped_map[:len(retained)]
+        elif fuse_digest:
+            predigested = args_reader.digest_table(retained_indices)
 
     context = ServerRestoreContext(
         retained=retained,

@@ -7,23 +7,22 @@ order. Because the decoder allocates objects in exactly the stream order the
 encoder wrote them, both endpoints hold index-aligned maps without the map
 itself ever crossing the wire (paper optimization 5.2.4 #1).
 
-Index alignment is what makes step 4 ("match up the two linear maps")
-trivial: ``original.objects[i]`` and ``modified.objects[i]`` are the two
-versions of the same logical object.
+Index alignment is what makes a reply positional: position *i* of the
+server's map and position *i* of the caller's are the two versions of the
+same logical object, so a reply names an old object by its position and
+the caller decodes it straight into its original.
 
-The map also keeps what the traversal that filled it knew and a later walk
-over the heap could only guess at: per root, the **span** of positions
-first reached under it, and the stand-ins ``__nrmi_replace__`` put on the
-wire. The invocation layer reads the retained subset of a call straight off
-the spans (:func:`repro.nrmi.invocation.compute_retained_indexed`), so
-which objects travel is decided in one place — the serializer.
+The map also records, per root, the **span** of positions first reached
+under it. The copy-restore roots lead the argument stream
+(:func:`repro.nrmi.invocation.wire_order`), so the retained subset of a
+call is the prefix of the map their spans cover
+(:func:`repro.nrmi.invocation.compute_retained_indexed`): which objects
+travel is decided in one place — the serializer.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-from repro.util.identity import IdentityMap
+from typing import Any, Iterator, List, Tuple
 
 #: ``(root, start, end)``: the root value as passed to ``write_root`` (or
 #: returned by ``read_root``) and the half-open range of map positions
@@ -32,62 +31,26 @@ RootSpan = Tuple[Any, int, int]
 
 
 class LinearMap:
-    """An ordered list of the mutable reachable objects, with an identity
-    index built on demand.
+    """An ordered list of the mutable reachable objects.
 
-    The encoder and decoder only append (each object once, which their own
-    handle tables already guarantee), and nothing on the call path asks
-    "where is this object?". So :meth:`append_new` is one list append, and
-    the ``id -> position`` index is built the first time
-    :meth:`position_of`, ``in`` or :meth:`append` needs it, then brought
-    up to date with whatever was appended since.
+    The encoder and decoder only append, each object once (their own
+    handle tables already guarantee it), and nothing on the call path asks
+    "where is this object?", so the map keeps no identity index.
     """
 
-    __slots__ = ("_objects", "_index", "_indexed", "spans", "replacements")
+    __slots__ = ("_objects", "spans")
 
-    def __init__(self, objects: Optional[List[Any]] = None) -> None:
+    def __init__(self) -> None:
         self._objects: List[Any] = []
-        # id(obj) -> first position, covering _objects[:_indexed]; the
-        # list pins every object, so no id can be recycled under an entry.
-        self._index: Dict[int, int] = {}
-        self._indexed = 0
         #: One ``(root, start, end)`` per traversed root, in stream order.
-        #: Empty for a map filled by :meth:`append` alone; the spans
-        #: describe the whole map only when they tile ``0..len(self)``.
         self.spans: List[RootSpan] = []
-        #: original -> stand-in for every object the writer swapped through
-        #: ``__nrmi_replace__`` (the writer shares its cache; a decoded or
-        #: hand-built map has none). A walk that must see what the stream
-        #: carried follows these instead of the originals' own fields.
-        self.replacements: IdentityMap[Any] = IdentityMap()
-        if objects:
-            for obj in objects:
-                self.append(obj)
-
-    def _synced_index(self) -> Dict[int, int]:
-        """The identity index, extended over positions appended since the
-        last query."""
-        objects = self._objects
-        index = self._index
-        for position in range(self._indexed, len(objects)):
-            index.setdefault(id(objects[position]), position)
-        self._indexed = len(objects)
-        return index
-
-    def append(self, obj: Any) -> int:
-        """Add *obj* and return its position; each object appears once."""
-        existing = self._synced_index().get(id(obj))
-        if existing is not None:
-            return existing
-        return self.append_new(obj)
 
     def append_new(self, obj: Any) -> int:
-        """Unchecked append for objects known to be absent.
+        """Append *obj*, known to be absent, and return its position.
 
-        The encoder's and decoder's case: the writer appends only on a
-        handle-table miss, and every shell the reader registers is freshly
-        allocated, so a membership probe would be wasted work on the
-        hottest paths.
+        The writer appends only on a handle-table miss, and every shell
+        the reader registers is freshly allocated, so no membership probe
+        is needed on these hottest paths.
         """
         objects = self._objects
         position = len(objects)
@@ -110,13 +73,6 @@ class LinearMap:
 
     def __getitem__(self, position: int) -> Any:
         return self._objects[position]
-
-    def __contains__(self, obj: object) -> bool:
-        return id(obj) in self._synced_index()
-
-    def position_of(self, obj: Any) -> Optional[int]:
-        """The object's position, or None if it is not in the map."""
-        return self._synced_index().get(id(obj))
 
     @property
     def objects(self) -> List[Any]:

@@ -17,8 +17,11 @@ number from ``n``. The first time it
 meets a slot it restores, it *defines* it — ``OLD_OBJECT`` (slot, layout
 key, values) or ``OLD_CONTAINER`` (slot, then a list, set, dict or
 bytearray value) — without allocating a handle; every other reference to
-a slot is a ``REF``. Wire version 3 introduced slot streams; older
-streams are refused.
+a slot is a ``REF``. Wire version 3 introduced slot streams. Wire
+version 4 changed no tag: it marks call streams whose arguments are in
+``repro.nrmi.invocation.wire_order`` (copy-restore roots ahead of by-copy
+arguments), which a version-3 peer would dispatch in the wrong order.
+Older streams are refused.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from enum import IntEnum
 
 WIRE_MAGIC = b"NRM1"
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 #: Stream flag: a slot count and a definition count follow the flags byte
 #: (a reply's slot stream).

@@ -120,9 +120,8 @@ class ObjectWriter:
         self._name_ids: Dict[str, int] = {}
         #: ``(class, field names in write order)`` → layout key.
         self._layout_ids: Dict[Tuple[type, Tuple[str, ...]], int] = {}
-        # writeReplace cache, shared with the linear map: a retained-set
-        # walk must follow the stand-in that was written, not the original.
-        self._replacements: IdentityMap[Any] = self.linear_map.replacements
+        # writeReplace cache: sharing survives the swap.
+        self._replacements: IdentityMap[Any] = IdentityMap()
         self._root_count = 0
         # Lazily-built tuple of hot internals (buffer storage, handle/memo
         # tables, linear-map internals) bound in one load by generated
@@ -249,7 +248,7 @@ class ObjectWriter:
         self._bytes_memo.clear()
         self._handles = IdentityMap()
         self.linear_map = LinearMap()
-        self._replacements = self.linear_map.replacements
+        self._replacements = IdentityMap()
         self._codegen_ctx = None
         if pool is not None:
             pool.release(buffer)

@@ -216,7 +216,7 @@ class TestAbCallpathVerdict:
         with pytest.raises(ValueError):
             self.judge([1.0], [1.0, 2.0], "lower")
 
-    # Exit status: a gain on the first workload's claim, and no
+    # Exit status: a gain on the --claim, when there is one, and no
     # regression past a BENCHMARK.json bound on any workload.
 
     tool = _load_ab_tool()
@@ -232,9 +232,9 @@ class TestAbCallpathVerdict:
             "rss_mb": self.judge(rss, [v * rss_factor for v in rss], "lower"),
         }
 
-    def blockers(self, verdicts, failed=None):
+    def blockers(self, verdicts, failed=None, claim=None):
         failed = failed or {name: (0.0, 0.0) for name in verdicts}
-        return self.tool.blockers(verdicts, self.bounds, failed)
+        return self.tool.blockers(verdicts, self.bounds, failed, claim)
 
     def test_regression_inside_its_bound_does_not_block(self):
         verdicts = {"echo64_tcp": self.table(p50_factor=0.85, rss_factor=1.01)}
@@ -270,14 +270,33 @@ class TestAbCallpathVerdict:
         verdicts = {"echo64_tcp": self.table(p50_factor=0.5, rss_factor=0.5)}
         assert self.blockers(verdicts) == []
 
-    def test_only_the_first_workload_carries_the_claim(self):
+    def test_only_the_claimed_workload_carries_the_claim(self):
         verdicts = {
             "echo64_tcp": self.table(),
             "echo64_shm": self.table(p50_factor=0.5),
         }
-        reasons = self.blockers(verdicts)
+        reasons = self.blockers(verdicts, claim=("echo64_tcp", "call_p50_us"))
         assert reasons == ["echo64_tcp: call_p50_us is unresolved, not a gain"]
-        assert self.blockers(dict(reversed(list(verdicts.items())))) == []
+        assert self.blockers(verdicts, claim=("echo64_shm", "call_p50_us")) == []
+
+    def test_a_claim_on_another_metric(self):
+        # The p50 gained and the claimed metric did not: the claim decides.
+        verdicts = {"tree_full_tcp": self.table(p50_factor=0.5)}
+        assert self.blockers(verdicts, claim=("tree_full_tcp", "rss_mb")) == [
+            "tree_full_tcp: rss_mb is unresolved, not a gain"
+        ]
+        verdicts = {"tree_full_tcp": self.table(rss_factor=0.5)}
+        assert self.blockers(verdicts, claim=("tree_full_tcp", "rss_mb")) == []
+
+    def test_no_claim_is_decided_by_bounds_and_failures_alone(self):
+        steady = {"echo64_tcp": self.table(), "tree_full_tcp": self.table()}
+        assert self.blockers(steady) == []
+        worse = {"echo64_tcp": self.table(), "tree_full_tcp": self.table(rss_factor=1.2)}
+        assert self.blockers(worse) == [
+            "tree_full_tcp: rss_mb got worse beyond its 10.0% bound"
+        ]
+        failed = {"echo64_tcp": (0.0, 1e-4), "tree_full_tcp": (0.0, 0.0)}
+        assert self.blockers(steady, failed) == ["echo64_tcp: a larger share of calls failed"]
 
     def test_more_failed_calls_block(self):
         verdicts = {"echo64_tcp": self.table(p50_factor=0.85)}
@@ -291,3 +310,14 @@ class TestAbCallpathVerdict:
             ["A", "B", "--workload", "echo64_tcp", "--workload", "echo64_shm"]
         )
         assert args.workload == ["echo64_tcp", "echo64_shm"]
+        assert args.claim is None
+
+    def test_claim_flag_names_a_workload_and_a_metric(self):
+        parser = self.tool.build_parser()
+        args = parser.parse_args(
+            ["A", "B", "--workload", "tree_full_tcp",
+             "--claim", "tree_full_tcp:wire_bytes_per_call"]
+        )
+        assert args.claim == ("tree_full_tcp", "wire_bytes_per_call")
+        with pytest.raises(SystemExit):
+            parser.parse_args(["A", "B", "--workload", "w", "--claim", "no-metric"])

@@ -186,6 +186,32 @@ def delta_call(endpoint_pair, box, caps):
     return prepared, raw_request(endpoint_pair, frame)
 
 
+class TestArgumentOrder:
+    def test_roots_that_do_not_lead_the_stream_are_refused(self, endpoint_pair):
+        """A by-value mode cannot fill the linear map, so a stream whose
+        "value" argument is a list ahead of the copy-restore root is not
+        in wire order: a protocol error, and the server keeps serving."""
+        service = endpoint_pair.serve(Toucher())
+        writer = ObjectWriter()
+        writer.write_root([Node("posing as a value")])
+        writer.write_root(make_box())
+        frame = encode_call(
+            CallRequest(
+                object_id=service.descriptor.object_id,
+                method="touch",
+                policy="full",
+                profile="modern",
+                modes=(PassingMode.BY_VALUE, PassingMode.BY_COPY_RESTORE),
+                args_payload=writer.getvalue(),
+            )
+        )
+        status, reader = split_response(raw_request(endpoint_pair, frame))
+        assert status is Status.PROTOCOL_ERROR
+        assert "WireFormatError" in reader.read_str()
+        box = make_box()
+        assert service.touch(box) is box.payload[-1]
+
+
 class TestDeltaReplyKinds:
     def test_non_advertising_delta_call_gets_full_reply(self, endpoint_pair):
         box = make_box()

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.markers import Remote, Restorable
 from repro.core.semantics import PassingMode, resolve_modes
-from repro.errors import SerializationError, ServerBusyError
-from repro.nrmi.invocation import compute_retained, compute_retained_indexed
+from repro.errors import SerializationError, ServerBusyError, WireFormatError
+from repro.nrmi.invocation import compute_retained, compute_retained_indexed, wire_order
 from repro.rmi.protocol import busy_response
 from repro.serde.accessors import OPTIMIZED_ACCESSOR
 from repro.serde.hooks import transient_fields
-from repro.serde.linear_map import LinearMap
 from repro.serde.reader import ObjectReader
 from repro.serde.writer import ObjectWriter
 from repro.transport.base import Channel
@@ -61,7 +60,11 @@ class TestComputeRetained:
         box = Box([Node(i) for i in range(5)])
         linear_map = marshal(box)
         retained = compute_retained(linear_map, [box], OPTIMIZED_ACCESSOR)
-        positions = [linear_map.position_of(obj) for obj in retained]
+        objects = linear_map.objects
+        positions = [
+            next(i for i, member in enumerate(objects) if member is obj)
+            for obj in retained
+        ]
         assert positions == sorted(positions)
 
     def test_both_sides_compute_identical_subsets(self):
@@ -198,9 +201,10 @@ class TestRetainedSetEquivalence:
     @given(st.lists(ARGUMENT, min_size=1, max_size=5), st.booleans())
     def test_spans_agree_with_the_reference_walk_on_both_sides(self, recipe, ship_map):
         args = build_arguments(recipe)
+        order = wire_order(resolve_modes(args))
         writer = ObjectWriter()
-        for arg in args:
-            writer.write_root(arg)
+        for index in order:
+            writer.write_root(args[index])
         if ship_map:
             writer.write_root(list(writer.linear_map.objects))
 
@@ -209,7 +213,7 @@ class TestRetainedSetEquivalence:
                 linear_map, roots, OPTIMIZED_ACCESSOR
             )
             expected, expected_indices = reference_retained(linear_map, roots)
-            assert indices == expected_indices
+            assert indices == expected_indices == list(range(len(indices)))
             assert len(retained) == len(expected)
             assert all(got is want for got, want in zip(retained, expected))
             return retained
@@ -217,16 +221,26 @@ class TestRetainedSetEquivalence:
         client = check(writer.linear_map, restore_roots(args))
 
         reader = ObjectReader(writer.getvalue())
-        decoded = tuple(reader.read_root() for _ in args)
+        decoded = [None] * len(args)
+        for index in order:
+            decoded[index] = reader.read_root()
+        decoded = tuple(decoded)
         assert resolve_modes(decoded) == resolve_modes(args)
-        server_map = reader.linear_map
-        if ship_map:  # as handle_call does: trust the transmitted map
-            server_map = LinearMap(reader.read_root())
+        shipped = reader.read_root() if ship_map else None
         reader.expect_end()
-        server = check(server_map, restore_roots(decoded))
+        server = check(reader.linear_map, restore_roots(decoded))
+        if ship_map:  # as handle_call does: the same prefix of the shipped map
+            assert all(got is want for got, want in zip(shipped, server))
 
         assert len(client) == len(server)
         assert [type(obj) for obj in client] == [type(obj) for obj in server]
+
+    def test_a_stream_not_in_wire_order_is_refused(self):
+        """A by-copy argument that fills the map ahead of a root."""
+        root = Box([Node(1)])
+        linear_map = marshal([root.payload], root)
+        with pytest.raises(WireFormatError):
+            compute_retained_indexed(linear_map, [root], OPTIMIZED_ACCESSOR)
 
 
 class Unmarshalable:

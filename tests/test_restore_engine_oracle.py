@@ -44,7 +44,7 @@ from repro.core.restore_protocol import (
 from repro.core.semantics import PassingMode, resolve_modes
 from repro.core.verify import fingerprint
 from repro.errors import UnmarshalError
-from repro.nrmi.invocation import PreparedCall, complete_call, compute_retained
+from repro.nrmi.invocation import PreparedCall, complete_call, compute_retained, wire_order
 from repro.rmi.protocol import CAP_DELTA_SLOTS, CallRequest, encode_call
 from repro.rmi.remote_ref import RemoteDescriptor, RemoteStub, is_opaque_remote
 from repro.serde.accessors import OPTIMIZED_ACCESSOR, PORTABLE_ACCESSOR
@@ -259,27 +259,25 @@ def run_program(box, program):
 
 def encode_call_args(args, profile, accessor):
     """The client half of marshalling: request bytes and the originals."""
+    modes = resolve_modes(args)
     writer = ObjectWriter(profile=profile, externalizers=EXTERNALIZERS)
-    for arg in args:
-        writer.write_root(arg)
-    roots = [
-        arg for arg, mode in zip(args, resolve_modes(args))
-        if mode is PassingMode.BY_COPY_RESTORE
-    ]
+    for index in wire_order(modes):
+        writer.write_root(args[index])
+    roots = [arg for arg, mode in zip(args, modes) if mode is PassingMode.BY_COPY_RESTORE]
     return writer.getvalue(), compute_retained(writer.linear_map, roots, accessor)
 
 
-def serve(policy_name, request, arg_count, program, profile, accessor):
-    """The server half: decode, run the program, build the reply. Also
-    returns the oracle's view of the call: the server's result, its
-    retained copies and the slots the reply should define."""
+def serve(policy_name, request, modes, program, profile, accessor):
+    """The server half: decode (in the caller's *modes*' wire order), run
+    the program, build the reply. Also returns the oracle's view of the
+    call: the server's result, its retained copies and the slots the
+    reply should define."""
     reader = ObjectReader(request, profile=profile, externalizers=EXTERNALIZERS)
-    args = [reader.read_root() for _ in range(arg_count)]
+    args = [None] * len(modes)
+    for index in wire_order(modes):
+        args[index] = reader.read_root()
     reader.expect_end()
-    roots = [
-        arg for arg, mode in zip(args, resolve_modes(tuple(args)))
-        if mode is PassingMode.BY_COPY_RESTORE
-    ]
+    roots = [arg for arg, mode in zip(args, modes) if mode is PassingMode.BY_COPY_RESTORE]
     policy = policy_by_name("delta-slots" if policy_name == "delta" else policy_name)
     retained = compute_retained(reader.linear_map, roots, accessor)
     context = ServerRestoreContext(
@@ -363,7 +361,9 @@ def test_engine_matches_the_graph_walk(profile, accessor, recipe, program, polic
     # The oracle's caller is a copy taken before the call, its originals
     # the copies of the reply caller's, position by position.
     held_b, originals_b = copy.deepcopy((held_a, originals_a))
-    reply, server_view = serve(policy_name, request, len(args), program, profile, accessor)
+    reply, server_view = serve(
+        policy_name, request, resolve_modes(args), program, profile, accessor
+    )
 
     policy = policy_by_name("delta-slots" if policy_name == "delta" else policy_name)
     context = ClientRestoreContext(

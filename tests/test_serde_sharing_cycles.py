@@ -140,5 +140,6 @@ class TestLinearMapAlignment:
         writer = ObjectWriter()
         a, b = [1], [2]
         writer.write_root([a, b])
-        assert writer.linear_map.position_of(a) is not None
-        assert writer.linear_map.position_of(b) == writer.linear_map.position_of(a) + 1
+        objects = writer.linear_map.objects
+        position = next(i for i, obj in enumerate(objects) if obj is a)
+        assert objects[position + 1] is b

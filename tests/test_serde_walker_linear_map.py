@@ -1,9 +1,13 @@
 """Graph walker and LinearMap unit tests."""
 
 from repro.serde.linear_map import LinearMap
-from repro.serde.walker import count_reachable, iter_children, reachable
+from repro.serde.walker import iter_children, reachable
 
 from tests.model_helpers import Node, Pair
+
+
+def count_reachable(roots):
+    return sum(1 for _ in reachable(roots))
 
 
 class TestIterChildren:
@@ -77,64 +81,20 @@ class TestLinearMap:
     def test_append_assigns_positions(self):
         lmap = LinearMap()
         a, b = [1], [2]
-        assert lmap.append(a) == 0
-        assert lmap.append(b) == 1
-
-    def test_append_idempotent(self):
-        lmap = LinearMap()
-        a = [1]
-        assert lmap.append(a) == 0
-        assert lmap.append(a) == 0
-        assert len(lmap) == 1
-
-    def test_position_of_missing(self):
-        assert LinearMap().position_of([1]) is None
-
-    def test_contains_by_identity(self):
-        lmap = LinearMap()
-        a = [1]
-        lmap.append(a)
-        assert a in lmap
-        assert [1] not in lmap
+        assert lmap.append_new(a) == 0
+        assert lmap.append_new(b) == 1
 
     def test_iteration_order(self):
         lmap = LinearMap()
         items = [[i] for i in range(5)]
         for item in items:
-            lmap.append(item)
+            lmap.append_new(item)
         assert [obj[0] for obj in lmap] == [0, 1, 2, 3, 4]
         assert lmap[3] == [3]
 
-    def test_init_from_list(self):
-        items = [[1], [2]]
-        lmap = LinearMap(items)
-        assert len(lmap) == 2
-        assert lmap.position_of(items[1]) == 1
-
     def test_objects_property(self):
-        items = [[1], [2]]
-        assert LinearMap(items).objects == items
-
-    def test_index_follows_unchecked_appends(self):
-        """The identity index is built on the first query and extended
-        over whatever was appended since."""
         lmap = LinearMap()
-        first, second, third = [1], [2], [3]
-        lmap.append_new(first)
-        assert lmap.position_of(first) == 0
-        lmap.append_new(second)
-        lmap.objects.append(third)  # the generated encoders' inlined append
-        assert second in lmap and third in lmap
-        assert lmap.position_of(third) == 2
-        assert lmap.append(second) == 1
-        assert len(lmap) == 3
-
-    def test_encoding_builds_no_index(self):
-        from repro.serde.writer import ObjectWriter
-
-        shared = [0]
-        writer = ObjectWriter()
-        writer.write_root([shared, {"k": shared}, shared])
-        lmap = writer.linear_map
-        assert len(lmap) == 3 and lmap._indexed == 0
-        assert lmap.position_of(shared) == 1
+        items = [[1], [2]]
+        for item in items:
+            lmap.append_new(item)
+        assert lmap.objects == items

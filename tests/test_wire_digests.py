@@ -14,7 +14,8 @@ second call is pinned, so the request's layout definitions hold schema
 references rather than class names.
 
 A third table pins the shapes trees never reach, on both profiles and
-all three policies: a by-copy argument ahead of the copy-restore root, a
+all three policies: a by-copy argument ahead of the copy-restore root in
+the call (the stream carries it after the root), a
 retained list, dict and set, dict keys and set members whose hash
 follows their fields (and changes in the call), a transient field and a
 ``__slots__`` class (``shapes_world``). Its sets hold only int-hashed
@@ -45,7 +46,7 @@ from repro.core.restore_protocol import (
 )
 from repro.core.semantics import PassingMode, resolve_modes
 from repro.core.verify import fingerprint
-from repro.nrmi.invocation import compute_retained, compute_retained_indexed
+from repro.nrmi.invocation import compute_retained, compute_retained_indexed, wire_order
 from repro.rmi.remote_ref import is_opaque_remote
 from repro.serde.accessors import accessor_by_name
 from repro.serde.profiles import profile_by_name
@@ -79,10 +80,11 @@ def _call(args, run, policy_name, profile_name, schema=None):
     accessor = accessor_by_name(PROFILES[profile_name])
     delta = policy_name == "delta"
     modes = resolve_modes(args)
+    order = wire_order(modes)
 
     writer = ObjectWriter(profile=profile, schema_tx=schema_tx)
-    for arg in args:
-        writer.write_root(arg)
+    for index in order:
+        writer.write_root(args[index])
     request = writer.getvalue()
     roots = [arg for arg, mode in zip(args, modes) if mode is PassingMode.BY_COPY_RESTORE]
     originals = compute_retained(writer.linear_map, roots, accessor)
@@ -91,7 +93,9 @@ def _call(args, run, policy_name, profile_name, schema=None):
         request, profile=profile, digest_accessor=accessor if delta else None,
         schema_rx=schema_rx,
     )
-    server_args = [reader.read_root() for _ in args]
+    server_args = [None] * len(args)
+    for index in order:
+        server_args[index] = reader.read_root()
     reader.expect_end()
     for entry in writer.schemas_defined:
         entry.confirmed = True
@@ -278,440 +282,440 @@ def _schema_table() -> Dict[Tuple[str, int], Tuple[str, str]]:
 #: (profile, policy, seed) → (sha256 of the request body, of the reply body).
 DIGESTS: Dict[Tuple[str, str, int], Tuple[str, str]] = {
     ("modern", "full", 0): (
-        "6df8e9e0b9a063256169d3295bda1033a59847eb054740f43430a156cf4bc09f",
-        "e1906f2c37739af13ceaa269648f4597b8ba7c72a45415c13b983abaa3b360a8",
+        "3176aae08cbaac08d792577adbf21de24713e8dbdd44c2787d4a419081e03373",
+        "071c366a65041045a38b2be22b6d35d18e181ee37ccdb16f6938764d824a7917",
     ),
     ("modern", "full", 1): (
-        "05f9f4d5f19bf157b54b7c2d159aba5064d622b7f4026b78662adfe1e2b5c11b",
-        "a09056067effa7fe5996d3140b53508a4f5538b4687d2bf13cd4f0459564e92c",
+        "949ef2267ad54e542ef8ca67b8f09d7a3ae2b0caafaf70a189ef3e62d462dc3a",
+        "fbb40e7e48e4acab78dc45be459b7ee50b1ee31bee6b0f0ce3dff9b70fad41c4",
     ),
     ("modern", "full", 2): (
-        "20ea33f71825561ff3c3c6660dd7530c164db8d1fc49d8c6fb33179360c21e3b",
-        "7b05210c7850087e4ebc432344857dbade581c0c1bb80d6b32056c72f8f3b363",
+        "552b380776604456019dfe7f13e244a445d789e784dac04fbb64901f2193fb9d",
+        "46c663ea349de90e9f74e07c33ee8c9d0b771d2a3660702962a72a8eb9aa5b21",
     ),
     ("modern", "full", 3): (
-        "f772dd0db21f6f4234dd2437e4b3b5721c64d3fca38bacd6e3c1baffe010c7fd",
-        "6d9ecd6e1290e7ac72a65763a29c5d6eb60ffd76097ff00daa1c058aa2725919",
+        "219fe22cd42fff901e337d152f1f247507618e10d2eaeb9d003c54d4f878d942",
+        "cf71b4490a4774c8ef103b99db105540cfb494343defea183641a21c2bd9110e",
     ),
     ("modern", "full", 4): (
-        "742a71f00f37df8b292d822f8777cef63335a2c6ee5f7d695afc5f8e66516784",
-        "34fec91f6c90534040dc538ed758d6a32edf249383ad2527509f4555cf719bcd",
+        "4a82875ec0ba48419eb9376002661e7f6527e8c0a3963f6fcfa59a467b58b43a",
+        "d9787fb7b14a3c31e5758ca9e7de1277f1e8e6fefadf8f501918e0a95d2ef072",
     ),
     ("modern", "full", 5): (
-        "3bc4fee745a66cad9e431abdb7a76c9fcef266da5b60b66ebc7e919f66ad82e2",
-        "ef4338838c4bd6c6a7b878250ceffd2f042524db6a72a843a9cb0034bcb88c79",
+        "fbbb9aed25ec89dc7d813432899d1fd85dfeedff79d59c8a4a9ab76421ae01fb",
+        "0ccb3c16fe690195240e0e02116c0062349ffe25a7090bc5028d0f66b414cee4",
     ),
     ("modern", "full", 6): (
-        "4485825a64b00ef02969b885d8c4d8fe54fbb863520bd8d22d63addc4ab02588",
-        "9bce0000d32312cc3ad5e54058590101b625d5aa013dc6827772297b4da771d8",
+        "630fe192112e1b2611d43f781fb884be6f99dbcfe1bff4c7ba691c5d559ffda8",
+        "9df64e10427a193592bdd03b88105ef01c3eaa4c63c05aabe41480895833ccce",
     ),
     ("modern", "full", 7): (
-        "8ae77077d178f5516ea283e91288d7686c0a8b8d3fbd396a5d6845608db378a4",
-        "7c6120b8365ec7d96d69ba033fecfbf6d9fc3721caa21d3abe312eb14b4ffdbc",
+        "e206d1dd4daa8eb43403199d434c30fc02ccbeb7dbe71b17321c60b442c395fb",
+        "d3cf4327fa784eeb9e7e859363cc838880c3ad578110c0eb013ef7c96ea6aac8",
     ),
     ("modern", "full", 8): (
-        "b8d2530b182c1beb989dd524e29dfe5ef161bfe6396d785e68d41c7843c4ae22",
-        "eb6746ff6a18d104e0e6ffe939db46106161ef6df73ae459121b6e73061938ec",
+        "a45775b5a6301e8a092243538ff6916154329c6c5e2f47100545a16ffc012185",
+        "7929beeae340aa3a44ce13a935bf9011c6781f867dadfbb6b473e95bf5cb7585",
     ),
     ("modern", "full", 9): (
-        "a897aa46182ad2e0875e0b91425a74cb013e2a45c7f5cc33e1d6af3c2904c8d1",
-        "0f15b2ed9f0bb8a5a10d7a425828446d701c218d73453c4ccc2be22ae12e1dd3",
+        "9a7638af4ae72dbd580291a82667882add6b90656e989c01edbe6d9c4552c96a",
+        "38a84567d736e32e13deee4b58831b1a6108cf9e763e1aed271b136370688800",
     ),
     ("modern", "full", 10): (
-        "6c7d8ac6d3587b9d4e19a6bac14a557988a52885adbe0ce3c61d8cfd466d3e61",
-        "11a746b66cc40f93be12c72cec24d3d10770afc7171f93270bf370d0f0d71941",
+        "8e515adfe571028075c52d07dfe121a4516f51eabe6cf0d748984df643754b7c",
+        "690c5aaeb80227081b0ececf75aa9af616aa5949c3c139cae4cdbba45e900a98",
     ),
     ("modern", "full", 11): (
-        "1992badea57e1c6728c42f021c5fc22b2ed87fa7b75c28b9225f3917681bb9de",
-        "32155bda02e59ca2e33584b1c73bec2c71437237b13d3b9191e7190e33a95b56",
+        "de64bdb8acf78e90e31ff189e52423c611952bcc075796bdc2a8100b73cb7b98",
+        "f4301dbacfd018847374023537da42cf2527dcce480f50cad1e4d08408ba01c0",
     ),
     ("modern", "delta", 0): (
-        "057f84ca418b11821c68c3e704c482b059744138b416a0eff2693d442d94a65f",
-        "a52efc4f7e223210cb07720358419293bba03d18b29a3421b5840f709772aec5",
+        "3d958fa165508918087ea18056b93373468b493a6997a7c9111b4f9657c9d6ba",
+        "87d913f387d8fb202d61bbc9eeaa4245417e593116928b4bdfffdabad1973a4b",
     ),
     ("modern", "delta", 1): (
-        "9ba3a6b9963f19c96e8671b0dcd22cadc2887d319325adfc88aa6e7a20277a33",
-        "e08def9ae357bad070ab64e50a58bf298e2b7a3febb40e014d77d3bdfcfbdac3",
+        "936627d77ef0fd57e4377232b28ee92bcbbb63ca4220faa379583cc39cc78ca5",
+        "b0a2140510f1457239b7413329127809f41c1d72b1ffa136f3072f1e47760275",
     ),
     ("modern", "delta", 2): (
-        "f11a9e0ee143ae3623bf37118169cce62f67afc7780b2c40e9522352f675444a",
-        "e1ef8a31b79bb4126ff4c3f592fa56797cd722d11c13b67e9457c9bbf625d6fd",
+        "1fcec8fed8dfc18846cba49590b1793151d482a13b4fbb5dacf645e568f942c8",
+        "bc58b68e7877cc066b63f55760718106d04b468b555731229e21126a53747723",
     ),
     ("modern", "delta", 3): (
-        "dc702a3535410d3325ff19704a57ccd9c22e492857258fc110fda41ef209b82a",
-        "c3cec5d4f222d24c85632a908bae77a8e7b4044fa83d8ba9defb01a849b35d52",
+        "9da5df0360bb3494928275313448e5a77049284260ff845925ac6a015f2c3a3e",
+        "0f50235379f8fea67025547bbc731f3e300ebcfdd5f982383644cf0ff545dd60",
     ),
     ("modern", "delta", 4): (
-        "20cd26fbdb7020faba603d68ec0a8f5ca1b2eaac8398bf720af37a8ceb70dcbe",
-        "2f89c30e512058a1faecd3c54a91893a603567cd8e42361c6e1a52e5e334ca7a",
+        "a17f6a3f16f9ebc968d5028781adb02a98adf97345326bb44089430cf25103d8",
+        "25986be9c537fe326771fa1566a21d9884e00a922ae1f6bac4190f3784df4627",
     ),
     ("modern", "delta", 5): (
-        "f46fb77791f3b458741e0939519828bdb4a535732ca3de94db0fc3e9f8f85108",
-        "93b74e042c455e503ad55a49d416bcb3af0b2550b2fef71f360b8ead66389dfb",
+        "d4d6b8c3cc1f4ab1119b935a9d97567ff36e33ae37583219add901bcf59e95d8",
+        "22dbe9a1cb8eaf0745e77fa17a9a1a0589565a14bfe4b173b8d93feaca83fa25",
     ),
     ("modern", "delta", 6): (
-        "3b62884637c64cb3fb95b1e836838bd963ac53bbcf5320eac828ef624a7b49fc",
-        "515835a3627814d80113fa93d3c158127bc45c49eec98484e1730b104a225c77",
+        "cdbbcc6a87a2ae1eb5ae6628075d8770380eb12cd5647d5c0ae6a85943b8c1de",
+        "2a41c0754e2ec2679015b702b561ac8cb2c19aae0b623bb84154873419ac8191",
     ),
     ("modern", "delta", 7): (
-        "6125e0c128243156a51c75d59abb5fda15322cb8a06efbb8ffd7d7cac74104f8",
-        "20971bb20d6cca5d16a625c42662c9631eb6ca787d8402213af412c63e6f4362",
+        "00cacaa354c7566277d09ac9700c9b65b9159816142070d9d43f3ac4a9e7e300",
+        "aed391533e088c305a73ce0b76cd5af8648ba7b75746562a17d96517ef4bd194",
     ),
     ("modern", "delta", 8): (
-        "84aa240e58b0d146445c9f3551ce546ce895c4a00f7537f7d19d0bd536c7f7aa",
-        "aa19dcce17d6bc07735abbda47c8b26862808c43c1f7b5dacd381c4d7355b762",
+        "8ae81edeeb954c858def97a32607ed9c669eaca29024f954264e917a6726325d",
+        "8956254d71d56b686dd9100932cfaaf766c68010bbd460a1b37f8c3465da2bbd",
     ),
     ("modern", "delta", 9): (
-        "cb0c2d2a41b5ca61b50c17426740e5a55a5e740bd5cb5fcc10e76ed6426771b7",
-        "4ab6fc6a7ed7cb79b09630cdfb088756dd83c4a1f31ac3c5576f71956745996e",
+        "97e4539956d53ac5bab2ccb1bdd699de222972205c8f445900da7f0164ec8065",
+        "5cfa2b42d359b54a48bcea358462ef7085344efbb70feae0b6e29e5c1fdf53c1",
     ),
     ("modern", "delta", 10): (
-        "cb81206a92ab57005cb1151c6201f253c51fa23b82d4238ebedde2cb5fd31a4d",
-        "726bfccb6848162e531ba314c162051d23ac9d790922256255e1769bbf9a87e5",
+        "21e590579e351804c39ba46cbcce81a167845edb810fefebfd93877e09b0322f",
+        "4056f84bd8124b461cad6cc14f65c7f72fab41110e630398a52a28a3ce500b12",
     ),
     ("modern", "delta", 11): (
-        "8a37626d5315b8323ba202f5028c0d61e1747fbe207061819c12e61aa29434d4",
-        "0a113cf3c8089352fb56e1a0d7f8fc3cd31724ec9627718ca82608813bebdd7b",
+        "2753675844b1b3e6b7bbd07399bd0f7a01fa8be8f4954abbfdb82014b8082233",
+        "510ff12681688e30a23187c4b789ae04d38770dcf53fc1f9ade2ae5fccf68180",
     ),
     ("modern", "dce", 0): (
-        "6df8e9e0b9a063256169d3295bda1033a59847eb054740f43430a156cf4bc09f",
-        "e1906f2c37739af13ceaa269648f4597b8ba7c72a45415c13b983abaa3b360a8",
+        "3176aae08cbaac08d792577adbf21de24713e8dbdd44c2787d4a419081e03373",
+        "071c366a65041045a38b2be22b6d35d18e181ee37ccdb16f6938764d824a7917",
     ),
     ("modern", "dce", 1): (
-        "05f9f4d5f19bf157b54b7c2d159aba5064d622b7f4026b78662adfe1e2b5c11b",
-        "e9b7f1e98d6a0c8417c123aca79f965cf9e35b78bdc766f1a953268d519ed741",
+        "949ef2267ad54e542ef8ca67b8f09d7a3ae2b0caafaf70a189ef3e62d462dc3a",
+        "a996338423cb28573f432210c22f8ef5065ffdfaef2c40918394853f6bcb534e",
     ),
     ("modern", "dce", 2): (
-        "20ea33f71825561ff3c3c6660dd7530c164db8d1fc49d8c6fb33179360c21e3b",
-        "395180bc9c32410eaf7ca50d40e551fb82f89601811847672782172c80301268",
+        "552b380776604456019dfe7f13e244a445d789e784dac04fbb64901f2193fb9d",
+        "bfdcc90c0812f73e5c90b70e3ecbd60a39a4608d359841ff39a4045330a4071d",
     ),
     ("modern", "dce", 3): (
-        "f772dd0db21f6f4234dd2437e4b3b5721c64d3fca38bacd6e3c1baffe010c7fd",
-        "ad180583cc8cb90e404885466b824e2eac50977838167493dc7a72a7c9882edb",
+        "219fe22cd42fff901e337d152f1f247507618e10d2eaeb9d003c54d4f878d942",
+        "b9d3978682f3408dbc450152151e60c1b3c25520b3440d0af0155b4507b53b34",
     ),
     ("modern", "dce", 4): (
-        "742a71f00f37df8b292d822f8777cef63335a2c6ee5f7d695afc5f8e66516784",
-        "8bf8950e3c16e795b4166b5b1b9b6f82dfe2438423461fb5e0881d28bcec76a7",
+        "4a82875ec0ba48419eb9376002661e7f6527e8c0a3963f6fcfa59a467b58b43a",
+        "95736b431cfc1948ae8e596a58c576518342622b62bdb6d10d44e16987206095",
     ),
     ("modern", "dce", 5): (
-        "3bc4fee745a66cad9e431abdb7a76c9fcef266da5b60b66ebc7e919f66ad82e2",
-        "4d17bdb8056a3cd849bd6e75ce96d13322d8e6aba0b310a8280287eb0b8d687c",
+        "fbbb9aed25ec89dc7d813432899d1fd85dfeedff79d59c8a4a9ab76421ae01fb",
+        "f4ac0d380e92323bdf7621537c47c8e58a9269e03231911076c4464dcb927e89",
     ),
     ("modern", "dce", 6): (
-        "4485825a64b00ef02969b885d8c4d8fe54fbb863520bd8d22d63addc4ab02588",
-        "6f7a02097759deac075a978c630cabc3e8efd54e6b07dfa54c41aa38f53b9ecf",
+        "630fe192112e1b2611d43f781fb884be6f99dbcfe1bff4c7ba691c5d559ffda8",
+        "cc83c3f4856067aa0bd76ec1f66248d0d9e36ee2193c194bf7acdb52e3ad7a1b",
     ),
     ("modern", "dce", 7): (
-        "8ae77077d178f5516ea283e91288d7686c0a8b8d3fbd396a5d6845608db378a4",
-        "70fd0caf5fdf962558893de9fbab361dbc92ebf42452a9096eecbd8bcaa2ec4f",
+        "e206d1dd4daa8eb43403199d434c30fc02ccbeb7dbe71b17321c60b442c395fb",
+        "2baa3995a5c7d5e8836f21ce0fb7a29528619640b806176dec66d58082aec88d",
     ),
     ("modern", "dce", 8): (
-        "b8d2530b182c1beb989dd524e29dfe5ef161bfe6396d785e68d41c7843c4ae22",
-        "c752018bd2dafb2a9af7eb718d70f2efffe92416dd70fabae5a5ba56e7f541c6",
+        "a45775b5a6301e8a092243538ff6916154329c6c5e2f47100545a16ffc012185",
+        "640a7fd2269e3c1097c7c810e17abeb348542f707c45039eb501ad6e98a9a48c",
     ),
     ("modern", "dce", 9): (
-        "a897aa46182ad2e0875e0b91425a74cb013e2a45c7f5cc33e1d6af3c2904c8d1",
-        "7031e5b75cd36cf981095faf8245bb1257d17ecf787d55b8d90f53e60097f3f1",
+        "9a7638af4ae72dbd580291a82667882add6b90656e989c01edbe6d9c4552c96a",
+        "ebdcb9b978428fd4dd767af4e45637953b82427893c704c4d81d13185a4ec661",
     ),
     ("modern", "dce", 10): (
-        "6c7d8ac6d3587b9d4e19a6bac14a557988a52885adbe0ce3c61d8cfd466d3e61",
-        "d496684dc6bfd4ad033ca9f711f836607178b210ebedd05aa91351387c833997",
+        "8e515adfe571028075c52d07dfe121a4516f51eabe6cf0d748984df643754b7c",
+        "1324a3b6dd3491b8898f4548353d077e977ed4a0699d8b3397b4bcf14cf5bb2d",
     ),
     ("modern", "dce", 11): (
-        "1992badea57e1c6728c42f021c5fc22b2ed87fa7b75c28b9225f3917681bb9de",
-        "e9b2d2fecdc6540544e8cf5ca0074bc1443b851347784da761984f6656f69b3a",
+        "de64bdb8acf78e90e31ff189e52423c611952bcc075796bdc2a8100b73cb7b98",
+        "09d05bb835f698416aa7110ee4be40652aa14270cc3ac848fbe8057fd8126652",
     ),
     ("legacy", "full", 0): (
-        "665327d9a510edf063edc4b4c392e0dcb239751d5fbccefc6aee947dc7ff5e8e",
-        "26879386d6bc1c202a4e1a7fd973b7b5c1d53c2bb19546b8a206636227065ae7",
+        "00e129188c5e6c7da782c65c2c14b5e0bc5c1fb81de03f1ed010ad4835a9aa34",
+        "e25ad81dcb79ef56e110e4efc11b76ed7fffb48b9c8a1b008d952750da0284df",
     ),
     ("legacy", "full", 1): (
-        "475b0fe5aac19229714d765c3c7cab62d727669a7cce192c2f95671ab89383ce",
-        "22b0c5c328dc623fdfffe04b727a8417c1bc3fc106228ce432cd20ae83db6f8f",
+        "8e6500e966aca216f38f258711f50ad12cf7e06d1c17a59e66519435a5043433",
+        "8c3c4b2790f3641ebda5763480a8a825cc95542f2bc0616d575382bfde2fdc7e",
     ),
     ("legacy", "full", 2): (
-        "f93948c0f98d1bb4d21786836eb2fffdc694e4ece48e2614ab02700fe79f2862",
-        "ac43e27d5025d58230d251aa6691b0b9b1252a7dcd93b0d7253f718e8e3af899",
+        "f92bc9c864cf658f89a832dcedd1b3c805619b31cb630bac792bcbfff8ee8f7d",
+        "c717a06dfadc0fbc08f0e4aab115f7d0e46ee2086f7e81b246d6de91e6927069",
     ),
     ("legacy", "full", 3): (
-        "c93782a1e7ef49e12b98ca3c9d5dea564c86f1f71610aaec8ed4d0eb5e8d7c09",
-        "8efa82bdda946c59b42c515e04843f17bdad882a8552cd72393dc089f3143675",
+        "063087174850ce9b66e1ba6ed461e19ee8a277266e9bc84d5e70a005ad3ce60c",
+        "3e3e1bc790fa41fa2167313739a65b52532ab1fc3fea1bb640b1d54605dc7091",
     ),
     ("legacy", "full", 4): (
-        "66d91c2767eb61d232e937b48266d683159964f652099aaf19e3cf5bb61c53f8",
-        "f64007f4c8741b2ecbda2e8659d6f9e73b9aad1524180b33e6dee97148082eca",
+        "1ce9c808191ddc8ac1522e324c5c16c8432e89bfa70062936f912975f68413c7",
+        "1d9abde4e29d4ff37f0372bbfc46fcfd9e6325e4eb7ff266a05973b57a0d00a6",
     ),
     ("legacy", "full", 5): (
-        "852efab609767cee5104f6a5178a6c101edbc5feb7207a5d8cc30f2071c7db2f",
-        "bd891f65215c33b07983788d1aaf6ee0b0db6c3272fc7f7e5589f145bf0ed551",
+        "e4777c27d6ef6a3b0c1fa5426d451d67c6342c3170dff1a35499ff47eb80070a",
+        "45585b835a38a7fa1857471a0ca0b878442052e5c207ed60e341e00833ecbe1a",
     ),
     ("legacy", "full", 6): (
-        "db555ad20a27ac52dfabb61c1e672a4063de334f1958b09f5a5fecfc2a446b3c",
-        "8b26555af4b30b259476e721e89b8d5954813e62960b8e6dd103805cefbe065e",
+        "27ee4f41072b83c9c60fc6187686b1a5daa30c9f14dff1f3ee3d6cb718307695",
+        "d2cecf6a57d7bacbd76683aa579d6834eb5fa6c9f7d059d4035314f06924ba45",
     ),
     ("legacy", "full", 7): (
-        "30ed4be302589587e99702acb6ba54ebe90351e98a1015708af413f53517bfaf",
-        "231ed0fc7aa7a97e002f97363d8e1d24d24c17bdcfd0be1204262cc78b530610",
+        "1f1f6496517e804e67276511362be93318053fa447df7f5ea28875bd165b38f6",
+        "4ec411d84502c75284af9ed905683e488488c0d98bf50385413815195d76e828",
     ),
     ("legacy", "full", 8): (
-        "4b61ad801c3a7b23fbf9c9598243cd897545cbad08282bb1e25dff7c0bad6cd5",
-        "22c430f408a8795c13c3de80b591599ef52161e435e700417b041fa10b8e8e18",
+        "709c7d7adbf8363170b8ed5ca4c474b5fd1f3323d2987b52343fba4686a120e2",
+        "791b6c651dafe0b7a27005391caa5a3f263b80cbb57ceca60b2420cfaa472d97",
     ),
     ("legacy", "full", 9): (
-        "5de590858508babf2ca1d1cbdfd3fc7fc00f7dd3e8208464d9ab13e3a0b8ab2d",
-        "d37a03a6c9f391d31ce947d661ca8b0fc511e885789a6d7e85667ecc955e0652",
+        "751dda7368854bbc8776426fde8d61cdc50645c46251f9ad4fbd19a87a0e3210",
+        "e8dc44908c0fb03150558363712b5f96ae11d44994405c000d5549cec12d50ec",
     ),
     ("legacy", "full", 10): (
-        "dea2342c186f75a9810103636de75dfdcefecf6bada681bbcf34b9be9a2d8c8a",
-        "b0110947f7c9857de4a1c44fc86d9f162a423f787a875c2b265eea6abfb6b90b",
+        "308deb282f2f2c7f2a2b01f4482f7b46a3a5a9b8038e4b378b15d58b5310da56",
+        "15b303a48a53e70d3dac331f6cd6dcc04a483817a07f5a43372abc753867664e",
     ),
     ("legacy", "full", 11): (
-        "14deafa62efc9f8bec45a696ca74db136acaa03f97e855442c6929ee7a83016a",
-        "d4564d6aa976d9da37dcb1fdae43b79366821965bd33477cb10882ffbebce342",
+        "de60bcd060d698c9c784cfd431fbda153ee427d01fcb564c116d0d8eb2c7121e",
+        "d54e02489a1793e4f4cc53a700e561d6358eccf1b1bbf731756f7fac208b04f7",
     ),
     ("legacy", "delta", 0): (
-        "710df7c2a5fcc9da015f7fdf47d5093b3446648d90502dab485c4116ad95ffdd",
-        "61d5aad16425c3fb9177aa9acc58aca5cd0f7b60ee4a543a2822b3a8f0e538f1",
+        "5a274e04959bd58a22682a77156a8700a28f45b666f8c4b76b5dfa81ee8cc404",
+        "1b272a1c9fd6390b7c9e14788efd24c92acc18d7bc956d06bd537c6a59bca2d6",
     ),
     ("legacy", "delta", 1): (
-        "c2c89863c6a9cec7a4b41be4b80020540da4d13324865c9d08048fb5df58e8d8",
-        "7a58bed1d750d5338bc2c704c6705df49a108a48c5b2c42a0fb81eb4bef9a5bd",
+        "9a98af6fa426366b1cf311e5f1b3213940e0372182105637eb0ec0e5601b314c",
+        "e71b515b4c37e557aa5a3c139c612c00be8a428e324e769031a5d01a9ee67022",
     ),
     ("legacy", "delta", 2): (
-        "1eea617500dc8433b0ea114069a8cb7605b9699282d777fe771db68791104030",
-        "e6c2920483e9e2fbf4cb840b01c3e7f80c0f01dbd3b8dea0eb325800a462793b",
+        "ac9f439fdf44120b95adbcf94fd6a996ea1d140d3d655fc1a3d1f42afcd36e94",
+        "a9578e0d7ba08a8748b3d0de99eb9be53aa5bb33a02b831498cc9f13d1cd4047",
     ),
     ("legacy", "delta", 3): (
-        "126cd01200d489b10def12846e9ce989e7c8016fdd323fb98af9be85c12706d2",
-        "2d0b59c8cd546a36b8ebc837f102254e3666dee0055d63d521aefa59fb484e5f",
+        "52f7065813f30879a632b69b6fefae3ab2403bbd50f1ee1b6cb639a242d718d2",
+        "6ff67665aab4006d6d2e8c572385788af3bdfe8f15d99b71413023c84a34a2d7",
     ),
     ("legacy", "delta", 4): (
-        "c7af01c06e845ae266e67a421f9fcbdfa0a4e75af477bd85627e543a145469a2",
-        "ea3a7cbeb0bb9e636845f2dfdfb2d343394f25d57932d0bbadba48c5c4d62437",
+        "fcdbd081b7c47b9e92f35c63f61bbbca0f10cd5cf402deec3a787e5ddf2ecc88",
+        "13fd9e17ecf5a71c5f2af343eab10da4ce6d162047c1090f084c5913dfaa93d3",
     ),
     ("legacy", "delta", 5): (
-        "003ed1b5bfad8a46bdbc76eff2de0aea9f79e173cf1dd4116ba9025c54500661",
-        "ff3b0f1007532bfc46db94541ad075d345db954a4a0896d585aa3795dedf6ab1",
+        "4f8e8d70626e4a65c600eab47fa10441d27c9fbf46bedc5972a4d8de1a9dafee",
+        "c311aa966dc689815bedad69b776a6e2f8e42e3ebda16ab70be55a5df7cb5dab",
     ),
     ("legacy", "delta", 6): (
-        "3979ebbb92d89437c64f1c37b09cfd2d3b2915ee83454dee369a185006fd3c88",
-        "0ec08435ff28daf44be6e46723f871fc29ed7530d2f0d98984eec680b455fb27",
+        "813ca6f1f1fc18079bb9ea9c3c1034af7a049d7024e74c81fbabe5f2bff16a00",
+        "a9e60bc5276fb22dae4e252d0ca3cb86d2a21c91ab17884c06669cd88c7b0f14",
     ),
     ("legacy", "delta", 7): (
-        "a5c59fc0640e3e6a7985f6f700b08f7cf5e7aa41a5c572ff2866b01f844de05f",
-        "bf49f8c8893264a3770af0a4bfae217d5b68d470843213f1ee10ff64a44e8890",
+        "0ca115df58ce1bb69c1c1a705eb962cb186d34162d1fc1f8f927a3f9cf213ff4",
+        "a912c2c79f4a514e63fabaeaaaeb732256a2a32c5ad4fe1d15b8c7099e194f52",
     ),
     ("legacy", "delta", 8): (
-        "f2f5f61551ee7e8efb8bf37112c4092ef7b0efa22e3dad0d5f4681bbd1fbb1b0",
-        "eb8c4700cf383c1b26dbe69c4df75ca89e62375f85b98ed9741b88fb1b243b93",
+        "96f968814bf813631196487d0bc917b25a76f49d170abbbefb803b764ca415ad",
+        "4d3f06beb50746a1a9f5ba43e7c7e5559122e853d39988fcb6be33f138303b51",
     ),
     ("legacy", "delta", 9): (
-        "8af0dd497f4fb78c7dc798a070417f232e0a34df0859c2bb87a98d7f8cc3a3e0",
-        "c4196b1e38a6e87ec254f3fca042c608ec752f935b5317a1cb384bc869153285",
+        "605aa63c899ca8100b92e944ee7b34033c19cd26b380c13c56fb6029996c6168",
+        "f50a519fee99fdd2b9139e7579716e7240396f668c99c7117ea4df7238537d61",
     ),
     ("legacy", "delta", 10): (
-        "03847e389c45ac0dc3a2c53f79f53f683e28718675f7f2d0184e2f039f647e6d",
-        "b72bc0ea6182ebb2054102fd9f2f4404256cbf8516f919c7cad497feb36a71e1",
+        "7b1ca00ed114c7d755c574f06696a7bf7181944a34c3c14fbd12f99fb7b47f86",
+        "fd39b4b0946e22c6ec93368202a3f394269ddd236d4d05e3509985adec6680fc",
     ),
     ("legacy", "delta", 11): (
-        "dfa93fa34b88141ea9edcef8fb2b706991956521e013b3c04e3c91870ad191e8",
-        "0a113cf3c8089352fb56e1a0d7f8fc3cd31724ec9627718ca82608813bebdd7b",
+        "8d0599403db10fc2a3be37b80e7855d6bcf500e70edaa08b72f60468aa1575cb",
+        "510ff12681688e30a23187c4b789ae04d38770dcf53fc1f9ade2ae5fccf68180",
     ),
     ("legacy", "dce", 0): (
-        "665327d9a510edf063edc4b4c392e0dcb239751d5fbccefc6aee947dc7ff5e8e",
-        "26879386d6bc1c202a4e1a7fd973b7b5c1d53c2bb19546b8a206636227065ae7",
+        "00e129188c5e6c7da782c65c2c14b5e0bc5c1fb81de03f1ed010ad4835a9aa34",
+        "e25ad81dcb79ef56e110e4efc11b76ed7fffb48b9c8a1b008d952750da0284df",
     ),
     ("legacy", "dce", 1): (
-        "475b0fe5aac19229714d765c3c7cab62d727669a7cce192c2f95671ab89383ce",
-        "97be93dca3ae127b5195939898ab115be560c4200f52584b6a773ebb2a98073a",
+        "8e6500e966aca216f38f258711f50ad12cf7e06d1c17a59e66519435a5043433",
+        "9206fa471e46dc67c97df9b95f308201fc347cb085e8f65ad4c104f2eb321377",
     ),
     ("legacy", "dce", 2): (
-        "f93948c0f98d1bb4d21786836eb2fffdc694e4ece48e2614ab02700fe79f2862",
-        "de1e0a7ec8e414baef21e9a409c0d4132ead030303a6c2a285b70df70fbc8cac",
+        "f92bc9c864cf658f89a832dcedd1b3c805619b31cb630bac792bcbfff8ee8f7d",
+        "3f2ab85295c19f915a307f698cdd86f0f7cc0c8cec153260a3d229dabf2b2d95",
     ),
     ("legacy", "dce", 3): (
-        "c93782a1e7ef49e12b98ca3c9d5dea564c86f1f71610aaec8ed4d0eb5e8d7c09",
-        "7fa797ff1d6284509833b193ff6f66f157188530e0e88b45f6dc8b3c339162d8",
+        "063087174850ce9b66e1ba6ed461e19ee8a277266e9bc84d5e70a005ad3ce60c",
+        "7320cf96d270f7d26c2cbdc83b881be5ea8b2b8b7c7279bf35926bd6f18f59b3",
     ),
     ("legacy", "dce", 4): (
-        "66d91c2767eb61d232e937b48266d683159964f652099aaf19e3cf5bb61c53f8",
-        "862dbe4ebaf74d97dded515332d817dd4afc10790409e57429153b2730ebbb74",
+        "1ce9c808191ddc8ac1522e324c5c16c8432e89bfa70062936f912975f68413c7",
+        "dfef4f0db402b2343be3aefc8bcb41fb543e46c776b47c773410198c57b53284",
     ),
     ("legacy", "dce", 5): (
-        "852efab609767cee5104f6a5178a6c101edbc5feb7207a5d8cc30f2071c7db2f",
-        "f61dc6a50580682cc6c9684c6fa920940838d94f5cb222399ca64cfe73726644",
+        "e4777c27d6ef6a3b0c1fa5426d451d67c6342c3170dff1a35499ff47eb80070a",
+        "d9c5a9d88b4dca0d74292c8ddcb39cecdddd7c08067f524f8f7239d0f815cc10",
     ),
     ("legacy", "dce", 6): (
-        "db555ad20a27ac52dfabb61c1e672a4063de334f1958b09f5a5fecfc2a446b3c",
-        "9c379207f17b538c4ea1f82b1110ae5ed1deee197eeaaa2384cc4ed3c3a21ee4",
+        "27ee4f41072b83c9c60fc6187686b1a5daa30c9f14dff1f3ee3d6cb718307695",
+        "97f505c820c281c9e354be7d2021020d2c9a601ad35541d01d12ba9db96bbc33",
     ),
     ("legacy", "dce", 7): (
-        "30ed4be302589587e99702acb6ba54ebe90351e98a1015708af413f53517bfaf",
-        "9ab2747c5abdcbff1183296ae8492a6d74d360a6676b00d1834269807fab8dfb",
+        "1f1f6496517e804e67276511362be93318053fa447df7f5ea28875bd165b38f6",
+        "be0fba4e4a437f1c480fd90c5cf5a56492d49a0c93981e6a97c7f025d66e0c99",
     ),
     ("legacy", "dce", 8): (
-        "4b61ad801c3a7b23fbf9c9598243cd897545cbad08282bb1e25dff7c0bad6cd5",
-        "f6a23a78e26d902f1ba279cf3a67585ae59e0a2da9011b12df06e5b0313c657e",
+        "709c7d7adbf8363170b8ed5ca4c474b5fd1f3323d2987b52343fba4686a120e2",
+        "3679f8ce8bde884f87973a21871b0be921f6b8577d122bef888093cd9c3fa77d",
     ),
     ("legacy", "dce", 9): (
-        "5de590858508babf2ca1d1cbdfd3fc7fc00f7dd3e8208464d9ab13e3a0b8ab2d",
-        "70bea557c114c78c45008a8f0d8a132a6542e61fec7ba859e67a386f116b3afe",
+        "751dda7368854bbc8776426fde8d61cdc50645c46251f9ad4fbd19a87a0e3210",
+        "0ddc6dedf6fbae0d54241eebcdf8bdf0442be275bfb5e8a5d01cd1153cba3ad4",
     ),
     ("legacy", "dce", 10): (
-        "dea2342c186f75a9810103636de75dfdcefecf6bada681bbcf34b9be9a2d8c8a",
-        "a9d184d27aa159bdb030795d065039e30d68b858e4d85eef3e3d23aa111a9891",
+        "308deb282f2f2c7f2a2b01f4482f7b46a3a5a9b8038e4b378b15d58b5310da56",
+        "b1ef4c7a08cccc29de4178b8da0fedfc2951f4d4ef3cdef9223f9940ca8fdf60",
     ),
     ("legacy", "dce", 11): (
-        "14deafa62efc9f8bec45a696ca74db136acaa03f97e855442c6929ee7a83016a",
-        "1bb30ba6d2963dab1c7c932e779de3bcea2f8ff023dd16c6e0e56ea805764d49",
+        "de60bcd060d698c9c784cfd431fbda153ee427d01fcb564c116d0d8eb2c7121e",
+        "e68610e341b6fdc55234e501f0d34267a45b4712754960fc32a127be23a808fc",
     ),
 }
 
 #: (policy, seed) → the schema-on second call's (request, reply) sha256.
 SCHEMA_DIGESTS: Dict[Tuple[str, int], Tuple[str, str]] = {
     ("full", 0): (
-        "54c731586579a849ee16f8c1187c50f093a1c32498315b8e57a3c08b1c4edb8f",
-        "e1906f2c37739af13ceaa269648f4597b8ba7c72a45415c13b983abaa3b360a8",
+        "43447b6026483b6b693abea6a164fd53970e3463718f740dc0821487721471c1",
+        "071c366a65041045a38b2be22b6d35d18e181ee37ccdb16f6938764d824a7917",
     ),
     ("full", 1): (
-        "2332d093f39d31da2cf1057d630b20ee37b2c4d3b76b96d7e00e00f326522b70",
-        "a09056067effa7fe5996d3140b53508a4f5538b4687d2bf13cd4f0459564e92c",
+        "240a20e08c9a01fc1c898a22fb5ccb2cea12f128e9ef1c758149003c81d0c4a5",
+        "fbb40e7e48e4acab78dc45be459b7ee50b1ee31bee6b0f0ce3dff9b70fad41c4",
     ),
     ("full", 2): (
-        "bbff9dc7c12fedaca83d62003a5827aa2724b9a5fdec0368657f937563c2818e",
-        "7b05210c7850087e4ebc432344857dbade581c0c1bb80d6b32056c72f8f3b363",
+        "707f6a8bbefe3db5509d50c68686c07f9e818261d47e38b7053f8e7f1e7a34d1",
+        "46c663ea349de90e9f74e07c33ee8c9d0b771d2a3660702962a72a8eb9aa5b21",
     ),
     ("full", 3): (
-        "e49211f61b50d5155e1492486cbd74993356534eeeb08dbfc21ce53ec3ca94cb",
-        "6d9ecd6e1290e7ac72a65763a29c5d6eb60ffd76097ff00daa1c058aa2725919",
+        "d51c5879eb56a53759c1d18bf24f848ec6c541ca551e3da12ca827b972fd641d",
+        "cf71b4490a4774c8ef103b99db105540cfb494343defea183641a21c2bd9110e",
     ),
     ("full", 4): (
-        "0325090871cf616f1b1b73f53db8cc4eda7b8d573324237b774db91945524953",
-        "34fec91f6c90534040dc538ed758d6a32edf249383ad2527509f4555cf719bcd",
+        "de1327bc6bb190d2dd7fb2ff6cbce31976ad250793228c539920972885a8e577",
+        "d9787fb7b14a3c31e5758ca9e7de1277f1e8e6fefadf8f501918e0a95d2ef072",
     ),
     ("full", 5): (
-        "0e9375ed93bac83d41c6d92400087b5087912f81a57916d45a6c5d27ff25c0a7",
-        "ef4338838c4bd6c6a7b878250ceffd2f042524db6a72a843a9cb0034bcb88c79",
+        "69b2d89f49036489168c53408b07b8ca22dbf47ad84c6d6c412c359f944cf4b2",
+        "0ccb3c16fe690195240e0e02116c0062349ffe25a7090bc5028d0f66b414cee4",
     ),
     ("full", 6): (
-        "c856c54d2ad0ac0310be8f3ba38ea31adceb9ba9f2e562a64f2089884b4eba5c",
-        "9bce0000d32312cc3ad5e54058590101b625d5aa013dc6827772297b4da771d8",
+        "d7e41fc9edb76736cbdbf84863e32631a4578acf0820cf4cfccaee09c3c2768e",
+        "9df64e10427a193592bdd03b88105ef01c3eaa4c63c05aabe41480895833ccce",
     ),
     ("full", 7): (
-        "d17a4b3e29fe1865160ce92728e9376ed47a7adcf099dbdecf00ca3211265ac2",
-        "7c6120b8365ec7d96d69ba033fecfbf6d9fc3721caa21d3abe312eb14b4ffdbc",
+        "d17d614b5fc280e7167e155c4ddd8c4ef1f413ca0b7f41f63260aed86c241352",
+        "d3cf4327fa784eeb9e7e859363cc838880c3ad578110c0eb013ef7c96ea6aac8",
     ),
     ("full", 8): (
-        "46c7d0e07a71703229dd8e4c5e96e87a7807cb76faacdbefd24049d2c95e162b",
-        "eb6746ff6a18d104e0e6ffe939db46106161ef6df73ae459121b6e73061938ec",
+        "781e93eb08f491f7ec66df24fab16b3fb0d6676c8e9e0c98fead3aded57b0134",
+        "7929beeae340aa3a44ce13a935bf9011c6781f867dadfbb6b473e95bf5cb7585",
     ),
     ("full", 9): (
-        "79eff3d04fbd891b5600565d0189fefe2d0e8f61bb257f4e6a11d37e4b3bb6c6",
-        "0f15b2ed9f0bb8a5a10d7a425828446d701c218d73453c4ccc2be22ae12e1dd3",
+        "69a5cea350e3376bc5a6b9ff93319495221f8519ff5622f8c7b6c5f59f35bc9e",
+        "38a84567d736e32e13deee4b58831b1a6108cf9e763e1aed271b136370688800",
     ),
     ("full", 10): (
-        "b4f8974aeb1616eb05326fc8f5225a31117c42be3d4911b97e5af36c94905d3d",
-        "11a746b66cc40f93be12c72cec24d3d10770afc7171f93270bf370d0f0d71941",
+        "0013b1b5bd0baa63011fd486912bafb1d5a6be774819326a912a0b61d8b62f87",
+        "690c5aaeb80227081b0ececf75aa9af616aa5949c3c139cae4cdbba45e900a98",
     ),
     ("full", 11): (
-        "82a43e23d74ee01d8b7043e7c046da8c544ae67b6c5204aae7c836a4c8396694",
-        "32155bda02e59ca2e33584b1c73bec2c71437237b13d3b9191e7190e33a95b56",
+        "4b0239b8321bbc0e1134a0d96fde4e96c69522cebcb4c99393ed0255941d8739",
+        "f4301dbacfd018847374023537da42cf2527dcce480f50cad1e4d08408ba01c0",
     ),
     ("delta", 0): (
-        "98854000ce46a210296132841a873d9a4cc5d843f84217d6acddd986f3970d2a",
-        "a52efc4f7e223210cb07720358419293bba03d18b29a3421b5840f709772aec5",
+        "18f5c27cd854b1c30876139ea075795fcb9e43f2943fa3e68f606f069bff7468",
+        "87d913f387d8fb202d61bbc9eeaa4245417e593116928b4bdfffdabad1973a4b",
     ),
     ("delta", 1): (
-        "6a11440461b07bfa259a7100da71ccba5318c52eeff6cb928f4eea622c0d8a43",
-        "e08def9ae357bad070ab64e50a58bf298e2b7a3febb40e014d77d3bdfcfbdac3",
+        "4d33307259546a883cc32c9a570f10beb5ef0af5cb69cef6b09c6e686b18514d",
+        "b0a2140510f1457239b7413329127809f41c1d72b1ffa136f3072f1e47760275",
     ),
     ("delta", 2): (
-        "889f190d025c35e76a2a66cd84f4c0a37cf30fe2c43f10ebb582287c78022271",
-        "e1ef8a31b79bb4126ff4c3f592fa56797cd722d11c13b67e9457c9bbf625d6fd",
+        "f65bee8fe15b06c24e3e60b3bd1574b45a3a46445514c7ef48606a81ca4a5aa0",
+        "bc58b68e7877cc066b63f55760718106d04b468b555731229e21126a53747723",
     ),
     ("delta", 3): (
-        "44479cf5244775be9016609fa7af598f8c21d0e39d4b116f51710598967815ed",
-        "c3cec5d4f222d24c85632a908bae77a8e7b4044fa83d8ba9defb01a849b35d52",
+        "9078cd2d77de6bcd29122d94e585d10948613b8e673b3140a00972183ee2f226",
+        "0f50235379f8fea67025547bbc731f3e300ebcfdd5f982383644cf0ff545dd60",
     ),
     ("delta", 4): (
-        "063ad5d0838e590919391db6a67d19a99a56f49dff81100447526e231cfad047",
-        "2f89c30e512058a1faecd3c54a91893a603567cd8e42361c6e1a52e5e334ca7a",
+        "9dcd5eacc0f589440be48074c6890bb4a1180a808807b36b7bc84230c8ff9098",
+        "25986be9c537fe326771fa1566a21d9884e00a922ae1f6bac4190f3784df4627",
     ),
     ("delta", 5): (
-        "b8a78ecd5463debb77293dc2dbfb9b9e40126c82d18a8a2573f4ee36f864db66",
-        "93b74e042c455e503ad55a49d416bcb3af0b2550b2fef71f360b8ead66389dfb",
+        "26b290d43e0efc464ae4cd14a21d61cff73792134b82545c45b7c72e69510fea",
+        "22dbe9a1cb8eaf0745e77fa17a9a1a0589565a14bfe4b173b8d93feaca83fa25",
     ),
     ("delta", 6): (
-        "e7996329b525613989e72d167b1320b9e60a305cd4ab39aaf55311d5bf72f112",
-        "515835a3627814d80113fa93d3c158127bc45c49eec98484e1730b104a225c77",
+        "0abee58b16da3a0dd382291bf66eb57819ad6398234175190669730fd16f0ddc",
+        "2a41c0754e2ec2679015b702b561ac8cb2c19aae0b623bb84154873419ac8191",
     ),
     ("delta", 7): (
-        "f9a7225031fa72371fed0d61ac3921bbd855ee7591be99f18ef23276265b1edd",
-        "20971bb20d6cca5d16a625c42662c9631eb6ca787d8402213af412c63e6f4362",
+        "f9bf3288c9f04a78ac58ad72d8ea67ee9ae137126f97db649f626923d7523828",
+        "aed391533e088c305a73ce0b76cd5af8648ba7b75746562a17d96517ef4bd194",
     ),
     ("delta", 8): (
-        "023ef1a92fcda76e3acb306228cf06dda00aa1261c01c7018d16034eaf04034a",
-        "aa19dcce17d6bc07735abbda47c8b26862808c43c1f7b5dacd381c4d7355b762",
+        "15b60dab48be6ac43fc5d7a356a9bda67c4f7bafbff2ef37cb8ccf30bc96401e",
+        "8956254d71d56b686dd9100932cfaaf766c68010bbd460a1b37f8c3465da2bbd",
     ),
     ("delta", 9): (
-        "2bd2d175d2c6644c711d35ce4853c756f1af10267bc3df78cd013b8a62a4efe4",
-        "4ab6fc6a7ed7cb79b09630cdfb088756dd83c4a1f31ac3c5576f71956745996e",
+        "2150a66df9ee610da55b41d59459b1a715f34f3f934cf060033f6fc0c1a13296",
+        "5cfa2b42d359b54a48bcea358462ef7085344efbb70feae0b6e29e5c1fdf53c1",
     ),
     ("delta", 10): (
-        "ffadfdcb7717202fe0b12a7944fc6964d6205fffdd639bd3c72e1fa907d921d9",
-        "726bfccb6848162e531ba314c162051d23ac9d790922256255e1769bbf9a87e5",
+        "42ff53acebfe1adba0e3a0eca64d553d274dda11b79eda689126f384e00452c1",
+        "4056f84bd8124b461cad6cc14f65c7f72fab41110e630398a52a28a3ce500b12",
     ),
     ("delta", 11): (
-        "e0bafb7d51d19bb2ebed4b73b0e81c976d0992271ee7169e6ab3a8a5f02b200b",
-        "0a113cf3c8089352fb56e1a0d7f8fc3cd31724ec9627718ca82608813bebdd7b",
+        "6292d7e363c2c252b4e97323c16b796e71a2d761201a6d2aaecb3ea4a84cf30c",
+        "510ff12681688e30a23187c4b789ae04d38770dcf53fc1f9ade2ae5fccf68180",
     ),
     ("dce", 0): (
-        "54c731586579a849ee16f8c1187c50f093a1c32498315b8e57a3c08b1c4edb8f",
-        "e1906f2c37739af13ceaa269648f4597b8ba7c72a45415c13b983abaa3b360a8",
+        "43447b6026483b6b693abea6a164fd53970e3463718f740dc0821487721471c1",
+        "071c366a65041045a38b2be22b6d35d18e181ee37ccdb16f6938764d824a7917",
     ),
     ("dce", 1): (
-        "2332d093f39d31da2cf1057d630b20ee37b2c4d3b76b96d7e00e00f326522b70",
-        "e9b7f1e98d6a0c8417c123aca79f965cf9e35b78bdc766f1a953268d519ed741",
+        "240a20e08c9a01fc1c898a22fb5ccb2cea12f128e9ef1c758149003c81d0c4a5",
+        "a996338423cb28573f432210c22f8ef5065ffdfaef2c40918394853f6bcb534e",
     ),
     ("dce", 2): (
-        "bbff9dc7c12fedaca83d62003a5827aa2724b9a5fdec0368657f937563c2818e",
-        "395180bc9c32410eaf7ca50d40e551fb82f89601811847672782172c80301268",
+        "707f6a8bbefe3db5509d50c68686c07f9e818261d47e38b7053f8e7f1e7a34d1",
+        "bfdcc90c0812f73e5c90b70e3ecbd60a39a4608d359841ff39a4045330a4071d",
     ),
     ("dce", 3): (
-        "e49211f61b50d5155e1492486cbd74993356534eeeb08dbfc21ce53ec3ca94cb",
-        "ad180583cc8cb90e404885466b824e2eac50977838167493dc7a72a7c9882edb",
+        "d51c5879eb56a53759c1d18bf24f848ec6c541ca551e3da12ca827b972fd641d",
+        "b9d3978682f3408dbc450152151e60c1b3c25520b3440d0af0155b4507b53b34",
     ),
     ("dce", 4): (
-        "0325090871cf616f1b1b73f53db8cc4eda7b8d573324237b774db91945524953",
-        "8bf8950e3c16e795b4166b5b1b9b6f82dfe2438423461fb5e0881d28bcec76a7",
+        "de1327bc6bb190d2dd7fb2ff6cbce31976ad250793228c539920972885a8e577",
+        "95736b431cfc1948ae8e596a58c576518342622b62bdb6d10d44e16987206095",
     ),
     ("dce", 5): (
-        "0e9375ed93bac83d41c6d92400087b5087912f81a57916d45a6c5d27ff25c0a7",
-        "4d17bdb8056a3cd849bd6e75ce96d13322d8e6aba0b310a8280287eb0b8d687c",
+        "69b2d89f49036489168c53408b07b8ca22dbf47ad84c6d6c412c359f944cf4b2",
+        "f4ac0d380e92323bdf7621537c47c8e58a9269e03231911076c4464dcb927e89",
     ),
     ("dce", 6): (
-        "c856c54d2ad0ac0310be8f3ba38ea31adceb9ba9f2e562a64f2089884b4eba5c",
-        "6f7a02097759deac075a978c630cabc3e8efd54e6b07dfa54c41aa38f53b9ecf",
+        "d7e41fc9edb76736cbdbf84863e32631a4578acf0820cf4cfccaee09c3c2768e",
+        "cc83c3f4856067aa0bd76ec1f66248d0d9e36ee2193c194bf7acdb52e3ad7a1b",
     ),
     ("dce", 7): (
-        "d17a4b3e29fe1865160ce92728e9376ed47a7adcf099dbdecf00ca3211265ac2",
-        "70fd0caf5fdf962558893de9fbab361dbc92ebf42452a9096eecbd8bcaa2ec4f",
+        "d17d614b5fc280e7167e155c4ddd8c4ef1f413ca0b7f41f63260aed86c241352",
+        "2baa3995a5c7d5e8836f21ce0fb7a29528619640b806176dec66d58082aec88d",
     ),
     ("dce", 8): (
-        "46c7d0e07a71703229dd8e4c5e96e87a7807cb76faacdbefd24049d2c95e162b",
-        "c752018bd2dafb2a9af7eb718d70f2efffe92416dd70fabae5a5ba56e7f541c6",
+        "781e93eb08f491f7ec66df24fab16b3fb0d6676c8e9e0c98fead3aded57b0134",
+        "640a7fd2269e3c1097c7c810e17abeb348542f707c45039eb501ad6e98a9a48c",
     ),
     ("dce", 9): (
-        "79eff3d04fbd891b5600565d0189fefe2d0e8f61bb257f4e6a11d37e4b3bb6c6",
-        "7031e5b75cd36cf981095faf8245bb1257d17ecf787d55b8d90f53e60097f3f1",
+        "69a5cea350e3376bc5a6b9ff93319495221f8519ff5622f8c7b6c5f59f35bc9e",
+        "ebdcb9b978428fd4dd767af4e45637953b82427893c704c4d81d13185a4ec661",
     ),
     ("dce", 10): (
-        "b4f8974aeb1616eb05326fc8f5225a31117c42be3d4911b97e5af36c94905d3d",
-        "d496684dc6bfd4ad033ca9f711f836607178b210ebedd05aa91351387c833997",
+        "0013b1b5bd0baa63011fd486912bafb1d5a6be774819326a912a0b61d8b62f87",
+        "1324a3b6dd3491b8898f4548353d077e977ed4a0699d8b3397b4bcf14cf5bb2d",
     ),
     ("dce", 11): (
-        "82a43e23d74ee01d8b7043e7c046da8c544ae67b6c5204aae7c836a4c8396694",
-        "e9b2d2fecdc6540544e8cf5ca0074bc1443b851347784da761984f6656f69b3a",
+        "4b0239b8321bbc0e1134a0d96fde4e96c69522cebcb4c99393ed0255941d8739",
+        "09d05bb835f698416aa7110ee4be40652aa14270cc3ac848fbe8057fd8126652",
     ),
 }
 
@@ -719,76 +723,76 @@ SCHEMA_DIGESTS: Dict[Tuple[str, int], Tuple[str, str]] = {
 #: (profile, policy, seed) → (sha256 of the request body, of the reply body).
 SHAPE_DIGESTS: Dict[Tuple[str, str, int], Tuple[str, str]] = {
     ("modern", "full", 0): (
-        "1cf1595732637f413e8e3a578b28bb28530c4e78ccedf371d22ec123050ced2b",
-        "f88acca3949a3b2179cf8aaf78eaac2f28a021d3f3a15468efadeb46650b8a4b",
+        "e993ed32b4fd105fb1e42a95b17715c1d13c36bca6ca735664dd132f57233dd3",
+        "2ebcef4e961fbeec44374d512e5081d635019d658e0ac8b252db666035ae7849",
     ),
     ("modern", "full", 1): (
-        "cd492447b57bdf95f7ef5b3fe6d64561d781e5264020ca24468630a26ad396f5",
-        "db3031cae40ad2e25905773bc31c46aa8bd07258355024a896b323e5b349ca87",
+        "ac1157f474056958bb9f03be0f6ad113eb3f3df5586d7fe5e59a44513c120235",
+        "87c744cb169610d342e81c95534ab15d9147bf591c659dc29dcac0ec9ba6238a",
     ),
     ("modern", "full", 2): (
-        "afd026c8345eb8f3309ba3141baa7fd15ed0505546c1a4cedcb37b0d38888871",
-        "3c3c504d3bc25665d0802a2d0661e04725ada8701370276367f26d27c7fe1179",
+        "0a3d1d3cb8c02108595e48c81be8542c445dd5234aa11a7887c9c6f0168ad281",
+        "996e0d07404f363c746a4b6a21ab189c0fb1a64a2125076f075252b1ca84f791",
     ),
     ("modern", "delta", 0): (
-        "1cf1595732637f413e8e3a578b28bb28530c4e78ccedf371d22ec123050ced2b",
-        "7d4edb65168af2b8d55041e0c7134d712be2c44591575033208cacb38fd87514",
+        "e993ed32b4fd105fb1e42a95b17715c1d13c36bca6ca735664dd132f57233dd3",
+        "8c507f590f6885be99e34846ff0b148ad2cdd324c5d608fd15764cbb6747b486",
     ),
     ("modern", "delta", 1): (
-        "cd492447b57bdf95f7ef5b3fe6d64561d781e5264020ca24468630a26ad396f5",
-        "8f900b7e1769054822c6474029ccf35290757e104803ff698267fa9dac421fb6",
+        "ac1157f474056958bb9f03be0f6ad113eb3f3df5586d7fe5e59a44513c120235",
+        "157a8537efe41b29a1ac921de5fdf7a77e712cb78ced4a76a0401148952dfdaf",
     ),
     ("modern", "delta", 2): (
-        "afd026c8345eb8f3309ba3141baa7fd15ed0505546c1a4cedcb37b0d38888871",
-        "ead497ec449a8fc06f17f0f9fbcf782c433cd2373a18b0746f7e860e402d09a1",
+        "0a3d1d3cb8c02108595e48c81be8542c445dd5234aa11a7887c9c6f0168ad281",
+        "8b0a258f6ba2b011f651737404ae80d07806484fa4b81a1dc5b2e46ae79c7409",
     ),
     ("modern", "dce", 0): (
-        "1cf1595732637f413e8e3a578b28bb28530c4e78ccedf371d22ec123050ced2b",
-        "f88acca3949a3b2179cf8aaf78eaac2f28a021d3f3a15468efadeb46650b8a4b",
+        "e993ed32b4fd105fb1e42a95b17715c1d13c36bca6ca735664dd132f57233dd3",
+        "2ebcef4e961fbeec44374d512e5081d635019d658e0ac8b252db666035ae7849",
     ),
     ("modern", "dce", 1): (
-        "cd492447b57bdf95f7ef5b3fe6d64561d781e5264020ca24468630a26ad396f5",
-        "db3031cae40ad2e25905773bc31c46aa8bd07258355024a896b323e5b349ca87",
+        "ac1157f474056958bb9f03be0f6ad113eb3f3df5586d7fe5e59a44513c120235",
+        "87c744cb169610d342e81c95534ab15d9147bf591c659dc29dcac0ec9ba6238a",
     ),
     ("modern", "dce", 2): (
-        "afd026c8345eb8f3309ba3141baa7fd15ed0505546c1a4cedcb37b0d38888871",
-        "3c3c504d3bc25665d0802a2d0661e04725ada8701370276367f26d27c7fe1179",
+        "0a3d1d3cb8c02108595e48c81be8542c445dd5234aa11a7887c9c6f0168ad281",
+        "996e0d07404f363c746a4b6a21ab189c0fb1a64a2125076f075252b1ca84f791",
     ),
     ("legacy", "full", 0): (
-        "49f156400e173f16051ceeea8a1c754f517453f04ea503341ad0d38dba581840",
-        "4ecb08fab611a08668c7927c583db94ea94c744005f098d298c771ea0be66727",
+        "b6b85955e14cf4ec4c0859041202ab5f7f0d9844028e49200ed94ccc4fd2ae5f",
+        "4f04da189831da46a8e92eb1dd8a22dc331b198b4128c0d11363c14176ed0b00",
     ),
     ("legacy", "full", 1): (
-        "28f9bc7ea4ac9eaa382ec9e09f3135ff0aa28d00e50f82ae3d0aea391ac89df7",
-        "c2c8c75310e6c38115d84a7dddad30560a4fae317d413bcd0d4c8fa3c26dabde",
+        "91c9d39eb222f60b0a4ec49642ab0c7e68df80cc52e31fb40a7747eb09ff2f4c",
+        "b01ac24a656e24846fb50ed21f274d4107867e08de74f20e1b812f273e5ac221",
     ),
     ("legacy", "full", 2): (
-        "df145e6c5bc88ad4b112bafb899f74510cc646f261e4cd0d60790ecb2965073a",
-        "59be4aea576e6f9fe4b4a0973f946ea340059e5fbebbfff21b7fdace9aae6500",
+        "ce12d70fc495b8b01d051fdac2ea93ba38df15780132bdd3d9f649a02cfe76f9",
+        "6bf596f1af8fc879793ae8c616e76ea3b11745afaae5fb202b18bee5bac923b6",
     ),
     ("legacy", "delta", 0): (
-        "49f156400e173f16051ceeea8a1c754f517453f04ea503341ad0d38dba581840",
-        "600b1f6a6c12dafdad01042ce99554bc32d36c3afb9de8e36171bdb831612e84",
+        "b6b85955e14cf4ec4c0859041202ab5f7f0d9844028e49200ed94ccc4fd2ae5f",
+        "5e2421ba5a0525150ae9c3a4a1c41f42be690838f994eedd60903bcdf01d14c5",
     ),
     ("legacy", "delta", 1): (
-        "28f9bc7ea4ac9eaa382ec9e09f3135ff0aa28d00e50f82ae3d0aea391ac89df7",
-        "8b668f8dc06dc6d01bb3f5a025e76d8142e76bd7404ce6d214c93537e61da54b",
+        "91c9d39eb222f60b0a4ec49642ab0c7e68df80cc52e31fb40a7747eb09ff2f4c",
+        "d6f0ce4ff897fbf2cfb1ac8353574a8865fdcdabd467f06ac3f7206d55d8c9b7",
     ),
     ("legacy", "delta", 2): (
-        "df145e6c5bc88ad4b112bafb899f74510cc646f261e4cd0d60790ecb2965073a",
-        "bd08bc1fab1178851d3bba8781b7b1894e021315ee6abd97dfd9d9b9db912122",
+        "ce12d70fc495b8b01d051fdac2ea93ba38df15780132bdd3d9f649a02cfe76f9",
+        "5c3653185b5fb109abc3fc142a7af99272e78372ad2177b645363a73c12a80d7",
     ),
     ("legacy", "dce", 0): (
-        "49f156400e173f16051ceeea8a1c754f517453f04ea503341ad0d38dba581840",
-        "4ecb08fab611a08668c7927c583db94ea94c744005f098d298c771ea0be66727",
+        "b6b85955e14cf4ec4c0859041202ab5f7f0d9844028e49200ed94ccc4fd2ae5f",
+        "4f04da189831da46a8e92eb1dd8a22dc331b198b4128c0d11363c14176ed0b00",
     ),
     ("legacy", "dce", 1): (
-        "28f9bc7ea4ac9eaa382ec9e09f3135ff0aa28d00e50f82ae3d0aea391ac89df7",
-        "c2c8c75310e6c38115d84a7dddad30560a4fae317d413bcd0d4c8fa3c26dabde",
+        "91c9d39eb222f60b0a4ec49642ab0c7e68df80cc52e31fb40a7747eb09ff2f4c",
+        "b01ac24a656e24846fb50ed21f274d4107867e08de74f20e1b812f273e5ac221",
     ),
     ("legacy", "dce", 2): (
-        "df145e6c5bc88ad4b112bafb899f74510cc646f261e4cd0d60790ecb2965073a",
-        "59be4aea576e6f9fe4b4a0973f946ea340059e5fbebbfff21b7fdace9aae6500",
+        "ce12d70fc495b8b01d051fdac2ea93ba38df15780132bdd3d9f649a02cfe76f9",
+        "6bf596f1af8fc879793ae8c616e76ea3b11745afaae5fb202b18bee5bac923b6",
     ),
 }
 

@@ -1,6 +1,7 @@
 """Interleaved A/B of two revisions on callpath workloads.
 
-    python3 tools/ab_callpath.py REV_A REV_B --workload W [--workload W2 ...] [--pairs 10]
+    python3 tools/ab_callpath.py REV_A REV_B --workload W [--workload W2 ...]
+        [--claim WORKLOAD:METRIC] [--pairs 10]
 
 REV_A is the parent, REV_B the change. Both are exported with
 ``git archive`` into a temporary directory (committed files only, each in
@@ -14,17 +15,20 @@ the hour (``benchmarks/callpath/README.md``), so the two sides alternate:
 pair *i* runs A then B when *i* is even and B then A when it is odd, both
 with seed ``--seed + i``, and every pair visits each workload in turn;
 run length is whatever each ``run.py`` takes from ``BENCHMARK.json``.
-The tool prints the claimed metric (``call_p50_us``) of every pair, then
-one table per workload: per end-to-end metric the wins, both medians and
-quartiles, and the verdict of the choosing-metrics rule — the change
-wins at least nine tenths of the pairs (ties count for neither) **and**
-the medians differ by more than the distance between the parent's
-quartiles. The first workload carries the claim. Exit 0 means a gain on
-the claimed metric there, and on every workload no larger share of
-failed calls and no metric whose median got worse by more than its
-``BENCHMARK.json`` bound, whatever its verdict (a steady 1 % on a metric
-bounded at 10 % reads ``regression`` and still passes; a 30 % move that
-lost only eight pairs reads ``unresolved`` and still blocks). No network;
+The tool prints one metric of every pair (the claimed one, else
+``call_p50_us``), then one table per workload: per end-to-end metric the
+wins, both medians and quartiles, and the verdict of the choosing-metrics
+rule — the change wins at least nine tenths of the pairs (ties count for
+neither) **and** the medians differ by more than the distance between
+the parent's quartiles.
+
+``--claim WORKLOAD:METRIC`` names the gain the change claims, if any.
+Exit 0 means that claim (when given) is a gain, and on every workload no
+larger share of failed calls and no metric whose median got worse by
+more than its ``BENCHMARK.json`` bound, whatever its verdict (a steady
+1 % on a metric bounded at 10 % reads ``regression`` and still passes; a
+30 % move that lost only eight pairs reads ``unresolved`` and still
+blocks). Without a claim only those two checks decide. No network;
 reports go to the temporary directory, nothing is written under
 ``benchmarks/callpath``.
 """
@@ -43,9 +47,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: Share of the pairs the change must win.
 WIN_SHARE = 0.9
 
-#: The metric whose verdict is the exit code (0 = gain); the others are
-#: printed. Run length is the benchmark's own (``BENCHMARK.json``).
-CLAIMED_METRIC = "call_p50_us"
+#: The metric each pair's progress line shows when nothing is claimed.
+PROGRESS_METRIC = "call_p50_us"
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -102,18 +105,20 @@ def blockers(
     verdicts: Dict[str, Dict[str, Dict[str, object]]],
     bounds: Dict[str, float],
     failed: Dict[str, Tuple[float, float]],
+    claim: Optional[Tuple[str, str]] = None,
 ) -> List[str]:
     """Why the change does not pass; empty when it does.
 
-    *verdicts* maps workload → metric → :func:`judge` result, the claimed
-    workload first; *failed* maps workload → (parent, change) share of
-    failed calls.
+    *verdicts* maps workload → metric → :func:`judge` result; *failed*
+    maps workload → (parent, change) share of failed calls; *claim* is
+    the ``(workload, metric)`` claimed as a gain, or None.
     """
     reasons = []
-    claimed_workload = next(iter(verdicts))
-    claim = verdicts[claimed_workload][CLAIMED_METRIC]["verdict"]
-    if claim != "gain":
-        reasons.append(f"{claimed_workload}: {CLAIMED_METRIC} is {claim}, not a gain")
+    if claim is not None:
+        workload, metric = claim
+        verdict = verdicts[workload][metric]["verdict"]
+        if verdict != "gain":
+            reasons.append(f"{workload}: {metric} is {verdict}, not a gain")
     for workload, table in verdicts.items():
         for name, verdict in table.items():
             if beyond_bound(verdict, bounds[name]):
@@ -164,6 +169,14 @@ def run_once(checkout: str, workload: str, seed: int, report: str) -> dict:
     return json.loads(lines[-1])
 
 
+def parse_claim(text: str) -> Tuple[str, str]:
+    """``WORKLOAD:METRIC`` → ``(workload, metric)``."""
+    workload, sep, metric = text.rpartition(":")
+    if not sep or not workload or not metric:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:METRIC, got {text!r}")
+    return workload, metric
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -172,7 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("rev_b", metavar="REV_B", help="the change")
     parser.add_argument(
         "--workload", action="append", required=True,
-        help="repeatable; the first one carries the claim",
+        help="repeatable; every one is held to its BENCHMARK.json bounds",
+    )
+    parser.add_argument(
+        "--claim", type=parse_claim, default=None, metavar="WORKLOAD:METRIC",
+        help="the gain the change claims, if any (exit 1 unless it is one)",
     )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="pair i uses seed + i on both sides")
@@ -193,6 +210,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         end_to_end = json.load(handle)["end_to_end"]
     better = {m["name"]: m["better"] for m in end_to_end}
     bounds = {m["name"]: m["bound"] for m in end_to_end}
+    claim = args.claim
+    if claim is not None:
+        if claim[0] not in workloads:
+            parser.error(f"--claim names {claim[0]}, which no --workload runs")
+        if claim[1] not in better:
+            parser.error(f"--claim names {claim[1]}, not a BENCHMARK.json end-to-end metric")
+    shown = claim[1] if claim is not None else PROGRESS_METRIC
 
     runs: Dict[str, Dict[str, List[dict]]] = {w: {"a": [], "b": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="ab-callpath-") as tmp:
@@ -217,8 +241,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 a, b = runs[workload]["a"][-1], runs[workload]["b"][-1]
                 print(
                     f"pair {pair:>2} ({order}) seed {args.seed + pair} {workload}: "
-                    f"{CLAIMED_METRIC} A {a['metrics'][CLAIMED_METRIC]['value']:.1f}  "
-                    f"B {b['metrics'][CLAIMED_METRIC]['value']:.1f}   "
+                    f"{shown} A {a['metrics'][shown]['value']:.1f}  "
+                    f"B {b['metrics'][shown]['value']:.1f}   "
                     f"failed A {a['failed']}/{a['attempted']} B {b['failed']}/{b['attempted']}",
                     flush=True,
                 )
@@ -248,10 +272,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         ]
         failed[workload] = (shares[0], shares[1])
         print(f"failed share of calls: A {shares[0]:.2e}  B {shares[1]:.2e}")
-    reasons = blockers(verdicts, bounds, failed)
-    print(f"\nclaim on {workloads[0]} {CLAIMED_METRIC}: "
-          f"{verdicts[workloads[0]][CLAIMED_METRIC]['verdict']} "
-          f"(needs >= {WIN_SHARE:.0%} of pairs and a median gap above the parent's IQR)")
+    reasons = blockers(verdicts, bounds, failed, claim)
+    if claim is None:
+        print("\nno claim: only the bounds and the failed shares decide")
+    else:
+        print(f"\nclaim on {claim[0]} {claim[1]}: {verdicts[claim[0]][claim[1]]['verdict']} "
+              f"(needs >= {WIN_SHARE:.0%} of pairs and a median gap above the parent's IQR)")
     for reason in reasons:
         print(f"blocked: {reason}")
     return 0 if not reasons else 1

@@ -145,10 +145,11 @@ def _one_call(
     policy = api["policy_by_name"]("delta-slots" if delta else "full")
     copy_restore = api["BY_COPY_RESTORE"]
 
+    order = api["wire_order"](modes)
     meter.begin()
     writer = api["ObjectWriter"]()
-    for arg in args:
-        writer.write_root(arg)
+    for index in order:
+        writer.write_root(args[index])
     request = writer.getvalue()
     encode = meter.end()
     roots = [arg for arg, mode in zip(args, modes) if mode is copy_restore]
@@ -156,7 +157,9 @@ def _one_call(
 
     meter.begin()
     reader = api["ObjectReader"](request, digest_accessor=accessor if delta else None)
-    server_args = [reader.read_root() for _ in args]
+    server_args = [None] * len(args)
+    for index in order:
+        server_args[index] = reader.read_root()
     reader.expect_end()
     decode = meter.end()
     server_roots = [arg for arg, mode in zip(server_args, modes) if mode is copy_restore]
@@ -212,7 +215,7 @@ def _load_api() -> Dict[str, Any]:
         policy_by_name,
     )
     from repro.core.semantics import PassingMode, resolve_modes
-    from repro.nrmi.invocation import compute_retained, compute_retained_indexed
+    from repro.nrmi import invocation
     from repro.rmi.remote_ref import is_opaque_remote
     from repro.serde.accessors import OPTIMIZED_ACCESSOR
     from repro.serde.reader import ObjectReader
@@ -233,8 +236,12 @@ def _load_api() -> Dict[str, Any]:
         "policy_by_name": policy_by_name,
         "resolve_modes": resolve_modes,
         "BY_COPY_RESTORE": PassingMode.BY_COPY_RESTORE,
-        "compute_retained": compute_retained,
-        "compute_retained_indexed": compute_retained_indexed,
+        "compute_retained": invocation.compute_retained,
+        "compute_retained_indexed": invocation.compute_retained_indexed,
+        # Before wire version 4 every argument went in call order.
+        "wire_order": getattr(
+            invocation, "wire_order", lambda modes: list(range(len(modes)))
+        ),
         "is_opaque_remote": is_opaque_remote,
         "accessor": OPTIMIZED_ACCESSOR,
         "engine": engine,
