@@ -12,10 +12,11 @@ hot loop does no per-object reflection —
   linear-map membership (``has_resolve`` classes are value-like and stay
   out) are resolved once;
 * an object's header is one layout lookup: the encoder probes the
-  writer's layout table with ``(class, field names)`` and writes a
-  one-byte key, the decoder walks the layout's names tuple while it
-  reads the values (a layout's first instance defines it through the
-  writer's and reader's generic layout methods);
+  writer's layout table with ``(class, field names)`` and writes one
+  short header byte, the decoder walks the layout's names tuple while
+  it reads the values (a layout's first instance, and every other long
+  form, goes through the writer's generic header method and the
+  reader's generic layout methods);
 * scalar fields write/read straight against the buffer's ``bytearray`` /
   ``memoryview`` with literal tag bytes;
 * runs of float-valued slots collapse into a single
@@ -28,9 +29,11 @@ hot loop does no per-object reflection —
 * externals stay in generated code: decoders resolve any ``EXTERNAL``
   (remote references, value adapters) in place;
 * a reply's slot definitions stay in generated code too: encoders write
-  ``OLD_OBJECT`` for a slot the writer defines, and decoders read one
-  into a scratch instance for the caller's original, queued on the
-  reader's pending list;
+  a definition header for a slot the writer defines (short when it
+  follows the previous definition, which writer and reader each keep
+  in one attribute both paths share), and decoders read one into a
+  scratch instance for the caller's original, queued on the reader's
+  pending list;
 * any shape the specialization does not cover **bails out** to the
   writer's and reader's generic machinery mid-object, preserving
   pre-order byte-for-byte: generated encode splices its remaining work
@@ -69,7 +72,7 @@ from repro.serde.hooks import (
 )
 from repro.serde.kinds import Kind, classify
 from repro.serde.schema import schema_epoch
-from repro.serde.tags import Tag
+from repro.serde.tags import SHORT_DEFINITION, SHORT_LAYOUTS, SHORT_OBJECT, Tag
 from repro.util.metrics import MetricsRegistry
 
 #: Sentinel returned by a generated decode function when it has parked a
@@ -429,28 +432,25 @@ def _build_encode_source(
     add("    (buf, handles, lm_objects, layout_ids, name_ids,")
     add("     str_memo, bytes_memo, plan_cache, memo_limit, defs) = ctx")
     if mutable:
-        # A slot the stream defines: bound to its slot, written as an
-        # old-object definition, outside the linear map.
+        # A slot the stream defines: bound to its slot, outside the
+        # linear map; its header is a definition.
         add("    key_id = id(obj)")
         add("    if defs and key_id in defs:")
         add("        slot = defs[key_id]")
         add("        del defs[key_id]")
         add("        handles[key_id] = (obj, slot)")
-        add(f"        buf.append({_TAG_OLD_OBJECT})")
-        lines.extend(_emit_uvarint_src("slot", 8).rstrip("\n").split("\n"))
         add("    else:")
+        add("        slot = -1")
         add("        handle = writer._next_handle")
         add("        writer._next_handle = handle + 1")
         add("        handles[key_id] = (obj, handle)")
         # The object just missed the handle table, so it cannot be in the
         # linear map either: LinearMap.append_new, inlined.
         add("        lm_objects.append(obj)")
-        add(f"        buf.append({_TAG_OBJECT})")
     else:
         add("    handle = writer._next_handle")
         add("    writer._next_handle = handle + 1")
         add("    handles[id(obj)] = (obj, handle)")
-        add(f"    buf.append({_TAG_OBJECT})")
     # -- state extraction and layout key, specialized per class ----------
     # The key is (class, field names in write order), as the generic
     # writer builds it.
@@ -496,12 +496,27 @@ def _build_encode_source(
         add("    values = [v_ for _n, v_ in state]")
         add("    count = len(values)")
         materialize = ""
-    # -- layout key: one lookup ------------------------------------------
+    # -- header: one layout lookup, one byte in the common case; the
+    # writer's generic header method writes every other form ------------
     add("    layout_id = layout_ids.get(key)")
-    add("    if layout_id is None:")
-    add("        writer._write_layout_key(key)")
-    add("    else:")
-    lines.extend(_emit_uvarint_src("layout_id", 8).rstrip("\n").split("\n"))
+    add(f"    if layout_id is None or layout_id > {SHORT_LAYOUTS}:")
+    add("        writer._write_object_header(key" + (", slot)" if mutable else ")"))
+    if mutable:
+        add("    elif slot < 0:")
+        add(f"        buf.append({SHORT_OBJECT - 1} + layout_id)")
+        add("    else:")
+        add("        last = writer._last_def")
+        add("        writer._last_def = slot")
+        add("        if slot == last + 1:")
+        add(f"            buf.append({SHORT_DEFINITION - 1} + layout_id)")
+        add("        else:")
+        add(f"            buf.append({_TAG_OLD_OBJECT})")
+        lines.extend(_emit_uvarint_src("slot", 12).rstrip("\n").split("\n"))
+        # A short-range layout key is a one-byte uvarint.
+        add("            buf.append(layout_id)")
+    else:
+        add("    else:")
+        add(f"        buf.append({SHORT_OBJECT - 1} + layout_id)")
     # -- float-run batch (static slot layouts only) ----------------------
     if batch_n:
         add(f"    if count == {batch_n}:")
@@ -744,6 +759,20 @@ def _read_layout_key_src(indent: int) -> list:
     ).rstrip("\n").split("\n")
 
 
+def _take_slot_src(indent: int) -> list:
+    """A definition of slot ``oslot``: the checks and bookkeeping of the
+    reader's ``_take_slot``; the caller's original into ``target``."""
+    p = " " * indent
+    return [
+        f"{p}if oslot >= slot_count or defined[oslot]:",
+        f"{p}    buf._pos = pos",
+        f"{p}    reader._bad_slot(oslot)",
+        f"{p}defined[oslot] = 1",
+        f"{p}reader._last_def = oslot",
+        f"{p}target = originals[oslot]",
+    ]
+
+
 def _object_dispatch_src(
     target: str, needs_resolve: bool, use_dict: bool, batch_n: int, work_push: str
 ) -> list:
@@ -887,22 +916,36 @@ def _build_decode_source(
     add("                pos += 1")
     lines.extend(_decode_scalar_arms_head(" " * 16).rstrip("\n").split("\n"))
     # -- nested object (hot in homogeneous graphs, hence dispatched
-    # ahead of the string/ref/float tail) --------------------------------
-    add(f"                elif tag == {_TAG_OBJECT}:")
-    lines.extend(_read_layout_key_src(20))
-    lines.extend(
-        _object_dispatch_src("None", needs_resolve, use_dict, batch_n, work_push)
-    )
-    # -- a slot definition: the caller's original is the value -----------
-    add(f"                elif tag == {_TAG_OLD_OBJECT}:")
-    lines.extend(_read_uvarint_src("oslot", 20).rstrip("\n").split("\n"))
-    add("                    if oslot >= slot_count or defined[oslot]:")
+    # ahead of the string/ref/float tail): a short header names a new
+    # object's layout, or the layout of the next slot's definition -------
+    add(f"                elif tag >= {SHORT_OBJECT}:")
+    add(f"                    if tag < {SHORT_DEFINITION}:")
+    add("                        target = None")
+    add(f"                        lkey = tag - {SHORT_OBJECT - 1}")
+    add("                    else:")
+    add("                        oslot = reader._last_def + 1")
+    lines.extend(_take_slot_src(24))
+    add(f"                        lkey = tag - {SHORT_DEFINITION - 1}")
+    add("                    try:")
+    add("                        entry = layouts[lkey - 1]")
+    add("                    except IndexError:")
     add("                        buf._pos = pos")
-    add("                        reader._bad_slot(oslot)")
-    add("                    defined[oslot] = 1")
-    add("                    target = originals[oslot]")
+    add('                        raise _WireFormatError(f"dangling layout id {lkey}") from None')
+    add("                    if target is not None and entry[0] is not target.__class__:")
+    add("                        buf._pos = pos")
+    add("                        reader._slot_class_mismatch(oslot, entry[0])")
+    lines.extend(
+        _object_dispatch_src("target", needs_resolve, use_dict, batch_n, work_push)
+    )
+    # -- the long headers: a layout key, after a definition's slot -------
+    add(f"                elif tag == {_TAG_OBJECT} or tag == {_TAG_OLD_OBJECT}:")
+    add(f"                    if tag == {_TAG_OBJECT}:")
+    add("                        target = None")
+    add("                    else:")
+    lines.extend(_read_uvarint_src("oslot", 24).rstrip("\n").split("\n"))
+    lines.extend(_take_slot_src(24))
     lines.extend(_read_layout_key_src(20))
-    add("                    if entry[0] is not target.__class__:")
+    add("                    if target is not None and entry[0] is not target.__class__:")
     add("                        buf._pos = pos")
     add("                        reader._slot_class_mismatch(oslot, entry[0])")
     lines.extend(

@@ -14,7 +14,7 @@ descriptors without instantiating anything, so it works even when the
 receiving process has none of the classes registered — exactly when you
 need to see what a peer actually sent. A reply's slot stream lists each
 slot definition as ``[slot i]`` and a back reference to a slot as
-``ref -> [slot i]``.
+``ref -> [slot i]``. A short object header lists as its long form does.
 """
 
 from __future__ import annotations
@@ -30,7 +30,14 @@ from repro.serde.schema import (
     STREAM_FLAG_SCHEMA_CACHE,
     SchemaRxCache,
 )
-from repro.serde.tags import STREAM_FLAG_SLOTS, Tag, WIRE_MAGIC, WIRE_VERSION
+from repro.serde.tags import (
+    SHORT_DEFINITION,
+    SHORT_OBJECT,
+    STREAM_FLAG_SLOTS,
+    Tag,
+    WIRE_MAGIC,
+    WIRE_VERSION,
+)
 from repro.util.buffers import BufferReader
 
 
@@ -50,6 +57,8 @@ class _Inspector:
         #: A slot stream's stated slot count, and the slots it defined.
         self.slot_count = 0
         self.defined: set = set()
+        #: The slot of the stream's previous definition.
+        self.last_def = -1
 
     def run(self) -> str:
         magic = self.buf.read_bytes(len(WIRE_MAGIC))
@@ -82,9 +91,8 @@ class _Inspector:
         self.next_handle += 1
         return handle
 
-    def _slot(self) -> str:
-        """A definition's slot, checked against the stated count."""
-        slot = self.buf.read_uvarint()
+    def _slot(self, slot: int) -> str:
+        """A definition of *slot*, checked against the stated count."""
         if slot >= self.slot_count:
             raise WireFormatError(
                 f"slot {slot} past the stream's {self.slot_count} slots"
@@ -92,6 +100,7 @@ class _Inspector:
         if slot in self.defined:
             raise WireFormatError(f"slot {slot} defined twice")
         self.defined.add(slot)
+        self.last_def = slot
         return f"[slot {slot}]"
 
     @staticmethod
@@ -151,8 +160,7 @@ class _Inspector:
         """A layout key: ``(class label, field names, note)``."""
         key = self.buf.read_uvarint()
         if key:
-            label, fields = self._lookup(self.layouts, key - 1, "layout", key)
-            return label, fields, f"layout {key}"
+            return self._layout(key)
         label, schema_note = self._read_class()
         count = self.buf.read_uvarint()
         fields = tuple(self._read_name() for _ in range(count))
@@ -162,6 +170,17 @@ class _Inspector:
             note += f", {schema_note}"
         return label, fields, note
 
+    def _layout(self, key: int) -> Tuple[str, Tuple[str, ...], str]:
+        label, fields = self._lookup(self.layouts, key - 1, "layout", key)
+        return label, fields, f"layout {key}"
+
+    def _object(self, depth: int, label: str, layout) -> None:
+        class_name, fields, note = layout
+        self._emit(depth, f"object {label} {class_name} ({len(fields)} fields) [{note}]")
+        for field in fields:
+            self._emit(depth + 1, f".{field} =")
+            self._value(depth + 2)
+
     def _tag(self) -> Tag:
         byte = self.buf.read_u8()
         try:
@@ -170,15 +189,26 @@ class _Inspector:
             raise WireFormatError(f"unknown tag byte 0x{byte:02x}") from None
 
     def _value(self, depth: int) -> None:
+        byte = self.buf.peek_u8()
+        if byte >= SHORT_OBJECT:
+            self.buf.read_u8()
+            if byte >= SHORT_DEFINITION:
+                label = self._slot(self.last_def + 1)
+                key = byte - SHORT_DEFINITION + 1
+            else:
+                label = f"#{self._alloc()}"
+                key = byte - SHORT_OBJECT + 1
+            self._object(depth, label, self._layout(key))
+            return
         tag = self._tag()
         label = ""
         if tag is Tag.OLD_CONTAINER:
-            label = self._slot()
+            label = self._slot(self.buf.read_uvarint())
             tag = self._tag()
             if tag not in (Tag.LIST, Tag.SET, Tag.DICT, Tag.BYTEARRAY):
                 raise WireFormatError(f"{label} defines a {tag.name.lower()}")
         elif tag is Tag.OLD_OBJECT:
-            label = self._slot()
+            label = self._slot(self.buf.read_uvarint())
         elif tag in (Tag.LIST, Tag.TUPLE, Tag.SET, Tag.FROZENSET, Tag.DICT,
                      Tag.BYTEARRAY, Tag.OBJECT):
             label = f"#{self._alloc()}"
@@ -226,13 +256,7 @@ class _Inspector:
                 self._value(depth + 1)  # key
                 self._value(depth + 1)  # value
         elif tag is Tag.OBJECT or tag is Tag.OLD_OBJECT:
-            class_name, fields, note = self._read_layout()
-            self._emit(
-                depth, f"object {label} {class_name} ({len(fields)} fields) [{note}]"
-            )
-            for field in fields:
-                self._emit(depth + 1, f".{field} =")
-                self._value(depth + 2)
+            self._object(depth, label, self._read_layout())
         else:  # Tag.EXTERNAL
             handle = self._alloc()
             ext_name = self._read_name()

@@ -62,7 +62,14 @@ from repro.serde.schema import (
     STREAM_FLAG_SCHEMA_CACHE,
     SchemaRxCache,
 )
-from repro.serde.tags import STREAM_FLAG_SLOTS, Tag, WIRE_MAGIC, WIRE_VERSION
+from repro.serde.tags import (
+    SHORT_DEFINITION,
+    SHORT_OBJECT,
+    STREAM_FLAG_SLOTS,
+    Tag,
+    WIRE_MAGIC,
+    WIRE_VERSION,
+)
 from repro.util.buffers import BufferReader, SlicingBufferReader
 
 _NO_VALUE = object()
@@ -81,7 +88,6 @@ _F_OBJECT = 5
 _T_NONE = int(Tag.NONE)
 _T_INT = int(Tag.INT)
 _T_REF = int(Tag.REF)
-_T_OBJECT = int(Tag.OBJECT)
 
 # The container tag a slot definition must carry, by the original's class.
 _CONTAINER_TAGS = {
@@ -168,6 +174,9 @@ class ObjectReader:
         self._originals: Optional[List[Any]] = None
         #: One byte per slot, set once the stream has defined it.
         self._defined = bytearray()
+        #: The slot of the stream's previous definition (-1 before the
+        #: first), shared by the generic and the generated paths.
+        self._last_def = -1
         if profile.chunked_buffers:
             self._buf = SlicingBufferReader(data)
         else:
@@ -180,7 +189,7 @@ class ObjectReader:
         #: len(names))``.
         self._layouts: List[tuple] = []
         # The layout of the object a generated decoder is entered for;
-        # set by whoever read the object's layout key.
+        # set by whoever read the object's header.
         self._dispatch_layout: Optional[tuple] = None
         # Generated decoders mirror the writer's gating: they bake in
         # interned descriptors and no per-object validation.
@@ -271,10 +280,9 @@ class ObjectReader:
         pending = self.pending
         read = self._read_value
         while len(pending) < self.definitions:
-            if buf.peek_u8() not in _DEFINITION_TAGS:
-                raise RestoreError(
-                    f"reply root 0x{buf.peek_u8():02x} is not a slot definition"
-                )
+            tag = buf.peek_u8()
+            if tag < SHORT_DEFINITION and tag not in _DEFINITION_TAGS:
+                raise RestoreError(f"reply root 0x{tag:02x} is not a slot definition")
             read()
         if len(pending) != self.definitions:
             raise RestoreError(
@@ -298,14 +306,15 @@ class ObjectReader:
             self.linear_map.append_new(obj)
         return slot
 
-    def _take_slot(self) -> Tuple[int, Any]:
-        """Read a definition's slot; return it and the caller's original."""
-        slot = self._buf.read_uvarint()
+    def _take_slot(self, slot: int) -> Any:
+        """Mark *slot* defined and the stream's last definition; return
+        the caller's original."""
         defined = self._defined
         if slot >= len(defined) or defined[slot]:
             self._bad_slot(slot)
         defined[slot] = 1
-        return slot, self._originals[slot]
+        self._last_def = slot
+        return self._originals[slot]
 
     def _bad_slot(self, slot: int) -> None:
         if self._originals is None:
@@ -459,15 +468,13 @@ class ObjectReader:
     def _drain_list_items(self, frame: _Frame, stack: List[_Frame]) -> None:
         """Decode list elements in one direct loop.
 
-        Inlines the element shapes that make up the retained-map root of
-        a ``full`` reply and the dirty list of a ``delta-slots`` one —
-        back references, ``None`` and small ints, appended straight to the
-        shell, and objects whose layout key refers back to a layout with a
-        generated decoder, handed to that decoder as ``_step`` would. Any
-        other tag is left unread for ``_step``; ``_read_value`` re-enters
-        here once that element is delivered — or once the frames a bailing
-        decoder parked above this one are done — and finishes the frame
-        (state capture included) as before.
+        Inlines back references, ``None`` and small ints, appended
+        straight to the shell, and new objects whose short header names a
+        layout with a generated decoder, handed to that decoder as
+        ``_step`` would. Any other tag is left unread for ``_step``;
+        ``_read_value`` re-enters here once that element is delivered —
+        or once the frames a bailing decoder parked above this one are
+        done — and finishes the frame (state capture included) as before.
         """
         buf = self._buf
         handles = self._handles
@@ -520,15 +527,15 @@ class ObjectReader:
                         pos += 1
                         value = None
                     else:
-                        if tag == _T_OBJECT:
-                            # A one-byte layout key naming a layout
-                            # already in the stream's table.
-                            lkey = mv[pos + 1]
-                            if 0 < lkey < 0x80 and lkey <= len(layouts):
-                                entry = layouts[lkey - 1]
+                        if SHORT_OBJECT <= tag < SHORT_DEFINITION:
+                            # A short header naming a layout already in
+                            # the stream's table.
+                            lkey = tag - SHORT_OBJECT
+                            if lkey < len(layouts):
+                                entry = layouts[lkey]
                                 plan = entry[2]
                                 if plan is not None and plan.decode_fn is not None:
-                                    pos += 2
+                                    pos += 1
                                 else:
                                     entry = None
                         break
@@ -555,7 +562,7 @@ class ObjectReader:
             pos = buf._pos
 
     def _spawn_object_frame(self, layout: tuple, old: Any = None) -> _Frame:
-        """Open the decoding frame for one object whose layout key has
+        """Open the decoding frame for one object whose header has
         been consumed (shell registered, capture slot noted; for a slot
         definition, *old* is the original and the shell is pending).
         Shared by ``_step`` and the generated decoders' bail paths."""
@@ -680,28 +687,34 @@ class ObjectReader:
                 self.fills.append((frame.shell, frame.items))
             stack.append(frame)
             return _FRAME_PUSHED
-        if tag == Tag.OBJECT:
-            layout = self._read_layout()
+        if tag >= SHORT_OBJECT or tag == Tag.OBJECT or tag == Tag.OLD_OBJECT:
+            # An object: a new one, or a definition of a slot — named
+            # (OLD_OBJECT) or the one after the previous definition.
+            if tag == Tag.OLD_OBJECT:
+                slot = buf.read_uvarint()
+            elif tag >= SHORT_DEFINITION:
+                slot = self._last_def + 1
+            else:
+                slot = -1
+            old = None if slot < 0 else self._take_slot(slot)
+            if tag < SHORT_OBJECT:
+                layout = self._read_layout()
+            else:
+                # A short header's low six bits: its layout key - 1.
+                try:
+                    layout = self._layouts[tag & 0x3F]
+                except IndexError:
+                    raise WireFormatError(
+                        f"dangling layout id {(tag & 0x3F) + 1}"
+                    ) from None
+            if old is not None and layout[0] is not type(old):
+                self._slot_class_mismatch(slot, layout[0])
             plan = layout[2]
             if plan is not None and plan.decode_fn is not None:
                 # Generated decoder: reads the layout's field values,
                 # returns the finished object — or BAIL after parking
                 # frames in exactly the mid-object state the machine
                 # expects.
-                self._dispatch_layout = layout
-                value = plan.decode_fn(self, stack, layout[1])
-                if value is BAIL:
-                    return _FRAME_PUSHED
-                return value
-            stack.append(self._spawn_object_frame(layout))
-            return _FRAME_PUSHED
-        if tag == Tag.OLD_OBJECT:
-            slot, old = self._take_slot()
-            layout = self._read_layout()
-            if layout[0] is not type(old):
-                self._slot_class_mismatch(slot, layout[0])
-            plan = layout[2]
-            if plan is not None and plan.decode_fn is not None:
                 self._dispatch_layout = layout
                 value = plan.decode_fn(self, stack, layout[1], old)
                 if value is BAIL:
@@ -726,7 +739,8 @@ class ObjectReader:
         """A container slot's definition: its items go to a scratch list
         (or bytearray) queued on the pending list."""
         buf = self._buf
-        slot, old = self._take_slot()
+        slot = buf.read_uvarint()
+        old = self._take_slot(slot)
         tag = buf.read_u8()
         if tag != _CONTAINER_TAGS.get(type(old)):
             raise RestoreError(

@@ -21,21 +21,48 @@ a slot is a ``REF``. Wire version 3 introduced slot streams. Wire
 version 4 changed no tag: it marks call streams whose arguments are in
 ``repro.nrmi.invocation.wire_order`` (copy-restore roots ahead of by-copy
 arguments), which a version-3 peer would dispatch in the wrong order.
-Older streams are refused.
+
+Wire version 5 added *short object headers*, one byte that the receiver
+expands to a whole header. Tag bytes with the high bit set carry a
+stream layout ``k`` of ``1 … SHORT_LAYOUTS`` in their low six bits:
+
+=============  ==========================================================
+``0x00-0x13``  :class:`Tag` (the long forms of every header)
+``0x14-0x7F``  unassigned
+``0x80-0xBF``  ``0x80 | (k - 1)``: a new object of layout ``k``, the same
+               as ``OBJECT`` and layout key ``k``
+``0xC0-0xFF``  ``0xC0 | (k - 1)``: the definition of slot ``last + 1``
+               with layout ``k``, the same as ``OLD_OBJECT``, that slot
+               and layout key ``k``
+=============  ==========================================================
+
+``last`` is the slot of the stream's previous definition (``-1`` before
+the first); every definition, long or short, object or container, moves
+it to its own slot. A layout's first instance (key 0 and its inline
+definition), layouts past ``SHORT_LAYOUTS`` and out-of-order definitions
+keep the long forms. Older streams are refused.
 """
 
 from __future__ import annotations
 
-from enum import IntEnum
+from enum import IntEnum, unique
 
 WIRE_MAGIC = b"NRM1"
-WIRE_VERSION = 4
+WIRE_VERSION = 5
+
+#: First tag byte of a short new-object header (layout 1).
+SHORT_OBJECT = 0x80
+#: First tag byte of a short in-order definition header (layout 1).
+SHORT_DEFINITION = 0xC0
+#: How many of a stream's layouts a short header can name.
+SHORT_LAYOUTS = SHORT_DEFINITION - SHORT_OBJECT
 
 #: Stream flag: a slot count and a definition count follow the flags byte
 #: (a reply's slot stream).
 STREAM_FLAG_SLOTS = 0x02
 
 
+@unique
 class Tag(IntEnum):
     """One byte of type information preceding each encoded value."""
 
@@ -56,31 +83,9 @@ class Tag(IntEnum):
     DICT = 0x0E       # mutable: enters the linear map
     BYTEARRAY = 0x0F  # mutable: enters the linear map
     OBJECT = 0x10     # layout key + field values; mutable: enters the linear map
+                      # (short form: SHORT_OBJECT | layout - 1)
     EXTERNAL = 0x11   # externalizer hook (e.g. remote references)
     OLD_OBJECT = 0x12     # slot + layout key + field values; no new handle
+                          # (in order: SHORT_DEFINITION | layout - 1)
     OLD_CONTAINER = 0x13  # slot + a LIST/SET/DICT/BYTEARRAY value; no new handle
 
-
-# Tags that allocate a new handle when encountered in the stream, in the
-# exact order the writer allocated them. The decoder mirrors this rule to
-# reconstruct the handle table (and linear map) without transmitting either.
-HANDLE_TAGS = frozenset(
-    {
-        Tag.STR,
-        Tag.BYTES,
-        Tag.LIST,
-        Tag.TUPLE,
-        Tag.SET,
-        Tag.FROZENSET,
-        Tag.DICT,
-        Tag.BYTEARRAY,
-        Tag.OBJECT,
-        Tag.EXTERNAL,
-    }
-)
-
-# Handle-bearing tags whose objects are mutable, i.e. members of the linear
-# map (the objects copy-restore can overwrite in place).
-MUTABLE_TAGS = frozenset(
-    {Tag.LIST, Tag.SET, Tag.DICT, Tag.BYTEARRAY, Tag.OBJECT}
-)

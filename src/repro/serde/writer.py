@@ -39,7 +39,15 @@ from repro.serde.schema import (
     STREAM_FLAG_SCHEMA_CACHE,
     SchemaTxCache,
 )
-from repro.serde.tags import STREAM_FLAG_SLOTS, Tag, WIRE_MAGIC, WIRE_VERSION
+from repro.serde.tags import (
+    SHORT_DEFINITION,
+    SHORT_LAYOUTS,
+    SHORT_OBJECT,
+    STREAM_FLAG_SLOTS,
+    Tag,
+    WIRE_MAGIC,
+    WIRE_VERSION,
+)
 from repro.util.buffers import BufferWriter, ChunkedBufferWriter
 from repro.util.identity import IdentityMap
 
@@ -80,10 +88,10 @@ class ObjectWriter:
     *slots* makes the stream a reply's slot stream: the server's copies
     of the caller's retained objects, which take handles ``0 … n-1``.
     The slots named in *defined* (increasing slot numbers; every slot
-    when ``None``) are defined
-    the first time the writer meets them (``OLD_OBJECT`` /
-    ``OLD_CONTAINER``); the others are bound from the start, so every
-    reference to them is a back reference. :meth:`write_slots` writes
+    when ``None``) are defined the first time the writer meets them
+    (``OLD_OBJECT``, its short form, or ``OLD_CONTAINER``); the others
+    are bound from the start, so every reference to them is a back
+    reference. :meth:`write_slots` writes
     the defined slots the roots did not reach. *slots* holds each object
     once and stays alive while the writer runs.
     """
@@ -168,6 +176,9 @@ class ObjectWriter:
         #: ``id(slot object) → slot`` for the slots this stream defines
         #: and has not met yet, in slot order.
         self._defs: Optional[Dict[int, int]] = None
+        #: The slot of the stream's previous definition (-1 before the
+        #: first), shared by the generic and the generated paths.
+        self._last_def = -1
         if slots is not None:
             flags |= STREAM_FLAG_SLOTS
             self._bind_slots(slots, defined)
@@ -270,20 +281,25 @@ class ObjectWriter:
             del entries[key]
             defs[key] = slot
 
-    def _open_mutable(self, obj: Any, tag: int) -> None:
-        """Allocate *obj*'s handle and write its tag — or, for a slot this
-        stream defines, bind the slot and write its definition header."""
+    def _take_handle(self, obj: Any) -> int:
+        """Allocate *obj*'s handle and return -1 — or, for a slot this
+        stream defines, bind the slot and return it."""
         defs = self._defs
         if defs and id(obj) in defs:
             slot = defs.pop(id(obj))
             self._handles[obj] = slot
-            buf = self._buf
-            buf.write_u8(Tag.OLD_OBJECT if tag == Tag.OBJECT else Tag.OLD_CONTAINER)
-            buf.write_uvarint(slot)
-            if tag == Tag.OBJECT:
-                return
-        else:
-            self._alloc_handle(obj, mutable=True)
+            return slot
+        self._alloc_handle(obj, mutable=True)
+        return -1
+
+    def _open_mutable(self, obj: Any, tag: int) -> None:
+        """Allocate a container's handle and write its tag — or, for a
+        slot this stream defines, its definition header first."""
+        slot = self._take_handle(obj)
+        if slot >= 0:
+            self._last_def = slot
+            self._buf.write_u8(Tag.OLD_CONTAINER)
+            self._buf.write_uvarint(slot)
         self._buf.write_u8(tag)
 
     def _alloc_handle(self, obj: Any, mutable: bool) -> int:
@@ -296,18 +312,39 @@ class ObjectWriter:
             self.linear_map.append_new(obj)
         return handle
 
-    def _write_layout_key(self, key: Tuple[type, Tuple[str, ...]]) -> None:
-        """Write an object's layout key: a back reference into the
-        stream's layout table, or 0 and the layout's definition — class
-        key, field count, one name key per field. *key* is ``(class,
-        field names in write order)``. Writers that intern no descriptors
+    def _write_object_header(
+        self, key: Tuple[type, Tuple[str, ...]], slot: int = -1
+    ) -> None:
+        """Write an object's header: for a new object (*slot* -1) or the
+        definition of *slot*, its tag and its layout key. *key* is
+        ``(class, field names in write order)``. A layout already in the
+        stream's table among its first ``SHORT_LAYOUTS`` takes the short
+        one-byte form, a definition only when *slot* follows the stream's
+        previous one. Otherwise the long form: ``OBJECT``, or
+        ``OLD_OBJECT`` and the slot, then a back reference into the
+        layout table, or 0 and the layout's definition — class key, field
+        count, one name key per field. Writers that intern no descriptors
         define every layout inline."""
         buf = self._buf
-        if self.profile.intern_descriptors:
-            layout_id = self._layout_ids.get(key)
-            if layout_id is not None:
-                buf.write_uvarint(layout_id)
+        layout_id = self._layout_ids.get(key)
+        short = layout_id is not None and layout_id <= SHORT_LAYOUTS
+        if slot >= 0:
+            last = self._last_def
+            self._last_def = slot
+            if short and slot == last + 1:
+                buf.write_u8(SHORT_DEFINITION - 1 + layout_id)
                 return
+            buf.write_u8(Tag.OLD_OBJECT)
+            buf.write_uvarint(slot)
+        elif short:
+            buf.write_u8(SHORT_OBJECT - 1 + layout_id)
+            return
+        else:
+            buf.write_u8(Tag.OBJECT)
+        if layout_id is not None:
+            buf.write_uvarint(layout_id)
+            return
+        if self.profile.intern_descriptors:
             self._layout_ids[key] = len(self._layout_ids) + 1
         cls, names = key
         buf.write_uvarint(0)
@@ -648,10 +685,10 @@ class ObjectWriter:
         # endpoints (the decoder applies the same rule).
         if has_resolve(cls):
             self._alloc_handle(obj, mutable=False)
-            self._buf.write_u8(Tag.OBJECT)
+            slot = -1
         else:
-            self._open_mutable(obj, Tag.OBJECT)
-        self._write_layout_key((cls, tuple([name for name, _ in state])))
+            slot = self._take_handle(obj)
+        self._write_object_header((cls, tuple([name for name, _ in state])), slot)
         for _name, value in reversed(state):
             stack.append((_EMIT_VALUE, value))
 

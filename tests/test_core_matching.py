@@ -1,7 +1,8 @@
 """Step 4: a reply's slots bind its definitions to the caller's originals.
 
 A reply is a slot stream: handles ``0 … n-1`` are the caller's retained
-objects in linear-map order, and each definition names its slot. These
+objects in linear-map order, and each definition names its slot (or, in
+the short form, defines the slot after the previous definition). These
 tests build replies from hand-made server copies, check that slot *i*
 lands on ``originals[i]``, and check every way a reply can disagree with
 the caller's linear map — each rejected before any original is touched.
@@ -19,6 +20,7 @@ from repro.rmi.protocol import ok_response, policy_wire_id
 from repro.rmi.remote_ref import RemoteDescriptor
 from repro.serde.profiles import LEGACY_PROFILE, MODERN_PROFILE
 from repro.serde.reader import ObjectReader
+from repro.serde.tags import SHORT_DEFINITION, Tag
 from repro.serde.writer import ObjectWriter
 from repro.transport.resolver import ChannelResolver
 
@@ -42,6 +44,22 @@ def restated(payload, count):
     """*payload* with its one-byte slot count replaced by *count*."""
     assert payload[_COUNT_OFFSET] < 0x80 and count < 0x80
     return payload[:_COUNT_OFFSET] + bytes([count]) + payload[_COUNT_OFFSET + 1:]
+
+
+def heads_first(slots, heads, profile=MODERN_PROFILE):
+    """A reply that defines the slots *heads* first — the result, then
+    further roots — and the rest in slot order, as a bytearray; and the
+    offset of the first definition after the heads. The heads and that
+    definition take the long form: none follows the definition before
+    it, as long as slot 0 is not the first head."""
+    writer = ObjectWriter(profile=profile, slots=slots)
+    for slot in heads:
+        writer.write_root(slots[slot])
+    at = writer.bytes_written
+    writer.write_slots()
+    payload = bytearray(writer.getvalue())
+    assert payload[at:at + 2] == bytes([Tag.OLD_OBJECT, 0])
+    return payload, at
 
 
 def parse(payload, originals, policy="full"):
@@ -135,9 +153,8 @@ class TestMatchSparse:
 
     def test_non_increasing_indices_raise(self):
         """A slot named by two definitions."""
-        payload = bytearray(reply([Node(8), Node(9)]))
-        assert payload[9] == 0x12 and payload[10] == 0  # OLD_OBJECT, slot 0
-        payload[10] = 1
+        payload, at = heads_first([Node(8), Node(9)], [1])
+        payload[at + 1] = 1  # slot 0's definition names slot 1 again
         with pytest.raises(RestoreError, match="defined twice"):
             parse(bytes(payload), [Node(1), Node(2)], "delta")
 
@@ -150,33 +167,37 @@ class TestMatchSparse:
 
 
 def _caller():
-    child = Node("b")
-    return Node("a", child), child
+    """Four retained nodes, a chain a → b → c → d."""
+    nodes = [Node(name) for name in "abcd"]
+    for node, successor in zip(nodes, nodes[1:]):
+        node.next = successor
+    return nodes
 
 
 def _server(second=None):
-    child = second if second is not None else Node("B")
-    return [Node("A", child), child]
+    """The server's copies, unlinked: the reply defines each as a root."""
+    nodes = [Node(name) for name in "ABCD"]
+    if second is not None:
+        nodes[1] = second
+    return nodes
 
 
 def _slot_past_count(profile):
-    # Two of three slots defined, the count restated as two: slot 2 is
-    # past it.
-    return restated(reply(_server() + [Node("C")], defined=[0, 2], profile=profile), 2)
+    # Four of five slots defined, the count restated as four: slot 4,
+    # defined after slot 2, is past it.
+    return restated(
+        reply(_server() + [Node("E")], defined=[0, 1, 2, 4], profile=profile), 4
+    )
 
 
 def _defined_twice(profile):
-    server = _server()
-    server[0].next = None
-    payload = bytearray(reply(server, profile=profile))
-    payload[10] = 1  # the first definition names slot 1, as the second does
+    payload, at = heads_first(_server(), [2], profile)
+    payload[at + 1] = 2  # slot 0's definition names slot 2 again
     return bytes(payload)
 
 
 def _full_missing_slot(profile):
-    server = _server()
-    server[0].next = None
-    return reply(server, defined=[0], profile=profile)
+    return reply(_server(), defined=[0], profile=profile)
 
 
 def _class_mismatch(profile):
@@ -187,20 +208,46 @@ def _truncated_definition(profile):
     return reply(_server(), profile=profile)[:-1]
 
 
+def _shortened(heads, layout=1):
+    """A reply whose slot 0 definition after *heads* has its long header
+    (slot 0, layout 1) replaced by the short definition header of
+    *layout*, which defines the slot after the last head instead. Only a
+    modern writer writes layout keys, so both profiles read this one."""
+    payload, at = heads_first(_server(), heads)
+    assert payload[at + 2] == 1
+    return bytes(payload[:at] + bytes([SHORT_DEFINITION - 1 + layout]) + payload[at + 3:])
+
+
+def _short_slot_past_count(profile):
+    return _shortened([3])  # the slot after 3
+
+
+def _short_slot_defined_twice(profile):
+    return _shortened([3, 2])  # the slot after 2: 3, the first definition
+
+
+def _short_layout_unknown(profile):
+    return _shortened([2], layout=2)  # slot 3, but the stream has one layout
+
+
 @pytest.mark.parametrize("profile", ["modern", "legacy"])
 @pytest.mark.parametrize(
-    "build, cause",
+    "build, cause, message",
     [
-        (_slot_past_count, RestoreError),
-        (_defined_twice, RestoreError),
-        (_full_missing_slot, LinearMapMismatchError),
-        (_class_mismatch, RestoreError),
-        (_truncated_definition, WireFormatError),
+        (_slot_past_count, RestoreError, "slot 4 outside"),
+        (_defined_twice, RestoreError, "slot 2 defined twice"),
+        (_full_missing_slot, LinearMapMismatchError, ""),
+        (_class_mismatch, RestoreError, "position 1"),
+        (_truncated_definition, WireFormatError, "truncated"),
+        (_short_slot_past_count, RestoreError, "slot 4 outside"),
+        (_short_slot_defined_twice, RestoreError, "slot 3 defined twice"),
+        (_short_layout_unknown, WireFormatError, "dangling layout id 2"),
     ],
     ids=["slot-past-count", "defined-twice", "full-missing-slot", "class-mismatch",
-         "truncated-definition"],
+         "truncated-definition", "short-slot-past-count", "short-slot-defined-twice",
+         "short-layout-unknown"],
 )
-def test_malformed_reply_restores_nothing(profile, build, cause):
+def test_malformed_reply_restores_nothing(profile, build, cause, message):
     """A reply that disagrees with the caller's linear map fails the call
     with ``UnmarshalError`` and leaves the caller's heap as it was."""
     config = NRMIConfig(profile=profile, implementation=(
@@ -208,16 +255,17 @@ def test_malformed_reply_restores_nothing(profile, build, cause):
     ))
     endpoint = Endpoint(name=f"malformed-{profile}", config=config, resolver=ChannelResolver())
     try:
-        root, child = _caller()
-        before = fingerprint([root])
+        nodes = _caller()
+        before = fingerprint(nodes)
         payload = build(MODERN_PROFILE if profile == "modern" else LEGACY_PROFILE)
         prepared = PreparedCall(
-            b"", [root, child], RemoteDescriptor("test://nowhere", 1), "touch"
+            b"", nodes, RemoteDescriptor("test://nowhere", 1), "touch"
         )
         response = ok_response(bytes([policy_wire_id("full")]) + payload)
         with pytest.raises(UnmarshalError) as excinfo:
             complete_call(endpoint, prepared, response)
         assert type(excinfo.value.__cause__) is cause
-        assert fingerprint([root]) == before
+        assert message in str(excinfo.value.__cause__)
+        assert fingerprint(nodes) == before
     finally:
         endpoint.close()

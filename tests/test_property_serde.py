@@ -393,11 +393,13 @@ def _node_stream(tail: bytes) -> bytes:
     return stream[:-1] + tail
 
 
-#: A nested object whose layout key names no layout of the stream, and
-#: one whose inline definition ends inside its class name.
+#: A nested object whose layout key names no layout of the stream, one
+#: whose inline definition ends inside its class name, and a short
+#: header naming no layout of the stream.
 _BAD_LAYOUTS = {
     "dangling": bytes([0x10, 9]),
     "truncated-definition": bytes([0x10, 0, 0, 5]) + b"ab",
+    "short-dangling": bytes([0x80 + 8]),
 }
 
 
@@ -443,10 +445,10 @@ def test_bad_layout_keys_in_a_reply_restore_nothing(policy, build, tail):
         assert heap_fingerprint(originals) == before
 
 
-def test_repeated_layout_costs_two_bytes_plus_values():
-    """After the first instance, every instance of one layout costs its
-    tag, a one-byte layout key and its values; a static-slot float run
-    goes through the packed float batch."""
+def test_repeated_layout_costs_one_byte_plus_values():
+    """After the first instance, every instance of one layout costs a
+    one-byte short header and its values; a static-slot float run goes
+    through the packed float batch."""
 
     def floats(i):
         obj = PureSlotted()
@@ -464,7 +466,7 @@ def test_repeated_layout_costs_two_bytes_plus_values():
             return len(writer.getvalue())
 
         for count in (2, 10, 60):
-            assert size(count) - size(1) == (count - 1) * (2 + value_bytes)
+            assert size(count) - size(1) == (count - 1) * (1 + value_bytes)
 
 
 def test_new_layouts_cost_one_byte_more_than_version_1():
@@ -521,6 +523,124 @@ def test_slot_stream_encode_byte_identical(graph, rng):
             index for index, obj in enumerate(retained)
             for original, _state in reader.pending if original is obj
         ) == defined
+
+
+# Short headers (wire version 5): a new object of one of the stream's first
+# 64 layouts is one tag byte, and so is the definition of the slot after
+# the previous definition. The long forms stay for everything else, and
+# the generated and the generic paths must pick the same form every time.
+
+
+def _slot_stream(profile, slots, result=None, defined=None):
+    writer = ObjectWriter(profile=profile, slots=slots, defined=defined)
+    writer.write_root(result)
+    writer.write_slots()
+    return writer.getvalue()
+
+
+def _decoded_slot_stream(stream, slots, profile):
+    """The stream's result and its definitions as ``(slot, state)`` in
+    stream order, each state fingerprinted."""
+    reader = ObjectReader(stream, profile=profile, originals=list(slots))
+    result = reader.read_root()
+    reader.read_definitions()
+    slot_of = {id(obj): index for index, obj in enumerate(slots)}
+    return heap_fingerprint([result]), [
+        (slot_of[id(original)], heap_fingerprint([state]))
+        for original, state in reader.pending
+    ]
+
+
+def _record(index):
+    """A LayoutRecord whose one field gives it a layout of its own."""
+    obj = LayoutRecord()
+    setattr(obj, f"f{index}", index)
+    return obj
+
+
+@settings(max_examples=10)
+@given(st.integers(60, 70), st.randoms(use_true_random=False))
+def test_layouts_past_the_short_range_take_the_long_form(count, rng):
+    """A stream with more than 64 layouts: new objects and in-order
+    definitions of layout 65 and up take the long form, with the layout
+    key, on both encoders alike; both decoders read them back."""
+    first = [_record(index) for index in range(count)]
+    again = [_record(index) for index in rng.sample(range(count), count)]
+    slots = [_record(index) for index in range(count)]
+    streams = {
+        profile.name: _slot_stream(profile, slots, result=first + again)
+        for profile in (MODERN_PROFILE, MODERN_NO_PLANS)
+    }
+    stream = streams[MODERN_PROFILE.name]
+    assert streams[MODERN_NO_PLANS.name] == stream
+    assert (bytes([0x10, 65]) in stream) == (count >= 65)  # OBJECT, key 65
+    assert (bytes([0x12, 64, 65]) in stream) == (count >= 65)  # slot 64, key 65
+    decoded = [
+        _decoded_slot_stream(stream, slots, profile)
+        for profile in (MODERN_PROFILE, MODERN_NO_PLANS)
+    ]
+    assert decoded[0] == decoded[1]
+    assert decoded[0][0] == heap_fingerprint([first + again])
+    assert [slot for slot, _state in decoded[0][1]] == list(range(count))
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False), st.integers(2, 12))
+def test_definitions_out_of_order_agree_on_every_header(rng, count):
+    """A result that meets the slots in any order, and defines some of
+    them nested in others: both encoders pick the same header, short or
+    long, for every definition, and both decoders define the same slots
+    in the same order."""
+    slots = [Node(index) for index in range(count)]
+    for node in slots:
+        if rng.random() < 0.4:
+            node.next = rng.choice(slots)
+    order = rng.sample(range(count), count)
+    defined = sorted(rng.sample(range(count), rng.randint(0, count)))
+    result = [slots[index] for index in order[: count // 2]]
+    streams = {
+        profile.name: _slot_stream(profile, slots, result, defined)
+        for profile in (MODERN_PROFILE, MODERN_NO_PLANS)
+    }
+    stream = streams[MODERN_PROFILE.name]
+    assert streams[MODERN_NO_PLANS.name] == stream
+    decoded = [
+        _decoded_slot_stream(stream, slots, profile)
+        for profile in (MODERN_PROFILE, MODERN_NO_PLANS)
+    ]
+    assert decoded[0] == decoded[1]
+    assert sorted(slot for slot, _state in decoded[0][1]) == defined
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 6), st.integers(0, 6), st.booleans())
+def test_short_definitions_resume_after_a_container_bail(before, after, retained):
+    """A run of in-order definitions, each nested in the one before, with
+    a list-valued field in the middle: generated code hands the list to
+    the generic machinery and picks the run up after it, the previous
+    definition carried across both hand-overs. A retained list is itself
+    a definition, in order, and the run continues after it."""
+    # String data: no value byte reads as a header byte below.
+    chain = [Node(f"n{index}") for index in range(before + after + 1)]
+    for node, successor in zip(chain, chain[1:]):
+        node.next = successor
+    middle = chain[before]
+    middle.data = [before, Node("new")]
+    slots = chain[: before + 1] + ([middle.data] if retained else []) + chain[before + 1:]
+    streams = {
+        profile.name: _slot_stream(profile, slots)
+        for profile in (MODERN_PROFILE, MODERN_NO_PLANS)
+    }
+    stream = streams[MODERN_PROFILE.name]
+    assert streams[MODERN_NO_PLANS.name] == stream
+    # Slot 0 defines the layout; every other object definition is short.
+    assert stream.count(0x12) == 1 and stream.count(0xC0) == before + after
+    decoded = [
+        _decoded_slot_stream(stream, slots, profile)
+        for profile in (MODERN_PROFILE, MODERN_NO_PLANS)
+    ]
+    assert decoded[0] == decoded[1]
+    assert [slot for slot, _state in decoded[0][1]] == list(range(len(slots)))
 
 
 class _Service(Remote):

@@ -6,7 +6,14 @@ from repro.errors import WireFormatError
 from repro.serde.dump import dump_stream
 from repro.serde.reader import ObjectReader
 from repro.serde.schema import SchemaRxCache, SchemaTxCache
-from repro.serde.tags import STREAM_FLAG_SLOTS, Tag, WIRE_MAGIC, WIRE_VERSION
+from repro.serde.tags import (
+    SHORT_DEFINITION,
+    SHORT_OBJECT,
+    STREAM_FLAG_SLOTS,
+    Tag,
+    WIRE_MAGIC,
+    WIRE_VERSION,
+)
 from repro.serde.writer import ObjectWriter
 from repro.serde.profiles import LEGACY_PROFILE
 
@@ -152,8 +159,9 @@ class TestLayoutsAndSchemaKeys:
             (bytes([Tag.OBJECT, 0, 0, 1, 0x41, 0, 1, 7]), "dangling name id 7"),
             (bytes([0x7F]), "unknown tag byte 0x7f"),
             (bytes([Tag.STR, 1, 0xFF]), "invalid UTF-8"),
+            (bytes([SHORT_OBJECT]), "dangling layout id 1"),
         ],
-        ids=["layout", "class", "name", "tag", "utf8"],
+        ids=["layout", "class", "name", "tag", "utf8", "short-layout"],
     )
     def test_malformed_input_raises_wire_format_error(self, body, message):
         with pytest.raises(WireFormatError, match=message):
@@ -173,6 +181,10 @@ def slot_stream(slots, defined=None, result=None):
     writer.write_root(result)
     writer.write_slots()
     return writer.getvalue()
+
+
+#: A new layout: key 0, then class "A" inline at version 0, no fields.
+_LAYOUT_A = bytes([0, 0, 1, 0x41, 0, 0])
 
 
 class TestSlotStreams:
@@ -209,13 +221,31 @@ class TestSlotStreams:
             (bytes([Tag.OLD_CONTAINER, 0, Tag.LIST, 0,
                     Tag.OLD_CONTAINER, 0, Tag.LIST, 0]), "slot 0 defined twice"),
             (bytes([Tag.OLD_CONTAINER, 1, Tag.TUPLE, 0]), r"\[slot 1\] defines a tuple"),
+            (bytes([Tag.OLD_OBJECT, 1]) + _LAYOUT_A + bytes([SHORT_DEFINITION]),
+             "slot 2 past the stream's 2 slots"),
+            (bytes([Tag.OLD_OBJECT, 1]) + _LAYOUT_A
+             + bytes([Tag.OLD_OBJECT, 0, 1, SHORT_DEFINITION]),
+             "slot 1 defined twice"),
+            (bytes([Tag.OLD_OBJECT, 0]) + _LAYOUT_A + bytes([SHORT_DEFINITION + 1]),
+             "dangling layout id 2"),
         ],
-        ids=["object-past-count", "container-past-count", "twice", "tuple"],
+        ids=["object-past-count", "container-past-count", "twice", "tuple",
+             "short-past-count", "short-twice", "short-layout-unknown"],
     )
     def test_bad_slots_raise_wire_format_error(self, body, message):
         header = WIRE_MAGIC + bytes([WIRE_VERSION, STREAM_FLAG_SLOTS, 2, 1])
         with pytest.raises(WireFormatError, match=message):
             dump_stream(header + body)
+
+    def test_short_definitions_follow_the_previous_definition(self):
+        nodes = [Node(index) for index in range(4)]
+        stream = slot_stream(nodes, defined=[0, 2, 3])
+        # Slot 0 defines the layout, slot 2 does not follow it; slot 3 does.
+        assert stream.count(Tag.OLD_OBJECT) == 2
+        assert stream.count(SHORT_DEFINITION) == 1
+        objects = [line.split()[1:3] for line in dump_stream(stream).splitlines()
+                   if line.lstrip().startswith("object")]
+        assert objects == [["[slot", "0]"], ["[slot", "2]"], ["[slot", "3]"]]
 
     def test_definition_outside_a_slot_stream(self):
         with pytest.raises(WireFormatError, match="slot 0 past the stream's 0 slots"):

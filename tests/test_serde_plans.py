@@ -345,9 +345,9 @@ class TestBailRouting:
         generated = plan.decode_fn
         calls = []
 
-        def spy(reader, stack, wire_version):
+        def spy(reader, stack, wire_version, old=None):
             calls.append(wire_version)
-            return generated(reader, stack, wire_version)
+            return generated(reader, stack, wire_version, old)
 
         monkeypatch.setattr(plan, "decode_fn", spy)
         graph = Pair(first=bail_value, second=Node(data=3, next=Node(data=4)))

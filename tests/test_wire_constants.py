@@ -1,9 +1,9 @@
 """Invariants between the wire constants that several modules share.
 
 Each check reads the imported values, so a constant computed from
-another one is checked as the program sees it. ``Op`` and ``Status``
-carry ``@enum.unique``: a reused byte fails at import, where an IntEnum
-would otherwise turn the duplicate into a silent alias.
+another one is checked as the program sees it. ``Op``, ``Status`` and
+``Tag`` carry ``@enum.unique``: a reused byte fails at import, where an
+IntEnum would otherwise turn the duplicate into a silent alias.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.rmi import protocol
-from repro.serde import schema
+from repro.serde import schema, tags
 from repro.transport import framing
 
 
@@ -34,7 +34,7 @@ def test_wire_id_tables_are_injective(table):
     assert len(set(ids)) == len(ids), f"{table} reuses a wire id: {ids}"
 
 
-@pytest.mark.parametrize("enum_cls", [protocol.Op, protocol.Status])
+@pytest.mark.parametrize("enum_cls", [protocol.Op, protocol.Status, tags.Tag])
 def test_enum_values_have_no_aliases(enum_cls):
     assert list(enum_cls.__members__) == [member.name for member in enum_cls]
 
@@ -74,3 +74,16 @@ def test_class_key_discriminators():
 
 def test_schema_cache_stream_flag_is_one_bit():
     assert _single_flag_bit(schema.STREAM_FLAG_SCHEMA_CACHE)
+
+
+def test_short_header_bytes_are_clear_of_every_tag():
+    short = range(tags.SHORT_OBJECT, tags.SHORT_DEFINITION + tags.SHORT_LAYOUTS)
+    assert short[-1] == 0xFF, "the short forms end at the top of the byte"
+    assert tags.SHORT_DEFINITION - tags.SHORT_OBJECT == tags.SHORT_LAYOUTS
+    taken = sorted(tag.name for tag in tags.Tag if tag in short)
+    assert not taken, f"Tag values inside the short-header range: {taken}"
+
+
+def test_tag_0x7f_stays_unassigned():
+    assert 0x7F < tags.SHORT_OBJECT
+    assert 0x7F not in {int(tag) for tag in tags.Tag}

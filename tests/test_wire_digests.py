@@ -26,11 +26,17 @@ any byte of either fails here; a change of the wire format on purpose
 regenerates the tables with ``python -m tests.test_wire_digests`` and
 says so. The caller"s restored state is checked against a local call as
 well, so a table regenerated over a broken encoder cannot pass.
+``python -m tests.test_wire_digests --dump DIR`` writes every case's
+bodies to files instead (:func:`dump_bodies`), to compare two revisions
+byte by byte.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import os
+import sys
 from typing import Dict, Optional, Tuple
 
 import pytest
@@ -279,443 +285,473 @@ def _schema_table() -> Dict[Tuple[str, int], Tuple[str, str]]:
     }
 
 
+def dump_bodies(directory: str) -> int:
+    """Write every case's request and reply body to *directory* as
+    ``<table>-<case>.request`` and ``<table>-<case>.reply`` (tables
+    ``trees``, ``shapes`` and ``schema``; a case is its profile, policy
+    and seed); return the number of cases."""
+    cases = []
+    for profile in PROFILES:
+        for policy in POLICIES:
+            cases += [
+                (f"trees-{profile}-{policy}-{seed}", call_bodies(seed, policy, profile))
+                for seed in SEEDS
+            ]
+            cases += [
+                (f"shapes-{profile}-{policy}-{seed}",
+                 shapes_call_bodies(seed, policy, profile))
+                for seed in SHAPE_SEEDS
+            ]
+    for policy in POLICIES:
+        cases += [
+            (f"schema-{policy}-{seed}", schema_call_bodies(seed, policy))
+            for seed in SEEDS
+        ]
+    os.makedirs(directory, exist_ok=True)
+    for name, bodies in cases:
+        for kind, body in zip(("request", "reply"), bodies):
+            with open(os.path.join(directory, f"{name}.{kind}"), "wb") as handle:
+                handle.write(body)
+    return len(cases)
+
+
 #: (profile, policy, seed) → (sha256 of the request body, of the reply body).
 DIGESTS: Dict[Tuple[str, str, int], Tuple[str, str]] = {
     ("modern", "full", 0): (
-        "3176aae08cbaac08d792577adbf21de24713e8dbdd44c2787d4a419081e03373",
-        "071c366a65041045a38b2be22b6d35d18e181ee37ccdb16f6938764d824a7917",
+        "7926dafb5953ea2713accd6e820e437682d2daeb2eb48ba3366269bb1fc0b57d",
+        "e239b2eddf5723aa66ad4c9899bb68b0238d8b6f83612eff0b0fca49af29bdc1",
     ),
     ("modern", "full", 1): (
-        "949ef2267ad54e542ef8ca67b8f09d7a3ae2b0caafaf70a189ef3e62d462dc3a",
-        "fbb40e7e48e4acab78dc45be459b7ee50b1ee31bee6b0f0ce3dff9b70fad41c4",
+        "3109aae154e777afafddade8b8fff6d380217d5714bd6889135e8dc96090f244",
+        "78166a63327c94bfbfc09227a27acd824b91a59155891cc05263e381d2d18bbe",
     ),
     ("modern", "full", 2): (
-        "552b380776604456019dfe7f13e244a445d789e784dac04fbb64901f2193fb9d",
-        "46c663ea349de90e9f74e07c33ee8c9d0b771d2a3660702962a72a8eb9aa5b21",
+        "7f2c33d232e371522d3cb994ffb89a9fa4807a738ca41a29a54c398d9e3c352f",
+        "0436d91edccae58daa505eb95ab8b659b0ed155d43e19d278ae80b4854cd72fd",
     ),
     ("modern", "full", 3): (
-        "219fe22cd42fff901e337d152f1f247507618e10d2eaeb9d003c54d4f878d942",
-        "cf71b4490a4774c8ef103b99db105540cfb494343defea183641a21c2bd9110e",
+        "554be04fd7e9dffe473cf413ebe2d04022a2b71889db1ebe28e96d9fb84ec862",
+        "e35b445fce81b966263bb07713084b5eefca31b39ee931d9f3af5ab7b2597db4",
     ),
     ("modern", "full", 4): (
-        "4a82875ec0ba48419eb9376002661e7f6527e8c0a3963f6fcfa59a467b58b43a",
-        "d9787fb7b14a3c31e5758ca9e7de1277f1e8e6fefadf8f501918e0a95d2ef072",
+        "7ee8a4c6bf9a5768103c6d92670ddae83de787c66fecefe798524e382c2f30a4",
+        "dc8cfaacb8655574d23e4fe264efc6fb6814f9babd150bce006cc7f18fae2cf6",
     ),
     ("modern", "full", 5): (
-        "fbbb9aed25ec89dc7d813432899d1fd85dfeedff79d59c8a4a9ab76421ae01fb",
-        "0ccb3c16fe690195240e0e02116c0062349ffe25a7090bc5028d0f66b414cee4",
+        "036ae9d836a7c5afa4e1cc5913bec13c40ac496a5cae97af0a8d6e348d676146",
+        "9ada4c4cb005e76bfb5109c2b8f967c2451656601de8b7ea143170e3791a5ea4",
     ),
     ("modern", "full", 6): (
-        "630fe192112e1b2611d43f781fb884be6f99dbcfe1bff4c7ba691c5d559ffda8",
-        "9df64e10427a193592bdd03b88105ef01c3eaa4c63c05aabe41480895833ccce",
+        "d6ff0f54411ebbd170fd77225c801dd05e4d5c6867ac65ac2b2c2459cb80a099",
+        "94f4eab64d8269bc6517f64072404e2133b6521bb14a0e7ad9126bc318a95afc",
     ),
     ("modern", "full", 7): (
-        "e206d1dd4daa8eb43403199d434c30fc02ccbeb7dbe71b17321c60b442c395fb",
-        "d3cf4327fa784eeb9e7e859363cc838880c3ad578110c0eb013ef7c96ea6aac8",
+        "2a3d0aa4a956ee3bb1227fe42bc5d188d7310d8c0119cde76b38db2da4ee1599",
+        "40648bb8d13ab9e3656404dda6b267d9e1a6cee7fa6ea9ede28e42a121f96f75",
     ),
     ("modern", "full", 8): (
-        "a45775b5a6301e8a092243538ff6916154329c6c5e2f47100545a16ffc012185",
-        "7929beeae340aa3a44ce13a935bf9011c6781f867dadfbb6b473e95bf5cb7585",
+        "0e8daffffb25adf7e14070139b770e2bb1b2b0e4d79dca0809b3f4f3dbaa1495",
+        "9458e8035b0187c4cb9fb708f8af769be14f19bd2b10f832fff2ce4f100bf99d",
     ),
     ("modern", "full", 9): (
-        "9a7638af4ae72dbd580291a82667882add6b90656e989c01edbe6d9c4552c96a",
-        "38a84567d736e32e13deee4b58831b1a6108cf9e763e1aed271b136370688800",
+        "0e580da2ebb62639485b49e56bf6bc6da8d10d9797b71e479f1d2aee4618b31a",
+        "106504613e736c84a30c0f01706adf9e17a7091e8aa87ceac66c87cb4f474abf",
     ),
     ("modern", "full", 10): (
-        "8e515adfe571028075c52d07dfe121a4516f51eabe6cf0d748984df643754b7c",
-        "690c5aaeb80227081b0ececf75aa9af616aa5949c3c139cae4cdbba45e900a98",
+        "6309323606f89c8df112ba50794eed4bece1230a7137bf17817f41829ac37354",
+        "d7eb6bf77fa9b9cbb9d45e7c2ff41dc279966991d82d7e9ab890a30746d15a52",
     ),
     ("modern", "full", 11): (
-        "de64bdb8acf78e90e31ff189e52423c611952bcc075796bdc2a8100b73cb7b98",
-        "f4301dbacfd018847374023537da42cf2527dcce480f50cad1e4d08408ba01c0",
+        "ca9f050bae01b0cd376e13999ed9f725227b9a81e8343e586f9eac1cddec3cbb",
+        "01b0b4f6db6444328ce9943f6ddd0b3c21c8f13bd553fdd8bfe78ddb5cace15f",
     ),
     ("modern", "delta", 0): (
-        "3d958fa165508918087ea18056b93373468b493a6997a7c9111b4f9657c9d6ba",
-        "87d913f387d8fb202d61bbc9eeaa4245417e593116928b4bdfffdabad1973a4b",
+        "63eaf638df15fcf282403b3f17588c77d98bc3a5f897b0f605f1b8722eb3536b",
+        "de120e6a48bba1ab0f64ca95d2958dac6c56f09d5433fef20da55d845517d1b3",
     ),
     ("modern", "delta", 1): (
-        "936627d77ef0fd57e4377232b28ee92bcbbb63ca4220faa379583cc39cc78ca5",
-        "b0a2140510f1457239b7413329127809f41c1d72b1ffa136f3072f1e47760275",
+        "9d144514722a7711558a47ffe60fe2c5076fc0d931c262721b14b7fe80d03143",
+        "34515df75fffd61a1c332a38f79335bbf77ab6568949cfb36636cffedaac3dd2",
     ),
     ("modern", "delta", 2): (
-        "1fcec8fed8dfc18846cba49590b1793151d482a13b4fbb5dacf645e568f942c8",
-        "bc58b68e7877cc066b63f55760718106d04b468b555731229e21126a53747723",
+        "b5370a75d62d2b609c1ec7b71d1babb6923db78bbb640f4b06038146342d8b6b",
+        "838df38f2ca77631770c79a1f962c08481ec00608e8e07adaa3f85109e41eb59",
     ),
     ("modern", "delta", 3): (
-        "9da5df0360bb3494928275313448e5a77049284260ff845925ac6a015f2c3a3e",
-        "0f50235379f8fea67025547bbc731f3e300ebcfdd5f982383644cf0ff545dd60",
+        "db9ac5d4b8498cb605d8be25109ee3efaea0cd3eec50b32949c48c8993f26e4b",
+        "cfd81b8ec0f840875d8919a1f7dbac8ba97d0ce522bd0305b8bea4d3fc7f9b9c",
     ),
     ("modern", "delta", 4): (
-        "a17f6a3f16f9ebc968d5028781adb02a98adf97345326bb44089430cf25103d8",
-        "25986be9c537fe326771fa1566a21d9884e00a922ae1f6bac4190f3784df4627",
+        "528dd6830a5c84ab7171aea79ec61674b0a19ed4a5b3b17b449cb617f4ed03b8",
+        "f0c4e6e9a1ece7f874fa1996e05879432fd5acee2c89f7c4980f60efbc9e02e1",
     ),
     ("modern", "delta", 5): (
-        "d4d6b8c3cc1f4ab1119b935a9d97567ff36e33ae37583219add901bcf59e95d8",
-        "22dbe9a1cb8eaf0745e77fa17a9a1a0589565a14bfe4b173b8d93feaca83fa25",
+        "178fa5f373ca7debc4e44d703141a7e2d78bd46203f654faffd64c9fcede418f",
+        "1eb690a95652e1b234d52785e40d2f700d73c2abc2b36c7f78477498cd3064e6",
     ),
     ("modern", "delta", 6): (
-        "cdbbcc6a87a2ae1eb5ae6628075d8770380eb12cd5647d5c0ae6a85943b8c1de",
-        "2a41c0754e2ec2679015b702b561ac8cb2c19aae0b623bb84154873419ac8191",
+        "6a0d4e3de45e6b2461c053e038498946bd18b3a7597202f12576da00b713bfda",
+        "9fc70a6f696d9cf6a4d0b3e8908534ebd3149c29bddf134deebae9bb86f9a2f5",
     ),
     ("modern", "delta", 7): (
-        "00cacaa354c7566277d09ac9700c9b65b9159816142070d9d43f3ac4a9e7e300",
-        "aed391533e088c305a73ce0b76cd5af8648ba7b75746562a17d96517ef4bd194",
+        "b981a0cbb45b0a2fd0eb2d10879a86053f3313c85b84f30d1b0b21d79f817d78",
+        "ffadba685b0ff775c114e210b6db47b373d7721288ba287b0df04559139f4dc8",
     ),
     ("modern", "delta", 8): (
-        "8ae81edeeb954c858def97a32607ed9c669eaca29024f954264e917a6726325d",
-        "8956254d71d56b686dd9100932cfaaf766c68010bbd460a1b37f8c3465da2bbd",
+        "4ede29f584b1cf99dc89046155d61adc4106a7c8ac9646a8175dbbe4f882b3e5",
+        "0c841adf1fb78a9224ecc99511698c6cc816ce44f93edc8565d2f8ae5bb5ad5a",
     ),
     ("modern", "delta", 9): (
-        "97e4539956d53ac5bab2ccb1bdd699de222972205c8f445900da7f0164ec8065",
-        "5cfa2b42d359b54a48bcea358462ef7085344efbb70feae0b6e29e5c1fdf53c1",
+        "b52bb3aa29e35c172cc38ccdb2d08c96f42edbe68c3f3e1802bc1c491c4bcde7",
+        "d21e4781f41df70dd6b32c7eec1ebb398096ebff73071c188dd7e53750d0dd3b",
     ),
     ("modern", "delta", 10): (
-        "21e590579e351804c39ba46cbcce81a167845edb810fefebfd93877e09b0322f",
-        "4056f84bd8124b461cad6cc14f65c7f72fab41110e630398a52a28a3ce500b12",
+        "727f873a2c3a055abee0230781f11aab70d01b00ff1b886f8970386c349a7131",
+        "aa417e52d46cecdcec141175ccf45c466e52391d3480fbb07c604f50d185463b",
     ),
     ("modern", "delta", 11): (
-        "2753675844b1b3e6b7bbd07399bd0f7a01fa8be8f4954abbfdb82014b8082233",
-        "510ff12681688e30a23187c4b789ae04d38770dcf53fc1f9ade2ae5fccf68180",
+        "4c0ecde18898d372c9af7908554ff4150e60ef7d358fd3258c9b68c2c224bc7f",
+        "0cb984b2a63eaf3182b43289bf6ed8229b2c40531ce8738bba59550853fb986f",
     ),
     ("modern", "dce", 0): (
-        "3176aae08cbaac08d792577adbf21de24713e8dbdd44c2787d4a419081e03373",
-        "071c366a65041045a38b2be22b6d35d18e181ee37ccdb16f6938764d824a7917",
+        "7926dafb5953ea2713accd6e820e437682d2daeb2eb48ba3366269bb1fc0b57d",
+        "e239b2eddf5723aa66ad4c9899bb68b0238d8b6f83612eff0b0fca49af29bdc1",
     ),
     ("modern", "dce", 1): (
-        "949ef2267ad54e542ef8ca67b8f09d7a3ae2b0caafaf70a189ef3e62d462dc3a",
-        "a996338423cb28573f432210c22f8ef5065ffdfaef2c40918394853f6bcb534e",
+        "3109aae154e777afafddade8b8fff6d380217d5714bd6889135e8dc96090f244",
+        "d7afcf672c1528ba95b2e073864779929dd8ba06faa8e2c6474d9fc0301adcf8",
     ),
     ("modern", "dce", 2): (
-        "552b380776604456019dfe7f13e244a445d789e784dac04fbb64901f2193fb9d",
-        "bfdcc90c0812f73e5c90b70e3ecbd60a39a4608d359841ff39a4045330a4071d",
+        "7f2c33d232e371522d3cb994ffb89a9fa4807a738ca41a29a54c398d9e3c352f",
+        "28f6ae1e76777e696801be8aad566eb4fb471005d57560cb0cb011b47621d659",
     ),
     ("modern", "dce", 3): (
-        "219fe22cd42fff901e337d152f1f247507618e10d2eaeb9d003c54d4f878d942",
-        "b9d3978682f3408dbc450152151e60c1b3c25520b3440d0af0155b4507b53b34",
+        "554be04fd7e9dffe473cf413ebe2d04022a2b71889db1ebe28e96d9fb84ec862",
+        "e16063984c8f20260c9bfb622d407fcc4de25b2f948e5d0078d3b28f11436698",
     ),
     ("modern", "dce", 4): (
-        "4a82875ec0ba48419eb9376002661e7f6527e8c0a3963f6fcfa59a467b58b43a",
-        "95736b431cfc1948ae8e596a58c576518342622b62bdb6d10d44e16987206095",
+        "7ee8a4c6bf9a5768103c6d92670ddae83de787c66fecefe798524e382c2f30a4",
+        "15fe7861a4856cfbc4d570432a6be3d3d405918a52549428937451ea50fbc313",
     ),
     ("modern", "dce", 5): (
-        "fbbb9aed25ec89dc7d813432899d1fd85dfeedff79d59c8a4a9ab76421ae01fb",
-        "f4ac0d380e92323bdf7621537c47c8e58a9269e03231911076c4464dcb927e89",
+        "036ae9d836a7c5afa4e1cc5913bec13c40ac496a5cae97af0a8d6e348d676146",
+        "696060d48eddcf3205d707c49cf92b5df52ae1f2600c63fe415cc8c3111999ea",
     ),
     ("modern", "dce", 6): (
-        "630fe192112e1b2611d43f781fb884be6f99dbcfe1bff4c7ba691c5d559ffda8",
-        "cc83c3f4856067aa0bd76ec1f66248d0d9e36ee2193c194bf7acdb52e3ad7a1b",
+        "d6ff0f54411ebbd170fd77225c801dd05e4d5c6867ac65ac2b2c2459cb80a099",
+        "c964ebc02063c60b9411ef24152f6c74d4aed234f964461233c0bd90e8dca3eb",
     ),
     ("modern", "dce", 7): (
-        "e206d1dd4daa8eb43403199d434c30fc02ccbeb7dbe71b17321c60b442c395fb",
-        "2baa3995a5c7d5e8836f21ce0fb7a29528619640b806176dec66d58082aec88d",
+        "2a3d0aa4a956ee3bb1227fe42bc5d188d7310d8c0119cde76b38db2da4ee1599",
+        "d8f9cdb6bb871a32bbe68883bc773b39c49f954324f6ed41b2d22e3888ad5e3e",
     ),
     ("modern", "dce", 8): (
-        "a45775b5a6301e8a092243538ff6916154329c6c5e2f47100545a16ffc012185",
-        "640a7fd2269e3c1097c7c810e17abeb348542f707c45039eb501ad6e98a9a48c",
+        "0e8daffffb25adf7e14070139b770e2bb1b2b0e4d79dca0809b3f4f3dbaa1495",
+        "8f0125bed6ccbd77b34e361d46f640b07fa8fe16701d931d58a6d05404876334",
     ),
     ("modern", "dce", 9): (
-        "9a7638af4ae72dbd580291a82667882add6b90656e989c01edbe6d9c4552c96a",
-        "ebdcb9b978428fd4dd767af4e45637953b82427893c704c4d81d13185a4ec661",
+        "0e580da2ebb62639485b49e56bf6bc6da8d10d9797b71e479f1d2aee4618b31a",
+        "8daec82205147cd583479417ea30f1a7535735694d9295f5131b8e29881a9f46",
     ),
     ("modern", "dce", 10): (
-        "8e515adfe571028075c52d07dfe121a4516f51eabe6cf0d748984df643754b7c",
-        "1324a3b6dd3491b8898f4548353d077e977ed4a0699d8b3397b4bcf14cf5bb2d",
+        "6309323606f89c8df112ba50794eed4bece1230a7137bf17817f41829ac37354",
+        "579eae933ccfc50fa811aa1090e8e9cdaa8392bf7b628bf0462f143d1f3140f5",
     ),
     ("modern", "dce", 11): (
-        "de64bdb8acf78e90e31ff189e52423c611952bcc075796bdc2a8100b73cb7b98",
-        "09d05bb835f698416aa7110ee4be40652aa14270cc3ac848fbe8057fd8126652",
+        "ca9f050bae01b0cd376e13999ed9f725227b9a81e8343e586f9eac1cddec3cbb",
+        "bb4d27835fc97ed6ba71bb0931bbe59acc447f83ebc9c0a632776cfe14ee3f03",
     ),
     ("legacy", "full", 0): (
-        "00e129188c5e6c7da782c65c2c14b5e0bc5c1fb81de03f1ed010ad4835a9aa34",
-        "e25ad81dcb79ef56e110e4efc11b76ed7fffb48b9c8a1b008d952750da0284df",
+        "d612d604acfa7bfaba484aa2a35fa3bf97822e7b2a2f34d01ad38a23dd2c0b8d",
+        "069af963f46bcdd06f575e25af460bac9211ecd795215b049802348dfa6f51ef",
     ),
     ("legacy", "full", 1): (
-        "8e6500e966aca216f38f258711f50ad12cf7e06d1c17a59e66519435a5043433",
-        "8c3c4b2790f3641ebda5763480a8a825cc95542f2bc0616d575382bfde2fdc7e",
+        "ae8bf61eef46c712481d1c8553c05c680115999d175af21e2e9de1e9f19fa070",
+        "a2c3a5c4382991a12d32a054c38e76a6b6ef3a1d38b7ff1431ae1fc94e155c92",
     ),
     ("legacy", "full", 2): (
-        "f92bc9c864cf658f89a832dcedd1b3c805619b31cb630bac792bcbfff8ee8f7d",
-        "c717a06dfadc0fbc08f0e4aab115f7d0e46ee2086f7e81b246d6de91e6927069",
+        "f135351ba0a4a027ad0bb3ea8f031360558208db88e522c878abbd5f439985eb",
+        "acbee29d949d1cc840f6bc48ef681fcfc1d5a5be7e10cb7631fd130a186b780d",
     ),
     ("legacy", "full", 3): (
-        "063087174850ce9b66e1ba6ed461e19ee8a277266e9bc84d5e70a005ad3ce60c",
-        "3e3e1bc790fa41fa2167313739a65b52532ab1fc3fea1bb640b1d54605dc7091",
+        "9f2f5c256409fa783c35753b45177e4e7d59bdf9d433961d355a60228f60e8e5",
+        "80e4ab4011a3f371b4597ea86b6a2eddcab3b8dc278caa0a62cce79b15f9f0dc",
     ),
     ("legacy", "full", 4): (
-        "1ce9c808191ddc8ac1522e324c5c16c8432e89bfa70062936f912975f68413c7",
-        "1d9abde4e29d4ff37f0372bbfc46fcfd9e6325e4eb7ff266a05973b57a0d00a6",
+        "b16f5f8bcb4f31e83ec021af676c362dde8c2f26b9e2d4bc558bc09478a5eddd",
+        "bb3df615d745bfe584a3635dee2f21bed43a35fc0f809b0ee1053c7f52e800e8",
     ),
     ("legacy", "full", 5): (
-        "e4777c27d6ef6a3b0c1fa5426d451d67c6342c3170dff1a35499ff47eb80070a",
-        "45585b835a38a7fa1857471a0ca0b878442052e5c207ed60e341e00833ecbe1a",
+        "8e04881c0338da4a302abf21b1a7c9380f307e254274b687fa2dba97bd5bb913",
+        "901f78421c1d234dcd9dd4f321286951cc5506d07f3f297a4565dbd7823e9213",
     ),
     ("legacy", "full", 6): (
-        "27ee4f41072b83c9c60fc6187686b1a5daa30c9f14dff1f3ee3d6cb718307695",
-        "d2cecf6a57d7bacbd76683aa579d6834eb5fa6c9f7d059d4035314f06924ba45",
+        "819f8c1ddf6e8717721863b235c04ceca306a7ee7c4917d30ff9650b1f3c5891",
+        "5980776497fc75f307d53a3540647b76175f7d764c55962d58abfcfd2260a37c",
     ),
     ("legacy", "full", 7): (
-        "1f1f6496517e804e67276511362be93318053fa447df7f5ea28875bd165b38f6",
-        "4ec411d84502c75284af9ed905683e488488c0d98bf50385413815195d76e828",
+        "2e86ab612d24db2f15ad768121164c7a8774ce31a5e1e57a3c4c2c3af2acd299",
+        "d0f55ce1eb169a20f5e4d55faa3ada82d91eabe49bc0b91704cad334fec30659",
     ),
     ("legacy", "full", 8): (
-        "709c7d7adbf8363170b8ed5ca4c474b5fd1f3323d2987b52343fba4686a120e2",
-        "791b6c651dafe0b7a27005391caa5a3f263b80cbb57ceca60b2420cfaa472d97",
+        "36de2045c062347a1a726ffdcdc740bd056f75e77314005d9db0504ab33f4eec",
+        "27933cdee2495ff1fa1b247e838883eedac39c2b7ddf33613356e19142863ebc",
     ),
     ("legacy", "full", 9): (
-        "751dda7368854bbc8776426fde8d61cdc50645c46251f9ad4fbd19a87a0e3210",
-        "e8dc44908c0fb03150558363712b5f96ae11d44994405c000d5549cec12d50ec",
+        "17e221ee6c38012562725018883d7534959bbf4aa041723b4291d5d631dcb520",
+        "30af3635e77318328593a449608cba43d62aba39853055226f8eed2bf767f14a",
     ),
     ("legacy", "full", 10): (
-        "308deb282f2f2c7f2a2b01f4482f7b46a3a5a9b8038e4b378b15d58b5310da56",
-        "15b303a48a53e70d3dac331f6cd6dcc04a483817a07f5a43372abc753867664e",
+        "b424bd3a737c0b685f8e4ce7a3b40ebfb6728e4cffc0f69d323be0f4a09b5dfc",
+        "c2c442f13a49c43fe59865bb1dbaae816b344bb3d76c8c395c05126ca954f556",
     ),
     ("legacy", "full", 11): (
-        "de60bcd060d698c9c784cfd431fbda153ee427d01fcb564c116d0d8eb2c7121e",
-        "d54e02489a1793e4f4cc53a700e561d6358eccf1b1bbf731756f7fac208b04f7",
+        "4d28a49961fa5e68491c5a89af3381ecc31067a2f1f71325dc2726d41fa9758a",
+        "28814e6ea85c94a7bf8da498eb7ce40e087d707fcf476204f0441e04b305fad5",
     ),
     ("legacy", "delta", 0): (
-        "5a274e04959bd58a22682a77156a8700a28f45b666f8c4b76b5dfa81ee8cc404",
-        "1b272a1c9fd6390b7c9e14788efd24c92acc18d7bc956d06bd537c6a59bca2d6",
+        "6a801e6469979f52330c83b81b728046b79a6279ce9d0ee0c0fb1aa2accfe29f",
+        "bd330555f4f4d25179a04d3c838e46b2cce07a3afba749d4dc02819e33db2509",
     ),
     ("legacy", "delta", 1): (
-        "9a98af6fa426366b1cf311e5f1b3213940e0372182105637eb0ec0e5601b314c",
-        "e71b515b4c37e557aa5a3c139c612c00be8a428e324e769031a5d01a9ee67022",
+        "b41c5b08ee4ee6e80d98d69b76722e253d29fee4ea9f03d7fa5b1f936de1f58c",
+        "a8a73966faee89259d8211de07b031279ef37f774857aa435d4d928112e824e0",
     ),
     ("legacy", "delta", 2): (
-        "ac9f439fdf44120b95adbcf94fd6a996ea1d140d3d655fc1a3d1f42afcd36e94",
-        "a9578e0d7ba08a8748b3d0de99eb9be53aa5bb33a02b831498cc9f13d1cd4047",
+        "8c08f24fa371b49f42c1b844d8c22bf6b3594958429bbf0bf24e0320e31a5a73",
+        "941a21e358fbb4919b4720522e09a76dd50151432da4affa8ed6f7d1441e5e95",
     ),
     ("legacy", "delta", 3): (
-        "52f7065813f30879a632b69b6fefae3ab2403bbd50f1ee1b6cb639a242d718d2",
-        "6ff67665aab4006d6d2e8c572385788af3bdfe8f15d99b71413023c84a34a2d7",
+        "d23a97cd79c7edd7fd19be58fc8d948f60b9b18855ec4096f03c41f0ca624ec3",
+        "c0089bab54fe267b533e9d12059ca485c24a495e9c9b367046339a901021c2ab",
     ),
     ("legacy", "delta", 4): (
-        "fcdbd081b7c47b9e92f35c63f61bbbca0f10cd5cf402deec3a787e5ddf2ecc88",
-        "13fd9e17ecf5a71c5f2af343eab10da4ce6d162047c1090f084c5913dfaa93d3",
+        "486083d527d3af0dfe991e2d6258f65258ddc8864b96cc9ef3f63d923a83b2da",
+        "8bacd92d17fe71fe4ebaddf553daa258df259054d3517f785fa2f3847a516b2a",
     ),
     ("legacy", "delta", 5): (
-        "4f8e8d70626e4a65c600eab47fa10441d27c9fbf46bedc5972a4d8de1a9dafee",
-        "c311aa966dc689815bedad69b776a6e2f8e42e3ebda16ab70be55a5df7cb5dab",
+        "b221dbda60749d1f82bd6954a1dc7865d140045724da85346b20ef9da82f44d6",
+        "2186c20a8207dde191a29d7e768cd9f6405d164e5ecaa0cd24a01d0959b5f44d",
     ),
     ("legacy", "delta", 6): (
-        "813ca6f1f1fc18079bb9ea9c3c1034af7a049d7024e74c81fbabe5f2bff16a00",
-        "a9e60bc5276fb22dae4e252d0ca3cb86d2a21c91ab17884c06669cd88c7b0f14",
+        "8724d57b247176bbba72ca72d304c0701ce1652d8e2989cdd8770f8ff05a57f2",
+        "49755a344e9b6ad0db74d712e795660aec0e5fc0d50f90be38cfa8414390da52",
     ),
     ("legacy", "delta", 7): (
-        "0ca115df58ce1bb69c1c1a705eb962cb186d34162d1fc1f8f927a3f9cf213ff4",
-        "a912c2c79f4a514e63fabaeaaaeb732256a2a32c5ad4fe1d15b8c7099e194f52",
+        "d4928cdd0a0df27fd0696e083a227ac332df6a268bbf41457bb588955ede603a",
+        "88ff0893fc3f82464e6e595b49e298e6736f712043acf0bf6f4427df98e3ab6b",
     ),
     ("legacy", "delta", 8): (
-        "96f968814bf813631196487d0bc917b25a76f49d170abbbefb803b764ca415ad",
-        "4d3f06beb50746a1a9f5ba43e7c7e5559122e853d39988fcb6be33f138303b51",
+        "20214f3c5ba55213f4f542aa622796667801c8530e026b20ec8b6070655dcd40",
+        "198da588800d59852d942a336c928b1dc89505eeb4de0c413e1e6d41b5b8991b",
     ),
     ("legacy", "delta", 9): (
-        "605aa63c899ca8100b92e944ee7b34033c19cd26b380c13c56fb6029996c6168",
-        "f50a519fee99fdd2b9139e7579716e7240396f668c99c7117ea4df7238537d61",
+        "d9bb2f6190869aea452d791d7b346bbfb2620f1b235dea6c72df09a8453d4d44",
+        "ad1f62a7a7c752d377b9d43a9d5a25d30bbc36fbd860219cfab3124287947454",
     ),
     ("legacy", "delta", 10): (
-        "7b1ca00ed114c7d755c574f06696a7bf7181944a34c3c14fbd12f99fb7b47f86",
-        "fd39b4b0946e22c6ec93368202a3f394269ddd236d4d05e3509985adec6680fc",
+        "f25c590dcf8497d4151a76c7309a8640f3dd5c9f2ace7c6677d1fa80fded7e8c",
+        "06cd388ca4a315c37e38d817a39200c5c200e03cc35020fa379b13a9ec8182ed",
     ),
     ("legacy", "delta", 11): (
-        "8d0599403db10fc2a3be37b80e7855d6bcf500e70edaa08b72f60468aa1575cb",
-        "510ff12681688e30a23187c4b789ae04d38770dcf53fc1f9ade2ae5fccf68180",
+        "6a98c731ae46d81093f2ec805d9e017f308573ae12472fc958956a400a1a248c",
+        "0cb984b2a63eaf3182b43289bf6ed8229b2c40531ce8738bba59550853fb986f",
     ),
     ("legacy", "dce", 0): (
-        "00e129188c5e6c7da782c65c2c14b5e0bc5c1fb81de03f1ed010ad4835a9aa34",
-        "e25ad81dcb79ef56e110e4efc11b76ed7fffb48b9c8a1b008d952750da0284df",
+        "d612d604acfa7bfaba484aa2a35fa3bf97822e7b2a2f34d01ad38a23dd2c0b8d",
+        "069af963f46bcdd06f575e25af460bac9211ecd795215b049802348dfa6f51ef",
     ),
     ("legacy", "dce", 1): (
-        "8e6500e966aca216f38f258711f50ad12cf7e06d1c17a59e66519435a5043433",
-        "9206fa471e46dc67c97df9b95f308201fc347cb085e8f65ad4c104f2eb321377",
+        "ae8bf61eef46c712481d1c8553c05c680115999d175af21e2e9de1e9f19fa070",
+        "473f9746ffd605661d98b79196a9b6843d2fccc09d40f14f14004ccd5e372d15",
     ),
     ("legacy", "dce", 2): (
-        "f92bc9c864cf658f89a832dcedd1b3c805619b31cb630bac792bcbfff8ee8f7d",
-        "3f2ab85295c19f915a307f698cdd86f0f7cc0c8cec153260a3d229dabf2b2d95",
+        "f135351ba0a4a027ad0bb3ea8f031360558208db88e522c878abbd5f439985eb",
+        "a67a97124c2b27c1e593bb4bfd2bff719d59a0c9423ecd59f6f058b8dfad2d53",
     ),
     ("legacy", "dce", 3): (
-        "063087174850ce9b66e1ba6ed461e19ee8a277266e9bc84d5e70a005ad3ce60c",
-        "7320cf96d270f7d26c2cbdc83b881be5ea8b2b8b7c7279bf35926bd6f18f59b3",
+        "9f2f5c256409fa783c35753b45177e4e7d59bdf9d433961d355a60228f60e8e5",
+        "2021eebfbbdf097c39c0cfca834375156b1f467956710a026a17b6d3dc0102fa",
     ),
     ("legacy", "dce", 4): (
-        "1ce9c808191ddc8ac1522e324c5c16c8432e89bfa70062936f912975f68413c7",
-        "dfef4f0db402b2343be3aefc8bcb41fb543e46c776b47c773410198c57b53284",
+        "b16f5f8bcb4f31e83ec021af676c362dde8c2f26b9e2d4bc558bc09478a5eddd",
+        "d89b2c598f6302d66b84a3ee12857185b86cdb172d9d4c08a1162684cdc0e32e",
     ),
     ("legacy", "dce", 5): (
-        "e4777c27d6ef6a3b0c1fa5426d451d67c6342c3170dff1a35499ff47eb80070a",
-        "d9c5a9d88b4dca0d74292c8ddcb39cecdddd7c08067f524f8f7239d0f815cc10",
+        "8e04881c0338da4a302abf21b1a7c9380f307e254274b687fa2dba97bd5bb913",
+        "3f6a0aa0d090a47404f9190cc79bc85db7442767b1278a3e6626c5b789d03c5c",
     ),
     ("legacy", "dce", 6): (
-        "27ee4f41072b83c9c60fc6187686b1a5daa30c9f14dff1f3ee3d6cb718307695",
-        "97f505c820c281c9e354be7d2021020d2c9a601ad35541d01d12ba9db96bbc33",
+        "819f8c1ddf6e8717721863b235c04ceca306a7ee7c4917d30ff9650b1f3c5891",
+        "e73441aed4f4110c92e443fea3415769f7d6105c740aa077715c47bca2b689cb",
     ),
     ("legacy", "dce", 7): (
-        "1f1f6496517e804e67276511362be93318053fa447df7f5ea28875bd165b38f6",
-        "be0fba4e4a437f1c480fd90c5cf5a56492d49a0c93981e6a97c7f025d66e0c99",
+        "2e86ab612d24db2f15ad768121164c7a8774ce31a5e1e57a3c4c2c3af2acd299",
+        "95324b92ec022153faabe3ea1ebb9f7ea80721fb2519f91631f365c1d0b517b2",
     ),
     ("legacy", "dce", 8): (
-        "709c7d7adbf8363170b8ed5ca4c474b5fd1f3323d2987b52343fba4686a120e2",
-        "3679f8ce8bde884f87973a21871b0be921f6b8577d122bef888093cd9c3fa77d",
+        "36de2045c062347a1a726ffdcdc740bd056f75e77314005d9db0504ab33f4eec",
+        "bb406cffd03c028588094ed71c8e2d8609914c71303dbf9e6faf424e62fb56da",
     ),
     ("legacy", "dce", 9): (
-        "751dda7368854bbc8776426fde8d61cdc50645c46251f9ad4fbd19a87a0e3210",
-        "0ddc6dedf6fbae0d54241eebcdf8bdf0442be275bfb5e8a5d01cd1153cba3ad4",
+        "17e221ee6c38012562725018883d7534959bbf4aa041723b4291d5d631dcb520",
+        "1584df517c638c8fb5c72a7046b8cfd0fef62a0a9cccc83fefe1257e4147f1a6",
     ),
     ("legacy", "dce", 10): (
-        "308deb282f2f2c7f2a2b01f4482f7b46a3a5a9b8038e4b378b15d58b5310da56",
-        "b1ef4c7a08cccc29de4178b8da0fedfc2951f4d4ef3cdef9223f9940ca8fdf60",
+        "b424bd3a737c0b685f8e4ce7a3b40ebfb6728e4cffc0f69d323be0f4a09b5dfc",
+        "a5c4703e0225a4c44e8b24482ec7b8770c4778d378a7ffc38ad795b5285a4a68",
     ),
     ("legacy", "dce", 11): (
-        "de60bcd060d698c9c784cfd431fbda153ee427d01fcb564c116d0d8eb2c7121e",
-        "e68610e341b6fdc55234e501f0d34267a45b4712754960fc32a127be23a808fc",
+        "4d28a49961fa5e68491c5a89af3381ecc31067a2f1f71325dc2726d41fa9758a",
+        "d66b834ee00c14f183820a0be1a28942fadc36c37c47635d251ecbdbc409b313",
     ),
 }
 
 #: (policy, seed) → the schema-on second call's (request, reply) sha256.
 SCHEMA_DIGESTS: Dict[Tuple[str, int], Tuple[str, str]] = {
     ("full", 0): (
-        "43447b6026483b6b693abea6a164fd53970e3463718f740dc0821487721471c1",
-        "071c366a65041045a38b2be22b6d35d18e181ee37ccdb16f6938764d824a7917",
+        "4493b31b4135befd3df89e1516d893af6ea761bf3b78fdced2e271c99c9b966c",
+        "e239b2eddf5723aa66ad4c9899bb68b0238d8b6f83612eff0b0fca49af29bdc1",
     ),
     ("full", 1): (
-        "240a20e08c9a01fc1c898a22fb5ccb2cea12f128e9ef1c758149003c81d0c4a5",
-        "fbb40e7e48e4acab78dc45be459b7ee50b1ee31bee6b0f0ce3dff9b70fad41c4",
+        "eb4b1ac26428f27d0dee9f8499efb5a42454a935edd3a8f9ce53ebabd1cff677",
+        "78166a63327c94bfbfc09227a27acd824b91a59155891cc05263e381d2d18bbe",
     ),
     ("full", 2): (
-        "707f6a8bbefe3db5509d50c68686c07f9e818261d47e38b7053f8e7f1e7a34d1",
-        "46c663ea349de90e9f74e07c33ee8c9d0b771d2a3660702962a72a8eb9aa5b21",
+        "fda538bd83de03bae10dd593393cef79b68fd306441720de1c9cae9aeb1ffe41",
+        "0436d91edccae58daa505eb95ab8b659b0ed155d43e19d278ae80b4854cd72fd",
     ),
     ("full", 3): (
-        "d51c5879eb56a53759c1d18bf24f848ec6c541ca551e3da12ca827b972fd641d",
-        "cf71b4490a4774c8ef103b99db105540cfb494343defea183641a21c2bd9110e",
+        "cea64c60603b0c7057990ce3d8a3199fbd041e10462dabc67d87d5d9f18ef13a",
+        "e35b445fce81b966263bb07713084b5eefca31b39ee931d9f3af5ab7b2597db4",
     ),
     ("full", 4): (
-        "de1327bc6bb190d2dd7fb2ff6cbce31976ad250793228c539920972885a8e577",
-        "d9787fb7b14a3c31e5758ca9e7de1277f1e8e6fefadf8f501918e0a95d2ef072",
+        "7c8fc44e3323709c0ba28d6388e5b87f147a8886328f639f477ebdfede02b268",
+        "dc8cfaacb8655574d23e4fe264efc6fb6814f9babd150bce006cc7f18fae2cf6",
     ),
     ("full", 5): (
-        "69b2d89f49036489168c53408b07b8ca22dbf47ad84c6d6c412c359f944cf4b2",
-        "0ccb3c16fe690195240e0e02116c0062349ffe25a7090bc5028d0f66b414cee4",
+        "91f09a31333705e3c7639db07ab523beba3c329bd74dab8ef056695d04ac19d5",
+        "9ada4c4cb005e76bfb5109c2b8f967c2451656601de8b7ea143170e3791a5ea4",
     ),
     ("full", 6): (
-        "d7e41fc9edb76736cbdbf84863e32631a4578acf0820cf4cfccaee09c3c2768e",
-        "9df64e10427a193592bdd03b88105ef01c3eaa4c63c05aabe41480895833ccce",
+        "ab7d5521a0a34636ae76bc146c8b07cdb61ec59d448cbfffe067ba1b80b4194e",
+        "94f4eab64d8269bc6517f64072404e2133b6521bb14a0e7ad9126bc318a95afc",
     ),
     ("full", 7): (
-        "d17d614b5fc280e7167e155c4ddd8c4ef1f413ca0b7f41f63260aed86c241352",
-        "d3cf4327fa784eeb9e7e859363cc838880c3ad578110c0eb013ef7c96ea6aac8",
+        "3d8d0fc645eb4ad6e2e08dd2b550276052b6ff759a37c7469a5bdcd0a6d4f87e",
+        "40648bb8d13ab9e3656404dda6b267d9e1a6cee7fa6ea9ede28e42a121f96f75",
     ),
     ("full", 8): (
-        "781e93eb08f491f7ec66df24fab16b3fb0d6676c8e9e0c98fead3aded57b0134",
-        "7929beeae340aa3a44ce13a935bf9011c6781f867dadfbb6b473e95bf5cb7585",
+        "7cb1453e3aa6021894c5b89a4e898146695d7bba595bd7e7124f5c408045649e",
+        "9458e8035b0187c4cb9fb708f8af769be14f19bd2b10f832fff2ce4f100bf99d",
     ),
     ("full", 9): (
-        "69a5cea350e3376bc5a6b9ff93319495221f8519ff5622f8c7b6c5f59f35bc9e",
-        "38a84567d736e32e13deee4b58831b1a6108cf9e763e1aed271b136370688800",
+        "2a7a5e5c6a1654a0cbd39772bac64066eb2edc509cab27afd836747651d0c069",
+        "106504613e736c84a30c0f01706adf9e17a7091e8aa87ceac66c87cb4f474abf",
     ),
     ("full", 10): (
-        "0013b1b5bd0baa63011fd486912bafb1d5a6be774819326a912a0b61d8b62f87",
-        "690c5aaeb80227081b0ececf75aa9af616aa5949c3c139cae4cdbba45e900a98",
+        "e19283434c5c82f4a21e9c800d0fc21ce2e682303e2b9b1d973b5de6c76d8570",
+        "d7eb6bf77fa9b9cbb9d45e7c2ff41dc279966991d82d7e9ab890a30746d15a52",
     ),
     ("full", 11): (
-        "4b0239b8321bbc0e1134a0d96fde4e96c69522cebcb4c99393ed0255941d8739",
-        "f4301dbacfd018847374023537da42cf2527dcce480f50cad1e4d08408ba01c0",
+        "6f055bc1b94765f64070fcdd1b08380504f3d8e3aef33225436611092bf5fccb",
+        "01b0b4f6db6444328ce9943f6ddd0b3c21c8f13bd553fdd8bfe78ddb5cace15f",
     ),
     ("delta", 0): (
-        "18f5c27cd854b1c30876139ea075795fcb9e43f2943fa3e68f606f069bff7468",
-        "87d913f387d8fb202d61bbc9eeaa4245417e593116928b4bdfffdabad1973a4b",
+        "0b86ef44a71ca6bb820c02029c5dc09509178a3140571cd6f1d1547a6193db8b",
+        "de120e6a48bba1ab0f64ca95d2958dac6c56f09d5433fef20da55d845517d1b3",
     ),
     ("delta", 1): (
-        "4d33307259546a883cc32c9a570f10beb5ef0af5cb69cef6b09c6e686b18514d",
-        "b0a2140510f1457239b7413329127809f41c1d72b1ffa136f3072f1e47760275",
+        "7f65d709f6835545ffc4fbc2be988f7d0ff7dcc268e0aaffc08ebd8be2b8b8bc",
+        "34515df75fffd61a1c332a38f79335bbf77ab6568949cfb36636cffedaac3dd2",
     ),
     ("delta", 2): (
-        "f65bee8fe15b06c24e3e60b3bd1574b45a3a46445514c7ef48606a81ca4a5aa0",
-        "bc58b68e7877cc066b63f55760718106d04b468b555731229e21126a53747723",
+        "b0b6347c8447562983a4e3ca80b2da63ed0abb2eea7a5733dce7be1b45c5994a",
+        "838df38f2ca77631770c79a1f962c08481ec00608e8e07adaa3f85109e41eb59",
     ),
     ("delta", 3): (
-        "9078cd2d77de6bcd29122d94e585d10948613b8e673b3140a00972183ee2f226",
-        "0f50235379f8fea67025547bbc731f3e300ebcfdd5f982383644cf0ff545dd60",
+        "d6f40fea298fe9feea74f6c4991b12d06d0121a47b79aa374482ae3e2a4defdd",
+        "cfd81b8ec0f840875d8919a1f7dbac8ba97d0ce522bd0305b8bea4d3fc7f9b9c",
     ),
     ("delta", 4): (
-        "9dcd5eacc0f589440be48074c6890bb4a1180a808807b36b7bc84230c8ff9098",
-        "25986be9c537fe326771fa1566a21d9884e00a922ae1f6bac4190f3784df4627",
+        "f016f91554e1effec7cfe1940aa9547d49c2405d08fd1ae3d9aa10fbaddcfd91",
+        "f0c4e6e9a1ece7f874fa1996e05879432fd5acee2c89f7c4980f60efbc9e02e1",
     ),
     ("delta", 5): (
-        "26b290d43e0efc464ae4cd14a21d61cff73792134b82545c45b7c72e69510fea",
-        "22dbe9a1cb8eaf0745e77fa17a9a1a0589565a14bfe4b173b8d93feaca83fa25",
+        "8d3148b344a826f9e4755dbe3f7702dcbed6a05ac1551344cfa80557fe0cfbee",
+        "1eb690a95652e1b234d52785e40d2f700d73c2abc2b36c7f78477498cd3064e6",
     ),
     ("delta", 6): (
-        "0abee58b16da3a0dd382291bf66eb57819ad6398234175190669730fd16f0ddc",
-        "2a41c0754e2ec2679015b702b561ac8cb2c19aae0b623bb84154873419ac8191",
+        "df50ab79bb5855af115c5f7a4c8b767c9891370b3501cd479e74230b6f3a67fa",
+        "9fc70a6f696d9cf6a4d0b3e8908534ebd3149c29bddf134deebae9bb86f9a2f5",
     ),
     ("delta", 7): (
-        "f9bf3288c9f04a78ac58ad72d8ea67ee9ae137126f97db649f626923d7523828",
-        "aed391533e088c305a73ce0b76cd5af8648ba7b75746562a17d96517ef4bd194",
+        "7eebfb142a76480fe5c1d87534971f026d78a66e19905ef43c7029564a3f8ca7",
+        "ffadba685b0ff775c114e210b6db47b373d7721288ba287b0df04559139f4dc8",
     ),
     ("delta", 8): (
-        "15b60dab48be6ac43fc5d7a356a9bda67c4f7bafbff2ef37cb8ccf30bc96401e",
-        "8956254d71d56b686dd9100932cfaaf766c68010bbd460a1b37f8c3465da2bbd",
+        "cdb69b49400ee0feba3f82a45363bf0becb64c3cafa9b89289945aaafea43b74",
+        "0c841adf1fb78a9224ecc99511698c6cc816ce44f93edc8565d2f8ae5bb5ad5a",
     ),
     ("delta", 9): (
-        "2150a66df9ee610da55b41d59459b1a715f34f3f934cf060033f6fc0c1a13296",
-        "5cfa2b42d359b54a48bcea358462ef7085344efbb70feae0b6e29e5c1fdf53c1",
+        "903e8a2bd12a64ea8084c7a25a2f437b25b17927c539ef2af67e49e1e4a78b7b",
+        "d21e4781f41df70dd6b32c7eec1ebb398096ebff73071c188dd7e53750d0dd3b",
     ),
     ("delta", 10): (
-        "42ff53acebfe1adba0e3a0eca64d553d274dda11b79eda689126f384e00452c1",
-        "4056f84bd8124b461cad6cc14f65c7f72fab41110e630398a52a28a3ce500b12",
+        "af8a705a9490910a0c7b8f4b68236166d906ea8e723b90fbce85191c80ff849c",
+        "aa417e52d46cecdcec141175ccf45c466e52391d3480fbb07c604f50d185463b",
     ),
     ("delta", 11): (
-        "6292d7e363c2c252b4e97323c16b796e71a2d761201a6d2aaecb3ea4a84cf30c",
-        "510ff12681688e30a23187c4b789ae04d38770dcf53fc1f9ade2ae5fccf68180",
+        "98f68aef91de98ccc53b7db175e9546d4d73d8639e0f5a04d786a50a036c805e",
+        "0cb984b2a63eaf3182b43289bf6ed8229b2c40531ce8738bba59550853fb986f",
     ),
     ("dce", 0): (
-        "43447b6026483b6b693abea6a164fd53970e3463718f740dc0821487721471c1",
-        "071c366a65041045a38b2be22b6d35d18e181ee37ccdb16f6938764d824a7917",
+        "4493b31b4135befd3df89e1516d893af6ea761bf3b78fdced2e271c99c9b966c",
+        "e239b2eddf5723aa66ad4c9899bb68b0238d8b6f83612eff0b0fca49af29bdc1",
     ),
     ("dce", 1): (
-        "240a20e08c9a01fc1c898a22fb5ccb2cea12f128e9ef1c758149003c81d0c4a5",
-        "a996338423cb28573f432210c22f8ef5065ffdfaef2c40918394853f6bcb534e",
+        "eb4b1ac26428f27d0dee9f8499efb5a42454a935edd3a8f9ce53ebabd1cff677",
+        "d7afcf672c1528ba95b2e073864779929dd8ba06faa8e2c6474d9fc0301adcf8",
     ),
     ("dce", 2): (
-        "707f6a8bbefe3db5509d50c68686c07f9e818261d47e38b7053f8e7f1e7a34d1",
-        "bfdcc90c0812f73e5c90b70e3ecbd60a39a4608d359841ff39a4045330a4071d",
+        "fda538bd83de03bae10dd593393cef79b68fd306441720de1c9cae9aeb1ffe41",
+        "28f6ae1e76777e696801be8aad566eb4fb471005d57560cb0cb011b47621d659",
     ),
     ("dce", 3): (
-        "d51c5879eb56a53759c1d18bf24f848ec6c541ca551e3da12ca827b972fd641d",
-        "b9d3978682f3408dbc450152151e60c1b3c25520b3440d0af0155b4507b53b34",
+        "cea64c60603b0c7057990ce3d8a3199fbd041e10462dabc67d87d5d9f18ef13a",
+        "e16063984c8f20260c9bfb622d407fcc4de25b2f948e5d0078d3b28f11436698",
     ),
     ("dce", 4): (
-        "de1327bc6bb190d2dd7fb2ff6cbce31976ad250793228c539920972885a8e577",
-        "95736b431cfc1948ae8e596a58c576518342622b62bdb6d10d44e16987206095",
+        "7c8fc44e3323709c0ba28d6388e5b87f147a8886328f639f477ebdfede02b268",
+        "15fe7861a4856cfbc4d570432a6be3d3d405918a52549428937451ea50fbc313",
     ),
     ("dce", 5): (
-        "69b2d89f49036489168c53408b07b8ca22dbf47ad84c6d6c412c359f944cf4b2",
-        "f4ac0d380e92323bdf7621537c47c8e58a9269e03231911076c4464dcb927e89",
+        "91f09a31333705e3c7639db07ab523beba3c329bd74dab8ef056695d04ac19d5",
+        "696060d48eddcf3205d707c49cf92b5df52ae1f2600c63fe415cc8c3111999ea",
     ),
     ("dce", 6): (
-        "d7e41fc9edb76736cbdbf84863e32631a4578acf0820cf4cfccaee09c3c2768e",
-        "cc83c3f4856067aa0bd76ec1f66248d0d9e36ee2193c194bf7acdb52e3ad7a1b",
+        "ab7d5521a0a34636ae76bc146c8b07cdb61ec59d448cbfffe067ba1b80b4194e",
+        "c964ebc02063c60b9411ef24152f6c74d4aed234f964461233c0bd90e8dca3eb",
     ),
     ("dce", 7): (
-        "d17d614b5fc280e7167e155c4ddd8c4ef1f413ca0b7f41f63260aed86c241352",
-        "2baa3995a5c7d5e8836f21ce0fb7a29528619640b806176dec66d58082aec88d",
+        "3d8d0fc645eb4ad6e2e08dd2b550276052b6ff759a37c7469a5bdcd0a6d4f87e",
+        "d8f9cdb6bb871a32bbe68883bc773b39c49f954324f6ed41b2d22e3888ad5e3e",
     ),
     ("dce", 8): (
-        "781e93eb08f491f7ec66df24fab16b3fb0d6676c8e9e0c98fead3aded57b0134",
-        "640a7fd2269e3c1097c7c810e17abeb348542f707c45039eb501ad6e98a9a48c",
+        "7cb1453e3aa6021894c5b89a4e898146695d7bba595bd7e7124f5c408045649e",
+        "8f0125bed6ccbd77b34e361d46f640b07fa8fe16701d931d58a6d05404876334",
     ),
     ("dce", 9): (
-        "69a5cea350e3376bc5a6b9ff93319495221f8519ff5622f8c7b6c5f59f35bc9e",
-        "ebdcb9b978428fd4dd767af4e45637953b82427893c704c4d81d13185a4ec661",
+        "2a7a5e5c6a1654a0cbd39772bac64066eb2edc509cab27afd836747651d0c069",
+        "8daec82205147cd583479417ea30f1a7535735694d9295f5131b8e29881a9f46",
     ),
     ("dce", 10): (
-        "0013b1b5bd0baa63011fd486912bafb1d5a6be774819326a912a0b61d8b62f87",
-        "1324a3b6dd3491b8898f4548353d077e977ed4a0699d8b3397b4bcf14cf5bb2d",
+        "e19283434c5c82f4a21e9c800d0fc21ce2e682303e2b9b1d973b5de6c76d8570",
+        "579eae933ccfc50fa811aa1090e8e9cdaa8392bf7b628bf0462f143d1f3140f5",
     ),
     ("dce", 11): (
-        "4b0239b8321bbc0e1134a0d96fde4e96c69522cebcb4c99393ed0255941d8739",
-        "09d05bb835f698416aa7110ee4be40652aa14270cc3ac848fbe8057fd8126652",
+        "6f055bc1b94765f64070fcdd1b08380504f3d8e3aef33225436611092bf5fccb",
+        "bb4d27835fc97ed6ba71bb0931bbe59acc447f83ebc9c0a632776cfe14ee3f03",
     ),
 }
 
@@ -723,76 +759,76 @@ SCHEMA_DIGESTS: Dict[Tuple[str, int], Tuple[str, str]] = {
 #: (profile, policy, seed) → (sha256 of the request body, of the reply body).
 SHAPE_DIGESTS: Dict[Tuple[str, str, int], Tuple[str, str]] = {
     ("modern", "full", 0): (
-        "e993ed32b4fd105fb1e42a95b17715c1d13c36bca6ca735664dd132f57233dd3",
-        "2ebcef4e961fbeec44374d512e5081d635019d658e0ac8b252db666035ae7849",
+        "2f5038a555d0a1f9d86eb4d1dafb29fa1bb81ec8bf7dacfb23914b329e04f6c9",
+        "63141e42f034cf9d68ba3cb7ab8bba8c095e9e985ca571021d612427e0b2828b",
     ),
     ("modern", "full", 1): (
-        "ac1157f474056958bb9f03be0f6ad113eb3f3df5586d7fe5e59a44513c120235",
-        "87c744cb169610d342e81c95534ab15d9147bf591c659dc29dcac0ec9ba6238a",
+        "b7ed1b21db9a01ecb3d68cde750bce3665636f1d287886214a24d67f2c4679e6",
+        "8331189bc4ab717b55c3ac900aaefb229eec886c06c4467d33be0bd20fc1efaa",
     ),
     ("modern", "full", 2): (
-        "0a3d1d3cb8c02108595e48c81be8542c445dd5234aa11a7887c9c6f0168ad281",
-        "996e0d07404f363c746a4b6a21ab189c0fb1a64a2125076f075252b1ca84f791",
+        "14a685a29b8786f538981b1f0017c36f97a101d0e6eae1f8844c1f5484556c01",
+        "a010c5c136f0ada54a328833ebebcc8b3caeec4396ecb5e22642a74693ef95d2",
     ),
     ("modern", "delta", 0): (
-        "e993ed32b4fd105fb1e42a95b17715c1d13c36bca6ca735664dd132f57233dd3",
-        "8c507f590f6885be99e34846ff0b148ad2cdd324c5d608fd15764cbb6747b486",
+        "2f5038a555d0a1f9d86eb4d1dafb29fa1bb81ec8bf7dacfb23914b329e04f6c9",
+        "7f96ba547d6dbcb7c1dc4f72fb1612f22e91f8b4661fcb7f054d24dabce3eca2",
     ),
     ("modern", "delta", 1): (
-        "ac1157f474056958bb9f03be0f6ad113eb3f3df5586d7fe5e59a44513c120235",
-        "157a8537efe41b29a1ac921de5fdf7a77e712cb78ced4a76a0401148952dfdaf",
+        "b7ed1b21db9a01ecb3d68cde750bce3665636f1d287886214a24d67f2c4679e6",
+        "7cfe4d92bb95c6fd1075255fc807e56e2c58ff9dff72d6135d60e02dda8e657a",
     ),
     ("modern", "delta", 2): (
-        "0a3d1d3cb8c02108595e48c81be8542c445dd5234aa11a7887c9c6f0168ad281",
-        "8b0a258f6ba2b011f651737404ae80d07806484fa4b81a1dc5b2e46ae79c7409",
+        "14a685a29b8786f538981b1f0017c36f97a101d0e6eae1f8844c1f5484556c01",
+        "8757d0c75feba7530d5dd1f2e463fe63357a5a2d0122068d27229fbad33939f2",
     ),
     ("modern", "dce", 0): (
-        "e993ed32b4fd105fb1e42a95b17715c1d13c36bca6ca735664dd132f57233dd3",
-        "2ebcef4e961fbeec44374d512e5081d635019d658e0ac8b252db666035ae7849",
+        "2f5038a555d0a1f9d86eb4d1dafb29fa1bb81ec8bf7dacfb23914b329e04f6c9",
+        "63141e42f034cf9d68ba3cb7ab8bba8c095e9e985ca571021d612427e0b2828b",
     ),
     ("modern", "dce", 1): (
-        "ac1157f474056958bb9f03be0f6ad113eb3f3df5586d7fe5e59a44513c120235",
-        "87c744cb169610d342e81c95534ab15d9147bf591c659dc29dcac0ec9ba6238a",
+        "b7ed1b21db9a01ecb3d68cde750bce3665636f1d287886214a24d67f2c4679e6",
+        "8331189bc4ab717b55c3ac900aaefb229eec886c06c4467d33be0bd20fc1efaa",
     ),
     ("modern", "dce", 2): (
-        "0a3d1d3cb8c02108595e48c81be8542c445dd5234aa11a7887c9c6f0168ad281",
-        "996e0d07404f363c746a4b6a21ab189c0fb1a64a2125076f075252b1ca84f791",
+        "14a685a29b8786f538981b1f0017c36f97a101d0e6eae1f8844c1f5484556c01",
+        "a010c5c136f0ada54a328833ebebcc8b3caeec4396ecb5e22642a74693ef95d2",
     ),
     ("legacy", "full", 0): (
-        "b6b85955e14cf4ec4c0859041202ab5f7f0d9844028e49200ed94ccc4fd2ae5f",
-        "4f04da189831da46a8e92eb1dd8a22dc331b198b4128c0d11363c14176ed0b00",
+        "331431136a93d3b690108e95e1ab4e6999960b42e57ecf29c46eb8aca76c3223",
+        "0c095ee90333890b96608ebec00c7d100de485574b54d6d7c88c6a0443cf3b0f",
     ),
     ("legacy", "full", 1): (
-        "91c9d39eb222f60b0a4ec49642ab0c7e68df80cc52e31fb40a7747eb09ff2f4c",
-        "b01ac24a656e24846fb50ed21f274d4107867e08de74f20e1b812f273e5ac221",
+        "0b7183f19fc405331a05399e36027eb4d4fa857e057eb937c4b150f71e3bcc80",
+        "28d3060cb38094564503d234af3d01c0a5b97152aa3bef079a892b2e73ef4962",
     ),
     ("legacy", "full", 2): (
-        "ce12d70fc495b8b01d051fdac2ea93ba38df15780132bdd3d9f649a02cfe76f9",
-        "6bf596f1af8fc879793ae8c616e76ea3b11745afaae5fb202b18bee5bac923b6",
+        "c63bb1e518e4bbc6746b2a940a7b722a9b4a572cbd58334dd40581ef0d29e156",
+        "036e9baaa3bbb41b2706cbaca1100fa18ae4fb52eef4e154ef18ebd3790b6c92",
     ),
     ("legacy", "delta", 0): (
-        "b6b85955e14cf4ec4c0859041202ab5f7f0d9844028e49200ed94ccc4fd2ae5f",
-        "5e2421ba5a0525150ae9c3a4a1c41f42be690838f994eedd60903bcdf01d14c5",
+        "331431136a93d3b690108e95e1ab4e6999960b42e57ecf29c46eb8aca76c3223",
+        "65cdd989a5b9ea8bb90d63dac63b0cf49b1f29ddca9cc58bc0c96c9a67828a82",
     ),
     ("legacy", "delta", 1): (
-        "91c9d39eb222f60b0a4ec49642ab0c7e68df80cc52e31fb40a7747eb09ff2f4c",
-        "d6f0ce4ff897fbf2cfb1ac8353574a8865fdcdabd467f06ac3f7206d55d8c9b7",
+        "0b7183f19fc405331a05399e36027eb4d4fa857e057eb937c4b150f71e3bcc80",
+        "d56ff3ce64003fec48057b878d5aa2f2a219d52d3388766f26b1a3ab94d828a1",
     ),
     ("legacy", "delta", 2): (
-        "ce12d70fc495b8b01d051fdac2ea93ba38df15780132bdd3d9f649a02cfe76f9",
-        "5c3653185b5fb109abc3fc142a7af99272e78372ad2177b645363a73c12a80d7",
+        "c63bb1e518e4bbc6746b2a940a7b722a9b4a572cbd58334dd40581ef0d29e156",
+        "349234e9f0bdce8853d9c4d207aebe66feb9b862ea2e8f3ecba0fcf4ef68cc08",
     ),
     ("legacy", "dce", 0): (
-        "b6b85955e14cf4ec4c0859041202ab5f7f0d9844028e49200ed94ccc4fd2ae5f",
-        "4f04da189831da46a8e92eb1dd8a22dc331b198b4128c0d11363c14176ed0b00",
+        "331431136a93d3b690108e95e1ab4e6999960b42e57ecf29c46eb8aca76c3223",
+        "0c095ee90333890b96608ebec00c7d100de485574b54d6d7c88c6a0443cf3b0f",
     ),
     ("legacy", "dce", 1): (
-        "91c9d39eb222f60b0a4ec49642ab0c7e68df80cc52e31fb40a7747eb09ff2f4c",
-        "b01ac24a656e24846fb50ed21f274d4107867e08de74f20e1b812f273e5ac221",
+        "0b7183f19fc405331a05399e36027eb4d4fa857e057eb937c4b150f71e3bcc80",
+        "28d3060cb38094564503d234af3d01c0a5b97152aa3bef079a892b2e73ef4962",
     ),
     ("legacy", "dce", 2): (
-        "ce12d70fc495b8b01d051fdac2ea93ba38df15780132bdd3d9f649a02cfe76f9",
-        "6bf596f1af8fc879793ae8c616e76ea3b11745afaae5fb202b18bee5bac923b6",
+        "c63bb1e518e4bbc6746b2a940a7b722a9b4a572cbd58334dd40581ef0d29e156",
+        "036e9baaa3bbb41b2706cbaca1100fa18ae4fb52eef4e154ef18ebd3790b6c92",
     ),
 }
 
@@ -857,11 +893,43 @@ def test_shape_table_covers_every_case():
     }
 
 
+def test_dump_writes_the_digested_bodies(tmp_path, monkeypatch):
+    """``--dump`` writes, per case, the two bodies the tables pin (seed 0
+    of each table here, to keep it short)."""
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "SEEDS", range(1))
+    monkeypatch.setattr(module, "SHAPE_SEEDS", range(1))
+    cases = (
+        [("trees", DIGESTS, case) for case in DIGESTS if case[-1] == 0]
+        + [("shapes", SHAPE_DIGESTS, case) for case in SHAPE_DIGESTS if case[-1] == 0]
+        + [("schema", SCHEMA_DIGESTS, case) for case in SCHEMA_DIGESTS if case[-1] == 0]
+    )
+    assert dump_bodies(str(tmp_path)) == len(cases)
+    for table, digests, case in cases:
+        name = "-".join(map(str, (table,) + case))
+        bodies = [(tmp_path / f"{name}.{kind}").read_bytes() for kind in ("request", "reply")]
+        assert tuple(map(_sha, bodies)) == digests[case], name
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        prog="python -m tests.test_wire_digests",
+        description="Print the digest tables of the current code, or write "
+        "every case's bodies to a directory.",
+    )
+    parser.add_argument(
+        "--dump", metavar="DIR",
+        help="write each case's request and reply body to DIR instead",
+    )
+    options = parser.parse_args()
     # The shape classes must carry this module's name, not ``__main__``'s:
     # the class names travel in the bodies.
     from tests import test_wire_digests as _module
 
+    if options.dump:
+        written = _module.dump_bodies(options.dump)
+        print(f"{written} cases written to {options.dump}")
+        raise SystemExit(0)
     _table, _shapes_table, _schema_table = (
         _module._table, _module._shapes_table, _module._schema_table
     )
