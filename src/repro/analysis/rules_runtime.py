@@ -1,4 +1,4 @@
-"""Runtime self-check rules (NRMI031, NRMI034–NRMI036).
+"""Runtime self-check rules (NRMI031, NRMI034, NRMI035).
 
 These lint the middleware's *own* threaded and ring code:
 
@@ -16,20 +16,12 @@ These lint the middleware's *own* threaded and ring code:
   must stay non-blocking — a sleep or blocking wait inside a
   microsecond-scale spin turns the shm transport's latency win into a
   scheduler round trip per call.
-* **NRMI036** — borrowed-view escape: a ``memoryview`` handed out by a
-  ring borrow/reservation (``reserve``/``peek_record``/``recv_borrow``)
-  is only valid until the matching
-  ``consume``/``consume_borrow``/``commit``/``abort``; storing it on
-  ``self``, returning it to a caller, or touching it after the release
-  reads recycled ring memory. The transport's sanctioned handoffs
-  (methods whose contract is "caller must consume") carry explicit
-  suppressions.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.model import (
@@ -335,188 +327,3 @@ def blocking_call_in_ring_spin(module: ModuleModel) -> Iterable[Finding]:
                         hint="yield the core between probes and park on "
                         "the doorbell via select for the slow path",
                     )
-
-
-# --------------------------------------------- borrowed-view lifetime
-
-
-#: Calls that hand out a memoryview over borrowed/reserved ring memory.
-_BORROW_SOURCES = frozenset({"reserve", "peek_record", "recv_borrow"})
-
-#: Calls that end the borrow/reservation and release the view.
-_BORROW_RELEASES = frozenset(
-    {"consume", "consume_borrow", "commit", "abort", "close"}
-)
-
-
-def _borrow_source_call(node: ast.expr) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in _BORROW_SOURCES
-    )
-
-
-def _call_base(node: ast.Call) -> Optional[str]:
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return dotted_name(func.value)
-    return None
-
-
-def _borrowed_operand(node: ast.expr, borrowed: Dict[str, str]) -> Optional[str]:
-    """The borrowed name behind *node*: a direct reference or a slice of
-    one (slices share the parent's lifetime without re-exporting it)."""
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    if isinstance(node, ast.Name) and node.id in borrowed:
-        return node.id
-    return None
-
-
-def _walk_own(func_node: ast.AST) -> Iterable[ast.AST]:
-    """``ast.walk`` pruned at nested function boundaries — closures get
-    their own pass from the outer module walk, so visiting them here
-    would double-report every escape inside them."""
-    stack = list(ast.iter_child_nodes(func_node))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-@rule("NRMI036", "borrowed-view-escape", FAMILY_RUNTIME, Severity.ERROR)
-def borrowed_view_escape(module: ModuleModel) -> Iterable[Finding]:
-    """A view from ``reserve``/``peek_record``/``recv_borrow`` borrows
-    mapped ring memory the producer will recycle the moment the borrow
-    ends. Three escapes are flagged per
-    function: storing the view on ``self`` (it outlives the borrow
-    window), returning it (the releasing call invalidates what the
-    caller holds — copy with ``bytes(view)`` instead, or document the
-    handoff with a suppression), and touching it after the same object's
-    ``consume``/``consume_borrow``/``commit``/``abort`` in straight-line
-    code (the release already freed the span). The use-after-release
-    check is per-block on purpose: a branch that releases and
-    immediately returns does not poison the other paths."""
-    for func_node in ast.walk(module.tree):
-        if not isinstance(func_node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        # name -> base object the borrow came from (e.g. "self._rx").
-        borrowed: Dict[str, str] = {}
-        for node in _walk_own(func_node):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-            ):
-                name = node.targets[0].id
-                if _borrow_source_call(node.value):
-                    borrowed[name] = _call_base(node.value) or ""
-                else:
-                    parent = _borrowed_operand(node.value, borrowed)
-                    if parent is not None and isinstance(
-                        node.value, ast.Subscript
-                    ):
-                        borrowed[name] = borrowed[parent]
-        has_source_call = any(
-            _borrow_source_call(node) for node in _walk_own(func_node)
-        )
-        if not borrowed and not has_source_call:
-            continue
-
-        findings: List[Finding] = []
-
-        def flag(node: ast.AST, message: str) -> None:
-            findings.append(
-                borrowed_view_escape.at(
-                    module.path,
-                    node,
-                    message,
-                    hint="copy with bytes(view) before the borrow ends, "
-                    "or keep the view's lifetime inside the "
-                    "reserve/peek ... consume/commit window",
-                )
-            )
-
-        for node in _walk_own(func_node):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if not (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        continue
-                    if _borrow_source_call(node.value) or (
-                        _borrowed_operand(node.value, borrowed) is not None
-                    ):
-                        flag(
-                            node,
-                            f"borrowed ring view stored on self.{target.attr}"
-                            " — it outlives the borrow window",
-                        )
-            elif isinstance(node, ast.Return) and node.value is not None:
-                if _borrow_source_call(node.value):
-                    flag(
-                        node,
-                        "borrowed ring view returned to the caller — the "
-                        "borrow's release will invalidate it",
-                    )
-                else:
-                    name = _borrowed_operand(node.value, borrowed)
-                    if name is not None:
-                        flag(
-                            node,
-                            f"borrowed ring view {name!r} returned to the "
-                            "caller — the borrow's release will invalidate it",
-                        )
-
-        # Use-after-release, straight-line per block: once a statement
-        # releases base B, later *sibling* statements must not touch a
-        # view borrowed from B.
-        def scan_block(body: List[ast.stmt]) -> None:
-            released: Set[str] = set()
-            for stmt in body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue  # closures get their own pass
-                if released:
-                    for node in ast.walk(stmt):
-                        if (
-                            isinstance(node, ast.Name)
-                            and isinstance(node.ctx, ast.Load)
-                            and borrowed.get(node.id) in released
-                        ):
-                            flag(
-                                node,
-                                f"borrowed ring view {node.id!r} used after "
-                                "its borrow was released",
-                            )
-                # Only a release at THIS block level ends the view for the
-                # statements that follow it here. A release buried in a
-                # sub-block (e.g. an early-return fallback branch) does
-                # not dominate the siblings — that branch's own scan
-                # checks its tail.
-                if isinstance(stmt, (ast.Expr, ast.Assign, ast.Return)):
-                    for node in ast.walk(stmt):
-                        if (
-                            isinstance(node, ast.Call)
-                            and isinstance(node.func, ast.Attribute)
-                            and node.func.attr in _BORROW_RELEASES
-                        ):
-                            base = _call_base(node)
-                            if base is not None and base in borrowed.values():
-                                released.add(base)
-                for _field, value in ast.iter_fields(stmt):
-                    if not (isinstance(value, list) and value):
-                        continue
-                    if isinstance(value[0], ast.stmt):
-                        scan_block(value)
-                    elif isinstance(value[0], ast.excepthandler):
-                        for handler in value:
-                            scan_block(handler.body)
-
-        if borrowed:
-            scan_block(func_node.body)
-        yield from findings

@@ -862,9 +862,7 @@ def _build_decode_source(
     # small ints measurably faster, and the one-time copy is linear in
     # the payload the decoder is about to walk anyway. When the reader
     # already sits on real bytes (its _raw passthrough), even that copy
-    # is skipped — the borrowed-ring path instead lands here with a
-    # memoryview and pays the copy knowingly (leaf values must not
-    # alias ring memory anyway).
+    # is skipped.
     add("            reader._buf._raw or bytes(reader._buf._mv),")
     add("            reader._buf._len,")
     add("            reader._handles,")

@@ -607,7 +607,7 @@ class ObjectReader:
         if tag == Tag.INT_BIG:
             negative = buf.read_u8()
             # read_len_view: int.from_bytes consumes the span in place,
-            # so no intermediate bytes copy (matters on borrowed input).
+            # so no intermediate bytes copy.
             magnitude = int.from_bytes(buf.read_len_view(), "big")
             return -magnitude if negative else magnitude
         if tag == Tag.FLOAT:

@@ -159,8 +159,6 @@ class _Connection:
         "last_progress",
         "doorbell",
         "hot_until",
-        "zero_copy",
-        "borrow",
         "overlapped",
     )
 
@@ -170,15 +168,6 @@ class _Connection:
         self.write_lock = threading.Lock()
         #: Duplexes that signal write space via doorbell *reads* (shm).
         self.doorbell = bool(getattr(sock, "doorbell_interest", False))
-        #: Duplexes whose rings support reserve/commit and borrow/consume
-        #: (shm): requests can be handed to workers as borrowed ring
-        #: slices and replies written in place as one record.
-        self.zero_copy = bool(getattr(sock, "zero_copy_capable", False))
-        #: Size of the ring record a worker currently borrows (0 = none).
-        #: While set, every ring read on this connection is forbidden —
-        #: the span is freed in ``_drain_completions`` once the reply
-        #: proves the worker is done with the view.
-        self.borrow = 0
         #: Monotonic deadline of this connection's linger-poll window
         #: (doorbell duplexes only; 0.0 = not currently hot).
         self.hot_until = 0.0
@@ -829,8 +818,6 @@ class StagedStreamServer:
         for connection in list(self._doorbells.values()):
             if connection.closed or connection.fd in self._hot:
                 continue
-            if connection.borrow:
-                continue  # unconsumed borrow reads as "ready" forever
             if connection.sock.poll_ready() or (
                 # Pending output re-enters the poll only when the ring
                 # can accept bytes — a stalled peer must not convert the
@@ -888,19 +875,6 @@ class StagedStreamServer:
             self._flush_conn(connection)
             if connection.closed:
                 return
-        if connection.borrow:
-            # A worker still owns a borrowed ring record, so every ring
-            # read is forbidden. Swallow the doorbell byte (EOF latches
-            # inside the duplex and surfaces on the reply send) and keep
-            # the linger window open for the imminent reply.
-            connection.sock.drain_doorbell()
-            self._mark_hot(connection)
-            return
-        if self._borrow_eligible(connection):
-            self._read_borrow(connection, drain=True)
-            if connection.doorbell and not connection.closed:
-                self._mark_hot(connection)
-            return
         try:
             data = connection.sock.recv(_RECV_CHUNK)
         except (BlockingIOError, InterruptedError):
@@ -925,80 +899,6 @@ class StagedStreamServer:
             self._close_conn(connection)
             return
         self._pump_conn(connection)
-
-    # ------------------------------------------------ zero-copy borrow path
-
-    def _borrow_eligible(self, connection: _Connection) -> bool:
-        """May the next read hand a worker a borrowed ring record?
-
-        Only when that record can be the connection's *entire* parse
-        state: plain framing (or not yet detected — the borrow read
-        re-checks the preamble), nothing buffered or backlogged, and
-        nothing executing. Plain framing's in-flight cap is 1, so a
-        successful borrow submit is always within policy.
-        """
-        return (
-            connection.zero_copy
-            and connection.framing != "pipelined"
-            and not connection.inbuf
-            and not connection.backlog
-            and not connection.inflight
-            and not self._draining
-        )
-
-    def _read_borrow(self, connection: _Connection, drain: bool) -> None:
-        """Zero-copy read: borrow the next ring record and, when it is
-        exactly one plain frame, submit the payload view straight to a
-        worker — no staging copy, no inbuf append, no frame extraction.
-
-        Anything else — the pipelined preamble, an oversized
-        announcement, a frame split across records or records carrying
-        several frames — copies the record out, consumes it, and feeds
-        the bytes through the ordinary staged parser.
-        """
-        sock = connection.sock
-        try:
-            record = sock.recv_borrow(drain=drain)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._close_conn(connection)
-            return
-        if record is None:
-            return  # only a wrap marker was pending
-        if not len(record):
-            self._close_conn(connection)  # EOF
-            return
-        connection.last_progress = time.monotonic()
-        length = _LEN.unpack_from(record, 0)[0] if (
-            len(record) >= _HEADER_SIZE
-        ) else -1
-        end = _HEADER_SIZE + length
-        if length < 0 or length > MAX_FRAME_BYTES or end != len(record):
-            # The pipelined preamble lands here too: its magic read as a
-            # length exceeds MAX_FRAME_BYTES, and the staged parser is
-            # the one place that knows how to detect (or reject) it.
-            data = bytes(record)
-            sock.consume_borrow()
-            self._ingest(connection, data)
-            return
-        connection.framing = "plain"
-        payload = record[_HEADER_SIZE:end]
-        if self._admit(connection, None, payload, True):
-            connection.borrow = end
-            return
-        if self._overload_policy == "shed":
-            sock.consume_borrow()
-            self._shed_counter.add()
-            self._queue_reply(connection, None, _BUSY_QUEUE_FULL)
-            return
-        # "block": the frame waits for queue space, and it must not hold
-        # the ring while it does — copy out, park, and free the span.
-        data = bytes(payload)
-        sock.consume_borrow()
-        connection.backlog.append((None, data))
-        self._parked.add(connection)
-        self._update_interest(connection)
 
     # ------------------------------------------------- doorbell linger poll
 
@@ -1028,11 +928,6 @@ class StagedStreamServer:
             if connection.closed:
                 self._hot.pop(fd, None)
                 continue
-            if connection.borrow:
-                # The reply is what ends a borrow, and it is imminent:
-                # hold the window open, touch nothing on the ring.
-                connection.hot_until = now + self.DOORBELL_LINGER_SECONDS
-                continue
             if connection.out:
                 self._flush_conn(connection)
                 if connection.closed:
@@ -1058,9 +953,6 @@ class StagedStreamServer:
 
     def _read_ring(self, connection: _Connection) -> None:
         """Ring-only read for the linger poll (no doorbell drain)."""
-        if self._borrow_eligible(connection):
-            self._read_borrow(connection, drain=False)
-            return
         try:
             data = connection.sock.recv_ring(_RECV_CHUNK)
         except (BlockingIOError, InterruptedError):
@@ -1173,15 +1065,6 @@ class StagedStreamServer:
                 self._completions.popleft()
             )
             connection.inflight -= 1
-            if connection.borrow:
-                # The reply proves the worker is done with its borrowed
-                # record: free the ring span before writing the reply,
-                # so the peer can start its next request immediately.
-                connection.borrow = 0
-                try:
-                    connection.sock.consume_borrow()
-                except (OSError, RuntimeError):
-                    pass
             if connection.closed:
                 continue
             if failed:
@@ -1205,27 +1088,20 @@ class StagedStreamServer:
         if length > MAX_FRAME_BYTES:
             self._close_conn(connection)
             return
-        if connection.zero_copy and corr_id is None and not connection.out:
-            # Reply fast path for shm: header + payload land as ONE
-            # contiguous ring record, written straight into the ring
-            # instead of queued as segments and copied in by the flush.
-            # A full ring falls through to the queued path.
-            try:
-                connection.sock.send_frame(_LEN.pack(length), payload)
-                return
-            except (BlockingIOError, InterruptedError):
-                pass
-            except OSError:
-                self._close_conn(connection)
-                return
         if corr_id is None:
-            header = memoryview(_LEN.pack(length))
+            header = _LEN.pack(length)
         else:
-            header = memoryview(_CORR_HEAD.pack(length, corr_id & 0xFFFFFFFF))
-        segments = (header, memoryview(payload)) if length else (header,)
+            header = _CORR_HEAD.pack(length, corr_id & 0xFFFFFFFF)
         if connection.doorbell:
-            connection.out.extend(segments)
+            # One segment, so the reply leaves as one ring record (when
+            # the ring has the contiguous room) and rings the peer once.
+            connection.out.append(memoryview(header + payload))
         else:
+            segments = (
+                (memoryview(header), memoryview(payload))
+                if length
+                else (memoryview(header),)
+            )
             with connection.write_lock:
                 connection.out.extend(segments)
         self._flush_conn(connection)
@@ -1321,16 +1197,6 @@ class StagedStreamServer:
         if connection.closed:
             return
         connection.closed = True
-        if connection.borrow:
-            # Release the tracked view WITHOUT advancing the ring head:
-            # a worker may still be reading the borrowed payload, and
-            # freeing the span would let the peer overwrite it under the
-            # decode. The segment itself stays mapped by refcounting.
-            connection.borrow = 0
-            try:
-                connection.sock.consume_borrow(0)
-            except (OSError, RuntimeError):
-                pass
         if connection.registered:
             try:
                 self._selector.unregister(connection.sock)

@@ -408,7 +408,7 @@ class _RingDuplex:
             total += len(part)
         if len(parts) > 1 and total <= 4096:
             # A small frame's header + payload collapse into one record:
-            # the join is nanoseconds, the saved ring reservation is not.
+            # the join is nanoseconds, the saved ring record is not.
             self._sendall_ring(b"".join(parts), ring_after=False)
         else:
             for part in parts:
@@ -470,79 +470,6 @@ class _RingDuplex:
         if tx.peer_waiting:
             self._ring_peer()
         return wrote
-
-    # ---------------------------------------------- server borrow path
-    #
-    # The net-thread paths above copy every frame through a staging
-    # bytearray. The methods below let the server skip one copy per
-    # direction: it borrows a pending record's payload as a
-    # ``memoryview`` and decodes straight off the ring, consuming (and
-    # thereby freeing) the span only when done, and it writes a reply's
-    # header and payload as one record. View lifetime is strict: a
-    # borrow ends at ``consume_borrow``, which releases the view, and
-    # every borrowed slice must be dead before the segment unmaps.
-
-    #: Capability flag the server layer tests with ``getattr``.
-    zero_copy_capable = True
-
-    def send_frame(self, header, payload) -> int:
-        """Non-blocking header+payload write as ONE contiguous record.
-
-        The server's reply fast path: one ring reservation and one
-        commit instead of a queued copy per part. Raises
-        ``BlockingIOError`` without side effects when the ring lacks a
-        contiguous span — the caller falls back to the queued-send path.
-        """
-        if self._eof:
-            raise OSError(errno.EPIPE, "shm peer closed")
-        tx = self._tx
-        hlen = len(header)
-        total = hlen + len(payload)
-        view = tx.reserve(total)
-        if view is None or len(view) < total:
-            if view is not None:
-                tx.abort()
-            raise BlockingIOError(errno.EAGAIN, "no contiguous shm ring span")
-        view[:hlen] = header
-        view[hlen:total] = payload
-        tx.commit(total)
-        if tx.peer_waiting:
-            self._ring_peer()
-        return total
-
-    def recv_borrow(self, drain: bool = True):
-        """Non-blocking net-thread borrow of the next pending record.
-
-        Returns the record's unconsumed payload as a ``memoryview``,
-        ``b""`` on EOF, or raises ``BlockingIOError``. With ``drain``
-        False the doorbell is left alone (linger-poll variant, readiness
-        already known). The borrow is live until :meth:`consume_borrow`;
-        the caller must not issue any other read on this duplex while it
-        is (the ring rejects them).
-        """
-        if drain:
-            self._drain_doorbell()
-        rx = self._rx
-        if not rx.readable():
-            if self._eof:
-                return b""
-            raise BlockingIOError(errno.EAGAIN, "no shm data ready")
-        return rx.peek_record()  # nrmi: disable=NRMI036 -- sanctioned handoff: net-thread borrow; _drain_completions/_close_conn consume it
-
-    def drain_doorbell(self) -> None:
-        """Swallow pending doorbell bytes without touching the ring —
-        the only read that is legal while a borrow is live. EOF latches
-        internally and surfaces on the next send or ring read."""
-        self._drain_doorbell()
-
-    def consume_borrow(self, nbytes: Optional[int] = None) -> None:
-        """End the active borrow, freeing *nbytes* of it (default: all)
-        back to the producer; rings the peer if it is parked on a full
-        ring. ``consume_borrow(0)`` releases without advancing."""
-        rx = self._rx
-        rx.consume(nbytes)
-        if rx.peer_waiting:
-            self._ring_peer()
 
     # ------------------------------------------ net-thread linger polling
 

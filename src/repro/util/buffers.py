@@ -251,8 +251,8 @@ class BufferReader:
     def read_len_view(self) -> memoryview:
         """Zero-copy :meth:`read_len_bytes`: a view over the
         length-prefixed span. Shares (and pins) the reader's input —
-        for transient splitting of borrowed buffers, never for values
-        that outlive the stream (copy those out with ``bytes``)."""
+        for transient splitting, never for values that outlive the
+        stream (copy those out with ``bytes``)."""
         return self.read_view(self.read_uvarint())
 
     def read_str(self) -> str:

@@ -166,8 +166,6 @@ class TestRuleLiveness:
         keyed = {
             "_BLOCKING_CALLABLES": rules_runtime._BLOCKING_CALLABLES,
             "_RING_POLL_METHODS": rules_runtime._RING_POLL_METHODS,
-            "_BORROW_SOURCES": rules_runtime._BORROW_SOURCES,
-            "_BORROW_RELEASES": rules_runtime._BORROW_RELEASES,
             "RING_PRODUCER_OPS": project.RING_PRODUCER_OPS,
             "RING_CONSUMER_OPS": project.RING_CONSUMER_OPS,
         }

@@ -5,6 +5,7 @@ runtimes — and the strongest end-to-end evidence: copy-restore working
 across a real process boundary and a real socket.
 """
 
+import contextlib
 import json
 import pathlib
 import subprocess
@@ -144,36 +145,52 @@ class TestAcrossProcesses:
             resolver.close_all()
 
 
+@contextlib.contextmanager
+def _shm_echo_child(tmp_path):
+    """Run ``shm_echo_child.py``; yields (its ``shm://`` address, a dict
+    that holds the child's job counters once the block exits)."""
+    from repro.transport.shm import shm_supported
+
+    if not shm_supported():
+        pytest.skip("platform lacks AF_UNIX fd passing for shm")
+    announce = tmp_path / "address"
+    child = subprocess.Popen(
+        [
+            sys.executable,
+            str(pathlib.Path(__file__).with_name("shm_echo_child.py")),
+            str(announce),
+        ],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    counters = {}
+    try:
+        deadline = time.time() + 30
+        while not announce.exists():
+            if child.poll() is not None:
+                raise RuntimeError(f"shm child died:\n{child.stderr.read()}")
+            if time.time() > deadline:
+                raise RuntimeError("shm child never announced its address")
+            time.sleep(0.05)
+        yield announce.read_text(), counters
+        out, err = child.communicate(timeout=30)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert child.returncode == 0, err
+    counters.update(json.loads(out.strip().splitlines()[-1]))
+
+
 class TestShmAcrossProcesses:
     def test_echo_over_a_ring_shared_with_a_child(self, tmp_path):
         """A ring pair between two real processes: the child serves echo
         over shm, 2 000 calls come back intact, and the child's server
         ran them on its net thread's inline path. The client config is
         the one the echo64_shm benchmark workload uses."""
-        from repro.transport.shm import shm_supported
-
-        if not shm_supported():
-            pytest.skip("platform lacks AF_UNIX fd passing for shm")
-        announce = tmp_path / "address"
-        child = subprocess.Popen(
-            [
-                sys.executable,
-                str(pathlib.Path(__file__).with_name("shm_echo_child.py")),
-                str(announce),
-            ],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            deadline = time.time() + 30
-            while not announce.exists():
-                if child.poll() is not None:
-                    raise RuntimeError(f"shm child died:\n{child.stderr.read()}")
-                if time.time() > deadline:
-                    raise RuntimeError("shm child never announced its address")
-                time.sleep(0.05)
+        with _shm_echo_child(tmp_path) as (address, counters):
             resolver = ChannelResolver()
             client = Endpoint(
                 name="mp-shm-client",
@@ -183,19 +200,43 @@ class TestShmAcrossProcesses:
                 resolver=resolver,
             )
             try:
-                service = client.lookup(announce.read_text(), "echo")
+                service = client.lookup(address, "echo")
                 for index in range(2000):
                     payload = index.to_bytes(8, "little") * 8
                     assert service.echo(payload) == payload
             finally:
                 client.close()
                 resolver.close_all()
-            out, err = child.communicate(timeout=30)
-        finally:
-            if child.poll() is None:
-                child.kill()
-                child.communicate()
-        assert child.returncode == 0, err
-        counters = json.loads(out.strip().splitlines()[-1])
         assert counters["completed"] == counters["submitted"] >= 2000
         assert counters["inline"] > 0
+
+    @pytest.mark.parametrize("pipelined", [False, True], ids=["plain", "pipelined"])
+    def test_ring_wraps_and_spans_records_without_a_resend(
+        self, tmp_path, pipelined
+    ):
+        """The copying ring path both sides take, across two processes
+        with retry off: payloads of 0 B to 70 000 B wrap the 1 MiB rings
+        many times, large frames span several records, every echo comes
+        back intact on the first attempt, and the child completes every
+        call it was sent."""
+        sizes = (0, 1, 64, 4096, 70_000)
+        calls = 1000
+        with _shm_echo_child(tmp_path) as (address, counters):
+            resolver = ChannelResolver()
+            client = Endpoint(
+                name="mp-shm-wrap-client",
+                config=NRMIConfig(
+                    tcp_pipelined=pipelined, retry=RetryPolicy(max_attempts=1)
+                ),
+                resolver=resolver,
+            )
+            try:
+                service = client.lookup(address, "echo")
+                for index in range(calls):
+                    size = sizes[index % len(sizes)]
+                    payload = (index.to_bytes(4, "little") * (size // 4 + 1))[:size]
+                    assert service.echo(payload) == payload
+            finally:
+                client.close()
+                resolver.close_all()
+        assert counters["completed"] == counters["submitted"] >= calls

@@ -608,248 +608,6 @@ class TestShmLifecycle:
             resolver.resolve("shm://")
 
 
-class TestRingZeroCopy:
-    """reserve/commit producer API and peek_record/consume borrow API."""
-
-    def test_reserve_commit_roundtrip(self):
-        tx, rx = make_ring(256)
-        view = tx.reserve(16)
-        assert len(view) == 16
-        view[:5] = b"hello"
-        tx.commit(5)
-        assert read_all(rx) == b"hello"
-
-    def test_reserve_commit_at_every_aligned_wraparound_offset(self):
-        """March the in-place producer past the buffer edge from every
-        8-aligned start offset; the committed stream must stay exact
-        — and byte-identical to what try_write would have produced."""
-        capacity = 256
-        tx, rx = make_ring(capacity)
-        rng = random.Random(11)
-        written = bytearray()
-        echoed = bytearray()
-        for step in range(400):
-            chunk = bytes([step & 0xFF]) * rng.randrange(1, 61)
-            view = tx.reserve(len(chunk))
-            assert view is not None
-            take = min(len(view), len(chunk))
-            view[:take] = chunk[:take]
-            tx.commit(take)
-            written += chunk[:take]
-            echoed += read_all(rx)
-        assert echoed == written
-
-    def test_reserve_grant_clips_to_contiguous_tail(self):
-        """A reservation never spans the buffer edge: the grant is the
-        largest aligned span before the edge, not the requested size —
-        the caller spills the remainder through copied records."""
-        capacity = 256
-        tx, rx = make_ring(capacity)
-        # An empty ring at offset 0: the whole data area minus header.
-        view = tx.reserve(10_000)
-        assert len(view) == ((capacity - RECORD_HEADER) // 8) * 8
-        tx.abort()
-        # Move the cursor mid-ring so the contiguous tail shrinks.
-        tx.try_write(b"x" * 100)
-        assert read_all(rx) == b"x" * 100
-        view = tx.reserve(10_000)
-        assert view is not None
-        assert len(view) < capacity - RECORD_HEADER
-        assert len(view) % 8 == 0
-        granted = len(view)
-        view[:granted] = b"y" * granted
-        tx.commit(granted)
-        assert read_all(rx) == b"y" * granted
-
-    def test_abort_after_reserve_leaves_stream_intact(self):
-        tx, rx = make_ring(256)
-        assert tx.try_write(b"before") == 6
-        view = tx.reserve(32)
-        view[:7] = b"garbage"  # scribbled, never published
-        tx.abort()
-        assert tx.try_write(b"after") == 5
-        assert read_all(rx) == b"beforeafter"
-
-    def test_commit_zero_is_abort(self):
-        tx, rx = make_ring(256)
-        view = tx.reserve(16)
-        view[:4] = b"junk"
-        tx.commit(0)
-        assert not rx.readable()
-        # The reservation is over: a fresh one is legal.
-        view = tx.reserve(8)
-        view[:2] = b"ok"
-        tx.commit(2)
-        assert read_all(rx) == b"ok"
-
-    def test_reservation_excludes_copy_writes_and_double_reserve(self):
-        tx, _ = make_ring(256)
-        tx.reserve(8)
-        with pytest.raises(RuntimeError, match="reservation"):
-            tx.try_write(b"nope")
-        with pytest.raises(RuntimeError, match="reservation"):
-            tx.reserve(8)
-        tx.abort()
-        assert tx.try_write(b"ok") == 2
-
-    def test_commit_beyond_grant_rejected(self):
-        tx, _ = make_ring(256)
-        view = tx.reserve(16)
-        with pytest.raises(ValueError, match="grant"):
-            tx.commit(len(view) + 1)
-        tx.abort()
-
-    def test_commit_invalidates_reserved_view(self):
-        tx, _ = make_ring(256)
-        view = tx.reserve(16)
-        view[:2] = b"ab"
-        tx.commit(2)
-        with pytest.raises(ValueError):
-            view[0] = 0  # released by commit, by design
-
-    def test_reserve_backpressure_when_full(self):
-        tx, rx = make_ring(256)
-        blob = b"z" * 1024
-        tx.try_write(blob)
-        assert tx.reserve(8) is None  # no room: not even a minimal record
-        read_all(rx)
-        assert tx.reserve(8) is not None
-        tx.abort()
-
-    def test_peek_consume_borrow_roundtrip(self):
-        tx, rx = make_ring(256)
-        tx.try_write(b"first")
-        tx.try_write(b"second")
-        view = rx.peek_record()
-        assert bytes(view) == b"first"
-        rx.consume()
-        view = rx.peek_record()
-        assert bytes(view) == b"second"
-        rx.consume()
-        assert rx.peek_record() is None
-
-    def test_partial_consume_keeps_remainder_borrowable(self):
-        tx, rx = make_ring(256)
-        tx.try_write(b"abcdef")
-        view = rx.peek_record()
-        assert bytes(view) == b"abcdef"
-        rx.consume(2)
-        view = rx.peek_record()
-        assert bytes(view) == b"cdef"
-        rx.consume()
-        assert not rx.readable()
-
-    def test_consume_zero_releases_without_advancing(self):
-        """The copy-path fallback: release the borrow, re-read the same
-        bytes through the copying reader."""
-        tx, rx = make_ring(256)
-        tx.try_write(b"stay")
-        view = rx.peek_record()
-        assert bytes(view) == b"stay"
-        rx.consume(0)
-        with pytest.raises(ValueError):
-            view[0]  # released: an escaped reference fails fast
-        assert read_all(rx) == b"stay"
-
-    def test_borrow_excludes_copy_reads_and_double_borrow(self):
-        tx, rx = make_ring(256)
-        tx.try_write(b"data")
-        rx.peek_record()
-        with pytest.raises(RuntimeError, match="borrow"):
-            rx.try_read_into(bytearray(16))
-        with pytest.raises(RuntimeError, match="borrow"):
-            rx.peek_record()
-        rx.consume()
-
-    def test_borrow_pins_span_against_producer(self):
-        """While a borrow is live the producer must not reclaim the
-        span: head only advances at consume."""
-        capacity = 256
-        tx, rx = make_ring(capacity)
-        payload = b"p" * 64
-        tx.try_write(payload)
-        view = rx.peek_record()
-        free_before = tx.free_bytes()
-        # Fill the rest of the ring; the borrowed record's span stays out
-        # of the free pool until consume.
-        filler = b"f" * capacity
-        accepted = tx.try_write(filler)
-        assert accepted <= free_before
-        assert bytes(view) == payload
-        rx.consume()
-        assert read_all(rx) == filler[:accepted]
-
-    def test_two_thread_mixed_producer_stress_byte_identity(self):
-        """Producer alternates randomly between try_write (copy) and
-        reserve/commit (in-place); the consumer's stream must equal the
-        payload byte-for-byte — the two paths are interchangeable."""
-        capacity = 4096
-        tx, rx = make_ring(capacity)
-        rng = random.Random(1234)
-        payload = bytes(rng.randrange(256) for _ in range(200_000))
-        received = bytearray()
-        failures = []
-        abort = threading.Event()
-
-        def producer():
-            view = memoryview(payload)
-            sent = 0
-            try:
-                while sent < len(view) and not abort.is_set():
-                    chunk = view[sent : sent + rng.randrange(1, 7000)]
-                    if rng.randrange(2):
-                        wrote = tx.try_write(chunk)
-                    else:
-                        grant = tx.reserve(len(chunk))
-                        if grant is None:
-                            wrote = 0
-                        else:
-                            wrote = min(len(grant), len(chunk))
-                            grant[:wrote] = chunk[:wrote]
-                            tx.commit(wrote)
-                    if wrote:
-                        sent += wrote
-                    else:
-                        yield_cpu()
-            except Exception as exc:  # pragma: no cover - debug aid
-                failures.append(exc)
-                abort.set()
-
-        def consumer():
-            buf = bytearray(1500)
-            try:
-                while len(received) < len(payload) and not abort.is_set():
-                    if rng_consumer.randrange(2):
-                        got = rx.try_read_into(buf)
-                        if got:
-                            received.extend(buf[:got])
-                        else:
-                            yield_cpu()
-                    else:
-                        view = rx.peek_record()
-                        if view is None:
-                            yield_cpu()
-                        else:
-                            received.extend(view)
-                            rx.consume()
-            except Exception as exc:  # pragma: no cover - debug aid
-                failures.append(exc)
-                abort.set()
-
-        rng_consumer = random.Random(5678)
-        threads = [
-            threading.Thread(target=producer),
-            threading.Thread(target=consumer),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        assert not failures
-        assert not any(thread.is_alive() for thread in threads)
-        assert bytes(received) == payload
-
-
 class _ShmProbeService(Remote):
     """Exercises values whose encode touches every writer primitive."""
 
@@ -868,7 +626,7 @@ class _ShmProbeService(Remote):
 class TestStagedShmEndToEnd:
     """Endpoint calls over plain ``ShmChannel``: every call goes through
     the staged ``request`` whatever the retry and breaker settings, and
-    the server's borrowed read and one-record reply serve them all."""
+    the server's copying ring read and one-record reply serve them all."""
 
     @staticmethod
     def _world(name, **client_overrides):
@@ -971,8 +729,8 @@ class TestStagedShmEndToEnd:
         assert default[-2] == bytes((i * 7) & 0xFF for i in range(70_000))
 
     def test_staged_calls_survive_many_iterations(self):
-        """Server borrow/consume discipline across sequential calls: no
-        view leak, no ring desync, wraps included (payload > ring slack)."""
+        """Sequential calls through the server's copying ring reads and
+        writes: no ring desync, wraps included (payload > ring slack)."""
         from repro.nrmi.config import NRMIConfig
         from repro.nrmi.runtime import Endpoint
 
