@@ -72,7 +72,17 @@ from repro.serde.hooks import (
 )
 from repro.serde.kinds import Kind, classify
 from repro.serde.schema import schema_epoch
-from repro.serde.tags import SHORT_DEFINITION, SHORT_LAYOUTS, SHORT_OBJECT, Tag
+from repro.serde.tags import (
+    INT2_BASE,
+    INT2_LIMIT,
+    INT3_BASE,
+    INT3_END,
+    INT3_LIMIT,
+    SHORT_DEFINITION,
+    SHORT_LAYOUTS,
+    SHORT_OBJECT,
+    Tag,
+)
 from repro.util.metrics import MetricsRegistry
 
 #: Sentinel returned by a generated decode function when it has parked a
@@ -312,7 +322,14 @@ def _encode_field_body(indent: int, materialize: str) -> str:
         f"{p}if value is None:\n"
         f"{p}    buf.append({_TAG_NONE})\n"
         f"{p}elif value_cls is int:\n"
-        f"{p}    if {_INT64_MIN} <= value <= {_INT64_MAX}:\n"
+        f"{p}    if 0 <= value < {INT2_LIMIT}:\n"
+        f"{p}        buf.append({INT2_BASE} + (value >> 8))\n"
+        f"{p}        buf.append(value & 0xFF)\n"
+        f"{p}    elif 0 <= value < {INT3_LIMIT}:\n"
+        f"{p}        buf.append({INT3_BASE} + (value >> 16))\n"
+        f"{p}        buf.append(value >> 8 & 0xFF)\n"
+        f"{p}        buf.append(value & 0xFF)\n"
+        f"{p}    elif {_INT64_MIN} <= value <= {_INT64_MAX}:\n"
         f"{p}        buf.append({_TAG_INT})\n"
         f"{p}        encoded = (value << 1) ^ (value >> 63)\n"
         + _emit_uvarint_src("encoded", indent + 8)
@@ -620,9 +637,13 @@ def _read_name_key_src(target: str, indent: int) -> str:
 
 def _decode_scalar_arms_head(p: str) -> str:
     """The hottest dispatch arms; the builder puts the OBJECT arm right
-    after these, ahead of the string/ref/float tail."""
+    after these, ahead of the string/ref/float tail. A two-byte int
+    comes first: it carries most of a typical graph's scalars."""
     return (
-        f"{p}if tag == {_TAG_INT}:\n"
+        f"{p}if {INT2_BASE} <= tag < {INT3_BASE}:\n"
+        f"{p}    value = (tag - {INT2_BASE}) << 8 | mv[pos]\n"
+        f"{p}    pos += 1\n"
+        f"{p}elif tag == {_TAG_INT}:\n"
         + _read_uvarint_src("raw", len(p) + 4)
         + f"{p}    value = (raw >> 1) ^ -(raw & 1)\n"
         f"{p}elif tag == {_TAG_NONE}:\n"
@@ -633,6 +654,9 @@ def _decode_scalar_arms_head(p: str) -> str:
 def _decode_scalar_arms_tail(p: str) -> str:
     """The remaining scalar dispatch arms (all ``elif``)."""
     return (
+        f"{p}elif {INT3_BASE} <= tag < {INT3_END}:\n"
+        f"{p}    value = (tag - {INT3_BASE}) << 16 | mv[pos] << 8 | mv[pos + 1]\n"
+        f"{p}    pos += 2\n"
         f"{p}elif tag == {_TAG_REF}:\n"
         + _read_uvarint_src("ref", len(p) + 4)
         + f"{p}    try:\n"

@@ -8,13 +8,20 @@ A debugging tool for the NRMI wire format::
 or from the shell::
 
     python -m repro.serde.dump payload.bin
+    python -m repro.serde.dump --bytes payload.bin
+
+``--bytes`` (:func:`byte_breakdown`) prints where the stream's bytes go
+instead: totals per value kind — object headers, slot numbers, layouts,
+ints, ``None``, refs, strings and the rest — which add up to the
+stream's length.
 
 The inspector is *structural*: it parses tags, handles, class and field
 descriptors without instantiating anything, so it works even when the
 receiving process has none of the classes registered — exactly when you
 need to see what a peer actually sent. A reply's slot stream lists each
 slot definition as ``[slot i]`` and a back reference to a slot as
-``ref -> [slot i]``. A short object header lists as its long form does.
+``ref -> [slot i]``. A short object header lists as its long form does,
+and a compact int as ``int N``, like a varint one.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ from repro.serde.schema import (
     SchemaRxCache,
 )
 from repro.serde.tags import (
+    INT2_BASE,
+    INT3_BASE,
+    INT3_END,
     SHORT_DEFINITION,
     SHORT_OBJECT,
     STREAM_FLAG_SLOTS,
@@ -39,6 +49,30 @@ from repro.serde.tags import (
     WIRE_VERSION,
 )
 from repro.util.buffers import BufferReader
+
+#: The value kinds ``byte_breakdown`` totals, in print order.
+BYTE_KINDS = (
+    "stream header",  # magic, version, flags, a slot stream's two counts
+    "object headers",  # the header tag of an object or a slot definition
+    "slot numbers",  # the slot a long definition names
+    "layouts",  # layout keys and inline layout definitions
+    "ints",
+    "None",
+    "refs",
+    "strings",
+    "bools",
+    "floats",
+    "containers",  # list/tuple/set/dict tags and counts
+    "bytes",  # bytes and bytearray values
+    "externals",
+)
+
+_SCALAR_KINDS = {
+    Tag.NONE: "None", Tag.TRUE: "bools", Tag.FALSE: "bools",
+    Tag.INT: "ints", Tag.INT_BIG: "ints", Tag.FLOAT: "floats",
+    Tag.COMPLEX: "floats", Tag.STR: "strings", Tag.BYTES: "bytes",
+    Tag.BYTEARRAY: "bytes", Tag.REF: "refs", Tag.EXTERNAL: "externals",
+}
 
 
 class _Inspector:
@@ -59,8 +93,10 @@ class _Inspector:
         self.defined: set = set()
         #: The slot of the stream's previous definition.
         self.last_def = -1
+        #: Bytes read so far, per value kind.
+        self.sizes: Dict[str, int] = dict.fromkeys(BYTE_KINDS, 0)
 
-    def run(self) -> str:
+    def run(self) -> None:
         magic = self.buf.read_bytes(len(WIRE_MAGIC))
         if magic != WIRE_MAGIC:
             raise WireFormatError(f"not an NRMI stream (magic {magic!r})")
@@ -76,12 +112,19 @@ class _Inspector:
             self.slot_count = self.next_handle = self.buf.read_uvarint()
             header += f" slots={self.slot_count} defines={self.buf.read_uvarint()}"
         self.lines.append(header)
+        self._count("stream header", 0)
         root = 0
         while self.buf.remaining:
             self.lines.append(f"root[{root}]:")
             self._value(depth=1)
             root += 1
-        return "\n".join(self.lines)
+
+    def _count(self, kind: str, start: int) -> int:
+        """Add the bytes read since offset *start* to *kind*; return the
+        current offset, the start of what is read next."""
+        position = self.buf.position
+        self.sizes[kind] += position - start
+        return position
 
     def _emit(self, depth: int, text: str) -> None:
         self.lines.append("  " * depth + text)
@@ -189,29 +232,62 @@ class _Inspector:
             raise WireFormatError(f"unknown tag byte 0x{byte:02x}") from None
 
     def _value(self, depth: int) -> None:
-        byte = self.buf.peek_u8()
+        buf = self.buf
+        start = buf.position
+        byte = buf.peek_u8()
+        if INT2_BASE <= byte < INT3_END:
+            buf.read_u8()
+            if byte < INT3_BASE:
+                value = (byte - INT2_BASE) << 8 | buf.read_u8()
+            else:
+                value = (byte - INT3_BASE) << 16 | int.from_bytes(
+                    buf.read_bytes(2), "big"
+                )
+            self._emit(depth, f"int {value}")
+            self._count("ints", start)
+            return
         if byte >= SHORT_OBJECT:
-            self.buf.read_u8()
+            buf.read_u8()
             if byte >= SHORT_DEFINITION:
                 label = self._slot(self.last_def + 1)
                 key = byte - SHORT_DEFINITION + 1
             else:
                 label = f"#{self._alloc()}"
                 key = byte - SHORT_OBJECT + 1
-            self._object(depth, label, self._layout(key))
+            layout = self._layout(key)
+            self._count("object headers", start)
+            self._object(depth, label, layout)
             return
         tag = self._tag()
         label = ""
-        if tag is Tag.OLD_CONTAINER:
-            label = self._slot(self.buf.read_uvarint())
-            tag = self._tag()
-            if tag not in (Tag.LIST, Tag.SET, Tag.DICT, Tag.BYTEARRAY):
-                raise WireFormatError(f"{label} defines a {tag.name.lower()}")
-        elif tag is Tag.OLD_OBJECT:
-            label = self._slot(self.buf.read_uvarint())
+        if tag is Tag.OLD_CONTAINER or tag is Tag.OLD_OBJECT:
+            start = self._count("object headers", start)
+            label = self._slot(buf.read_uvarint())
+            start = self._count("slot numbers", start)
+            if tag is Tag.OLD_CONTAINER:
+                tag = self._tag()
+                if tag not in (Tag.LIST, Tag.SET, Tag.DICT, Tag.BYTEARRAY):
+                    raise WireFormatError(f"{label} defines a {tag.name.lower()}")
         elif tag in (Tag.LIST, Tag.TUPLE, Tag.SET, Tag.FROZENSET, Tag.DICT,
                      Tag.BYTEARRAY, Tag.OBJECT):
             label = f"#{self._alloc()}"
+        if tag is Tag.OBJECT or tag is Tag.OLD_OBJECT:
+            start = self._count("object headers", start)
+            layout = self._read_layout()
+            self._count("layouts", start)
+            self._object(depth, label, layout)
+            return
+        if tag in (Tag.LIST, Tag.TUPLE, Tag.SET, Tag.FROZENSET, Tag.DICT):
+            count = buf.read_uvarint()
+            self._count("containers", start)
+            if tag is Tag.DICT:
+                self._emit(depth, f"dict {label} ({count} entries)")
+                count *= 2  # a key, then its value
+            else:
+                self._emit(depth, f"{tag.name.lower()} {label} ({count} items)")
+            for _ in range(count):
+                self._value(depth + 1)
+            return
         if tag is Tag.NONE:
             self._emit(depth, "None")
         elif tag is Tag.TRUE:
@@ -219,51 +295,48 @@ class _Inspector:
         elif tag is Tag.FALSE:
             self._emit(depth, "False")
         elif tag is Tag.INT:
-            self._emit(depth, f"int {self.buf.read_varint()}")
+            self._emit(depth, f"int {buf.read_varint()}")
         elif tag is Tag.INT_BIG:
-            negative = self.buf.read_u8()
-            magnitude = int.from_bytes(self.buf.read_len_bytes(), "big")
+            negative = buf.read_u8()
+            magnitude = int.from_bytes(buf.read_len_bytes(), "big")
             self._emit(depth, f"bigint {'-' if negative else ''}{magnitude}")
         elif tag is Tag.FLOAT:
-            self._emit(depth, f"float {self.buf.read_f64()!r}")
+            self._emit(depth, f"float {buf.read_f64()!r}")
         elif tag is Tag.COMPLEX:
-            self._emit(depth, f"complex({self.buf.read_f64()}, {self.buf.read_f64()})")
+            self._emit(depth, f"complex({buf.read_f64()}, {buf.read_f64()})")
         elif tag is Tag.STR:
             handle = self._alloc()
-            text = self.buf.read_str()
+            text = buf.read_str()
             shown = text if len(text) <= 40 else text[:37] + "..."
             self._emit(depth, f"str #{handle} {shown!r}")
         elif tag is Tag.BYTES:
             handle = self._alloc()
-            data = self.buf.read_len_bytes()
+            data = buf.read_len_bytes()
             self._emit(depth, f"bytes #{handle} ({len(data)} bytes)")
         elif tag is Tag.BYTEARRAY:
-            data = self.buf.read_len_bytes()
+            data = buf.read_len_bytes()
             self._emit(depth, f"bytearray {label} ({len(data)} bytes)")
         elif tag is Tag.REF:
-            handle = self.buf.read_uvarint()
+            handle = buf.read_uvarint()
             target = f"[slot {handle}]" if handle < self.slot_count else f"#{handle}"
             self._emit(depth, f"ref -> {target}")
-        elif tag in (Tag.LIST, Tag.TUPLE, Tag.SET, Tag.FROZENSET):
-            count = self.buf.read_uvarint()
-            self._emit(depth, f"{tag.name.lower()} {label} ({count} items)")
-            for _ in range(count):
-                self._value(depth + 1)
-        elif tag is Tag.DICT:
-            count = self.buf.read_uvarint()
-            self._emit(depth, f"dict {label} ({count} entries)")
-            for _ in range(count):
-                self._value(depth + 1)  # key
-                self._value(depth + 1)  # value
-        elif tag is Tag.OBJECT or tag is Tag.OLD_OBJECT:
-            self._object(depth, label, self._read_layout())
         else:  # Tag.EXTERNAL
             handle = self._alloc()
             ext_name = self._read_name()
-            payload = self.buf.read_len_bytes()
+            payload = buf.read_len_bytes()
             self._emit(
                 depth, f"external #{handle} {ext_name!r} ({len(payload)} bytes)"
             )
+        self._count(_SCALAR_KINDS[tag], start)
+
+
+def _inspect(data: bytes, schema_rx: Optional[SchemaRxCache]) -> _Inspector:
+    inspector = _Inspector(data, schema_rx)
+    try:
+        inspector.run()
+    except UnicodeDecodeError as exc:
+        raise WireFormatError(f"invalid UTF-8 in string: {exc}") from exc
+    return inspector
 
 
 def dump_stream(data: bytes, schema_rx: Optional[SchemaRxCache] = None) -> str:
@@ -274,19 +347,44 @@ def dump_stream(data: bytes, schema_rx: Optional[SchemaRxCache] = None) -> str:
     cache, consulted read-only. Malformed input raises
     :class:`~repro.errors.WireFormatError`.
     """
-    try:
-        return _Inspector(data, schema_rx).run()
-    except UnicodeDecodeError as exc:
-        raise WireFormatError(f"invalid UTF-8 in string: {exc}") from exc
+    return "\n".join(_inspect(data, schema_rx).lines)
+
+
+def byte_breakdown(
+    data: bytes, schema_rx: Optional[SchemaRxCache] = None
+) -> Dict[str, int]:
+    """Where an NRMI wire stream's bytes go: a byte total for each of
+    :data:`BYTE_KINDS`, which add up to ``len(data)``. A value's kind
+    holds its tag and payload; an object's field values count as their
+    own kinds. Malformed input raises as :func:`dump_stream` does."""
+    return _inspect(data, schema_rx).sizes
+
+
+def _format_breakdown(sizes: Dict[str, int]) -> str:
+    """:func:`byte_breakdown`'s totals as a table, largest kind first."""
+    total = sum(sizes.values())
+    rows = [f"{'kind':<16}{'bytes':>8}{'share':>9}"]
+    for kind, size in sorted(sizes.items(), key=lambda item: -item[1]):
+        if size:
+            rows.append(f"{kind:<16}{size:>8}{100 * size / total:>8.1f}%")
+    rows.append(f"{'total':<16}{total:>8}")
+    return "\n".join(rows)
 
 
 def main(argv: List[str] | None = None) -> int:
-    args = argv if argv is not None else sys.argv[1:]
+    args = list(argv if argv is not None else sys.argv[1:])
+    by_kind = "--bytes" in args
+    if by_kind:
+        args.remove("--bytes")
     if len(args) != 1:
-        print("usage: python -m repro.serde.dump <stream-file>", file=sys.stderr)
+        print(
+            "usage: python -m repro.serde.dump [--bytes] <stream-file>",
+            file=sys.stderr,
+        )
         return 2
     with open(args[0], "rb") as handle:
-        print(dump_stream(handle.read()))
+        data = handle.read()
+    print(_format_breakdown(byte_breakdown(data)) if by_kind else dump_stream(data))
     return 0
 
 

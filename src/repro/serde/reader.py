@@ -63,6 +63,9 @@ from repro.serde.schema import (
     SchemaRxCache,
 )
 from repro.serde.tags import (
+    INT2_BASE,
+    INT3_BASE,
+    INT3_END,
     SHORT_DEFINITION,
     SHORT_OBJECT,
     STREAM_FLAG_SLOTS,
@@ -468,13 +471,14 @@ class ObjectReader:
     def _drain_list_items(self, frame: _Frame, stack: List[_Frame]) -> None:
         """Decode list elements in one direct loop.
 
-        Inlines back references, ``None`` and small ints, appended
-        straight to the shell, and new objects whose short header names a
-        layout with a generated decoder, handed to that decoder as
-        ``_step`` would. Any other tag is left unread for ``_step``;
-        ``_read_value`` re-enters here once that element is delivered —
-        or once the frames a bailing decoder parked above this one are
-        done — and finishes the frame (state capture included) as before.
+        Inlines back references, ``None`` and ints (compact and varint
+        forms), appended straight to the shell, and new objects whose
+        short header names a layout with a generated decoder, handed to
+        that decoder as ``_step`` would. Any other tag is left unread
+        for ``_step``; ``_read_value`` re-enters here once that element
+        is delivered — or once the frames a bailing decoder parked above
+        this one are done — and finishes the frame (state capture
+        included) as before.
         """
         buf = self._buf
         handles = self._handles
@@ -523,9 +527,17 @@ class ObjectReader:
                                 raise WireFormatError(
                                     f"forward reference to handle {raw}"
                                 )
+                    elif INT2_BASE <= tag < INT3_BASE:
+                        value = (tag - INT2_BASE) << 8 | mv[pos + 1]
+                        pos += 2
                     elif tag == _T_NONE:
                         pos += 1
                         value = None
+                    elif INT3_BASE <= tag < INT3_END:
+                        value = (
+                            (tag - INT3_BASE) << 16 | mv[pos + 1] << 8 | mv[pos + 2]
+                        )
+                        pos += 3
                     else:
                         if SHORT_OBJECT <= tag < SHORT_DEFINITION:
                             # A short header naming a layout already in
@@ -596,6 +608,12 @@ class ObjectReader:
         """Read one value header; return a value or push a frame."""
         buf = self._buf
         tag = buf.read_u8()
+        if INT2_BASE <= tag < INT3_END:
+            # A compact int: the tag byte carries the high bits.
+            if tag < INT3_BASE:
+                return (tag - INT2_BASE) << 8 | buf.read_u8()
+            high = (tag - INT3_BASE) << 16 | buf.read_u8() << 8
+            return high | buf.read_u8()
         if tag == Tag.NONE:
             return None
         if tag == Tag.TRUE:

@@ -23,12 +23,19 @@ version 4 changed no tag: it marks call streams whose arguments are in
 arguments), which a version-3 peer would dispatch in the wrong order.
 
 Wire version 5 added *short object headers*, one byte that the receiver
-expands to a whole header. Tag bytes with the high bit set carry a
-stream layout ``k`` of ``1 … SHORT_LAYOUTS`` in their low six bits:
+expands to a whole header: tag bytes with the high bit set carry a
+stream layout ``k`` of ``1 … SHORT_LAYOUTS`` in their low six bits.
+Wire version 6 added *compact ints*: a non-negative int below ``2**20``
+folds its high bits into the tag byte. The tag byte map:
 
 =============  ==========================================================
 ``0x00-0x13``  :class:`Tag` (the long forms of every header)
-``0x14-0x7F``  unassigned
+``0x14-0x1F``  unassigned
+``0x20-0x5F``  ``0x20 + (v >> 8)``, then ``v & 0xFF``: an int ``v`` with
+               ``0 <= v < 2**14`` (wire version 6)
+``0x60-0x6F``  ``0x60 + (v >> 16)``, then ``v & 0xFFFF``, big-endian:
+               an int ``v`` with ``2**14 <= v < 2**20`` (wire version 6)
+``0x70-0x7F``  unassigned
 ``0x80-0xBF``  ``0x80 | (k - 1)``: a new object of layout ``k``, the same
                as ``OBJECT`` and layout key ``k``
 ``0xC0-0xFF``  ``0xC0 | (k - 1)``: the definition of slot ``last + 1``
@@ -40,7 +47,9 @@ stream layout ``k`` of ``1 … SHORT_LAYOUTS`` in their low six bits:
 the first); every definition, long or short, object or container, moves
 it to its own slot. A layout's first instance (key 0 and its inline
 definition), layouts past ``SHORT_LAYOUTS`` and out-of-order definitions
-keep the long forms. Older streams are refused.
+keep the long forms. Every int outside the compact ranges keeps ``INT``
+(a zig-zag varint) or ``INT_BIG``; no int is longer than its version-5
+encoding. Older streams are refused.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from __future__ import annotations
 from enum import IntEnum, unique
 
 WIRE_MAGIC = b"NRM1"
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 
 #: First tag byte of a short new-object header (layout 1).
 SHORT_OBJECT = 0x80
@@ -56,6 +65,17 @@ SHORT_OBJECT = 0x80
 SHORT_DEFINITION = 0xC0
 #: How many of a stream's layouts a short header can name.
 SHORT_LAYOUTS = SHORT_DEFINITION - SHORT_OBJECT
+
+#: First tag byte of a two-byte int (``v < INT2_LIMIT``).
+INT2_BASE = 0x20
+#: Ints ``0 <= v < INT2_LIMIT`` take the two-byte form.
+INT2_LIMIT = 1 << 14
+#: First tag byte of a three-byte int (``INT2_LIMIT <= v < INT3_LIMIT``).
+INT3_BASE = INT2_BASE + (INT2_LIMIT >> 8)
+#: Ints ``INT2_LIMIT <= v < INT3_LIMIT`` take the three-byte form.
+INT3_LIMIT = 1 << 20
+#: One past the last compact-int tag byte.
+INT3_END = INT3_BASE + (INT3_LIMIT >> 16)
 
 #: Stream flag: a slot count and a definition count follow the flags byte
 #: (a reply's slot stream).
@@ -70,6 +90,7 @@ class Tag(IntEnum):
     TRUE = 0x01
     FALSE = 0x02
     INT = 0x03        # zig-zag varint, fits in 64 bits
+                      # (0 <= v < 2**20: INT2_BASE / INT3_BASE forms)
     INT_BIG = 0x04    # sign byte + magnitude bytes (arbitrary precision)
     FLOAT = 0x05      # IEEE-754 double
     COMPLEX = 0x06    # two doubles

@@ -40,6 +40,10 @@ from repro.serde.schema import (
     SchemaTxCache,
 )
 from repro.serde.tags import (
+    INT2_BASE,
+    INT2_LIMIT,
+    INT3_BASE,
+    INT3_LIMIT,
     SHORT_DEFINITION,
     SHORT_LAYOUTS,
     SHORT_OBJECT,
@@ -574,7 +578,14 @@ class ObjectWriter:
         buf = self._buf
         obj_type = type(obj)
         if obj_type is int or isinstance(obj, int):
-            if _INT64_MIN <= obj <= _INT64_MAX:
+            if 0 <= obj < INT2_LIMIT:
+                buf.write_u8(INT2_BASE + (obj >> 8))
+                buf.write_u8(obj & 0xFF)
+            elif 0 <= obj < INT3_LIMIT:
+                buf.write_u8(INT3_BASE + (obj >> 16))
+                buf.write_u8(obj >> 8 & 0xFF)
+                buf.write_u8(obj & 0xFF)
+            elif _INT64_MIN <= obj <= _INT64_MAX:
                 buf.write_u8(Tag.INT)
                 buf.write_varint(int(obj))
             else:

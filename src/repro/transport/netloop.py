@@ -124,6 +124,18 @@ _LISTENER = object()
 _WAKER = object()
 
 
+def _take_payload(buf: bytearray, start: int, end: int) -> bytes:
+    """Cut ``buf[start:end]`` out as ``bytes`` and drop ``buf[:end]``.
+
+    One copy: the slice is taken through a view, which is released
+    before the buffer shrinks (a resize with a live export raises).
+    """
+    with memoryview(buf) as view:
+        payload = bytes(view[start:end])
+    del buf[:end]
+    return payload
+
+
 class _FramingViolation(Exception):
     """Peer sent bytes no framing accepts (oversized length, bad magic)."""
 
@@ -996,8 +1008,7 @@ class StagedStreamServer:
                 end = _HEADER_SIZE + length
                 if len(buf) < end:
                     return
-                payload = bytes(buf[_HEADER_SIZE:end])
-                del buf[:end]
+                payload = _take_payload(buf, _HEADER_SIZE, end)
                 connection.backlog.append((None, payload))
             else:
                 if len(buf) < 2 * _HEADER_SIZE:
@@ -1009,8 +1020,7 @@ class StagedStreamServer:
                 end = 2 * _HEADER_SIZE + length
                 if len(buf) < end:
                     return
-                payload = bytes(buf[2 * _HEADER_SIZE : end])
-                del buf[:end]
+                payload = _take_payload(buf, 2 * _HEADER_SIZE, end)
                 connection.backlog.append((corr_id, payload))
 
     def _pump_conn(self, connection: _Connection) -> None:

@@ -230,6 +230,19 @@ def _short_layout_unknown(profile):
     return _shortened([2], layout=2)  # slot 3, but the stream has one layout
 
 
+def _truncated_int(value, cut):
+    """A full reply whose last definition's ``next`` field is *value* (a
+    compact int, or a list of them), cut *cut* bytes short: the stream
+    ends inside the int's form."""
+
+    def build(profile):
+        nodes = _server()
+        nodes[3].next = value
+        return reply(nodes, profile=profile)[:-cut]
+
+    return build
+
+
 @pytest.mark.parametrize("profile", ["modern", "legacy"])
 @pytest.mark.parametrize(
     "build, cause, message",
@@ -242,10 +255,16 @@ def _short_layout_unknown(profile):
         (_short_slot_past_count, RestoreError, "slot 4 outside"),
         (_short_slot_defined_twice, RestoreError, "slot 3 defined twice"),
         (_short_layout_unknown, WireFormatError, "dangling layout id 2"),
+        (_truncated_int(5, 1), WireFormatError, "truncated"),
+        (_truncated_int(20_000, 1), WireFormatError, "truncated"),
+        (_truncated_int(20_000, 2), WireFormatError, "truncated"),
+        (_truncated_int([1, 5], 1), WireFormatError, "truncated"),
+        (_truncated_int([1, 20_000], 2), WireFormatError, "truncated"),
     ],
     ids=["slot-past-count", "defined-twice", "full-missing-slot", "class-mismatch",
          "truncated-definition", "short-slot-past-count", "short-slot-defined-twice",
-         "short-layout-unknown"],
+         "short-layout-unknown", "truncated-int2", "truncated-int3",
+         "truncated-int3-tag-only", "truncated-int2-in-list", "truncated-int3-in-list"],
 )
 def test_malformed_reply_restores_nothing(profile, build, cause, message):
     """A reply that disagrees with the caller's linear map fails the call

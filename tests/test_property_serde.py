@@ -3,6 +3,7 @@
 import datetime
 import math
 from dataclasses import replace
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,10 @@ from repro.serde.profiles import LEGACY_PROFILE, MODERN_PROFILE
 from repro.serde.reader import ObjectReader
 from repro.serde.registry import Externalizer, global_registry
 from repro.serde.schema import _str_blob
+from repro.serde.tags import INT2_LIMIT, INT3_LIMIT, Tag
 from repro.serde.writer import ObjectWriter
 from repro.transport.resolver import ChannelResolver
+from repro.util.buffers import BufferWriter
 
 from tests.model_helpers import Box, Node, Pair, SlottedPoint, heap_fingerprint
 
@@ -860,3 +863,88 @@ def test_codegen_deep_graph_bails_identically():
     assert fast.getvalue() == slow.getvalue()
     decoded = ObjectReader(fast.getvalue(), profile=MODERN_PROFILE).read_root()
     assert heap_fingerprint([head]) == heap_fingerprint([decoded])
+
+
+# Compact ints (wire version 6): a non-negative int below 2**20 is its
+# high bits in the tag byte and one or two more bytes; every other int
+# keeps INT (a zig-zag varint) or INT_BIG.
+
+
+class _Level(IntEnum):
+    HIGH = 70_000
+
+
+_INT_EDGES = [
+    -1, 0, 63, 64, 2**14 - 1, 2**14, 2**20 - 1, 2**20,
+    -(2**63), 2**63 - 1, -(2**63) - 1, 2**63, 2**64,
+    _Level.HIGH, True,
+]
+
+
+def _version_5_size(value):
+    """Bytes *value* took before compact ints: a bool's tag; ``INT`` and
+    a zig-zag varint; or ``INT_BIG``, a sign byte, a length and the
+    magnitude."""
+    if type(value) is bool:
+        return 1
+    sized = BufferWriter()
+    if -(2**63) <= value < 2**63:
+        sized.write_varint(int(value))
+        return 1 + len(sized)
+    magnitude = abs(value)
+    sized.write_len_bytes(magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "big"))
+    return 2 + len(sized)
+
+
+def _check_int(value):
+    """*value* as an object field (the generated encoder and decoder with
+    plans, the generic writer and ``_step`` without) and as a list
+    element (both list loops): one stream on every profile, the value
+    back on every profile, and never longer than before compact ints."""
+    def stream(profile, item):
+        writer = ObjectWriter(profile=profile)
+        writer.write_root(Pair(item, [item]))
+        return writer.getvalue()
+
+    profiles = (MODERN_PROFILE, MODERN_NO_PLANS, LEGACY_PROFILE)
+    streams = {stream(profile, value) for profile in profiles}
+    assert len(streams) == 1
+    (encoded,) = streams
+    for profile in profiles:
+        decoded = ObjectReader(encoded, profile=profile).read_root()
+        assert decoded.first == value and decoded.second == [value]
+        assert type(decoded.first) is (bool if type(value) is bool else int)
+    # Both places hold None (one byte) in the stream without the value.
+    size = (len(encoded) - len(stream(MODERN_PROFILE, None))) // 2 + 1
+    assert size <= _version_5_size(value)
+    if type(value) is not bool and 0 <= value < INT3_LIMIT:
+        assert size == (2 if value < INT2_LIMIT else 3)
+
+
+@pytest.mark.parametrize("value", _INT_EDGES, ids=repr)
+def test_int_edges_encode_alike_and_no_longer(value):
+    _check_int(value)
+
+
+@settings(max_examples=100)
+@given(st.integers(-(2**70), 2**70) | st.integers(-1, INT3_LIMIT + 1))
+def test_ints_encode_alike_and_no_longer(value):
+    _check_int(value)
+
+
+def test_list_loop_reads_compact_ints_inline(monkeypatch):
+    """A list holding both compact forms and the varint one decodes its
+    ints in the list loop; only the list and the big int reach ``_step``."""
+    values = [5, INT2_LIMIT - 1, 20_000, INT3_LIMIT - 1, -7, INT3_LIMIT, 2**70]
+    writer = ObjectWriter()
+    writer.write_root(values)
+    stepped = []
+    real_step = ObjectReader._step
+
+    def spy(self, stack):
+        stepped.append(self._buf.peek_u8())
+        return real_step(self, stack)
+
+    monkeypatch.setattr(ObjectReader, "_step", spy)
+    assert ObjectReader(writer.getvalue()).read_root() == values
+    assert stepped == [Tag.LIST, Tag.INT_BIG]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WireFormatError
-from repro.serde.dump import dump_stream
+from repro.serde.dump import BYTE_KINDS, byte_breakdown, dump_stream
 from repro.serde.reader import ObjectReader
 from repro.serde.schema import SchemaRxCache, SchemaTxCache
 from repro.serde.tags import (
@@ -89,6 +89,72 @@ class TestDump:
         from repro.serde.dump import main
 
         assert main([]) == 2
+        assert main(["--bytes"]) == 2
+
+    def test_compact_ints_list_as_ints(self):
+        values = [0, 63, 2**14 - 1, 2**14, 2**20 - 1, 2**20, -5]
+        lines = dump_stream(encode(values)).splitlines()[3:]
+        assert [line.strip() for line in lines] == [f"int {v}" for v in values]
+
+
+class TestByteBreakdown:
+    """``byte_breakdown`` / ``--bytes``: where a stream's bytes go."""
+
+    def test_kinds_of_a_mixed_stream(self):
+        stream = encode([5, 20_000, None, "hi", "hi", Pair(1, None)])
+        sizes = byte_breakdown(stream)
+        assert list(sizes) == list(BYTE_KINDS)
+        assert sum(sizes.values()) == len(stream)
+        assert sizes["stream header"] == len(WIRE_MAGIC) + 2  # version, flags
+        assert sizes["containers"] == 2  # list tag, count
+        assert sizes["ints"] == 2 + 3 + 2  # 5, 20 000, Pair.first
+        assert sizes["None"] == 2
+        assert sizes["strings"] == 4  # tag, length, "hi"
+        assert sizes["refs"] == 2  # the second "hi"
+        assert sizes["object headers"] == 1  # OBJECT; the layout key is a layout
+        assert sizes["slot numbers"] == 0
+
+    def test_slot_stream_definitions(self):
+        writer = ObjectWriter(slots=[Node(1), Node(2), Node(3)], defined=[0, 2])
+        writer.write_root(None)
+        writer.write_slots()
+        stream = writer.getvalue()
+        sizes = byte_breakdown(stream)
+        assert sum(sizes.values()) == len(stream)
+        assert sizes["stream header"] == len(WIRE_MAGIC) + 4  # and both counts
+        # Slot 0 takes the long form (its layout is new), slot 2 too (it
+        # is not the slot after 0); each names its slot in one byte.
+        assert sizes["object headers"] == 2
+        assert sizes["slot numbers"] == 2
+        assert sizes["ints"] == 4  # 1 and 3
+
+    def test_totals_add_up_on_legacy_and_schema_streams(self):
+        stream = encode([Pair(i, str(i)) for i in range(70)], profile=LEGACY_PROFILE)
+        assert sum(byte_breakdown(stream).values()) == len(stream)
+        tx = SchemaTxCache()
+        writer = ObjectWriter(schema_tx=tx)
+        writer.write_root(Node(1, next=Node(2)))
+        stream = writer.getvalue()
+        assert sum(byte_breakdown(stream).values()) == len(stream)
+
+    def test_malformed_input_raises(self):
+        with pytest.raises(WireFormatError):
+            byte_breakdown(encode(20_000)[:-1])
+
+    def test_cli(self, tmp_path, capsys):
+        from repro.serde.dump import main
+
+        stream = encode([5, None, "x"])
+        path = tmp_path / "stream.bin"
+        path.write_bytes(stream)
+        assert main(["--bytes", str(path)]) == 0
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()[1:]
+        }
+        assert rows["total"] == [str(len(stream))]
+        assert rows["ints"][0] == "2"
+        assert "slot" not in rows  # kinds with no bytes are left out
 
 
 class TestLayoutsAndSchemaKeys:

@@ -21,7 +21,7 @@ from repro.nrmi.config import NRMIConfig
 from repro.nrmi.runtime import Endpoint
 from repro.rmi.protocol import Status, busy_response, raise_if_busy
 from repro.transport.framing import read_frame, write_frame
-from repro.transport.netloop import StagedStreamServer
+from repro.transport.netloop import StagedStreamServer, _take_payload
 from repro.transport.resolver import ChannelResolver
 from repro.transport.tcp import PipelinedTcpChannel, TcpChannel, TcpServer
 from repro.util.metrics import MetricsRegistry
@@ -329,6 +329,31 @@ class TestContract:
             with pytest.raises(TransportError):
                 read_frame(replacement, timeout=5.0)
             replacement.close()
+
+    def test_frames_reach_the_handler_as_bytes(self):
+        seen = []
+
+        def record(request):
+            seen.append(type(request))
+            return bytes(request)
+
+        bodies = [b"a", b"b" * 300, b"c" * 70_000]
+        with TcpServer(record, workers=1) as server:
+            sock = dial(server)
+            # One send: the net loop cuts every frame out of one buffer.
+            sock.sendall(b"".join(_LEN.pack(len(body)) + body for body in bodies))
+            for body in bodies:
+                assert bytes(read_frame(sock, timeout=5.0)) == body
+            sock.close()
+        assert seen == [bytes] * len(bodies)
+
+    def test_take_payload_leaves_the_buffer_resizable(self):
+        buf = bytearray(_LEN.pack(3) + b"abc" + b"rest")
+        payload = _take_payload(buf, _LEN.size, _LEN.size + 3)
+        assert type(payload) is bytes and payload == b"abc"
+        assert buf == b"rest"
+        buf += b"!"  # BufferError if a view of buf were still exported
+        assert buf == b"rest!"
 
     def test_staged_server_requires_subclass_address(self):
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

@@ -87,3 +87,25 @@ def test_short_header_bytes_are_clear_of_every_tag():
 def test_tag_0x7f_stays_unassigned():
     assert 0x7F < tags.SHORT_OBJECT
     assert 0x7F not in {int(tag) for tag in tags.Tag}
+
+
+def _compact_int_tags():
+    return range(tags.INT2_BASE, tags.INT3_END)
+
+
+def test_compact_int_forms_tile_their_ranges():
+    assert tags.INT2_BASE + (tags.INT2_LIMIT >> 8) == tags.INT3_BASE
+    assert tags.INT3_BASE + (tags.INT3_LIMIT >> 16) == tags.INT3_END
+
+
+def test_compact_int_tags_are_clear_of_every_tag_and_short_header():
+    compact = _compact_int_tags()
+    taken = sorted(tag.name for tag in tags.Tag if tag in compact)
+    assert not taken, f"Tag values inside the compact-int range: {taken}"
+    assert compact[-1] < tags.SHORT_OBJECT, "compact ints reach the short headers"
+
+
+def test_unassigned_tag_space_stays_for_gap_coded_definitions():
+    assigned = {int(tag) for tag in tags.Tag} | set(_compact_int_tags())
+    free = [byte for byte in range(0x14, 0x7F) if byte not in assigned]
+    assert len(free) >= 24, f"only {len(free)} unassigned tag bytes left"

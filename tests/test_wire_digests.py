@@ -318,440 +318,440 @@ def dump_bodies(directory: str) -> int:
 #: (profile, policy, seed) → (sha256 of the request body, of the reply body).
 DIGESTS: Dict[Tuple[str, str, int], Tuple[str, str]] = {
     ("modern", "full", 0): (
-        "7926dafb5953ea2713accd6e820e437682d2daeb2eb48ba3366269bb1fc0b57d",
-        "e239b2eddf5723aa66ad4c9899bb68b0238d8b6f83612eff0b0fca49af29bdc1",
+        "bb85fd215391f114f27f624dfe1d23752c1345b68f3fc6d84bbd7f86558feabc",
+        "780333bcf17d5396ac3c81f06104ca7d127a8a9c489efe43368705ab628c30ac",
     ),
     ("modern", "full", 1): (
-        "3109aae154e777afafddade8b8fff6d380217d5714bd6889135e8dc96090f244",
-        "78166a63327c94bfbfc09227a27acd824b91a59155891cc05263e381d2d18bbe",
+        "1f661d52f404cca0b26b2277bed3e59c5fed73ac81103abcac53fc6ce5bd2f7f",
+        "4a6c3022a0ae93f385b1ccf1509167e8ab8e2f362a653b9b4533b5e5caf935fc",
     ),
     ("modern", "full", 2): (
-        "7f2c33d232e371522d3cb994ffb89a9fa4807a738ca41a29a54c398d9e3c352f",
-        "0436d91edccae58daa505eb95ab8b659b0ed155d43e19d278ae80b4854cd72fd",
+        "a37db50b8b84c06185fdea5885dccfb7d70e28b854b336d15d136e1ca947b2de",
+        "919f790e8a0e83043c7021d93b1d01c454b0dc76fd56ae3d434ac95416b42d01",
     ),
     ("modern", "full", 3): (
-        "554be04fd7e9dffe473cf413ebe2d04022a2b71889db1ebe28e96d9fb84ec862",
-        "e35b445fce81b966263bb07713084b5eefca31b39ee931d9f3af5ab7b2597db4",
+        "90164c1bedc5e524d31e09fee556fd7ea2a3abddbdca6a4966e95fc73e2f8aa3",
+        "4fc806d14546738b39ce0b4663c0e7d3572f141fa650f29e97be133e3b841645",
     ),
     ("modern", "full", 4): (
-        "7ee8a4c6bf9a5768103c6d92670ddae83de787c66fecefe798524e382c2f30a4",
-        "dc8cfaacb8655574d23e4fe264efc6fb6814f9babd150bce006cc7f18fae2cf6",
+        "6e5c199d808726141200d3fff3926efa419d289bcdb17a6c68023896a6a313c6",
+        "40d9a1aa58ac9f0a148cd6c9cc1a67f41821322bb77d83dcf0c9b831406425f8",
     ),
     ("modern", "full", 5): (
-        "036ae9d836a7c5afa4e1cc5913bec13c40ac496a5cae97af0a8d6e348d676146",
-        "9ada4c4cb005e76bfb5109c2b8f967c2451656601de8b7ea143170e3791a5ea4",
+        "e923b156df22bb70abba7ca014a2b6b4b89686a25f16b9689d6b085ff4cfffc6",
+        "dee1e7af29a2fe4d53480e0f65eda1db74ec916a23ce1dc7fb78b2d41d44c076",
     ),
     ("modern", "full", 6): (
-        "d6ff0f54411ebbd170fd77225c801dd05e4d5c6867ac65ac2b2c2459cb80a099",
-        "94f4eab64d8269bc6517f64072404e2133b6521bb14a0e7ad9126bc318a95afc",
+        "f86d9e9d3e14471282d9e6aa9acc5eb9c0eda731e51ffe2b5a552e2171fbb85d",
+        "8554cf02d0381acfcb9242e07732f002164823c96a6d9b4c04a57c2addcba8b3",
     ),
     ("modern", "full", 7): (
-        "2a3d0aa4a956ee3bb1227fe42bc5d188d7310d8c0119cde76b38db2da4ee1599",
-        "40648bb8d13ab9e3656404dda6b267d9e1a6cee7fa6ea9ede28e42a121f96f75",
+        "48c0ae62cfa803a9cf59ae4b99de1f7c3ac5e130866d9060787e5f455053d328",
+        "f91fb9a6b509fcebce5c5eacb3e012bc59b00268fb17dcd37a57d7a2824400ce",
     ),
     ("modern", "full", 8): (
-        "0e8daffffb25adf7e14070139b770e2bb1b2b0e4d79dca0809b3f4f3dbaa1495",
-        "9458e8035b0187c4cb9fb708f8af769be14f19bd2b10f832fff2ce4f100bf99d",
+        "d802cac156569a54a0bd3318741b8f59d48b5caa366c0c69cd67c338aa86ae04",
+        "ca67b9339165864eb37b0ae31ef63d5cd82c66b8fb0ad09577b43fa5d09ec0dd",
     ),
     ("modern", "full", 9): (
-        "0e580da2ebb62639485b49e56bf6bc6da8d10d9797b71e479f1d2aee4618b31a",
-        "106504613e736c84a30c0f01706adf9e17a7091e8aa87ceac66c87cb4f474abf",
+        "18dad3dcfa472d8d1885bb22bc4cdcc2fde5df8c413e55d96b056b7dfad8ab01",
+        "9fc0f62e536f01ff173cb6d81d7d1b780c2286ad92ab4979681e9882b6153ca6",
     ),
     ("modern", "full", 10): (
-        "6309323606f89c8df112ba50794eed4bece1230a7137bf17817f41829ac37354",
-        "d7eb6bf77fa9b9cbb9d45e7c2ff41dc279966991d82d7e9ab890a30746d15a52",
+        "518aee010685bf903b15e8e5254dfad3c1537ea87665a995574b9436e1bc3e6e",
+        "7c732f2936a9fbf791fdf1a5a0f0bb36715cf726b99cbbcea4911f72dda37a76",
     ),
     ("modern", "full", 11): (
-        "ca9f050bae01b0cd376e13999ed9f725227b9a81e8343e586f9eac1cddec3cbb",
-        "01b0b4f6db6444328ce9943f6ddd0b3c21c8f13bd553fdd8bfe78ddb5cace15f",
+        "91998f68049cafa4fdbc938701245fdf96a623d1a01aa3573e9c47a81ac37222",
+        "eaaf86d6dc906727c60f46cc95dd0b7bf47acf8ad580333bde5799774773064a",
     ),
     ("modern", "delta", 0): (
-        "63eaf638df15fcf282403b3f17588c77d98bc3a5f897b0f605f1b8722eb3536b",
-        "de120e6a48bba1ab0f64ca95d2958dac6c56f09d5433fef20da55d845517d1b3",
+        "905a35cf3963d9780ee256f043d79114de8e722023fc98f75e0588bd9794d491",
+        "4dc69c4e31caf396610b6bd47bc2f2030e6dbe09cfcd2b14f14ff05fc0a43d42",
     ),
     ("modern", "delta", 1): (
-        "9d144514722a7711558a47ffe60fe2c5076fc0d931c262721b14b7fe80d03143",
-        "34515df75fffd61a1c332a38f79335bbf77ab6568949cfb36636cffedaac3dd2",
+        "66eaa588b6d6a783133f1499ad5010ec2d87b5fe66ce9e54bff027fef9781aa5",
+        "7bbfece6194e4cae4b850d3e4a9a4bc60fdd508c54f2a66735b076ec6c0b9e12",
     ),
     ("modern", "delta", 2): (
-        "b5370a75d62d2b609c1ec7b71d1babb6923db78bbb640f4b06038146342d8b6b",
-        "838df38f2ca77631770c79a1f962c08481ec00608e8e07adaa3f85109e41eb59",
+        "3f4bd0a5b50a75df1909201c95440679a799735e4cd74679db57786c4d3e46f9",
+        "74e544688ebd6ef2e9c7d97d8c4d32a8c1491b8efb27f5ef523cfda56ba76221",
     ),
     ("modern", "delta", 3): (
-        "db9ac5d4b8498cb605d8be25109ee3efaea0cd3eec50b32949c48c8993f26e4b",
-        "cfd81b8ec0f840875d8919a1f7dbac8ba97d0ce522bd0305b8bea4d3fc7f9b9c",
+        "543e7bfcdbdc15e8da02d7519a7ffbcbc7cafd12e7519f3aec89c1744e76e4ce",
+        "c9571e3c28f4f1329fbedc6fa68eb1321aa6c06cfb4c6d47f50abf74f3a73585",
     ),
     ("modern", "delta", 4): (
-        "528dd6830a5c84ab7171aea79ec61674b0a19ed4a5b3b17b449cb617f4ed03b8",
-        "f0c4e6e9a1ece7f874fa1996e05879432fd5acee2c89f7c4980f60efbc9e02e1",
+        "17eaffbe6657c76c6f2e0f8a888024ea1afceec2aad79a90053b74fd548482b3",
+        "b38e8cf80765c082254109a39ca9763a4f134c13d8652328d149392508d2228a",
     ),
     ("modern", "delta", 5): (
-        "178fa5f373ca7debc4e44d703141a7e2d78bd46203f654faffd64c9fcede418f",
-        "1eb690a95652e1b234d52785e40d2f700d73c2abc2b36c7f78477498cd3064e6",
+        "e4b3daf0fb04fefe9b925b1c0530232af95ff2ce21e00b6ac49743a37e53ed4a",
+        "559f12267f3526ea06ec490bc410dac5668f1d64b73b8fbe71cc861a26876dc3",
     ),
     ("modern", "delta", 6): (
-        "6a0d4e3de45e6b2461c053e038498946bd18b3a7597202f12576da00b713bfda",
-        "9fc70a6f696d9cf6a4d0b3e8908534ebd3149c29bddf134deebae9bb86f9a2f5",
+        "0c272ae6bafdfb16bbde2e50328c77330b08a827ba4c5f638048feecf3e7818f",
+        "302c47093dbee6e0d09a789649f9a87d32aa6a88a4ac765b5f0da641e98f86fc",
     ),
     ("modern", "delta", 7): (
-        "b981a0cbb45b0a2fd0eb2d10879a86053f3313c85b84f30d1b0b21d79f817d78",
-        "ffadba685b0ff775c114e210b6db47b373d7721288ba287b0df04559139f4dc8",
+        "78c6fd2fb0f94eeadcfbf7ce821b9c03fec6a903ca170838766a388cea73e9da",
+        "c7882073e9a7cd783ff7413a31456e2ea40249d1599ed580a9b7e43811b66566",
     ),
     ("modern", "delta", 8): (
-        "4ede29f584b1cf99dc89046155d61adc4106a7c8ac9646a8175dbbe4f882b3e5",
-        "0c841adf1fb78a9224ecc99511698c6cc816ce44f93edc8565d2f8ae5bb5ad5a",
+        "d8d890e7cc918923b857c19ad4e92d4a760622e008cd83686b338206a48296ee",
+        "5924d9d1b66e91e45c9e3da029c70af8b15bcd55238a78a13918264afae1e3f5",
     ),
     ("modern", "delta", 9): (
-        "b52bb3aa29e35c172cc38ccdb2d08c96f42edbe68c3f3e1802bc1c491c4bcde7",
-        "d21e4781f41df70dd6b32c7eec1ebb398096ebff73071c188dd7e53750d0dd3b",
+        "870804bab08dd72e0977962304b4896a14f9d94c85d231b27ba925a0af5f3dff",
+        "8b3a365736d8cb748d187d74e18616ed0a5a4a5fc7da294828b20edc1449a4c0",
     ),
     ("modern", "delta", 10): (
-        "727f873a2c3a055abee0230781f11aab70d01b00ff1b886f8970386c349a7131",
-        "aa417e52d46cecdcec141175ccf45c466e52391d3480fbb07c604f50d185463b",
+        "a9c0a904d5823e76366042d8687f6283b6b68740b86cd69239e53a63991c017e",
+        "0daa615a35c0bdb9ec3672261705f3a059a5284ff4fa72b9bd5d54049bd27556",
     ),
     ("modern", "delta", 11): (
-        "4c0ecde18898d372c9af7908554ff4150e60ef7d358fd3258c9b68c2c224bc7f",
-        "0cb984b2a63eaf3182b43289bf6ed8229b2c40531ce8738bba59550853fb986f",
+        "e3418c3eae72dff61824a1ad2180e9dbd3e58c398a99e0850f21fcd7736bb906",
+        "397736b68fa6eca487c13ba87a2750c622b1883edbfda418dc4b8427fd7f62b3",
     ),
     ("modern", "dce", 0): (
-        "7926dafb5953ea2713accd6e820e437682d2daeb2eb48ba3366269bb1fc0b57d",
-        "e239b2eddf5723aa66ad4c9899bb68b0238d8b6f83612eff0b0fca49af29bdc1",
+        "bb85fd215391f114f27f624dfe1d23752c1345b68f3fc6d84bbd7f86558feabc",
+        "780333bcf17d5396ac3c81f06104ca7d127a8a9c489efe43368705ab628c30ac",
     ),
     ("modern", "dce", 1): (
-        "3109aae154e777afafddade8b8fff6d380217d5714bd6889135e8dc96090f244",
-        "d7afcf672c1528ba95b2e073864779929dd8ba06faa8e2c6474d9fc0301adcf8",
+        "1f661d52f404cca0b26b2277bed3e59c5fed73ac81103abcac53fc6ce5bd2f7f",
+        "ac3c12e0a05c48d79bdcdc96f12948d519bd0e130a58f42b4f7299e378e78c48",
     ),
     ("modern", "dce", 2): (
-        "7f2c33d232e371522d3cb994ffb89a9fa4807a738ca41a29a54c398d9e3c352f",
-        "28f6ae1e76777e696801be8aad566eb4fb471005d57560cb0cb011b47621d659",
+        "a37db50b8b84c06185fdea5885dccfb7d70e28b854b336d15d136e1ca947b2de",
+        "4d98f258b76c9654905a07228102223babae0919b2ac3e096538e8df2dd4bbd9",
     ),
     ("modern", "dce", 3): (
-        "554be04fd7e9dffe473cf413ebe2d04022a2b71889db1ebe28e96d9fb84ec862",
-        "e16063984c8f20260c9bfb622d407fcc4de25b2f948e5d0078d3b28f11436698",
+        "90164c1bedc5e524d31e09fee556fd7ea2a3abddbdca6a4966e95fc73e2f8aa3",
+        "767b6b02a612318c73f3727bbfa7315985c188a0a2d10f0da995754e19c46a4d",
     ),
     ("modern", "dce", 4): (
-        "7ee8a4c6bf9a5768103c6d92670ddae83de787c66fecefe798524e382c2f30a4",
-        "15fe7861a4856cfbc4d570432a6be3d3d405918a52549428937451ea50fbc313",
+        "6e5c199d808726141200d3fff3926efa419d289bcdb17a6c68023896a6a313c6",
+        "09621adece0fc7d84d0a0d3b760f51441d43a0046cdd85a512d3cd21e451a4fd",
     ),
     ("modern", "dce", 5): (
-        "036ae9d836a7c5afa4e1cc5913bec13c40ac496a5cae97af0a8d6e348d676146",
-        "696060d48eddcf3205d707c49cf92b5df52ae1f2600c63fe415cc8c3111999ea",
+        "e923b156df22bb70abba7ca014a2b6b4b89686a25f16b9689d6b085ff4cfffc6",
+        "7c4e650840934edaa4d3bec5c952acd48545d314886bb0dc24b5ac94da5c3b10",
     ),
     ("modern", "dce", 6): (
-        "d6ff0f54411ebbd170fd77225c801dd05e4d5c6867ac65ac2b2c2459cb80a099",
-        "c964ebc02063c60b9411ef24152f6c74d4aed234f964461233c0bd90e8dca3eb",
+        "f86d9e9d3e14471282d9e6aa9acc5eb9c0eda731e51ffe2b5a552e2171fbb85d",
+        "98330e4a2cbea0ae483d1268ecfca6bb210a059ae4459893d2f18049e01eb1bf",
     ),
     ("modern", "dce", 7): (
-        "2a3d0aa4a956ee3bb1227fe42bc5d188d7310d8c0119cde76b38db2da4ee1599",
-        "d8f9cdb6bb871a32bbe68883bc773b39c49f954324f6ed41b2d22e3888ad5e3e",
+        "48c0ae62cfa803a9cf59ae4b99de1f7c3ac5e130866d9060787e5f455053d328",
+        "5f52dc55f413d716eb2ea448e0d1341dc3eb1f1b46be912cdbca82744bed31bc",
     ),
     ("modern", "dce", 8): (
-        "0e8daffffb25adf7e14070139b770e2bb1b2b0e4d79dca0809b3f4f3dbaa1495",
-        "8f0125bed6ccbd77b34e361d46f640b07fa8fe16701d931d58a6d05404876334",
+        "d802cac156569a54a0bd3318741b8f59d48b5caa366c0c69cd67c338aa86ae04",
+        "debdbe6a78807517914f49130366f0bd288a4239120fd0e1f2d652763bb06670",
     ),
     ("modern", "dce", 9): (
-        "0e580da2ebb62639485b49e56bf6bc6da8d10d9797b71e479f1d2aee4618b31a",
-        "8daec82205147cd583479417ea30f1a7535735694d9295f5131b8e29881a9f46",
+        "18dad3dcfa472d8d1885bb22bc4cdcc2fde5df8c413e55d96b056b7dfad8ab01",
+        "ab499e7c53281edafcf9d9cf7356df3740fc0705466a9bf9d3a37b79a834e825",
     ),
     ("modern", "dce", 10): (
-        "6309323606f89c8df112ba50794eed4bece1230a7137bf17817f41829ac37354",
-        "579eae933ccfc50fa811aa1090e8e9cdaa8392bf7b628bf0462f143d1f3140f5",
+        "518aee010685bf903b15e8e5254dfad3c1537ea87665a995574b9436e1bc3e6e",
+        "139029e2a6c507dcd1a4463977895cd049b4607ff738342a5d40515c5f0d6b6a",
     ),
     ("modern", "dce", 11): (
-        "ca9f050bae01b0cd376e13999ed9f725227b9a81e8343e586f9eac1cddec3cbb",
-        "bb4d27835fc97ed6ba71bb0931bbe59acc447f83ebc9c0a632776cfe14ee3f03",
+        "91998f68049cafa4fdbc938701245fdf96a623d1a01aa3573e9c47a81ac37222",
+        "1bcfeafdd3422f697f79b5f560ee5292abb5b4c1e9fe2a1d5ee8431cbc5fcf11",
     ),
     ("legacy", "full", 0): (
-        "d612d604acfa7bfaba484aa2a35fa3bf97822e7b2a2f34d01ad38a23dd2c0b8d",
-        "069af963f46bcdd06f575e25af460bac9211ecd795215b049802348dfa6f51ef",
+        "0029c6b15c97a747e081bb5233eb13fafac4d431475597b9aed86e2d12523e25",
+        "00b118a79084aa33e36d310b54554e903394256882eb4c1b15fc2fba718537f2",
     ),
     ("legacy", "full", 1): (
-        "ae8bf61eef46c712481d1c8553c05c680115999d175af21e2e9de1e9f19fa070",
-        "a2c3a5c4382991a12d32a054c38e76a6b6ef3a1d38b7ff1431ae1fc94e155c92",
+        "49802177b8b86eaf4b36ddae6586d648e4d1e8ed82640257dc6ed7848e2a5787",
+        "a449ad365079ca7595b61ff45fd8fb7212ff57a4533b7806a6551edfa966fabf",
     ),
     ("legacy", "full", 2): (
-        "f135351ba0a4a027ad0bb3ea8f031360558208db88e522c878abbd5f439985eb",
-        "acbee29d949d1cc840f6bc48ef681fcfc1d5a5be7e10cb7631fd130a186b780d",
+        "956ccc3d16f8a9b30e0945c759f0297daed1f73b5c8343cb32a005509ed0c25a",
+        "3b77938fe5af42fdf00f25d1d4b0f17a154e2577798af11cf975e29564ee97d1",
     ),
     ("legacy", "full", 3): (
-        "9f2f5c256409fa783c35753b45177e4e7d59bdf9d433961d355a60228f60e8e5",
-        "80e4ab4011a3f371b4597ea86b6a2eddcab3b8dc278caa0a62cce79b15f9f0dc",
+        "ed79d0e731932c5df63d7ef85d62205ae2e5e5633c8029bad3f464d29c1b4d7f",
+        "330042fe4fafd464bd04ddaba0b5101fb1880cac2b6b08061b7e6c952c719938",
     ),
     ("legacy", "full", 4): (
-        "b16f5f8bcb4f31e83ec021af676c362dde8c2f26b9e2d4bc558bc09478a5eddd",
-        "bb3df615d745bfe584a3635dee2f21bed43a35fc0f809b0ee1053c7f52e800e8",
+        "ead2a1cc77d2d6fe895228ee5c0ec9e94f15757dd2c53d9f5379016b0c22b75f",
+        "e458dc5947e940422bce5b3f375d833f342f477c72b6365e966cf4bb2b96d5e7",
     ),
     ("legacy", "full", 5): (
-        "8e04881c0338da4a302abf21b1a7c9380f307e254274b687fa2dba97bd5bb913",
-        "901f78421c1d234dcd9dd4f321286951cc5506d07f3f297a4565dbd7823e9213",
+        "adefa652e3db8be1b96c9438b56af6d8d5c1186782b6260f6c082c8abfec9f53",
+        "08c4fe2c03493cf4a25226aeb1e6dbdc093b48afa6d52c4576786c5822a8044e",
     ),
     ("legacy", "full", 6): (
-        "819f8c1ddf6e8717721863b235c04ceca306a7ee7c4917d30ff9650b1f3c5891",
-        "5980776497fc75f307d53a3540647b76175f7d764c55962d58abfcfd2260a37c",
+        "6de2cff5a010d60f5a35744827ad3c586e756f32f268d86ab682aea17fc284e0",
+        "03fc2433d7900adf6abf8258ae0bc1b2f435860fb9a86ed5859abde587b5c6e8",
     ),
     ("legacy", "full", 7): (
-        "2e86ab612d24db2f15ad768121164c7a8774ce31a5e1e57a3c4c2c3af2acd299",
-        "d0f55ce1eb169a20f5e4d55faa3ada82d91eabe49bc0b91704cad334fec30659",
+        "72e1575c0ac5f63ba79c89cb63a280a6f982d7d7b737c8314af8e09cbc25d7db",
+        "4c8f6557c6825d812c5939d1acaf875ad53ab7eef31231f843aa3500084551b1",
     ),
     ("legacy", "full", 8): (
-        "36de2045c062347a1a726ffdcdc740bd056f75e77314005d9db0504ab33f4eec",
-        "27933cdee2495ff1fa1b247e838883eedac39c2b7ddf33613356e19142863ebc",
+        "b1e6a8419b48500751285a5f028d2fcb792eb1780fec6bccbcf8c0e2e7830e90",
+        "58e1b45823615c4036282a871993d3493e99c0d0f91db0b0dcbe8c1b4456588c",
     ),
     ("legacy", "full", 9): (
-        "17e221ee6c38012562725018883d7534959bbf4aa041723b4291d5d631dcb520",
-        "30af3635e77318328593a449608cba43d62aba39853055226f8eed2bf767f14a",
+        "76169476c59135caeab48bc7b7accea119b5bce03741416360819490e1e17dcf",
+        "eb37ff3c7d7e2fd543a2343b603d79274278c122607e539559e2b6cf3e797187",
     ),
     ("legacy", "full", 10): (
-        "b424bd3a737c0b685f8e4ce7a3b40ebfb6728e4cffc0f69d323be0f4a09b5dfc",
-        "c2c442f13a49c43fe59865bb1dbaae816b344bb3d76c8c395c05126ca954f556",
+        "2dffcafa344097274153f36565e5804ec894f1d08e7b589cb42a12b1d7ec8fab",
+        "df107e79979014b0e915c5070d6506de0572380b7616f20a11e1689c2a1f8db5",
     ),
     ("legacy", "full", 11): (
-        "4d28a49961fa5e68491c5a89af3381ecc31067a2f1f71325dc2726d41fa9758a",
-        "28814e6ea85c94a7bf8da498eb7ce40e087d707fcf476204f0441e04b305fad5",
+        "dee7fee346b14a22fea1e68334ad1fdabbb31f12a70489eb720103c6b5b688a4",
+        "a6629588547af6f404c3f25b683b271704b058acf8b1b013508abaeef880a569",
     ),
     ("legacy", "delta", 0): (
-        "6a801e6469979f52330c83b81b728046b79a6279ce9d0ee0c0fb1aa2accfe29f",
-        "bd330555f4f4d25179a04d3c838e46b2cce07a3afba749d4dc02819e33db2509",
+        "502851a58fb116047ea369dc8f0ec850bcaad2e4299f1d21f4ae21e29b97ca58",
+        "7db8a81fd3e4238509619d22a4490941ea3e07f4846a66ceadeaaaa4e766e9a9",
     ),
     ("legacy", "delta", 1): (
-        "b41c5b08ee4ee6e80d98d69b76722e253d29fee4ea9f03d7fa5b1f936de1f58c",
-        "a8a73966faee89259d8211de07b031279ef37f774857aa435d4d928112e824e0",
+        "b49541fbccba6a66626fb74f4125c32f6b26645a2fa920ffb5d3d810e764af0b",
+        "899e31eb05a27cda893bba91bef0e58e3029a5217c2d52785bbd60dfee53b911",
     ),
     ("legacy", "delta", 2): (
-        "8c08f24fa371b49f42c1b844d8c22bf6b3594958429bbf0bf24e0320e31a5a73",
-        "941a21e358fbb4919b4720522e09a76dd50151432da4affa8ed6f7d1441e5e95",
+        "7a60d9f75764e62357d3bd4575e77b09a248444ebf45d223d4141970c5bc1843",
+        "c8f20d11d0c0c77ab00803ce99c260ca01cc1fea97df70a58b6124775af0d2e2",
     ),
     ("legacy", "delta", 3): (
-        "d23a97cd79c7edd7fd19be58fc8d948f60b9b18855ec4096f03c41f0ca624ec3",
-        "c0089bab54fe267b533e9d12059ca485c24a495e9c9b367046339a901021c2ab",
+        "07c766141655e59b5ab4e7a6393430442f941ef9b421974bb1490130d3d786b4",
+        "8f2faab953e951abb68c2adad3fbcd9adf7b8aff94ba4912eda52f3a1f568043",
     ),
     ("legacy", "delta", 4): (
-        "486083d527d3af0dfe991e2d6258f65258ddc8864b96cc9ef3f63d923a83b2da",
-        "8bacd92d17fe71fe4ebaddf553daa258df259054d3517f785fa2f3847a516b2a",
+        "bf96dcec7c7eb74d517a425c22b9fff1f31d538b1838220c6892d71600d3d63a",
+        "d1ce1280679e5f866ff71fdf1a20d10b3b2be0f494a054e245ecdd976bf738a7",
     ),
     ("legacy", "delta", 5): (
-        "b221dbda60749d1f82bd6954a1dc7865d140045724da85346b20ef9da82f44d6",
-        "2186c20a8207dde191a29d7e768cd9f6405d164e5ecaa0cd24a01d0959b5f44d",
+        "7591b569e05fcd9e98b2a300eb0bee3c0df212b9892e64a7cf01bbf9472acaef",
+        "9d82fd4a675fde32332ff4bda37a13e9ae718578dd5a73a02164da7f96262c2f",
     ),
     ("legacy", "delta", 6): (
-        "8724d57b247176bbba72ca72d304c0701ce1652d8e2989cdd8770f8ff05a57f2",
-        "49755a344e9b6ad0db74d712e795660aec0e5fc0d50f90be38cfa8414390da52",
+        "99a7ac7497c9612ae4f3680da964768f65ad6af220f8e785ebbfb7fb5bc0f96c",
+        "75a5dc03e22f4b0099f44420c05c1ff57ad4f18ce5e12e1b2d5925dad8c21cc3",
     ),
     ("legacy", "delta", 7): (
-        "d4928cdd0a0df27fd0696e083a227ac332df6a268bbf41457bb588955ede603a",
-        "88ff0893fc3f82464e6e595b49e298e6736f712043acf0bf6f4427df98e3ab6b",
+        "2fca6f46950e23b4d664577d737859cb64b435a139662c66617e3e8063800fe0",
+        "8190a90650780b90ebea49090a65dc2e15d3ac2cae279d822e026f98e89f38d4",
     ),
     ("legacy", "delta", 8): (
-        "20214f3c5ba55213f4f542aa622796667801c8530e026b20ec8b6070655dcd40",
-        "198da588800d59852d942a336c928b1dc89505eeb4de0c413e1e6d41b5b8991b",
+        "0fc2ccbb779d104e24817ba6a49400e6e94bd5f7e3bfc26968211310f9019a5d",
+        "8c974058334fec839e0d6fa756f1391b8101b7de9e147ee063c372e0c71811c4",
     ),
     ("legacy", "delta", 9): (
-        "d9bb2f6190869aea452d791d7b346bbfb2620f1b235dea6c72df09a8453d4d44",
-        "ad1f62a7a7c752d377b9d43a9d5a25d30bbc36fbd860219cfab3124287947454",
+        "c883d61c442658296d53418b0f2af023d2092a2a928750713650f7bd42bfd051",
+        "310b9129e0a676680f7e408cda9ee934a6e174a7e149cfd94fbf0aa38094ebee",
     ),
     ("legacy", "delta", 10): (
-        "f25c590dcf8497d4151a76c7309a8640f3dd5c9f2ace7c6677d1fa80fded7e8c",
-        "06cd388ca4a315c37e38d817a39200c5c200e03cc35020fa379b13a9ec8182ed",
+        "4299f30335a346e1c63f83dec7acf8e18a3f12480eb066f335b25211c976dcdc",
+        "18945cb5e667082c92c90ae001a451eb54bf2f6b49361ac7d0ac0bfe8ab858c0",
     ),
     ("legacy", "delta", 11): (
-        "6a98c731ae46d81093f2ec805d9e017f308573ae12472fc958956a400a1a248c",
-        "0cb984b2a63eaf3182b43289bf6ed8229b2c40531ce8738bba59550853fb986f",
+        "45606177d9d5d6a77b81b73211f54d2c7064e3ef676f38902f098cbc6b9071b2",
+        "397736b68fa6eca487c13ba87a2750c622b1883edbfda418dc4b8427fd7f62b3",
     ),
     ("legacy", "dce", 0): (
-        "d612d604acfa7bfaba484aa2a35fa3bf97822e7b2a2f34d01ad38a23dd2c0b8d",
-        "069af963f46bcdd06f575e25af460bac9211ecd795215b049802348dfa6f51ef",
+        "0029c6b15c97a747e081bb5233eb13fafac4d431475597b9aed86e2d12523e25",
+        "00b118a79084aa33e36d310b54554e903394256882eb4c1b15fc2fba718537f2",
     ),
     ("legacy", "dce", 1): (
-        "ae8bf61eef46c712481d1c8553c05c680115999d175af21e2e9de1e9f19fa070",
-        "473f9746ffd605661d98b79196a9b6843d2fccc09d40f14f14004ccd5e372d15",
+        "49802177b8b86eaf4b36ddae6586d648e4d1e8ed82640257dc6ed7848e2a5787",
+        "286b9d471c472016315b4c20300a96d55b7c188fcc88be96e281d8074bcc82cd",
     ),
     ("legacy", "dce", 2): (
-        "f135351ba0a4a027ad0bb3ea8f031360558208db88e522c878abbd5f439985eb",
-        "a67a97124c2b27c1e593bb4bfd2bff719d59a0c9423ecd59f6f058b8dfad2d53",
+        "956ccc3d16f8a9b30e0945c759f0297daed1f73b5c8343cb32a005509ed0c25a",
+        "cb0aeadeb4e2f83fe61b718cb7e557a24dc94822bd1c260fdd142237ccb0282e",
     ),
     ("legacy", "dce", 3): (
-        "9f2f5c256409fa783c35753b45177e4e7d59bdf9d433961d355a60228f60e8e5",
-        "2021eebfbbdf097c39c0cfca834375156b1f467956710a026a17b6d3dc0102fa",
+        "ed79d0e731932c5df63d7ef85d62205ae2e5e5633c8029bad3f464d29c1b4d7f",
+        "49fd2492ee952ac3e4e265dedb593eda04d6a223b570d0eaf4dcbc2eb9a54129",
     ),
     ("legacy", "dce", 4): (
-        "b16f5f8bcb4f31e83ec021af676c362dde8c2f26b9e2d4bc558bc09478a5eddd",
-        "d89b2c598f6302d66b84a3ee12857185b86cdb172d9d4c08a1162684cdc0e32e",
+        "ead2a1cc77d2d6fe895228ee5c0ec9e94f15757dd2c53d9f5379016b0c22b75f",
+        "72fc3bfc67e9a9d4c827059accb344dd6d2596d7261b04b45126c97af41e4f07",
     ),
     ("legacy", "dce", 5): (
-        "8e04881c0338da4a302abf21b1a7c9380f307e254274b687fa2dba97bd5bb913",
-        "3f6a0aa0d090a47404f9190cc79bc85db7442767b1278a3e6626c5b789d03c5c",
+        "adefa652e3db8be1b96c9438b56af6d8d5c1186782b6260f6c082c8abfec9f53",
+        "bad51eac6e3e411ec89b71fc1eab1c765f5e3fc9c9e5db026490d84359306fe2",
     ),
     ("legacy", "dce", 6): (
-        "819f8c1ddf6e8717721863b235c04ceca306a7ee7c4917d30ff9650b1f3c5891",
-        "e73441aed4f4110c92e443fea3415769f7d6105c740aa077715c47bca2b689cb",
+        "6de2cff5a010d60f5a35744827ad3c586e756f32f268d86ab682aea17fc284e0",
+        "2d87fc1bcc6dc4c236a24f7fa8c5b3f0897034e2ae0a73be86c0f04e4b299564",
     ),
     ("legacy", "dce", 7): (
-        "2e86ab612d24db2f15ad768121164c7a8774ce31a5e1e57a3c4c2c3af2acd299",
-        "95324b92ec022153faabe3ea1ebb9f7ea80721fb2519f91631f365c1d0b517b2",
+        "72e1575c0ac5f63ba79c89cb63a280a6f982d7d7b737c8314af8e09cbc25d7db",
+        "acd6da73268bfb85a272df3dc8c90e1a00697055a4943b19686b8607fc5fe591",
     ),
     ("legacy", "dce", 8): (
-        "36de2045c062347a1a726ffdcdc740bd056f75e77314005d9db0504ab33f4eec",
-        "bb406cffd03c028588094ed71c8e2d8609914c71303dbf9e6faf424e62fb56da",
+        "b1e6a8419b48500751285a5f028d2fcb792eb1780fec6bccbcf8c0e2e7830e90",
+        "be60704a9ef29014299ce61bc1adb191049993986cbdf43cd453e219a5cbbefb",
     ),
     ("legacy", "dce", 9): (
-        "17e221ee6c38012562725018883d7534959bbf4aa041723b4291d5d631dcb520",
-        "1584df517c638c8fb5c72a7046b8cfd0fef62a0a9cccc83fefe1257e4147f1a6",
+        "76169476c59135caeab48bc7b7accea119b5bce03741416360819490e1e17dcf",
+        "bca00a0a0a79e6e825088060b3e02a691ca84f95b26496260d65e9586f169bd4",
     ),
     ("legacy", "dce", 10): (
-        "b424bd3a737c0b685f8e4ce7a3b40ebfb6728e4cffc0f69d323be0f4a09b5dfc",
-        "a5c4703e0225a4c44e8b24482ec7b8770c4778d378a7ffc38ad795b5285a4a68",
+        "2dffcafa344097274153f36565e5804ec894f1d08e7b589cb42a12b1d7ec8fab",
+        "dd8fe464b7746381f93ee97c1deb8f85bea12b29fba147359c657c3ad228adc3",
     ),
     ("legacy", "dce", 11): (
-        "4d28a49961fa5e68491c5a89af3381ecc31067a2f1f71325dc2726d41fa9758a",
-        "d66b834ee00c14f183820a0be1a28942fadc36c37c47635d251ecbdbc409b313",
+        "dee7fee346b14a22fea1e68334ad1fdabbb31f12a70489eb720103c6b5b688a4",
+        "6a18173fb3282bdd8d75f7456398aa1c01072eafefaa416451b4416bf02ecc55",
     ),
 }
 
 #: (policy, seed) → the schema-on second call's (request, reply) sha256.
 SCHEMA_DIGESTS: Dict[Tuple[str, int], Tuple[str, str]] = {
     ("full", 0): (
-        "4493b31b4135befd3df89e1516d893af6ea761bf3b78fdced2e271c99c9b966c",
-        "e239b2eddf5723aa66ad4c9899bb68b0238d8b6f83612eff0b0fca49af29bdc1",
+        "4e3f82ab47ec7d024a6a41df99d1df2ad9fdf9f1d8a109b28bc352147e785bf4",
+        "780333bcf17d5396ac3c81f06104ca7d127a8a9c489efe43368705ab628c30ac",
     ),
     ("full", 1): (
-        "eb4b1ac26428f27d0dee9f8499efb5a42454a935edd3a8f9ce53ebabd1cff677",
-        "78166a63327c94bfbfc09227a27acd824b91a59155891cc05263e381d2d18bbe",
+        "acbc1daea840747872bc6054fea961dc397c660383513b6cfcae3aacd667600f",
+        "4a6c3022a0ae93f385b1ccf1509167e8ab8e2f362a653b9b4533b5e5caf935fc",
     ),
     ("full", 2): (
-        "fda538bd83de03bae10dd593393cef79b68fd306441720de1c9cae9aeb1ffe41",
-        "0436d91edccae58daa505eb95ab8b659b0ed155d43e19d278ae80b4854cd72fd",
+        "1a04beed2b42fa3a8ae8ba0a1366f742c42c73e3d5103ac6dd7de953e0a085ac",
+        "919f790e8a0e83043c7021d93b1d01c454b0dc76fd56ae3d434ac95416b42d01",
     ),
     ("full", 3): (
-        "cea64c60603b0c7057990ce3d8a3199fbd041e10462dabc67d87d5d9f18ef13a",
-        "e35b445fce81b966263bb07713084b5eefca31b39ee931d9f3af5ab7b2597db4",
+        "7594132bf3a5f51a8a8ae0a1dff0ecf90df7ccbf9210049d5fbd0d10c955ea7b",
+        "4fc806d14546738b39ce0b4663c0e7d3572f141fa650f29e97be133e3b841645",
     ),
     ("full", 4): (
-        "7c8fc44e3323709c0ba28d6388e5b87f147a8886328f639f477ebdfede02b268",
-        "dc8cfaacb8655574d23e4fe264efc6fb6814f9babd150bce006cc7f18fae2cf6",
+        "036fb9d75b85b7c8911f6072e3abb1b2d84b0833624057800279e9a1fc845e0f",
+        "40d9a1aa58ac9f0a148cd6c9cc1a67f41821322bb77d83dcf0c9b831406425f8",
     ),
     ("full", 5): (
-        "91f09a31333705e3c7639db07ab523beba3c329bd74dab8ef056695d04ac19d5",
-        "9ada4c4cb005e76bfb5109c2b8f967c2451656601de8b7ea143170e3791a5ea4",
+        "651221492c00332c28312f87555d606115589db809472d05631c2cd2d4bc99ab",
+        "dee1e7af29a2fe4d53480e0f65eda1db74ec916a23ce1dc7fb78b2d41d44c076",
     ),
     ("full", 6): (
-        "ab7d5521a0a34636ae76bc146c8b07cdb61ec59d448cbfffe067ba1b80b4194e",
-        "94f4eab64d8269bc6517f64072404e2133b6521bb14a0e7ad9126bc318a95afc",
+        "f380bd22b07ccb74278dcfcfd9d4e1d0fc95dd6491121e47c77ccb87b15b41ed",
+        "8554cf02d0381acfcb9242e07732f002164823c96a6d9b4c04a57c2addcba8b3",
     ),
     ("full", 7): (
-        "3d8d0fc645eb4ad6e2e08dd2b550276052b6ff759a37c7469a5bdcd0a6d4f87e",
-        "40648bb8d13ab9e3656404dda6b267d9e1a6cee7fa6ea9ede28e42a121f96f75",
+        "e9e60f3e6588e10f271c0f1c0878d428b3e1178763504db217b427e22bf6f246",
+        "f91fb9a6b509fcebce5c5eacb3e012bc59b00268fb17dcd37a57d7a2824400ce",
     ),
     ("full", 8): (
-        "7cb1453e3aa6021894c5b89a4e898146695d7bba595bd7e7124f5c408045649e",
-        "9458e8035b0187c4cb9fb708f8af769be14f19bd2b10f832fff2ce4f100bf99d",
+        "66da26286689c6a4991312af25950bc32bcb14bae4485756bef689bf723a3007",
+        "ca67b9339165864eb37b0ae31ef63d5cd82c66b8fb0ad09577b43fa5d09ec0dd",
     ),
     ("full", 9): (
-        "2a7a5e5c6a1654a0cbd39772bac64066eb2edc509cab27afd836747651d0c069",
-        "106504613e736c84a30c0f01706adf9e17a7091e8aa87ceac66c87cb4f474abf",
+        "087a74886c6879145e16fe2afa58643ccc5e886f2988cee4abddeca94458fcb7",
+        "9fc0f62e536f01ff173cb6d81d7d1b780c2286ad92ab4979681e9882b6153ca6",
     ),
     ("full", 10): (
-        "e19283434c5c82f4a21e9c800d0fc21ce2e682303e2b9b1d973b5de6c76d8570",
-        "d7eb6bf77fa9b9cbb9d45e7c2ff41dc279966991d82d7e9ab890a30746d15a52",
+        "6a8bd05e3b2ea12076f0ecc907a99f419454ec57e437c5482a9d6b6326fedd1f",
+        "7c732f2936a9fbf791fdf1a5a0f0bb36715cf726b99cbbcea4911f72dda37a76",
     ),
     ("full", 11): (
-        "6f055bc1b94765f64070fcdd1b08380504f3d8e3aef33225436611092bf5fccb",
-        "01b0b4f6db6444328ce9943f6ddd0b3c21c8f13bd553fdd8bfe78ddb5cace15f",
+        "f61827a65f9ca6732abf2be87234df25a3e7fbaee2429256fed29daa73dd7a65",
+        "eaaf86d6dc906727c60f46cc95dd0b7bf47acf8ad580333bde5799774773064a",
     ),
     ("delta", 0): (
-        "0b86ef44a71ca6bb820c02029c5dc09509178a3140571cd6f1d1547a6193db8b",
-        "de120e6a48bba1ab0f64ca95d2958dac6c56f09d5433fef20da55d845517d1b3",
+        "95a495c0c3b0d38de38af1556bbab5b6a23710def8ba97a78f84bf1bb7d59262",
+        "4dc69c4e31caf396610b6bd47bc2f2030e6dbe09cfcd2b14f14ff05fc0a43d42",
     ),
     ("delta", 1): (
-        "7f65d709f6835545ffc4fbc2be988f7d0ff7dcc268e0aaffc08ebd8be2b8b8bc",
-        "34515df75fffd61a1c332a38f79335bbf77ab6568949cfb36636cffedaac3dd2",
+        "711267911b511c1b930f41183219a7a3fe0aff08b3918d0ac9e235ef0186281d",
+        "7bbfece6194e4cae4b850d3e4a9a4bc60fdd508c54f2a66735b076ec6c0b9e12",
     ),
     ("delta", 2): (
-        "b0b6347c8447562983a4e3ca80b2da63ed0abb2eea7a5733dce7be1b45c5994a",
-        "838df38f2ca77631770c79a1f962c08481ec00608e8e07adaa3f85109e41eb59",
+        "405d319c99ef8a9a9158a9a1f18f37399c1e0fee3ec030e73b692b3970c06ade",
+        "74e544688ebd6ef2e9c7d97d8c4d32a8c1491b8efb27f5ef523cfda56ba76221",
     ),
     ("delta", 3): (
-        "d6f40fea298fe9feea74f6c4991b12d06d0121a47b79aa374482ae3e2a4defdd",
-        "cfd81b8ec0f840875d8919a1f7dbac8ba97d0ce522bd0305b8bea4d3fc7f9b9c",
+        "c9c4b1198255e581efcdc8682628c782668c486b6afe5e13736968ee27ebf38d",
+        "c9571e3c28f4f1329fbedc6fa68eb1321aa6c06cfb4c6d47f50abf74f3a73585",
     ),
     ("delta", 4): (
-        "f016f91554e1effec7cfe1940aa9547d49c2405d08fd1ae3d9aa10fbaddcfd91",
-        "f0c4e6e9a1ece7f874fa1996e05879432fd5acee2c89f7c4980f60efbc9e02e1",
+        "0f4c57db0e9291fbe419bbaf02cecfe2ddc0f06542d019a3dc2b33792fdd8787",
+        "b38e8cf80765c082254109a39ca9763a4f134c13d8652328d149392508d2228a",
     ),
     ("delta", 5): (
-        "8d3148b344a826f9e4755dbe3f7702dcbed6a05ac1551344cfa80557fe0cfbee",
-        "1eb690a95652e1b234d52785e40d2f700d73c2abc2b36c7f78477498cd3064e6",
+        "00322297dcd059045a588375d5f8c5763d995afa05a3f0441034cec0c4f4f549",
+        "559f12267f3526ea06ec490bc410dac5668f1d64b73b8fbe71cc861a26876dc3",
     ),
     ("delta", 6): (
-        "df50ab79bb5855af115c5f7a4c8b767c9891370b3501cd479e74230b6f3a67fa",
-        "9fc70a6f696d9cf6a4d0b3e8908534ebd3149c29bddf134deebae9bb86f9a2f5",
+        "59dfc5646422e5df609f6a3c89166a758d47539aebf889811bf816e028c73960",
+        "302c47093dbee6e0d09a789649f9a87d32aa6a88a4ac765b5f0da641e98f86fc",
     ),
     ("delta", 7): (
-        "7eebfb142a76480fe5c1d87534971f026d78a66e19905ef43c7029564a3f8ca7",
-        "ffadba685b0ff775c114e210b6db47b373d7721288ba287b0df04559139f4dc8",
+        "36e111ba124a9828298bc205dc6574ef73e0641baa6bf07611753950999757a1",
+        "c7882073e9a7cd783ff7413a31456e2ea40249d1599ed580a9b7e43811b66566",
     ),
     ("delta", 8): (
-        "cdb69b49400ee0feba3f82a45363bf0becb64c3cafa9b89289945aaafea43b74",
-        "0c841adf1fb78a9224ecc99511698c6cc816ce44f93edc8565d2f8ae5bb5ad5a",
+        "dff8294cfca81d7bd0af8e06edf14975b5b24fe4902ed01aef0937ecc915ad8f",
+        "5924d9d1b66e91e45c9e3da029c70af8b15bcd55238a78a13918264afae1e3f5",
     ),
     ("delta", 9): (
-        "903e8a2bd12a64ea8084c7a25a2f437b25b17927c539ef2af67e49e1e4a78b7b",
-        "d21e4781f41df70dd6b32c7eec1ebb398096ebff73071c188dd7e53750d0dd3b",
+        "bf3621b046b9bc2d9673cb5998a1873ad91eddb8964a1987586f3bcdc4411da4",
+        "8b3a365736d8cb748d187d74e18616ed0a5a4a5fc7da294828b20edc1449a4c0",
     ),
     ("delta", 10): (
-        "af8a705a9490910a0c7b8f4b68236166d906ea8e723b90fbce85191c80ff849c",
-        "aa417e52d46cecdcec141175ccf45c466e52391d3480fbb07c604f50d185463b",
+        "75d69b1cd9c0f7a55d0f7f7bc7c3bf4349df0418d648a3923027ba80571e770c",
+        "0daa615a35c0bdb9ec3672261705f3a059a5284ff4fa72b9bd5d54049bd27556",
     ),
     ("delta", 11): (
-        "98f68aef91de98ccc53b7db175e9546d4d73d8639e0f5a04d786a50a036c805e",
-        "0cb984b2a63eaf3182b43289bf6ed8229b2c40531ce8738bba59550853fb986f",
+        "af310e8aceed6ad436e399975006d8b19583ccc32d4f16de09f139ddcff7d7cd",
+        "397736b68fa6eca487c13ba87a2750c622b1883edbfda418dc4b8427fd7f62b3",
     ),
     ("dce", 0): (
-        "4493b31b4135befd3df89e1516d893af6ea761bf3b78fdced2e271c99c9b966c",
-        "e239b2eddf5723aa66ad4c9899bb68b0238d8b6f83612eff0b0fca49af29bdc1",
+        "4e3f82ab47ec7d024a6a41df99d1df2ad9fdf9f1d8a109b28bc352147e785bf4",
+        "780333bcf17d5396ac3c81f06104ca7d127a8a9c489efe43368705ab628c30ac",
     ),
     ("dce", 1): (
-        "eb4b1ac26428f27d0dee9f8499efb5a42454a935edd3a8f9ce53ebabd1cff677",
-        "d7afcf672c1528ba95b2e073864779929dd8ba06faa8e2c6474d9fc0301adcf8",
+        "acbc1daea840747872bc6054fea961dc397c660383513b6cfcae3aacd667600f",
+        "ac3c12e0a05c48d79bdcdc96f12948d519bd0e130a58f42b4f7299e378e78c48",
     ),
     ("dce", 2): (
-        "fda538bd83de03bae10dd593393cef79b68fd306441720de1c9cae9aeb1ffe41",
-        "28f6ae1e76777e696801be8aad566eb4fb471005d57560cb0cb011b47621d659",
+        "1a04beed2b42fa3a8ae8ba0a1366f742c42c73e3d5103ac6dd7de953e0a085ac",
+        "4d98f258b76c9654905a07228102223babae0919b2ac3e096538e8df2dd4bbd9",
     ),
     ("dce", 3): (
-        "cea64c60603b0c7057990ce3d8a3199fbd041e10462dabc67d87d5d9f18ef13a",
-        "e16063984c8f20260c9bfb622d407fcc4de25b2f948e5d0078d3b28f11436698",
+        "7594132bf3a5f51a8a8ae0a1dff0ecf90df7ccbf9210049d5fbd0d10c955ea7b",
+        "767b6b02a612318c73f3727bbfa7315985c188a0a2d10f0da995754e19c46a4d",
     ),
     ("dce", 4): (
-        "7c8fc44e3323709c0ba28d6388e5b87f147a8886328f639f477ebdfede02b268",
-        "15fe7861a4856cfbc4d570432a6be3d3d405918a52549428937451ea50fbc313",
+        "036fb9d75b85b7c8911f6072e3abb1b2d84b0833624057800279e9a1fc845e0f",
+        "09621adece0fc7d84d0a0d3b760f51441d43a0046cdd85a512d3cd21e451a4fd",
     ),
     ("dce", 5): (
-        "91f09a31333705e3c7639db07ab523beba3c329bd74dab8ef056695d04ac19d5",
-        "696060d48eddcf3205d707c49cf92b5df52ae1f2600c63fe415cc8c3111999ea",
+        "651221492c00332c28312f87555d606115589db809472d05631c2cd2d4bc99ab",
+        "7c4e650840934edaa4d3bec5c952acd48545d314886bb0dc24b5ac94da5c3b10",
     ),
     ("dce", 6): (
-        "ab7d5521a0a34636ae76bc146c8b07cdb61ec59d448cbfffe067ba1b80b4194e",
-        "c964ebc02063c60b9411ef24152f6c74d4aed234f964461233c0bd90e8dca3eb",
+        "f380bd22b07ccb74278dcfcfd9d4e1d0fc95dd6491121e47c77ccb87b15b41ed",
+        "98330e4a2cbea0ae483d1268ecfca6bb210a059ae4459893d2f18049e01eb1bf",
     ),
     ("dce", 7): (
-        "3d8d0fc645eb4ad6e2e08dd2b550276052b6ff759a37c7469a5bdcd0a6d4f87e",
-        "d8f9cdb6bb871a32bbe68883bc773b39c49f954324f6ed41b2d22e3888ad5e3e",
+        "e9e60f3e6588e10f271c0f1c0878d428b3e1178763504db217b427e22bf6f246",
+        "5f52dc55f413d716eb2ea448e0d1341dc3eb1f1b46be912cdbca82744bed31bc",
     ),
     ("dce", 8): (
-        "7cb1453e3aa6021894c5b89a4e898146695d7bba595bd7e7124f5c408045649e",
-        "8f0125bed6ccbd77b34e361d46f640b07fa8fe16701d931d58a6d05404876334",
+        "66da26286689c6a4991312af25950bc32bcb14bae4485756bef689bf723a3007",
+        "debdbe6a78807517914f49130366f0bd288a4239120fd0e1f2d652763bb06670",
     ),
     ("dce", 9): (
-        "2a7a5e5c6a1654a0cbd39772bac64066eb2edc509cab27afd836747651d0c069",
-        "8daec82205147cd583479417ea30f1a7535735694d9295f5131b8e29881a9f46",
+        "087a74886c6879145e16fe2afa58643ccc5e886f2988cee4abddeca94458fcb7",
+        "ab499e7c53281edafcf9d9cf7356df3740fc0705466a9bf9d3a37b79a834e825",
     ),
     ("dce", 10): (
-        "e19283434c5c82f4a21e9c800d0fc21ce2e682303e2b9b1d973b5de6c76d8570",
-        "579eae933ccfc50fa811aa1090e8e9cdaa8392bf7b628bf0462f143d1f3140f5",
+        "6a8bd05e3b2ea12076f0ecc907a99f419454ec57e437c5482a9d6b6326fedd1f",
+        "139029e2a6c507dcd1a4463977895cd049b4607ff738342a5d40515c5f0d6b6a",
     ),
     ("dce", 11): (
-        "6f055bc1b94765f64070fcdd1b08380504f3d8e3aef33225436611092bf5fccb",
-        "bb4d27835fc97ed6ba71bb0931bbe59acc447f83ebc9c0a632776cfe14ee3f03",
+        "f61827a65f9ca6732abf2be87234df25a3e7fbaee2429256fed29daa73dd7a65",
+        "1bcfeafdd3422f697f79b5f560ee5292abb5b4c1e9fe2a1d5ee8431cbc5fcf11",
     ),
 }
 
@@ -759,76 +759,76 @@ SCHEMA_DIGESTS: Dict[Tuple[str, int], Tuple[str, str]] = {
 #: (profile, policy, seed) → (sha256 of the request body, of the reply body).
 SHAPE_DIGESTS: Dict[Tuple[str, str, int], Tuple[str, str]] = {
     ("modern", "full", 0): (
-        "2f5038a555d0a1f9d86eb4d1dafb29fa1bb81ec8bf7dacfb23914b329e04f6c9",
-        "63141e42f034cf9d68ba3cb7ab8bba8c095e9e985ca571021d612427e0b2828b",
+        "4ad2a116374881d457a01ee4038b6df2954a2b14222af429038329e7a09e3563",
+        "5a95a18ca7cd9a371312fb52c89054b636da0fe45ea5a5f3bf853393d428dc15",
     ),
     ("modern", "full", 1): (
-        "b7ed1b21db9a01ecb3d68cde750bce3665636f1d287886214a24d67f2c4679e6",
-        "8331189bc4ab717b55c3ac900aaefb229eec886c06c4467d33be0bd20fc1efaa",
+        "5db2711e68741432f399a284d966a09255b07e9d8f8fbaca7fcb5c8c5990d385",
+        "77cd6ec73555b60dba10739479fd7960900901a5100ee67163b225247927204e",
     ),
     ("modern", "full", 2): (
-        "14a685a29b8786f538981b1f0017c36f97a101d0e6eae1f8844c1f5484556c01",
-        "a010c5c136f0ada54a328833ebebcc8b3caeec4396ecb5e22642a74693ef95d2",
+        "6120f11c25814157fc9eb08156d8c57cc8e74c4d87e40f455e2a501bd7ce29b9",
+        "b53172db0256806cbfc179df22026d4f86b30320cf3ae9a546c91c944d25fe37",
     ),
     ("modern", "delta", 0): (
-        "2f5038a555d0a1f9d86eb4d1dafb29fa1bb81ec8bf7dacfb23914b329e04f6c9",
-        "7f96ba547d6dbcb7c1dc4f72fb1612f22e91f8b4661fcb7f054d24dabce3eca2",
+        "4ad2a116374881d457a01ee4038b6df2954a2b14222af429038329e7a09e3563",
+        "3bbf452cf3bfa01cb53e1dfcf7d5807d2d8cf807520b8f47fd215c633e161e1f",
     ),
     ("modern", "delta", 1): (
-        "b7ed1b21db9a01ecb3d68cde750bce3665636f1d287886214a24d67f2c4679e6",
-        "7cfe4d92bb95c6fd1075255fc807e56e2c58ff9dff72d6135d60e02dda8e657a",
+        "5db2711e68741432f399a284d966a09255b07e9d8f8fbaca7fcb5c8c5990d385",
+        "0807af29b624555e9e64f85c4c8f2945c9ea2bd1103c23a5256f7fc118e02283",
     ),
     ("modern", "delta", 2): (
-        "14a685a29b8786f538981b1f0017c36f97a101d0e6eae1f8844c1f5484556c01",
-        "8757d0c75feba7530d5dd1f2e463fe63357a5a2d0122068d27229fbad33939f2",
+        "6120f11c25814157fc9eb08156d8c57cc8e74c4d87e40f455e2a501bd7ce29b9",
+        "ff8d91fb0ea55e4e215589b6db68883a86cfca8aa86fc7d0217f90bf52ecc1b7",
     ),
     ("modern", "dce", 0): (
-        "2f5038a555d0a1f9d86eb4d1dafb29fa1bb81ec8bf7dacfb23914b329e04f6c9",
-        "63141e42f034cf9d68ba3cb7ab8bba8c095e9e985ca571021d612427e0b2828b",
+        "4ad2a116374881d457a01ee4038b6df2954a2b14222af429038329e7a09e3563",
+        "5a95a18ca7cd9a371312fb52c89054b636da0fe45ea5a5f3bf853393d428dc15",
     ),
     ("modern", "dce", 1): (
-        "b7ed1b21db9a01ecb3d68cde750bce3665636f1d287886214a24d67f2c4679e6",
-        "8331189bc4ab717b55c3ac900aaefb229eec886c06c4467d33be0bd20fc1efaa",
+        "5db2711e68741432f399a284d966a09255b07e9d8f8fbaca7fcb5c8c5990d385",
+        "77cd6ec73555b60dba10739479fd7960900901a5100ee67163b225247927204e",
     ),
     ("modern", "dce", 2): (
-        "14a685a29b8786f538981b1f0017c36f97a101d0e6eae1f8844c1f5484556c01",
-        "a010c5c136f0ada54a328833ebebcc8b3caeec4396ecb5e22642a74693ef95d2",
+        "6120f11c25814157fc9eb08156d8c57cc8e74c4d87e40f455e2a501bd7ce29b9",
+        "b53172db0256806cbfc179df22026d4f86b30320cf3ae9a546c91c944d25fe37",
     ),
     ("legacy", "full", 0): (
-        "331431136a93d3b690108e95e1ab4e6999960b42e57ecf29c46eb8aca76c3223",
-        "0c095ee90333890b96608ebec00c7d100de485574b54d6d7c88c6a0443cf3b0f",
+        "da2e0a54becaf7066b25fcf8c3448e32061f6e8eee61b8834b5f47b921eed687",
+        "231f095bbeaa984e3190740bc022554560bdc3b2fa265ece2989a0cd148ef38a",
     ),
     ("legacy", "full", 1): (
-        "0b7183f19fc405331a05399e36027eb4d4fa857e057eb937c4b150f71e3bcc80",
-        "28d3060cb38094564503d234af3d01c0a5b97152aa3bef079a892b2e73ef4962",
+        "cd1431ed9245652da586d33eacd4227b7055d414b332ac92d4d09ae0fcfd614a",
+        "73ce4541ee8a20d147a60486fc7db76071d875b5dfa92e49cc9b1310aa8784ec",
     ),
     ("legacy", "full", 2): (
-        "c63bb1e518e4bbc6746b2a940a7b722a9b4a572cbd58334dd40581ef0d29e156",
-        "036e9baaa3bbb41b2706cbaca1100fa18ae4fb52eef4e154ef18ebd3790b6c92",
+        "e94acc8e46b4b8eebc4e460827e11fe2fed98964be4f1fdbec558b2b91fb13b5",
+        "0edfcad28d9a5fbba6b0eb5ad8ca3cde96cb08281000487c2a740a1fc5f7fdc1",
     ),
     ("legacy", "delta", 0): (
-        "331431136a93d3b690108e95e1ab4e6999960b42e57ecf29c46eb8aca76c3223",
-        "65cdd989a5b9ea8bb90d63dac63b0cf49b1f29ddca9cc58bc0c96c9a67828a82",
+        "da2e0a54becaf7066b25fcf8c3448e32061f6e8eee61b8834b5f47b921eed687",
+        "bc15b40d7b61912226289abfa156474082cef6549732848d30c5cbd7d44fd092",
     ),
     ("legacy", "delta", 1): (
-        "0b7183f19fc405331a05399e36027eb4d4fa857e057eb937c4b150f71e3bcc80",
-        "d56ff3ce64003fec48057b878d5aa2f2a219d52d3388766f26b1a3ab94d828a1",
+        "cd1431ed9245652da586d33eacd4227b7055d414b332ac92d4d09ae0fcfd614a",
+        "bbbc736a8fd6b057c94e18e1fd348377d01c6e090ef85f79658de42e2a597401",
     ),
     ("legacy", "delta", 2): (
-        "c63bb1e518e4bbc6746b2a940a7b722a9b4a572cbd58334dd40581ef0d29e156",
-        "349234e9f0bdce8853d9c4d207aebe66feb9b862ea2e8f3ecba0fcf4ef68cc08",
+        "e94acc8e46b4b8eebc4e460827e11fe2fed98964be4f1fdbec558b2b91fb13b5",
+        "040302a066ce856dfc257162cc2a11d8ee4e0b252155521246db3c709ec7c6a9",
     ),
     ("legacy", "dce", 0): (
-        "331431136a93d3b690108e95e1ab4e6999960b42e57ecf29c46eb8aca76c3223",
-        "0c095ee90333890b96608ebec00c7d100de485574b54d6d7c88c6a0443cf3b0f",
+        "da2e0a54becaf7066b25fcf8c3448e32061f6e8eee61b8834b5f47b921eed687",
+        "231f095bbeaa984e3190740bc022554560bdc3b2fa265ece2989a0cd148ef38a",
     ),
     ("legacy", "dce", 1): (
-        "0b7183f19fc405331a05399e36027eb4d4fa857e057eb937c4b150f71e3bcc80",
-        "28d3060cb38094564503d234af3d01c0a5b97152aa3bef079a892b2e73ef4962",
+        "cd1431ed9245652da586d33eacd4227b7055d414b332ac92d4d09ae0fcfd614a",
+        "73ce4541ee8a20d147a60486fc7db76071d875b5dfa92e49cc9b1310aa8784ec",
     ),
     ("legacy", "dce", 2): (
-        "c63bb1e518e4bbc6746b2a940a7b722a9b4a572cbd58334dd40581ef0d29e156",
-        "036e9baaa3bbb41b2706cbaca1100fa18ae4fb52eef4e154ef18ebd3790b6c92",
+        "e94acc8e46b4b8eebc4e460827e11fe2fed98964be4f1fdbec558b2b91fb13b5",
+        "0edfcad28d9a5fbba6b0eb5ad8ca3cde96cb08281000487c2a740a1fc5f7fdc1",
     ),
 }
 
